@@ -8,7 +8,8 @@ constructs independently re-verifiable witnesses of r-similar and
 determinant-similar (k+1)-point configurations in subsets of F_q^d.
 """
 
-from .harness import __version__
+# Defined before the submodule imports so that they can import it.
+__version__ = "0.1.0"
 
 from .errors import (
     DimensionMismatch,
@@ -19,6 +20,7 @@ from .errors import (
     FqsimError,
     HeaderMismatch,
     InsufficientIntersection,
+    MalformedWitness,
     NoRoot,
     NotADthPower,
     NotASquare,
@@ -35,7 +37,7 @@ from .errors import (
     VerificationFailed,
     ZeroDilation,
 )
-from .field import FieldElement, PrimeField, arith, as_field, make_field
+from .field import FieldElement, PrimeField, as_field, make_field
 from .geometry import (
     ENUMERATION_CAP,
     Matrix,
@@ -46,7 +48,6 @@ from .geometry import (
     det_of_columns_cofactor,
     pair_norms,
     sphere,
-    zero_vector,
 )
 from .groups import (
     FiniteGroup,
@@ -61,9 +62,7 @@ from .groups import (
 )
 from .intersection import (
     BoundAudit,
-    DoubleCountCheck,
     IntersectionReport,
-    double_count_check,
     exhaustive_pairs_audit,
     intersect_count,
     max_intersection,
@@ -98,7 +97,6 @@ from .harness import (
     random_subset,
     run_cell,
     run_sweep,
-    save_pointset,
     sweep_summary,
     write_sweep,
 )

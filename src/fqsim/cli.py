@@ -5,7 +5,8 @@ on stdout.  Exit codes:
     0  success
     2  a guarantee the counting argument makes failed to hold (should
        never happen), or a witness failed verification
-    3  input error (bad files, bad parameters, mismatched sets)
+    3  input error (bad files, bad parameters, mismatched sets, malformed
+       witness JSON, unknown or badly typed flags)
     4  an enumeration or scan cap was exceeded
     1  a search legitimately found too small an intersection while the
        size guarantee did not apply
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .configurations import (
     EdgeSet,
     edge_preset,
@@ -33,6 +35,7 @@ from .errors import (
     EnumerationCapExceeded,
     FqsimError,
     InsufficientIntersection,
+    MalformedWitness,
     ScanCapExceeded,
     VerificationFailed,
 )
@@ -40,7 +43,6 @@ from .field import make_field
 from .groups import orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
-    __version__,
     file_digest,
     load_pointset,
     random_pointset,
@@ -91,8 +93,7 @@ def cmd_verify_bound(args) -> int:
         raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
     e_set = load_pointset(args.set_e)
     h_set = load_pointset(args.set_h)
-    report = max_intersection(group, e_set, h_set,
-                              want_histogram=args.histogram, jobs=args.jobs)
+    report = max_intersection(group, e_set, h_set, want_histogram=args.histogram)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None
     out["input_digests"] = {"set_e": file_digest(args.set_e), "set_h": file_digest(args.set_h)}
@@ -132,33 +133,14 @@ def _points_for(args):
     return field, random_pointset(field, args.d, args.random, args.seed), {}
 
 
-def cmd_find_similar(args) -> int:
+def cmd_find(args) -> int:
+    """find-similar and find-det-similar: run args.finder, report its witness."""
     field, points, digests = _points_for(args)
     ratio = field(args.r)
-    edges = _edge_set_from_option(args.edges, args.k)
+    edges = _edge_set_from_option(args.edges, args.k) if args.edges else None
     threshold = similarity_threshold(field, args.d, args.k)
     try:
-        witness = find_similar_config(points, ratio, args.k, edges)
-    except InsufficientIntersection as exc:
-        met = threshold.met_by(len(points))
-        _emit_error(exc, best_count=exc.best_count, needed=exc.needed,
-                    meets_threshold=met, set_size=len(points))
-        return 2 if met else 1
-    out = witness.to_json()
-    out["meets_threshold"] = threshold.met_by(len(points))
-    out["best_count"] = witness.report.best_count
-    if digests:
-        out["input_digests"] = digests
-    _emit(out)
-    return 0
-
-
-def cmd_find_det_similar(args) -> int:
-    field, points, digests = _points_for(args)
-    ratio = field(args.r)
-    threshold = similarity_threshold(field, args.d, args.k)
-    try:
-        witness = find_det_similar(points, ratio, args.k, jobs=args.jobs)
+        witness = args.finder(points, ratio, args.k, edges)
     except InsufficientIntersection as exc:
         met = threshold.met_by(len(points))
         _emit_error(exc, best_count=exc.best_count, needed=exc.needed,
@@ -177,7 +159,7 @@ def cmd_sphere_experiment(args) -> int:
     e_set = load_pointset(args.set_e) if args.set_e else None
     h_set = load_pointset(args.set_h) if args.set_h else None
     result = sphere_experiment(args.q, args.d, args.radius, args.k,
-                               e_set=e_set, h_set=h_set, jobs=args.jobs)
+                               e_set=e_set, h_set=h_set)
     _emit(result.to_json())
     return 0 if result.guarantee_holds else 2
 
@@ -208,20 +190,31 @@ def cmd_sweep(args) -> int:
 def cmd_verify_witness(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise MalformedWitness(f"witness JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "similarity":
         check = verify_similarity(SimilarityWitness.from_json(obj))
     elif kind == "det-similarity":
         check = verify_det_similarity(DetSimilarityWitness.from_json(obj))
     else:
-        raise ValueError(f"unknown witness kind {kind!r}")
+        raise MalformedWitness(f"unknown witness kind {kind!r}")
     _emit({"verified": check.ok, "reasons": list(check.reasons),
            "input_digest": file_digest(args.file)})
     return 0 if check.ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error); argparse's own 2 would read as a
+    failed guarantee.  Subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fqsim",
         description="Exact group-action intersection bounds and similar "
                     "point configurations over prime fields.",
@@ -251,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-subsets", action="store_true",
                    help="audit every subset pair of the space instead of reading sets")
     p.add_argument("--histogram", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cap", type=int, default=10 ** 8)
     p.set_defaults(func=cmd_verify_bound)
 
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="point-set file")
     p.add_argument("--random", type=int, help="sample this many random points instead")
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_find_similar)
+    p.set_defaults(func=cmd_find, finder=find_similar_config)
 
     p = sub.add_parser("find-det-similar",
                        help="find tuples with proportional subset determinants")
@@ -276,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="point-set file")
     p.add_argument("--random", type=int)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_find_det_similar)
+    p.set_defaults(func=cmd_find, edges=None,
+                   finder=lambda points, ratio, k, edges: find_det_similar(points, ratio, k))
 
     p = sub.add_parser("sphere-experiment",
                        help="orthogonal-action intersection bound on a sphere")
@@ -287,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set-e", dest="set_e")
     p.add_argument("--set-h", dest="set_h")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sphere_experiment)
 
     p = sub.add_parser("sweep", help="run a grid of similarity searches, one JSON line each")

@@ -28,6 +28,7 @@ from typing import Optional
 from .errors import (
     FieldMismatch,
     InsufficientIntersection,
+    MalformedWitness,
     NotADthPower,
     NotASquare,
     NotOnSphere,
@@ -35,7 +36,7 @@ from .errors import (
     VerificationFailed,
     ZeroDilation,
 )
-from .field import FieldElement, make_field, as_field
+from .field import FieldElement, PrimeField, make_field, as_field
 from .geometry import ENUMERATION_CAP, Matrix, PointSet, Vector, sphere
 from .groups import GroupElement, SpecialLinear, orthogonal_group, special_linear_group
 from .intersection import (
@@ -177,6 +178,55 @@ class Verification:
         return self.ok
 
 
+def _json_get(obj, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise MalformedWitness(f"witness JSON lacks key {key!r}") from None
+
+
+def _json_int(obj: dict, key: str, low: int | None = None) -> int:
+    """obj[key] as an int (>= low if given); bools are rejected."""
+    value = _json_get(obj, key)
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise MalformedWitness(f"witness key {key!r} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _is_int_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length and all(type(c) is int for c in value)
+
+
+def _json_rows(obj: dict, key: str, rows: int | None, width: int) -> list[list[int]]:
+    """obj[key] as `rows` lists (any number if None) of `width` ints."""
+    value = _json_get(obj, key)
+    if not (isinstance(value, list) and (rows is None or len(value) == rows)
+            and all(_is_int_list(row, width) for row in value)):
+        shape = f"{'n' if rows is None else rows}x{width}"
+        raise MalformedWitness(f"witness key {key!r} must be a {shape} list of integer lists")
+    return value
+
+
+def _json_witness_core(obj) -> tuple[PrimeField, int, int, dict]:
+    """Schema checks shared by both witness kinds.
+
+    Returns the field, d, k, and the ratio, xs/ys/zs and verified
+    arguments of the witness, each tuple having been checked to be a
+    (k+1)×d list of integer lists.
+    """
+    if not isinstance(obj, dict):
+        raise MalformedWitness(f"witness JSON must be an object, got {type(obj).__name__}")
+    field = make_field(_json_int(obj, "q", 2))
+    d = _json_int(obj, "d", 1)
+    k = _json_int(obj, "k", 1)
+    core = {"ratio": field(_json_int(obj, "r")),
+            "verified": bool(obj.get("verified", False))}
+    for name in ("xs", "ys", "zs"):
+        core[name] = tuple(Vector(field, c) for c in _json_rows(obj, name, k + 1, d))
+    return field, d, k, core
+
+
 @dataclass
 class SimilarityWitness:
     """Explicit tuples realizing ‖y_i - y_j‖ = ratio·‖x_i - x_j‖ on an edge set.
@@ -218,17 +268,16 @@ class SimilarityWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimilarityWitness":
-        field = make_field(obj["q"])
-        vec = lambda c: Vector(field, c)
+        """Decode witness JSON; MalformedWitness if it breaks the schema."""
+        field, d, k, core = _json_witness_core(obj)
+        shift = _json_get(obj, "a")
+        if not _is_int_list(shift, d):
+            raise MalformedWitness(f"witness key 'a' must be a list of {d} integers")
         return cls(
-            ratio=field(obj["r"]),
-            root=field(obj["sqrt_r"]),
-            shift=vec(obj["a"]),
-            xs=tuple(vec(c) for c in obj["xs"]),
-            ys=tuple(vec(c) for c in obj["ys"]),
-            zs=tuple(vec(c) for c in obj["zs"]),
-            edges=EdgeSet(obj["k"], obj["edges"]),
-            verified=bool(obj.get("verified", False)),
+            root=field(_json_int(obj, "sqrt_r")),
+            shift=Vector(field, shift),
+            edges=EdgeSet(k, _json_rows(obj, "edges", None, 2)),
+            **core,
         )
 
 
@@ -270,16 +319,12 @@ class DetSimilarityWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetSimilarityWitness":
-        field = make_field(obj["q"])
-        vec = lambda c: Vector(field, c)
+        """Decode witness JSON; MalformedWitness if it breaks the schema."""
+        field, d, _, core = _json_witness_core(obj)
         return cls(
-            ratio=field(obj["r"]),
-            root=field(obj["root"]),
-            transform=SpecialLinear(Matrix(field, obj["g"])),
-            xs=tuple(vec(c) for c in obj["xs"]),
-            ys=tuple(vec(c) for c in obj["ys"]),
-            zs=tuple(vec(c) for c in obj["zs"]),
-            verified=bool(obj.get("verified", False)),
+            root=field(_json_int(obj, "root")),
+            transform=SpecialLinear(Matrix(field, _json_rows(obj, "g", d, d))),
+            **core,
         )
 
 
@@ -461,7 +506,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
 
 
 def find_det_similar(points: PointSet, ratio: FieldElement, k: int, *,
-                     cap: int = ENUMERATION_CAP, jobs: int = 1) -> DetSimilarityWitness:
+                     cap: int = ENUMERATION_CAP) -> DetSimilarityWitness:
     """Find (k+1)-tuples whose d-subset determinants differ by the ratio.
 
     Requires k >= d (otherwise no d-subset exists beyond a single one),
@@ -484,7 +529,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int, *,
 
     group = special_linear_group(points.field, d, cap=cap)
     scaled = points.scaled(root)
-    report = max_intersection(group, points, scaled, jobs=jobs)
+    report = max_intersection(group, points, scaled)
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 
@@ -562,7 +607,7 @@ class SphereExperimentReport:
 
 def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
                       e_set: PointSet | None = None, h_set: PointSet | None = None, *,
-                      cap: int = ENUMERATION_CAP, jobs: int = 1) -> SphereExperimentReport:
+                      cap: int = ENUMERATION_CAP) -> SphereExperimentReport:
     """Run the orthogonal-group intersection bound on a sphere.
 
     Defaults both sets to the full sphere.  Transitivity of the action
@@ -582,7 +627,7 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
                     f"{name} set point {p!r} is not on the radius-{radius % field.q} sphere"
                 )
     group = orthogonal_group(field, dim, radius=radius, cap=cap)
-    report = max_intersection(group, e_set, h_set, jobs=jobs)
+    report = max_intersection(group, e_set, h_set)
     return SphereExperimentReport(
         report=report,
         k=k,

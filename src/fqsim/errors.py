@@ -111,6 +111,10 @@ class VerificationFailed(FqsimError):
         super().__init__("witness verification failed: " + "; ".join(self.reasons))
 
 
+class MalformedWitness(FqsimError):
+    """Witness JSON that does not match the documented schema."""
+
+
 # --- harness I/O ---
 
 class ParseError(FqsimError):

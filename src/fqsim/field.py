@@ -78,11 +78,6 @@ class PrimeField:
     def one(self) -> "FieldElement":
         return FieldElement(1, self)
 
-    def elements(self):
-        """All field elements in canonical order."""
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
     def smallest_nonresidue(self) -> int:
         """The least quadratic nonresidue, found by scanning 2, 3, 4, ...
 
@@ -268,23 +263,6 @@ def _tonelli_shanks(a: int, q: int, nonresidue: int) -> int:
         b = b * c % q
         m = i
     return x
-
-
-_ARITH_OPS = {
-    "add": FieldElement.__add__,
-    "sub": FieldElement.__sub__,
-    "mul": FieldElement.__mul__,
-    "div": FieldElement.__truediv__,
-}
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named dispatch over the four binary operations."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_ARITH_OPS)}")
-    return fn(a, b)
 
 
 def as_field(q_or_field) -> PrimeField:

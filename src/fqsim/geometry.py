@@ -118,10 +118,6 @@ class Vector:
         return f"Vector({list(self.coords)} mod {self.field.q})"
 
 
-def zero_vector(field: PrimeField, dim: int) -> Vector:
-    return Vector(field, [0] * dim)
-
-
 def all_vectors(field: PrimeField, dim: int):
     """Every point of F_q^d in lexicographic order."""
     for coords in itertools.product(range(field.q), repeat=dim):
@@ -252,9 +248,6 @@ class Matrix:
             if c.dim != d:
                 raise DimensionMismatch("columns of unequal dimension")
         return cls(field, [[columns[j].coords[i] for j in range(d)] for i in range(d)])
-
-    def column(self, j: int) -> Vector:
-        return Vector(self.field, [row[j] for row in self.rows])
 
     def transpose(self) -> "Matrix":
         n = self.n

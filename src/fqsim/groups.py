@@ -92,12 +92,6 @@ class Space:
     def __iter__(self):
         return iter(self.elements)
 
-    def contains_set(self, points: PointSet) -> bool:
-        return all(p in self for p in points)
-
-    def as_pointset(self) -> PointSet:
-        return PointSet(self.field, self.dim, self.elements)
-
     def describe(self) -> dict:
         out = {"kind": self.kind, "q": self.field.q, "d": self.dim, "size": self.size}
         if self.radius is not None:

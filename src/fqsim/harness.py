@@ -21,10 +21,11 @@ import io
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from . import __version__
 from .configurations import (
     find_det_similar,
     find_similar_config,
@@ -35,8 +36,6 @@ from .field import PrimeField, as_field
 from .geometry import PointSet, Vector
 from .groups import Space
 from .prng import SplitMix64, derive_seed
-
-__version__ = "0.1.0"
 
 
 # --- point-set I/O ---
@@ -134,11 +133,6 @@ def format_pointset(points: PointSet) -> str:
     lines = [f"q={points.field.q} d={points.dim}"]
     lines.extend(",".join(str(c) for c in p.coords) for p in points)
     return "\n".join(lines) + "\n"
-
-
-def save_pointset(points: PointSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pointset(points))
 
 
 def file_digest(path) -> str:
@@ -265,13 +259,19 @@ def run_cell(cell: dict) -> Report:
     return Report(config=dict(cell), outcome=outcome, timing_ms=timing)
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:
-    """Execute every cell; reports come back in grid order regardless of jobs."""
+def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
+    """run_cell over every cell, yielded in grid order for any worker count."""
     cells = config.cells()
     if jobs <= 1:
-        return [run_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_cell, cells))
+        yield from map(run_cell, cells)
+    else:
+        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(run_cell, cells)
+
+
+def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:
+    """Execute every cell; reports come back in grid order regardless of jobs."""
+    return list(_sweep_reports(config, jobs))
 
 
 def sweep_summary(reports: Sequence[Report]) -> dict:
@@ -301,20 +301,10 @@ def write_sweep(config: SweepConfig, stream, jobs: int = 1) -> dict:
     valid JSON-lines prefix behind.
     """
     reports: list[Report] = []
-    cells = config.cells()
-
-    def emit(report: Report):
+    for report in _sweep_reports(config, jobs):
         reports.append(report)
         stream.write(canonical_json(report.to_json()) + "\n")
         stream.flush()
-
-    if jobs <= 1:
-        for cell in cells:
-            emit(run_cell(cell))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for report in pool.map(run_cell, cells):
-                emit(report)
     summary = sweep_summary(reports)
     stream.write(canonical_json(summary) + "\n")
     stream.flush()

@@ -10,16 +10,14 @@ ways.
 
 Every quantity is integer or `fractions.Fraction`; nothing is ever
 compared through floating point.  Argmax ties are broken toward the
-canonically smallest group element.  Scans can be partitioned across
-workers; the reduction preserves the canonical tie-break, so results
-are independent of scheduling.
+canonically smallest group element: the scan walks the elements in
+canonical order and keeps the first strict maximum.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,33 +92,6 @@ class IntersectionReport:
         return out
 
 
-@dataclass(frozen=True)
-class DoubleCountCheck:
-    """Sum over g of |fixed ∩ g·moving| against its closed form."""
-
-    total: int
-    expected: Fraction
-    transitive: bool
-
-    @property
-    def equal(self) -> bool:
-        return self.total == self.expected
-
-    @property
-    def applicable(self) -> bool:
-        # The closed form is only guaranteed for transitive actions.
-        return self.transitive
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "expected_num": self.expected.numerator,
-            "expected_den": self.expected.denominator,
-            "equal": self.equal,
-            "transitive": self.transitive,
-        }
-
-
 def _check_compatible(moving: PointSet, fixed: PointSet) -> None:
     if moving.field.q != fixed.field.q:
         raise FieldMismatch(
@@ -159,30 +130,11 @@ def _image_mask(perm, indices) -> int:
     return m
 
 
-def _scan_chunk(perms, e_indices, h_mask, lo, hi, collect):
-    best_c = -1
-    best_i = -1
-    total = 0
-    counts = [] if collect else None
-    for gi in range(lo, hi):
-        c = (_image_mask(perms[gi], e_indices) & h_mask).bit_count()
-        total += c
-        if collect:
-            counts.append(c)
-        if c > best_c:
-            best_c = c
-            best_i = gi
-    return best_i, best_c, total, counts
-
-
 def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
-                     want_histogram: bool = False, jobs: int = 1) -> IntersectionReport:
+                     want_histogram: bool = False) -> IntersectionReport:
     """Exact maximum of |fixed ∩ g·moving| over every element of the group.
 
-    The maximizer reported is the canonically smallest one.  With
-    jobs > 1 the element range is split into contiguous chunks and the
-    chunk results merged in order, which reproduces the single-worker
-    answer exactly.
+    The maximizer reported is the canonically smallest one.
     """
     _require_subsets(group, moving, fixed)
     space = group.space
@@ -207,52 +159,19 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
     for p in fixed:
         h_mask |= 1 << space.index(p)
 
-    order = group.order
-    if jobs <= 1 or order < 2 * jobs:
-        chunks = [(0, order)]
-    else:
-        step = (order + jobs - 1) // jobs
-        chunks = [(lo, min(lo + step, order)) for lo in range(0, order, step)]
+    # One count per element, in canonical order; index() finds the first
+    # maximum, which is the canonical tie-break.
+    counts = [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in perms]
+    best_c = max(counts)
+    best_i = counts.index(best_c)
 
-    if len(chunks) == 1:
-        results = [_scan_chunk(perms, e_indices, h_mask, 0, order, want_histogram)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(
-                lambda c: _scan_chunk(perms, e_indices, h_mask, c[0], c[1], want_histogram),
-                chunks,
-            ))
-
-    best_i, best_c, total = -1, -1, 0
-    all_counts: list[int] = []
-    for bi, bc, tot, counts in results:
-        total += tot
-        if bc > best_c:  # chunk order preserves the smallest-index tie-break
-            best_c, best_i = bc, bi
-        if counts is not None:
-            all_counts.extend(counts)
-
-    hist = dict(Counter(all_counts)) if want_histogram else None
+    hist = dict(Counter(counts)) if want_histogram else None
     return IntersectionReport(
         best_g=group.elements[best_i], best_count=best_c, bound=bound,
-        double_count_total=total, transitive=transitive,
-        group_order=order, space_size=n_x,
+        double_count_total=sum(counts), transitive=transitive,
+        group_order=group.order, space_size=n_x,
         moving_size=len(moving), fixed_size=len(fixed),
         per_g_histogram=hist,
-    )
-
-
-def double_count_check(group: FiniteGroup, moving: PointSet, fixed: PointSet) -> DoubleCountCheck:
-    """Total of |fixed ∩ g·moving| over g, against |G||H||E|/|X|.
-
-    For non-transitive actions the closed form need not hold; the result
-    flags this instead of failing.
-    """
-    report = max_intersection(group, moving, fixed)
-    return DoubleCountCheck(
-        total=report.double_count_total,
-        expected=report.double_count_expected,
-        transitive=report.transitive,
     )
 
 

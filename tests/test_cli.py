@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fqsim import format_pointset, random_pointset, sphere
 from fqsim.cli import main
 
@@ -275,3 +277,44 @@ class TestSweepAndVerifyWitness:
         path = tmp_path / "nope.json"
         code, out = run_cli(capsys, "verify-witness", str(path))
         assert code == 3
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate-group", "--kind", "translations", "--q", "3", "--d", "2", "--bogus"],
+        ["enumerate-group", "--kind", "translations", "--q", "three", "--d", "2"],
+        ["verify-bound", "--group", "translations", "--q", "3", "--d", "1",
+         "--exhaustive-subsets", "--jobs", "2"],
+        ["find-det-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+         "--random", "9", "--jobs", "2"],
+        ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k", "1",
+         "--jobs", "2"],
+    ])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda w: {"kind": "similarity"},
+        lambda w: [w],
+        lambda w: {**w, "xs": [[str(c) for c in w["xs"][0]]] + w["xs"][1:]},
+    ], ids=["missing-keys", "top-level-list", "string-coordinate"])
+    def test_malformed_witness_is_input_error(self, capsys, tmp_path, corrupt):
+        _, out = run_cli(capsys, "find-similar", "--q", "5", "--d", "2",
+                         "--r", "4", "--k", "2", "--random", "9", "--seed", "3")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(corrupt(first_json(out))))
+        code = main(["verify-witness", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert first_json(captured.out)["error"] == "MalformedWitness"
+        assert "Traceback" not in captured.err

@@ -12,6 +12,7 @@ from fqsim import (
     DetSimilarityWitness,
     EdgeSet,
     InsufficientIntersection,
+    MalformedWitness,
     NotADthPower,
     NotASquare,
     NotOnSphere,
@@ -256,6 +257,18 @@ class TestFindDetSimilar:
         again = DetSimilarityWitness.from_json(json.loads(json.dumps(w.to_json())))
         assert bool(verify_det_similarity(again))
         assert again.to_json() == w.to_json()
+
+    @pytest.mark.parametrize("change", [
+        {"g": [[1, 0]]},             # not d x d
+        {"g": [[1, 0], [0, "1"]]},   # non-integer entry
+        {"k": True},                 # a bool is not an int
+        {"root": None},
+        {"ys": [[1, 0]]},            # k+1 = 4 rows expected
+    ])
+    def test_from_json_rejects_malformed(self, change):
+        w = find_det_similar(punctured_plane(F5), F5(4), 3)
+        with pytest.raises(MalformedWitness):
+            DetSimilarityWitness.from_json({**w.to_json(), **change})
 
     def test_three_dimensional_witness(self):
         # cubing is a bijection mod 3, so every nonzero ratio is admissible

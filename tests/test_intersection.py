@@ -13,7 +13,6 @@ from fqsim import (
     SpaceMismatch,
     Vector,
     all_vectors,
-    double_count_check,
     exhaustive_pairs_audit,
     intersect_count,
     make_field,
@@ -111,21 +110,6 @@ class TestMaxIntersection:
         with pytest.raises(SpaceMismatch):
             max_intersection(group, with_origin, ok)
 
-    def test_jobs_do_not_change_the_report(self):
-        group = special_linear_group(3, 2)
-        e = PointSet.from_coords(F3, 2, [[1, 0], [0, 1], [1, 1], [2, 1]])
-        h = PointSet.from_coords(F3, 2, [[1, 2], [2, 0], [0, 2]])
-        reports = [
-            max_intersection(group, e, h, want_histogram=True, jobs=j)
-            for j in (1, 2, 3, 8)
-        ]
-        first = reports[0]
-        for rep in reports[1:]:
-            assert rep.best_g == first.best_g
-            assert rep.best_count == first.best_count
-            assert rep.double_count_total == first.double_count_total
-            assert rep.per_g_histogram == first.per_g_histogram
-
     def test_tie_break_is_canonical_smallest(self):
         group = translations(3, 1)
         # H = whole line: every shift ties at 1, so the zero shift must win
@@ -144,37 +128,36 @@ class TestMaxIntersection:
 
 class TestDoubleCount:
     def test_example(self):
-        check = double_count_check(
+        rep = max_intersection(
             translations(3, 1),
             PointSet.from_coords(F3, 1, [[0], [1]]),
             PointSet.from_coords(F3, 1, [[0], [1]]),
         )
-        assert check.total == 4
-        assert check.expected == 4
-        assert check.equal and check.applicable
+        assert rep.double_count_total == 4
+        assert rep.double_count_expected == 4
+        assert rep.double_count_ok and rep.transitive
 
     def test_empty(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            check = double_count_check(
+            rep = max_intersection(
                 translations(3, 1), PointSet(F3, 1), PointSet(F3, 1)
             )
-        assert check.total == 0 and check.equal
+        assert rep.double_count_total == 0 and rep.double_count_ok
 
     def test_singleton_under_special_linear(self):
         group = special_linear_group(3, 2)
         s = PointSet.from_coords(F3, 2, [[1, 0]])
-        check = double_count_check(group, s, s)
-        assert check.total == 3
-        assert check.expected == Fraction(24 * 1 * 1, 8)
-        assert check.equal
+        rep = max_intersection(group, s, s)
+        assert rep.double_count_total == 3
+        assert rep.double_count_expected == Fraction(24 * 1 * 1, 8)
+        assert rep.double_count_ok
 
     def test_non_transitive_reported_not_fatal(self):
         group = orthogonal_group(3, 2)  # full space: origin is a fixed point
         e = PointSet.from_coords(F3, 2, [[1, 0]])
-        check = double_count_check(group, e, e)
-        assert not check.transitive
-        assert not check.applicable
+        rep = max_intersection(group, e, e)
+        assert not rep.transitive
 
 
 class TestFastTranslationKernel:
