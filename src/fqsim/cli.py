@@ -266,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set", help="point-set file")
-    p.add_argument("--random", type=int)
+    p.add_argument("--random", type=int,
+                   help="sample this many random points of all of F_q^d instead; the "
+                        "sample may hold the origin (exit 3, OriginInSet), so use --set "
+                        "or 'sweep --kind det-similarity' for the punctured space")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_find, edges=None,
                    finder=lambda points, ratio, k, edges: find_det_similar(points, ratio, k))

@@ -323,7 +323,7 @@ class DetSimilarityWitness:
         field, d, _, core = _json_witness_core(obj)
         return cls(
             root=field(_json_int(obj, "root")),
-            transform=SpecialLinear(Matrix(field, _json_rows(obj, "g", d, d))),
+            transform=SpecialLinear.claimed(Matrix(field, _json_rows(obj, "g", d, d))),
             **core,
         )
 

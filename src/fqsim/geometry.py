@@ -124,6 +124,14 @@ def all_vectors(field: PrimeField, dim: int):
         yield Vector(field, coords)
 
 
+def index_to_coords(index: int, q: int, d: int) -> tuple[int, ...]:
+    """Coordinates of the point at `index` in the lexicographic order of F_q^d."""
+    coords = [0] * d
+    for i in reversed(range(d)):
+        index, coords[i] = divmod(index, q)
+    return tuple(coords)
+
+
 class PointSet:
     """A deduplicated, lexicographically sorted subset of F_q^d.
 

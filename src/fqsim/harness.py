@@ -33,20 +33,12 @@ from .configurations import (
 )
 from .errors import FqsimError, HeaderMismatch, ParseError, TooMany
 from .field import PrimeField, as_field
-from .geometry import PointSet, Vector
+from .geometry import PointSet, Vector, index_to_coords
 from .groups import Space
 from .prng import SplitMix64, derive_seed
 
 
 # --- point-set I/O ---
-
-def _index_to_coords(index: int, q: int, d: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(d):
-        coords.append(index % q)
-        index //= q
-    return tuple(reversed(coords))
-
 
 def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     """n distinct points of F_q^d, uniform without replacement, seeded.
@@ -64,7 +56,7 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     rng = SplitMix64(seed)
     picks = rng.sample_indices(total, n)
     return PointSet(
-        field, dim, [Vector(field, _index_to_coords(i, field.q, dim)) for i in picks]
+        field, dim, [Vector(field, index_to_coords(i, field.q, dim)) for i in picks]
     )
 
 

@@ -12,6 +12,11 @@ Every quantity is integer or `fractions.Fraction`; nothing is ever
 compared through floating point.  Argmax ties are broken toward the
 canonically smallest group element: the scan walks the elements in
 canonical order and keeps the first strict maximum.
+
+Translations count the pairs (x, y) in E × H with y - x = a instead:
+points coded in base 2q let C count all |E||H| differences in O(|E||H|)
+time and memory for any q, and shifts keyed by lexicographic flat index
+make the same tie-break a minimum over integers.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -28,7 +34,7 @@ from .errors import (
     NotTransitive,
     SpaceMismatch,
 )
-from .geometry import PointSet, Vector
+from .geometry import PointSet, Vector, index_to_coords
 from .groups import FiniteGroup, GroupElement, Translation
 from .prng import SplitMix64
 
@@ -175,25 +181,50 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
     )
 
 
+def _translation_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
+    """Nonzero values of flat(a) -> |fixed ∩ (moving + a)|.
+
+    flat(a) = sum of a_i q^(d-1-i), so flat order is lexicographic order.
+    Points are coded in base 2q with q added to every digit of y, so each
+    digit of code(y) - code(x) lies in [1, 2q), nothing borrows, and a
+    Counter counts all |E||H| difference codes in C.  Codes fold to
+    flat((y - x) mod q) through a wrap table when (2q)^d <= |E||H|, else
+    by divmod on the distinct codes: O(|E||H|) time and memory for any q.
+    """
+    _check_compatible(moving, fixed)
+    q = moving.field.q
+    d = moving.dim
+    base = 2 * q
+    weights = [base ** (d - 1 - i) for i in range(d)]
+    offset = q * sum(weights)
+    xs = [sum(map(mul, p.coords, weights)) for p in moving.points]
+    ys = [sum(map(mul, p.coords, weights), offset) for p in fixed.points]
+    if base ** d <= len(xs) * len(ys):
+        # Entries point into one shared list, so the table adds no int objects.
+        flat = list(range(q ** d))
+        wrap = [0]
+        for _ in range(d):
+            wrap = [flat[w * q + r % q] for w in wrap for r in range(base)]
+        return Counter(wrap[y - x] for x in xs for y in ys)
+    counts: dict[int, int] = {}
+    for code, c in Counter(y - x for x in xs for y in ys).items():
+        i = 0
+        for w in weights:  # the digit code // w % base folds to digit % q
+            i = i * q + code // w % base % q
+        counts[i] = counts.get(i, 0) + c
+    return counts
+
+
 def translation_count_map(moving: PointSet, fixed: PointSet) -> dict[tuple[int, ...], int]:
     """Nonzero values of a -> |fixed ∩ (moving + a)|, via difference counting.
 
     A point y of the fixed set lies in moving + a exactly when
     a = y - x for some x in the moving set, so the count of a is the
-    number of pairs (x, y) with difference a.  Costs O(|E||H|) instead
-    of O(q^d |E|).
+    number of pairs (x, y) with difference a.  Costs O(|E||H|) time and
+    memory instead of O(q^d |E|); only nonzero shifts are decoded.
     """
-    _check_compatible(moving, fixed)
-    q = moving.field.q
-    d = moving.dim
-    counts: dict[tuple[int, ...], int] = {}
-    for x in moving.points:
-        xc = x.coords
-        for y in fixed.points:
-            yc = y.coords
-            a = tuple((yc[i] - xc[i]) % q for i in range(d))
-            counts[a] = counts.get(a, 0) + 1
-    return counts
+    counts = _translation_counts(moving, fixed)
+    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in counts.items()}
 
 
 def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
@@ -203,23 +234,20 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     Output contract is identical to `max_intersection` over the full
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
-    total is |E||H| (each pair contributes to exactly one shift).
+    total is |E||H| (each pair contributes to exactly one shift).  Counts
+    stay keyed by flat index, so the smallest maximal index is that shift
+    and the only one decoded; time and memory are O(|E||H|).
     """
-    _check_compatible(moving, fixed)
+    counts = _translation_counts(moving, fixed)
     field = moving.field
     q = field.q
     d = moving.dim
     order = q ** d
 
-    counts = translation_count_map(moving, fixed)
-    best_a = (0,) * d
-    best_c = 0
-    for a, c in counts.items():
-        if c > best_c or (c == best_c and a < best_a):
-            best_a, best_c = a, c
-
     if not counts:
         warnings.warn("empty point set: the intersection bound is vacuous")
+    best_c = max(counts.values(), default=0)
+    best_i = min((i for i, c in counts.items() if c == best_c), default=0)
 
     hist = None
     if want_histogram:
@@ -229,7 +257,7 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
             hist[0] = hist.get(0, 0) + zeros
 
     return IntersectionReport(
-        best_g=Translation(Vector(field, best_a)),
+        best_g=Translation(Vector(field, index_to_coords(best_i, q, d))),
         best_count=best_c,
         bound=Fraction(len(moving) * len(fixed), order),
         double_count_total=len(moving) * len(fixed),

@@ -273,6 +273,26 @@ class TestSweepAndVerifyWitness:
         assert code == 2
         assert first_json(out)["verified"] is False
 
+    def test_det_witness_with_non_unimodular_g_fails(self, capsys, tmp_path):
+        from fqsim import PointSet, all_vectors, make_field
+
+        f = make_field(5)
+        punctured = PointSet(f, 2, [v for v in all_vectors(f, 2) if not v.is_zero()])
+        set_path = tmp_path / "p.txt"
+        set_path.write_text(format_pointset(punctured))
+        code, out = run_cli(capsys, "find-det-similar", "--q", "5", "--d", "2",
+                            "--r", "4", "--k", "2", "--set", str(set_path))
+        assert code == 0
+        obj = first_json(out)
+        obj["g"] = [[2, 0], [0, 2]]  # determinant 4 mod 5
+        witness_path = tmp_path / "dw.json"
+        witness_path.write_text(json.dumps(obj))
+        code, out = run_cli(capsys, "verify-witness", str(witness_path))
+        assert code == 2
+        result = first_json(out)
+        assert result["verified"] is False
+        assert "transform determinant is not 1" in result["reasons"]
+
     def test_bad_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         code, out = run_cli(capsys, "verify-witness", str(path))

@@ -1,5 +1,6 @@
 """Intersection maximization, double counting, and the fast translation kernel."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -198,6 +199,48 @@ class TestFastTranslationKernel:
                     assert rep_fast.best_g == rep_naive.best_g
                     assert rep_fast.double_count_total == rep_naive.double_count_total
                     assert rep_fast.per_g_histogram == rep_naive.per_g_histogram
+
+    @pytest.mark.parametrize("q, d, n_e, n_h", [
+        (2, 2, 4, 4),    # (2q)^d == |E||H|: wrap table at the boundary
+        (2, 2, 3, 4),    # one row short of it: divmod fold
+        (5, 2, 10, 10),  # 100 == 100
+        (5, 2, 9, 11),   # 99 < 100
+        (2, 3, 8, 8),    # 64 == 64, the whole space twice
+        (3, 3, 10, 20),  # 200 < 216
+        (3, 3, 15, 15),  # 225 > 216
+        (3, 3, 0, 12),
+        (3, 3, 12, 0),
+        (3, 3, 0, 0),
+    ])
+    def test_both_kernel_branches_match_naive(self, q, d, n_e, n_h):
+        e = random_pointset(q, d, n_e, seed=q * 100 + n_e)
+        h = random_pointset(q, d, n_h, seed=q * 100 + n_h + 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = translation_count_map(e, h)
+            oracle = naive_translation_counts(e, h)
+            rep_fast = max_translation_intersection_fast(e, h, want_histogram=True)
+            rep_naive = max_intersection(translations(q, d), e, h, want_histogram=True)
+        assert 0 not in fast.values()
+        assert fast == {a: c for a, c in oracle.items() if c}
+        assert rep_fast.best_count == rep_naive.best_count
+        assert rep_fast.best_g == rep_naive.best_g
+        assert rep_fast.double_count_total == rep_naive.double_count_total
+        assert rep_fast.per_g_histogram == rep_naive.per_g_histogram
+
+    def test_large_q_allocates_nothing_of_size_q(self):
+        q = 1000003
+        e = random_pointset(q, 3, 40, seed=1)
+        h = random_pointset(q, 3, 40, seed=2)
+        tracemalloc.start()
+        try:
+            rep = max_translation_intersection_fast(e, h, want_histogram=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert rep.double_count_total == 1600
+        assert sum(rep.per_g_histogram.values()) == q ** 3
 
     def test_histogram_frequencies_sum_to_group_order(self):
         e = random_pointset(5, 2, 7, seed=5)
