@@ -61,18 +61,18 @@ def _emit_error(exc: Exception, **extra) -> None:
     _emit(out)
 
 
-def _build_group(kind: str, q: int, d: int, radius, cap: int):
+def _build_group(kind: str, q: int, d: int, radius):
     if kind == "translations":
-        return translations(q, d, cap=cap)
+        return translations(q, d)
     if kind == "orthogonal":
-        return orthogonal_group(q, d, radius=radius, cap=cap)
+        return orthogonal_group(q, d, radius=radius)
     if kind == "special-linear":
-        return special_linear_group(q, d, cap=cap)
+        return special_linear_group(q, d)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
 def cmd_enumerate_group(args) -> int:
-    group = _build_group(args.kind, args.q, args.d, args.radius, args.cap)
+    group = _build_group(args.kind, args.q, args.d, args.radius)
     out = group.describe()
     if args.dump:
         out["elements"] = [g.to_json() for g in group.elements]
@@ -81,7 +81,7 @@ def cmd_enumerate_group(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    group = _build_group(args.group, args.q, args.d, args.radius, args.cap)
+    group = _build_group(args.group, args.q, args.d, args.radius)
     if args.exhaustive_subsets:
         audit = exhaustive_pairs_audit(group)
         out = {"mode": "exhaustive-subsets", "group": group.describe()}
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--radius", type=int, default=None,
                    help="act on this sphere instead of the full space (orthogonal only)")
-    p.add_argument("--cap", type=int, default=10 ** 8)
     p.add_argument("--dump", action="store_true", help="include the element list")
     p.set_defaults(func=cmd_enumerate_group)
 
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-subsets", action="store_true",
                    help="audit every subset pair of the space instead of reading sets")
     p.add_argument("--histogram", action="store_true")
-    p.add_argument("--cap", type=int, default=10 ** 8)
     p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("find-similar", help="find tuples similar under a square ratio")

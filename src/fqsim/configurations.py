@@ -37,7 +37,7 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import ENUMERATION_CAP, Matrix, PointSet, Vector, sphere
+from .geometry import Matrix, PointSet, Vector, det_of_columns_cofactor, sphere
 from .groups import GroupElement, SpecialLinear, orthogonal_group, special_linear_group
 from .intersection import (
     IntersectionReport,
@@ -323,7 +323,7 @@ class DetSimilarityWitness:
         field, d, _, core = _json_witness_core(obj)
         return cls(
             root=field(_json_int(obj, "root")),
-            transform=SpecialLinear.claimed(Matrix(field, _json_rows(obj, "g", d, d))),
+            transform=SpecialLinear.unchecked(Matrix(field, _json_rows(obj, "g", d, d))),
             **core,
         )
 
@@ -488,13 +488,10 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if len({v.coords for v in w.ys}) != n:
         reasons.append("distinctness: repeated y point")
 
-    def cof_det(vectors):
-        return Matrix.from_columns(vectors).determinant_cofactor()
-
     for combo in itertools.combinations(range(n), d):
-        dx = cof_det([w.xs[i] for i in combo])
-        dy = cof_det([w.ys[i] for i in combo])
-        dz = cof_det([w.zs[i] for i in combo])
+        dx = det_of_columns_cofactor([w.xs[i] for i in combo])
+        dy = det_of_columns_cofactor([w.ys[i] for i in combo])
+        dz = det_of_columns_cofactor([w.zs[i] for i in combo])
         label = tuple(i + 1 for i in combo)
         if dx != w.ratio * dy:
             reasons.append(f"determinant relation violated at indices {label}")
@@ -505,8 +502,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     return Verification(not reasons, tuple(reasons))
 
 
-def find_det_similar(points: PointSet, ratio: FieldElement, k: int, *,
-                     cap: int = ENUMERATION_CAP) -> DetSimilarityWitness:
+def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimilarityWitness:
     """Find (k+1)-tuples whose d-subset determinants differ by the ratio.
 
     Requires k >= d (otherwise no d-subset exists beyond a single one),
@@ -527,7 +523,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int, *,
         raise NotADthPower(f"{ratio.value} is not a {d}-th power in F_{ratio.field.q}")
     root = ratio.mth_root(d)
 
-    group = special_linear_group(points.field, d, cap=cap)
+    group = special_linear_group(points.field, d)
     scaled = points.scaled(root)
     report = max_intersection(group, points, scaled)
     if report.best_count < k + 1:
@@ -606,8 +602,8 @@ class SphereExperimentReport:
 
 
 def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
-                      e_set: PointSet | None = None, h_set: PointSet | None = None, *,
-                      cap: int = ENUMERATION_CAP) -> SphereExperimentReport:
+                      e_set: PointSet | None = None,
+                      h_set: PointSet | None = None) -> SphereExperimentReport:
     """Run the orthogonal-group intersection bound on a sphere.
 
     Defaults both sets to the full sphere.  Transitivity of the action
@@ -615,7 +611,7 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
     (it fails, for instance, on spheres through the origin).
     """
     field = as_field(q_or_field)
-    surface = sphere(field, dim, radius, cap=cap)
+    surface = sphere(field, dim, radius)
     if e_set is None:
         e_set = surface
     if h_set is None:
@@ -626,7 +622,7 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
                 raise NotOnSphere(
                     f"{name} set point {p!r} is not on the radius-{radius % field.q} sphere"
                 )
-    group = orthogonal_group(field, dim, radius=radius, cap=cap)
+    group = orthogonal_group(field, dim, radius=radius)
     report = max_intersection(group, e_set, h_set)
     return SphereExperimentReport(
         report=report,

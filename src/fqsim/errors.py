@@ -46,7 +46,7 @@ class DimensionMismatch(FqsimError):
 
 
 class EnumerationCapExceeded(FqsimError):
-    """Requested enumeration is larger than the configured budget."""
+    """Requested enumeration is larger than its fixed budget."""
 
 
 class NotInSpace(FqsimError):

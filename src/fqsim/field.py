@@ -74,10 +74,6 @@ class PrimeField:
     def zero(self) -> "FieldElement":
         return FieldElement(0, self)
 
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def smallest_nonresidue(self) -> int:
         """The least quadratic nonresidue, found by scanning 2, 3, 4, ...
 

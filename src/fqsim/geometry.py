@@ -20,8 +20,16 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, EnumerationCapExceeded, FieldMismatch
 from .field import FieldElement, PrimeField, as_field
 
-# Ceiling on full-space enumerations (sphere scans, translation groups).
+# Ceiling on every enumeration: full spaces, spheres and matrix scans.
 ENUMERATION_CAP = 10 ** 8
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse, before anything is allocated, an enumeration of `count` candidates."""
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{what} needs at most {ENUMERATION_CAP} candidates, got {count}"
+        )
 
 
 @functools.total_ordering
@@ -89,13 +97,6 @@ class Vector:
         """Sum of squared coordinates, as a field element."""
         q = self.field.q
         return FieldElement(sum(c * c for c in self.coords) % q, self.field)
-
-    def dot(self, other: "Vector") -> FieldElement:
-        other = self._peer(other)
-        q = self.field.q
-        return FieldElement(
-            sum(a * b for a, b in zip(self.coords, other.coords)) % q, self.field
-        )
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -398,18 +399,14 @@ def det_of_columns_cofactor(columns: Sequence[Vector]) -> FieldElement:
     return Matrix.from_columns(columns).determinant_cofactor()
 
 
-def sphere(q_or_field, dim: int, radius, cap: int = ENUMERATION_CAP) -> PointSet:
+def sphere(q_or_field, dim: int, radius) -> PointSet:
     """All points of F_q^d whose sum of squared coordinates equals radius.
 
-    Full enumeration of q^d points, guarded by the cap.
+    Full enumeration of q^d points, within ENUMERATION_CAP.
     """
     field = as_field(q_or_field)
     q = field.q
-    total = q ** dim
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"sphere enumeration needs q^d <= {cap}, got {total}"
-        )
+    _check_budget(q ** dim, "sphere enumeration (q^d)")
     want = radius.value if isinstance(radius, FieldElement) else radius % q
     squares = [i * i % q for i in range(q)]
     hits = []

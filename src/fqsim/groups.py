@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import EnumerationCapExceeded, NotInSpace
+from .errors import NotInSpace
 from .field import PrimeField, as_field
 from .geometry import (
-    ENUMERATION_CAP,
     Matrix,
     PointSet,
     Vector,
+    _check_budget,
     _det_rows,
     all_vectors,
     sphere,
@@ -47,30 +47,23 @@ class Space:
         self._index = {v.coords: i for i, v in enumerate(self.elements)}
 
     @classmethod
-    def full(cls, q_or_field, dim: int, cap: int = ENUMERATION_CAP) -> "Space":
+    def full(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
-        if field.q ** dim > cap:
-            raise EnumerationCapExceeded(
-                f"full space needs q^d <= {cap}, got {field.q ** dim}"
-            )
+        _check_budget(field.q ** dim, "full space (q^d)")
         return cls(field, dim, "full", list(all_vectors(field, dim)))
 
     @classmethod
-    def punctured(cls, q_or_field, dim: int, cap: int = ENUMERATION_CAP) -> "Space":
+    def punctured(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
-        if field.q ** dim > cap:
-            raise EnumerationCapExceeded(
-                f"punctured space needs q^d <= {cap}, got {field.q ** dim}"
-            )
+        _check_budget(field.q ** dim, "punctured space (q^d)")
         pts = [v for v in all_vectors(field, dim) if not v.is_zero()]
         return cls(field, dim, "punctured", pts)
 
     @classmethod
-    def sphere(cls, q_or_field, dim: int, radius: int,
-               cap: int = ENUMERATION_CAP) -> "Space":
+    def sphere(cls, q_or_field, dim: int, radius: int) -> "Space":
         field = as_field(q_or_field)
         radius = radius % field.q
-        pts = sphere(field, dim, radius, cap=cap).points
+        pts = sphere(field, dim, radius).points
         return cls(field, dim, "sphere", pts, radius=radius)
 
     @property
@@ -190,8 +183,12 @@ class _LinearMap(GroupElement):
         raise NotImplementedError
 
     @classmethod
-    def claimed(cls, matrix: Matrix) -> "_LinearMap":
-        """An unchecked element from untrusted data; the verifiers re-check it."""
+    def unchecked(cls, matrix: Matrix) -> "_LinearMap":
+        """An element built without the membership check.
+
+        For products, inverses and enumerated matrices, which are members
+        by construction, and for witness data, which the verifiers re-check.
+        """
         g = object.__new__(cls)
         g.matrix = matrix
         return g
@@ -201,10 +198,11 @@ class _LinearMap(GroupElement):
 
     def compose(self, other):
         other = self._like(other)
-        return type(self)(self.matrix @ other.matrix)
+        return self.unchecked(self.matrix @ other.matrix)
 
     def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.matrix.field, self.matrix.n)
+        return all(e == (i == j) for i, row in enumerate(self.matrix.rows)
+                   for j, e in enumerate(row))
 
     def sort_key(self) -> tuple:
         m = self.matrix
@@ -225,7 +223,7 @@ class Orthogonal(_LinearMap):
             raise ValueError("matrix is not orthogonal: transpose times matrix != identity")
 
     def inverse(self) -> "Orthogonal":
-        return Orthogonal(self.matrix.transpose())
+        return Orthogonal.unchecked(self.matrix.transpose())
 
     def to_json(self) -> dict:
         return {"type": "orthogonal", "matrix": [list(r) for r in self.matrix.rows]}
@@ -242,7 +240,7 @@ class SpecialLinear(_LinearMap):
             raise ValueError("matrix determinant is not 1")
 
     def inverse(self) -> "SpecialLinear":
-        return SpecialLinear(self.matrix.inverse())
+        return SpecialLinear.unchecked(self.matrix.inverse())
 
     def to_json(self) -> dict:
         return {"type": "special-linear", "matrix": [list(r) for r in self.matrix.rows]}
@@ -341,35 +339,32 @@ class FiniteGroup:
         return f"FiniteGroup({self.kind}, order={self.order}, on {self.space!r})"
 
 
-def translations(q_or_field, dim: int, cap: int = ENUMERATION_CAP) -> FiniteGroup:
+def translations(q_or_field, dim: int) -> FiniteGroup:
     """The q^d translations of F_q^d, acting on the full space."""
     field = as_field(q_or_field)
-    space = Space.full(field, dim, cap=cap)
+    space = Space.full(field, dim)
     return FiniteGroup([Translation(v) for v in space.elements], space, "translations")
 
 
-def special_linear_group(q_or_field, dim: int, cap: int = ENUMERATION_CAP) -> FiniteGroup:
+def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     """All d x d matrices of determinant 1, acting on the punctured space.
 
-    Enumerated by scanning all q^(d^2) candidate matrices under the cap.
+    Enumerated by scanning all q^(d^2) candidate matrices, which must be
+    within ENUMERATION_CAP.
     """
     field = as_field(q_or_field)
     q = field.q
-    if q ** (dim * dim) > cap:
-        raise EnumerationCapExceeded(
-            f"matrix scan needs q^(d^2) <= {cap}, got {q ** (dim * dim)}"
-        )
+    _check_budget(q ** (dim * dim), "matrix scan (q^(d^2))")
     els = []
     for flat in itertools.product(range(q), repeat=dim * dim):
         rows = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
         # raw-row determinant: skip building Matrix objects for rejects
         if _det_rows(rows, q) == 1:
-            els.append(SpecialLinear(Matrix(field, rows)))
+            els.append(SpecialLinear.unchecked(Matrix(field, rows)))
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
 
 
-def orthogonal_group(q_or_field, dim: int, radius: int | None = None,
-                     cap: int = ENUMERATION_CAP) -> FiniteGroup:
+def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteGroup:
     """All matrices with orthonormal columns, acting on the full space
     or, when a radius is given, on that sphere.
 
@@ -379,11 +374,8 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None,
     """
     field = as_field(q_or_field)
     q = field.q
-    if q ** (dim * dim) > cap:
-        raise EnumerationCapExceeded(
-            f"matrix enumeration budget is q^(d^2) <= {cap}, got {q ** (dim * dim)}"
-        )
-    unit = [v.coords for v in sphere(field, dim, 1, cap=cap).points]
+    _check_budget(q ** (dim * dim), "matrix enumeration (q^(d^2))")
+    unit = [v.coords for v in sphere(field, dim, 1).points]
 
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b)) % q
@@ -400,8 +392,8 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None,
 
     extend([])
     if radius is None:
-        space = Space.full(field, dim, cap=cap)
+        space = Space.full(field, dim)
     else:
-        space = Space.sphere(field, dim, radius, cap=cap)
-    els = [Orthogonal(Matrix(field, rows)) for rows in matrices]
+        space = Space.sphere(field, dim, radius)
+    els = [Orthogonal.unchecked(Matrix(field, rows)) for rows in matrices]
     return FiniteGroup(els, space, "orthogonal")

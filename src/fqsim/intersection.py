@@ -21,6 +21,7 @@ make the same tie-break a minimum over integers.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -181,6 +182,17 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _wrap_table(q: int, d: int) -> tuple[int, ...]:
+    """Base-2q difference code -> flat index of the difference mod q."""
+    # Entries point into one shared list, so the table adds no int objects.
+    flat = list(range(q ** d))
+    wrap = [0]
+    for _ in range(d):
+        wrap = [flat[w * q + r % q] for w in wrap for r in range(2 * q)]
+    return tuple(wrap)
+
+
 def _translation_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     """Nonzero values of flat(a) -> |fixed ∩ (moving + a)|.
 
@@ -200,11 +212,7 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     xs = [sum(map(mul, p.coords, weights)) for p in moving.points]
     ys = [sum(map(mul, p.coords, weights), offset) for p in fixed.points]
     if base ** d <= len(xs) * len(ys):
-        # Entries point into one shared list, so the table adds no int objects.
-        flat = list(range(q ** d))
-        wrap = [0]
-        for _ in range(d):
-            wrap = [flat[w * q + r % q] for w in wrap for r in range(base)]
+        wrap = _wrap_table(q, d)
         return Counter(wrap[y - x] for x in xs for y in ys)
     counts: dict[int, int] = {}
     for code, c in Counter(y - x for x in xs for y in ys).items():
@@ -306,43 +314,28 @@ def _require_transitive(group: FiniteGroup) -> None:
         )
 
 
-def exhaustive_pairs_audit(group: FiniteGroup, *, double_count: bool = True) -> BoundAudit:
-    """Check the bound (and optionally the double count) over ALL subset pairs.
+def _audit(group: FiniteGroup, draws, double_count: bool) -> BoundAudit:
+    """Tally the bound (and optionally the double count) over subset pairs.
 
-    Walks every pair (E, H) of subsets of the space — 4^|X| pairs — so
-    the space is capped at AUDIT_SPACE_LIMIT points.  Exact integer
-    comparisons throughout: a bound violation is best*|X| < |E||H|, a
-    double-count mismatch is total*|X| != |G||E||H|.
+    `draws` yields (e_mask, h_masks): one moving set E and the fixed sets
+    H to pair with it, so the |G| images of E are built once per E.
+    Exact integer comparisons throughout: a bound violation is
+    best*|X| < |E||H|, a double-count mismatch is total*|X| != |G||E||H|.
     """
-    _require_transitive(group)
     n = group.space.size
-    if n > AUDIT_SPACE_LIMIT:
-        raise EnumerationCapExceeded(
-            f"subset-pair audit needs a space of at most {AUDIT_SPACE_LIMIT} points, got {n}"
-        )
     perms = group.perms()
-    size = 1 << n
-
-    # tables[g][mask] = image of the subset `mask` under element g
-    tables = []
-    for perm in perms:
-        bit_img = [1 << perm[i] for i in range(n)]
-        tab = [0] * size
-        for m in range(1, size):
-            low = (m & -m).bit_length() - 1
-            tab[m] = tab[m & (m - 1)] | bit_img[low]
-        tables.append(tab)
-
-    popcount = [m.bit_count() for m in range(size)]
     g_order = group.order
+    pairs = 0
     violations = 0
     mismatches = 0
     worst = -(n * max(g_order, 1))  # any valid pair beats this
-    for e_mask in range(size):
-        ce = popcount[e_mask]
-        imgs = [t[e_mask] for t in tables]
-        for h_mask in range(size):
-            ch = popcount[h_mask]
+    for e_mask, h_masks in draws:
+        e_indices = [i for i in range(n) if e_mask >> i & 1]
+        ce = len(e_indices)
+        imgs = [_image_mask(perm, e_indices) for perm in perms]
+        pairs += len(h_masks)
+        for h_mask in h_masks:
+            ch = h_mask.bit_count()
             best = 0
             tot = 0
             for img in imgs:
@@ -358,12 +351,28 @@ def exhaustive_pairs_audit(group: FiniteGroup, *, double_count: bool = True) -> 
             if double_count and tot * n != g_order * ce * ch:
                 mismatches += 1
     return BoundAudit(
-        pairs=size * size,
+        pairs=pairs,
         bound_violations=violations,
         double_count_mismatches=mismatches if double_count else None,
         worst_gap_num=worst,
         space_size=n,
     )
+
+
+def exhaustive_pairs_audit(group: FiniteGroup, *, double_count: bool = True) -> BoundAudit:
+    """Check the bound (and optionally the double count) over ALL subset pairs.
+
+    Walks every pair (E, H) of subsets of the space — 4^|X| pairs — so
+    the space is capped at AUDIT_SPACE_LIMIT points.
+    """
+    _require_transitive(group)
+    n = group.space.size
+    if n > AUDIT_SPACE_LIMIT:
+        raise EnumerationCapExceeded(
+            f"subset-pair audit needs a space of at most {AUDIT_SPACE_LIMIT} points, got {n}"
+        )
+    masks = range(1 << n)
+    return _audit(group, ((e_mask, masks) for e_mask in masks), double_count)
 
 
 def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int, *,
@@ -371,7 +380,7 @@ def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int, *,
     """Check the bound over seeded uniformly random subset pairs.
 
     Each subset is drawn by independent fair bits per space point, so
-    all subsets are equally likely.
+    all subsets are equally likely; each pair draws E, then H.
     """
     _require_transitive(group)
     n = group.space.size
@@ -379,36 +388,6 @@ def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int, *,
         raise EnumerationCapExceeded(
             f"random-pair audit draws 64-bit subset masks, needs |X| <= 64, got {n}"
         )
-    perms = group.perms()
     rng = SplitMix64(seed)
-    g_order = group.order
-    violations = 0
-    mismatches = 0
-    worst = -(n * max(g_order, 1))
-    for _ in range(pairs):
-        e_mask = rng.next_bits(n)
-        h_mask = rng.next_bits(n)
-        e_indices = [i for i in range(n) if e_mask >> i & 1]
-        ce = len(e_indices)
-        ch = h_mask.bit_count()
-        best = 0
-        tot = 0
-        for perm in perms:
-            c = (_image_mask(perm, e_indices) & h_mask).bit_count()
-            tot += c
-            if c > best:
-                best = c
-        gap = ce * ch - best * n
-        if gap > 0:
-            violations += 1
-        if gap > worst:
-            worst = gap
-        if double_count and tot * n != g_order * ce * ch:
-            mismatches += 1
-    return BoundAudit(
-        pairs=pairs,
-        bound_violations=violations,
-        double_count_mismatches=mismatches if double_count else None,
-        worst_gap_num=worst,
-        space_size=n,
-    )
+    draws = ((rng.next_bits(n), (rng.next_bits(n),)) for _ in range(pairs))
+    return _audit(group, draws, double_count)

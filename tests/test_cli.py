@@ -309,6 +309,10 @@ class TestInputErrors:
          "--random", "9", "--jobs", "2"],
         ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k", "1",
          "--jobs", "2"],
+        ["enumerate-group", "--kind", "translations", "--q", "3", "--d", "2",
+         "--cap", "100"],
+        ["verify-bound", "--group", "translations", "--q", "3", "--d", "1",
+         "--exhaustive-subsets", "--cap", "100"],
     ])
     def test_usage_error_is_input_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

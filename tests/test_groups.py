@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from fqsim import (
+    ENUMERATION_CAP,
     EnumerationCapExceeded,
     FiniteGroup,
     Matrix,
@@ -114,6 +115,7 @@ class TestOrthogonalGroup:
         group = orthogonal_group(3, 3)
         oracle = brute_force_orthogonal(3, 3)
         assert group.order == len(oracle)
+        assert {g.matrix for g in group} == set(oracle)
 
     def test_identity_present(self):
         assert orthogonal_group(5, 2).identity.is_identity()
@@ -148,6 +150,7 @@ class TestSpecialLinearGroup:
         group = special_linear_group(q, 2)
         oracle = brute_force_special_linear(q, 2)
         assert group.order == len(oracle) == expected
+        assert {g.matrix for g in group} == set(oracle)
 
     def test_identity_present(self):
         assert special_linear_group(3, 2).identity.is_identity()
@@ -228,3 +231,32 @@ class TestGroupStructure:
         s = special_linear_group(3, 2).identity
         with pytest.raises(TypeError):
             t.compose(s)
+
+    @pytest.mark.parametrize("make", [
+        lambda: special_linear_group(3, 2),
+        lambda: orthogonal_group(5, 2),
+        lambda: orthogonal_group(3, 3, radius=1),
+    ])
+    def test_unchecked_products_and_inverses_are_members(self, make):
+        # compose and inverse skip the membership check; closure shows it holds
+        group = make()
+        for g in group:
+            assert g.inverse() in group
+            assert g.compose(g.inverse()) == group.identity
+            for h in group.elements[:5]:
+                assert g.compose(h) in group
+        assert [g for g in group if g.is_identity()] == [group.identity]
+        assert group.identity.matrix == Matrix.identity(group.space.field, group.space.dim)
+
+
+class TestEnumerationBudget:
+    @pytest.mark.parametrize("build", [
+        lambda: Space.full(101, 4),
+        lambda: Space.punctured(101, 4),
+        lambda: Space.sphere(101, 4, 1),
+        lambda: special_linear_group(11, 3),
+    ])
+    def test_refuses_past_the_cap(self, build):
+        # sphere, translations and orthogonal_group: the test_cap/test_budget cases
+        with pytest.raises(EnumerationCapExceeded, match=str(ENUMERATION_CAP)):
+            build()

@@ -12,6 +12,7 @@ from fqsim import (
     NotTransitive,
     PointSet,
     SpaceMismatch,
+    SplitMix64,
     Vector,
     all_vectors,
     exhaustive_pairs_audit,
@@ -285,3 +286,71 @@ class TestAudits:
     def test_audit_requires_transitive(self):
         with pytest.raises(NotTransitive):
             exhaustive_pairs_audit(orthogonal_group(3, 2))
+
+
+def oracle_audit(group, mask_pairs):
+    """Recompute a BoundAudit from max_intersection over PointSets built
+    from the same (E, H) masks."""
+    space = group.space
+    n = space.size
+
+    def subset(mask):
+        return PointSet(space.field, space.dim,
+                        [v for i, v in enumerate(space.elements) if mask >> i & 1])
+
+    pairs = violations = mismatches = 0
+    worst = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty subsets warn; the bound is 0 <= 0
+        for e_mask, h_mask in mask_pairs:
+            rep = max_intersection(group, subset(e_mask), subset(h_mask))
+            gap = rep.moving_size * rep.fixed_size - rep.best_count * n
+            pairs += 1
+            violations += gap > 0
+            mismatches += not rep.double_count_ok
+            worst = gap if worst is None else max(worst, gap)
+    return pairs, violations, mismatches, worst
+
+
+def audit_fields(audit):
+    return (audit.pairs, audit.bound_violations, audit.double_count_mismatches,
+            audit.worst_gap_num)
+
+
+class TestAuditOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: translations(3, 1),
+        lambda: translations(2, 2),
+        lambda: special_linear_group(2, 2),
+        lambda: orthogonal_group(3, 2, radius=1),
+    ], ids=["T(3,1)", "T(2,2)", "SL(2,2)", "O(2,3)-sphere"])
+    def test_exhaustive_matches_oracle(self, make):
+        group = make()
+        size = 1 << group.space.size
+        expected = oracle_audit(group, ((e, h) for e in range(size) for h in range(size)))
+        assert audit_fields(exhaustive_pairs_audit(group)) == expected
+
+    @pytest.mark.parametrize("make,seed,worst", [
+        (lambda: special_linear_group(5, 2), 12345, -27),
+        (lambda: translations(5, 2), 7, None),
+    ], ids=["SL(2,5)", "T(5,2)"])
+    def test_random_matches_oracle(self, make, seed, worst):
+        group = make()
+        n = group.space.size
+        rng = SplitMix64(seed)
+        masks = []
+        for _ in range(500):
+            e_mask = rng.next_bits(n)  # E then H, pair by pair
+            masks.append((e_mask, rng.next_bits(n)))
+        expected = oracle_audit(group, masks)
+        audit = random_pairs_audit(group, 500, seed)
+        assert audit_fields(audit) == expected
+        assert audit.worst_gap_num < 0
+        if worst is not None:
+            assert audit.worst_gap_num == worst
+
+    def test_without_double_count(self):
+        for audit in (exhaustive_pairs_audit(translations(3, 1), double_count=False),
+                      random_pairs_audit(translations(5, 2), 20, 1, double_count=False)):
+            assert audit.double_count_mismatches is None
+            assert "double_count_mismatches" not in audit.to_json()
