@@ -37,7 +37,7 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import Matrix, PointSet, Vector, det_of_columns_cofactor, sphere
+from .geometry import Matrix, PointSet, Vector, _check_budget, det_of_columns_cofactor
 from .groups import GroupElement, SpecialLinear, orthogonal_group, special_linear_group
 from .intersection import (
     IntersectionReport,
@@ -150,13 +150,6 @@ class SimilarityThreshold:
     def met_by(self, n: int) -> bool:
         return n * n >= self.product
 
-    def to_json(self) -> dict:
-        return {
-            "tuple_size": self.tuple_size,
-            "space_size": self.space_size,
-            "min_points": self.min_points,
-        }
-
 
 def similarity_threshold(q_or_field, dim: int, k: int) -> SimilarityThreshold:
     field = as_field(q_or_field)
@@ -227,6 +220,23 @@ def _json_witness_core(obj) -> tuple[PrimeField, int, int, dict]:
     return field, d, k, core
 
 
+def _json_witness(w, kind: str, d: int, **extra) -> dict:
+    """The keys both witness kinds share, plus the kind's own `extra`;
+    `_json_witness_core` reads them back."""
+    return {
+        "kind": kind,
+        "q": w.ratio.field.q,
+        "d": d,
+        "k": w.k,
+        "r": w.ratio.value,
+        "xs": [list(v.coords) for v in w.xs],
+        "ys": [list(v.coords) for v in w.ys],
+        "zs": [list(v.coords) for v in w.zs],
+        "verified": w.verified,
+        **extra,
+    }
+
+
 @dataclass
 class SimilarityWitness:
     """Explicit tuples realizing ‖y_i - y_j‖ = ratio·‖x_i - x_j‖ on an edge set.
@@ -251,20 +261,8 @@ class SimilarityWitness:
         return self.edges.k
 
     def to_json(self) -> dict:
-        return {
-            "kind": "similarity",
-            "q": self.ratio.field.q,
-            "d": self.shift.dim,
-            "k": self.k,
-            "r": self.ratio.value,
-            "sqrt_r": self.root.value,
-            "a": list(self.shift.coords),
-            "xs": [list(v.coords) for v in self.xs],
-            "ys": [list(v.coords) for v in self.ys],
-            "zs": [list(v.coords) for v in self.zs],
-            "edges": self.edges.to_json(),
-            "verified": self.verified,
-        }
+        return _json_witness(self, "similarity", self.shift.dim, sqrt_r=self.root.value,
+                             a=list(self.shift.coords), edges=self.edges.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimilarityWitness":
@@ -303,19 +301,8 @@ class DetSimilarityWitness:
         return len(self.xs) - 1
 
     def to_json(self) -> dict:
-        return {
-            "kind": "det-similarity",
-            "q": self.ratio.field.q,
-            "d": self.xs[0].dim,
-            "k": self.k,
-            "r": self.ratio.value,
-            "root": self.root.value,
-            "g": [list(r) for r in self.transform.matrix.rows],
-            "xs": [list(v.coords) for v in self.xs],
-            "ys": [list(v.coords) for v in self.ys],
-            "zs": [list(v.coords) for v in self.zs],
-            "verified": self.verified,
-        }
+        return _json_witness(self, "det-similarity", self.xs[0].dim, root=self.root.value,
+                             g=[list(r) for r in self.transform.matrix.rows])
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetSimilarityWitness":
@@ -395,15 +382,61 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
     return Verification(not reasons, tuple(reasons))
 
 
+def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
+                     not_power, root_of, scan, build, verify):
+    """The group-action argument behind both finders.
+
+    For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
+    With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
+    points of E: z/root and g⁻¹z.  `root_of(ratio)` takes the root,
+    `scan(H)` maximizes the overlap over G, `build(root, report, zs,
+    shrunk, pulled)` arranges the first k+1 such z of H (canonical
+    order), their z/root and their g⁻¹z into a witness, and `verify`
+    re-checks it.  A ratio that is no m-th power raises `not_power`.
+    """
+    if ratio.field.q != points.field.q:
+        raise FieldMismatch("ratio and point set live in different fields")
+    if ratio.is_zero():
+        raise ZeroDilation("ratio 0 collapses every configuration to a point")
+    if not ratio.is_mth_power(m):
+        raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
+    root = root_of(ratio)
+
+    scaled = points.scaled(root)
+    report = scan(scaled)
+    if report.best_count < k + 1:
+        raise InsufficientIntersection(k + 1, report.best_count)
+
+    g_inv = report.best_g.inverse()
+    zs, pulled = [], []
+    for z in scaled:  # canonical order, so the extraction is deterministic
+        x = g_inv.apply(z)
+        if x in points:
+            zs.append(z)
+            pulled.append(x)
+            if len(zs) == k + 1:
+                break
+    inv_root = root.inverse()
+    shrunk = tuple(inv_root * z for z in zs)
+
+    witness = build(root, report, tuple(zs), shrunk, tuple(pulled))
+    check = verify(witness)
+    if not check:
+        raise VerificationFailed(check.reasons)
+    witness.verified = True
+    return witness
+
+
 def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
                         edges: EdgeSet | None = None) -> SimilarityWitness:
     """Find (k+1)-tuples in `points` similar with the given square ratio.
 
     Scales the set by a square root of the ratio, maximizes the overlap
     with the translated original via the difference histogram, and
-    extracts the k+1 lexicographically smallest overlap points.  Works
-    for any set size; when the overlap tops out below k+1 (possible for
-    small sets) the failure carries the achieved count.
+    extracts the k+1 lexicographically smallest overlap points z, with
+    x = z/root and y = z - shift.  Works for any set size; when the
+    overlap tops out below k+1 (possible for small sets) the failure
+    carries the achieved count.
     """
     if k < 1:
         raise ValueError(f"similarity search needs k >= 1, got {k}")
@@ -411,39 +444,15 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
         edges = EdgeSet.all_pairs(k)
     elif edges.k != k:
         raise ValueError(f"edge set is for k = {edges.k}, search is for k = {k}")
-    if ratio.field.q != points.field.q:
-        raise FieldMismatch("ratio and point set live in different fields")
-    if ratio.is_zero():
-        raise ZeroDilation("ratio 0 collapses every tuple to a point")
-    if not ratio.is_mth_power(2):
-        raise NotASquare(f"{ratio.value} is not a square in F_{ratio.field.q}")
-    root = ratio.sqrt()
-
-    scaled = points.scaled(root)
-    report = max_translation_intersection_fast(points, scaled)
-    if report.best_count < k + 1:
-        raise InsufficientIntersection(k + 1, report.best_count)
-
-    shift = report.best_g.vector
-    zs = []
-    for z in scaled:  # canonical order, so the extraction is deterministic
-        if (z - shift) in points:
-            zs.append(z)
-            if len(zs) == k + 1:
-                break
-    inv_root = root.inverse()
-    xs = tuple(inv_root * z for z in zs)
-    ys = tuple(z - shift for z in zs)
-
-    witness = SimilarityWitness(
-        ratio=ratio, root=root, shift=shift,
-        xs=xs, ys=ys, zs=tuple(zs), edges=edges, report=report,
+    # sqrt, unlike mth_root(2), scans no field, so it serves any q
+    return _find_by_overlap(
+        points, ratio, k, 2, NotASquare, FieldElement.sqrt,
+        scan=lambda scaled: max_translation_intersection_fast(points, scaled),
+        build=lambda root, report, zs, shrunk, pulled: SimilarityWitness(
+            ratio=ratio, root=root, shift=report.best_g.vector,
+            xs=shrunk, ys=pulled, zs=zs, edges=edges, report=report),
+        verify=verify_similarity,
     )
-    check = verify_similarity(witness)
-    if not check:
-        raise VerificationFailed(check.reasons)
-    witness.verified = True
-    return witness
 
 
 def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
@@ -451,7 +460,10 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
 
     All determinants are recomputed by cofactor expansion, a separate
     code path from the elimination determinant the finder's group
-    enumeration used.  Never raises.
+    enumeration used.  The one exception to "never raises": a witness
+    whose re-check would exceed ENUMERATION_CAP, counted as the
+    n!/(n-d)! cofactor terms of its C(n, d) subset determinants, raises
+    EnumerationCapExceeded before any determinant is computed.
     """
     reasons = _tuple_field_issues(w)
     if reasons:
@@ -471,6 +483,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if matrix.field.q != w.ratio.field.q or matrix.n != d:
         reasons.append("transform does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
+    _check_budget(math.perm(n, d), "det-witness re-check (n!/(n-d)! cofactor terms)")
 
     if w.root ** d != w.ratio:
         reasons.append(f"stored root to the {d}-th power is not the ratio")
@@ -507,49 +520,25 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
 
     Requires k >= d (otherwise no d-subset exists beyond a single one),
     the origin excluded from the set (the unimodular action is only
-    transitive away from it), and the ratio a nonzero d-th power.
+    transitive away from it), and the ratio a nonzero d-th power.  The
+    overlap points z give x = g⁻¹z and y = z/root.
     """
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
-    if ratio.field.q != points.field.q:
-        raise FieldMismatch("ratio and point set live in different fields")
-    if ratio.is_zero():
-        raise ZeroDilation("ratio 0 collapses every determinant relation")
-    origin = Vector(points.field, [0] * d)
-    if origin in points:
+    if Vector(points.field, [0] * d) in points:
         raise OriginInSet("the set must avoid the origin for the unimodular action")
-    if not ratio.is_mth_power(d):
-        raise NotADthPower(f"{ratio.value} is not a {d}-th power in F_{ratio.field.q}")
-    root = ratio.mth_root(d)
-
-    group = special_linear_group(points.field, d)
-    scaled = points.scaled(root)
-    report = max_intersection(group, points, scaled)
-    if report.best_count < k + 1:
-        raise InsufficientIntersection(k + 1, report.best_count)
-
-    g = report.best_g
-    g_inv = g.inverse()
-    zs = []
-    for z in scaled:
-        if g_inv.apply(z) in points:
-            zs.append(z)
-            if len(zs) == k + 1:
-                break
-    inv_root = root.inverse()
-    xs = tuple(g_inv.apply(z) for z in zs)
-    ys = tuple(inv_root * z for z in zs)
-
-    witness = DetSimilarityWitness(
-        ratio=ratio, root=root, transform=g,
-        xs=xs, ys=ys, zs=tuple(zs), report=report,
+    # The group is built inside the scan, so a bad ratio is refused before
+    # an oversized group is.
+    return _find_by_overlap(
+        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
+        scan=lambda scaled: max_intersection(
+            special_linear_group(points.field, d), points, scaled),
+        build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
+            ratio=ratio, root=root, transform=report.best_g,
+            xs=pulled, ys=shrunk, zs=zs, report=report),
+        verify=verify_det_similarity,
     )
-    check = verify_det_similarity(witness)
-    if not check:
-        raise VerificationFailed(check.reasons)
-    witness.verified = True
-    return witness
 
 
 @dataclass
@@ -606,24 +595,22 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
                       h_set: PointSet | None = None) -> SphereExperimentReport:
     """Run the orthogonal-group intersection bound on a sphere.
 
-    Defaults both sets to the full sphere.  Transitivity of the action
+    Defaults both sets to the full sphere, which is the group's space.
+    Given sets are checked point by point against the sphere equation
+    before the group is enumerated.  Transitivity of the action
     on this particular sphere is checked and reported, never assumed
     (it fails, for instance, on spheres through the origin).
     """
     field = as_field(q_or_field)
-    surface = sphere(field, dim, radius)
-    if e_set is None:
-        e_set = surface
-    if h_set is None:
-        h_set = surface
+    radius %= field.q
     for name, ps in (("moving", e_set), ("fixed", h_set)):
-        for p in ps:
-            if p not in surface:
-                raise NotOnSphere(
-                    f"{name} set point {p!r} is not on the radius-{radius % field.q} sphere"
-                )
+        for p in ps or ():
+            if p.field.q != field.q or p.dim != dim or p.norm().value != radius:
+                raise NotOnSphere(f"{name} set point {p!r} is not on the radius-{radius} sphere")
     group = orthogonal_group(field, dim, radius=radius)
-    report = max_intersection(group, e_set, h_set)
+    surface = group.space
+    report = max_intersection(group, surface if e_set is None else e_set,
+                              surface if h_set is None else h_set)
     return SphereExperimentReport(
         report=report,
         k=k,

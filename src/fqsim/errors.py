@@ -50,7 +50,7 @@ class EnumerationCapExceeded(FqsimError):
 
 
 class NotInSpace(FqsimError):
-    """Point handed to a group action does not belong to its space."""
+    """Point looked up in a point set, such as a group's space, that lacks it."""
 
 
 # --- intersection engine ---

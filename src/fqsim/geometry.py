@@ -17,7 +17,7 @@ import functools
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EnumerationCapExceeded, FieldMismatch
+from .errors import DimensionMismatch, EnumerationCapExceeded, FieldMismatch, NotInSpace
 from .field import FieldElement, PrimeField, as_field
 
 # Ceiling on every enumeration: full spaces, spheres and matrix scans.
@@ -41,15 +41,8 @@ class Vector:
     def __init__(self, field: PrimeField, coords: Iterable):
         q = field.q
         canon = []
-        for c in coords:
-            if isinstance(c, FieldElement):
-                if c.field.q != q:
-                    raise FieldMismatch(
-                        f"coordinate from F_{c.field.q} in a vector over F_{q}"
-                    )
-                canon.append(c.value)
-            else:
-                canon.append(c % q)
+        for c in coords:  # a loop costs less than a comprehension at small d
+            canon.append(c % q)
         if not canon:
             raise ValueError("vectors need at least one coordinate")
         self.field = field
@@ -137,10 +130,11 @@ class PointSet:
     """A deduplicated, lexicographically sorted subset of F_q^d.
 
     The canonical ordering makes point sets hashable inputs for digests,
-    diffable in reports, and deterministic to iterate.
+    diffable in reports, and deterministic to iterate; `index` gives a
+    point's position in it.
     """
 
-    __slots__ = ("field", "dim", "points", "_members")
+    __slots__ = ("field", "dim", "points", "_index")
 
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
         if dim < 1:
@@ -158,8 +152,8 @@ class PointSet:
             seen[p.coords] = p
         self.field = field
         self.dim = dim
-        self.points = tuple(seen[c] for c in sorted(seen))
-        self._members = frozenset(seen)
+        self._index = {c: i for i, c in enumerate(sorted(seen))}
+        self.points = tuple(seen[c] for c in self._index)
 
     @classmethod
     def from_coords(cls, field: PrimeField, dim: int, coords: Iterable) -> "PointSet":
@@ -179,19 +173,26 @@ class PointSet:
         return (
             isinstance(v, Vector)
             and v.field.q == self.field.q
-            and v.coords in self._members
+            and v.coords in self._index
         )
+
+    def index(self, v: Vector) -> int:
+        """Position of v in the canonical order; NotInSpace if v is not held."""
+        i = self._index.get(v.coords) if v.field.q == self.field.q else None
+        if i is None:
+            raise NotInSpace(f"{v!r} is not a point of {self!r}")
+        return i
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointSet)
             and other.field.q == self.field.q
             and other.dim == self.dim
-            and other._members == self._members
+            and other._index == self._index
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.dim, self._members))
+        return hash((self.field.q, self.dim, tuple(self._index)))
 
     def scaled(self, scalar: FieldElement) -> "PointSet":
         """Image of the set under coordinatewise scalar dilation."""
@@ -207,7 +208,6 @@ class PointSet:
         return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self.points)})"
 
 
-@functools.total_ordering
 class Matrix:
     """A square matrix over F_q, row-major, canonical entries."""
 
@@ -216,15 +216,10 @@ class Matrix:
     def __init__(self, field: PrimeField, rows: Iterable[Iterable]):
         q = field.q
         canon = []
-        for row in rows:
+        for row in rows:  # loops, as in Vector
             r = []
             for e in row:
-                if isinstance(e, FieldElement):
-                    if e.field.q != q:
-                        raise FieldMismatch("matrix entries from a different field")
-                    r.append(e.value)
-                else:
-                    r.append(e % q)
+                r.append(e % q)
             canon.append(tuple(r))
         n = len(canon)
         if n == 0 or any(len(r) != n for r in canon):
@@ -263,8 +258,6 @@ class Matrix:
         return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            return self.apply(other)
         if not isinstance(other, Matrix):
             raise TypeError(f"cannot multiply Matrix by {type(other).__name__}")
         if other.field.q != self.field.q:
@@ -319,11 +312,6 @@ class Matrix:
             and other.field.q == self.field.q
             and other.rows == self.rows
         )
-
-    def __lt__(self, other: "Matrix") -> bool:
-        if not isinstance(other, Matrix) or other.field.q != self.field.q:
-            raise TypeError("matrices ordered only within one field")
-        return self.rows < other.rows
 
     def __hash__(self) -> int:
         return hash((self.field.q, self.rows))

@@ -16,9 +16,8 @@ sphere action is transitive is checked per instance, never assumed.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import NotInSpace
 from .field import PrimeField, as_field
 from .geometry import (
     Matrix,
@@ -32,25 +31,23 @@ from .geometry import (
 from .prng import SplitMix64
 
 
-class Space:
-    """An enumerated set of points of F_q^d on which a group acts."""
+class Space(PointSet):
+    """A point set of a kind on which a group acts: all of F_q^d, the
+    punctured space (origin removed), or a sphere of some radius."""
 
-    __slots__ = ("field", "dim", "kind", "radius", "elements", "_index")
+    __slots__ = ("kind", "radius")
 
     def __init__(self, field: PrimeField, dim: int, kind: str,
-                 elements: Sequence[Vector], radius: int | None = None):
-        self.field = field
-        self.dim = dim
+                 points: Iterable[Vector], radius: int | None = None):
+        super().__init__(field, dim, points)
         self.kind = kind
         self.radius = radius
-        self.elements = tuple(elements)
-        self._index = {v.coords: i for i, v in enumerate(self.elements)}
 
     @classmethod
     def full(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
         _check_budget(field.q ** dim, "full space (q^d)")
-        return cls(field, dim, "full", list(all_vectors(field, dim)))
+        return cls(field, dim, "full", all_vectors(field, dim))
 
     @classmethod
     def punctured(cls, q_or_field, dim: int) -> "Space":
@@ -63,27 +60,11 @@ class Space:
     def sphere(cls, q_or_field, dim: int, radius: int) -> "Space":
         field = as_field(q_or_field)
         radius = radius % field.q
-        pts = sphere(field, dim, radius).points
-        return cls(field, dim, "sphere", pts, radius=radius)
+        return cls(field, dim, "sphere", sphere(field, dim, radius), radius=radius)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
-
-    def index(self, v: Vector) -> int:
-        try:
-            return self._index[v.coords]
-        except KeyError:
-            raise NotInSpace(f"{v!r} is not a point of this {self.kind} space") from None
-
-    def __contains__(self, v) -> bool:
-        return isinstance(v, Vector) and v.field.q == self.field.q and v.coords in self._index
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(self.elements)
+        return len(self.points)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "q": self.field.q, "d": self.dim, "size": self.size}
@@ -284,7 +265,7 @@ class FiniteGroup:
         """Index permutations of the space, one per element, in element order."""
         if self._perms is None:
             idx = self.space.index
-            pts = self.space.elements
+            pts = self.space.points
             self._perms = [tuple(idx(g.apply(x)) for x in pts) for g in self.elements]
         return self._perms
 
@@ -313,7 +294,7 @@ class FiniteGroup:
             if self.space.size == 0:
                 self._transitive = True
             else:
-                self._transitive = len(self.orbit(self.space.elements[0])) == self.space.size
+                self._transitive = len(self.orbit(self.space.points[0])) == self.space.size
         return self._transitive
 
     def spot_check_axioms(self, trials: int = 100, seed: int = 0) -> bool:
@@ -343,7 +324,7 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     """The q^d translations of F_q^d, acting on the full space."""
     field = as_field(q_or_field)
     space = Space.full(field, dim)
-    return FiniteGroup([Translation(v) for v in space.elements], space, "translations")
+    return FiniteGroup([Translation(v) for v in space.points], space, "translations")
 
 
 def special_linear_group(q_or_field, dim: int) -> FiniteGroup:

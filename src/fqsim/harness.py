@@ -60,13 +60,14 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     )
 
 
-def random_subset(space: Space, n: int, seed: int) -> PointSet:
-    """n distinct points drawn from an enumerated space (seeded)."""
-    if n > space.size:
-        raise TooMany(f"cannot sample {n} distinct points from a space of {space.size}")
+def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
+    """n distinct points drawn from a point set, such as a group's space (seeded)."""
+    size = len(points)
+    if n > size:
+        raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     rng = SplitMix64(seed)
-    picks = rng.sample_indices(space.size, n)
-    return PointSet(space.field, space.dim, [space.elements[i] for i in picks])
+    picks = rng.sample_indices(size, n)
+    return PointSet(points.field, points.dim, [points.points[i] for i in picks])
 
 
 def parse_pointset(text_or_lines) -> PointSet:
@@ -252,9 +253,14 @@ def run_cell(cell: dict) -> Report:
 
 
 def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
-    """run_cell over every cell, yielded in grid order for any worker count."""
+    """run_cell over every cell, yielded in grid order for any worker count.
+
+    A worker count below 1 raises ValueError before any cell runs.
+    """
+    if jobs < 1:
+        raise ValueError(f"a sweep needs at least one worker, got jobs = {jobs}")
     cells = config.cells()
-    if jobs <= 1:
+    if jobs == 1:
         yield from map(run_cell, cells)
     else:
         with futures.ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -32,11 +32,12 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FieldMismatch,
+    NotInSpace,
     NotTransitive,
     SpaceMismatch,
 )
 from .geometry import PointSet, Vector, index_to_coords
-from .groups import FiniteGroup, GroupElement, Translation
+from .groups import FiniteGroup, GroupElement, Space, Translation
 from .prng import SplitMix64
 
 # All-subset-pair audits walk 4^|X| pairs; beyond this the walk is refused.
@@ -117,17 +118,17 @@ def intersect_count(g: GroupElement, moving: PointSet, fixed: PointSet) -> int:
         raise SpaceMismatch(str(exc)) from exc
 
 
-def _require_subsets(group: FiniteGroup, moving: PointSet, fixed: PointSet) -> None:
-    space = group.space
-    for name, ps in (("moving", moving), ("fixed", fixed)):
-        if ps.field.q != space.field.q or ps.dim != space.dim:
-            raise SpaceMismatch(
-                f"{name} set lives in F_{ps.field.q}^{ps.dim}, "
-                f"the group acts on F_{space.field.q}^{space.dim}"
-            )
-        for p in ps:
-            if p not in space:
-                raise SpaceMismatch(f"{name} set point {p!r} is outside the {space.kind} space")
+def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
+    """Positions in the group's space of every point of a moving or fixed set."""
+    if points.field.q != space.field.q or points.dim != space.dim:
+        raise SpaceMismatch(
+            f"{name} set lives in F_{points.field.q}^{points.dim}, "
+            f"the group acts on F_{space.field.q}^{space.dim}"
+        )
+    try:
+        return [space.index(p) for p in points]
+    except NotInSpace as exc:
+        raise SpaceMismatch(f"{name} set: {exc}") from None
 
 
 def _image_mask(perm, indices) -> int:
@@ -143,8 +144,9 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
 
     The maximizer reported is the canonically smallest one.
     """
-    _require_subsets(group, moving, fixed)
     space = group.space
+    e_indices = _space_indices(space, "moving", moving)
+    h_indices = _space_indices(space, "fixed", fixed)
     n_x = space.size
     bound = Fraction(len(moving) * len(fixed), n_x) if n_x else Fraction(0)
     transitive = group.is_transitive()
@@ -161,10 +163,9 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
         )
 
     perms = group.perms()
-    e_indices = [space.index(p) for p in moving]
     h_mask = 0
-    for p in fixed:
-        h_mask |= 1 << space.index(p)
+    for i in h_indices:
+        h_mask |= 1 << i
 
     # One count per element, in canonical order; index() finds the first
     # maximum, which is the canonical tie-break.

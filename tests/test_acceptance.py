@@ -195,8 +195,8 @@ def test_criterion_6_orbit_stabilizer_transporter():
             pairs = itertools.product(group.space, repeat=2)
         else:
             pairs = (
-                (group.space.elements[rng.next_below(n)],
-                 group.space.elements[rng.next_below(n)])
+                (group.space.points[rng.next_below(n)],
+                 group.space.points[rng.next_below(n)])
                 for _ in range(100)
             )
         for x, y in pairs:

@@ -236,6 +236,38 @@ class TestSweepAndVerifyWitness:
         b = [strip(l) for l in paths[1].read_text().strip().split("\n")]
         assert a == b
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_input_error(self, capsys, tmp_path, jobs):
+        sweep = ["sweep", "--qs", "3,5", "--d", "2", "--ks", "1", "--jobs", jobs]
+        path = tmp_path / "sweep.jsonl"
+        code, out = run_cli(capsys, *sweep, "--out", str(path))
+        assert code == 3
+        assert first_json(out)["error"] == "ValueError"
+        assert path.read_text() == ""
+        code, out = run_cli(capsys, *sweep)
+        assert code == 3
+        assert first_json(out)["error"] == "ValueError"  # the only object printed
+
+    def test_over_budget_det_witness_is_refused(self, capsys, tmp_path, monkeypatch):
+        # d = k = 11 over F_3: 3*C(12, 11) + 1 cofactor determinants of
+        # 11x11 matrices, about 12!/1 terms each, far past the budget
+        import fqsim.geometry
+
+        def no_determinant(rows, q):
+            raise AssertionError("a determinant was computed")
+
+        monkeypatch.setattr(fqsim.geometry, "_det_cofactor", no_determinant)
+        d = 11
+        points = [[int(i == j) for j in range(d)] for i in range(d)] + [[1] * d]
+        witness = {"kind": "det-similarity", "q": 3, "d": d, "k": d, "r": 1, "root": 1,
+                   "g": points[:d], "xs": points, "ys": points, "zs": points,
+                   "verified": True}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(witness))
+        code, out = run_cli(capsys, "verify-witness", str(path))
+        assert code == 4
+        assert first_json(out)["error"] == "EnumerationCapExceeded"
+
     def test_witness_round_trip_through_cli(self, capsys, tmp_path):
         code, out = run_cli(capsys, "find-similar", "--q", "5", "--d", "2",
                             "--r", "4", "--k", "2", "--random", "9", "--seed", "3")

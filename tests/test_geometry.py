@@ -10,6 +10,7 @@ from fqsim import (
     EnumerationCapExceeded,
     FieldMismatch,
     Matrix,
+    NotInSpace,
     PointSet,
     Vector,
     all_vectors,
@@ -191,6 +192,20 @@ class TestPointSet:
         assert Vector(F3, [0, 1]) in ps
         assert Vector(F3, [1, 1]) not in ps
         assert Vector(F5, [0, 1]) not in ps
+
+    def test_index_agrees_with_membership(self):
+        ps = PointSet.from_coords(F3, 2, [[2, 0], [0, 1], [1, 2]])
+        assert [ps.index(p) for p in ps] == [0, 1, 2]
+        for v in (Vector(F3, [1, 1]), Vector(F5, [0, 1])):  # absent; other field
+            with pytest.raises(NotInSpace):
+                ps.index(v)
+
+    def test_equality_and_hash_ignore_input_order(self):
+        a = PointSet.from_coords(F3, 2, [[2, 0], [0, 1]])
+        b = PointSet.from_coords(F3, 2, [[0, 1], [2, 0], [0, 1]])
+        assert a == b and hash(a) == hash(b)
+        assert a != PointSet.from_coords(F5, 2, [[2, 0], [0, 1]])
+        assert a != PointSet.from_coords(F3, 2, [[2, 0]])
 
     def test_scaled_and_translated(self):
         ps = PointSet.from_coords(F5, 2, [[1, 2], [3, 4]])

@@ -54,7 +54,7 @@ class TestSpaces:
 
     def test_index_round_trip(self):
         sp = Space.punctured(3, 2)
-        for i, v in enumerate(sp.elements):
+        for i, v in enumerate(sp.points):
             assert sp.index(v) == i
 
     def test_not_in_space(self):
@@ -216,7 +216,7 @@ class TestGroupStructure:
         perms = group.perms()
         for gi, g in enumerate(group):
             for xi, x in enumerate(group.space):
-                assert group.space.elements[perms[gi][xi]] == g.apply(x)
+                assert group.space.points[perms[gi][xi]] == g.apply(x)
 
     def test_compose_and_inverse(self):
         group = special_linear_group(5, 2)

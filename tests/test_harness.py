@@ -165,6 +165,15 @@ class TestSweeps:
         assert [r.outcome_bytes() for r in seq] == [r.outcome_bytes() for r in par]
         assert [r.config for r in seq] == [r.config for r in par]
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_cell(self, jobs):
+        with pytest.raises(ValueError):
+            run_sweep(self.small_config(), jobs=jobs)
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            write_sweep(self.small_config(), buf, jobs=jobs)
+        assert buf.getvalue() == ""
+
     def test_undersized_cells_fail_without_aborting(self):
         cfg = self.small_config(ks=(2,), size=2, trials=1)
         reports = run_sweep(cfg)

@@ -296,7 +296,7 @@ def oracle_audit(group, mask_pairs):
 
     def subset(mask):
         return PointSet(space.field, space.dim,
-                        [v for i, v in enumerate(space.elements) if mask >> i & 1])
+                        [v for i, v in enumerate(space.points) if mask >> i & 1])
 
     pairs = violations = mismatches = 0
     worst = None
