@@ -36,6 +36,7 @@ from .errors import (
     FqsimError,
     InsufficientIntersection,
     MalformedWitness,
+    ParseError,
     ScanCapExceeded,
     VerificationFailed,
 )
@@ -108,12 +109,17 @@ def _edge_set_from_option(option: str, k: int) -> EdgeSet:
         path = option[len("pairs:"):]
         pairs = []
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                i, j = (int(c) for c in line.split(","))
-                pairs.append((i, j))
+                cells = line.split(",")
+                if len(cells) != 2:
+                    raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
+                try:
+                    pairs.append((int(cells[0]), int(cells[1])))
+                except ValueError:
+                    raise ParseError(lineno, f"non-integer edge index in {line!r}") from None
         return EdgeSet(k, pairs)
     return edge_preset(option, k)
 

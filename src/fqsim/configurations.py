@@ -10,7 +10,9 @@ any shift whose overlap reaches k+1 points.  Whenever
 
 The determinant variant replaces translations by unimodular matrices
 and the norm relation by det(x-subset) = r·det(y-subset) over every
-d-subset of indices.
+d-subset of indices.  Its scan counts, for each pair of points, the
+unimodular maps sending one to the other, so it builds no group; the
+q^(d^2) matrix budget still applies.
 
 Every finder re-derives the claimed relations from raw coordinates with
 an independent verifier before returning, and the verifiers are public
@@ -23,6 +25,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -37,10 +40,11 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import Matrix, PointSet, Vector, _check_budget, det_of_columns_cofactor
-from .groups import GroupElement, SpecialLinear, orthogonal_group, special_linear_group
+from .geometry import Matrix, PointSet, Vector, _check_budget, _det_cofactor
+from .groups import GroupElement, SpecialLinear, orthogonal_group
 from .intersection import (
     IntersectionReport,
+    _max_special_linear_intersection,
     max_intersection,
     max_translation_intersection_fast,
 )
@@ -455,15 +459,32 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     )
 
 
+def _subset_dets(points: list[tuple[int, ...]], d: int, q: int):
+    """det mod q of every d-subset of the points, in combinations order.
+
+    The points are the rows (det is transpose-invariant).  Each det is
+    expanded by cofactors along its last row; the d cofactors of a
+    (d-1)-point prefix are themselves cofactor expansions, computed once
+    and shared by every subset that extends the prefix.
+    """
+    for prefix in itertools.combinations(range(len(points)), d - 1):
+        rows = [points[i] for i in prefix]
+        cofactors = [(-1) ** (d - 1 + k) * _det_cofactor([p[:k] + p[k + 1:] for p in rows], q)
+                     for k in range(d)] if rows else [1]
+        for j in range(prefix[-1] + 1 if prefix else 0, len(points)):
+            yield sum(map(mul, cofactors, points[j])) % q
+
+
 def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     """Re-derive every claim of a determinant-similarity witness.
 
-    All determinants are recomputed by cofactor expansion, a separate
-    code path from the elimination determinant the finder's group
-    enumeration used.  The one exception to "never raises": a witness
-    whose re-check would exceed ENUMERATION_CAP, counted as the
-    n!/(n-d)! cofactor terms of its C(n, d) subset determinants, raises
-    EnumerationCapExceeded before any determinant is computed.
+    All determinants are recomputed by cofactor expansion on the raw
+    coordinates, a separate code path from the elimination determinant
+    and from the finder's transporter count.  The one exception to
+    "never raises": a witness whose re-check would exceed
+    ENUMERATION_CAP, counted as the n!/(n-d)! cofactor terms of its
+    C(n, d) subset determinants, raises EnumerationCapExceeded before
+    any determinant is computed.
     """
     reasons = _tuple_field_issues(w)
     if reasons:
@@ -501,16 +522,16 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if len({v.coords for v in w.ys}) != n:
         reasons.append("distinctness: repeated y point")
 
-    for combo in itertools.combinations(range(n), d):
-        dx = det_of_columns_cofactor([w.xs[i] for i in combo])
-        dy = det_of_columns_cofactor([w.ys[i] for i in combo])
-        dz = det_of_columns_cofactor([w.zs[i] for i in combo])
+    q = w.ratio.field.q
+    r = w.ratio.value
+    dets = [_subset_dets([v.coords for v in vs], d, q) for vs in (w.xs, w.ys, w.zs)]
+    for combo, dx, dy, dz in zip(itertools.combinations(range(n), d), *dets):
         label = tuple(i + 1 for i in combo)
-        if dx != w.ratio * dy:
+        if dx != r * dy % q:
             reasons.append(f"determinant relation violated at indices {label}")
         if dz != dx:
             reasons.append(f"unimodular step violated at indices {label}")
-        if dz != w.ratio * dy:
+        if dz != r * dy % q:
             reasons.append(f"homogeneity step violated at indices {label}")
     return Verification(not reasons, tuple(reasons))
 
@@ -521,6 +542,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     Requires k >= d (otherwise no d-subset exists beyond a single one),
     the origin excluded from the set (the unimodular action is only
     transitive away from it), and the ratio a nonzero d-th power.  The
+    scan counts the maps g with gx = y per pair and builds no group.  The
     overlap points z give x = g⁻¹z and y = z/root.
     """
     d = points.dim
@@ -528,12 +550,11 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
     if Vector(points.field, [0] * d) in points:
         raise OriginInSet("the set must avoid the origin for the unimodular action")
-    # The group is built inside the scan, so a bad ratio is refused before
-    # an oversized group is.
+    # The scan checks the matrix budget, so a bad ratio is refused before
+    # an oversized q is.
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
-        scan=lambda scaled: max_intersection(
-            special_linear_group(points.field, d), points, scaled),
+        scan=lambda scaled: _max_special_linear_intersection(points, scaled),
         build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
             xs=pulled, ys=shrunk, zs=zs, report=report),

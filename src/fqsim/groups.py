@@ -327,6 +327,18 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     return FiniteGroup([Translation(v) for v in space.points], space, "translations")
 
 
+def _unimodular_rows(q: int, dim: int):
+    """Rows of every d x d matrix of determinant 1 mod q, in canonical order.
+
+    Scans all q^(d^2) candidates on raw rows, building no Matrix for the
+    rejects; the caller checks the budget.
+    """
+    for flat in itertools.product(range(q), repeat=dim * dim):
+        rows = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
+        if _det_rows(rows, q) == 1:
+            yield rows
+
+
 def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     """All d x d matrices of determinant 1, acting on the punctured space.
 
@@ -334,14 +346,8 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     within ENUMERATION_CAP.
     """
     field = as_field(q_or_field)
-    q = field.q
-    _check_budget(q ** (dim * dim), "matrix scan (q^(d^2))")
-    els = []
-    for flat in itertools.product(range(q), repeat=dim * dim):
-        rows = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
-        # raw-row determinant: skip building Matrix objects for rejects
-        if _det_rows(rows, q) == 1:
-            els.append(SpecialLinear.unchecked(Matrix(field, rows)))
+    _check_budget(field.q ** (dim * dim), "matrix scan (q^(d^2))")
+    els = [SpecialLinear.unchecked(Matrix(field, rows)) for rows in _unimodular_rows(field.q, dim)]
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
 
 

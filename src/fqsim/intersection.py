@@ -13,10 +13,15 @@ compared through floating point.  Argmax ties are broken toward the
 canonically smallest group element: the scan walks the elements in
 canonical order and keeps the first strict maximum.
 
-Translations count the pairs (x, y) in E × H with y - x = a instead:
-points coded in base 2q let C count all |E||H| differences in O(|E||H|)
-time and memory for any q, and shifts keyed by lexicographic flat index
-make the same tie-break a minimum over integers.
+The finders never enumerate a group.  They count the same incidences
+from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
+and key each g by an integer whose order is canonical order, so the
+tie-break becomes the smallest maximal key.  Translations count the
+pairs (x, y) with y - x = a: points coded in base 2q let C count all
+|E||H| differences in O(|E||H|) time and memory for any q.  Unimodular
+maps count, for each pair, the coset of the stabiliser of e1 that sends
+x to y, |E||H||S| terms in all.  `max_intersection` over the enumerated
+group stays the oracle for both.
 """
 
 from __future__ import annotations
@@ -36,8 +41,15 @@ from .errors import (
     NotTransitive,
     SpaceMismatch,
 )
-from .geometry import PointSet, Vector, index_to_coords
-from .groups import FiniteGroup, GroupElement, Space, Translation
+from .geometry import Matrix, PointSet, Vector, _check_budget, _inverse_rows, index_to_coords
+from .groups import (
+    FiniteGroup,
+    GroupElement,
+    Space,
+    SpecialLinear,
+    Translation,
+    _unimodular_rows,
+)
 from .prng import SplitMix64
 
 # All-subset-pair audits walk 4^|X| pairs; beyond this the walk is refused.
@@ -236,6 +248,42 @@ def translation_count_map(moving: PointSet, fixed: PointSet) -> dict[tuple[int, 
     return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in counts.items()}
 
 
+def _report_from_counts(counts: dict[int, int], moving: PointSet, fixed: PointSet, *,
+                        decode, first: int, group_order: int, space_size: int,
+                        transitive: bool, want_histogram: bool) -> IntersectionReport:
+    """The report of a kernel that counts |fixed ∩ g·moving| per element code.
+
+    `counts` holds the nonzero counts.  Codes ascend in canonical element
+    order, so the smallest maximal code is the canonical tie-break and the
+    only one decoded; `first`, the group's smallest code, answers when
+    every count is zero.  Elements absent from `counts` count zero.
+    """
+    if not len(moving) or not len(fixed):
+        warnings.warn("empty point set: the intersection bound is vacuous")
+    best_c = max(counts.values(), default=0)
+    best = min((code for code, c in counts.items() if c == best_c), default=first)
+
+    hist = None
+    if want_histogram:
+        hist = dict(Counter(counts.values()))
+        zeros = group_order - len(counts)
+        if zeros:
+            hist[0] = zeros
+
+    return IntersectionReport(
+        best_g=decode(best),
+        best_count=best_c,
+        bound=Fraction(len(moving) * len(fixed), space_size),
+        double_count_total=sum(counts.values()),
+        transitive=transitive,
+        group_order=group_order,
+        space_size=space_size,
+        moving_size=len(moving),
+        fixed_size=len(fixed),
+        per_g_histogram=hist,
+    )
+
+
 def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
                                       want_histogram: bool = False) -> IntersectionReport:
     """Translation-group maximizer via the difference histogram.
@@ -244,38 +292,154 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
     total is |E||H| (each pair contributes to exactly one shift).  Counts
-    stay keyed by flat index, so the smallest maximal index is that shift
-    and the only one decoded; time and memory are O(|E||H|).
+    stay keyed by flat index; time and memory are O(|E||H|).
     """
     counts = _translation_counts(moving, fixed)
     field = moving.field
     q = field.q
     d = moving.dim
     order = q ** d
+    return _report_from_counts(
+        counts, moving, fixed,
+        decode=lambda i: Translation(Vector(field, index_to_coords(i, q, d))),
+        first=0, group_order=order, space_size=order, transitive=True,
+        want_histogram=want_histogram,
+    )
 
-    if not counts:
-        warnings.warn("empty point set: the intersection bound is vacuous")
-    best_c = max(counts.values(), default=0)
-    best_i = min((i for i, c in counts.items() if c == best_c), default=0)
 
-    hist = None
-    if want_histogram:
-        hist = dict(Counter(counts.values()))
-        zeros = order - len(counts)
-        if zeros:
-            hist[0] = hist.get(0, 0) + zeros
+def _special_linear_order(q: int, d: int) -> int:
+    """|SL(d, q)| = q^(d(d-1)/2) · prod over i = 2..d of (q^i - 1)."""
+    order = q ** (d * (d - 1) // 2)
+    for i in range(2, d + 1):
+        order *= q ** i - 1
+    return order
 
-    return IntersectionReport(
-        best_g=Translation(Vector(field, index_to_coords(best_i, q, d))),
-        best_count=best_c,
-        bound=Fraction(len(moving) * len(fixed), order),
-        double_count_total=len(moving) * len(fixed),
-        transitive=True,
-        group_order=order,
-        space_size=order,
-        moving_size=len(moving),
-        fixed_size=len(fixed),
-        per_g_histogram=hist,
+
+def _first_special_linear_code(q: int, d: int) -> int:
+    """Code of the canonically smallest element of SL(d, q).
+
+    Its rows are e_d, ..., e_2, each the smallest row independent of those
+    above it, then c·e_1, where c = (-1)^(d(d-1)/2) undoes the sign of
+    the row reversal.
+    """
+    flat = [0] * (d * d)
+    for i in range(d - 1):
+        flat[i * d + d - 1 - i] = 1
+    flat[(d - 1) * d] = (-1) ** (d * (d - 1) // 2) % q
+    code = 0
+    for e in flat:
+        code = code * q + e
+    return code
+
+
+def _completion(x: tuple[int, ...], q: int) -> list[list[int]]:
+    """Rows of an h in SL(d, q), d >= 2, with h e1 = x for nonzero x.
+
+    The columns x, e_j (j != i) for the first i with x_i != 0 have
+    determinant (-1)^i x_i; the second column is scaled by its inverse.
+    """
+    d = len(x)
+    i = next(j for j, c in enumerate(x) if c)
+    others = [j for j in range(d) if j != i]
+    rows = [[c] + [0] * (d - 1) for c in x]
+    for col, j in enumerate(others, start=1):
+        rows[j][col] = 1
+    rows[others[0]][1] = pow((-1) ** i * x[i], q - 2, q)
+    return rows
+
+
+def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
+    """Nonzero values of code(g) -> |fixed ∩ g·moving| over g in SL(d, q).
+
+    code(g) is the base-q integer of g's row-major entries, so code order
+    is canonical order.  Each incidence of the paper's double count
+    Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}| is counted at its g: the
+    g with gx = y are h_y·S·h_x⁻¹, where S = {[[1, b], [0, A]] : A in
+    SL(d-1, q)} fixes e1 and h_x e1 = x.  With p = h_y·s, row i of g is
+    y_i r_1 + Σ_{k>=2} p_ik r_k over the rows r_k of h_x⁻¹, so one table
+    per x maps (y_i, p_i2..p_id) to that row's code and each of the
+    |E||H||S| <= |G||X| terms costs d lookups.  For d = 2, S holds
+    [[1, t], [0, 1]] and each coset is {h_y h_x⁻¹ + t·y·(-x_2, x_1)}.
+    Both sets must avoid the origin.  SL(1, q) is the identity alone and
+    counts |E ∩ H|.
+    """
+    q = moving.field.q
+    d = moving.dim
+    if d == 1:
+        common = sum(1 for p in moving if p in fixed)
+        return {1: common} if common else {}
+    m = d - 1
+    qd = q ** d
+    wrap = _wrap_table(q, d)  # base-2q row code -> flat index of the row mod q
+    w2q = [(2 * q) ** (d - 1 - j) for j in range(d)]
+    blocks = list(_unimodular_rows(q, m))  # SL(d-1, q)
+    # Per y: for every p = h_y·s, s = [[1, b], [0, A]] in A-major, b-lex
+    # order, the base-q code of row i of p's columns 2..d, h_y[i][1:]·A + y_i·b.
+    targets = []
+    for y in fixed:
+        h = _completion(y.coords, q)
+        cols = [[] for _ in range(d)]
+        for a in blocks:
+            for yi, row, col in zip(y.coords, h, cols):
+                codes = [0]
+                for k in range(m):
+                    base = sum(row[1 + j] * a[j][k] for j in range(m))
+                    codes = [c * q + (base + yi * b) % q for c in codes for b in range(q)]
+                col.extend(codes)
+        targets.append((y.coords, cols))
+    leads = sorted({c for y in fixed for c in y.coords})
+
+    counts: Counter = Counter()
+    for x in moving:
+        r = _inverse_rows(_completion(x.coords, q), q)
+        # Base-2q code of Σ_k c_k r_k mod q over c in F_q^(d-1), lex order,
+        # and of a·r_1 mod q over the leads a, summed coordinate by coordinate.
+        tails = [0] * q ** m
+        heads = [0] * len(leads)
+        for j, w in enumerate(w2q):
+            entries = [0]
+            for rk in r[1:]:
+                e = rk[j]
+                entries = [s + c * e for s in entries for c in range(q)]
+            tails = [t + s % q * w for t, s in zip(tails, entries)]
+            e = r[0][j]
+            heads = [t + a * e % q * w for t, a in zip(heads, leads)]
+        rows = {a: [wrap[h + t] for t in tails] for a, h in zip(leads, heads)}
+        codes = []
+        for ys, cols in targets:
+            table = rows[ys[0]]
+            row_codes = [table[j] for j in cols[0]]
+            for a, col in zip(ys[1:], cols[1:]):
+                table = rows[a]
+                row_codes = [c * qd + table[j] for c, j in zip(row_codes, col)]
+            codes += row_codes
+        counts.update(codes)
+    return counts
+
+
+def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
+                                     want_histogram: bool = False) -> IntersectionReport:
+    """`max_intersection` over SL(d, q) on the punctured space, without the group.
+
+    Same report, field for field: the canonically smallest maximizer,
+    the bound |E||H|/(q^d - 1) and the double-count total |E||H||S|.  The
+    action is transitive for d >= 2; SL(1, q) moves nothing.  Refuses,
+    as the enumeration did, a q^(d^2) matrix scan past ENUMERATION_CAP.
+    """
+    field = moving.field
+    q = field.q
+    d = moving.dim
+    _check_budget(q ** (d * d), "matrix scan (q^(d^2))")
+    counts = _transporter_counts(moving, fixed)
+
+    def decode(code):
+        flat = index_to_coords(code, q, d * d)
+        return SpecialLinear.unchecked(Matrix(field, [flat[i * d:(i + 1) * d] for i in range(d)]))
+
+    return _report_from_counts(
+        counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
+        group_order=_special_linear_order(q, d), space_size=q ** d - 1,
+        transitive=d >= 2 or q == 2, want_histogram=want_histogram,
     )
 
 

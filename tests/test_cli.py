@@ -149,6 +149,20 @@ class TestFindSimilar:
         assert code == 0
         assert obj["edges"] == [[1, 2], [2, 3]]
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n# comment\n\n3\n", "line 4: expected one 'i,j' pair, got '3'"),
+        ("1,2\n1,2,3\n", "line 2: expected one 'i,j' pair, got '1,2,3'"),
+        ("1,2\n2,x  # bad\n", "line 2: non-integer edge index in '2,x'"),
+    ])
+    def test_bad_edge_file_names_the_line(self, capsys, tmp_path, text, message):
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text(text)
+        code, out = run_cli(capsys, "find-similar", "--q", "5", "--d", "2",
+                            "--r", "4", "--k", "2", "--random", "9",
+                            "--edges", f"pairs:{edge_file}")
+        assert code == 3
+        assert first_json(out) == {"error": "ParseError", "message": message}
+
     def test_set_file_input(self, capsys, tmp_path):
         ps = random_pointset(5, 2, 10, seed=8)
         path = tmp_path / "set.txt"

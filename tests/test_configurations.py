@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import fqsim
 from fqsim import (
     DetSimilarityWitness,
     EdgeSet,
+    EnumerationCapExceeded,
     InsufficientIntersection,
     MalformedWitness,
     NotADthPower,
@@ -22,6 +25,7 @@ from fqsim import (
     Vector,
     ZeroDilation,
     all_vectors,
+    det_of_columns_cofactor,
     edge_preset,
     find_det_similar,
     find_similar_config,
@@ -304,6 +308,104 @@ class TestFindDetSimilar:
         for bad in malformed:
             check = verify_det_similarity(bad)
             assert not check and check.reasons
+
+
+def no_group(*args, **kwargs):
+    raise AssertionError("the det finder enumerated a group")
+
+
+def object_level_reasons(w):
+    """Oracle for the subset checks of verify_det_similarity: the same
+    reasons from Matrix-level cofactor determinants of Vector columns."""
+    reasons = []
+    for combo in itertools.combinations(range(len(w.xs)), w.xs[0].dim):
+        dx = det_of_columns_cofactor([w.xs[i] for i in combo])
+        dy = det_of_columns_cofactor([w.ys[i] for i in combo])
+        dz = det_of_columns_cofactor([w.zs[i] for i in combo])
+        label = tuple(i + 1 for i in combo)
+        if dx != w.ratio * dy:
+            reasons.append(f"determinant relation violated at indices {label}")
+        if dz != dx:
+            reasons.append(f"unimodular step violated at indices {label}")
+        if dz != w.ratio * dy:
+            reasons.append(f"homogeneity step violated at indices {label}")
+    return reasons
+
+
+class TestDetFinderScan:
+    """find_det_similar counts transporters instead of enumerating SL(d, q)."""
+
+    @pytest.mark.parametrize("q, d, k, r", [(5, 2, 3, 4), (7, 2, 2, 2), (3, 3, 3, 2), (5, 1, 2, 3)])
+    def test_builds_no_group(self, monkeypatch, q, d, k, r):
+        import fqsim.cli
+        import fqsim.groups
+
+        field = make_field(q)
+        points = PointSet(field, d, [v for v in all_vectors(field, d) if not v.is_zero()])
+        expected = find_det_similar(points, field(r), k).to_json()
+        for module in (fqsim, fqsim.groups, fqsim.cli):
+            monkeypatch.setattr(module, "special_linear_group", no_group)
+        monkeypatch.setattr(fqsim.groups.FiniteGroup, "perms", no_group)
+        monkeypatch.setattr(fqsim.groups.FiniteGroup, "__init__", no_group)
+        w = find_det_similar(points, field(r), k)
+        assert w.verified and w.to_json() == expected
+
+    @pytest.mark.parametrize("q, d, n, seed", [(5, 2, 10, 1), (7, 2, 14, 2), (3, 3, 12, 3)])
+    def test_report_matches_the_enumerated_group(self, q, d, n, seed):
+        from fqsim import max_intersection, random_subset, Space, special_linear_group
+
+        field = make_field(q)
+        points = random_subset(Space.punctured(field, d), n, seed)
+        w = find_det_similar(points, field(1), d)
+        oracle = max_intersection(special_linear_group(field, d), points, points.scaled(w.root))
+        assert w.report.to_json() == oracle.to_json()
+
+    def test_budget_refusal_comes_after_the_ratio_checks(self):
+        field = make_field(101)
+        points = PointSet.from_coords(field, 2, [[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(NotADthPower):  # 2 is no square mod 101: exit 3 first
+            find_det_similar(points, field(2), 2)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            find_det_similar(points, field(4), 2)
+        assert str(exc.value) == (
+            "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
+
+    def test_sweep_outcome_for_an_oversized_q(self):
+        from fqsim import SweepConfig, run_sweep
+
+        reports = run_sweep(SweepConfig(qs=(101,), d=2, ks=(2,), ratios=(4,),
+                                        kind="det-similarity"))
+        assert [r.outcome for r in reports] == [{
+            "status": "error", "error": "EnumerationCapExceeded",
+            "message": "matrix scan (q^(d^2)) needs at most 100000000 candidates, "
+                       "got 104060401"}]
+
+
+class TestDetVerifierDeterminants:
+    """The int-row subset determinants against Matrix-level cofactors."""
+
+    @pytest.mark.parametrize("q, d, n", [(5, 1, 4), (7, 2, 9), (3, 3, 6), (5, 3, 7)])
+    def test_reasons_match_object_level_oracle(self, q, d, n):
+        from fqsim import Matrix, SpecialLinear, random_subset, Space
+
+        field = make_field(q)
+        rng = random.Random(q * 100 + d)
+        for trial in range(6):
+            xs = random_subset(Space.punctured(field, d), n, trial).points
+            root = field(rng.randrange(1, q))
+            ys = [root.inverse() * v for v in xs]
+            if trial:  # perturb a few coordinates of y
+                for _ in range(trial):
+                    i = rng.randrange(n)
+                    ys[i] = ys[i] + Vector(field, [rng.randrange(q) for _ in range(d)])
+            w = DetSimilarityWitness(ratio=root ** d, root=root,
+                                     transform=SpecialLinear(Matrix.identity(field, d)),
+                                     xs=tuple(xs), ys=tuple(ys), zs=tuple(xs))
+            check = verify_det_similarity(w)
+            expected = object_level_reasons(w)
+            assert [s for s in check.reasons if "indices" in s] == expected
+            if trial == 0:
+                assert check.ok
 
 
 class TestSphereExperiment:

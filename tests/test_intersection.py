@@ -8,7 +8,9 @@ import pytest
 
 from fqsim import (
     DimensionMismatch,
+    EnumerationCapExceeded,
     FieldMismatch,
+    Matrix,
     NotTransitive,
     PointSet,
     SpaceMismatch,
@@ -23,10 +25,14 @@ from fqsim import (
     orthogonal_group,
     random_pairs_audit,
     random_pointset,
+    random_subset,
+    Space,
+    SpecialLinear,
     special_linear_group,
     translation_count_map,
     translations,
 )
+from fqsim.intersection import _max_special_linear_intersection
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -258,6 +264,111 @@ class TestFastTranslationKernel:
             max_translation_intersection_fast(
                 PointSet.from_coords(F3, 1, [[0]]), PointSet.from_coords(F3, 2, [[0, 0]])
             )
+
+
+REPORT_FIELDS = ("best_g", "best_count", "bound", "double_count_total", "transitive",
+                 "group_order", "space_size", "moving_size", "fixed_size", "per_g_histogram")
+
+
+def assert_same_report(kernel, oracle):
+    for name in REPORT_FIELDS:
+        assert getattr(kernel, name) == getattr(oracle, name), name
+    assert kernel.to_json() == oracle.to_json()
+
+
+def sl_cases(q, d):
+    """(E, H) pairs on the punctured space: all of it, empty sets, forced
+    ties and seeded random subsets of assorted sizes."""
+    space = Space.punctured(q, d)
+    n = len(space)
+    empty = PointSet(space.field, d)
+    one = PointSet(space.field, d, space.points[:1])
+    last = PointSet(space.field, d, space.points[-1:])
+    cases = [(space, space), (empty, space), (space, empty), (empty, empty),
+             (one, one), (one, last), (one, space), (space, last)]
+    for seed in range(5):
+        e = random_subset(space, (seed * 7 + 2) % (n + 1), seed)
+        h = random_subset(space, (seed * 5 + 1) % (n + 1), seed + 100)
+        cases.append((e, h))
+    return cases
+
+
+class TestTransporterKernel:
+    """The finders' unimodular scan against max_intersection over SL(d, q)."""
+
+    @pytest.mark.parametrize("q, d", [
+        (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
+    ])
+    def test_matches_the_enumerated_group(self, q, d):
+        group = special_linear_group(q, d)
+        for e, h in sl_cases(q, d):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                kernel = _max_special_linear_intersection(e, h, want_histogram=True)
+                oracle = max_intersection(group, e, h, want_histogram=True)
+            assert_same_report(kernel, oracle)
+            assert kernel.best_g in group
+            if d >= 2:  # each pair (x, y) is sent by one coset of the stabiliser of e1
+                assert kernel.double_count_total == len(e) * len(h) * group.order // (q ** d - 1)
+
+    def test_exact_where_the_group_is_too_big_to_enumerate(self):
+        # SL(3, 5) has 372000 elements: check every counted element directly
+        # instead; the counts then sum to the double count only if none is missing
+        from fqsim.intersection import _transporter_counts
+
+        space = Space.punctured(5, 3)
+        e = random_subset(space, 3, 11)
+        h = random_subset(space, 4, 12)
+        counts = _transporter_counts(e, h)
+        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        assert rep.group_order == 372000
+        assert sum(counts.values()) == rep.double_count_total == 3 * 4 * 372000 // 124
+        for code, c in counts.items():
+            flat = [code // 5 ** (8 - i) % 5 for i in range(9)]
+            g = SpecialLinear(Matrix(F5, [flat[0:3], flat[3:6], flat[6:9]]))
+            assert intersect_count(g, e, h) == c
+        best = min(code for code, c in counts.items() if c == rep.best_count)
+        assert rep.best_count == max(counts.values())
+        assert rep.best_g.sort_key()[2] == tuple(best // 5 ** (8 - i) % 5 for i in range(9))
+        assert sum(rep.per_g_histogram.values()) == 372000
+
+    def test_forced_ties_go_to_the_smallest_matrix(self):
+        group = special_linear_group(5, 2)
+        x = PointSet.from_coords(F5, 2, [[1, 2]])
+        y = PointSet.from_coords(F5, 2, [[3, 0]])
+        rep = _max_special_linear_intersection(x, y, want_histogram=True)
+        # the q maps sending x to y tie at 1; every other element counts 0
+        assert rep.per_g_histogram == {1: 5, 0: 115}
+        assert rep.best_g == min(group.transporter(x.points[0], y.points[0]))
+
+    def test_one_dimension_counts_the_common_points(self):
+        e = PointSet.from_coords(F5, 1, [[1], [2], [3]])
+        h = PointSet.from_coords(F5, 1, [[2], [3], [4]])
+        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        assert (rep.best_count, rep.double_count_total, rep.group_order) == (2, 2, 1)
+        assert rep.per_g_histogram == {2: 1}
+        assert rep.best_g.is_identity() and not rep.transitive
+
+    def test_empty_set_warns(self):
+        e = PointSet.from_coords(F5, 2, [[1, 0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = _max_special_linear_intersection(PointSet(F5, 2), e)
+        assert rep.best_count == 0
+        assert any("vacuous" in str(w.message) for w in caught)
+
+    def test_refuses_the_matrix_budget_before_counting(self, monkeypatch):
+        import fqsim.intersection
+
+        def no_count(moving, fixed):
+            raise AssertionError("counted past the budget")
+
+        monkeypatch.setattr(fqsim.intersection, "_transporter_counts", no_count)
+        e = PointSet.from_coords(make_field(101), 2, [[1, 0]])
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            _max_special_linear_intersection(e, e)
+        assert str(exc.value) == (
+            "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
 
 
 class TestAudits:
