@@ -63,6 +63,8 @@ def _emit_error(exc: Exception, **extra) -> None:
 
 
 def _build_group(kind: str, q: int, d: int, radius):
+    if radius is not None and kind != "orthogonal":
+        raise ValueError(f"--radius applies to orthogonal groups only, not {kind}")
     if kind == "translations":
         return translations(q, d)
     if kind == "orthogonal":
@@ -243,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["translations", "orthogonal", "special-linear"])
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=None,
+                   help="act on this sphere instead of the full space (orthogonal only)")
     p.add_argument("--set-e", dest="set_e")
     p.add_argument("--set-h", dest="set_h")
     p.add_argument("--exhaustive-subsets", action="store_true",

@@ -16,8 +16,10 @@ sphere action is transitive is checked per instance, never assumed.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Iterable
 
+from .errors import NotInSpace
 from .field import PrimeField, as_field
 from .geometry import (
     Matrix,
@@ -86,6 +88,11 @@ class GroupElement:
     def apply(self, v: Vector) -> Vector:
         raise NotImplementedError
 
+    def _image_columns(self, coords: list[tuple[int, ...]], q: int) -> list[list[int]]:
+        """Coordinate i of the image of every point in `coords`, as row i:
+        `apply` on raw coordinates, a whole column at a time."""
+        raise NotImplementedError
+
     def compose(self, other: "GroupElement") -> "GroupElement":
         """The map sending x to self(other(x))."""
         raise NotImplementedError
@@ -130,6 +137,9 @@ class Translation(GroupElement):
 
     def apply(self, v: Vector) -> Vector:
         return v + self.vector
+
+    def _image_columns(self, coords, q):
+        return [[(x + a) % q for x in col] for a, col in zip(self.vector.coords, zip(*coords))]
 
     def compose(self, other: "Translation") -> "Translation":
         other = self._like(other)
@@ -176,6 +186,9 @@ class _LinearMap(GroupElement):
 
     def apply(self, v: Vector) -> Vector:
         return self.matrix.apply(v)
+
+    def _image_columns(self, coords, q):
+        return [[sum(map(mul, row, c)) % q for c in coords] for row in self.matrix.rows]
 
     def compose(self, other):
         other = self._like(other)
@@ -242,6 +255,7 @@ class FiniteGroup:
         self.kind = kind
         self._element_set = frozenset(self.elements)
         self._perms: list[tuple[int, ...]] | None = None
+        self._columns: list[bytes] | None = None
         self._transitive: bool | None = None
         ident = [e for e in self.elements if e.is_identity()]
         if len(ident) != 1:
@@ -262,12 +276,43 @@ class FiniteGroup:
         return g in self._element_set
 
     def perms(self) -> list[tuple[int, ...]]:
-        """Index permutations of the space, one per element, in element order."""
+        """Index permutations of the space, one per element, in element order.
+
+        Images are computed on raw coordinates and looked up in the space's
+        coordinate index; an image outside the space raises NotInSpace.
+        """
         if self._perms is None:
-            idx = self.space.index
-            pts = self.space.points
-            self._perms = [tuple(idx(g.apply(x)) for x in pts) for g in self.elements]
+            space = self.space
+            index = space._index
+            coords = list(index)  # the points' coordinates, in canonical order
+            q = space.field.q
+            if coords:
+                # Raw coordinates would silently reduce an element over another
+                # field or dimension; apply raises on it, as it always has.
+                x = space.points[0]
+                for g in self.elements:
+                    g.apply(x)
+            try:
+                self._perms = [tuple(map(index.__getitem__, zip(*g._image_columns(coords, q))))
+                               for g in self.elements]
+            except KeyError as exc:
+                image = Vector(space.field, exc.args[0])
+                raise NotInSpace(f"{image!r} is not a point of {space!r}") from None
         return self._perms
+
+    def columns(self) -> list[bytes]:
+        """The perms() table transposed: per space point x, the index of g·x
+        for every element g in canonical order, one byte per element.
+
+        Needs a space of at most 256 points, so that every index fits a byte.
+        """
+        if self._columns is None:
+            if self.space.size > 256:
+                raise ValueError(
+                    f"byte columns need a space of at most 256 points, got {self.space.size}"
+                )
+            self._columns = [bytes(c) for c in zip(*self.perms())]
+        return self._columns
 
     def orbit(self, x: Vector) -> PointSet:
         """All images of x under the group."""

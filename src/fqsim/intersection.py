@@ -13,6 +13,12 @@ compared through floating point.  Argmax ties are broken toward the
 canonically smallest group element: the scan walks the elements in
 canonical order and keeps the first strict maximum.
 
+`max_intersection` counts |H ∩ gE| for every enumerated g.  On a space
+of at most 255 points each count sits in one byte: the group's image
+table is held as one byte column per point, and the columns of E, with
+the bytes in H marked, are summed as integers, so the whole scan runs
+in C.  A larger space ORs one image mask per element instead.
+
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
@@ -154,7 +160,10 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
                      want_histogram: bool = False) -> IntersectionReport:
     """Exact maximum of |fixed ∩ g·moving| over every element of the group.
 
-    The maximizer reported is the canonically smallest one.
+    Every g is counted, with no sampling or pruning: by the group's byte
+    columns (`FiniteGroup.columns`) on a space of at most 255 points, by
+    per-element image masks on a larger one, where a count may not fit a
+    byte.  The maximizer reported is the canonically smallest one.
     """
     space = group.space
     e_indices = _space_indices(space, "moving", moving)
@@ -174,14 +183,24 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
             per_g_histogram=hist,
         )
 
-    perms = group.perms()
-    h_mask = 0
-    for i in h_indices:
-        h_mask |= 1 << i
-
     # One count per element, in canonical order; index() finds the first
     # maximum, which is the canonical tie-break.
-    counts = [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in perms]
+    if n_x <= 255:
+        # Byte g of column x is the index of g·x; translate marks the bytes
+        # that land in H, and the little-endian sum over E adds the marks
+        # byte by byte.  Byte g ends up at |H ∩ gE| <= |X| <= 255, so no
+        # byte carries into the next.
+        table = bytearray(256)
+        for i in h_indices:
+            table[i] = 1
+        columns = group.columns()
+        acc = sum(int.from_bytes(columns[i].translate(table), "little") for i in e_indices)
+        counts = acc.to_bytes(group.order, "little")
+    else:
+        h_mask = 0
+        for i in h_indices:
+            h_mask |= 1 << i
+        counts = [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in group.perms()]
     best_c = max(counts)
     best_i = counts.index(best_c)
 

@@ -52,6 +52,17 @@ class TestEnumerateGroup:
         assert code == 3
         assert first_json(out)["error"] == "NotPrime"
 
+    # Building SL(3, 101) or F_101^5 would exceed the budget (exit 4), so
+    # exit 3 shows the radius is refused before anything is built.
+    @pytest.mark.parametrize("kind, d", [("translations", "5"), ("special-linear", "3")])
+    def test_radius_without_orthogonal_is_input_error(self, capsys, kind, d):
+        code, out = run_cli(capsys, "enumerate-group", "--kind", kind,
+                            "--q", "101", "--d", d, "--radius", "1")
+        obj = first_json(out)
+        assert code == 3
+        assert obj["error"] == "ValueError"
+        assert "--radius" in obj["message"]
+
 
 class TestVerifyBound:
     def write_sets(self, tmp_path, e_set, h_set):
@@ -106,6 +117,16 @@ class TestVerifyBound:
                             "--q", "3", "--d", "2", "--set-e", pe, "--set-h", ph)
         assert code == 3
         assert first_json(out)["error"] == "SpaceMismatch"
+
+    @pytest.mark.parametrize("kind, d", [("translations", "5"), ("special-linear", "3")])
+    def test_radius_without_orthogonal_is_input_error(self, capsys, tmp_path, kind, d):
+        e = random_pointset(3, 2, 4, seed=3)
+        pe, ph = self.write_sets(tmp_path, e, e)
+        code, out = run_cli(capsys, "verify-bound", "--group", kind, "--q", "101",
+                            "--d", d, "--radius", "1", "--set-e", pe, "--set-h", ph)
+        obj = first_json(out)
+        assert code == 3
+        assert "--radius" in obj["message"]
 
 
 class TestFindSimilar:

@@ -6,7 +6,9 @@ import pytest
 
 from fqsim import (
     ENUMERATION_CAP,
+    DimensionMismatch,
     EnumerationCapExceeded,
+    FieldMismatch,
     FiniteGroup,
     Matrix,
     NotInSpace,
@@ -212,11 +214,38 @@ class TestGroupStructure:
         assert keys == sorted(keys)
 
     def test_perms_match_action(self):
-        group = orthogonal_group(3, 2, radius=1)
-        perms = group.perms()
-        for gi, g in enumerate(group):
-            for xi, x in enumerate(group.space):
-                assert group.space.points[perms[gi][xi]] == g.apply(x)
+        # perms() computes images on raw coordinates; apply() is the oracle.
+        for group in (translations(5, 2), translations(3, 3), special_linear_group(5, 2),
+                      orthogonal_group(5, 2), orthogonal_group(3, 2, radius=1),
+                      orthogonal_group(3, 3, radius=2)):
+            perms = group.perms()
+            assert len(perms) == group.order
+            for gi, g in enumerate(group):
+                for xi, x in enumerate(group.space):
+                    assert group.space.points[perms[gi][xi]] == g.apply(x)
+
+    def test_perms_image_outside_the_space_is_not_in_space(self):
+        # Translations do not preserve the punctured space.
+        group = FiniteGroup(translations(3, 2).elements, Space.punctured(3, 2), "translations")
+        with pytest.raises(NotInSpace, match="not a point of"):
+            group.perms()
+
+    @pytest.mark.parametrize("make, space, error", [
+        (lambda: translations(3, 3), Space.full(3, 2), DimensionMismatch),
+        (lambda: translations(5, 2), Space.full(3, 2), FieldMismatch),
+        (lambda: special_linear_group(5, 2), Space.punctured(3, 2), FieldMismatch),
+    ], ids=["dimension", "translation-field", "matrix-field"])
+    def test_perms_refuse_elements_over_another_space(self, make, space, error):
+        group = FiniteGroup(make().elements, space, "mismatched")
+        with pytest.raises(error):
+            group.perms()
+
+    def test_columns_need_byte_indices(self):
+        assert len(translations(2, 8).columns()) == 256
+        group = translations(2, 9)
+        with pytest.raises(ValueError, match="at most 256 points"):
+            group.columns()
+        assert group._perms is None  # refused before the table is built
 
     def test_compose_and_inverse(self):
         group = special_linear_group(5, 2)

@@ -10,6 +10,7 @@ from fqsim import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FieldMismatch,
+    IntersectionReport,
     Matrix,
     NotTransitive,
     PointSet,
@@ -369,6 +370,89 @@ class TestTransporterKernel:
             _max_special_linear_intersection(e, e)
         assert str(exc.value) == (
             "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
+
+
+def scan_oracle(group, moving, fixed, want_histogram):
+    """max_intersection recomputed element by element with g.apply and
+    intersect_count: no perms table, no columns, no masks."""
+    counts = [intersect_count(g, moving, fixed) for g in group]
+    best = max(counts)
+    space = group.space
+    orbit = {g.apply(space.points[0]) for g in group}
+    return IntersectionReport(
+        best_g=group.elements[counts.index(best)], best_count=best,
+        bound=Fraction(len(moving) * len(fixed), space.size),
+        double_count_total=sum(counts), transitive=len(orbit) == space.size,
+        group_order=group.order, space_size=space.size,
+        moving_size=len(moving), fixed_size=len(fixed),
+        per_g_histogram={c: counts.count(c) for c in set(counts)} if want_histogram else None,
+    )
+
+
+def scan_cases(space, seed):
+    """(E, H) pairs: all of the space, an empty set, forced ties and
+    seeded random subsets of assorted sizes."""
+    n = len(space)
+    empty = PointSet(space.field, space.dim)
+    one = PointSet(space.field, space.dim, space.points[:1])
+    last = PointSet(space.field, space.dim, space.points[-1:])
+    cases = [(space, space), (empty, space), (one, space), (one, last)]
+    for i, (ne, nh) in enumerate([(n // 4, 3 * n // 4), (n // 2, n // 3), (3 * n // 4, n // 5)]):
+        cases.append((random_subset(space, ne, seed + i), random_subset(space, nh, seed + i + 100)))
+    return cases
+
+
+class TestScanOracle:
+    """max_intersection, byte columns up to 255 points and image masks
+    above, against the per-element scan."""
+
+    @pytest.mark.parametrize("make, columns", [
+        (lambda: translations(3, 5), True),  # 243 points: a count of 243 fits a byte
+        (lambda: translations(2, 8), False),  # 256 points: the mask loop
+        (lambda: special_linear_group(5, 2), True),
+        (lambda: orthogonal_group(7, 3, radius=1), True),
+    ], ids=["T(3,5)", "T(2,8)", "SL(2,5)", "O(3,7)-sphere"])
+    def test_matches_the_per_element_scan(self, make, columns):
+        group = make()
+        space = group.space
+        for e, h in scan_cases(space, group.order):
+            for want_histogram in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the empty set warns
+                    rep = max_intersection(group, e, h, want_histogram=want_histogram)
+                assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+        assert (group._columns is not None) == columns
+
+    def test_full_space_count_fills_a_byte(self):
+        group = translations(3, 5)
+        rep = max_intersection(group, group.space, group.space, want_histogram=True)
+        assert rep.best_count == 243
+        assert rep.per_g_histogram == {243: 243}
+        assert rep.best_g == group.identity
+
+    def test_forced_ties_go_to_the_smallest_element(self):
+        group = orthogonal_group(7, 3, radius=1)
+        space = group.space
+        x, y = space.points[3], space.points[-2]
+        rep = max_intersection(group, PointSet(space.field, 3, [x]),
+                               PointSet(space.field, 3, [y]))
+        assert rep.best_count == 1
+        assert rep.best_g == group.transporter(x, y)[0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: translations(3, 5),
+        lambda: special_linear_group(5, 2),
+        lambda: orthogonal_group(7, 3, radius=1),
+    ], ids=["T(3,5)", "SL(2,5)", "O(3,7)-sphere"])
+    def test_columns_are_the_transposed_perms(self, make):
+        group = make()
+        perms = group.perms()
+        columns = group.columns()
+        assert len(columns) == group.space.size
+        for x, column in enumerate(columns):
+            assert len(column) == group.order
+            for g, image in enumerate(column):
+                assert image == perms[g][x]
 
 
 class TestAudits:
