@@ -68,7 +68,6 @@ from .intersection import (
     max_intersection,
     max_translation_intersection_fast,
     random_pairs_audit,
-    translation_count_map,
 )
 from .configurations import (
     DetSimilarityWitness,

@@ -48,6 +48,8 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     memory stays O(n) regardless of q^d.
     """
     field = as_field(q_or_field)
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     total = field.q ** dim
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
@@ -194,6 +196,8 @@ class SweepConfig:
             raise ValueError("dimension must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
+        if self.size != "threshold" and int(self.size) < 0:
+            raise ValueError(f"set size must be nonnegative, got {self.size}")
         if self.base_seed < 0 or self.base_seed >= 1 << 64:
             raise ValueError("base seed must fit in 64 bits")
 

@@ -35,11 +35,12 @@ from fqsim import (
     run_sweep,
     similarity_threshold,
     special_linear_group,
-    translation_count_map,
     translations,
     verify_det_similarity,
     verify_similarity,
 )
+from fqsim.geometry import index_to_coords
+from fqsim.intersection import _translation_counts
 
 BASE_SEED = 0x5EED_F00D
 
@@ -47,6 +48,13 @@ TRANSLATION_CASES = [(3, 1), (5, 1), (3, 2), (5, 2)]
 MATRIX_GROUP_PRIMES = [3, 5, 7]
 RANDOM_PAIRS = 500
 EXHAUSTIVE_SPACE_LIMIT = 9
+
+
+def translation_count_map(moving, fixed):
+    """The translation kernel's nonzero counts, keyed by shift coordinates."""
+    counts = _translation_counts(moving, fixed)
+    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
+    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
 
 
 def criterion(num, label, limit=None):

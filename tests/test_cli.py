@@ -184,6 +184,14 @@ class TestFindSimilar:
         assert code == 3
         assert first_json(out) == {"error": "ParseError", "message": message}
 
+    @pytest.mark.parametrize("n", ["0", "1", "3"])
+    def test_zero_dimension_reported_before_sample_size(self, capsys, n):
+        code, out = run_cli(capsys, "find-similar", "--q", "5", "--d", "0",
+                            "--r", "4", "--k", "1", "--random", n)
+        assert code == 3
+        assert first_json(out) == {"error": "ValueError",
+                                   "message": "dimension must be positive, got 0"}
+
     def test_set_file_input(self, capsys, tmp_path):
         ps = random_pointset(5, 2, 10, seed=8)
         path = tmp_path / "set.txt"
@@ -282,6 +290,15 @@ class TestSweepAndVerifyWitness:
         code, out = run_cli(capsys, *sweep)
         assert code == 3
         assert first_json(out)["error"] == "ValueError"  # the only object printed
+
+    def test_sweep_negative_size_is_input_error(self, capsys, tmp_path):
+        sweep = ["sweep", "--qs", "5", "--d", "2", "--ks", "1", "--size", "-3"]
+        path = tmp_path / "sweep.jsonl"
+        code, out = run_cli(capsys, *sweep, "--out", str(path))
+        assert code == 3
+        assert first_json(out) == {"error": "ValueError",
+                                   "message": "set size must be nonnegative, got -3"}
+        assert not path.exists()
 
     def test_over_budget_det_witness_is_refused(self, capsys, tmp_path, monkeypatch):
         # d = k = 11 over F_3: 3*C(12, 11) + 1 cofactor determinants of

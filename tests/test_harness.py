@@ -91,6 +91,12 @@ class TestRandomPointset:
         with pytest.raises(TooMany):
             random_pointset(3, 1, 4, seed=1)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_dimension_checked_before_size(self, dim, n):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            random_pointset(5, dim, n, seed=1)
+
     def test_random_subset_of_space(self):
         space = Space.punctured(5, 2)
         ps = random_subset(space, 10, seed=4)
@@ -173,6 +179,14 @@ class TestSweeps:
         with pytest.raises(ValueError):
             write_sweep(self.small_config(), buf, jobs=jobs)
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("size", [-1, -3, "-3"])
+    def test_negative_size_rejected_before_any_cell(self, size):
+        with pytest.raises(ValueError, match="set size must be nonnegative"):
+            self.small_config(size=size)
+
+    def test_zero_size_is_a_valid_config(self):
+        assert {c["n"] for c in self.small_config(size=0).cells()} == {0}
 
     def test_undersized_cells_fail_without_aborting(self):
         cfg = self.small_config(ks=(2,), size=2, trials=1)

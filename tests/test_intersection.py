@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,19 +31,54 @@ from fqsim import (
     Space,
     SpecialLinear,
     special_linear_group,
-    translation_count_map,
+    Translation,
     translations,
 )
-from fqsim.intersection import _max_special_linear_intersection
+from fqsim.geometry import index_to_coords
+import fqsim.intersection
+from fqsim.intersection import _max_special_linear_intersection, _translation_counts
 
 F3 = make_field(3)
 F5 = make_field(5)
 
 
+def translation_count_map(moving, fixed):
+    """The translation kernel's nonzero counts, keyed by shift coordinates."""
+    counts = _translation_counts(moving, fixed)
+    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
+    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
+
+
 def naive_translation_counts(e_set, h_set):
-    """Oracle: count |H ∩ (E + a)| for every shift by direct scan."""
-    group = translations(e_set.field, e_set.dim)
-    return {g.vector.coords: intersect_count(g, e_set, h_set) for g in group}
+    """Oracle: the nonzero |H ∩ (E + a)| by shift a, as a Counter of the
+    coordinate tuples of y - x over every pair (x, y) in E × H."""
+    return Counter((y - x).coords for x in e_set for y in h_set)
+
+
+def is_dense(e_set, h_set):
+    """Whether the translation kernel takes the byte-slot branch."""
+    return not isinstance(_translation_counts(e_set, h_set), dict)
+
+
+def oracle_translation_report(e_set, h_set, want_histogram):
+    """The report `max_intersection` over the translation group would
+    give, built from `naive_translation_counts` without the group."""
+    q, d = e_set.field.q, e_set.dim
+    counts = naive_translation_counts(e_set, h_set)
+    best = max(counts.values(), default=0)
+    shift = min((a for a, c in counts.items() if c == best), default=(0,) * d)
+    hist = None
+    if want_histogram:
+        hist = dict(Counter(counts.values()))
+        if q ** d > len(counts):
+            hist[0] = q ** d - len(counts)
+    return IntersectionReport(
+        best_g=Translation(Vector(e_set.field, shift)), best_count=best,
+        bound=Fraction(len(e_set) * len(h_set), q ** d),
+        double_count_total=sum(counts.values()), transitive=True, group_order=q ** d,
+        space_size=q ** d, moving_size=len(e_set), fixed_size=len(h_set),
+        per_g_histogram=hist,
+    )
 
 
 class TestIntersectCount:
@@ -201,28 +237,39 @@ class TestFastTranslationKernel:
                         rep_naive = max_intersection(
                             translations(e.field, d), e, h, want_histogram=True
                         )
-                    for coords, count in oracle.items():
-                        assert fast.get(coords, 0) == count
+                    assert fast == oracle
                     assert rep_fast.best_count == rep_naive.best_count
                     assert rep_fast.best_g == rep_naive.best_g
                     assert rep_fast.double_count_total == rep_naive.double_count_total
                     assert rep_fast.per_g_histogram == rep_naive.per_g_histogram
 
-    @pytest.mark.parametrize("q, d, n_e, n_h", [
-        (2, 2, 4, 4),    # (2q)^d == |E||H|: wrap table at the boundary
-        (2, 2, 3, 4),    # one row short of it: divmod fold
-        (5, 2, 10, 10),  # 100 == 100
-        (5, 2, 9, 11),   # 99 < 100
-        (2, 3, 8, 8),    # 64 == 64, the whole space twice
-        (3, 3, 10, 20),  # 200 < 216
-        (3, 3, 15, 15),  # 225 > 216
-        (3, 3, 0, 12),
-        (3, 3, 12, 0),
-        (3, 3, 0, 0),
+    # Byte slots run when w·|H| + 60·q^d <= 600·|H|², w = q(2q)^(d-1);
+    # each case is (q, d, |E|, |H|, whether byte slots run).
+    BRANCH_CASES = [
+        (2, 2, 4, 4, True),     # the whole space as H
+        (2, 2, 3, 4, True),
+        (5, 2, 10, 10, True),
+        (5, 2, 9, 11, True),
+        (2, 3, 8, 8, True),     # the whole space twice
+        (3, 3, 10, 20, True),
+        (3, 3, 15, 15, True),
+        (5, 3, 9, 3, False),    # 4,500 + 7,500 > 5,400
+        (5, 3, 9, 4, True),     # 9,500 <= 9,600: the smallest dense |H|
+        (5, 3, 9, 5, True),     # 10,000 <= 15,000
+        (17, 2, 40, 5, False),  # 20,230 > 15,000
+        (17, 2, 40, 6, True),   # 20,808 <= 21,600
+        (3, 3, 0, 12, False),   # an empty E takes no slots
+        (3, 3, 12, 0, False),
+        (3, 3, 0, 0, False),
+    ]
+
+    @pytest.mark.parametrize("q, d, n_e, n_h, dense", [
+        pytest.param(*case, id="-".join(map(str, case[:4]))) for case in BRANCH_CASES
     ])
-    def test_both_kernel_branches_match_naive(self, q, d, n_e, n_h):
+    def test_both_kernel_branches_match_naive(self, q, d, n_e, n_h, dense):
         e = random_pointset(q, d, n_e, seed=q * 100 + n_e)
         h = random_pointset(q, d, n_h, seed=q * 100 + n_h + 50)
+        assert is_dense(e, h) == dense
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast = translation_count_map(e, h)
@@ -230,7 +277,7 @@ class TestFastTranslationKernel:
             rep_fast = max_translation_intersection_fast(e, h, want_histogram=True)
             rep_naive = max_intersection(translations(q, d), e, h, want_histogram=True)
         assert 0 not in fast.values()
-        assert fast == {a: c for a, c in oracle.items() if c}
+        assert fast == oracle
         assert rep_fast.best_count == rep_naive.best_count
         assert rep_fast.best_g == rep_naive.best_g
         assert rep_fast.double_count_total == rep_naive.double_count_total
@@ -249,6 +296,75 @@ class TestFastTranslationKernel:
         assert peak < 1 << 20
         assert rep.double_count_total == 1600
         assert sum(rep.per_g_histogram.values()) == q ** 3
+
+    def test_counts_past_one_byte(self):
+        # E = H = F_17^2: every shift counts 289, over two chunks (255 + 34)
+        f17 = make_field(17)
+        full = PointSet(f17, 2, list(all_vectors(f17, 2)))
+        assert is_dense(full, full)
+        for hist in (False, True):
+            rep = max_translation_intersection_fast(full, full, want_histogram=hist)
+            assert_same_report(rep, max_intersection(translations(17, 2), full, full,
+                                                     want_histogram=hist))
+        assert rep.best_count == 289 and rep.per_g_histogram == {289: 289}
+        assert rep.best_g.vector.is_zero()
+
+    @pytest.mark.parametrize("n_e", [255, 256, 511])
+    def test_chunk_edges(self, n_e):
+        e = random_pointset(101, 2, n_e, seed=n_e)
+        h = e.scaled(make_field(101)(3))
+        assert is_dense(e, h)
+        for hist in (False, True):
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
+                               oracle_translation_report(e, h, hist))
+
+    @pytest.mark.parametrize("q, d, n_e, n_h", [
+        (283, 1, 283, 283),  # the whole line: two chunks
+        (283, 1, 40, 90),
+        (2, 1, 1, 2),
+        (2, 3, 5, 8),
+        (2, 8, 200, 256),    # the whole of F_2^8 as H
+        (5, 3, 60, 70),
+        (13, 2, 30, 169),
+    ])
+    def test_other_shapes_match_group_scan(self, q, d, n_e, n_h):
+        e = random_pointset(q, d, n_e, seed=n_e + d)
+        h = random_pointset(q, d, n_h, seed=n_h + q)
+        assert is_dense(e, h)
+        for hist in (False, True):
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
+                               max_intersection(translations(q, d), e, h, want_histogram=hist))
+
+    @pytest.mark.parametrize("q, d, n_e, n_h", [
+        (1009, 1, 300, 400),
+        (31, 3, 120, 300),
+        (101, 2, 40, 450),
+    ])
+    def test_large_spaces_match_pair_oracle(self, q, d, n_e, n_h):
+        e = random_pointset(q, d, n_e, seed=q + n_e)
+        h = random_pointset(q, d, n_h, seed=q + n_h)
+        assert is_dense(e, h)
+        assert_same_report(max_translation_intersection_fast(e, h, want_histogram=True),
+                           oracle_translation_report(e, h, True))
+
+    def test_byte_slots_memory_at_finder_scale(self):
+        # The finder's 450-point scan of F_101^2: a 40,804-byte table, sums
+        # of 20,402 bytes, 10,201 counts and the 101 row slices it caches
+        # (~245 KB measured; the difference-code branch peaks at ~3 MB here).
+        q = 101
+        e = random_pointset(q, 2, 450, seed=1)
+        h = e.scaled(make_field(q)(2))
+        assert is_dense(e, h)
+        fqsim.intersection._slot_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = max_translation_intersection_fast(e, h, want_histogram=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * q) ** 2
+        assert rep.double_count_total == 450 * 450
+        assert sum(rep.per_g_histogram.values()) == q ** 2
 
     def test_histogram_frequencies_sum_to_group_order(self):
         e = random_pointset(5, 2, 7, seed=5)
