@@ -44,9 +44,6 @@ from .geometry import (
     PointSet,
     Vector,
     all_vectors,
-    det_of_columns,
-    det_of_columns_cofactor,
-    pair_norms,
     sphere,
 )
 from .groups import (

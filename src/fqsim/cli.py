@@ -6,7 +6,9 @@ on stdout.  Exit codes:
     2  a guarantee the counting argument makes failed to hold (should
        never happen), or a witness failed verification
     3  input error (bad files, bad parameters, mismatched sets, malformed
-       witness JSON, unknown or badly typed flags)
+       witness JSON, unknown or badly typed flags), or stdout closed by
+       its reader (a broken pipe, as in `fqsim sweep ... | head`); the
+       rest of the output is discarded
     4  an enumeration or scan cap was exceeded
     1  a search legitimately found too small an intersection while the
        size guarantee did not apply
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -318,6 +321,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so
+        # that neither an error report nor the flush at exit raises again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
     except (EnumerationCapExceeded, ScanCapExceeded) as exc:
         _emit_error(exc)
         return 4

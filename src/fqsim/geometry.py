@@ -378,15 +378,6 @@ def _inverse_rows(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     return [row[n:] for row in aug]
 
 
-def det_of_columns(columns: Sequence[Vector]) -> FieldElement:
-    """Determinant of the matrix whose columns are the given vectors."""
-    return Matrix.from_columns(columns).determinant()
-
-
-def det_of_columns_cofactor(columns: Sequence[Vector]) -> FieldElement:
-    return Matrix.from_columns(columns).determinant_cofactor()
-
-
 def sphere(q_or_field, dim: int, radius) -> PointSet:
     """All points of F_q^d whose sum of squared coordinates equals radius.
 
@@ -402,16 +393,3 @@ def sphere(q_or_field, dim: int, radius) -> PointSet:
         if sum(squares[c] for c in coords) % q == want:
             hits.append(Vector(field, coords))
     return PointSet(field, dim, hits)
-
-
-def pair_norms(points: Sequence[Vector]) -> list[FieldElement]:
-    """Norms of all pairwise differences, in dictionary order on (i, j)."""
-    if not points:
-        return []
-    first = points[0]
-    for p in points[1:]:
-        first._peer(p)
-    return [
-        (points[i] - points[j]).norm()
-        for i, j in itertools.combinations(range(len(points)), 2)
-    ]

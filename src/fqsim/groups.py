@@ -6,6 +6,13 @@ unimodular matrices (determinant 1).  Element lists are kept in a total
 canonical order — variant first, then lexicographic on the serialized
 entries — so that every argmax and every listing is reproducible.
 
+The matrix groups are built in time proportional to the group, not to
+the q^(d^2) candidate matrices: the determinant and the orthogonal
+complement are linear in the last row or column, so d - 1 rows or
+columns are enumerated and the last one is solved for.  The q^(d^2)
+budget still applies to both, so a group is refused exactly where a
+full matrix scan would have been.
+
 The unimodular group acts on the punctured space F_q^d minus the
 origin: linear maps fix the origin, so the action on the full space is
 never transitive, while on the punctured space it is (for d >= 2).
@@ -16,7 +23,7 @@ sphere action is transitive is checked per instance, never assumed.
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from operator import add
 from typing import Iterable
 
 from .errors import NotInSpace
@@ -30,7 +37,6 @@ from .geometry import (
     all_vectors,
     sphere,
 )
-from .prng import SplitMix64
 
 
 class Space(PointSet):
@@ -88,9 +94,13 @@ class GroupElement:
     def apply(self, v: Vector) -> Vector:
         raise NotImplementedError
 
-    def _image_columns(self, coords: list[tuple[int, ...]], q: int) -> list[list[int]]:
-        """Coordinate i of the image of every point in `coords`, as row i:
-        `apply` on raw coordinates, a whole column at a time."""
+    def _affine_columns(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The nonzero columns (j, c) of the d x (d+1) matrix [M | a] of the
+        map x -> Mx + a; column d multiplies the constant coordinate 1."""
+        raise NotImplementedError
+
+    def _row_terms(self) -> int:
+        """A bound on the nonzero entries in a row of [M | a]."""
         raise NotImplementedError
 
     def compose(self, other: "GroupElement") -> "GroupElement":
@@ -138,8 +148,14 @@ class Translation(GroupElement):
     def apply(self, v: Vector) -> Vector:
         return v + self.vector
 
-    def _image_columns(self, coords, q):
-        return [[(x + a) % q for x in col] for a, col in zip(self.vector.coords, zip(*coords))]
+    def _affine_columns(self):
+        a = self.vector.coords
+        d = len(a)
+        cols = [(j, tuple(int(i == j) for i in range(d))) for j in range(d)]
+        return cols + [(d, a)] if any(a) else cols
+
+    def _row_terms(self) -> int:
+        return 2  # x_i + a_i
 
     def compose(self, other: "Translation") -> "Translation":
         other = self._like(other)
@@ -187,8 +203,11 @@ class _LinearMap(GroupElement):
     def apply(self, v: Vector) -> Vector:
         return self.matrix.apply(v)
 
-    def _image_columns(self, coords, q):
-        return [[sum(map(mul, row, c)) % q for c in coords] for row in self.matrix.rows]
+    def _affine_columns(self):
+        return [(j, c) for j, c in enumerate(zip(*self.matrix.rows)) if any(c)]
+
+    def _row_terms(self) -> int:
+        return len(self.matrix.rows)
 
     def compose(self, other):
         other = self._like(other)
@@ -278,26 +297,50 @@ class FiniteGroup:
     def perms(self) -> list[tuple[int, ...]]:
         """Index permutations of the space, one per element, in element order.
 
-        Images are computed on raw coordinates and looked up in the space's
-        coordinate index; an image outside the space raises NotInSpace.
+        Image coordinate i of x is the sum over the affine columns (j, c)
+        of c_i·x_j mod q, with x_d = 1.  With at most t nonzero terms in a
+        row (d for a linear map, 2 for x_i + a_i), each such sum is below
+        B = t(q-1) + 1, so the base-B code of the unreduced image carries
+        no digit.  One table per column holds that column's share of the
+        code for every point; an element's codes are the sum of its
+        tables, taken in C, and one list of B^d entries maps each code to
+        its space index, None outside the space, which raises NotInSpace.
         """
         if self._perms is None:
             space = self.space
             index = space._index
             coords = list(index)  # the points' coordinates, in canonical order
             q = space.field.q
+            d = space.dim
             if coords:
-                # Raw coordinates would silently reduce an element over another
+                # The tables would silently reduce an element over another
                 # field or dimension; apply raises on it, as it always has.
                 x = space.points[0]
                 for g in self.elements:
                     g.apply(x)
-            try:
-                self._perms = [tuple(map(index.__getitem__, zip(*g._image_columns(coords, q))))
-                               for g in self.elements]
-            except KeyError as exc:
-                image = Vector(space.field, exc.args[0])
-                raise NotInSpace(f"{image!r} is not a point of {space!r}") from None
+            base = max((g._row_terms() for g in self.elements), default=1) * (q - 1) + 1
+            weights = [base ** (d - 1 - i) for i in range(d)]
+            xs = [[c[j] for c in coords] for j in range(d)] + [[1] * len(coords)]
+            reduced = [v % q for v in range(base)]
+            lookup = [index.get(c) for c in itertools.product(reduced, repeat=d)]
+            tables = {}
+            perms = []
+            for g in self.elements:
+                codes = None
+                for column in g._affine_columns():
+                    t = tables.get(column)
+                    if t is None:
+                        j, c = column
+                        share = {v: sum(w * (m * v % q) for w, m in zip(weights, c))
+                                 for v in set(xs[j])}
+                        t = tables[column] = list(map(share.__getitem__, xs[j]))
+                    codes = t if codes is None else map(add, codes, t)
+                perm = tuple(map(lookup.__getitem__, codes))
+                if None in perm:
+                    image = g.apply(space.points[perm.index(None)])
+                    raise NotInSpace(f"{image!r} is not a point of {space!r}")
+                perms.append(perm)
+            self._perms = perms
         return self._perms
 
     def columns(self) -> list[bytes]:
@@ -342,17 +385,6 @@ class FiniteGroup:
                 self._transitive = len(self.orbit(self.space.points[0])) == self.space.size
         return self._transitive
 
-    def spot_check_axioms(self, trials: int = 100, seed: int = 0) -> bool:
-        """Random composites land in the element list; all inverses do too."""
-        rng = SplitMix64(seed)
-        n = self.order
-        for _ in range(trials):
-            g = self.elements[rng.next_below(n)]
-            h = self.elements[rng.next_below(n)]
-            if g.compose(h) not in self._element_set:
-                return False
-        return all(g.inverse() in self._element_set for g in self.elements)
-
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -372,23 +404,44 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     return FiniteGroup([Translation(v) for v in space.points], space, "translations")
 
 
+def _cofactors(top, q: int) -> list[int]:
+    """C with det[top; r] = C·r mod q for every last row r, where `top`
+    holds d - 1 rows of length d: C_k = (-1)^(d-1+k) det(top minus column k)."""
+    d = len(top) + 1
+    return [(-1) ** (d - 1 + k) * _det_rows([r[:k] + r[k + 1:] for r in top], q) % q
+            for k in range(d)]
+
+
 def _unimodular_rows(q: int, dim: int):
     """Rows of every d x d matrix of determinant 1 mod q, in canonical order.
 
-    Scans all q^(d^2) candidates on raw rows, building no Matrix for the
-    rejects; the caller checks the budget.
+    Enumerates the first d - 1 rows and solves C·r = 1 for the last row r,
+    where C is their cofactor vector; C = 0 means they are dependent and
+    have no completion.  The solved entry is r_k for the last k with
+    C_k != 0: it depends only on the entries before it, and those after
+    it are free, so walking the d - 1 free entries in lexicographic order
+    yields the last rows in lexicographic order.  Every candidate tried
+    is kept: q^(d-1) last rows per independent prefix.
     """
-    for flat in itertools.product(range(q), repeat=dim * dim):
-        rows = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
-        if _det_rows(rows, q) == 1:
-            yield rows
+    for flat in itertools.product(range(q), repeat=(dim - 1) * dim):
+        top = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim - 1))
+        cof = _cofactors(top, q)
+        k = max((j for j, c in enumerate(cof) if c), default=None)
+        if k is None:
+            continue
+        inv = pow(cof[k], q - 2, q)
+        head = cof[:k]
+        for free in itertools.product(range(q), repeat=dim - 1):
+            rk = (1 - sum(c * r for c, r in zip(head, free))) * inv % q
+            yield top + (free[:k] + (rk,) + free[k:],)
 
 
 def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     """All d x d matrices of determinant 1, acting on the punctured space.
 
-    Enumerated by scanning all q^(d^2) candidate matrices, which must be
-    within ENUMERATION_CAP.
+    Enumerated by solving the last row of each independent choice of the
+    first d - 1 rows (`_unimodular_rows`).  The q^(d^2) matrix-scan budget
+    still applies: past ENUMERATION_CAP the group is refused.
     """
     field = as_field(q_or_field)
     _check_budget(field.q ** (dim * dim), "matrix scan (q^(d^2))")
@@ -400,9 +453,14 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     """All matrices with orthonormal columns, acting on the full space
     or, when a radius is given, on that sphere.
 
-    Enumerated by backtracking over tuples of mutually orthogonal
-    norm-one columns, which prunes far earlier than a raw matrix scan
-    but produces the same group.
+    Backtracks over tuples of d - 1 mutually orthogonal norm-one
+    columns c_i.  Their cofactor vector v, with det[c_1..c_(d-1), w] = v·w,
+    spans the vectors orthogonal to all of them, so the last column is
+    t·v with t^2 (v·v) = 1.  That always has the two roots t = ±1: for
+    C = [c_1..c_(d-1), v], det C = v·v and det(C)^2 = det(C^T C) = v·v,
+    so v·v is 0 or 1, and 0 would make v, which is nonzero, a combination
+    of the c_i orthogonal to each of them.  The q^(d^2) budget of a full
+    matrix scan still applies: past ENUMERATION_CAP the group is refused.
     """
     field = as_field(q_or_field)
     q = field.q
@@ -415,8 +473,10 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     matrices = []
 
     def extend(cols):
-        if len(cols) == dim:
-            matrices.append(tuple(tuple(c[i] for c in cols) for i in range(dim)))
+        if len(cols) == dim - 1:
+            v = _cofactors(cols, q)
+            matrices.append(tuple(zip(*cols, v)))
+            matrices.append(tuple(zip(*cols, [-c % q for c in v])))  # the same when q = 2
             return
         for c in unit:
             if all(dot(c, b) == 0 for b in cols):

@@ -17,7 +17,9 @@ canonical order and keeps the first strict maximum.
 of at most 255 points each count sits in one byte: the group's image
 table is held as one byte column per point, and the columns of E, with
 the bytes in H marked, are summed as integers, so the whole scan runs
-in C.  A larger space ORs one image mask per element instead.
+in C.  When E holds more than half of X the columns of X \\ E are summed
+instead and each byte v is mapped to |H| - v, since every g is a
+bijection of X.  A larger space ORs one image mask per element instead.
 
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
@@ -47,7 +49,6 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FieldMismatch,
-    NotInSpace,
     NotTransitive,
     SpaceMismatch,
 )
@@ -148,9 +149,10 @@ def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
             f"the group acts on F_{space.field.q}^{space.dim}"
         )
     try:
-        return [space.index(p) for p in points]
-    except NotInSpace as exc:
-        raise SpaceMismatch(f"{name} set: {exc}") from None
+        return list(map(space._index.__getitem__, points._index))
+    except KeyError as exc:
+        point = Vector(space.field, exc.args[0])
+        raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
 
 
 def _image_mask(perm, indices) -> int:
@@ -167,7 +169,9 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
     Every g is counted, with no sampling or pruning: by the group's byte
     columns (`FiniteGroup.columns`) on a space of at most 255 points, by
     per-element image masks on a larger one, where a count may not fit a
-    byte.  The maximizer reported is the canonically smallest one.
+    byte.  The byte columns of whichever of E and X \\ E is smaller are
+    summed: g is a bijection of X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.
+    The maximizer reported is the canonically smallest one.
     """
     space = group.space
     e_indices = _space_indices(space, "moving", moving)
@@ -192,26 +196,37 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
     if n_x <= 255:
         # Byte g of column x is the index of g·x; translate marks the bytes
         # that land in H, and the little-endian sum over E adds the marks
-        # byte by byte.  Byte g ends up at |H ∩ gE| <= |X| <= 255, so no
-        # byte carries into the next.
+        # byte by byte.  Byte g ends up at most |X| <= 255, so no byte
+        # carries into the next.
         table = bytearray(256)
         for i in h_indices:
             table[i] = 1
         columns = group.columns()
+        flip = 2 * len(e_indices) > n_x
+        if flip:
+            e_indices = set(range(n_x)).difference(e_indices)
         acc = sum(int.from_bytes(columns[i].translate(table), "little") for i in e_indices)
         counts = acc.to_bytes(group.order, "little")
+        if flip:  # byte v <= |H| counts H ∩ g(X \ E), so |H ∩ gE| = |H| - v
+            counts = counts.translate(bytes(range(len(fixed), -1, -1)).ljust(256, b"\0"))
     else:
         h_mask = 0
         for i in h_indices:
             h_mask |= 1 << i
         counts = [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in group.perms()]
-    best_c = max(counts)
+    if want_histogram:
+        hist = dict(Counter(counts))
+        best_c = max(hist)
+        total = sum(c * n for c, n in hist.items())
+    else:
+        hist = None
+        best_c = max(counts)
+        total = sum(counts)
     best_i = counts.index(best_c)
 
-    hist = dict(Counter(counts)) if want_histogram else None
     return IntersectionReport(
         best_g=group.elements[best_i], best_count=best_c, bound=bound,
-        double_count_total=sum(counts), transitive=transitive,
+        double_count_total=total, transitive=transitive,
         group_order=group.order, space_size=n_x,
         moving_size=len(moving), fixed_size=len(fixed),
         per_g_histogram=hist,

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -290,6 +291,36 @@ class TestSweepAndVerifyWitness:
         code, out = run_cli(capsys, *sweep)
         assert code == 3
         assert first_json(out)["error"] == "ValueError"  # the only object printed
+
+    def test_sweep_into_a_closed_pipe_exits_three(self, monkeypatch, tmp_path):
+        # `fqsim sweep ... | head -2`: the reader goes away after two lines.
+        sink = tmp_path / "stdout"
+
+        class ClosedPipe:
+            def __init__(self, fh):
+                self.fh = fh
+                self.lines = 0
+
+            def write(self, text):
+                if self.lines == 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.lines += 1
+                return len(text)
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fh.fileno()
+
+        with open(sink, "wb") as fh:
+            stdout = ClosedPipe(fh)
+            monkeypatch.setattr("sys.stdout", stdout)
+            code = main(["sweep", "--qs", "5,7", "--d", "2", "--ks", "1,2", "--trials", "2"])
+            os.write(fh.fileno(), b"after")  # the descriptor now points at devnull
+        assert code == 3
+        assert stdout.lines == 2
+        assert sink.read_bytes() == b""
 
     def test_sweep_negative_size_is_input_error(self, capsys, tmp_path):
         sweep = ["sweep", "--qs", "5", "--d", "2", "--ks", "1", "--size", "-3"]

@@ -24,13 +24,12 @@ from fqsim import (
     SimilarityWitness,
     Vector,
     ZeroDilation,
+    Matrix,
     all_vectors,
-    det_of_columns_cofactor,
     edge_preset,
     find_det_similar,
     find_similar_config,
     make_field,
-    pair_norms,
     random_pointset,
     similarity_threshold,
     sphere,
@@ -41,6 +40,17 @@ from fqsim import (
 
 F3 = make_field(3)
 F5 = make_field(5)
+
+
+def det_of_columns_cofactor(columns):
+    """Cofactor determinant of the matrix whose columns are the vectors."""
+    return Matrix.from_columns(columns).determinant_cofactor()
+
+
+def pair_norms(points):
+    """Norms of all pairwise differences, in dictionary order on (i, j)."""
+    return [(points[i] - points[j]).norm()
+            for i, j in itertools.combinations(range(len(points)), 2)]
 
 
 def full_plane(field):
@@ -285,8 +295,6 @@ class TestFindDetSimilar:
         for combo in itertools.combinations(range(4), 3):
             cols_x = [w.xs[i] for i in combo]
             cols_y = [w.ys[i] for i in combo]
-            from fqsim import det_of_columns_cofactor
-
             assert det_of_columns_cofactor(cols_x) == F3(2) * det_of_columns_cofactor(cols_y)
 
     def test_perturbation_detected(self):

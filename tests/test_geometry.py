@@ -14,16 +14,28 @@ from fqsim import (
     PointSet,
     Vector,
     all_vectors,
-    det_of_columns,
-    det_of_columns_cofactor,
     make_field,
     orthogonal_group,
-    pair_norms,
     sphere,
 )
 
 F3 = make_field(3)
 F5 = make_field(5)
+
+
+def det_of_columns(columns):
+    """Determinant, by elimination, of the matrix whose columns are the vectors."""
+    return Matrix.from_columns(columns).determinant()
+
+
+def det_of_columns_cofactor(columns):
+    return Matrix.from_columns(columns).determinant_cofactor()
+
+
+def pair_norms(points):
+    """Norms of all pairwise differences, in dictionary order on (i, j)."""
+    return [(points[i] - points[j]).norm()
+            for i, j in itertools.combinations(range(len(points)), 2)]
 
 
 class TestNorm:

@@ -1,6 +1,8 @@
 """Group enumeration, orbits, stabilizers, transporters."""
 
+import functools
 import itertools
+from operator import mul
 
 import pytest
 
@@ -22,6 +24,8 @@ from fqsim import (
     special_linear_group,
     translations,
 )
+from fqsim.geometry import _det_rows
+from fqsim.groups import _unimodular_rows
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -46,6 +50,81 @@ def brute_force_special_linear(q, d):
         if m.determinant().value == 1:
             out.append(m)
     return out
+
+
+def raw_unimodular_rows(q, d):
+    """Oracle: the rows of every determinant-1 matrix, by scanning all
+    q^(d^2) candidates in lexicographic order."""
+    for flat in itertools.product(range(q), repeat=d * d):
+        rows = tuple(flat[i * d:(i + 1) * d] for i in range(d))
+        if _det_rows(rows, q) == 1:
+            yield rows
+
+
+@functools.lru_cache(maxsize=None)
+def raw_orthogonal_rows(q, d):
+    """Oracle: the rows of every matrix with orthonormal columns, by
+    scanning all q^(d^2) candidates in lexicographic order."""
+    out = []
+    for flat in itertools.product(range(q), repeat=d * d):
+        cols = [flat[j::d] for j in range(d)]
+        if all(sum(map(mul, a, b)) % q == (i == j)
+               for i, a in enumerate(cols) for j, b in enumerate(cols[:i + 1])):
+            out.append(tuple(flat[i * d:(i + 1) * d] for i in range(d)))
+    return tuple(out)
+
+
+def image_columns_perms(group):
+    """Oracle for perms(): every image computed per element and per point,
+    x + a or the row sums of Mx reduced mod q, then looked up in the space."""
+    space = group.space
+    index = space._index
+    coords = list(index)
+    q = space.field.q
+    perms = []
+    for g in group:
+        if isinstance(g, Translation):
+            cols = [[(x + a) % q for x in col] for a, col in zip(g.vector.coords, zip(*coords))]
+        else:
+            cols = [[sum(map(mul, row, c)) % q for c in coords] for row in g.matrix.rows]
+        perms.append(tuple(map(index.__getitem__, zip(*cols))))
+    return perms
+
+
+SL_GRID = [(2, q) for q in (2, 3, 5, 7, 11, 13)] + [(3, 2), (3, 3), (4, 2)]
+O_GRID = [(1, q) for q in (2, 3, 5)] + [(2, q) for q in (2, 3, 5, 7, 11, 13)] + [(3, 2), (3, 3), (4, 2)]
+
+
+class TestEnumerationOracles:
+    """The solved-row and solved-column enumerations, and the table-built
+    perms(), against the q^(d^2) scans and the per-element images."""
+
+    @pytest.mark.parametrize("d, q", SL_GRID + [(1, 2), (1, 5)])
+    def test_special_linear_matches_the_raw_scan(self, d, q):
+        oracle = list(raw_unimodular_rows(q, d))
+        assert list(_unimodular_rows(q, d)) == oracle  # lexicographic order kept
+        group = special_linear_group(q, d)
+        assert [g.matrix.rows for g in group] == oracle
+        assert group.perms() == image_columns_perms(group)
+
+    @pytest.mark.parametrize("d, q", O_GRID)
+    @pytest.mark.parametrize("radius", [None, 0, 1, 2])
+    def test_orthogonal_matches_the_raw_scan(self, d, q, radius):
+        group = orthogonal_group(q, d, radius=radius)
+        assert tuple(g.matrix.rows for g in group) == raw_orthogonal_rows(q, d)
+        space = Space.full(q, d) if radius is None else Space.sphere(q, d, radius)
+        assert group.space == space and group.space.kind == space.kind
+        assert group.perms() == image_columns_perms(group)
+
+    @pytest.mark.parametrize("make", [
+        lambda: translations(7, 1),
+        lambda: translations(5, 2),
+        lambda: translations(2, 4),
+        lambda: translations(3, 3),
+    ], ids=["T(1,7)", "T(2,5)", "T(4,2)", "T(3,3)"])
+    def test_translation_perms_match_the_images(self, make):
+        group = make()
+        assert group.perms() == image_columns_perms(group)
 
 
 class TestSpaces:
@@ -187,13 +266,20 @@ class TestSpecialLinearGroup:
 
 
 class TestGroupStructure:
-    @pytest.mark.parametrize("make", [
-        lambda: translations(3, 2),
-        lambda: orthogonal_group(5, 2),
-        lambda: special_linear_group(3, 2),
-    ])
-    def test_axioms_spot_check(self, make):
-        assert make().spot_check_axioms(trials=100, seed=42)
+    # Every O of the grid, and every SL of order at most 168: |G|^2
+    # products at ~10 us each.  The larger SL grid groups equal the raw
+    # determinant scan (TestEnumerationOracles), a set closed under products.
+    @pytest.mark.parametrize("kind, d, q", [("T", 2, 3)] + [
+        ("SL", d, q) for d, q in SL_GRID if q ** (d * d) <= 625
+    ] + [("O", d, q) for d, q in O_GRID], ids=lambda v: str(v))
+    def test_closure(self, kind, d, q):
+        # every product and every inverse is an element of the list
+        make = {"T": translations, "SL": special_linear_group, "O": orthogonal_group}[kind]
+        group = make(q, d)
+        for g in group:
+            assert g.inverse() in group
+            for h in group:
+                assert g.compose(h) in group
 
     def test_orbit_stabilizer_identity(self):
         for group in (translations(3, 2), special_linear_group(3, 2),
@@ -225,10 +311,17 @@ class TestGroupStructure:
                     assert group.space.points[perms[gi][xi]] == g.apply(x)
 
     def test_perms_image_outside_the_space_is_not_in_space(self):
-        # Translations do not preserve the punctured space.
-        group = FiniteGroup(translations(3, 2).elements, Space.punctured(3, 2), "translations")
-        with pytest.raises(NotInSpace, match="not a point of"):
-            group.perms()
+        # Translations do not preserve the punctured space, nor SL a sphere;
+        # the first image outside, in element then point order, is named.
+        for group, space, image in [
+            (translations(3, 2), Space.punctured(3, 2), "Vector([0, 0] mod 3)"),
+            (special_linear_group(3, 2), Space.sphere(3, 2, 1), "Vector([1, 1] mod 3)"),
+        ]:
+            group = FiniteGroup(group.elements, space, group.kind)
+            with pytest.raises(NotInSpace) as caught:
+                group.perms()
+            assert str(caught.value) == f"{image} is not a point of {space!r}"
+            assert group._perms is None
 
     @pytest.mark.parametrize("make, space, error", [
         (lambda: translations(3, 3), Space.full(3, 2), DimensionMismatch),

@@ -1,5 +1,6 @@
 """Intersection maximization, double counting, and the fast translation kernel."""
 
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -152,8 +153,14 @@ class TestMaxIntersection:
         group = special_linear_group(3, 2)
         with_origin = PointSet.from_coords(F3, 2, [[0, 0], [1, 0]])
         ok = PointSet.from_coords(F3, 2, [[1, 0]])
-        with pytest.raises(SpaceMismatch):
+        outside = "Vector([0, 0] mod 3) is not a point of Space(punctured, q=3, d=2, size=8)"
+        with pytest.raises(SpaceMismatch, match=r"^moving set: " + re.escape(outside) + "$"):
             max_intersection(group, with_origin, ok)
+        with pytest.raises(SpaceMismatch, match=r"^fixed set: " + re.escape(outside) + "$"):
+            max_intersection(group, ok, with_origin)
+        other = PointSet.from_coords(F5, 2, [[1, 0]])
+        with pytest.raises(SpaceMismatch, match=r"^moving set lives in F_5\^2, the group acts on F_3\^2$"):
+            max_intersection(group, other, ok)
 
     def test_tie_break_is_canonical_smallest(self):
         group = translations(3, 1)
@@ -507,13 +514,16 @@ def scan_oracle(group, moving, fixed, want_histogram):
 
 def scan_cases(space, seed):
     """(E, H) pairs: all of the space, an empty set, forced ties and
-    seeded random subsets of assorted sizes."""
+    seeded random subsets of assorted sizes, on both sides of |E| = |X|/2,
+    where the scan switches to the columns of X \\ E."""
     n = len(space)
     empty = PointSet(space.field, space.dim)
     one = PointSet(space.field, space.dim, space.points[:1])
     last = PointSet(space.field, space.dim, space.points[-1:])
     cases = [(space, space), (empty, space), (one, space), (one, last)]
-    for i, (ne, nh) in enumerate([(n // 4, 3 * n // 4), (n // 2, n // 3), (3 * n // 4, n // 5)]):
+    for i, (ne, nh) in enumerate([(n // 4, 3 * n // 4), (n // 2, n // 3), (3 * n // 4, n // 5),
+                                  (n // 2 + 1, n // 2), (n // 2, n), (n // 2 + 1, n),
+                                  (n, n // 3)]):
         cases.append((random_subset(space, ne, seed + i), random_subset(space, nh, seed + i + 100)))
     return cases
 
@@ -538,6 +548,34 @@ class TestScanOracle:
                     rep = max_intersection(group, e, h, want_histogram=want_histogram)
                 assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
         assert (group._columns is not None) == columns
+
+    @pytest.mark.parametrize("make", [
+        lambda: translations(3, 5),  # 243 points, odd
+        lambda: special_linear_group(5, 2),  # 24 points, even
+    ], ids=["T(3,5)", "SL(2,5)"])
+    def test_sums_the_columns_of_the_smaller_side(self, make):
+        group = make()
+        space = group.space
+        n = space.size
+        read = []
+
+        class Recording(list):
+            def __getitem__(self, i):
+                read.append(i)
+                return list.__getitem__(self, i)
+
+        group._columns = Recording(group.columns())
+        h = random_subset(space, n // 3, 7)
+        for ne in (0, 1, n // 2, n // 2 + 1, n - 1, n):
+            e = random_subset(space, ne, ne)
+            read.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the empty set warns
+                rep = max_intersection(group, e, h, want_histogram=True)
+            assert_same_report(rep, scan_oracle(group, e, h, True))
+            if ne:
+                assert len(read) == min(ne, n - ne)
+                assert (set(read) == {space.index(x) for x in e}) == (2 * ne <= n)
 
     def test_full_space_count_fills_a_byte(self):
         group = translations(3, 5)
