@@ -506,11 +506,12 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
         return Verification(False, tuple(reasons))
     _check_budget(math.perm(n, d), "det-witness re-check (n!/(n-d)! cofactor terms)")
 
+    q = w.ratio.field.q
     if w.root ** d != w.ratio:
         reasons.append(f"stored root to the {d}-th power is not the ratio")
     if w.root.is_zero():
         reasons.append("root is zero")
-    if w.transform.matrix.determinant_cofactor().value != 1:
+    if _det_cofactor(matrix.rows, q) != 1:
         reasons.append("transform determinant is not 1")
     for i in range(n):
         if w.transform.apply(w.xs[i]) != w.zs[i]:
@@ -522,7 +523,6 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if len({v.coords for v in w.ys}) != n:
         reasons.append("distinctness: repeated y point")
 
-    q = w.ratio.field.q
     r = w.ratio.value
     dets = [_subset_dets([v.coords for v in vs], d, q) for vs in (w.xs, w.ys, w.zs)]
     for combo, dx, dy, dz in zip(itertools.combinations(range(n), d), *dets):
@@ -591,9 +591,10 @@ class SphereExperimentReport:
 
     @property
     def guarantee_holds(self) -> bool:
-        """The guarantee max >= k+1 applies only when the action is
-        transitive and the exact threshold is met; it must then hold."""
-        if self.transitive and self.meets_exact_threshold:
+        """The guarantee max >= k+1 applies only on a nonempty sphere, when
+        the action is transitive and the exact threshold is met; it must
+        then hold.  On an empty sphere the bound |E||H|/|X| is vacuous."""
+        if self.sphere_size and self.transitive and self.meets_exact_threshold:
             return self.reaches_target
         return True
 

@@ -288,14 +288,6 @@ class Matrix:
         """Determinant by Gaussian elimination with nonzero-pivot search."""
         return FieldElement(_det_rows(self.rows, self.field.q), self.field)
 
-    def determinant_cofactor(self) -> FieldElement:
-        """Determinant by recursive cofactor expansion.
-
-        Kept as a deliberately independent route from the elimination
-        determinant, so one can cross-check the other.
-        """
-        return FieldElement(_det_cofactor(self.rows, self.field.q), self.field)
-
     def inverse(self) -> "Matrix":
         return Matrix(self.field, _inverse_rows(self.rows, self.field.q))
 

@@ -268,11 +268,11 @@ class FiniteGroup:
     """
 
     def __init__(self, elements: Iterable[GroupElement], space: Space, kind: str):
-        unique = {e.sort_key(): e for e in elements}
-        self.elements = tuple(unique[k] for k in sorted(unique))
+        # Keyed by sort_key, the dedupe dict is also the membership index.
+        self._by_key = {e.sort_key(): e for e in elements}
+        self.elements = tuple(self._by_key[k] for k in sorted(self._by_key))
         self.space = space
         self.kind = kind
-        self._element_set = frozenset(self.elements)
         self._perms: list[tuple[int, ...]] | None = None
         self._columns: list[bytes] | None = None
         self._transitive: bool | None = None
@@ -292,7 +292,7 @@ class FiniteGroup:
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self._element_set
+        return isinstance(g, GroupElement) and g.sort_key() in self._by_key
 
     def perms(self) -> list[tuple[int, ...]]:
         """Index permutations of the space, one per element, in element order.

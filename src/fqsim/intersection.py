@@ -13,6 +13,10 @@ compared through floating point.  Argmax ties are broken toward the
 canonically smallest group element: the scan walks the elements in
 canonical order and keeps the first strict maximum.
 
+Every maximizer produces counts, one per element code, and one builder,
+`_report_from_counts`, reports them: the canonical tie-break, the
+histogram, the double-count total and the bound.  Three kernels count.
+
 `max_intersection` counts |H ∩ gE| for every enumerated g.  On a space
 of at most 255 points each count sits in one byte: the group's image
 table is held as one byte column per point, and the columns of E, with
@@ -31,8 +35,8 @@ point of E and the shifts are summed as integers, one byte per shift,
 so C counts all q^d shifts at once; otherwise a Counter counts the
 |E||H| difference codes.  Unimodular maps count, for each pair, the
 coset of the stabiliser of e1 that sends x to y, |E||H||S| terms in
-all.  `max_intersection` over the enumerated
-group stays the oracle for both.
+all.  `max_intersection` over the enumerated group stays the oracle
+for both.
 """
 
 from __future__ import annotations
@@ -162,37 +166,19 @@ def _image_mask(perm, indices) -> int:
     return m
 
 
-def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
-                     want_histogram: bool = False) -> IntersectionReport:
-    """Exact maximum of |fixed ∩ g·moving| over every element of the group.
+def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
+    """|H ∩ gE| for every element g of the group, in canonical order.
 
-    Every g is counted, with no sampling or pruning: by the group's byte
-    columns (`FiniteGroup.columns`) on a space of at most 255 points, by
-    per-element image masks on a larger one, where a count may not fit a
-    byte.  The byte columns of whichever of E and X \\ E is smaller are
-    summed: g is a bijection of X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.
-    The maximizer reported is the canonically smallest one.
+    By the group's byte columns (`FiniteGroup.columns`) on a space of at
+    most 255 points, by per-element image masks on a larger one, where a
+    count may not fit a byte.  The byte columns of whichever of E and
+    X \\ E is smaller are summed: g is a bijection of X, so
+    |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  An empty E or H counts 0 for every
+    g without building the image table, which a large group pays for.
     """
-    space = group.space
-    e_indices = _space_indices(space, "moving", moving)
-    h_indices = _space_indices(space, "fixed", fixed)
-    n_x = space.size
-    bound = Fraction(len(moving) * len(fixed), n_x) if n_x else Fraction(0)
-    transitive = group.is_transitive()
-
-    if len(moving) == 0 or len(fixed) == 0:
-        warnings.warn("empty point set: the intersection bound is vacuous")
-        hist = {0: group.order} if want_histogram else None
-        return IntersectionReport(
-            best_g=group.elements[0], best_count=0, bound=bound,
-            double_count_total=0, transitive=transitive,
-            group_order=group.order, space_size=n_x,
-            moving_size=len(moving), fixed_size=len(fixed),
-            per_g_histogram=hist,
-        )
-
-    # One count per element, in canonical order; index() finds the first
-    # maximum, which is the canonical tie-break.
+    if not e_indices or not h_indices:
+        return bytes(group.order)
+    n_x = group.space.size
     if n_x <= 255:
         # Byte g of column x is the index of g·x; translate marks the bytes
         # that land in H, and the little-endian sum over E adds the marks
@@ -208,28 +194,30 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
         acc = sum(int.from_bytes(columns[i].translate(table), "little") for i in e_indices)
         counts = acc.to_bytes(group.order, "little")
         if flip:  # byte v <= |H| counts H ∩ g(X \ E), so |H ∩ gE| = |H| - v
-            counts = counts.translate(bytes(range(len(fixed), -1, -1)).ljust(256, b"\0"))
-    else:
-        h_mask = 0
-        for i in h_indices:
-            h_mask |= 1 << i
-        counts = [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in group.perms()]
-    if want_histogram:
-        hist = dict(Counter(counts))
-        best_c = max(hist)
-        total = sum(c * n for c, n in hist.items())
-    else:
-        hist = None
-        best_c = max(counts)
-        total = sum(counts)
-    best_i = counts.index(best_c)
+            counts = counts.translate(bytes(range(len(h_indices), -1, -1)).ljust(256, b"\0"))
+        return counts
+    h_mask = 0
+    for i in h_indices:
+        h_mask |= 1 << i
+    return [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in group.perms()]
 
-    return IntersectionReport(
-        best_g=group.elements[best_i], best_count=best_c, bound=bound,
-        double_count_total=total, transitive=transitive,
-        group_order=group.order, space_size=n_x,
-        moving_size=len(moving), fixed_size=len(fixed),
-        per_g_histogram=hist,
+
+def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
+                     want_histogram: bool = False) -> IntersectionReport:
+    """Exact maximum of |fixed ∩ g·moving| over every element of the group.
+
+    Every g is counted, with no sampling or pruning (`_group_counts`),
+    and the counts are reported like every other kernel's, by
+    `_report_from_counts`: the maximizer reported is the canonically
+    smallest one.
+    """
+    space = group.space
+    counts = _group_counts(group, _space_indices(space, "moving", moving),
+                           _space_indices(space, "fixed", fixed))
+    return _report_from_counts(
+        counts, moving, fixed, decode=group.elements.__getitem__, first=0,
+        group_order=group.order, space_size=space.size,
+        transitive=group.is_transitive(), want_histogram=want_histogram,
     )
 
 
@@ -331,37 +319,34 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int],
     nonzero counts: elements absent from it count zero, and `first`, the
     group's smallest code, answers when every count is zero.  A dense
     sequence holds the count of code i at position i for every element.
+    With a histogram, the maximum and the total are read off it rather
+    than off the counts again.  On an empty space the bound is 0.
     """
     if not len(moving) or not len(fixed):
         warnings.warn("empty point set: the intersection bound is vacuous")
-    if isinstance(counts, dict):
-        values = counts.values()
-        best_c = max(values, default=0)
-        best = min((code for code, c in counts.items() if c == best_c), default=first)
-        zeros = group_order - len(counts)
-    else:
-        values = counts
-        best_c = max(counts)
-        best = counts.index(best_c)
-        zeros = 0
-
+    dense = not isinstance(counts, dict)
+    values = counts if dense else counts.values()
     hist = None
     if want_histogram:
         hist = dict(Counter(values))
-        if zeros:
-            hist[0] = zeros
+        if not dense and group_order > len(counts):
+            hist[0] = group_order - len(counts)
+        best_c = max(hist)
+        total = sum(c * n for c, n in hist.items())
+    else:
+        best_c = max(values, default=0)
+        total = sum(values)
+    if dense:
+        best = counts.index(best_c)
+    else:
+        best = min((code for code, c in counts.items() if c == best_c), default=first)
 
     return IntersectionReport(
-        best_g=decode(best),
-        best_count=best_c,
-        bound=Fraction(len(moving) * len(fixed), space_size),
-        double_count_total=sum(values),
-        transitive=transitive,
-        group_order=group_order,
-        space_size=space_size,
-        moving_size=len(moving),
-        fixed_size=len(fixed),
-        per_g_histogram=hist,
+        best_g=decode(best), best_count=best_c,
+        bound=Fraction(len(moving) * len(fixed), space_size) if space_size else Fraction(0),
+        double_count_total=total, transitive=transitive,
+        group_order=group_order, space_size=space_size,
+        moving_size=len(moving), fixed_size=len(fixed), per_g_histogram=hist,
     )
 
 

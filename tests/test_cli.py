@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -245,6 +246,17 @@ class TestSphereExperiment:
         assert obj["transitive"] is True
         assert obj["guarantee_holds"] is True
 
+    def test_empty_sphere_is_no_failed_guarantee(self, capsys):
+        # x² = 2 has no root mod 3, so the sphere is empty and the bound vacuous
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out = run_cli(capsys, "sphere-experiment", "--q", "3", "--d", "1",
+                                "--radius", "2", "--k", "1")
+        obj = first_json(out)
+        assert code == 0
+        assert (obj["sphere_size"], obj["best_count"], obj["bound_num"]) == (0, 0, 0)
+        assert obj["guarantee_holds"] is True
+
     def test_set_files(self, capsys, tmp_path):
         surface = sphere(7, 2, 1)
         path = tmp_path / "s.txt"
@@ -334,12 +346,15 @@ class TestSweepAndVerifyWitness:
     def test_over_budget_det_witness_is_refused(self, capsys, tmp_path, monkeypatch):
         # d = k = 11 over F_3: 3*C(12, 11) + 1 cofactor determinants of
         # 11x11 matrices, about 12!/1 terms each, far past the budget
+        import fqsim.configurations
         import fqsim.geometry
 
         def no_determinant(rows, q):
             raise AssertionError("a determinant was computed")
 
+        # the verifier calls configurations' binding of _det_cofactor
         monkeypatch.setattr(fqsim.geometry, "_det_cofactor", no_determinant)
+        monkeypatch.setattr(fqsim.configurations, "_det_cofactor", no_determinant)
         d = 11
         points = [[int(i == j) for j in range(d)] for i in range(d)] + [[1] * d]
         witness = {"kind": "det-similarity", "q": 3, "d": d, "k": d, "r": 1, "root": 1,

@@ -37,6 +37,7 @@ from fqsim import (
     verify_det_similarity,
     verify_similarity,
 )
+from fqsim.geometry import _det_cofactor
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -44,7 +45,8 @@ F5 = make_field(5)
 
 def det_of_columns_cofactor(columns):
     """Cofactor determinant of the matrix whose columns are the vectors."""
-    return Matrix.from_columns(columns).determinant_cofactor()
+    m = Matrix.from_columns(columns)
+    return m.field(_det_cofactor(m.rows, m.field.q))
 
 
 def pair_norms(points):
@@ -438,6 +440,16 @@ class TestSphereExperiment:
             result = sphere_experiment(5, 2, 1, 1, e_set=empty)
         assert result.report.best_count == 0
         assert result.report.bound == 0
+        assert result.guarantee_holds
+
+    def test_empty_sphere_applies_no_guarantee(self):
+        # x² = 2 has no root mod 3: |E||H|/|X| bounds nothing on an empty sphere
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = sphere_experiment(3, 1, 2, 1)
+        assert result.sphere_size == 0
+        assert (result.report.best_count, result.report.bound) == (0, 0)
+        assert result.meets_exact_threshold and not result.reaches_target
         assert result.guarantee_holds
 
     def test_radius_zero_not_transitive(self):

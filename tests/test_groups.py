@@ -340,6 +340,17 @@ class TestGroupStructure:
             group.columns()
         assert group._perms is None  # refused before the table is built
 
+    def test_membership(self):
+        group = special_linear_group(3, 2)
+        member = SpecialLinear.unchecked(Matrix(F3, [[1, 1], [0, 1]]))  # a new, equal object
+        non_member = SpecialLinear.unchecked(Matrix(F3, [[2, 0], [0, 1]]))  # determinant 2
+        other_kind = Orthogonal.unchecked(Matrix(F3, [[1, 0], [0, 1]]))  # the identity matrix
+        assert member in group
+        assert non_member not in group
+        assert other_kind not in group
+        assert group.identity.sort_key() not in group  # a plain tuple, even a member's key
+        assert [1, 0] not in group  # unhashable, still not in
+
     def test_compose_and_inverse(self):
         group = special_linear_group(5, 2)
         g = group.elements[1]

@@ -354,6 +354,21 @@ class TestFastTranslationKernel:
         assert_same_report(max_translation_intersection_fast(e, h, want_histogram=True),
                            oracle_translation_report(e, h, True))
 
+    @pytest.mark.parametrize("q, d, n_e, n_h", [
+        (5, 3, 9, 3),
+        (17, 2, 40, 5),
+        (1009, 2, 30, 40),
+    ])
+    def test_sparse_histogram_counts_the_zero_shifts(self, q, d, n_e, n_h):
+        e = random_pointset(q, d, n_e, seed=q + n_e)
+        h = random_pointset(q, d, n_h, seed=q + n_h)
+        assert not is_dense(e, h)
+        reached = len(_translation_counts(e, h))  # the shifts some pair reaches
+        rep = max_translation_intersection_fast(e, h, want_histogram=True)
+        assert rep.per_g_histogram[0] == q ** d - reached > 0
+        assert rep.double_count_total == n_e * n_h
+        assert_same_report(rep, oracle_translation_report(e, h, True))
+
     def test_byte_slots_memory_at_finder_scale(self):
         # The finder's 450-point scan of F_101^2: a 40,804-byte table, sums
         # of 20,402 bytes, 10,201 counts and the 101 row slices it caches
@@ -497,14 +512,15 @@ class TestTransporterKernel:
 
 def scan_oracle(group, moving, fixed, want_histogram):
     """max_intersection recomputed element by element with g.apply and
-    intersect_count: no perms table, no columns, no masks."""
+    intersect_count: no perms table, no columns, no masks.  An empty
+    space bounds nothing: its bound is 0."""
     counts = [intersect_count(g, moving, fixed) for g in group]
     best = max(counts)
     space = group.space
-    orbit = {g.apply(space.points[0]) for g in group}
+    orbit = {g.apply(x) for g in group for x in space.points[:1]}
     return IntersectionReport(
         best_g=group.elements[counts.index(best)], best_count=best,
-        bound=Fraction(len(moving) * len(fixed), space.size),
+        bound=Fraction(len(moving) * len(fixed), space.size) if space.size else Fraction(0),
         double_count_total=sum(counts), transitive=len(orbit) == space.size,
         group_order=group.order, space_size=space.size,
         moving_size=len(moving), fixed_size=len(fixed),
@@ -513,17 +529,19 @@ def scan_oracle(group, moving, fixed, want_histogram):
 
 
 def scan_cases(space, seed):
-    """(E, H) pairs: all of the space, an empty set, forced ties and
+    """(E, H) pairs: all of the space, empty sets, forced ties and
     seeded random subsets of assorted sizes, on both sides of |E| = |X|/2,
     where the scan switches to the columns of X \\ E."""
     n = len(space)
     empty = PointSet(space.field, space.dim)
     one = PointSet(space.field, space.dim, space.points[:1])
     last = PointSet(space.field, space.dim, space.points[-1:])
-    cases = [(space, space), (empty, space), (one, space), (one, last)]
+    cases = [(space, space), (empty, space), (space, empty), (empty, empty),
+             (one, space), (one, last)]
     for i, (ne, nh) in enumerate([(n // 4, 3 * n // 4), (n // 2, n // 3), (3 * n // 4, n // 5),
                                   (n // 2 + 1, n // 2), (n // 2, n), (n // 2 + 1, n),
                                   (n, n // 3)]):
+        ne, nh = min(ne, n), min(nh, n)  # n // 2 + 1 exceeds only an empty space
         cases.append((random_subset(space, ne, seed + i), random_subset(space, nh, seed + i + 100)))
     return cases
 
@@ -535,9 +553,11 @@ class TestScanOracle:
     @pytest.mark.parametrize("make, columns", [
         (lambda: translations(3, 5), True),  # 243 points: a count of 243 fits a byte
         (lambda: translations(2, 8), False),  # 256 points: the mask loop
+        (lambda: translations(17, 2), False),  # 289 points: counts past one byte
         (lambda: special_linear_group(5, 2), True),
         (lambda: orthogonal_group(7, 3, radius=1), True),
-    ], ids=["T(3,5)", "T(2,8)", "SL(2,5)", "O(3,7)-sphere"])
+        (lambda: orthogonal_group(3, 1, radius=2), False),  # x² = 2 mod 3: only empty sets
+    ], ids=["T(3,5)", "T(2,8)", "T(17,2)", "SL(2,5)", "O(3,7)-sphere", "O(1,3)-empty-sphere"])
     def test_matches_the_per_element_scan(self, make, columns):
         group = make()
         space = group.space
@@ -576,6 +596,27 @@ class TestScanOracle:
             if ne:
                 assert len(read) == min(ne, n - ne)
                 assert (set(read) == {space.index(x) for x in e}) == (2 * ne <= n)
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda: translations(3, 2), 9),
+        (lambda: orthogonal_group(3, 1, radius=2), 2),  # {±1} on the empty sphere x² = 2
+    ], ids=["T(3,2)", "O(1,3)-empty-sphere"])
+    def test_empty_sets_report_zero(self, make, order):
+        group = make()
+        space = group.space
+        empty = PointSet(space.field, space.dim)
+        for e, h in [(empty, space), (space, empty), (empty, empty)]:
+            for want_histogram in (False, True):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rep = max_intersection(group, e, h, want_histogram=want_histogram)
+                assert [str(w.message) for w in caught] == [
+                    "empty point set: the intersection bound is vacuous"]
+                assert (rep.best_count, rep.bound, rep.double_count_total) == (0, 0, 0)
+                assert rep.best_g == group.identity
+                assert rep.per_g_histogram == ({0: order} if want_histogram else None)
+                assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+        assert group._perms is None and group._columns is None  # nothing was scanned
 
     def test_full_space_count_fills_a_byte(self):
         group = translations(3, 5)
