@@ -86,7 +86,6 @@ from .harness import (
     SweepConfig,
     canonical_json,
     file_digest,
-    format_pointset,
     load_pointset,
     parse_pointset,
     random_pointset,

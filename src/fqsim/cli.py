@@ -12,6 +12,8 @@ on stdout.  Exit codes:
     4  an enumeration or scan cap was exceeded
     1  a search legitimately found too small an intersection while the
        size guarantee did not apply
+Warnings, such as an empty point set or a duplicate line in a point
+file, go to stderr as one `warning: <message>` line each.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import __version__
 from .configurations import (
@@ -317,29 +320,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Nothing more can reach the reader; point stdout at devnull so
-        # that neither an error report nor the flush at exit raises again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 3
-    except (EnumerationCapExceeded, ScanCapExceeded) as exc:
-        _emit_error(exc)
-        return 4
-    except VerificationFailed as exc:
-        _emit_error(exc, reasons=list(exc.reasons))
-        return 2
-    except FqsimError as exc:
-        _emit_error(exc)
-        return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # no source path and line prefix
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            # Nothing more can reach the reader; point stdout at devnull so
+            # that neither an error report nor the flush at exit raises again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 3
+        except (EnumerationCapExceeded, ScanCapExceeded) as exc:
+            _emit_error(exc)
+            return 4
+        except VerificationFailed as exc:
+            _emit_error(exc, reasons=list(exc.reasons))
+            return 2
+        except FqsimError as exc:
+            _emit_error(exc)
+            return 3
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            _emit_error(exc)
+            return 3
 
 
 if __name__ == "__main__":

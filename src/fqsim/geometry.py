@@ -78,13 +78,8 @@ class Vector:
         return Vector(self.field, [-a % q for a in self.coords])
 
     def __rmul__(self, scalar: FieldElement) -> "Vector":
-        if not isinstance(scalar, FieldElement):
-            raise TypeError("vectors scale by FieldElement only")
-        if scalar.field.q != self.field.q:
-            raise FieldMismatch("scalar and vector live in different fields")
-        q = self.field.q
-        s = scalar.value
-        return Vector(self.field, [s * a % q for a in self.coords])
+        s = _scale_value(scalar, self.field)
+        return Vector(self.field, [s * a for a in self.coords])
 
     def norm(self) -> FieldElement:
         """Sum of squared coordinates, as a field element."""
@@ -110,6 +105,15 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector({list(self.coords)} mod {self.field.q})"
+
+
+def _scale_value(scalar: FieldElement, field: PrimeField) -> int:
+    """The value of a scalar that may dilate vectors over `field`."""
+    if not isinstance(scalar, FieldElement):
+        raise TypeError("vectors scale by FieldElement only")
+    if scalar.field.q != field.q:
+        raise FieldMismatch("scalar and vector live in different fields")
+    return scalar.value
 
 
 def all_vectors(field: PrimeField, dim: int):
@@ -139,25 +143,20 @@ class PointSet:
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
+        q = field.q
         seen = {}
         for p in points:
             if not isinstance(p, Vector):
                 raise TypeError(f"expected Vector, got {type(p).__name__}")
-            if p.field.q != field.q:
-                raise FieldMismatch(
-                    f"point over F_{p.field.q} in a set over F_{field.q}"
-                )
-            if p.dim != dim:
+            if p.field.q != q:
+                raise FieldMismatch(f"point over F_{p.field.q} in a set over F_{q}")
+            if len(p.coords) != dim:
                 raise DimensionMismatch(f"point of dimension {p.dim} in a {dim}-dimensional set")
             seen[p.coords] = p
         self.field = field
         self.dim = dim
         self._index = {c: i for i, c in enumerate(sorted(seen))}
         self.points = tuple(seen[c] for c in self._index)
-
-    @classmethod
-    def from_coords(cls, field: PrimeField, dim: int, coords: Iterable) -> "PointSet":
-        return cls(field, dim, [Vector(field, c) for c in coords])
 
     @property
     def q(self) -> int:
@@ -195,14 +194,20 @@ class PointSet:
         return hash((self.field.q, self.dim, tuple(self._index)))
 
     def scaled(self, scalar: FieldElement) -> "PointSet":
-        """Image of the set under coordinatewise scalar dilation."""
-        return PointSet(self.field, self.dim, [scalar * p for p in self.points])
+        """Image of the set under coordinatewise scalar dilation.
+
+        The scalar is checked as `Vector.__rmul__` checks it, once, and
+        only when there is a point to scale.
+        """
+        field = self.field
+        if not self.points:
+            return PointSet(field, self.dim)
+        s = _scale_value(scalar, field)
+        return PointSet(field, self.dim, [Vector(field, [s * c for c in p.coords])
+                                          for p in self.points])
 
     def translated(self, shift: Vector) -> "PointSet":
         return PointSet(self.field, self.dim, [p + shift for p in self.points])
-
-    def coords_list(self) -> list[list[int]]:
-        return [list(p.coords) for p in self.points]
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self.points)})"
@@ -234,24 +239,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Vector]) -> "Matrix":
-        """Matrix whose j-th column is columns[j]."""
-        if not columns:
-            raise DimensionMismatch("need at least one column")
-        d = columns[0].dim
-        if len(columns) != d:
-            raise DimensionMismatch(
-                f"need exactly {d} columns of dimension {d}, got {len(columns)}"
-            )
-        field = columns[0].field
-        for c in columns:
-            if c.field.q != field.q:
-                raise FieldMismatch("columns from different fields")
-            if c.dim != d:
-                raise DimensionMismatch("columns of unequal dimension")
-        return cls(field, [[columns[j].coords[i] for j in range(d)] for i in range(d)])
 
     def transpose(self) -> "Matrix":
         n = self.n

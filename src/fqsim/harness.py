@@ -124,12 +124,6 @@ def load_pointset(path) -> PointSet:
         return parse_pointset(fh)
 
 
-def format_pointset(points: PointSet) -> str:
-    lines = [f"q={points.field.q} d={points.dim}"]
-    lines.extend(",".join(str(c) for c in p.coords) for p in points)
-    return "\n".join(lines) + "\n"
-
-
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

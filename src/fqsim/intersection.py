@@ -30,12 +30,12 @@ from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
 tie-break becomes the smallest maximal key.  Translations count the
 pairs (x, y) with y - x = a, with points coded in base 2q.  While the
-space is small against |H|, a byte table marking H is shifted by each
-point of E and the shifts are summed as integers, one byte per shift,
-so C counts all q^d shifts at once; otherwise a Counter counts the
-|E||H| difference codes.  Unimodular maps count, for each pair, the
-coset of the stabiliser of e1 that sends x to y, |E||H||S| terms in
-all.  `max_intersection` over the enumerated group stays the oracle
+space is small against |H|, a bit table marking H is shifted by each
+point of E and the shifted windows, one bit per shift, are added by
+carry-save full adders into eight bit planes, so C counts all q^d
+shifts at once; otherwise a Counter counts the |E||H| difference codes.
+Unimodular maps count, for each pair, the coset of the stabiliser of e1
+that sends x to y, |E||H||S| terms in all.  `max_intersection` over the enumerated group stays the oracle
 for both.
 """
 
@@ -47,6 +47,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add, mul
 
 from .errors import (
@@ -242,31 +243,46 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
     return tuple(wrap)
 
 
+def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
+    """offset + Σ_i c_i·weights[i] for every point, a coordinate column at a time."""
+    codes = [offset] * len(points)
+    for w, column in zip(weights, zip(*points._index)):
+        codes = map(add, codes, map(mul, column, repeat(w)))
+    return list(codes)
+
+
 def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | dict[int, int]:
     """flat(a) -> |fixed ∩ (moving + a)|, as a dense sequence or a sparse dict.
 
     flat(a) = sum of a_i q^(d-1-i), so flat order is lexicographic order.
     Points are coded in base 2q, so adding two points carries no digit.
 
-    Byte slots (dense): T holds one byte per base-2q code and marks
-    code(y + q·ε) for y in H and ε in {0,1}^d, so for every shift t with
-    digits < q the byte at code(x) + code(t) is 1 exactly when x + t lies
-    in H mod q.  Summing T >> 8·code(x) over x in E, cut to the window of
-    w = q(2q)^(d-1) bytes that holds every such code(t), counts every
-    shift at once in C.  E is taken 255 points at a time, so no byte
-    carries; the q^d valid bytes of each chunk, q^(d-1) runs of q, are
-    joined in flat order and the chunks added.  Holds O((2q)^d) bytes.
+    Bit slots (dense): T holds one bit per base-2q code.  Each y in H is
+    marked once and d shift-ORs lift the marks to code(y + q·ε) for every
+    ε in {0,1}^d, so for every shift t with digits < q the bit at
+    code(x) + code(t) is set exactly when x + t lies in H mod q.
+    T >> code(x), cut to the window of w = q(2q)^(d-1) bits that holds
+    every such code(t), is x's mask.  Carry-save full adders add the
+    masks of 255 points of E at a time into at most 8 bit planes, plane i
+    holding bit i of every count.  Each plane is then spread to one byte
+    per bit and weighed 2^i, so the planes sum to one byte of count per
+    slot; the q^d valid bytes of each chunk, q^(d-1) runs of q, are joined
+    in flat order and the chunks added.  Holds O(w) bytes.
 
     Difference codes (sparse): with q added to every digit of y, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
     |E||H| codes in C, and the distinct codes fold to flat((y - x) mod q)
-    by divmod: O(|E||H|) time and memory for any q.
+    digit by digit: O(|E||H|) time and memory for any q.
 
-    Measured: the slots cost ~0.4 ns per window byte per moving point
-    plus ~15 ns per valid byte, the codes ~200 ns per pair while they are
+    Measured (2 cores, Python 3.11.7): the slots cost ~0.1 ns per window
+    bit per moving point plus ~13 ns per window bit per chunk, which
+    spreads the planes; the codes ~220 ns per pair while they are
     distinct.  The finder scans |E| = |H| = h, so the slots run when
-    w·h + 60·q^d <= 600·h²; at |E| = |H| that pick was within 1.15x of
-    the faster branch for every h measured (q up to 10007, d up to 4).
+    w·h + 60·q^d <= 600·h².  That inequality was fitted to byte slots,
+    which cost ~4x more per moving point: the bit slots are already the
+    faster branch from about a quarter to half of the h where it
+    switches, and between there and the switch its pick was up to 4.3x
+    slower than the faster branch (q up to 10007, d up to 4).
     """
     _check_compatible(moving, fixed)
     q = moving.field.q
@@ -276,34 +292,63 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | di
     width = q * base ** (d - 1)
     h = len(fixed)
     if len(moving) and width * h + 60 * q ** d <= 600 * h * h:
-        lifts = [0]
-        for w in weights:
-            lifts = [s + e for s in lifts for e in (0, q * w)]
-        table = bytearray(2 * width)
-        for p in fixed.points:
-            y = sum(map(mul, p.coords, weights))
-            for s in lifts:
-                table[y + s] = 1
+        table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
+        for y in _codes(fixed, weights):
+            table[y >> 3] |= 1 << (y & 7)
         table = int.from_bytes(table, "little")
-        window = (1 << 8 * width) - 1
-        bits = [8 * w for w in weights]
-        shifts = [sum(map(mul, p.coords, bits)) for p in moving.points]  # 8·code(x)
+        for w in weights:  # lift each digit y_i to y_i + q as well
+            table |= table << q * w
+        window = (1 << width) - 1
+        spec = f"0{width}b"
+        zeros = int.from_bytes(b"0" * width, "big")
+        shifts = _codes(moving, weights)
         rows = _slot_rows(q, d)
         counts = None
         for start in range(0, len(shifts), 255):
-            acc = sum((table >> s) & window for s in shifts[start:start + 255])
+            batch = shifts[start:start + 255]
+            # Plane i holds bit i of every slot's count; pending[i], when
+            # nonzero, is one more mask of weight 2^i.  Level i receives at
+            # most n >> i of the n <= 255 masks, so no mask passes level
+            # n.bit_length() - 1 and every count fits n.bit_length() planes.
+            levels = len(batch).bit_length()
+            planes = [0] * levels
+            pending = [0] * levels
+            for s in batch:
+                m = (table >> s) & window
+                i = 0
+                while p := pending[i]:  # full adder: plane + p + m
+                    pending[i] = 0
+                    plane = planes[i]
+                    u = p ^ m
+                    planes[i] = plane ^ u
+                    m = (p & m) | (plane & u)
+                    i += 1
+                pending[i] = m
+            # Flush the pending masks by ripple, and spread each finished
+            # plane to one byte per slot: format writes bit k of it as byte
+            # k, b'0' or b'1', of a big-endian string.  Plane i weighs 2^i.
+            carry = acc = 0
+            for i in range(levels):
+                plane = planes[i]
+                p = pending[i]
+                u = p ^ carry
+                carry = (p & carry) | (plane & u)
+                if plane := plane ^ u:
+                    acc += (int.from_bytes(format(plane, spec).encode(), "big") - zeros) << i
             raw = acc.to_bytes(width, "little")
             chunk = b"".join([raw[r] for r in rows])
             counts = chunk if counts is None else list(map(add, counts, chunk))
         return counts
-    offset = q * sum(weights)
-    xs = [sum(map(mul, p.coords, weights)) for p in moving.points]
-    ys = [sum(map(mul, p.coords, weights), offset) for p in fixed.points]
+    xs = _codes(moving, weights)
+    ys = _codes(fixed, weights, q * sum(weights))
+    diffs = Counter(y - x for x in xs for y in ys)
+    # Digit by digit over the distinct codes: the digits above the one at
+    # weight w are multiples of 2q, so code // w ≡ that digit (mod q).
+    flat = [0] * len(diffs)
+    for w in weights:
+        flat = [i * q + code // w % q for i, code in zip(flat, diffs)]
     counts = {}
-    for code, c in Counter(y - x for x in xs for y in ys).items():
-        i = 0
-        for w in weights:  # the digit code // w % base folds to digit % q
-            i = i * q + code // w % base % q
+    for i, c in zip(flat, diffs.values()):
         counts[i] = counts.get(i, 0) + c
     return counts
 
@@ -358,7 +403,7 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
     total is |E||H| (each pair contributes to exactly one shift).  Counts
-    are keyed by flat index: byte slots count all q^d shifts when the
+    are keyed by flat index: bit slots count all q^d shifts when the
     space is small against |H|, difference codes count only the shifts
     some pair reaches otherwise (see `_translation_counts`).
     """

@@ -6,8 +6,15 @@ import warnings
 
 import pytest
 
-from fqsim import format_pointset, random_pointset, sphere
+from fqsim import PointSet, Vector, make_field, random_pointset, sphere
 from fqsim.cli import main
+
+
+def format_pointset(points):
+    """The point-set file format that `parse_pointset` reads."""
+    lines = [f"q={points.field.q} d={points.dim}"]
+    lines.extend(",".join(map(str, p.coords)) for p in points)
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -111,9 +118,7 @@ class TestVerifyBound:
         assert code == 3
 
     def test_set_outside_space_is_input_error(self, capsys, tmp_path):
-        from fqsim import PointSet, make_field
-
-        origin = PointSet.from_coords(make_field(3), 2, [[0, 0]])
+        origin = PointSet(make_field(3), 2, [Vector(make_field(3), [0, 0])])
         pe, ph = self.write_sets(tmp_path, origin, origin)
         code, out = run_cli(capsys, "verify-bound", "--group", "special-linear",
                             "--q", "3", "--d", "2", "--set-e", pe, "--set-h", ph)
@@ -129,6 +134,34 @@ class TestVerifyBound:
         obj = first_json(out)
         assert code == 3
         assert "--radius" in obj["message"]
+
+
+class TestWarnings:
+    """The library's warnings reach stderr as one `warning: <message>` line
+    each, with no source path or line number, and leave the exit code as
+    it was."""
+
+    def verify_bound(self, capsys, tmp_path, q, d, e_text, h_text):
+        pe, ph = tmp_path / "e.txt", tmp_path / "h.txt"
+        pe.write_text(e_text)
+        ph.write_text(h_text)
+        code = main(["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
+                     "--set-e", str(pe), "--set-h", str(ph)])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out), captured.err
+
+    def test_empty_point_set(self, capsys, tmp_path):
+        code, obj, err = self.verify_bound(capsys, tmp_path, 3, 1, "q=3 d=1\n", "q=3 d=1\n0\n2\n")
+        assert code == 0
+        assert obj["best_count"] == 0 and obj["double_count_ok"] is True
+        assert err == "warning: empty point set: the intersection bound is vacuous\n"
+
+    def test_duplicate_point_line(self, capsys, tmp_path):
+        code, obj, err = self.verify_bound(capsys, tmp_path, 5, 2, "q=5 d=2\n1,2\n0,3\n1,2\n",
+                                           "q=5 d=2\n1,2\n4,4\n")
+        assert code == 0
+        assert obj["moving_size"] == 2
+        assert err == "warning: line 4: duplicate point (1, 2) ignored\n"
 
 
 class TestFindSimilar:

@@ -21,7 +21,6 @@ from fqsim import (
     all_vectors,
     find_det_similar,
     find_similar_config,
-    format_pointset,
     make_field,
     random_pointset,
 )
@@ -29,6 +28,14 @@ from fqsim.cli import main
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 MUTATION_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def format_pointset(points):
+    """The point-set file format that `parse_pointset` reads."""
+    lines = [f"q={points.field.q} d={points.dim}"]
+    lines.extend(",".join(map(str, p.coords)) for p in points)
+    return "\n".join(lines) + "\n"
+
 
 F5 = make_field(5)
 PUNCTURED = PointSet(F5, 2, [v for v in all_vectors(F5, 2) if not v.is_zero()])

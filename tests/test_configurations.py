@@ -43,9 +43,19 @@ F3 = make_field(3)
 F5 = make_field(5)
 
 
+def from_coords(field, dim, coords):
+    """The point set of F_q^dim whose points have these coordinates."""
+    return PointSet(field, dim, [Vector(field, c) for c in coords])
+
+
+def from_columns(columns):
+    """The matrix whose j-th column is columns[j]."""
+    return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
+
+
 def det_of_columns_cofactor(columns):
     """Cofactor determinant of the matrix whose columns are the vectors."""
-    m = Matrix.from_columns(columns)
+    m = from_columns(columns)
     return m.field(_det_cofactor(m.rows, m.field.q))
 
 
@@ -138,13 +148,13 @@ class TestFindSimilar:
             find_similar_config(full_plane(F5), F5(0), 2)
 
     def test_ratio_one_gives_identity_similarity(self):
-        e = PointSet.from_coords(F5, 2, [[0, 0], [1, 1], [2, 3]])
+        e = from_coords(F5, 2, [[0, 0], [1, 1], [2, 3]])
         w = find_similar_config(e, F5(1), 2)
         assert w.shift.is_zero()
         assert w.xs == w.ys == w.zs
 
     def test_insufficient_intersection_carries_count(self):
-        e = PointSet.from_coords(F5, 2, [[0, 0], [1, 2]])
+        e = from_coords(F5, 2, [[0, 0], [1, 2]])
         with pytest.raises(InsufficientIntersection) as exc:
             find_similar_config(e, F5(4), 2)
         assert exc.value.best_count <= 2
@@ -264,7 +274,7 @@ class TestFindDetSimilar:
             find_det_similar(punctured_plane(F5), F5(0), 2)
 
     def test_insufficient_intersection(self):
-        e = PointSet.from_coords(F5, 2, [[1, 0], [0, 1]])
+        e = from_coords(F5, 2, [[1, 0], [0, 1]])
         with pytest.raises(InsufficientIntersection):
             find_det_similar(e, F5(4), 2)
 
@@ -372,7 +382,7 @@ class TestDetFinderScan:
 
     def test_budget_refusal_comes_after_the_ratio_checks(self):
         field = make_field(101)
-        points = PointSet.from_coords(field, 2, [[1, 0], [0, 1], [1, 1]])
+        points = from_coords(field, 2, [[1, 0], [0, 1], [1, 1]])
         with pytest.raises(NotADthPower):  # 2 is no square mod 101: exit 3 first
             find_det_similar(points, field(2), 2)
         with pytest.raises(EnumerationCapExceeded) as exc:
@@ -459,7 +469,7 @@ class TestSphereExperiment:
         assert result.guarantee_holds  # guarantee does not apply
 
     def test_not_on_sphere(self):
-        bad = PointSet.from_coords(F3, 2, [[1, 1]])  # norm 2, not 1
+        bad = from_coords(F3, 2, [[1, 1]])  # norm 2, not 1
         with pytest.raises(NotOnSphere):
             sphere_experiment(3, 2, 1, 1, e_set=bad)
 

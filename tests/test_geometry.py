@@ -24,14 +24,29 @@ F3 = make_field(3)
 F5 = make_field(5)
 
 
+def from_coords(field, dim, coords):
+    """The point set of F_q^dim whose points have these coordinates."""
+    return PointSet(field, dim, [Vector(field, c) for c in coords])
+
+
+def coords_list(points):
+    """The coordinates of a point set, in its canonical order."""
+    return [list(p.coords) for p in points]
+
+
+def from_columns(columns):
+    """The matrix whose j-th column is columns[j]."""
+    return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
+
+
 def det_of_columns(columns):
     """Determinant, by elimination, of the matrix whose columns are the vectors."""
-    return Matrix.from_columns(columns).determinant()
+    return from_columns(columns).determinant()
 
 
 def det_of_columns_cofactor(columns):
     """Cofactor determinant of the matrix whose columns are the vectors."""
-    m = Matrix.from_columns(columns)
+    m = from_columns(columns)
     return m.field(_det_cofactor(m.rows, m.field.q))
 
 
@@ -161,7 +176,7 @@ class TestDetOfColumns:
 class TestSphere:
     def test_small_example(self):
         s = sphere(3, 2, 1)
-        assert s.coords_list() == [[0, 1], [0, 2], [1, 0], [2, 0]]
+        assert coords_list(s) == [[0, 1], [0, 2], [1, 0], [2, 0]]
 
     def test_radius_zero_contains_origin(self):
         for q, d in [(3, 2), (5, 2), (7, 1)]:
@@ -198,34 +213,45 @@ class TestPairNorms:
 
 class TestPointSet:
     def test_dedupe_and_sort(self):
-        ps = PointSet.from_coords(F3, 2, [[2, 0], [0, 1], [2, 0]])
-        assert ps.coords_list() == [[0, 1], [2, 0]]
+        ps = from_coords(F3, 2, [[2, 0], [0, 1], [2, 0]])
+        assert coords_list(ps) == [[0, 1], [2, 0]]
         assert len(ps) == 2
 
     def test_membership(self):
-        ps = PointSet.from_coords(F3, 2, [[0, 1]])
+        ps = from_coords(F3, 2, [[0, 1]])
         assert Vector(F3, [0, 1]) in ps
         assert Vector(F3, [1, 1]) not in ps
         assert Vector(F5, [0, 1]) not in ps
 
     def test_index_agrees_with_membership(self):
-        ps = PointSet.from_coords(F3, 2, [[2, 0], [0, 1], [1, 2]])
+        ps = from_coords(F3, 2, [[2, 0], [0, 1], [1, 2]])
         assert [ps.index(p) for p in ps] == [0, 1, 2]
         for v in (Vector(F3, [1, 1]), Vector(F5, [0, 1])):  # absent; other field
             with pytest.raises(NotInSpace):
                 ps.index(v)
 
     def test_equality_and_hash_ignore_input_order(self):
-        a = PointSet.from_coords(F3, 2, [[2, 0], [0, 1]])
-        b = PointSet.from_coords(F3, 2, [[0, 1], [2, 0], [0, 1]])
+        a = from_coords(F3, 2, [[2, 0], [0, 1]])
+        b = from_coords(F3, 2, [[0, 1], [2, 0], [0, 1]])
         assert a == b and hash(a) == hash(b)
-        assert a != PointSet.from_coords(F5, 2, [[2, 0], [0, 1]])
-        assert a != PointSet.from_coords(F3, 2, [[2, 0]])
+        assert a != from_coords(F5, 2, [[2, 0], [0, 1]])
+        assert a != from_coords(F3, 2, [[2, 0]])
 
     def test_scaled_and_translated(self):
-        ps = PointSet.from_coords(F5, 2, [[1, 2], [3, 4]])
-        assert ps.scaled(F5(2)).coords_list() == [[1, 3], [2, 4]]
-        assert ps.translated(Vector(F5, [1, 1])).coords_list() == [[2, 3], [4, 0]]
+        ps = from_coords(F5, 2, [[1, 2], [3, 4]])
+        assert coords_list(ps.scaled(F5(2))) == [[1, 3], [2, 4]]
+        assert coords_list(ps.translated(Vector(F5, [1, 1]))) == [[2, 3], [4, 0]]
+
+    def test_scaled_errors_match_vector_scaling(self):
+        ps = from_coords(F5, 2, [[1, 2], [3, 4]])
+        for bad, error, message in ((2, TypeError, "vectors scale by FieldElement only"),
+                                    (F3(2), FieldMismatch, "scalar and vector live in different fields")):
+            with pytest.raises(error, match=f"^{message}$"):
+                bad * ps.points[0]
+            with pytest.raises(error, match=f"^{message}$"):
+                ps.scaled(bad)
+            assert PointSet(F5, 2).scaled(bad) == PointSet(F5, 2)  # no point, no check
+        assert coords_list(ps.scaled(F5(0))) == [[0, 0]]
 
     def test_rejects_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -204,7 +204,7 @@ class TestOrthogonalGroup:
     def test_orbit_on_sphere(self):
         group = orthogonal_group(3, 2, radius=1)
         orbit = group.orbit(Vector(F3, [1, 0]))
-        assert orbit.coords_list() == [[0, 1], [0, 2], [1, 0], [2, 0]]
+        assert [list(p.coords) for p in orbit] == [[0, 1], [0, 2], [1, 0], [2, 0]]
         assert group.is_transitive()
 
     def test_not_transitive_on_full_space(self):

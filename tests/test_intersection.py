@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqsim import (
     DimensionMismatch,
@@ -43,6 +44,11 @@ F3 = make_field(3)
 F5 = make_field(5)
 
 
+def from_coords(field, dim, coords):
+    """The point set of F_q^dim whose points have these coordinates."""
+    return PointSet(field, dim, [Vector(field, c) for c in coords])
+
+
 def translation_count_map(moving, fixed):
     """The translation kernel's nonzero counts, keyed by shift coordinates."""
     counts = _translation_counts(moving, fixed)
@@ -57,7 +63,7 @@ def naive_translation_counts(e_set, h_set):
 
 
 def is_dense(e_set, h_set):
-    """Whether the translation kernel takes the byte-slot branch."""
+    """Whether the translation kernel takes the bit-slot branch."""
     return not isinstance(_translation_counts(e_set, h_set), dict)
 
 
@@ -84,18 +90,18 @@ def oracle_translation_report(e_set, h_set, want_histogram):
 
 class TestIntersectCount:
     def test_identity_self_overlap(self):
-        e = PointSet.from_coords(F3, 2, [[0, 0], [1, 2]])
+        e = from_coords(F3, 2, [[0, 0], [1, 2]])
         group = translations(3, 2)
         assert intersect_count(group.identity, e, e) == 2
 
     def test_disjoint(self):
-        e = PointSet.from_coords(F3, 1, [[0]])
-        h = PointSet.from_coords(F3, 1, [[2]])
+        e = from_coords(F3, 1, [[0]])
+        h = from_coords(F3, 1, [[2]])
         group = translations(3, 1)
         assert intersect_count(group.identity, e, h) == 0
 
     def test_shift_example(self):
-        e = PointSet.from_coords(F3, 1, [[0], [1]])
+        e = from_coords(F3, 1, [[0], [1]])
         from fqsim import Translation
 
         g = Translation(Vector(F3, [1]))
@@ -105,8 +111,8 @@ class TestIntersectCount:
         with pytest.raises(SpaceMismatch):
             intersect_count(
                 translations(3, 1).identity,
-                PointSet.from_coords(F3, 1, [[0]]),
-                PointSet.from_coords(F5, 1, [[0]]),
+                from_coords(F3, 1, [[0]]),
+                from_coords(F5, 1, [[0]]),
             )
 
 
@@ -121,7 +127,7 @@ class TestMaxIntersection:
 
     def test_counts_example(self):
         group = translations(3, 1)
-        e = PointSet.from_coords(F3, 1, [[0], [1]])
+        e = from_coords(F3, 1, [[0], [1]])
         rep = max_intersection(group, e, e, want_histogram=True)
         assert rep.best_count == 2
         assert rep.bound == Fraction(4, 3)
@@ -141,7 +147,7 @@ class TestMaxIntersection:
     def test_empty_set_is_warning_not_error(self):
         group = translations(3, 1)
         empty = PointSet(F3, 1)
-        e = PointSet.from_coords(F3, 1, [[0]])
+        e = from_coords(F3, 1, [[0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = max_intersection(group, empty, e)
@@ -151,21 +157,21 @@ class TestMaxIntersection:
 
     def test_space_mismatch(self):
         group = special_linear_group(3, 2)
-        with_origin = PointSet.from_coords(F3, 2, [[0, 0], [1, 0]])
-        ok = PointSet.from_coords(F3, 2, [[1, 0]])
+        with_origin = from_coords(F3, 2, [[0, 0], [1, 0]])
+        ok = from_coords(F3, 2, [[1, 0]])
         outside = "Vector([0, 0] mod 3) is not a point of Space(punctured, q=3, d=2, size=8)"
         with pytest.raises(SpaceMismatch, match=r"^moving set: " + re.escape(outside) + "$"):
             max_intersection(group, with_origin, ok)
         with pytest.raises(SpaceMismatch, match=r"^fixed set: " + re.escape(outside) + "$"):
             max_intersection(group, ok, with_origin)
-        other = PointSet.from_coords(F5, 2, [[1, 0]])
+        other = from_coords(F5, 2, [[1, 0]])
         with pytest.raises(SpaceMismatch, match=r"^moving set lives in F_5\^2, the group acts on F_3\^2$"):
             max_intersection(group, other, ok)
 
     def test_tie_break_is_canonical_smallest(self):
         group = translations(3, 1)
         # H = whole line: every shift ties at 1, so the zero shift must win
-        e = PointSet.from_coords(F3, 1, [[1]])
+        e = from_coords(F3, 1, [[1]])
         h = PointSet(F3, 1, list(all_vectors(F3, 1)))
         rep = max_intersection(group, e, h)
         assert rep.best_g == group.identity
@@ -182,8 +188,8 @@ class TestDoubleCount:
     def test_example(self):
         rep = max_intersection(
             translations(3, 1),
-            PointSet.from_coords(F3, 1, [[0], [1]]),
-            PointSet.from_coords(F3, 1, [[0], [1]]),
+            from_coords(F3, 1, [[0], [1]]),
+            from_coords(F3, 1, [[0], [1]]),
         )
         assert rep.double_count_total == 4
         assert rep.double_count_expected == 4
@@ -199,7 +205,7 @@ class TestDoubleCount:
 
     def test_singleton_under_special_linear(self):
         group = special_linear_group(3, 2)
-        s = PointSet.from_coords(F3, 2, [[1, 0]])
+        s = from_coords(F3, 2, [[1, 0]])
         rep = max_intersection(group, s, s)
         assert rep.double_count_total == 3
         assert rep.double_count_expected == Fraction(24 * 1 * 1, 8)
@@ -207,20 +213,20 @@ class TestDoubleCount:
 
     def test_non_transitive_reported_not_fatal(self):
         group = orthogonal_group(3, 2)  # full space: origin is a fixed point
-        e = PointSet.from_coords(F3, 2, [[1, 0]])
+        e = from_coords(F3, 2, [[1, 0]])
         rep = max_intersection(group, e, e)
         assert not rep.transitive
 
 
 class TestFastTranslationKernel:
     def test_singleton(self):
-        e = PointSet.from_coords(F5, 2, [[1, 2]])
+        e = from_coords(F5, 2, [[1, 2]])
         rep = max_translation_intersection_fast(e, e)
         assert rep.best_count == 1
         assert rep.best_g.vector.is_zero()
 
     def test_exact_translate_recovers_shift(self):
-        e = PointSet.from_coords(F5, 2, [[0, 0], [1, 2], [3, 1]])
+        e = from_coords(F5, 2, [[0, 0], [1, 2], [3, 1]])
         shift = Vector(F5, [2, 4])
         h = e.translated(shift)
         rep = max_translation_intersection_fast(e, h)
@@ -250,8 +256,8 @@ class TestFastTranslationKernel:
                     assert rep_fast.double_count_total == rep_naive.double_count_total
                     assert rep_fast.per_g_histogram == rep_naive.per_g_histogram
 
-    # Byte slots run when w·|H| + 60·q^d <= 600·|H|², w = q(2q)^(d-1);
-    # each case is (q, d, |E|, |H|, whether byte slots run).
+    # Bit slots run when w·|H| + 60·q^d <= 600·|H|², w = q(2q)^(d-1);
+    # each case is (q, d, |E|, |H|, whether bit slots run).
     BRANCH_CASES = [
         (2, 2, 4, 4, True),     # the whole space as H
         (2, 2, 3, 4, True),
@@ -370,9 +376,10 @@ class TestFastTranslationKernel:
         assert_same_report(rep, oracle_translation_report(e, h, True))
 
     def test_byte_slots_memory_at_finder_scale(self):
-        # The finder's 450-point scan of F_101^2: a 40,804-byte table, sums
-        # of 20,402 bytes, 10,201 counts and the 101 row slices it caches
-        # (~245 KB measured; the difference-code branch peaks at ~3 MB here).
+        # The finder's 450-point scan of F_101^2: a 5,101-byte table, masks
+        # of 20,402 bits, planes spread to 20,402 bytes, 10,201 counts and
+        # the 101 row slices it caches (~239 KB measured; the difference-code
+        # branch peaks at ~3 MB here).
         q = 101
         e = random_pointset(q, 2, 450, seed=1)
         h = e.scaled(make_field(q)(2))
@@ -388,6 +395,60 @@ class TestFastTranslationKernel:
         assert rep.double_count_total == 450 * 450
         assert sum(rep.per_g_histogram.values()) == q ** 2
 
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 254, 255, 256, 510, 511])
+    def test_bit_slots_match_pair_oracle_across_chunks(self, n_e):
+        # 255 moving points per chunk: one short of, at and one past one and
+        # two chunks, and chunks of 1 to 3 points that fill 1 or 2 planes.
+        e = random_pointset(101, 2, n_e, seed=n_e + 7)
+        h = random_pointset(101, 2, 300, seed=3)
+        assert is_dense(e, h)
+        assert translation_count_map(e, h) == naive_translation_counts(e, h)
+        assert_same_report(max_translation_intersection_fast(e, h, want_histogram=True),
+                           oracle_translation_report(e, h, True))
+
+    @pytest.mark.parametrize("n_e", [127, 128, 255, 256, 289])
+    def test_bit_slots_with_the_whole_space_as_h(self, n_e):
+        # Every mask is all ones, so every plane fills and a chunk of 128 or
+        # more carries into the eighth plane; every shift counts |E|.
+        f17 = make_field(17)
+        full = PointSet(f17, 2, list(all_vectors(f17, 2)))
+        e = random_pointset(17, 2, n_e, seed=n_e)
+        assert is_dense(e, full)
+        assert list(_translation_counts(e, full)) == [n_e] * 289
+        rep = max_translation_intersection_fast(e, full, want_histogram=True)
+        assert rep.per_g_histogram == {n_e: 289} and rep.best_g.vector.is_zero()
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_bit_slots_over_f2(self, d):
+        # q = 2: windows of 2, 32 and 32,768 bits, on spaces of 2 to 256 points.
+        n = 2 ** d
+        for n_e, n_h in ((1, n), (n, n), (n // 2, n), (n, n // 2)):
+            e = random_pointset(2, d, n_e, seed=n_e + d)
+            h = random_pointset(2, d, n_h, seed=n_h + d + 1)
+            assert is_dense(e, h)
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=True),
+                               max_intersection(translations(2, d), e, h, want_histogram=True))
+
+    @pytest.mark.parametrize("q, n_e, n_h", [(5, 125, 125), (7, 300, 200), (7, 40, 343)])
+    def test_bit_slots_in_dimension_three(self, q, n_e, n_h):
+        e = random_pointset(q, 3, n_e, seed=q + n_e)
+        h = random_pointset(q, 3, n_h, seed=q + n_h)
+        assert is_dense(e, h)
+        assert_same_report(max_translation_intersection_fast(e, h, want_histogram=True),
+                           oracle_translation_report(e, h, True))
+
+    @given(st.sampled_from([(2, 1), (2, 4), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_slots_property(self, shape, data):
+        q, d = shape
+        space = q ** d
+        n_h = data.draw(st.integers(max(1, space // 3), space), label="|H|")
+        n_e = data.draw(st.integers(1, space), label="|E|")
+        e = random_pointset(q, d, n_e, seed=data.draw(st.integers(0, 2 ** 32), label="seed E"))
+        h = random_pointset(q, d, n_h, seed=data.draw(st.integers(0, 2 ** 32), label="seed H"))
+        assert is_dense(e, h)
+        assert translation_count_map(e, h) == naive_translation_counts(e, h)
+
     def test_histogram_frequencies_sum_to_group_order(self):
         e = random_pointset(5, 2, 7, seed=5)
         h = random_pointset(5, 2, 11, seed=6)
@@ -397,11 +458,11 @@ class TestFastTranslationKernel:
     def test_mismatches(self):
         with pytest.raises(FieldMismatch):
             max_translation_intersection_fast(
-                PointSet.from_coords(F3, 1, [[0]]), PointSet.from_coords(F5, 1, [[0]])
+                from_coords(F3, 1, [[0]]), from_coords(F5, 1, [[0]])
             )
         with pytest.raises(DimensionMismatch):
             max_translation_intersection_fast(
-                PointSet.from_coords(F3, 1, [[0]]), PointSet.from_coords(F3, 2, [[0, 0]])
+                from_coords(F3, 1, [[0]]), from_coords(F3, 2, [[0, 0]])
             )
 
 
@@ -473,23 +534,23 @@ class TestTransporterKernel:
 
     def test_forced_ties_go_to_the_smallest_matrix(self):
         group = special_linear_group(5, 2)
-        x = PointSet.from_coords(F5, 2, [[1, 2]])
-        y = PointSet.from_coords(F5, 2, [[3, 0]])
+        x = from_coords(F5, 2, [[1, 2]])
+        y = from_coords(F5, 2, [[3, 0]])
         rep = _max_special_linear_intersection(x, y, want_histogram=True)
         # the q maps sending x to y tie at 1; every other element counts 0
         assert rep.per_g_histogram == {1: 5, 0: 115}
         assert rep.best_g == min(group.transporter(x.points[0], y.points[0]))
 
     def test_one_dimension_counts_the_common_points(self):
-        e = PointSet.from_coords(F5, 1, [[1], [2], [3]])
-        h = PointSet.from_coords(F5, 1, [[2], [3], [4]])
+        e = from_coords(F5, 1, [[1], [2], [3]])
+        h = from_coords(F5, 1, [[2], [3], [4]])
         rep = _max_special_linear_intersection(e, h, want_histogram=True)
         assert (rep.best_count, rep.double_count_total, rep.group_order) == (2, 2, 1)
         assert rep.per_g_histogram == {2: 1}
         assert rep.best_g.is_identity() and not rep.transitive
 
     def test_empty_set_warns(self):
-        e = PointSet.from_coords(F5, 2, [[1, 0]])
+        e = from_coords(F5, 2, [[1, 0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = _max_special_linear_intersection(PointSet(F5, 2), e)
@@ -503,7 +564,7 @@ class TestTransporterKernel:
             raise AssertionError("counted past the budget")
 
         monkeypatch.setattr(fqsim.intersection, "_transporter_counts", no_count)
-        e = PointSet.from_coords(make_field(101), 2, [[1, 0]])
+        e = from_coords(make_field(101), 2, [[1, 0]])
         with pytest.raises(EnumerationCapExceeded) as exc:
             _max_special_linear_intersection(e, e)
         assert str(exc.value) == (
@@ -661,8 +722,8 @@ class TestAudits:
         group = translations(3, 1)
         # cross-route: audit says no violation; recompute a few pairs via the API
         for e_coords, h_coords in [([[0]], [[1]]), ([[0], [2]], [[1], [2]])]:
-            e = PointSet.from_coords(F3, 1, e_coords)
-            h = PointSet.from_coords(F3, 1, h_coords)
+            e = from_coords(F3, 1, e_coords)
+            h = from_coords(F3, 1, h_coords)
             rep = max_intersection(group, e, h)
             assert rep.satisfies_bound
 
