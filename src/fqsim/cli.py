@@ -75,9 +75,7 @@ def _build_group(kind: str, q: int, d: int, radius):
         return translations(q, d)
     if kind == "orthogonal":
         return orthogonal_group(q, d, radius=radius)
-    if kind == "special-linear":
-        return special_linear_group(q, d)
-    raise ValueError(f"unknown group kind {kind!r}")
+    return special_linear_group(q, d)
 
 
 def cmd_enumerate_group(args) -> int:
@@ -96,7 +94,7 @@ def cmd_verify_bound(args) -> int:
         out = {"mode": "exhaustive-subsets", "group": group.describe()}
         out.update(audit.to_json())
         _emit(out)
-        bad = audit.bound_violations + (audit.double_count_mismatches or 0)
+        bad = audit.bound_violations + audit.double_count_mismatches
         return 2 if bad else 0
     if not args.set_e or not args.set_h:
         raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")

@@ -94,12 +94,6 @@ class EdgeSet:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.pairs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeSet) and other.k == self.k and other.pairs == self.pairs
 

@@ -126,13 +126,8 @@ class ParseError(FqsimError):
         super().__init__(f"line {line}: {reason}")
 
 
-class HeaderMismatch(FqsimError):
+class HeaderMismatch(ParseError):
     """Point-set file line inconsistent with its declared q and d."""
-
-    def __init__(self, line: int, reason: str):
-        self.line = line
-        self.reason = reason
-        super().__init__(f"line {line}: {reason}")
 
 
 class TooMany(FqsimError):

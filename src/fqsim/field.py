@@ -63,10 +63,6 @@ class PrimeField:
         self.q = q
         self._nonresidue: int | None = None
 
-    @property
-    def odd(self) -> bool:
-        return self.q != 2
-
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
 

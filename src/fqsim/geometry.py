@@ -65,17 +65,14 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         other = self._peer(other)
-        q = self.field.q
-        return Vector(self.field, [(a + b) % q for a, b in zip(self.coords, other.coords)])
+        return Vector(self.field, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other: "Vector") -> "Vector":
         other = self._peer(other)
-        q = self.field.q
-        return Vector(self.field, [(a - b) % q for a, b in zip(self.coords, other.coords)])
+        return Vector(self.field, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "Vector":
-        q = self.field.q
-        return Vector(self.field, [-a % q for a in self.coords])
+        return Vector(self.field, [-a for a in self.coords])
 
     def __rmul__(self, scalar: FieldElement) -> "Vector":
         s = _scale_value(scalar, self.field)
@@ -157,10 +154,6 @@ class PointSet:
         self.dim = dim
         self._index = {c: i for i, c in enumerate(sorted(seen))}
         self.points = tuple(seen[c] for c in self._index)
-
-    @property
-    def q(self) -> int:
-        return self.field.q
 
     def __len__(self) -> int:
         return len(self.points)
@@ -251,25 +244,18 @@ class Matrix:
             raise FieldMismatch("matrices over different fields")
         if other.n != self.n:
             raise DimensionMismatch(f"matrix sizes {self.n} and {other.n}")
-        q = self.field.q
         n = self.n
         cols = list(zip(*other.rows))
-        return Matrix(
-            self.field,
-            [[sum(r[k] * c[k] for k in range(n)) % q for c in cols] for r in self.rows],
-        )
+        return Matrix(self.field, [[sum(r[k] * c[k] for k in range(n)) for c in cols]
+                                   for r in self.rows])
 
     def apply(self, v: Vector) -> Vector:
         if v.field.q != self.field.q:
             raise FieldMismatch("matrix and vector over different fields")
         if v.dim != self.n:
             raise DimensionMismatch(f"matrix size {self.n}, vector dimension {v.dim}")
-        q = self.field.q
         vc = v.coords
-        return Vector(
-            self.field,
-            [sum(r[k] * vc[k] for k in range(self.n)) % q for r in self.rows],
-        )
+        return Vector(self.field, [sum(r[k] * vc[k] for k in range(self.n)) for r in self.rows])
 
     def determinant(self) -> FieldElement:
         """Determinant by Gaussian elimination with nonzero-pivot search."""

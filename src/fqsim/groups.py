@@ -221,6 +221,9 @@ class _LinearMap(GroupElement):
         m = self.matrix
         return (self.tag, m.field.q, tuple(e for row in m.rows for e in row))
 
+    def to_json(self) -> dict:
+        return {"type": self.kind, "matrix": [list(r) for r in self.matrix.rows]}
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({[list(r) for r in self.matrix.rows]} mod {self.matrix.field.q})"
 
@@ -230,6 +233,7 @@ class Orthogonal(_LinearMap):
 
     __slots__ = ()
     tag = 1
+    kind = "orthogonal"
 
     def _validate(self, matrix: Matrix) -> None:
         if not matrix.is_orthogonal():
@@ -238,15 +242,13 @@ class Orthogonal(_LinearMap):
     def inverse(self) -> "Orthogonal":
         return Orthogonal.unchecked(self.matrix.transpose())
 
-    def to_json(self) -> dict:
-        return {"type": "orthogonal", "matrix": [list(r) for r in self.matrix.rows]}
-
 
 class SpecialLinear(_LinearMap):
     """Linear map of determinant 1."""
 
     __slots__ = ()
     tag = 2
+    kind = "special-linear"
 
     def _validate(self, matrix: Matrix) -> None:
         if not matrix.is_special_linear():
@@ -254,9 +256,6 @@ class SpecialLinear(_LinearMap):
 
     def inverse(self) -> "SpecialLinear":
         return SpecialLinear.unchecked(self.matrix.inverse())
-
-    def to_json(self) -> dict:
-        return {"type": "special-linear", "matrix": [list(r) for r in self.matrix.rows]}
 
 
 class FiniteGroup:

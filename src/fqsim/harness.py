@@ -23,7 +23,7 @@ import time
 import warnings
 from concurrent import futures
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import __version__
 from .configurations import (
@@ -270,22 +270,26 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:
     return list(_sweep_reports(config, jobs))
 
 
-def sweep_summary(reports: Sequence[Report]) -> dict:
-    """Pass/fail counts; a 'violation' is a failed search that met the
-    size guarantee, which the counting argument rules out."""
-    witnesses = sum(1 for r in reports if r.outcome["status"] == "witness")
-    errors = [r for r in reports if r.outcome["status"] == "error"]
-    violations = sum(
-        1
-        for r in errors
-        if r.outcome.get("error") == "InsufficientIntersection"
-        and r.config.get("meets_threshold")
-    )
+def sweep_summary(reports: Iterable[Report]) -> dict:
+    """Pass/fail counts, in one pass over the reports; a 'violation' is a
+    failed search that met the size guarantee, which the counting argument
+    rules out."""
+    cells = witnesses = errors = violations = 0
+    for r in reports:
+        cells += 1
+        status = r.outcome["status"]
+        if status == "witness":
+            witnesses += 1
+        elif status == "error":
+            errors += 1
+            if (r.outcome.get("error") == "InsufficientIntersection"
+                    and r.config.get("meets_threshold")):
+                violations += 1
     return {
         "summary": True,
-        "cells": len(reports),
+        "cells": cells,
         "witnesses": witnesses,
-        "errors": len(errors),
+        "errors": errors,
         "violations": violations,
     }
 
@@ -294,14 +298,15 @@ def write_sweep(config: SweepConfig, stream, jobs: int = 1) -> dict:
     """Stream one JSON line per cell plus a final summary line.
 
     Lines are flushed as written, so an interrupted sweep leaves a
-    valid JSON-lines prefix behind.
+    valid JSON-lines prefix behind, and no report is kept once written.
     """
-    reports: list[Report] = []
-    for report in _sweep_reports(config, jobs):
-        reports.append(report)
-        stream.write(canonical_json(report.to_json()) + "\n")
-        stream.flush()
-    summary = sweep_summary(reports)
+    def written():
+        for report in _sweep_reports(config, jobs):
+            stream.write(canonical_json(report.to_json()) + "\n")
+            stream.flush()
+            yield report
+
+    summary = sweep_summary(written())
     stream.write(canonical_json(summary) + "\n")
     stream.flush()
     return summary

@@ -23,7 +23,8 @@ table is held as one byte column per point, and the columns of E, with
 the bytes in H marked, are summed as integers, so the whole scan runs
 in C.  When E holds more than half of X the columns of X \\ E are summed
 instead and each byte v is mapped to |H| - v, since every g is a
-bijection of X.  A larger space ORs one image mask per element instead.
+bijection of X.  On a larger space, where a count may not fit a byte,
+each element's count is the number of points of E whose image lies in H.
 
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
@@ -35,8 +36,8 @@ point of E and the shifted windows, one bit per shift, are added by
 carry-save full adders into eight bit planes, so C counts all q^d
 shifts at once; otherwise a Counter counts the |E||H| difference codes.
 Unimodular maps count, for each pair, the coset of the stabiliser of e1
-that sends x to y, |E||H||S| terms in all.  `max_intersection` over the enumerated group stays the oracle
-for both.
+that sends x to y, |E||H||S| terms in all.  `max_intersection` over the
+enumerated group stays the oracle for both.
 """
 
 from __future__ import annotations
@@ -171,11 +172,11 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
     """|H ∩ gE| for every element g of the group, in canonical order.
 
     By the group's byte columns (`FiniteGroup.columns`) on a space of at
-    most 255 points, by per-element image masks on a larger one, where a
-    count may not fit a byte.  The byte columns of whichever of E and
-    X \\ E is smaller are summed: g is a bijection of X, so
-    |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  An empty E or H counts 0 for every
-    g without building the image table, which a large group pays for.
+    most 255 points, summing those of whichever of E and X \\ E is
+    smaller: g is a bijection of X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.
+    On a larger space, where a count may not fit a byte, by testing the
+    image of each point of E for membership in H.  An empty E or H counts
+    0 for every g without the image table, which a large group pays for.
     """
     if not e_indices or not h_indices:
         return bytes(group.order)
@@ -197,10 +198,8 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
         if flip:  # byte v <= |H| counts H ∩ g(X \ E), so |H ∩ gE| = |H| - v
             counts = counts.translate(bytes(range(len(h_indices), -1, -1)).ljust(256, b"\0"))
         return counts
-    h_mask = 0
-    for i in h_indices:
-        h_mask |= 1 << i
-    return [(_image_mask(perm, e_indices) & h_mask).bit_count() for perm in group.perms()]
+    h = set(h_indices)
+    return [sum(perm[i] in h for i in e_indices) for perm in group.perms()]
 
 
 def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
@@ -562,7 +561,7 @@ class BoundAudit:
 
     pairs: int
     bound_violations: int
-    double_count_mismatches: int | None
+    double_count_mismatches: int
     # Largest observed value of |E||H| - best*|X|; positive would be a violation.
     worst_gap_num: int
     space_size: int
@@ -573,15 +572,13 @@ class BoundAudit:
         return Fraction(-self.worst_gap_num, self.space_size)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "pairs": self.pairs,
             "bound_violations": self.bound_violations,
             "min_slack_num": self.min_slack.numerator,
             "min_slack_den": self.min_slack.denominator,
+            "double_count_mismatches": self.double_count_mismatches,
         }
-        if self.double_count_mismatches is not None:
-            out["double_count_mismatches"] = self.double_count_mismatches
-        return out
 
 
 def _require_transitive(group: FiniteGroup) -> None:
@@ -592,8 +589,8 @@ def _require_transitive(group: FiniteGroup) -> None:
         )
 
 
-def _audit(group: FiniteGroup, draws, double_count: bool) -> BoundAudit:
-    """Tally the bound (and optionally the double count) over subset pairs.
+def _audit(group: FiniteGroup, draws) -> BoundAudit:
+    """Tally the bound and the double count over subset pairs.
 
     `draws` yields (e_mask, h_masks): one moving set E and the fixed sets
     H to pair with it, so the |G| images of E are built once per E.
@@ -626,19 +623,19 @@ def _audit(group: FiniteGroup, draws, double_count: bool) -> BoundAudit:
                 violations += 1
             if gap > worst:
                 worst = gap
-            if double_count and tot * n != g_order * ce * ch:
+            if tot * n != g_order * ce * ch:
                 mismatches += 1
     return BoundAudit(
         pairs=pairs,
         bound_violations=violations,
-        double_count_mismatches=mismatches if double_count else None,
+        double_count_mismatches=mismatches,
         worst_gap_num=worst,
         space_size=n,
     )
 
 
-def exhaustive_pairs_audit(group: FiniteGroup, *, double_count: bool = True) -> BoundAudit:
-    """Check the bound (and optionally the double count) over ALL subset pairs.
+def exhaustive_pairs_audit(group: FiniteGroup) -> BoundAudit:
+    """Check the bound and the double count over ALL subset pairs.
 
     Walks every pair (E, H) of subsets of the space — 4^|X| pairs — so
     the space is capped at AUDIT_SPACE_LIMIT points.
@@ -650,12 +647,11 @@ def exhaustive_pairs_audit(group: FiniteGroup, *, double_count: bool = True) -> 
             f"subset-pair audit needs a space of at most {AUDIT_SPACE_LIMIT} points, got {n}"
         )
     masks = range(1 << n)
-    return _audit(group, ((e_mask, masks) for e_mask in masks), double_count)
+    return _audit(group, ((e_mask, masks) for e_mask in masks))
 
 
-def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int, *,
-                       double_count: bool = True) -> BoundAudit:
-    """Check the bound over seeded uniformly random subset pairs.
+def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int) -> BoundAudit:
+    """Check the bound and the double count over seeded random subset pairs.
 
     Each subset is drawn by independent fair bits per space point, so
     all subsets are equally likely; each pair draws E, then H.
@@ -668,4 +664,4 @@ def random_pairs_audit(group: FiniteGroup, pairs: int, seed: int, *,
         )
     rng = SplitMix64(seed)
     draws = ((rng.next_bits(n), (rng.next_bits(n),)) for _ in range(pairs))
-    return _audit(group, draws, double_count)
+    return _audit(group, draws)

@@ -1,0 +1,49 @@
+"""Helpers shared by the test modules: building and formatting point sets,
+column matrices, pair norms and the translation kernel's counts."""
+
+import itertools
+
+from fqsim import Matrix, PointSet, Vector
+from fqsim.geometry import _det_cofactor, index_to_coords
+from fqsim.intersection import _translation_counts
+
+
+def from_coords(field, dim, coords):
+    """The point set of F_q^dim whose points have these coordinates."""
+    return PointSet(field, dim, [Vector(field, c) for c in coords])
+
+
+def coords_list(points):
+    """The coordinates of a point set, in its canonical order."""
+    return [list(p.coords) for p in points]
+
+
+def format_pointset(points):
+    """The point-set file format that `parse_pointset` reads."""
+    lines = [f"q={points.field.q} d={points.dim}"]
+    lines.extend(",".join(map(str, p.coords)) for p in points)
+    return "\n".join(lines) + "\n"
+
+
+def from_columns(columns):
+    """The matrix whose j-th column is columns[j]."""
+    return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
+
+
+def det_of_columns_cofactor(columns):
+    """Cofactor determinant of the matrix whose columns are the vectors."""
+    m = from_columns(columns)
+    return m.field(_det_cofactor(m.rows, m.field.q))
+
+
+def pair_norms(points):
+    """Norms of all pairwise differences, in dictionary order on (i, j)."""
+    return [(points[i] - points[j]).norm()
+            for i, j in itertools.combinations(range(len(points)), 2)]
+
+
+def translation_count_map(moving, fixed):
+    """The translation kernel's nonzero counts, keyed by shift coordinates."""
+    counts = _translation_counts(moving, fixed)
+    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
+    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}

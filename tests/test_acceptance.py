@@ -39,8 +39,8 @@ from fqsim import (
     verify_det_similarity,
     verify_similarity,
 )
-from fqsim.geometry import index_to_coords
-from fqsim.intersection import _translation_counts
+
+from helpers import translation_count_map
 
 BASE_SEED = 0x5EED_F00D
 
@@ -48,13 +48,6 @@ TRANSLATION_CASES = [(3, 1), (5, 1), (3, 2), (5, 2)]
 MATRIX_GROUP_PRIMES = [3, 5, 7]
 RANDOM_PAIRS = 500
 EXHAUSTIVE_SPACE_LIMIT = 9
-
-
-def translation_count_map(moving, fixed):
-    """The translation kernel's nonzero counts, keyed by shift coordinates."""
-    counts = _translation_counts(moving, fixed)
-    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
-    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
 
 
 def criterion(num, label, limit=None):
@@ -99,12 +92,10 @@ def test_criterion_1_double_count_identity():
     for q, d in TRANSLATION_CASES:
         group = translations(q, d)
         if group.space.size <= EXHAUSTIVE_SPACE_LIMIT:
-            audit = exhaustive_pairs_audit(group, double_count=True)
+            audit = exhaustive_pairs_audit(group)
             assert audit.pairs == 4 ** group.space.size
         else:
-            audit = random_pairs_audit(group, RANDOM_PAIRS,
-                                       derive_seed(BASE_SEED, 1, q, d),
-                                       double_count=True)
+            audit = random_pairs_audit(group, RANDOM_PAIRS, derive_seed(BASE_SEED, 1, q, d))
         assert audit.double_count_mismatches == 0, f"q={q} d={d}"
 
 
@@ -113,11 +104,10 @@ def test_criterion_2_intersection_bound():
     for name, group in bound_actions():
         assert group.is_transitive(), name
         if group.space.size <= EXHAUSTIVE_SPACE_LIMIT:
-            audit = exhaustive_pairs_audit(group, double_count=True)
+            audit = exhaustive_pairs_audit(group)
         else:
             audit = random_pairs_audit(group, RANDOM_PAIRS,
-                                       derive_seed(BASE_SEED, 2, group.space.size),
-                                       double_count=True)
+                                       derive_seed(BASE_SEED, 2, group.space.size))
         assert audit.bound_violations == 0, name
         assert audit.double_count_mismatches == 0, name
         assert audit.min_slack >= 0, name

@@ -9,12 +9,7 @@ import pytest
 from fqsim import PointSet, Vector, make_field, random_pointset, sphere
 from fqsim.cli import main
 
-
-def format_pointset(points):
-    """The point-set file format that `parse_pointset` reads."""
-    lines = [f"q={points.field.q} d={points.dim}"]
-    lines.extend(",".join(map(str, p.coords)) for p in points)
-    return "\n".join(lines) + "\n"
+from helpers import format_pointset
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +106,17 @@ class TestVerifyBound:
         assert code == 0
         assert obj["pairs"] == 64
         assert obj["bound_violations"] == 0
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (["--group", "translations", "--q", "3", "--d", "2"], 4 ** 9),
+        (["--group", "special-linear", "--q", "2", "--d", "2"], 4 ** 3),
+        (["--group", "orthogonal", "--q", "3", "--d", "2", "--radius", "1"], 4 ** 4),
+    ])
+    def test_exhaustive_subsets_check_the_double_count(self, capsys, argv, pairs):
+        code, out = run_cli(capsys, "verify-bound", *argv, "--exhaustive-subsets")
+        assert code == 0
+        assert "\n  \"double_count_mismatches\": 0,\n" in out
+        assert first_json(out)["pairs"] == pairs
 
     def test_missing_sets_is_input_error(self, capsys):
         code, out = run_cli(capsys, "verify-bound", "--group", "translations",

@@ -26,15 +26,10 @@ from fqsim import (
 )
 from fqsim.cli import main
 
+from helpers import format_pointset
+
 EXIT_CODES = {0, 1, 2, 3, 4}
 MUTATION_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
-
-
-def format_pointset(points):
-    """The point-set file format that `parse_pointset` reads."""
-    lines = [f"q={points.field.q} d={points.dim}"]
-    lines.extend(",".join(map(str, p.coords)) for p in points)
-    return "\n".join(lines) + "\n"
 
 
 F5 = make_field(5)

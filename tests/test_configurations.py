@@ -24,7 +24,6 @@ from fqsim import (
     SimilarityWitness,
     Vector,
     ZeroDilation,
-    Matrix,
     all_vectors,
     edge_preset,
     find_det_similar,
@@ -37,32 +36,11 @@ from fqsim import (
     verify_det_similarity,
     verify_similarity,
 )
-from fqsim.geometry import _det_cofactor
+
+from helpers import det_of_columns_cofactor, from_coords, pair_norms
 
 F3 = make_field(3)
 F5 = make_field(5)
-
-
-def from_coords(field, dim, coords):
-    """The point set of F_q^dim whose points have these coordinates."""
-    return PointSet(field, dim, [Vector(field, c) for c in coords])
-
-
-def from_columns(columns):
-    """The matrix whose j-th column is columns[j]."""
-    return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
-
-
-def det_of_columns_cofactor(columns):
-    """Cofactor determinant of the matrix whose columns are the vectors."""
-    m = from_columns(columns)
-    return m.field(_det_cofactor(m.rows, m.field.q))
-
-
-def pair_norms(points):
-    """Norms of all pairwise differences, in dictionary order on (i, j)."""
-    return [(points[i] - points[j]).norm()
-            for i, j in itertools.combinations(range(len(points)), 2)]
 
 
 def full_plane(field):

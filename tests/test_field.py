@@ -45,7 +45,9 @@ class TestMakeField:
 
     def test_two_allowed_but_not_odd(self):
         f = make_field(2)
-        assert not f.odd
+        assert (f(1) + f(1)).value == 0
+        with pytest.raises(EvenFieldUnsupported):
+            f(1).sqrt()
 
     def test_too_small(self):
         with pytest.raises(ValueError):

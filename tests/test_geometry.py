@@ -20,40 +20,15 @@ from fqsim import (
 )
 from fqsim.geometry import _det_cofactor
 
+from helpers import coords_list, det_of_columns_cofactor, from_columns, from_coords, pair_norms
+
 F3 = make_field(3)
 F5 = make_field(5)
-
-
-def from_coords(field, dim, coords):
-    """The point set of F_q^dim whose points have these coordinates."""
-    return PointSet(field, dim, [Vector(field, c) for c in coords])
-
-
-def coords_list(points):
-    """The coordinates of a point set, in its canonical order."""
-    return [list(p.coords) for p in points]
-
-
-def from_columns(columns):
-    """The matrix whose j-th column is columns[j]."""
-    return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
 
 
 def det_of_columns(columns):
     """Determinant, by elimination, of the matrix whose columns are the vectors."""
     return from_columns(columns).determinant()
-
-
-def det_of_columns_cofactor(columns):
-    """Cofactor determinant of the matrix whose columns are the vectors."""
-    m = from_columns(columns)
-    return m.field(_det_cofactor(m.rows, m.field.q))
-
-
-def pair_norms(points):
-    """Norms of all pairwise differences, in dictionary order on (i, j)."""
-    return [(points[i] - points[j]).norm()
-            for i, j in itertools.combinations(range(len(points)), 2)]
 
 
 class TestNorm:

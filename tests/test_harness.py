@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -22,19 +23,9 @@ from fqsim import (
     write_sweep,
 )
 
+from helpers import coords_list, format_pointset
+
 F5 = make_field(5)
-
-
-def coords_list(points):
-    """The coordinates of a point set, in its canonical order."""
-    return [list(p.coords) for p in points]
-
-
-def format_pointset(points):
-    """The point-set file format that `parse_pointset` reads."""
-    lines = [f"q={points.field.q} d={points.dim}"]
-    lines.extend(",".join(map(str, p.coords)) for p in points)
-    return "\n".join(lines) + "\n"
 
 
 class TestSplitMix64:
@@ -133,6 +124,13 @@ class TestPointsetFormat:
         with pytest.raises(HeaderMismatch):
             parse_pointset("q=5 d=2\n1,2,3\n")
 
+    def test_header_mismatch_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_pointset("q=5 d=2\n0,0\n7,0\n")
+        assert type(exc.value) is HeaderMismatch
+        assert (exc.value.line, exc.value.reason) == (3, "coordinate 7 out of range for q=5")
+        assert str(exc.value) == "line 3: coordinate 7 out of range for q=5"
+
     def test_duplicate_warns_and_dedupes(self):
         with pytest.warns(UserWarning):
             ps = parse_pointset("q=5 d=2\n1,2\n1,2\n")
@@ -215,6 +213,31 @@ class TestSweeps:
         parsed = [json.loads(line) for line in lines]
         assert len(parsed) == summary["cells"] + 1
         assert parsed[-1]["summary"] is True
+
+    def test_write_sweep_keeps_no_report(self):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        cfg = self.small_config(qs=(3,), ks=(1,), trials=2000)  # 2,000 witness cells
+        write_sweep(self.small_config(qs=(3,), ks=(1,)), Discard())  # warm the caches
+        tracemalloc.start()
+        try:
+            cells = cfg.cells()
+            _, cells_peak = tracemalloc.get_traced_memory()
+            del cells
+            tracemalloc.reset_peak()
+            summary = write_sweep(cfg, Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary["cells"] == summary["witnesses"] == 2000
+        # The cell list plus one cell's work; keeping every report (~2 KB
+        # each) would add about 4 MB.
+        assert peak - cells_peak < 1 << 20
 
     def test_det_similarity_sweep(self):
         cfg = SweepConfig(qs=(3, 5), d=2, ks=(2,), ratios="all-squares",

@@ -36,24 +36,13 @@ from fqsim import (
     Translation,
     translations,
 )
-from fqsim.geometry import index_to_coords
 import fqsim.intersection
 from fqsim.intersection import _max_special_linear_intersection, _translation_counts
 
+from helpers import from_coords, translation_count_map
+
 F3 = make_field(3)
 F5 = make_field(5)
-
-
-def from_coords(field, dim, coords):
-    """The point set of F_q^dim whose points have these coordinates."""
-    return PointSet(field, dim, [Vector(field, c) for c in coords])
-
-
-def translation_count_map(moving, fixed):
-    """The translation kernel's nonzero counts, keyed by shift coordinates."""
-    counts = _translation_counts(moving, fixed)
-    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
-    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
 
 
 def naive_translation_counts(e_set, h_set):
@@ -608,17 +597,19 @@ def scan_cases(space, seed):
 
 
 class TestScanOracle:
-    """max_intersection, byte columns up to 255 points and image masks
-    above, against the per-element scan."""
+    """max_intersection, byte columns up to 255 points and membership
+    counts above, against the per-element scan."""
 
     @pytest.mark.parametrize("make, columns", [
         (lambda: translations(3, 5), True),  # 243 points: a count of 243 fits a byte
-        (lambda: translations(2, 8), False),  # 256 points: the mask loop
+        (lambda: translations(2, 8), False),  # 256 points: the membership count
         (lambda: translations(17, 2), False),  # 289 points: counts past one byte
         (lambda: special_linear_group(5, 2), True),
         (lambda: orthogonal_group(7, 3, radius=1), True),
         (lambda: orthogonal_group(3, 1, radius=2), False),  # x² = 2 mod 3: only empty sets
-    ], ids=["T(3,5)", "T(2,8)", "T(17,2)", "SL(2,5)", "O(3,7)-sphere", "O(1,3)-empty-sphere"])
+        (lambda: orthogonal_group(17, 2), False),  # 289 points, 32 matrices
+    ], ids=["T(3,5)", "T(2,8)", "T(17,2)", "SL(2,5)", "O(3,7)-sphere", "O(1,3)-empty-sphere",
+            "O(2,17)"])
     def test_matches_the_per_element_scan(self, make, columns):
         group = make()
         space = group.space
@@ -629,6 +620,18 @@ class TestScanOracle:
                     rep = max_intersection(group, e, h, want_histogram=want_histogram)
                 assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
         assert (group._columns is not None) == columns
+
+    def test_special_linear_above_255_points(self):
+        # SL(2,17) on its 288 points, with E kept small: the oracle applies
+        # every one of the 4,896 matrices to every point of E.
+        group = special_linear_group(17, 2)
+        space = group.space
+        e = random_subset(space, 24, 3)
+        h = random_subset(space, 200, 4)
+        for want_histogram in (False, True):
+            rep = max_intersection(group, e, h, want_histogram=want_histogram)
+            assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+        assert group._columns is None
 
     @pytest.mark.parametrize("make", [
         lambda: translations(3, 5),  # 243 points, odd
@@ -799,9 +802,3 @@ class TestAuditOracle:
         assert audit.worst_gap_num < 0
         if worst is not None:
             assert audit.worst_gap_num == worst
-
-    def test_without_double_count(self):
-        for audit in (exhaustive_pairs_audit(translations(3, 1), double_count=False),
-                      random_pairs_audit(translations(5, 2), 20, 1, double_count=False)):
-            assert audit.double_count_mismatches is None
-            assert "double_count_mismatches" not in audit.to_json()
