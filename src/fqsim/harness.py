@@ -33,8 +33,7 @@ from .configurations import (
 )
 from .errors import FqsimError, HeaderMismatch, ParseError, TooMany
 from .field import PrimeField, as_field
-from .geometry import PointSet, Vector, index_to_coords
-from .groups import Space
+from .geometry import PointSet, Vector, _check_budget, index_to_coords
 from .prng import SplitMix64, derive_seed
 
 
@@ -55,11 +54,15 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
         raise ValueError(f"sample size must be nonnegative, got {n}")
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
-    rng = SplitMix64(seed)
-    picks = rng.sample_indices(total, n)
-    return PointSet(
-        field, dim, [Vector(field, index_to_coords(i, field.q, dim)) for i in picks]
-    )
+    return _sampled(field, dim, total, n, seed)
+
+
+def _sampled(field: PrimeField, dim: int, total: int, n: int, seed: int,
+             first: int = 0) -> PointSet:
+    """n of the `total` points of F_q^d from flat index `first` on (seeded)."""
+    picks = SplitMix64(seed).sample_indices(total, n)
+    return PointSet(field, dim, [Vector(field, index_to_coords(first + i, field.q, dim))
+                                 for i in picks])
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -67,8 +70,7 @@ def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     size = len(points)
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    rng = SplitMix64(seed)
-    picks = rng.sample_indices(size, n)
+    picks = SplitMix64(seed).sample_indices(size, n)
     return PointSet(points.field, points.dim, [points.points[i] for i in picks])
 
 
@@ -232,8 +234,15 @@ def run_cell(cell: dict) -> Report:
             points = random_pointset(field, cell["d"], cell["n"], cell["seed"])
             witness = find_similar_config(points, ratio, cell["k"])
         else:
-            space = Space.punctured(field, cell["d"])
-            points = random_subset(space, cell["n"], cell["seed"])
+            # random_subset(Space.punctured(field, d), ...): point i is flat index i + 1
+            d, n = cell["d"], cell["n"]
+            if d < 1:
+                raise ValueError(f"dimension must be positive, got {d}")
+            _check_budget(field.q ** d, "punctured space (q^d)")
+            size = field.q ** d - 1
+            if n > size:
+                raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
+            points = _sampled(field, d, size, n, cell["seed"], first=1)
             witness = find_det_similar(points, ratio, cell["k"])
         outcome = {
             "status": "witness",

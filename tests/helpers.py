@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: building and formatting point sets,
-column matrices, pair norms and the translation kernel's counts."""
+column matrices, pair norms, the translation kernel's counts and the
+transporter kernel's completion."""
 
 import itertools
 
@@ -47,3 +48,20 @@ def translation_count_map(moving, fixed):
     counts = _translation_counts(moving, fixed)
     items = counts.items() if isinstance(counts, dict) else enumerate(counts)
     return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
+
+
+def completion(x, q):
+    """Rows of the h in SL(d, q), d >= 2, with h e1 = x for nonzero x that
+    the transporter kernel inverts in closed form.
+
+    The columns x, e_j (j != i) for the first i with x_i != 0 have
+    determinant (-1)^i x_i; the second column is scaled by its inverse.
+    """
+    d = len(x)
+    i = next(j for j, c in enumerate(x) if c)
+    others = [j for j in range(d) if j != i]
+    rows = [[c] + [0] * (d - 1) for c in x]
+    for col, j in enumerate(others, start=1):
+        rows[j][col] = 1
+    rows[others[0]][1] = pow((-1) ** i * x[i], q - 2, q)
+    return rows

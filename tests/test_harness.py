@@ -1,5 +1,6 @@
 """Point-set I/O, seeded sampling, and sweep execution."""
 
+import hashlib
 import io
 import json
 import tracemalloc
@@ -14,10 +15,12 @@ from fqsim import (
     SweepConfig,
     TooMany,
     derive_seed,
+    find_det_similar,
     make_field,
     parse_pointset,
     random_pointset,
     random_subset,
+    run_cell,
     run_sweep,
     sweep_summary,
     write_sweep,
@@ -245,6 +248,39 @@ class TestSweeps:
                           kind="det-similarity")
         reports = run_sweep(cfg)
         assert sweep_summary(reports)["witnesses"] == len(reports)
+
+    @pytest.mark.parametrize("grid, cells, digest", [
+        (dict(qs=(3, 5, 7, 11), d=2, ks=(2, 3), trials=2), 44,
+         "1eb3c9ec0acd4e8ef87375ee75fccef95e8691ca4192780563804c7f6fe2286c"),
+        (dict(qs=(3,), d=3, ks=(3, 4), trials=2), 4,
+         "0f1c843d1853bc923e4fe8efabe56a0cdb33862b015ab0891b05802a6e6509e3"),
+        (dict(qs=(3, 5), d=2, ks=(2,), size=30), 3,  # more points than the space
+         "bba37ef95f2a4012eff16bea0eb6c89557fe68ec7327be1ce45485266a5c98d0"),
+        (dict(qs=(101,), d=5, ks=(5,), ratios=(1,), size=10 ** 12), 1,  # budget first
+         "2d5d8c70c8ea396c2ef87dedf8314480fb1be3fc70a9faed818703e3c7c744b8"),
+        (dict(qs=(2,), d=2, ks=(2, 3)), 2,
+         "88f2f996300bceb37bedd620e8812701f84d0444aebbb4988d9c8e1dafbadbd2"),
+        (dict(qs=(2,), d=2, ks=(2, 3), size=3), 2,
+         "023560a542207ee023fb3eea3ab345e0e8a2b6a57308718d3a50bbadbca6c13f"),
+        (dict(qs=(5, 7), d=2, ks=(2,), ratios=(0,)), 2,
+         "0666b37a6be4dc90df75f8b6fbe6caec5ac509ce8016d8f2a1081a7d208634c3"),
+    ])
+    def test_det_similarity_payloads_are_golden(self, grid, cells, digest):
+        """sha256 over the outcome bytes of det-similarity sweeps, one line
+        per cell, as recorded before the flat-index transporter kernel and
+        the space-free det sampling: witnesses at d = 2 and 3, and the
+        oversize, matrix-budget, q = 2 and r = 0 errors."""
+        reports = run_sweep(SweepConfig(kind="det-similarity", base_seed=1, **grid))
+        assert len(reports) == cells
+        lines = b"".join(r.outcome_bytes() + b"\n" for r in reports)
+        assert hashlib.sha256(lines).hexdigest() == digest
+
+    def test_det_cells_sample_the_punctured_space(self):
+        cell = SweepConfig(qs=(7,), d=2, ks=(2,), kind="det-similarity").cells()[0]
+        space = Space.punctured(7, 2)
+        expected = find_det_similar(random_subset(space, cell["n"], cell["seed"]),
+                                    make_field(7)(cell["r"]), cell["k"])
+        assert run_cell(cell).outcome["witness"] == expected.to_json()
 
     def test_report_shape(self):
         reports = run_sweep(self.small_config(trials=1))

@@ -1,5 +1,7 @@
 """Intersection maximization, double counting, and the fast translation kernel."""
 
+import functools
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -37,9 +39,14 @@ from fqsim import (
     translations,
 )
 import fqsim.intersection
-from fqsim.intersection import _max_special_linear_intersection, _translation_counts
+from fqsim.geometry import _det_rows, _inverse_rows
+from fqsim.intersection import (
+    _inverse_completion,
+    _max_special_linear_intersection,
+    _translation_counts,
+)
 
-from helpers import from_coords, translation_count_map
+from helpers import completion, from_coords, translation_count_map
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -482,6 +489,12 @@ def sl_cases(q, d):
     return cases
 
 
+@functools.lru_cache(maxsize=None)
+def sl_group(q, d):
+    """SL(d, q), enumerated once per module."""
+    return special_linear_group(q, d)
+
+
 class TestTransporterKernel:
     """The finders' unimodular scan against max_intersection over SL(d, q)."""
 
@@ -545,6 +558,59 @@ class TestTransporterKernel:
             rep = _max_special_linear_intersection(PointSet(F5, 2), e)
         assert rep.best_count == 0
         assert any("vacuous" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)])
+    def test_closed_form_inverse_of_the_completion(self, q, d):
+        for x in itertools.product(range(q), repeat=d):
+            if not any(x):
+                continue
+            h = completion(x, q)
+            assert [row[0] for row in h] == list(x) and _det_rows(h, q) == 1
+            i, rows = _inverse_completion(x, q)
+            assert i == next(j for j, c in enumerate(x) if c)
+            assert rows == _inverse_rows(h, q), x
+
+    @pytest.mark.parametrize("q, d", [(3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+    def test_edge_shapes_match_the_enumerated_group(self, q, d):
+        """Pivots on the last coordinate only, the whole punctured space,
+        a single moving point and disjoint sets."""
+        group = sl_group(q, d)
+        space = Space.punctured(q, d)
+        field = space.field
+        last = [p for p in space if not any(p.coords[:-1])]  # pivot on the last coordinate
+        rest = PointSet(field, d, [p for p in space if any(p.coords[:-1])])
+        half = random_subset(rest, len(rest) // 2, q + d)
+        other = PointSet(field, d, [p for p in rest if p not in half])
+        cases = [
+            (PointSet(field, d, last), PointSet(field, d, last)),
+            (PointSet(field, d, last), half),
+            (half, PointSet(field, d, last[-1:])),
+            (space, space),
+            (PointSet(field, d, space.points[-1:]), space),
+            (PointSet(field, d, last[:1]), half),
+            (half, other),
+            (PointSet(field, d, last), other),
+        ]
+        for e, h in cases:
+            assert_same_report(_max_special_linear_intersection(e, h, want_histogram=True),
+                               max_intersection(group, e, h, want_histogram=True))
+
+    @given(st.sampled_from([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_enumerated_group_property(self, shape, data):
+        """d = 3 stops at q = 3: SL(3, 5) has 372,000 elements to enumerate
+        (`test_exact_where_the_group_is_too_big_to_enumerate` covers it)."""
+        q, d = shape
+        space = Space.punctured(q, d)
+        n = len(space)
+        e = random_subset(space, data.draw(st.integers(0, n), label="|E|"),
+                          data.draw(st.integers(0, 2 ** 32), label="seed E"))
+        h = random_subset(space, data.draw(st.integers(0, n), label="|H|"),
+                          data.draw(st.integers(0, 2 ** 32), label="seed H"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty sets
+            assert_same_report(_max_special_linear_intersection(e, h, want_histogram=True),
+                               max_intersection(sl_group(q, d), e, h, want_histogram=True))
 
     def test_refuses_the_matrix_budget_before_counting(self, monkeypatch):
         import fqsim.intersection
