@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ScanCapExceeded,
     SpaceMismatch,
+    SpaceTooLarge,
     TooLarge,
     TooMany,
     VerificationFailed,

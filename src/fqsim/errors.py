@@ -132,3 +132,8 @@ class HeaderMismatch(ParseError):
 
 class TooMany(FqsimError):
     """More sample points requested than the space contains."""
+
+
+class SpaceTooLarge(FqsimError):
+    """Sampling asked of a space of more than 2^64 points, past what one
+    64-bit draw covers."""

@@ -155,6 +155,17 @@ class PointSet:
         self._index = {c: i for i, c in enumerate(sorted(seen))}
         self.points = tuple(seen[c] for c in self._index)
 
+    @classmethod
+    def _canonical(cls, field: PrimeField, dim: int, points: Iterable[Vector]) -> "PointSet":
+        """The set of `points`: distinct vectors of F_q^dim, already in
+        canonical order, so nothing is checked or sorted again."""
+        self = object.__new__(cls)
+        self.field = field
+        self.dim = dim
+        self.points = tuple(points)
+        self._index = {p.coords: i for i, p in enumerate(self.points)}
+        return self
+
     def __len__(self) -> int:
         return len(self.points)
 

@@ -31,9 +31,9 @@ from .configurations import (
     find_similar_config,
     similarity_threshold,
 )
-from .errors import FqsimError, HeaderMismatch, ParseError, TooMany
+from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import PointSet, Vector, _check_budget, index_to_coords
+from .geometry import PointSet, Vector, _check_budget
 from .prng import SplitMix64, derive_seed
 
 
@@ -43,12 +43,16 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     """n distinct points of F_q^d, uniform without replacement, seeded.
 
     Indices into the lexicographic enumeration of the space are chosen
-    by a SplitMix64-driven partial shuffle, then decoded to coordinates;
-    memory stays O(n) regardless of q^d.
+    by a SplitMix64-driven partial shuffle (`SplitMix64.sample_indices`),
+    sorted, and decoded to coordinates, which are then already in the
+    set's canonical order; memory stays O(n) regardless of q^d.  A space
+    of more than 2^64 points, past what one 64-bit draw covers, is
+    refused (`SpaceTooLarge`) before any draw.
     """
     field = as_field(q_or_field)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
+    _check_sample_space(field.q, dim)
     total = field.q ** dim
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
@@ -57,21 +61,37 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     return _sampled(field, dim, total, n, seed)
 
 
+def _check_sample_space(q: int, dim: int) -> None:
+    # dim > 64 is refused without computing q^dim, which may not fit in memory
+    if dim > 64 or q ** dim > 1 << 64:
+        raise SpaceTooLarge(f"cannot sample from F_{q}^{dim}: more than 2^64 points")
+
+
 def _sampled(field: PrimeField, dim: int, total: int, n: int, seed: int,
              first: int = 0) -> PointSet:
-    """n of the `total` points of F_q^d from flat index `first` on (seeded)."""
-    picks = SplitMix64(seed).sample_indices(total, n)
-    return PointSet(field, dim, [Vector(field, index_to_coords(first + i, field.q, dim))
-                                 for i in picks])
+    """n of the `total` points of F_q^d from flat index `first` on (seeded).
+
+    Flat-index order is lexicographic, so the sorted picks decode to the
+    set's canonical order.  They are decoded one base-q digit at a time,
+    last coordinate first, for all picks at once.
+    """
+    rest = sorted(first + i for i in SplitMix64(seed).sample_indices(total, n))
+    q = field.q
+    digits = []
+    for _ in range(dim):
+        digits.append([i % q for i in rest])
+        rest = [i // q for i in rest]
+    return PointSet._canonical(field, dim, [Vector(field, c) for c in zip(*reversed(digits))])
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
-    """n distinct points drawn from a point set, such as a group's space (seeded)."""
+    """n distinct points drawn from a point set, such as a group's space
+    (seeded); the sorted picks keep its canonical order."""
     size = len(points)
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    picks = SplitMix64(seed).sample_indices(size, n)
-    return PointSet(points.field, points.dim, [points.points[i] for i in picks])
+    picks = sorted(SplitMix64(seed).sample_indices(size, n))
+    return PointSet._canonical(points.field, points.dim, [points.points[i] for i in picks])
 
 
 def parse_pointset(text_or_lines) -> PointSet:
@@ -201,6 +221,8 @@ class SweepConfig:
         out = []
         for q in self.qs:
             field = as_field(q)  # validates primality up front
+            if self.kind == "similarity":
+                _check_sample_space(q, self.d)  # refused before any cell runs
             if self.ratios == "all-squares":
                 ratios = sorted({v * v % q for v in range(1, q)})
             else:

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: building and formatting point sets,
-column matrices, pair norms, the translation kernel's counts and the
-transporter kernel's completion."""
+column matrices, pair norms, the translation kernel's counts, the
+transporter kernel's completion and the sequential sampler."""
 
 import itertools
 
@@ -65,3 +65,16 @@ def completion(x, q):
         rows[j][col] = 1
     rows[others[0]][1] = pow((-1) ** i * x[i], q - 2, q)
     return rows
+
+
+def sample_indices_sequential(rng, total, count):
+    """The sparse partial Fisher-Yates that `SplitMix64.sample_indices`
+    runs on bulk draws, with one `next_below` call per pick instead: the
+    oracle for its picks and for the state it leaves behind."""
+    displaced = {}
+    picked = []
+    for i in range(count):
+        j = i + rng.next_below(total - i)
+        picked.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)
+    return picked

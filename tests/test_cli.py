@@ -489,6 +489,15 @@ class TestInputErrors:
         assert info.value.code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["find-similar", "--q", "65537", "--d", "4", "--r", "1", "--k", "1", "--random", "5"],
+        ["sweep", "--qs", "65537", "--d", "4", "--ks", "1", "--r", "1", "--size", "5"],
+    ])
+    def test_sampling_past_two_to_the_64_points_is_input_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert first_json(out)["error"] == "SpaceTooLarge"
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

@@ -6,11 +6,14 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fqsim import (
     HeaderMismatch,
     ParseError,
+    PointSet,
     Space,
+    SpaceTooLarge,
     SplitMix64,
     SweepConfig,
     TooMany,
@@ -26,9 +29,22 @@ from fqsim import (
     write_sweep,
 )
 
-from helpers import coords_list, format_pointset
+from helpers import coords_list, format_pointset, sample_indices_sequential
 
 F5 = make_field(5)
+
+# Range sizes for the sampler: point counts of spaces the package samples,
+# 3^40 and 2^63 + 1 (where about a third and a half of all draws fall in
+# the rejected top band), and the largest ranges a 64-bit draw covers.
+SAMPLE_TOTALS = [1, 2, 25, 120, 121, 169, 10201, 3 ** 40, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64]
+
+
+def coords_digest(sets):
+    """sha256 over the coordinate tuples of point sets, one line per set."""
+    h = hashlib.sha256()
+    for points in sets:
+        h.update(repr([p.coords for p in points]).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestSplitMix64:
@@ -69,6 +85,36 @@ class TestSplitMix64:
         rng = SplitMix64(5)
         assert sorted(rng.sample_indices(6, 6)) == [0, 1, 2, 3, 4, 5]
 
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.sampled_from(SAMPLE_TOTALS) | st.integers(1, 2 ** 64),
+           st.integers(0, 500))
+    @example(seed=1, total=2 ** 63 + 1, count=500)
+    @example(seed=2 ** 64 - 1, total=2 ** 64, count=0)
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_sampling_matches_the_sequential_oracle(self, seed, total, count):
+        count = min(count, total)
+        bulk, sequential = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.sample_indices(total, count) == sample_indices_sequential(
+            sequential, total, count)
+        assert bulk.state == sequential.state
+
+    def test_bulk_draws_match_next_u64(self):
+        for seed in (0, 7, 2 ** 64 - 1):
+            for count in (1, 2, 3, 64, 65):
+                bulk, one = SplitMix64(seed), SplitMix64(seed)
+                assert list(bulk._draws(count)) == [one.next_u64() for _ in range(count)]
+                assert bulk.state == one.state
+
+    def test_bounds_past_two_to_the_64_are_refused(self):
+        rng = SplitMix64(3)
+        assert SplitMix64(3).next_below(2 ** 64) == rng.next_u64()
+        with pytest.raises(ValueError, match="up to 2"):
+            rng.next_below(2 ** 64 + 1)
+        state = rng.state
+        with pytest.raises(ValueError, match="more than 2"):
+            rng.sample_indices(2 ** 64 + 1, 1)
+        assert rng.state == state
+
     def test_derive_seed_sensitivity(self):
         assert derive_seed(1, 3, 2, 1) != derive_seed(1, 3, 2, 2)
         assert derive_seed(1, 3, 2, 1) == derive_seed(1, 3, 2, 1)
@@ -101,6 +147,49 @@ class TestRandomPointset:
     def test_dimension_checked_before_size(self, dim, n):
         with pytest.raises(ValueError, match="dimension must be positive"):
             random_pointset(5, dim, n, seed=1)
+
+    def test_space_of_two_to_the_64_points_is_sampled(self):
+        points = random_pointset(2, 64, 5, seed=1)
+        assert len(points) == 5 and points.dim == 64
+
+    @pytest.mark.parametrize("q, dim", [(2, 65), (65537, 4), (3, 10 ** 9)])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_larger_space_is_refused(self, q, dim, n):
+        """Before any draw, and at d = 10^9 without computing q^d."""
+        with pytest.raises(SpaceTooLarge, match="more than 2\\^64 points"):
+            random_pointset(q, dim, n, seed=1)
+
+    # sha256 of the coordinates of seeded samples, recorded before the
+    # draws came in bulk and the samples skipped re-sorting.
+    @pytest.mark.parametrize("grid, digest", [
+        ([(q, d, n, seed)
+          for q, d in [(2, 1), (2, 6), (3, 2), (5, 2), (7, 3), (11, 2), (101, 2), (13, 4)]
+          for n in (0, 1, 5, 40) for seed in (1, 2, 2 ** 64 - 1) if n <= q ** d],
+         "48100c4620d57de53431b22d74adcd05e7df63eb78ec91c4ac7f14ba175790a4"),
+        ([(2, 64, 30, 1), (2, 63, 30, 2), (3, 40, 60, 3), (65521, 4, 40, 4),
+          (2147483647, 2, 25, 5), (101, 2, 10201, 6)],
+         "6d13b5cdacca476c38b93b9476e5372e4019fc24883d9c280e906290f07f2c67"),
+    ])
+    def test_random_pointsets_are_golden(self, grid, digest):
+        assert coords_digest(random_pointset(*args) for args in grid) == digest
+
+    def test_random_subsets_are_golden(self):
+        spaces = [Space.punctured(5, 2), Space.full(7, 2), Space.sphere(13, 2, 1),
+                  Space.sphere(7, 3, 3), Space.punctured(3, 3)]
+        subsets = [random_subset(space, n, seed) for space in spaces
+                   for n in (0, 1, 7, len(space) // 2, len(space)) for seed in (1, 5, 2 ** 63)]
+        assert coords_digest(subsets) == (
+            "b347dc17676da93f3f1e73c3414c9b06371ea004c428564d2d0f01dfba17c390")
+
+    def test_samples_are_in_canonical_order(self):
+        samples = [random_pointset(7, 3, 40, seed=3), random_pointset(2, 64, 9, seed=4),
+                   random_subset(Space.sphere(13, 2, 1), 7, seed=5),
+                   random_subset(Space.punctured(5, 2), 12, seed=6)]
+        for points in samples:
+            coords = [p.coords for p in points]
+            assert coords == sorted(set(coords))
+            assert [points.index(p) for p in points] == list(range(len(points)))
+            assert points == PointSet(points.field, points.dim, reversed(points.points))
 
     def test_random_subset_of_space(self):
         space = Space.punctured(5, 2)
@@ -264,16 +353,29 @@ class TestSweeps:
          "023560a542207ee023fb3eea3ab345e0e8a2b6a57308718d3a50bbadbca6c13f"),
         (dict(qs=(5, 7), d=2, ks=(2,), ratios=(0,)), 2,
          "0666b37a6be4dc90df75f8b6fbe6caec5ac509ce8016d8f2a1081a7d208634c3"),
+        (dict(kind="similarity", qs=(3, 5, 7, 11), d=2, ks=(1, 2, 3), trials=2), 66,
+         "a9b36a39cd6d1bfba143a2efb39e9e72743687b2b8932ab8b402d82fdda2fda9"),
     ])
     def test_det_similarity_payloads_are_golden(self, grid, cells, digest):
-        """sha256 over the outcome bytes of det-similarity sweeps, one line
-        per cell, as recorded before the flat-index transporter kernel and
-        the space-free det sampling: witnesses at d = 2 and 3, and the
-        oversize, matrix-budget, q = 2 and r = 0 errors."""
-        reports = run_sweep(SweepConfig(kind="det-similarity", base_seed=1, **grid))
+        """sha256 over the outcome bytes of sweeps, one line per cell.  The
+        det-similarity rows were recorded before the flat-index transporter
+        kernel and the space-free det sampling: witnesses at d = 2 and 3,
+        and the oversize, matrix-budget, q = 2 and r = 0 errors.  The last
+        row, of similarity witnesses, was recorded before the bulk draws."""
+        reports = run_sweep(SweepConfig(**{"kind": "det-similarity", "base_seed": 1, **grid}))
         assert len(reports) == cells
         lines = b"".join(r.outcome_bytes() + b"\n" for r in reports)
         assert hashlib.sha256(lines).hexdigest() == digest
+
+    def test_space_past_two_to_the_64_points(self):
+        """A similarity sweep that would sample it is refused before any
+        cell runs; a cell built by hand records the refusal as its outcome."""
+        for qs, d in [((65537,), 4), ((3,), 10 ** 9)]:
+            with pytest.raises(SpaceTooLarge):
+                SweepConfig(qs=qs, d=d, ks=(1,), ratios=(1,), size=5).cells()
+        cell = SweepConfig(qs=(65521,), d=4, ks=(1,), ratios=(1,), size=5).cells()[0]
+        outcome = run_cell(dict(cell, q=65537)).outcome
+        assert outcome["status"] == "error" and outcome["error"] == "SpaceTooLarge"
 
     def test_det_cells_sample_the_punctured_space(self):
         cell = SweepConfig(qs=(7,), d=2, ks=(2,), kind="det-similarity").cells()[0]
