@@ -19,6 +19,7 @@ file, go to stderr as one `warning: <message>` line each.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,9 +64,7 @@ def _emit(obj) -> None:
 
 
 def _emit_error(exc: Exception, **extra) -> None:
-    out = {"error": type(exc).__name__, "message": str(exc)}
-    out.update(extra)
-    _emit(out)
+    _emit({"error": type(exc).__name__, "message": str(exc), **extra})
 
 
 def _build_group(kind: str, q: int, d: int, radius):
@@ -225,7 +224,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", type=int, required=True)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged.  Tests that patch what it binds call `cache_clear()`."""
     parser = _Parser(
         prog="fqsim",
         description="Exact group-action intersection bounds and similar "
@@ -237,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-group", help="enumerate a group and describe its action")
     p.add_argument("--kind", required=True,
                    choices=["translations", "orthogonal", "special-linear"])
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _required_ints(p, "q", "d")
     p.add_argument("--radius", type=int, default=None,
                    help="act on this sphere instead of the full space (orthogonal only)")
     p.add_argument("--dump", action="store_true", help="include the element list")
@@ -247,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bound", help="maximize |H ∩ gE| and check the exact bound")
     p.add_argument("--group", required=True,
                    choices=["translations", "orthogonal", "special-linear"])
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _required_ints(p, "q", "d")
     p.add_argument("--radius", type=int, default=None,
                    help="act on this sphere instead of the full space (orthogonal only)")
     p.add_argument("--set-e", dest="set_e")
@@ -259,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("find-similar", help="find tuples similar under a square ratio")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _required_ints(p, "q", "d", "r", "k")
     p.add_argument("--edges", default="simplex",
                    help="simplex|cycle|path|star|pairs:FILE")
     p.add_argument("--set", help="point-set file")
@@ -272,10 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-det-similar",
                        help="find tuples with proportional subset determinants")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _required_ints(p, "q", "d", "r", "k")
     p.add_argument("--set", help="point-set file")
     p.add_argument("--random", type=int,
                    help="sample this many random points of all of F_q^d instead; the "
@@ -287,10 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sphere-experiment",
                        help="orthogonal-action intersection bound on a sphere")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _required_ints(p, "q", "d", "radius", "k")
     p.add_argument("--set-e", dest="set_e")
     p.add_argument("--set-h", dest="set_h")
     p.set_defaults(func=cmd_sphere_experiment)
@@ -341,10 +337,7 @@ def main(argv=None) -> int:
         except VerificationFailed as exc:
             _emit_error(exc, reasons=list(exc.reasons))
             return 2
-        except FqsimError as exc:
-            _emit_error(exc)
-            return 3
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (FqsimError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
             _emit_error(exc)
             return 3
 

@@ -12,11 +12,13 @@ The determinant variant replaces translations by unimodular matrices
 and the norm relation by det(x-subset) = r·det(y-subset) over every
 d-subset of indices.  Its scan counts, for each pair of points, the
 unimodular maps sending one to the other, so it builds no group; the
-q^(d^2) matrix budget still applies.
+q^(d^2) matrix budget still applies.  Both finders search on coordinate
+tuples and build vectors only for the 3(k+1) witness points.
 
 Every finder re-derives the claimed relations from raw coordinates with
-an independent verifier before returning, and the verifiers are public
-so serialized witnesses can be re-checked by third parties.
+an independent verifier, on integer tuples, before returning, and the
+verifiers are public so serialized witnesses can be re-checked by third
+parties.
 """
 
 from __future__ import annotations
@@ -361,36 +363,37 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
         reasons.append("shift does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
 
-    if w.root * w.root != w.ratio:
+    q, r, s, a = w.ratio.field.q, w.ratio.value, w.root.value, w.shift.coords
+    xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
+    if s * s % q != r:
         reasons.append("stored root does not square to the ratio")
-    for i in range(n):
-        if w.root * w.xs[i] != w.zs[i]:
-            reasons.append(f"z[{i + 1}] is not root*x[{i + 1}]")
-        if w.ys[i] + w.shift != w.zs[i]:
-            reasons.append(f"z[{i + 1}] is not y[{i + 1}] + shift")
-    if len({v.coords for v in w.xs}) != n:
-        reasons.append("distinctness: repeated x point")
-    if len({v.coords for v in w.ys}) != n:
-        reasons.append("distinctness: repeated y point")
+    for i, (x, y, z) in enumerate(zip(xs, ys, zs), start=1):
+        if tuple([s * c % q for c in x]) != z:
+            reasons.append(f"z[{i}] is not root*x[{i}]")
+        if tuple([(c + b) % q for c, b in zip(y, a)]) != z:
+            reasons.append(f"z[{i}] is not y[{i}] + shift")
+    reasons += [f"distinctness: repeated {name} point"
+                for name, vs in (("x", xs), ("y", ys)) if len(set(vs)) != n]
     for i, j in w.edges:
-        lhs = (w.ys[i - 1] - w.ys[j - 1]).norm()
-        rhs = w.ratio * (w.xs[i - 1] - w.xs[j - 1]).norm()
+        lhs = sum((b - c) ** 2 for b, c in zip(ys[i - 1], ys[j - 1])) % q
+        rhs = r * sum((b - c) ** 2 for b, c in zip(xs[i - 1], xs[j - 1])) % q
         if lhs != rhs:
             reasons.append(f"norm relation violated at edge ({i}, {j})")
     return Verification(not reasons, tuple(reasons))
 
 
 def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
-                     not_power, root_of, scan, build, verify):
+                     not_power, root_of, scan, pull_back, build, verify):
     """The group-action argument behind both finders.
 
     For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
     points of E: z/root and g⁻¹z.  `root_of(ratio)` takes the root,
-    `scan(H)` maximizes the overlap over G, `build(root, report, zs,
-    shrunk, pulled)` arranges the first k+1 such z of H (canonical
-    order), their z/root and their g⁻¹z into a witness, and `verify`
-    re-checks it.  A ratio that is no m-th power raises `not_power`.
+    `scan(H)` maximizes the overlap over G, `pull_back(g)` maps a
+    coordinate tuple z to g⁻¹z, `build(root, report, zs, shrunk,
+    pulled)` arranges the first k+1 such z of H (canonical order), their
+    z/root and their g⁻¹z into a witness, and `verify` re-checks it.
+    A ratio that is no m-th power raises `not_power`.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -405,19 +408,20 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 
-    g_inv = report.best_g.inverse()
+    pull = pull_back(report.best_g)
+    held = points._index
     zs, pulled = [], []
-    for z in scaled:  # canonical order, so the extraction is deterministic
-        x = g_inv.apply(z)
-        if x in points:
+    for z in scaled._index:  # canonical order, so the extraction is deterministic
+        x = pull(z)
+        if x in held:
             zs.append(z)
             pulled.append(x)
             if len(zs) == k + 1:
                 break
-    inv_root = root.inverse()
-    shrunk = tuple(inv_root * z for z in zs)
-
-    witness = build(root, report, tuple(zs), shrunk, tuple(pulled))
+    field, inv_root = points.field, root.inverse().value
+    witness = build(root, report, tuple(Vector(field, z) for z in zs),
+                    tuple(Vector(field, [inv_root * c for c in z]) for z in zs),
+                    tuple(Vector(field, x) for x in pulled))
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)
@@ -442,10 +446,12 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
         edges = EdgeSet.all_pairs(k)
     elif edges.k != k:
         raise ValueError(f"edge set is for k = {edges.k}, search is for k = {k}")
+    q = points.field.q
     # sqrt, unlike mth_root(2), scans no field, so it serves any q
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, FieldElement.sqrt,
         scan=lambda scaled: max_translation_intersection_fast(points, scaled),
+        pull_back=lambda g: lambda z, a=g.vector.coords: tuple([(c - b) % q for c, b in zip(z, a)]),
         build=lambda root, report, zs, shrunk, pulled: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=pulled, zs=zs, edges=edges, report=report),
@@ -498,7 +504,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if matrix.field.q != w.ratio.field.q or matrix.n != d:
         reasons.append("transform does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
-    _check_budget(math.perm(n, d), "det-witness re-check (n!/(n-d)! cofactor terms)")
+    _check_budget(math.perm(n, d), 1, "det-witness re-check (n!/(n-d)! cofactor terms)")
 
     q = w.ratio.field.q
     if w.root ** d != w.ratio:
@@ -507,18 +513,17 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
         reasons.append("root is zero")
     if _det_cofactor(matrix.rows, q) != 1:
         reasons.append("transform determinant is not 1")
-    for i in range(n):
-        if w.transform.apply(w.xs[i]) != w.zs[i]:
-            reasons.append(f"z[{i + 1}] is not transform(x[{i + 1}])")
-        if w.root * w.ys[i] != w.zs[i]:
-            reasons.append(f"z[{i + 1}] is not root*y[{i + 1}]")
-    if len({v.coords for v in w.xs}) != n:
-        reasons.append("distinctness: repeated x point")
-    if len({v.coords for v in w.ys}) != n:
-        reasons.append("distinctness: repeated y point")
+    r, s = w.ratio.value, w.root.value
+    xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
+    for i, (x, y, z) in enumerate(zip(xs, ys, zs), start=1):
+        if tuple([sum(map(mul, row, x)) % q for row in matrix.rows]) != z:
+            reasons.append(f"z[{i}] is not transform(x[{i}])")
+        if tuple([s * c % q for c in y]) != z:
+            reasons.append(f"z[{i}] is not root*y[{i}]")
+    reasons += [f"distinctness: repeated {name} point"
+                for name, vs in (("x", xs), ("y", ys)) if len(set(vs)) != n]
 
-    r = w.ratio.value
-    dets = [_subset_dets([v.coords for v in vs], d, q) for vs in (w.xs, w.ys, w.zs)]
+    dets = [_subset_dets(vs, d, q) for vs in (xs, ys, zs)]
     for combo, dx, dy, dz in zip(itertools.combinations(range(n), d), *dets):
         label = tuple(i + 1 for i in combo)
         if dx != r * dy % q:
@@ -542,13 +547,16 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
-    if Vector(points.field, [0] * d) in points:
+    if (0,) * d in points._index:
         raise OriginInSet("the set must avoid the origin for the unimodular action")
+    q = points.field.q
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
         scan=lambda scaled: _max_special_linear_intersection(points, scaled),
+        pull_back=lambda g: lambda z, rows=g.inverse().matrix.rows: tuple(
+            [sum(map(mul, r, z)) % q for r in rows]),
         build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
             xs=pulled, ys=shrunk, zs=zs, report=report),

@@ -6,9 +6,9 @@ a metric, but it shares the two properties that drive every construction
 in this package: invariance under orthogonal matrices and homogeneity of
 degree 2 under scalar dilation.
 
-Vectors carry a total lexicographic order on canonical representatives,
-giving point sets a canonical form and every search a deterministic
-tie-break.
+Point sets hold canonical coordinate tuples in lexicographic order, the
+canonical form behind digests and tie-breaks; their vectors are built
+only when a set is iterated.
 """
 
 from __future__ import annotations
@@ -24,12 +24,17 @@ from .field import FieldElement, PrimeField, as_field
 ENUMERATION_CAP = 10 ** 8
 
 
-def _check_budget(count: int, what: str) -> None:
-    """Refuse, before anything is allocated, an enumeration of `count` candidates."""
-    if count > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"{what} needs at most {ENUMERATION_CAP} candidates, got {count}"
-        )
+def _check_budget(base: int, e: int, what: str) -> None:
+    """Refuse, before anything is allocated, an enumeration of base^e
+    candidates; with base >= 2, an e with 2^e > ENUMERATION_CAP is refused
+    before any power decides it.  The refusal spells the count out up to
+    4,300 digits, all that str() writes, and reads base^e beyond, where
+    base^e >= 2^(e·(bits(base) - 1)) >= 2^14,285 spares computing it."""
+    if e < ENUMERATION_CAP.bit_length() and base ** e <= ENUMERATION_CAP:
+        return
+    count = base ** e if e * (base.bit_length() - 1) < 14_285 else None
+    shown = count if count is not None and count < 10 ** 4300 else f"{base}^{e}"
+    raise EnumerationCapExceeded(f"{what} needs at most {ENUMERATION_CAP} candidates, got {shown}")
 
 
 @functools.total_ordering
@@ -132,10 +137,11 @@ class PointSet:
 
     The canonical ordering makes point sets hashable inputs for digests,
     diffable in reports, and deterministic to iterate; `index` gives a
-    point's position in it.
+    point's position in it.  Points are held as coordinate tuples; their
+    `Vector`s are built when the set is first iterated, if none were given.
     """
 
-    __slots__ = ("field", "dim", "points", "_index")
+    __slots__ = ("field", "dim", "_points", "_index")
 
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
         if dim < 1:
@@ -153,21 +159,28 @@ class PointSet:
         self.field = field
         self.dim = dim
         self._index = {c: i for i, c in enumerate(sorted(seen))}
-        self.points = tuple(seen[c] for c in self._index)
+        self._points = tuple(seen[c] for c in self._index)
 
     @classmethod
-    def _canonical(cls, field: PrimeField, dim: int, points: Iterable[Vector]) -> "PointSet":
-        """The set of `points`: distinct vectors of F_q^dim, already in
-        canonical order, so nothing is checked or sorted again."""
+    def _canonical(cls, field: PrimeField, dim: int, coords: Iterable[tuple]) -> "PointSet":
+        """The set of points with these coordinates: distinct canonical tuples
+        of length dim, already sorted, so nothing is checked or sorted again."""
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
-        self.points = tuple(points)
-        self._index = {p.coords: i for i, p in enumerate(self.points)}
+        self._index = dict(zip(coords, itertools.count()))
+        self._points = None
         return self
 
+    @property
+    def points(self) -> tuple[Vector, ...]:
+        """The points as vectors, in canonical order, built on first use."""
+        if self._points is None:
+            self._points = tuple([Vector(self.field, c) for c in self._index])
+        return self._points
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._index)
 
     def __iter__(self):
         return iter(self.points)
@@ -201,20 +214,19 @@ class PointSet:
         """Image of the set under coordinatewise scalar dilation.
 
         The scalar is checked as `Vector.__rmul__` checks it, once, and
-        only when there is a point to scale.
+        only when there is a point to scale.  A nonzero scalar permutes F_q^d,
+        so the images need one sort; zero sends every point to the origin.
         """
-        field = self.field
-        if not self.points:
-            return PointSet(field, self.dim)
+        field, dim = self.field, self.dim
+        if not self._index:
+            return PointSet(field, dim)
         s = _scale_value(scalar, field)
-        return PointSet(field, self.dim, [Vector(field, [s * c for c in p.coords])
-                                          for p in self.points])
-
-    def translated(self, shift: Vector) -> "PointSet":
-        return PointSet(self.field, self.dim, [p + shift for p in self.points])
+        q = field.q
+        columns = [[s * c % q for c in column] for column in zip(*self._index)]
+        return PointSet._canonical(field, dim, sorted(zip(*columns)) if s else [(0,) * dim])
 
     def __repr__(self) -> str:
-        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self.points)})"
+        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self._index)})"
 
 
 class Matrix:
@@ -361,11 +373,8 @@ def sphere(q_or_field, dim: int, radius) -> PointSet:
     """
     field = as_field(q_or_field)
     q = field.q
-    _check_budget(q ** dim, "sphere enumeration (q^d)")
+    _check_budget(q, dim, "sphere enumeration (q^d)")
     want = radius.value if isinstance(radius, FieldElement) else radius % q
     squares = [i * i % q for i in range(q)]
-    hits = []
-    for coords in itertools.product(range(q), repeat=dim):
-        if sum(squares[c] for c in coords) % q == want:
-            hits.append(Vector(field, coords))
-    return PointSet(field, dim, hits)
+    return PointSet(field, dim, [Vector(field, c) for c in itertools.product(range(q), repeat=dim)
+                                 if sum(squares[x] for x in c) % q == want])

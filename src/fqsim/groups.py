@@ -54,15 +54,14 @@ class Space(PointSet):
     @classmethod
     def full(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
-        _check_budget(field.q ** dim, "full space (q^d)")
+        _check_budget(field.q, dim, "full space (q^d)")
         return cls(field, dim, "full", all_vectors(field, dim))
 
     @classmethod
     def punctured(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
-        _check_budget(field.q ** dim, "punctured space (q^d)")
-        pts = [v for v in all_vectors(field, dim) if not v.is_zero()]
-        return cls(field, dim, "punctured", pts)
+        _check_budget(field.q, dim, "punctured space (q^d)")
+        return cls(field, dim, "punctured", (v for v in all_vectors(field, dim) if not v.is_zero()))
 
     @classmethod
     def sphere(cls, q_or_field, dim: int, radius: int) -> "Space":
@@ -443,7 +442,7 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     still applies: past ENUMERATION_CAP the group is refused.
     """
     field = as_field(q_or_field)
-    _check_budget(field.q ** (dim * dim), "matrix scan (q^(d^2))")
+    _check_budget(field.q, dim * dim, "matrix scan (q^(d^2))")
     els = [SpecialLinear.unchecked(Matrix(field, rows)) for rows in _unimodular_rows(field.q, dim)]
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
 
@@ -463,7 +462,7 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     """
     field = as_field(q_or_field)
     q = field.q
-    _check_budget(q ** (dim * dim), "matrix enumeration (q^(d^2))")
+    _check_budget(q, dim * dim, "matrix enumeration (q^(d^2))")
     unit = [v.coords for v in sphere(field, dim, 1).points]
 
     def dot(a, b):

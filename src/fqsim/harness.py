@@ -33,7 +33,7 @@ from .configurations import (
 )
 from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import PointSet, Vector, _check_budget
+from .geometry import PointSet, _check_budget
 from .prng import SplitMix64, derive_seed
 
 
@@ -81,7 +81,7 @@ def _sampled(field: PrimeField, dim: int, total: int, n: int, seed: int,
     for _ in range(dim):
         digits.append([i % q for i in rest])
         rest = [i // q for i in rest]
-    return PointSet._canonical(field, dim, [Vector(field, c) for c in zip(*reversed(digits))])
+    return PointSet._canonical(field, dim, zip(*reversed(digits)))
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -91,7 +91,7 @@ def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     picks = sorted(SplitMix64(seed).sample_indices(size, n))
-    return PointSet._canonical(points.field, points.dim, [points.points[i] for i in picks])
+    return PointSet._canonical(points.field, points.dim, map(list(points._index).__getitem__, picks))
 
 
 def parse_pointset(text_or_lines) -> PointSet:
@@ -102,7 +102,6 @@ def parse_pointset(text_or_lines) -> PointSet:
         lines = text_or_lines
     field: PrimeField | None = None
     dim = 0
-    points = []
     seen: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,10 +134,9 @@ def parse_pointset(text_or_lines) -> PointSet:
             warnings.warn(f"line {lineno}: duplicate point {coords} ignored")
             continue
         seen.add(coords)
-        points.append(Vector(field, coords))
     if field is None:
         raise ParseError(0, "missing header line 'q=<int> d=<int>'")
-    return PointSet(field, dim, points)
+    return PointSet._canonical(field, dim, sorted(seen))
 
 
 def load_pointset(path) -> PointSet:
@@ -260,7 +258,7 @@ def run_cell(cell: dict) -> Report:
             d, n = cell["d"], cell["n"]
             if d < 1:
                 raise ValueError(f"dimension must be positive, got {d}")
-            _check_budget(field.q ** d, "punctured space (q^d)")
+            _check_budget(field.q, d, "punctured space (q^d)")
             size = field.q ** d - 1
             if n > size:
                 raise TooMany(f"cannot sample {n} distinct points from a set of {size}")

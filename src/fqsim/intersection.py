@@ -131,9 +131,7 @@ class IntersectionReport:
 
 def _check_compatible(moving: PointSet, fixed: PointSet) -> None:
     if moving.field.q != fixed.field.q:
-        raise FieldMismatch(
-            f"sets over F_{moving.field.q} and F_{fixed.field.q}"
-        )
+        raise FieldMismatch(f"sets over F_{moving.field.q} and F_{fixed.field.q}")
     if moving.dim != fixed.dim:
         raise DimensionMismatch(f"sets of dimension {moving.dim} and {fixed.dim}")
 
@@ -273,15 +271,10 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | di
     |E||H| codes in C, and the distinct codes fold to flat((y - x) mod q)
     digit by digit: O(|E||H|) time and memory for any q.
 
-    Measured (2 cores, Python 3.11.7): the slots cost ~0.1 ns per window
-    bit per moving point plus ~13 ns per window bit per chunk, which
-    spreads the planes; the codes ~220 ns per pair while they are
-    distinct.  The finder scans |E| = |H| = h, so the slots run when
-    w·h + 60·q^d <= 600·h².  That inequality was fitted to byte slots,
-    which cost ~4x more per moving point: the bit slots are already the
-    faster branch from about a quarter to half of the h where it
-    switches, and between there and the switch its pick was up to 4.3x
-    slower than the faster branch (q up to 10007, d up to 4).
+    The finder scans |E| = |H| = h, so the slots run when
+    w·h + 60·q^d <= 600·h².  That rule was fitted to byte slots, ~4x
+    dearer per moving point than bit slots, so near the switch its pick
+    can be up to 4.3x slower than the other branch.
     """
     _check_compatible(moving, fixed)
     q = moving.field.q
@@ -469,14 +462,13 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     p_i, h_y[i][1:]·A + y_i·b: h_y's pivot row has tail 0 and its others
     are unit rows, the first scaled by λ⁻¹.  Per x, one heads × tails table
     maps them to rows of g, comprehensions zip the d lists into |H||S| codes
-    and one Counter update counts them: 1.0 -> 0.47 ms for q = 7 and
-    |E| = |H| = 14 (best of 21, 2 cores, Python 3.11.7).  Both sets
-    avoid the origin.  SL(1, q) is the identity alone: it counts |E ∩ H|.
+    and one Counter update counts them.  Both sets avoid the origin.
+    SL(1, q) is the identity alone: it counts |E ∩ H|.
     """
     q = moving.field.q
     d = moving.dim
     if d == 1:
-        common = sum(1 for p in moving if p in fixed)
+        common = sum(1 for p in moving._index if p in fixed._index)
         return {1: common} if common else {}
     qd = q ** d
     wrap = _wrap_table(q, d)  # base-2q row code -> flat index of the row mod q
@@ -484,7 +476,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     # scaled[j][e]: c·e mod q over c in F_q, as base-2q digit j (weight 1 at j = d - 1)
     scaled = [[[c * e % q * w for c in range(q)] for e in range(q)] for w in w2q]
     others = [[j for j in range(d) if j != i] for i in range(d)]
-    leads = sorted({c for y in fixed for c in y.coords})
+    leads = sorted({c for y in fixed._index for c in y})
     # Per lead a: its offset as digit 0 plus a·b as the tail, over b in lex order.
     lead_b = {a: [n * w2q[0]] for n, a in enumerate(leads)}
     for digit in scaled[1:]:
@@ -503,8 +495,8 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
             col.extend([wrap[v + u] for v in vs for u in lead_b[yj]])
 
     counts: Counter = Counter()
-    for x in moving:
-        i, r = _inverse_completion(x.coords, q)  # r_0 on e_i; r_k on e_jk and e_i
+    for x in moving._index:
+        i, r = _inverse_completion(x, q)  # r_0 on e_i; r_k on e_jk and e_i
         w = w2q[i]
         heads = [a * r[0][i] % q * w for a in leads]  # base 2q, as the table's rows
         tails = sums = [0]  # Σ_k c_k r_k over c in F_q^(d-1), lex order
@@ -532,7 +524,7 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     field = moving.field
     q = field.q
     d = moving.dim
-    _check_budget(q ** (d * d), "matrix scan (q^(d^2))")
+    _check_budget(q, d * d, "matrix scan (q^(d^2))")
     counts = _transporter_counts(moving, fixed)
 
     def decode(code):

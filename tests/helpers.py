@@ -1,6 +1,6 @@
-"""Helpers shared by the test modules: building and formatting point sets,
-column matrices, pair norms, the translation kernel's counts, the
-transporter kernel's completion and the sequential sampler."""
+"""Helpers shared by the test modules: building, moving and formatting
+point sets, column matrices, pair norms, the translation kernel's counts,
+the transporter kernel's completion and the sequential sampler."""
 
 import itertools
 
@@ -17,6 +17,19 @@ def from_coords(field, dim, coords):
 def coords_list(points):
     """The coordinates of a point set, in its canonical order."""
     return [list(p.coords) for p in points]
+
+
+def translated(points, shift):
+    """The image of a point set under x -> x + shift."""
+    return PointSet(points.field, points.dim, [p + shift for p in points])
+
+
+def scaled_by_vectors(points, scalar):
+    """`PointSet.scaled` by way of `Vector.__rmul__`, one vector per point:
+    the oracle for the coordinate-tuple dilation."""
+    if not len(points):
+        return PointSet(points.field, points.dim)
+    return PointSet(points.field, points.dim, [scalar * p for p in points])
 
 
 def format_pointset(points):

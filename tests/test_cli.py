@@ -2,12 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 import warnings
 
 import pytest
 
+import fqsim
 from fqsim import PointSet, Vector, make_field, random_pointset, sphere
-from fqsim.cli import main
+from fqsim.cli import build_parser, main
 
 from helpers import format_pointset
 
@@ -49,6 +53,17 @@ class TestEnumerateGroup:
                             "--q", "101", "--d", "3")
         assert code == 4
         assert first_json(out)["error"] == "EnumerationCapExceeded"
+
+    @pytest.mark.parametrize("d", ["1000000", "10000000"])
+    def test_exponent_past_the_budget_exits_four_at_once(self, capsys, d):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "enumerate-group", "--kind", "translations",
+                            "--q", "3", "--d", d)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert first_json(out) == {
+            "error": "EnumerationCapExceeded",
+            "message": f"full space (q^d) needs at most 100000000 candidates, got 3^{d}"}
 
     def test_composite_order_is_input_error(self, capsys):
         code, out = run_cli(capsys, "enumerate-group", "--kind", "translations",
@@ -520,3 +535,27 @@ class TestInputErrors:
         assert code == 3
         assert first_json(captured.out)["error"] == "MalformedWitness"
         assert "Traceback" not in captured.err
+
+
+class TestOneParserPerProcess:
+    def test_successive_calls_answer_as_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(fqsim.__file__)))
+        build_parser.cache_clear()
+        calls = [
+            ["enumerate-group", "--kind", "translations", "--q", "3", "--d", "2"],
+            ["find-similar", "--q", "5", "--d", "2"],  # usage error: no --r, --k
+            ["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2", "--random", "9"],
+            ["sweep", "--qs", "3", "--d", "2", "--ks", "1", "--kind", "nonsense"],
+            ["verify-bound", "--group", "translations", "--q", "3", "--d", "2"],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "fqsim.cli", *argv],
+                                   capture_output=True, text=True)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert build_parser.cache_info().misses == 1

@@ -152,6 +152,45 @@ class TestFindSimilar:
         assert w.report.best_count >= Fraction(len(e) ** 2, 49)
 
 
+def vectors_built(monkeypatch, call):
+    """How many times `call()` runs Vector.__init__."""
+    built = []
+    init = Vector.__init__
+
+    def counting(self, field, coords):
+        built.append(None)
+        init(self, field, coords)
+
+    monkeypatch.setattr(Vector, "__init__", counting)
+    result = call()
+    monkeypatch.setattr(Vector, "__init__", init)
+    return result, len(built)
+
+
+class TestVectorsOnlyForTheWitness:
+    """The finders search on coordinate tuples: at most the 3(k+1) witness
+    points and a few of the scan's elements become vectors, whatever |E|."""
+
+    @pytest.mark.parametrize("q, n, k", [(13, 23, 2), (13, 60, 3), (31, 80, 1)])
+    def test_similarity_finder(self, monkeypatch, q, n, k):
+        points = random_pointset(q, 2, n, seed=5)
+        ratio = make_field(q)(4)
+        w, built = vectors_built(monkeypatch, lambda: find_similar_config(points, ratio, k))
+        assert w.verified and n > 3 * (k + 1) + 3
+        assert built <= 3 * (k + 1) + 3
+        assert points._points is None
+
+    @pytest.mark.parametrize("q, n, k", [(7, 20, 2), (11, 40, 3)])
+    def test_det_finder(self, monkeypatch, q, n, k):
+        field = make_field(q)
+        space = list(itertools.product(range(q), repeat=2))[1:]
+        points = PointSet._canonical(field, 2, sorted(random.Random(n).sample(space, n)))
+        w, built = vectors_built(monkeypatch, lambda: find_det_similar(points, field(4), k))
+        assert w.verified and n > 3 * (k + 1) + 3
+        assert built <= 3 * (k + 1) + 3
+        assert points._points is None
+
+
 class TestVerifySimilarity:
     def _witness(self):
         return find_similar_config(full_plane(F5), F5(4), 2)

@@ -1,6 +1,7 @@
 """Vectors, matrices, norms, determinants, spheres."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,16 +12,27 @@ from fqsim import (
     FieldMismatch,
     Matrix,
     NotInSpace,
+    ENUMERATION_CAP,
     PointSet,
+    Space,
     Vector,
     all_vectors,
     make_field,
     orthogonal_group,
+    special_linear_group,
     sphere,
 )
-from fqsim.geometry import _det_cofactor
+from fqsim.geometry import _check_budget, _det_cofactor
 
-from helpers import coords_list, det_of_columns_cofactor, from_columns, from_coords, pair_norms
+from helpers import (
+    coords_list,
+    det_of_columns_cofactor,
+    from_columns,
+    from_coords,
+    pair_norms,
+    scaled_by_vectors,
+    translated,
+)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -215,7 +227,7 @@ class TestPointSet:
     def test_scaled_and_translated(self):
         ps = from_coords(F5, 2, [[1, 2], [3, 4]])
         assert coords_list(ps.scaled(F5(2))) == [[1, 3], [2, 4]]
-        assert coords_list(ps.translated(Vector(F5, [1, 1]))) == [[2, 3], [4, 0]]
+        assert coords_list(translated(ps, Vector(F5, [1, 1]))) == [[2, 3], [4, 0]]
 
     def test_scaled_errors_match_vector_scaling(self):
         ps = from_coords(F5, 2, [[1, 2], [3, 4]])
@@ -231,3 +243,84 @@ class TestPointSet:
     def test_rejects_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):
             PointSet(F3, 2, [Vector(F3, [1])])
+
+
+def assert_same_set(tuples, vectors):
+    """A tuple-backed set answers as the vector-built set of the same points."""
+    field, dim = vectors.field, vectors.dim
+    assert tuples == vectors and vectors == tuples
+    assert hash(tuples) == hash(vectors)
+    assert len(tuples) == len(vectors)
+    assert repr(tuples) == repr(vectors)
+    for x in all_vectors(field, dim):
+        assert (x in tuples) == (x in vectors)
+        if x in vectors:
+            assert tuples.index(x) == vectors.index(x)
+        else:
+            with pytest.raises(NotInSpace):
+                tuples.index(x)
+
+
+class TestTupleBackedPointSet:
+    @given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_vector_built_set(self, q, d, data):
+        field = make_field(q)
+        coord = st.tuples(*[st.integers(0, q - 1)] * d)
+        picked = data.draw(st.lists(coord, max_size=min(q ** d, 40), unique=True))
+        tuples = PointSet._canonical(field, d, sorted(picked))
+        vectors = PointSet(field, d, [Vector(field, c) for c in reversed(picked)])
+        assert_same_set(tuples, vectors)
+        assert tuples._points is None  # nothing above built a vector
+        assert [p.coords for p in tuples] == [p.coords for p in vectors] == sorted(picked)
+        assert tuples.points == vectors.points
+        assert_same_set(tuples, vectors)
+
+    @pytest.mark.parametrize("q, d", [(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (13, 2), (3, 3)])
+    def test_scaled_matches_the_vector_oracle(self, q, d):
+        field = make_field(q)
+        space = list(itertools.product(range(q), repeat=d))
+        sets = [PointSet(field, d)] + [PointSet._canonical(field, d, part)
+                                       for part in (space, space[1::3], space[-1:])]
+        for points in sets:
+            for s in range(q):
+                got = points.scaled(field(s))
+                want = scaled_by_vectors(points, field(s))
+                assert got == want  # == compares the positions too
+                assert type(got) is PointSet
+                assert [p.coords for p in got] == [p.coords for p in want]
+
+    def test_dilation_of_a_space_is_a_point_set(self):
+        space = orthogonal_group(5, 2).space
+        assert type(space.scaled(F5(2))) is PointSet
+        assert space.scaled(F5(0))._index == {(0, 0): 0}
+
+
+class TestBudget:
+    def test_both_sides_of_the_exponent_limit(self):
+        _check_budget(2, 26, "test")  # 2^26 <= ENUMERATION_CAP < 2^27
+        _check_budget(3, 16, "test")
+        _check_budget(ENUMERATION_CAP, 1, "test")
+        for base, e, shown in [(2, 27, 2 ** 27), (3, 17, 3 ** 17), (3, 30, 3 ** 30),
+                               (ENUMERATION_CAP + 1, 1, ENUMERATION_CAP + 1)]:
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                _check_budget(base, e, "test")
+            assert str(exc.value) == f"test needs at most 100000000 candidates, got {shown}"
+
+    def test_a_count_of_more_than_4300_digits_reads_as_a_power(self):
+        # 3^9012 and 2^14284 have 4,300 digits; 3^9013 and 2^14285 have 4,301
+        for base, e, printed in [(3, 9012, True), (3, 9013, False),
+                                 (2, 14284, True), (2, 14285, False), (101, 10 ** 9, False)]:
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                _check_budget(base, e, "test")
+            shown = str(exc.value).rsplit(" ", 1)[1]
+            assert shown == (str(base ** e) if printed else f"{base}^{e}")
+
+    def test_huge_exponents_are_refused_before_any_power(self):
+        start = time.perf_counter()
+        for make in (lambda: Space.full(3, 10 ** 7), lambda: Space.punctured(3, 10 ** 9),
+                     lambda: sphere(3, 10 ** 8, 1), lambda: special_linear_group(3, 10 ** 5),
+                     lambda: orthogonal_group(3, 10 ** 5)):
+            with pytest.raises(EnumerationCapExceeded, match=r"candidates, got 3\^1"):
+                make()
+        assert time.perf_counter() - start < 1.0

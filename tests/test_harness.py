@@ -331,6 +331,16 @@ class TestSweeps:
         # each) would add about 4 MB.
         assert peak - cells_peak < 1 << 20
 
+    @pytest.mark.parametrize("d, shown", [(17, 3 ** 17), (30, 3 ** 30), (9013, "3^9013"),
+                                          (10 ** 7, "3^10000000")])
+    def test_det_cell_budget_comes_before_any_power(self, d, shown):
+        cell = {"kind": "det-similarity", "q": 3, "d": d, "k": 2, "r": 1, "trial": 0,
+                "seed": 1, "n": 5, "meets_threshold": False}
+        outcome = run_cell(cell).outcome
+        assert outcome == {
+            "status": "error", "error": "EnumerationCapExceeded",
+            "message": f"punctured space (q^d) needs at most 100000000 candidates, got {shown}"}
+
     def test_det_similarity_sweep(self):
         cfg = SweepConfig(qs=(3, 5), d=2, ks=(2,), ratios="all-squares",
                           trials=2, base_seed=3, size="threshold",

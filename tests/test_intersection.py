@@ -46,7 +46,7 @@ from fqsim.intersection import (
     _translation_counts,
 )
 
-from helpers import completion, from_coords, translation_count_map
+from helpers import completion, from_coords, translated, translation_count_map
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -224,7 +224,7 @@ class TestFastTranslationKernel:
     def test_exact_translate_recovers_shift(self):
         e = from_coords(F5, 2, [[0, 0], [1, 2], [3, 1]])
         shift = Vector(F5, [2, 4])
-        h = e.translated(shift)
+        h = translated(e, shift)
         rep = max_translation_intersection_fast(e, h)
         assert rep.best_count == len(e)
         assert rep.best_g.vector == shift
