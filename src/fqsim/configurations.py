@@ -302,7 +302,7 @@ class DetSimilarityWitness:
 
     def to_json(self) -> dict:
         return _json_witness(self, "det-similarity", self.xs[0].dim, root=self.root.value,
-                             g=[list(r) for r in self.transform.matrix.rows])
+                             g=[list(r[:-1]) for r in self.transform.rows])
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetSimilarityWitness":
@@ -451,7 +451,7 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, FieldElement.sqrt,
         scan=lambda scaled: max_translation_intersection_fast(points, scaled),
-        pull_back=lambda g: lambda z, a=g.vector.coords: tuple([(c - b) % q for c, b in zip(z, a)]),
+        pull_back=lambda g: lambda z, a=[r[-1] for r in g.rows]: tuple([(c - b) % q for c, b in zip(z, a)]),
         build=lambda root, report, zs, shrunk, pulled: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=pulled, zs=zs, edges=edges, report=report),
@@ -500,8 +500,8 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if not isinstance(w.transform, SpecialLinear):
         reasons.append("transform is not a unimodular matrix element")
         return Verification(False, tuple(reasons))
-    matrix = w.transform.matrix
-    if matrix.field.q != w.ratio.field.q or matrix.n != d:
+    rows = [r[:-1] for r in w.transform.rows]  # M of [M | a]
+    if w.transform.field.q != w.ratio.field.q or len(rows) != d:
         reasons.append("transform does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
     _check_budget(math.perm(n, d), 1, "det-witness re-check (n!/(n-d)! cofactor terms)")
@@ -511,12 +511,12 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
         reasons.append(f"stored root to the {d}-th power is not the ratio")
     if w.root.is_zero():
         reasons.append("root is zero")
-    if _det_cofactor(matrix.rows, q) != 1:
+    if _det_cofactor(rows, q) != 1:
         reasons.append("transform determinant is not 1")
     r, s = w.ratio.value, w.root.value
     xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
     for i, (x, y, z) in enumerate(zip(xs, ys, zs), start=1):
-        if tuple([sum(map(mul, row, x)) % q for row in matrix.rows]) != z:
+        if tuple([sum(map(mul, row, x)) % q for row in rows]) != z:
             reasons.append(f"z[{i}] is not transform(x[{i}])")
         if tuple([s * c % q for c in y]) != z:
             reasons.append(f"z[{i}] is not root*y[{i}]")
@@ -555,7 +555,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
         scan=lambda scaled: _max_special_linear_intersection(points, scaled),
-        pull_back=lambda g: lambda z, rows=g.inverse().matrix.rows: tuple(
+        pull_back=lambda g: lambda z, rows=g.inverse().rows: tuple(  # rows of [M⁻¹ | 0]
             [sum(map(mul, r, z)) % q for r in rows]),
         build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,

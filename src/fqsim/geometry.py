@@ -22,6 +22,7 @@ from .field import FieldElement, PrimeField, as_field
 
 # Ceiling on every enumeration: full spaces, spheres and matrix scans.
 ENUMERATION_CAP = 10 ** 8
+_PRINTABLE = 10 ** 4300  # str() spells out an int below it, at most 4,300 digits
 
 
 def _check_budget(base: int, e: int, what: str) -> None:
@@ -33,7 +34,7 @@ def _check_budget(base: int, e: int, what: str) -> None:
     if e < ENUMERATION_CAP.bit_length() and base ** e <= ENUMERATION_CAP:
         return
     count = base ** e if e * (base.bit_length() - 1) < 14_285 else None
-    shown = count if count is not None and count < 10 ** 4300 else f"{base}^{e}"
+    shown = count if count is not None and count < _PRINTABLE else f"{base}^{e}"
     raise EnumerationCapExceeded(f"{what} needs at most {ENUMERATION_CAP} candidates, got {shown}")
 
 
@@ -256,10 +257,6 @@ class Matrix:
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def transpose(self) -> "Matrix":
-        n = self.n
-        return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             raise TypeError(f"cannot multiply Matrix by {type(other).__name__}")
@@ -272,24 +269,13 @@ class Matrix:
         return Matrix(self.field, [[sum(r[k] * c[k] for k in range(n)) for c in cols]
                                    for r in self.rows])
 
-    def apply(self, v: Vector) -> Vector:
-        if v.field.q != self.field.q:
-            raise FieldMismatch("matrix and vector over different fields")
-        if v.dim != self.n:
-            raise DimensionMismatch(f"matrix size {self.n}, vector dimension {v.dim}")
-        vc = v.coords
-        return Vector(self.field, [sum(r[k] * vc[k] for k in range(self.n)) for r in self.rows])
-
     def determinant(self) -> FieldElement:
         """Determinant by Gaussian elimination with nonzero-pivot search."""
         return FieldElement(_det_rows(self.rows, self.field.q), self.field)
 
-    def inverse(self) -> "Matrix":
-        return Matrix(self.field, _inverse_rows(self.rows, self.field.q))
-
     def is_orthogonal(self) -> bool:
         """Whether the transpose is a two-sided inverse (columns orthonormal)."""
-        return (self.transpose() @ self) == Matrix.identity(self.field, self.n)
+        return Matrix(self.field, zip(*self.rows)) @ self == Matrix.identity(self.field, self.n)
 
     def is_special_linear(self) -> bool:
         return _det_rows(self.rows, self.field.q) == 1

@@ -2,9 +2,13 @@
 
 Three families are enumerated element by element: translations of
 F_q^d, orthogonal matrices (preserving the sum-of-squares form), and
-unimodular matrices (determinant 1).  Element lists are kept in a total
-canonical order — variant first, then lexicographic on the serialized
-entries — so that every argmax and every listing is reproducible.
+unimodular matrices (determinant 1).  Every element is an affine map
+held as the integer rows of [M | a]; the kinds differ only in their
+constructors and documents.  Element lists are kept in a total
+canonical order — variant first, then lexicographic on the rows — so
+that every argmax and every listing is reproducible.  A group's one
+image table, `FiniteGroup.columns()`, holds per point the index of its
+image under every element, built from the rows in C.
 
 The matrix groups are built in time proportional to the group, not to
 the q^(d^2) candidate matrices: the determinant and the orthogonal
@@ -22,11 +26,15 @@ sphere action is transitive is checked per instance, never assumed.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import add
+import sys
+from array import array
+from itertools import repeat
+from operator import add, itemgetter, mod, mul
 from typing import Iterable
 
-from .errors import NotInSpace
+from .errors import DimensionMismatch, FieldMismatch, NotInSpace
 from .field import PrimeField, as_field
 from .geometry import (
     Matrix,
@@ -34,6 +42,7 @@ from .geometry import (
     Vector,
     _check_budget,
     _det_rows,
+    _inverse_rows,
     all_vectors,
     sphere,
 )
@@ -85,45 +94,79 @@ class Space(PointSet):
 
 
 class GroupElement:
-    """A transformation of F_q^d: a translation or an invertible linear map."""
+    """An affine map x -> Mx + a of F_q^d, held as `rows`: the d x (d+1)
+    integer rows of [M | a], entries in [0, q).  A translation has M = I,
+    a linear map a = 0; apply, compose, inverse and the canonical order
+    are written once, on the rows, and the kind is the class."""
 
-    __slots__ = ()
-    tag = -1
+    __slots__ = ("field", "rows")
+
+    @classmethod
+    def _from_rows(cls, field: PrimeField, rows: tuple) -> "GroupElement":
+        """An element of this kind with these canonical rows, unchecked."""
+        g = object.__new__(cls)
+        g.field, g.rows = field, rows
+        return g
+
+    @classmethod
+    def unchecked(cls, matrix: Matrix) -> "GroupElement":
+        """The linear map of `matrix`, built without the membership check.
+
+        For products, inverses and enumerated matrices, which are members
+        by construction, and for witness data, which the verifiers re-check.
+        """
+        return cls._from_rows(matrix.field, tuple(r + (0,) for r in matrix.rows))
+
+    @property
+    def matrix(self) -> Matrix:
+        return Matrix(self.field, [r[:-1] for r in self.rows])
+
+    @property
+    def vector(self) -> Vector:
+        return Vector(self.field, [r[-1] for r in self.rows])
+
+    def _check_peer(self, q: int, d: int, what: str) -> None:
+        if q != self.field.q:
+            raise FieldMismatch(f"{what} over F_{q}, map over F_{self.field.q}")
+        if d != len(self.rows):
+            raise DimensionMismatch(f"{what} of dimension {d}, map of dimension {len(self.rows)}")
 
     def apply(self, v: Vector) -> Vector:
-        raise NotImplementedError
-
-    def _affine_columns(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The nonzero columns (j, c) of the d x (d+1) matrix [M | a] of the
-        map x -> Mx + a; column d multiplies the constant coordinate 1."""
-        raise NotImplementedError
-
-    def _row_terms(self) -> int:
-        """A bound on the nonzero entries in a row of [M | a]."""
-        raise NotImplementedError
+        if not isinstance(v, Vector):
+            raise TypeError(f"expected Vector, got {type(v).__name__}")
+        self._check_peer(v.field.q, len(v.coords), "vector")
+        return Vector(self.field, [sum(map(mul, r, v.coords), r[-1]) for r in self.rows])
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """The map sending x to self(other(x))."""
-        raise NotImplementedError
+        """The map sending x to self(other(x)): the rows of [M | a] times
+        the (d+1) x (d+1) matrix [[M', a'], [0, 1]]."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
+        self._check_peer(other.field.q, len(other.rows), "map")
+        q = self.field.q
+        cols = list(zip(*other.rows, (0,) * len(self.rows) + (1,)))
+        return self._from_rows(self.field, tuple(
+            tuple([sum(map(mul, r, c)) % q for c in cols]) for r in self.rows))
 
     def inverse(self) -> "GroupElement":
-        raise NotImplementedError
+        """x -> M^-1 x - M^-1 a."""
+        q = self.field.q
+        a = [r[-1] for r in self.rows]
+        inv = _inverse_rows([r[:-1] for r in self.rows], q)
+        return self._from_rows(self.field, tuple(
+            tuple(r) + (-sum(map(mul, r, a)) % q,) for r in inv))
 
     def is_identity(self) -> bool:
-        raise NotImplementedError
+        return self.rows == _identity_rows(len(self.rows))
 
     def sort_key(self) -> tuple:
-        raise NotImplementedError
+        return (self.tag, self.field.q, self.rows)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"type": self.kind, "matrix": [list(r[:-1]) for r in self.rows]}
 
-    def _like(self, other):
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot compose {type(self).__name__} with {type(other).__name__}"
-            )
-        return other
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({[list(r[:-1]) for r in self.rows]} mod {self.field.q})"
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other.sort_key() == self.sort_key()
@@ -135,126 +178,54 @@ class GroupElement:
         return hash(self.sort_key())
 
 
+@functools.cache
+def _identity_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of [I | 0], d x (d+1)."""
+    return tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d))
+
+
 class Translation(GroupElement):
     """x maps to x + a."""
 
-    __slots__ = ("vector",)
+    __slots__ = ()
     tag = 0
+    kind = "translation"
 
     def __init__(self, vector: Vector):
-        self.vector = vector
-
-    def apply(self, v: Vector) -> Vector:
-        return v + self.vector
-
-    def _affine_columns(self):
-        a = self.vector.coords
-        d = len(a)
-        cols = [(j, tuple(int(i == j) for i in range(d))) for j in range(d)]
-        return cols + [(d, a)] if any(a) else cols
-
-    def _row_terms(self) -> int:
-        return 2  # x_i + a_i
-
-    def compose(self, other: "Translation") -> "Translation":
-        other = self._like(other)
-        return Translation(self.vector + other.vector)
-
-    def inverse(self) -> "Translation":
-        return Translation(-self.vector)
-
-    def is_identity(self) -> bool:
-        return self.vector.is_zero()
-
-    def sort_key(self) -> tuple:
-        return (self.tag, self.vector.field.q, self.vector.coords)
+        self.field = vector.field
+        self.rows = tuple([r[:-1] + (a,) for r, a in zip(_identity_rows(vector.dim), vector.coords)])
 
     def to_json(self) -> dict:
-        return {"type": "translation", "by": list(self.vector.coords)}
+        return {"type": "translation", "by": [r[-1] for r in self.rows]}
 
     def __repr__(self) -> str:
-        return f"Translation({list(self.vector.coords)} mod {self.vector.field.q})"
+        return f"Translation({[r[-1] for r in self.rows]} mod {self.field.q})"
 
 
-class _LinearMap(GroupElement):
-    """Common base for matrix actions: x maps to Mx."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix):
-        self._validate(matrix)
-        self.matrix = matrix
-
-    def _validate(self, matrix: Matrix) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def unchecked(cls, matrix: Matrix) -> "_LinearMap":
-        """An element built without the membership check.
-
-        For products, inverses and enumerated matrices, which are members
-        by construction, and for witness data, which the verifiers re-check.
-        """
-        g = object.__new__(cls)
-        g.matrix = matrix
-        return g
-
-    def apply(self, v: Vector) -> Vector:
-        return self.matrix.apply(v)
-
-    def _affine_columns(self):
-        return [(j, c) for j, c in enumerate(zip(*self.matrix.rows)) if any(c)]
-
-    def _row_terms(self) -> int:
-        return len(self.matrix.rows)
-
-    def compose(self, other):
-        other = self._like(other)
-        return self.unchecked(self.matrix @ other.matrix)
-
-    def is_identity(self) -> bool:
-        return all(e == (i == j) for i, row in enumerate(self.matrix.rows)
-                   for j, e in enumerate(row))
-
-    def sort_key(self) -> tuple:
-        m = self.matrix
-        return (self.tag, m.field.q, tuple(e for row in m.rows for e in row))
-
-    def to_json(self) -> dict:
-        return {"type": self.kind, "matrix": [list(r) for r in self.matrix.rows]}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({[list(r) for r in self.matrix.rows]} mod {self.matrix.field.q})"
-
-
-class Orthogonal(_LinearMap):
+class Orthogonal(GroupElement):
     """Linear map whose matrix has orthonormal columns (norm-preserving)."""
 
     __slots__ = ()
     tag = 1
     kind = "orthogonal"
 
-    def _validate(self, matrix: Matrix) -> None:
+    def __init__(self, matrix: Matrix):
         if not matrix.is_orthogonal():
             raise ValueError("matrix is not orthogonal: transpose times matrix != identity")
-
-    def inverse(self) -> "Orthogonal":
-        return Orthogonal.unchecked(self.matrix.transpose())
+        self.field, self.rows = matrix.field, self.unchecked(matrix).rows
 
 
-class SpecialLinear(_LinearMap):
+class SpecialLinear(GroupElement):
     """Linear map of determinant 1."""
 
     __slots__ = ()
     tag = 2
     kind = "special-linear"
 
-    def _validate(self, matrix: Matrix) -> None:
+    def __init__(self, matrix: Matrix):
         if not matrix.is_special_linear():
             raise ValueError("matrix determinant is not 1")
-
-    def inverse(self) -> "SpecialLinear":
-        return SpecialLinear.unchecked(self.matrix.inverse())
+        self.field, self.rows = matrix.field, self.unchecked(matrix).rows
 
 
 class FiniteGroup:
@@ -271,13 +242,15 @@ class FiniteGroup:
         self.elements = tuple(self._by_key[k] for k in sorted(self._by_key))
         self.space = space
         self.kind = kind
-        self._perms: list[tuple[int, ...]] | None = None
-        self._columns: list[bytes] | None = None
+        self._columns: list | None = None
         self._transitive: bool | None = None
-        ident = [e for e in self.elements if e.is_identity()]
-        if len(ident) != 1:
+        # Every element of one kind, field and dimension: the identity is
+        # then one key away.
+        shapes = {(tag, q, len(rows)) for tag, q, rows in self._by_key}
+        tag, q, d = shapes.pop() if len(shapes) == 1 else (None, None, 0)
+        self.identity = self._by_key.get((tag, q, _identity_rows(d)))
+        if self.identity is None:
             raise ValueError("group must contain exactly one identity element")
-        self.identity = ident[0]
 
     @property
     def order(self) -> int:
@@ -293,66 +266,72 @@ class FiniteGroup:
         return isinstance(g, GroupElement) and g.sort_key() in self._by_key
 
     def perms(self) -> list[tuple[int, ...]]:
-        """Index permutations of the space, one per element, in element order.
+        """Index permutations of the space, one per element, in element
+        order: the image table `columns()` transposed, built on each call."""
+        return list(zip(*self.columns())) or [()] * self.order
 
-        Image coordinate i of x is the sum over the affine columns (j, c)
-        of c_i·x_j mod q, with x_d = 1.  With at most t nonzero terms in a
-        row (d for a linear map, 2 for x_i + a_i), each such sum is below
-        B = t(q-1) + 1, so the base-B code of the unreduced image carries
-        no digit.  One table per column holds that column's share of the
-        code for every point; an element's codes are the sum of its
-        tables, taken in C, and one list of B^d entries maps each code to
-        its space index, None outside the space, which raises NotInSpace.
-        """
-        if self._perms is None:
-            space = self.space
-            index = space._index
-            coords = list(index)  # the points' coordinates, in canonical order
-            q = space.field.q
-            d = space.dim
-            if coords:
-                # The tables would silently reduce an element over another
-                # field or dimension; apply raises on it, as it always has.
-                x = space.points[0]
-                for g in self.elements:
-                    g.apply(x)
-            base = max((g._row_terms() for g in self.elements), default=1) * (q - 1) + 1
-            weights = [base ** (d - 1 - i) for i in range(d)]
-            xs = [[c[j] for c in coords] for j in range(d)] + [[1] * len(coords)]
-            reduced = [v % q for v in range(base)]
-            lookup = [index.get(c) for c in itertools.product(reduced, repeat=d)]
-            tables = {}
-            perms = []
-            for g in self.elements:
-                codes = None
-                for column in g._affine_columns():
-                    t = tables.get(column)
-                    if t is None:
-                        j, c = column
-                        share = {v: sum(w * (m * v % q) for w, m in zip(weights, c))
-                                 for v in set(xs[j])}
-                        t = tables[column] = list(map(share.__getitem__, xs[j]))
-                    codes = t if codes is None else map(add, codes, t)
-                perm = tuple(map(lookup.__getitem__, codes))
-                if None in perm:
-                    image = g.apply(space.points[perm.index(None)])
-                    raise NotInSpace(f"{image!r} is not a point of {space!r}")
-                perms.append(perm)
-            self._perms = perms
-        return self._perms
+    def columns(self) -> list:
+        """The image table: per space point x, the index of g·x for every
+        element g in canonical order, as bytes up to 256 points, else as an
+        array of two-byte ('H') or, past 65,536 points, 'I' indices.
 
-    def columns(self) -> list[bytes]:
-        """The perms() table transposed: per space point x, the index of g·x
-        for every element g in canonical order, one byte per element.
-
-        Needs a space of at most 256 points, so that every index fits a byte.
+        Image coordinate i of x is the sum over the columns j of [M | a]
+        of M_ij·x_j mod q, with x_d = 1.  With at most t columns nonzero in
+        row i for any element, each such sum is below B = t(q-1) + 1, so the
+        base-B code of the unreduced image carries no digit.  Per column j
+        and value v one share list holds, for every element, its column's
+        share of the code at x_j = v; a point's codes are the sum of its d + 1
+        share lists, taken in C, with the sums over each prefix of its
+        coordinates shared by the points that follow, and one list of B^d
+        entries maps each code to its space index, packed to the column's
+        width, or to None outside the space, which raises NotInSpace.
         """
         if self._columns is None:
-            if self.space.size > 256:
-                raise ValueError(
-                    f"byte columns need a space of at most 256 points, got {self.space.size}"
-                )
-            self._columns = [bytes(c) for c in zip(*self.perms())]
+            space = self.space
+            index = space._index
+            q, d = space.field.q, space.dim
+            # The shares would silently reduce an element over another field
+            # or dimension; apply raises on it, as it always has.
+            for x in space.points[:1]:
+                for g in {(g.field.q, len(g.rows)): g for g in self.elements}.values():
+                    g.apply(x)
+            # Per column j of [M | a]: each element's column, and the distinct ones numbered.
+            per_column = [(cols, {c: n for n, c in enumerate(dict.fromkeys(cols))})
+                          for cols in zip(*[zip(*g.rows) for g in self.elements])]
+            distinct = [list(seen) for _, seen in per_column]
+            ids = [list(map(seen.__getitem__, cols)) for cols, seen in per_column]
+            base = max(sum(any(c[i] for c in cs) for cs in distinct) for i in range(d)) * (q - 1) + 1
+            weights = [base ** (d - 1 - i) for i in range(d)]
+            values = [sorted({x[j] for x in index}) for j in range(d)] + [[1]]
+            def at_values(c, vs):  # Σ_i w_i·(c_i·v mod q) for each v in vs, in C
+                terms = [map(mul, repeat(w), map(mod, map(mul, vs, repeat(m)), repeat(q)))
+                         for w, m in zip(weights, c)]
+                return list(map(sum, zip(*terms)))
+            shares = [dict(zip(vs, zip(*map([at_values(c, vs) for c in cs].__getitem__, js))))
+                      for cs, js, vs in zip(distinct, ids, values)]
+            typecode = None if len(index) <= 256 else "H" if len(index) <= 65536 else "I"
+            width = array(typecode).itemsize if typecode else 1
+            packed = {c: i.to_bytes(width, sys.byteorder) for c, i in index.items()}
+            lookup = [packed.get(c) for c in itertools.product([v % q for v in range(base)], repeat=d)]
+            columns = []
+            prefix, partial = (None,) * (d - 1), [shares.pop()[1]]  # then plus the shares of x_0, x_1, ..
+            last = shares[-1]  # the shares of x_(d-1), added point by point
+            try:
+                # Points come in lexicographic order: a run sharing its first
+                # d - 1 coordinates reuses one sum, and the sum over each
+                # shorter prefix is kept until that prefix changes.
+                for head, run in itertools.groupby(index, itemgetter(slice(0, d - 1))):
+                    k = next((j for j, (a, b) in enumerate(zip(head, prefix)) if a != b), d - 1)
+                    del partial[k + 1:]
+                    for j in range(k, d - 1):
+                        partial.append(list(map(add, partial[j], shares[j][head[j]])))
+                    prefix, summed = head, partial[-1]
+                    raws = (b"".join(map(lookup.__getitem__, map(add, summed, last[x[-1]]))) for x in run)
+                    columns += raws if typecode is None else map(array, repeat(typecode), raws)
+            except TypeError:  # a None: name the first element, then point, that leaves
+                image = next(y for g in self.elements for y in map(g.apply, space.points) if y not in space)
+                raise NotInSpace(f"{image!r} is not a point of {space!r}") from None
+            self._columns = columns
         return self._columns
 
     def orbit(self, x: Vector) -> PointSet:
@@ -399,7 +378,10 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     """The q^d translations of F_q^d, acting on the full space."""
     field = as_field(q_or_field)
     space = Space.full(field, dim)
-    return FiniteGroup([Translation(v) for v in space.points], space, "translations")
+    # Row i of [I | a] depends on a_i alone, so the q rows per i are shared.
+    shared = [[r[:dim] + (a,) for a in range(field.q)] for r in _identity_rows(dim)]
+    rows = zip(*[map(s.__getitem__, c) for s, c in zip(shared, zip(*space._index))])
+    return FiniteGroup([Translation._from_rows(field, r) for r in rows], space, "translations")
 
 
 def _cofactors(top, q: int) -> list[int]:
@@ -443,7 +425,9 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     """
     field = as_field(q_or_field)
     _check_budget(field.q, dim * dim, "matrix scan (q^(d^2))")
-    els = [SpecialLinear.unchecked(Matrix(field, rows)) for rows in _unimodular_rows(field.q, dim)]
+    zero = ((0,),) * dim
+    els = [SpecialLinear._from_rows(field, tuple(map(add, rows, zero)))
+           for rows in _unimodular_rows(field.q, dim)]
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
 
 
@@ -464,26 +448,20 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     q = field.q
     _check_budget(q, dim * dim, "matrix enumeration (q^(d^2))")
     unit = [v.coords for v in sphere(field, dim, 1).points]
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b)) % q
+    zero = (0,) * dim  # the shift column of [M | 0]
 
     matrices = []
 
     def extend(cols):
         if len(cols) == dim - 1:
             v = _cofactors(cols, q)
-            matrices.append(tuple(zip(*cols, v)))
-            matrices.append(tuple(zip(*cols, [-c % q for c in v])))  # the same when q = 2
+            matrices.append(tuple(zip(*cols, v, zero)))
+            matrices.append(tuple(zip(*cols, [-c % q for c in v], zero)))  # the same when q = 2
             return
         for c in unit:
-            if all(dot(c, b) == 0 for b in cols):
+            if all(sum(map(mul, c, b)) % q == 0 for b in cols):
                 extend(cols + [c])
 
     extend([])
-    if radius is None:
-        space = Space.full(field, dim)
-    else:
-        space = Space.sphere(field, dim, radius)
-    els = [Orthogonal.unchecked(Matrix(field, rows)) for rows in matrices]
-    return FiniteGroup(els, space, "orthogonal")
+    space = Space.full(field, dim) if radius is None else Space.sphere(field, dim, radius)
+    return FiniteGroup([Orthogonal._from_rows(field, rows) for rows in matrices], space, "orthogonal")

@@ -31,9 +31,9 @@ from .configurations import (
     find_similar_config,
     similarity_threshold,
 )
-from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
+from .errors import EnumerationCapExceeded, FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import PointSet, _check_budget
+from .geometry import _PRINTABLE, PointSet, _check_budget
 from .prng import SplitMix64, derive_seed
 
 
@@ -226,8 +226,14 @@ class SweepConfig:
             else:
                 ratios = [r % q for r in self.ratios]
             for k in self.ks:
-                thr = similarity_threshold(field, self.d, k)
-                n = thr.min_points if self.size == "threshold" else int(self.size)
+                # Every cell line prints n, which str() spells out only below
+                # 10^4,300; q^d >= 2^28,570 puts n past it, refused before the power.
+                huge = self.size == "threshold" and self.d * (q.bit_length() - 1) >= 28_570
+                thr = None if huge else similarity_threshold(field, self.d, k)
+                n = int(self.size) if self.size != "threshold" else None if huge else thr.min_points
+                if huge or self.size == "threshold" and n >= _PRINTABLE:
+                    raise EnumerationCapExceeded(
+                        f"threshold set size for q = {q}, d = {self.d}, k = {k} has more than 4300 digits")
                 for r in ratios:
                     for trial in range(self.trials):
                         out.append({

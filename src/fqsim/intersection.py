@@ -17,14 +17,13 @@ Every maximizer produces counts, one per element code, and one builder,
 `_report_from_counts`, reports them: the canonical tie-break, the
 histogram, the double-count total and the bound.  Three kernels count.
 
-`max_intersection` counts |H ∩ gE| for every enumerated g.  On a space
-of at most 255 points each count sits in one byte: the group's image
-table is held as one byte column per point, and the columns of E, with
-the bytes in H marked, are summed as integers, so the whole scan runs
-in C.  When E holds more than half of X the columns of X \\ E are summed
-instead and each byte v is mapped to |H| - v, since every g is a
-bijection of X.  On a larger space, where a count may not fit a byte,
-each element's count is the number of points of E whose image lies in H.
+`max_intersection` counts |H ∩ gE| for every enumerated g from the
+group's image table, one column of image indices per point.  Up to 256
+points the columns of E, with the images in H marked, are summed as
+integers, one byte per element; above, E's columns are joined and each
+element's images of E are looked up in H's marks in C.  When E holds
+more than half of X the columns of X \\ E are read instead and each
+count v is mapped to |H| - v, since every g is a bijection of X.
 
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
@@ -48,8 +47,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from itertools import compress, repeat
+from operator import add, itemgetter, mul
 
 from .errors import (
     DimensionMismatch,
@@ -58,7 +57,7 @@ from .errors import (
     NotTransitive,
     SpaceMismatch,
 )
-from .geometry import Matrix, PointSet, Vector, _check_budget, index_to_coords
+from .geometry import PointSet, Vector, _check_budget, index_to_coords
 from .groups import (
     FiniteGroup,
     GroupElement,
@@ -159,45 +158,43 @@ def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
         raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
 
 
-def _image_mask(perm, indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << perm[i]
-    return m
-
-
 def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
     """|H ∩ gE| for every element g of the group, in canonical order.
 
-    By the group's byte columns (`FiniteGroup.columns`) on a space of at
-    most 255 points, summing those of whichever of E and X \\ E is
-    smaller: g is a bijection of X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.
-    On a larger space, where a count may not fit a byte, by testing the
-    image of each point of E for membership in H.  An empty E or H counts
-    0 for every g without the image table, which a large group pays for.
+    From the group's image table (`FiniteGroup.columns`), reading the
+    columns of whichever of E and X \\ E is smaller: g is a bijection of
+    X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  When E or H is the whole
+    space every count is the other's size.  An empty E or H counts 0 for
+    every g without the image table, which a large group pays for.
     """
     if not e_indices or not h_indices:
         return bytes(group.order)
-    n_x = group.space.size
-    if n_x <= 255:
-        # Byte g of column x is the index of g·x; translate marks the bytes
+    n_x, nh, order = group.space.size, len(h_indices), group.order
+    columns = group.columns()
+    if n_x in (nh, len(e_indices)):
+        return [min(nh, len(e_indices))] * order
+    if flip := 2 * len(e_indices) > n_x:
+        outside = bytearray(b"\1") * n_x
+        for i in e_indices:
+            outside[i] = 0
+        e_indices = compress(range(n_x), outside)
+    marks = bytearray(256 if n_x <= 256 else n_x + 1)
+    for i in h_indices:
+        marks[i] = 1
+    if n_x <= 256:
+        # Byte g of a column is the index of g·x; translate marks the bytes
         # that land in H, and the little-endian sum over E adds the marks
-        # byte by byte.  Byte g ends up at most |X| <= 255, so no byte
-        # carries into the next.
-        table = bytearray(256)
-        for i in h_indices:
-            table[i] = 1
-        columns = group.columns()
-        flip = 2 * len(e_indices) > n_x
-        if flip:
-            e_indices = set(range(n_x)).difference(e_indices)
-        acc = sum(int.from_bytes(columns[i].translate(table), "little") for i in e_indices)
-        counts = acc.to_bytes(group.order, "little")
-        if flip:  # byte v <= |H| counts H ∩ g(X \ E), so |H ∩ gE| = |H| - v
-            counts = counts.translate(bytes(range(len(h_indices), -1, -1)).ljust(256, b"\0"))
-        return counts
-    h = set(h_indices)
-    return [sum(perm[i] in h for i in e_indices) for perm in group.perms()]
+        # byte by byte.  A count stays below |X| <= 256, so no byte carries.
+        counts = sum(int.from_bytes(columns[i].translate(marks), "little")
+                     for i in e_indices).to_bytes(order, "little")
+        return counts.translate(bytes(range(nh, -1, -1)).ljust(256, b"\0")) if flip else counts
+    # Wider: E's columns joined are one index array, column after column,
+    # so every |G|-th entry from g holds g's images of E, and itemgetter
+    # looks their marks up in C.  It returns a bare item for one index, so
+    # index |X|, never marked, is looked up too.
+    flat = memoryview(b"".join(map(columns.__getitem__, e_indices))).cast(columns[0].typecode)
+    counts = [sum(itemgetter(n_x, *flat[g::order].tolist())(marks)) for g in range(order)]
+    return [nh - c for c in counts] if flip else counts
 
 
 def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
@@ -528,8 +525,8 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     counts = _transporter_counts(moving, fixed)
 
     def decode(code):
-        flat = index_to_coords(code, q, d * d)
-        return SpecialLinear.unchecked(Matrix(field, [flat[i * d:(i + 1) * d] for i in range(d)]))
+        flat = index_to_coords(code, q, d * d) + (0,)
+        return SpecialLinear._from_rows(field, tuple(flat[i * d:(i + 1) * d] + flat[-1:] for i in range(d)))
 
     return _report_from_counts(
         counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
@@ -590,7 +587,7 @@ def _audit(group: FiniteGroup, draws) -> BoundAudit:
     for e_mask, h_masks in draws:
         e_indices = [i for i in range(n) if e_mask >> i & 1]
         ce = len(e_indices)
-        imgs = [_image_mask(perm, e_indices) for perm in perms]
+        imgs = [sum([1 << perm[i] for i in e_indices]) for perm in perms]  # distinct bits: their OR
         pairs += len(h_masks)
         for h_mask in h_masks:
             ch = h_mask.bit_count()

@@ -1,11 +1,12 @@
 """Helpers shared by the test modules: building, moving and formatting
 point sets, column matrices, pair norms, the translation kernel's counts,
-the transporter kernel's completion and the sequential sampler."""
+the transporter kernel's completion, the sequential sampler and the
+per-kind arithmetic of group elements."""
 
 import itertools
 
-from fqsim import Matrix, PointSet, Vector
-from fqsim.geometry import _det_cofactor, index_to_coords
+from fqsim import Matrix, PointSet, Translation, Vector
+from fqsim.geometry import _det_cofactor, _det_rows, index_to_coords
 from fqsim.intersection import _translation_counts
 
 
@@ -91,3 +92,36 @@ def sample_indices_sequential(rng, total, count):
         picked.append(displaced.get(j, j))
         displaced[j] = displaced.get(i, i)
     return picked
+
+
+def oracle_apply(g, x):
+    """g·x by the kind's own arithmetic: a vector sum for a shift, the
+    first column of a Matrix product for a map."""
+    if isinstance(g, Translation):
+        return x + g.vector
+    column = g.matrix @ Matrix(x.field, [[c] + [0] * (x.dim - 1) for c in x.coords])
+    return Vector(x.field, [r[0] for r in column.rows])
+
+
+def oracle_compose(g, h):
+    """The map x -> g(h(x)), built through the kind's checked constructor."""
+    if isinstance(g, Translation):
+        return Translation(g.vector + h.vector)
+    return type(g)(g.matrix @ h.matrix)
+
+
+def oracle_inverse(g):
+    """-a for a shift; the adjugate over the determinant, both by
+    `_det_rows`, for a map, through the kind's checked constructor."""
+    if isinstance(g, Translation):
+        return Translation(-g.vector)
+    rows, q = g.matrix.rows, g.field.q
+    d = len(rows)
+    scale = pow(_det_rows(rows, q), q - 2, q)
+    return type(g)(Matrix(g.field, [
+        [(-1) ** (i + j) * scale * _det_rows([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j], q)
+         for j in range(d)] for i in range(d)]))
+
+
+def oracle_is_identity(g):
+    return g.vector.is_zero() and g.matrix == Matrix.identity(g.field, len(g.matrix.rows))

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,25 @@ class TestEnumerateGroup:
         assert code == 0
         assert obj["order"] == 8
         assert len(obj["elements"]) == 8
+
+    # sha256 of the `--dump` stdout, recorded before elements were held as
+    # the rows of [M | a]: order, listing and JSON documents are unchanged.
+    @pytest.mark.parametrize("args, digest", [
+        ("translations --q 3 --d 2",
+         "9c95c4b9f7386fa02d9a34dc6a729bb536d45390930544c27b370aafa865d63e"),
+        ("orthogonal --q 5 --d 2",
+         "bd756414edf7a0c7904f37ac99b043d91f56b5e4feb8efc0ef4291d28f1969db"),
+        ("orthogonal --q 3 --d 3 --radius 2",
+         "1a8fbc886e300ffd5200b8c29d695e6a8707083fb65b609b50709a24f576d22a"),
+        ("special-linear --q 3 --d 2",
+         "870c4658e5bab3e16051c915bb36fc5d7736b6de748432573919835b01b0b0c7"),
+        ("special-linear --q 2 --d 3",
+         "e8934f4cf98bd4657ef3354b610cb137685f3f6b10eaac0b70f9ad023549e463"),
+    ], ids=["T(2,3)", "O(2,5)", "O(3,3)-radius-2", "SL(2,3)", "SL(3,2)"])
+    def test_dump_is_golden(self, capsys, args, digest):
+        code, out = run_cli(capsys, "enumerate-group", "--kind", *args.split(), "--dump")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_special_linear(self, capsys):
         code, out = run_cli(capsys, "enumerate-group", "--kind", "special-linear",
@@ -387,6 +407,38 @@ class TestSweepAndVerifyWitness:
         assert code == 3
         assert stdout.lines == 2
         assert sink.read_bytes() == b""
+
+    def test_threshold_size_past_4300_digits_exits_four(self, capsys, tmp_path):
+        """Every cell line prints the threshold size n = ⌈√(3·3^d)⌉: at
+        d = 18023 it has 4,300 digits and prints; at d = 18024 it has
+        4,301 and the sweep is refused before any line is written."""
+        sweep = ["sweep", "--kind", "det-similarity", "--qs", "3", "--ks", "2", "--r", "1"]
+        code, out = run_cli(capsys, *sweep, "--d", "18023")
+        assert code == 0
+        cell = json.loads(out.splitlines()[0])
+        assert len(str(cell["config"]["n"])) == 4300
+        assert cell["outcome"]["error"] == "EnumerationCapExceeded"
+        for d in ("18024", "20000", "1000000000"):
+            path = tmp_path / f"sweep-{d}.jsonl"
+            start = time.perf_counter()
+            code, out = run_cli(capsys, *sweep, "--d", d, "--out", str(path))
+            assert time.perf_counter() - start < 1
+            assert code == 4
+            assert first_json(out) == {
+                "error": "EnumerationCapExceeded",
+                "message": f"threshold set size for q = 3, d = {d}, k = 2 has more than 4300 digits"}
+            assert path.read_bytes() == b""
+
+    def test_det_sweep_past_the_space_budget_reports_per_cell(self, capsys):
+        # 3^17 points exceed the budget: each cell records the refusal.
+        code, out = run_cli(capsys, "sweep", "--kind", "det-similarity", "--qs", "3",
+                            "--d", "17", "--ks", "2,3", "--r", "1")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert [c["config"]["n"] for c in lines[:-1]] == [19683, 22728]
+        assert {c["outcome"]["error"] for c in lines[:-1]} == {"EnumerationCapExceeded"}
+        assert lines[-1] == {"summary": True, "cells": 2, "witnesses": 0, "errors": 2,
+                             "violations": 0}
 
     def test_sweep_negative_size_is_input_error(self, capsys, tmp_path):
         sweep = ["sweep", "--qs", "5", "--d", "2", "--ks", "1", "--size", "-3"]

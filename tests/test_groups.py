@@ -5,6 +5,7 @@ import itertools
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqsim import (
     ENUMERATION_CAP,
@@ -26,6 +27,9 @@ from fqsim import (
 )
 from fqsim.geometry import _det_rows
 from fqsim.groups import _unimodular_rows
+from fqsim.intersection import max_intersection
+
+from helpers import oracle_apply, oracle_compose, oracle_inverse, oracle_is_identity
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -321,7 +325,7 @@ class TestGroupStructure:
             with pytest.raises(NotInSpace) as caught:
                 group.perms()
             assert str(caught.value) == f"{image} is not a point of {space!r}"
-            assert group._perms is None
+            assert group._columns is None
 
     @pytest.mark.parametrize("make, space, error", [
         (lambda: translations(3, 3), Space.full(3, 2), DimensionMismatch),
@@ -333,13 +337,6 @@ class TestGroupStructure:
         with pytest.raises(error):
             group.perms()
 
-    def test_columns_need_byte_indices(self):
-        assert len(translations(2, 8).columns()) == 256
-        group = translations(2, 9)
-        with pytest.raises(ValueError, match="at most 256 points"):
-            group.columns()
-        assert group._perms is None  # refused before the table is built
-
     def test_membership(self):
         group = special_linear_group(3, 2)
         member = SpecialLinear.unchecked(Matrix(F3, [[1, 1], [0, 1]]))  # a new, equal object
@@ -350,6 +347,18 @@ class TestGroupStructure:
         assert other_kind not in group
         assert group.identity.sort_key() not in group  # a plain tuple, even a member's key
         assert [1, 0] not in group  # unhashable, still not in
+
+    def test_one_kind_holding_its_identity(self):
+        # The identity is found by key: a list without it, an empty list and
+        # a list mixing kinds or dimensions, with two identities or one, are
+        # all refused.
+        sl, t, sl3 = special_linear_group(3, 2), translations(3, 2), special_linear_group(3, 3)
+        others = [g for g in sl3 if not g.is_identity()]
+        for elements in ([g for g in sl if not g.is_identity()], [], sl.elements + t.elements,
+                         sl.elements + sl3.elements, sl.elements + tuple(others)):
+            with pytest.raises(ValueError, match="exactly one identity"):
+                FiniteGroup(elements, sl.space, "special-linear")
+        assert FiniteGroup(reversed(sl.elements), sl.space, "special-linear").identity == sl.identity
 
     def test_compose_and_inverse(self):
         group = special_linear_group(5, 2)
@@ -393,3 +402,152 @@ class TestEnumerationBudget:
         # sphere, translations and orthogonal_group: the test_cap/test_budget cases
         with pytest.raises(EnumerationCapExceeded, match=str(ENUMERATION_CAP)):
             build()
+
+
+@functools.lru_cache(maxsize=None)
+def grid_group(kind, d, q):
+    return {"T": translations, "SL": special_linear_group, "O": orthogonal_group}[kind](q, d)
+
+
+T_GRID = [(1, 7), (2, 3), (2, 5), (3, 3), (4, 2)]
+ELEMENT_GRID = ([("T", d, q) for d, q in T_GRID] + [("SL", d, q) for d, q in SL_GRID]
+                + [("O", d, q) for d, q in O_GRID])
+
+
+class TestElementArithmetic:
+    """apply, compose, inverse and is_identity, written once on the rows of
+    [M | a], against each kind's own arithmetic (`helpers.oracle_*`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(ELEMENT_GRID), data=st.data())
+    def test_rows_agree_with_the_kind_oracle(self, shape, data):
+        group = grid_group(*shape)
+        pick = st.integers(0, group.order - 1)
+        g = group.elements[data.draw(pick, label="g")]
+        h = group.elements[data.draw(pick, label="h")]
+        x = Vector(group.space.field, data.draw(
+            st.lists(st.integers(0, shape[2] - 1), min_size=shape[1], max_size=shape[1]), label="x"))
+        assert g.apply(x) == oracle_apply(g, x)
+        assert g.compose(h) == oracle_compose(g, h)
+        assert g.compose(h).apply(x) == g.apply(h.apply(x))
+        assert g.inverse() == oracle_inverse(g)
+        assert g.inverse().apply(g.apply(x)) == x
+        assert g.is_identity() == oracle_is_identity(g) == (g == group.identity)
+        assert g.compose(g.inverse()).is_identity()
+
+    def test_cross_kind_compose_raises_type_error(self):
+        ids = [grid_group(kind, 2, 3).identity for kind in ("T", "SL", "O")]
+        for g, h in itertools.permutations(ids, 2):
+            with pytest.raises(TypeError, match=f"cannot compose {type(g).__name__} with"):
+                g.compose(h)
+
+    def test_apply_refuses_other_spaces(self):
+        for g in (grid_group("T", 2, 3).identity, grid_group("SL", 2, 3).identity):
+            with pytest.raises(FieldMismatch):
+                g.apply(Vector(F5, [1, 2]))
+            with pytest.raises(DimensionMismatch):
+                g.apply(Vector(F3, [1, 2, 0]))
+            with pytest.raises(TypeError):
+                g.apply((1, 2))
+
+    def test_views_and_documents(self):
+        t = Translation(Vector(F5, [3, 4]))
+        assert t.rows == ((1, 0, 3), (0, 1, 4))
+        assert t.vector == Vector(F5, [3, 4]) and t.matrix == Matrix.identity(F5, 2)
+        assert (t.to_json(), repr(t)) == ({"type": "translation", "by": [3, 4]}, "Translation([3, 4] mod 5)")
+        s = SpecialLinear(Matrix(F5, [[1, 2], [0, 1]]))
+        assert s.rows == ((1, 2, 0), (0, 1, 0)) and s.vector.is_zero()
+        assert s.to_json() == {"type": "special-linear", "matrix": [[1, 2], [0, 1]]}
+        assert repr(s) == "SpecialLinear([[1, 2], [0, 1]] mod 5)"
+        o = Orthogonal(Matrix(F5, [[0, 1], [1, 0]]))
+        assert o.to_json() == {"type": "orthogonal", "matrix": [[0, 1], [1, 0]]}
+        assert o.inverse() == o and o.compose(o).is_identity()
+
+
+class TestImageTable:
+    """columns(), the one image table, against per-element apply images."""
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: translations(3, 5), bytes),  # 243 points
+        (lambda: translations(2, 8), bytes),  # 256 points
+        (lambda: orthogonal_group(17, 2), "H"),  # 289 points
+        (lambda: special_linear_group(5, 2), bytes),
+        (lambda: orthogonal_group(3, 3, radius=2), bytes),
+    ], ids=["T(3,5)", "T(2,8)", "O(2,17)", "SL(2,5)", "O(3,3)-radius-2"])
+    def test_columns_are_the_images_under_apply(self, make, kind):
+        group = make()
+        space = group.space
+        columns = group.columns()
+        assert len(columns) == space.size
+        for x, column in zip(space.points, columns):
+            assert type(column) is bytes if kind is bytes else column.typecode == kind
+            assert list(column) == [space.index(g.apply(x)) for g in group]
+        assert group.columns() is columns  # cached
+        if space.size <= 256:
+            assert group.perms() == list(zip(*columns))
+
+    def test_column_type_follows_the_space_size(self):
+        # 243 and 256 points fit a byte index, 288 and 512 need two bytes
+        assert type(translations(3, 5).columns()[0]) is bytes
+        assert type(translations(2, 8).columns()[0]) is bytes
+        assert grid_group("SL", 2, 17).columns()[0].typecode == "H"
+        assert translations(2, 9).columns()[0].typecode == "H"
+
+    def test_scan_over_four_byte_columns(self):
+        # ±1 on F_65537: column x is (x, -x), in lanes of four bytes, and H
+        # spreads over every high part of the indices.
+        from fqsim import random_subset
+
+        group = orthogonal_group(65537, 1)
+        space = group.space
+        assert [g.rows for g in group] == [((1, 0),), ((65536, 0),)]
+        assert {column.typecode for column in group.columns()} == {"I"}
+        assert [list(column) for column in group.columns()] == [[x, -x % 65537] for x in range(65537)]
+        e, h = random_subset(space, 40, 1), random_subset(space, 30000, 2)
+        counts = [sum(g.apply(x) in h for x in e) for g in group]
+        rep = max_intersection(group, e, h, want_histogram=True)
+        assert (rep.best_count, rep.double_count_total) == (max(counts), sum(counts))
+        assert rep.per_g_histogram == {c: counts.count(c) for c in set(counts)}
+
+    def test_empty_sphere(self):
+        group = orthogonal_group(3, 1, radius=2)  # x² = 2 has no root mod 3
+        assert group.space.size == 0 and group.order == 2
+        assert group.columns() == []
+        assert group.perms() == [(), ()]
+
+    def test_first_element_then_first_point_leaving_the_space(self):
+        # F_17^2 without (0, 1) and (1, 0): 287 points, two-byte columns.
+        # The first element of SL(2,17), x -> (x_1, -x_0), first sends
+        # (16, 0) out, to (0, 1); other elements send earlier points to (1, 0).
+        field = make_field(17)
+        missing = {(0, 1), (1, 0)}
+        space = Space(field, 2, "custom", [v for v in Space.full(17, 2).points if v.coords not in missing])
+        group = FiniteGroup(special_linear_group(17, 2).elements, space, "special-linear")
+        assert group.elements[0].rows == ((0, 1, 0), (16, 0, 0))
+        with pytest.raises(NotInSpace) as caught:
+            group.columns()
+        assert str(caught.value) == f"Vector([0, 1] mod 17) is not a point of {space!r}"
+        assert group._columns is None
+
+    @pytest.mark.parametrize("make", [lambda: translations(2, 8), lambda: grid_group("SL", 2, 17)],
+                             ids=["T(2,8)", "SL(2,17)"])
+    def test_scan_on_both_sides_of_half_the_space(self, make):
+        # At |E| = |X|/2 the scan reads E's columns, at |X|/2 + 1 those of
+        # X \ E; one column, read as E or as X \ E, and E = X are the edges.
+        # The oracle counts each element's images in H by perms().
+        from fqsim import random_subset
+
+        group = make()
+        space = group.space
+        n = space.size
+        perms = group.perms()
+        for ne, nh, seed in [(n // 2, n // 3, 1), (n // 2 + 1, n // 3, 2), (n // 2, n, 3),
+                             (n // 2 + 1, n, 4), (n, n, 5), (1, n // 3, 6), (n - 1, n // 3, 7),
+                             (n, n // 3, 8)]:
+            e, h = random_subset(space, ne, seed), random_subset(space, nh, seed + 10)
+            ei, hi = [space.index(x) for x in e], {space.index(x) for x in h}
+            counts = [sum(p[i] in hi for i in ei) for p in perms]
+            rep = max_intersection(group, e, h, want_histogram=True)
+            assert rep.best_count == max(counts)
+            assert rep.best_g == group.elements[counts.index(max(counts))]
+            assert rep.per_g_histogram == {c: counts.count(c) for c in set(counts)}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fqsim import (
+    EnumerationCapExceeded,
     HeaderMismatch,
     ParseError,
     PointSet,
@@ -386,6 +387,21 @@ class TestSweeps:
         cell = SweepConfig(qs=(65521,), d=4, ks=(1,), ratios=(1,), size=5).cells()[0]
         outcome = run_cell(dict(cell, q=65537)).outcome
         assert outcome["status"] == "error" and outcome["error"] == "SpaceTooLarge"
+
+    def test_threshold_size_past_4300_digits_is_refused(self):
+        """n = ⌈√(3·3^d)⌉ has 4,300 digits at d = 18023 and 4,301 at 18024;
+        a fixed size needs no threshold and is not refused."""
+        def config(d, size="threshold"):
+            return SweepConfig(qs=(3,), d=d, ks=(2,), ratios=(1,), kind="det-similarity", size=size)
+
+        assert len(str(config(18023).cells()[0]["n"])) == 4300
+        for d in (18024, 28569, 28570, 10 ** 9):
+            with pytest.raises(EnumerationCapExceeded, match="has more than 4300 digits"):
+                config(d).cells()
+        assert config(18024, size=5).cells()[0]["n"] == 5
+        # q = 5: d·(bits(q) - 1) reaches 28,570 at d = 14285, refused before the power
+        with pytest.raises(EnumerationCapExceeded):
+            SweepConfig(qs=(5,), d=14285, ks=(1,), ratios=(1,), kind="det-similarity").cells()
 
     def test_det_cells_sample_the_punctured_space(self):
         cell = SweepConfig(qs=(7,), d=2, ks=(2,), kind="det-similarity").cells()[0]

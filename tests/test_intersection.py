@@ -531,7 +531,8 @@ class TestTransporterKernel:
             assert intersect_count(g, e, h) == c
         best = min(code for code, c in counts.items() if c == rep.best_count)
         assert rep.best_count == max(counts.values())
-        assert rep.best_g.sort_key()[2] == tuple(best // 5 ** (8 - i) % 5 for i in range(9))
+        flat = [best // 5 ** (8 - i) % 5 for i in range(9)]
+        assert rep.best_g.matrix == Matrix(F5, [flat[0:3], flat[3:6], flat[6:9]])
         assert sum(rep.per_g_histogram.values()) == 372000
 
     def test_forced_ties_go_to_the_smallest_matrix(self):
@@ -663,17 +664,17 @@ def scan_cases(space, seed):
 
 
 class TestScanOracle:
-    """max_intersection, byte columns up to 255 points and membership
-    counts above, against the per-element scan."""
+    """max_intersection, byte columns up to 256 points and two-byte lanes
+    above, against the per-element scan."""
 
     @pytest.mark.parametrize("make, columns", [
         (lambda: translations(3, 5), True),  # 243 points: a count of 243 fits a byte
-        (lambda: translations(2, 8), False),  # 256 points: the membership count
-        (lambda: translations(17, 2), False),  # 289 points: counts past one byte
+        (lambda: translations(2, 8), True),  # 256 points: byte columns, a count of 256 does not fit
+        (lambda: translations(17, 2), True),  # 289 points: two-byte columns and counts
         (lambda: special_linear_group(5, 2), True),
         (lambda: orthogonal_group(7, 3, radius=1), True),
         (lambda: orthogonal_group(3, 1, radius=2), False),  # x² = 2 mod 3: only empty sets
-        (lambda: orthogonal_group(17, 2), False),  # 289 points, 32 matrices
+        (lambda: orthogonal_group(17, 2), True),  # 289 points, 32 matrices
     ], ids=["T(3,5)", "T(2,8)", "T(17,2)", "SL(2,5)", "O(3,7)-sphere", "O(1,3)-empty-sphere",
             "O(2,17)"])
     def test_matches_the_per_element_scan(self, make, columns):
@@ -697,7 +698,7 @@ class TestScanOracle:
         for want_histogram in (False, True):
             rep = max_intersection(group, e, h, want_histogram=want_histogram)
             assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
-        assert group._columns is None
+        assert group._columns[0].typecode == "H"
 
     @pytest.mark.parametrize("make", [
         lambda: translations(3, 5),  # 243 points, odd
@@ -746,7 +747,7 @@ class TestScanOracle:
                 assert rep.best_g == group.identity
                 assert rep.per_g_histogram == ({0: order} if want_histogram else None)
                 assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
-        assert group._perms is None and group._columns is None  # nothing was scanned
+        assert group._columns is None  # nothing was scanned
 
     def test_full_space_count_fills_a_byte(self):
         group = translations(3, 5)
