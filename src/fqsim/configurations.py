@@ -411,7 +411,7 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     pull = pull_back(report.best_g)
     held = points._index
     zs, pulled = [], []
-    for z in scaled._index:  # canonical order, so the extraction is deterministic
+    for z in scaled._coords:  # canonical order, so the extraction is deterministic
         x = pull(z)
         if x in held:
             zs.append(z)

@@ -6,9 +6,9 @@ a metric, but it shares the two properties that drive every construction
 in this package: invariance under orthogonal matrices and homogeneity of
 degree 2 under scalar dilation.
 
-Point sets hold canonical coordinate tuples in lexicographic order, the
-canonical form behind digests and tie-breaks; their vectors are built
-only when a set is iterated.
+A point set is one sorted tuple of canonical coordinate tuples, the
+canonical form behind digests and tie-breaks; its position dict is
+built on the first lookup and its vectors on the first iteration.
 """
 
 from __future__ import annotations
@@ -138,11 +138,12 @@ class PointSet:
 
     The canonical ordering makes point sets hashable inputs for digests,
     diffable in reports, and deterministic to iterate; `index` gives a
-    point's position in it.  Points are held as coordinate tuples; their
-    `Vector`s are built when the set is first iterated, if none were given.
+    point's position in it.  A set holds one sorted tuple of coordinate
+    tuples, `_coords`; its position dict is built on the first lookup and
+    its `Vector`s on the first iteration, unless vectors were given.
     """
 
-    __slots__ = ("field", "dim", "_points", "_index")
+    __slots__ = ("field", "dim", "_coords", "_positions", "_points")
 
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
         if dim < 1:
@@ -159,8 +160,9 @@ class PointSet:
             seen[p.coords] = p
         self.field = field
         self.dim = dim
-        self._index = {c: i for i, c in enumerate(sorted(seen))}
-        self._points = tuple(seen[c] for c in self._index)
+        self._coords = tuple(sorted(seen))
+        self._positions = None
+        self._points = tuple(seen[c] for c in self._coords)
 
     @classmethod
     def _canonical(cls, field: PrimeField, dim: int, coords: Iterable[tuple]) -> "PointSet":
@@ -169,19 +171,27 @@ class PointSet:
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
-        self._index = dict(zip(coords, itertools.count()))
-        self._points = None
+        self._coords = tuple(coords)
+        self._positions = self._points = None
         return self
+
+    @property
+    def _index(self) -> dict:
+        """Coordinate tuple -> position, built on first lookup.  Threads that
+        race here build equal dicts, so whichever is kept answers alike."""
+        if self._positions is None:
+            self._positions = dict(zip(self._coords, itertools.count()))
+        return self._positions
 
     @property
     def points(self) -> tuple[Vector, ...]:
         """The points as vectors, in canonical order, built on first use."""
         if self._points is None:
-            self._points = tuple([Vector(self.field, c) for c in self._index])
+            self._points = tuple([Vector(self.field, c) for c in self._coords])
         return self._points
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._coords)
 
     def __iter__(self):
         return iter(self.points)
@@ -205,11 +215,11 @@ class PointSet:
             isinstance(other, PointSet)
             and other.field.q == self.field.q
             and other.dim == self.dim
-            and other._index == self._index
+            and other._coords == self._coords
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.dim, tuple(self._index)))
+        return hash((self.field.q, self.dim, self._coords))
 
     def scaled(self, scalar: FieldElement) -> "PointSet":
         """Image of the set under coordinatewise scalar dilation.
@@ -219,15 +229,15 @@ class PointSet:
         so the images need one sort; zero sends every point to the origin.
         """
         field, dim = self.field, self.dim
-        if not self._index:
+        if not self._coords:
             return PointSet(field, dim)
         s = _scale_value(scalar, field)
         q = field.q
-        columns = [[s * c % q for c in column] for column in zip(*self._index)]
+        columns = [[s * c % q for c in column] for column in zip(*self._coords)]
         return PointSet._canonical(field, dim, sorted(zip(*columns)) if s else [(0,) * dim])
 
     def __repr__(self) -> str:
-        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self._index)})"
+        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self._coords)})"
 
 
 class Matrix:
@@ -362,5 +372,5 @@ def sphere(q_or_field, dim: int, radius) -> PointSet:
     _check_budget(q, dim, "sphere enumeration (q^d)")
     want = radius.value if isinstance(radius, FieldElement) else radius % q
     squares = [i * i % q for i in range(q)]
-    return PointSet(field, dim, [Vector(field, c) for c in itertools.product(range(q), repeat=dim)
-                                 if sum(squares[x] for x in c) % q == want])
+    return PointSet._canonical(field, dim, [c for c in itertools.product(range(q), repeat=dim)
+                                            if sum(squares[x] for x in c) % q == want])

@@ -31,7 +31,7 @@ import itertools
 import sys
 from array import array
 from itertools import repeat
-from operator import add, itemgetter, mod, mul
+from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Iterable
 
 from .errors import DimensionMismatch, FieldMismatch, NotInSpace
@@ -43,7 +43,6 @@ from .geometry import (
     _check_budget,
     _det_rows,
     _inverse_rows,
-    all_vectors,
     sphere,
 )
 
@@ -61,26 +60,35 @@ class Space(PointSet):
         self.radius = radius
 
     @classmethod
+    def _of(cls, field: PrimeField, dim: int, kind: str, coords: Iterable[tuple],
+            radius: int | None = None) -> "Space":
+        """The space of these canonical, sorted coordinate tuples."""
+        self = cls._canonical(field, dim, coords)
+        self.kind, self.radius = kind, radius
+        return self
+
+    @classmethod
     def full(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
         _check_budget(field.q, dim, "full space (q^d)")
-        return cls(field, dim, "full", all_vectors(field, dim))
+        return cls._of(field, dim, "full", itertools.product(range(field.q), repeat=dim))
 
     @classmethod
     def punctured(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
         _check_budget(field.q, dim, "punctured space (q^d)")
-        return cls(field, dim, "punctured", (v for v in all_vectors(field, dim) if not v.is_zero()))
+        everything = itertools.product(range(field.q), repeat=dim)  # the origin first
+        return cls._of(field, dim, "punctured", itertools.islice(everything, 1, None))
 
     @classmethod
     def sphere(cls, q_or_field, dim: int, radius: int) -> "Space":
         field = as_field(q_or_field)
         radius = radius % field.q
-        return cls(field, dim, "sphere", sphere(field, dim, radius), radius=radius)
+        return cls._of(field, dim, "sphere", sphere(field, dim, radius)._coords, radius=radius)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self)
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "q": self.field.q, "d": self.dim, "size": self.size}
@@ -288,13 +296,13 @@ class FiniteGroup:
         """
         if self._columns is None:
             space = self.space
-            index = space._index
+            coords = space._coords
             q, d = space.field.q, space.dim
-            # The shares would silently reduce an element over another field
-            # or dimension; apply raises on it, as it always has.
-            for x in space.points[:1]:
-                for g in {(g.field.q, len(g.rows)): g for g in self.elements}.values():
-                    g.apply(x)
+            # The shares would silently reduce elements over another field or
+            # dimension; apply raises on them, as it always has.  Every element
+            # has the identity's shape.
+            for x in coords[:1]:
+                self.identity.apply(Vector(space.field, x))
             # Per column j of [M | a]: each element's column, and the distinct ones numbered.
             per_column = [(cols, {c: n for n, c in enumerate(dict.fromkeys(cols))})
                           for cols in zip(*[zip(*g.rows) for g in self.elements])]
@@ -302,16 +310,16 @@ class FiniteGroup:
             ids = [list(map(seen.__getitem__, cols)) for cols, seen in per_column]
             base = max(sum(any(c[i] for c in cs) for cs in distinct) for i in range(d)) * (q - 1) + 1
             weights = [base ** (d - 1 - i) for i in range(d)]
-            values = [sorted({x[j] for x in index}) for j in range(d)] + [[1]]
+            values = [sorted({x[j] for x in coords}) for j in range(d)] + [[1]]
             def at_values(c, vs):  # Σ_i w_i·(c_i·v mod q) for each v in vs, in C
                 terms = [map(mul, repeat(w), map(mod, map(mul, vs, repeat(m)), repeat(q)))
                          for w, m in zip(weights, c)]
                 return list(map(sum, zip(*terms)))
             shares = [dict(zip(vs, zip(*map([at_values(c, vs) for c in cs].__getitem__, js))))
                       for cs, js, vs in zip(distinct, ids, values)]
-            typecode = None if len(index) <= 256 else "H" if len(index) <= 65536 else "I"
+            typecode = None if len(coords) <= 256 else "H" if len(coords) <= 65536 else "I"
             width = array(typecode).itemsize if typecode else 1
-            packed = {c: i.to_bytes(width, sys.byteorder) for c, i in index.items()}
+            packed = {c: i.to_bytes(width, sys.byteorder) for i, c in enumerate(coords)}
             lookup = [packed.get(c) for c in itertools.product([v % q for v in range(base)], repeat=d)]
             columns = []
             prefix, partial = (None,) * (d - 1), [shares.pop()[1]]  # then plus the shares of x_0, x_1, ..
@@ -320,7 +328,7 @@ class FiniteGroup:
                 # Points come in lexicographic order: a run sharing its first
                 # d - 1 coordinates reuses one sum, and the sum over each
                 # shorter prefix is kept until that prefix changes.
-                for head, run in itertools.groupby(index, itemgetter(slice(0, d - 1))):
+                for head, run in itertools.groupby(coords, itemgetter(slice(0, d - 1))):
                     k = next((j for j, (a, b) in enumerate(zip(head, prefix)) if a != b), d - 1)
                     del partial[k + 1:]
                     for j in range(k, d - 1):
@@ -353,13 +361,24 @@ class FiniteGroup:
     def is_transitive(self) -> bool:
         """Single-orbit test: the orbit of the smallest point is the whole space.
 
-        An empty space counts as (vacuously) transitive.
+        The orbit is counted as the distinct image tuples of the point:
+        coordinate i of g·x is Σ_j c_j·(row i of g)_j over the nonzero
+        entries c_j of (x, 1), summed for all elements at once in C.  An
+        empty space counts as (vacuously) transitive.
         """
         if self._transitive is None:
-            if self.space.size == 0:
-                self._transitive = True
-            else:
-                self._transitive = len(self.orbit(self.space.points[0])) == self.space.size
+            space, q = self.space, self.space.field.q
+            images = set()  # an empty space has no first point and no images
+            for x in space._coords[:1]:
+                self.identity.apply(Vector(space.field, x))  # another field or dimension raises
+                terms = [(j, c) for j, c in enumerate(x + (1,)) if c]
+                image = []  # per coordinate i, its value under every element
+                for i in range(space.dim):
+                    row = list(map(itemgetter(i), map(attrgetter("rows"), self.elements)))
+                    parts = [map(mul, map(itemgetter(j), row), repeat(c)) for j, c in terms]
+                    image.append(map(mod, map(sum, zip(*parts)), repeat(q)))
+                images = set(zip(*image))
+            self._transitive = len(images) == len(space)
         return self._transitive
 
     def describe(self) -> dict:
@@ -380,7 +399,7 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     space = Space.full(field, dim)
     # Row i of [I | a] depends on a_i alone, so the q rows per i are shared.
     shared = [[r[:dim] + (a,) for a in range(field.q)] for r in _identity_rows(dim)]
-    rows = zip(*[map(s.__getitem__, c) for s, c in zip(shared, zip(*space._index))])
+    rows = zip(*[map(s.__getitem__, c) for s, c in zip(shared, zip(*space._coords))])
     return FiniteGroup([Translation._from_rows(field, r) for r in rows], space, "translations")
 
 
@@ -447,7 +466,7 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     field = as_field(q_or_field)
     q = field.q
     _check_budget(q, dim * dim, "matrix enumeration (q^(d^2))")
-    unit = [v.coords for v in sphere(field, dim, 1).points]
+    unit = sphere(field, dim, 1)._coords
     zero = (0,) * dim  # the shift column of [M | 0]
 
     matrices = []

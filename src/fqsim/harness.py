@@ -91,7 +91,7 @@ def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     picks = sorted(SplitMix64(seed).sample_indices(size, n))
-    return PointSet._canonical(points.field, points.dim, map(list(points._index).__getitem__, picks))
+    return PointSet._canonical(points.field, points.dim, map(points._coords.__getitem__, picks))
 
 
 def parse_pointset(text_or_lines) -> PointSet:

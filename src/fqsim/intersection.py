@@ -152,7 +152,7 @@ def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
             f"the group acts on F_{space.field.q}^{space.dim}"
         )
     try:
-        return list(map(space._index.__getitem__, points._index))
+        return list(map(space._index.__getitem__, points._coords))
     except KeyError as exc:
         point = Vector(space.field, exc.args[0])
         raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
@@ -240,7 +240,7 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
 def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
     """offset + Σ_i c_i·weights[i] for every point, a coordinate column at a time."""
     codes = [offset] * len(points)
-    for w, column in zip(weights, zip(*points._index)):
+    for w, column in zip(weights, zip(*points._coords)):
         codes = map(add, codes, map(mul, column, repeat(w)))
     return list(codes)
 
@@ -465,7 +465,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     q = moving.field.q
     d = moving.dim
     if d == 1:
-        common = sum(1 for p in moving._index if p in fixed._index)
+        common = sum(1 for p in moving._coords if p in fixed._index)
         return {1: common} if common else {}
     qd = q ** d
     wrap = _wrap_table(q, d)  # base-2q row code -> flat index of the row mod q
@@ -473,7 +473,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     # scaled[j][e]: c·e mod q over c in F_q, as base-2q digit j (weight 1 at j = d - 1)
     scaled = [[[c * e % q * w for c in range(q)] for e in range(q)] for w in w2q]
     others = [[j for j in range(d) if j != i] for i in range(d)]
-    leads = sorted({c for y in fixed._index for c in y})
+    leads = sorted({c for y in fixed._coords for c in y})
     # Per lead a: its offset as digit 0 plus a·b as the tail, over b in lex order.
     lead_b = {a: [n * w2q[0]] for n, a in enumerate(leads)}
     for digit in scaled[1:]:
@@ -483,7 +483,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     starts = [[[sum(scaled[k][mu][e] for k, e in enumerate(a[t], start=1)) for a in blocks]
                for mu in range(q)] for t in range(d - 1)]
     index = [[] for _ in range(d)]
-    for ys in fixed._index:
+    for ys in fixed._coords:
         i = next(j for j, c in enumerate(ys) if c)
         mu = pow((-1) ** i * ys[i], q - 2, q)
         for j, (col, yj) in enumerate(zip(index, ys)):
@@ -492,7 +492,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
             col.extend([wrap[v + u] for v in vs for u in lead_b[yj]])
 
     counts: Counter = Counter()
-    for x in moving._index:
+    for x in moving._coords:
         i, r = _inverse_completion(x, q)  # r_0 on e_i; r_k on e_jk and e_i
         w = w2q[i]
         heads = [a * r[0][i] % q * w for a in leads]  # base 2q, as the table's rows

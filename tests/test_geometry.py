@@ -1,7 +1,10 @@
 """Vectors, matrices, norms, determinants, spheres."""
 
 import itertools
+import sys
+import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from fqsim import (
     all_vectors,
     make_field,
     orthogonal_group,
+    random_subset,
     special_linear_group,
     sphere,
 )
@@ -224,6 +228,7 @@ class TestPointSet:
         assert a == b and hash(a) == hash(b)
         assert a != from_coords(F5, 2, [[2, 0], [0, 1]])
         assert a != from_coords(F3, 2, [[2, 0]])
+        assert a != from_coords(F3, 2, [[2, 0], [0, 2]])
 
     def test_scaled_and_translated(self):
         ps = from_coords(F5, 2, [[1, 2], [3, 4]])
@@ -244,6 +249,73 @@ class TestPointSet:
     def test_rejects_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):
             PointSet(F3, 2, [Vector(F3, [1])])
+
+    @pytest.mark.parametrize("built", [
+        lambda: PointSet._canonical(F3, 2, [(0, 0), (0, 1), (1, 2), (2, 0)]),
+        lambda: PointSet._canonical(F5, 2, itertools.islice(itertools.product(range(5), repeat=2), 1, None)),
+        lambda: Space.punctured(5, 2),
+        lambda: Space.sphere(5, 3, 1),
+    ], ids=["canonical", "canonical-iterator", "punctured-space", "sphere-space"])
+    def test_agrees_with_the_vector_built_set_before_and_after_the_dict(self, built):
+        tuples = built()
+        field, dim = tuples.field, tuples.dim
+        given = [Vector(field, c) for c in reversed(tuples._coords)]
+        if isinstance(tuples, Space):  # built from vectors, the way a custom space is
+            vectors = Space(field, dim, tuples.kind, given, tuples.radius)
+        else:
+            vectors = PointSet(field, dim, given)
+        for dict_built in (False, True):
+            assert tuples == vectors and hash(tuples) == hash(vectors) and len(tuples) == len(vectors)
+            assert [p.coords for p in tuples] == [p.coords for p in vectors] == sorted(tuples._coords)
+            assert (tuples._positions is not None) == (vectors._positions is not None) == dict_built
+            assert_same_set(tuples, vectors)  # `in` and index() build the dicts
+
+    def test_random_subset_builds_no_dict_until_a_lookup(self):
+        space = Space.punctured(11, 2)
+        e = random_subset(space, 60, 1)
+        assert e == random_subset(space, 60, 1) and hash(e) == hash(random_subset(space, 60, 1))
+        assert len(e) == 60 and len(list(e)) == 60
+        assert e._positions is None and space._positions is None
+        assert e.index(e.points[3]) == 3
+        assert e._positions is not None
+
+    def test_threads_racing_on_the_first_lookup_read_one_answer(self):
+        field = make_field(31)
+        coords = list(itertools.product(range(31), repeat=2))
+        points = [Vector(field, c) for c in coords]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                fresh = PointSet._canonical(field, 2, coords)
+                start = threading.Barrier(8)
+                got = [None] * 8
+
+                def look(i):
+                    start.wait()
+                    got[i] = [fresh.index(x) for x in points]
+
+                threads = [threading.Thread(target=look, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert got == [list(range(len(coords)))] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_random_subsets_hold_no_dict(self):
+        space = Space.punctured(11, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            subsets = [random_subset(space, 60, seed) for seed in range(1000)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(len(e) == 60 for e in subsets)
+        assert held / len(subsets) < 1024  # bytes per 60-point set
 
 
 def assert_same_set(tuples, vectors):

@@ -291,6 +291,27 @@ class TestGroupStructure:
             for x in group.space:
                 assert group.order == len(group.orbit(x)) * len(group.stabilizer(x))
 
+    @pytest.mark.parametrize("make", [
+        lambda: translations(3, 2),
+        lambda: orthogonal_group(3, 2),  # full space: the origin is its own orbit
+        lambda: orthogonal_group(7, 2, radius=5),  # first point (1, 2)
+        lambda: orthogonal_group(7, 3, radius=5),  # first point (0, 1, 2)
+        lambda: orthogonal_group(3, 1, radius=2),  # empty sphere
+        lambda: special_linear_group(5, 2),
+        lambda: FiniteGroup(special_linear_group(3, 2).elements, Space.full(3, 2), "special-linear"),
+        lambda: FiniteGroup(translations(5, 2).elements, Space.sphere(5, 2, 3), "translations"),
+    ], ids=["T(3,2)", "O(2,3)", "O(2,7)-r5", "O(3,7)-r5", "O(1,3)-empty", "SL(2,5)", "SL(2,3)-full",
+            "T(5,2)-sphere"])
+    def test_is_transitive_is_one_orbit(self, make):
+        group = make()
+        space = group.space
+        assert group.is_transitive() == (not space.points or len(group.orbit(space.points[0])) == space.size)
+
+    def test_is_transitive_refuses_another_field_or_dimension(self):
+        for space, error in ((Space.full(5, 2), FieldMismatch), (Space.full(3, 3), DimensionMismatch)):
+            with pytest.raises(error):
+                FiniteGroup(translations(3, 2).elements, space, "translations").is_transitive()
+
     def test_transporter_size_for_transitive_actions(self):
         for group in (translations(3, 1), special_linear_group(3, 2),
                       orthogonal_group(5, 2, radius=1)):

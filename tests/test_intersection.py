@@ -627,22 +627,24 @@ class TestTransporterKernel:
             "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
 
 
-def scan_oracle(group, moving, fixed, want_histogram):
+def scan_oracles(group, moving, fixed):
     """max_intersection recomputed element by element with g.apply and
-    intersect_count: no perms table, no columns, no masks.  An empty
-    space bounds nothing: its bound is 0."""
+    intersect_count: no perms table, no columns, no masks.  The counts are
+    taken once and give both reports, without and with the histogram.  An
+    empty space bounds nothing: its bound is 0."""
     counts = [intersect_count(g, moving, fixed) for g in group]
     best = max(counts)
     space = group.space
     orbit = {g.apply(x) for g in group for x in space.points[:1]}
-    return IntersectionReport(
+    histogram = {c: counts.count(c) for c in set(counts)}
+    return tuple(IntersectionReport(
         best_g=group.elements[counts.index(best)], best_count=best,
         bound=Fraction(len(moving) * len(fixed), space.size) if space.size else Fraction(0),
         double_count_total=sum(counts), transitive=len(orbit) == space.size,
         group_order=group.order, space_size=space.size,
         moving_size=len(moving), fixed_size=len(fixed),
-        per_g_histogram={c: counts.count(c) for c in set(counts)} if want_histogram else None,
-    )
+        per_g_histogram=histogram if want_histogram else None,
+    ) for want_histogram in (False, True))
 
 
 def scan_cases(space, seed):
@@ -681,11 +683,12 @@ class TestScanOracle:
         group = make()
         space = group.space
         for e, h in scan_cases(space, group.order):
+            oracles = scan_oracles(group, e, h)
             for want_histogram in (False, True):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # the empty set warns
                     rep = max_intersection(group, e, h, want_histogram=want_histogram)
-                assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+                assert_same_report(rep, oracles[want_histogram])
         assert (group._columns is not None) == columns
 
     def test_special_linear_above_255_points(self):
@@ -695,9 +698,10 @@ class TestScanOracle:
         space = group.space
         e = random_subset(space, 24, 3)
         h = random_subset(space, 200, 4)
+        oracles = scan_oracles(group, e, h)
         for want_histogram in (False, True):
             rep = max_intersection(group, e, h, want_histogram=want_histogram)
-            assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+            assert_same_report(rep, oracles[want_histogram])
         assert group._columns[0].typecode == "H"
 
     @pytest.mark.parametrize("make", [
@@ -723,7 +727,7 @@ class TestScanOracle:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the empty set warns
                 rep = max_intersection(group, e, h, want_histogram=True)
-            assert_same_report(rep, scan_oracle(group, e, h, True))
+            assert_same_report(rep, scan_oracles(group, e, h)[True])
             if ne:
                 assert len(read) == min(ne, n - ne)
                 assert (set(read) == {space.index(x) for x in e}) == (2 * ne <= n)
@@ -746,7 +750,7 @@ class TestScanOracle:
                 assert (rep.best_count, rep.bound, rep.double_count_total) == (0, 0, 0)
                 assert rep.best_g == group.identity
                 assert rep.per_g_histogram == ({0: order} if want_histogram else None)
-                assert_same_report(rep, scan_oracle(group, e, h, want_histogram))
+                assert_same_report(rep, scan_oracles(group, e, h)[want_histogram])
         assert group._columns is None  # nothing was scanned
 
     def test_full_space_count_fills_a_byte(self):
