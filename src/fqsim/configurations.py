@@ -153,11 +153,16 @@ class SimilarityThreshold:
 
 def similarity_threshold(q_or_field, dim: int, k: int) -> SimilarityThreshold:
     field = as_field(q_or_field)
+    return SimilarityThreshold(tuple_size=_tuple_size(k), space_size=field.q ** dim)
+
+
+def _tuple_size(k: int) -> int:
+    """k + 1, the points a similar copy must share; k < 0 is refused."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if k == 0:
         warnings.warn("k = 0 is the degenerate single-point case")
-    return SimilarityThreshold(tuple_size=k + 1, space_size=field.q ** dim)
+    return k + 1
 
 
 @dataclass(frozen=True)

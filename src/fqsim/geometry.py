@@ -22,19 +22,33 @@ from .field import FieldElement, PrimeField, as_field
 
 # Ceiling on every enumeration: full spaces, spheres and matrix scans.
 ENUMERATION_CAP = 10 ** 8
-_PRINTABLE = 10 ** 4300  # str() spells out an int below it, at most 4,300 digits
+_PRINTABLE = 10 ** 4300 - 1  # the largest int str() spells out, 4,300 digits
+
+
+def _power_exceeds(base: int, e: int, limit: int) -> bool:
+    """base^e > limit, for base >= 1 and e, limit >= 0.  2^(e·(b - 1)) <= base^e
+    < 2^(e·b) (e >= 1, b = bits(base)) decides it from bit lengths unless the
+    bounds straddle limit; only then is base^e computed, below 2^(2·bits(limit))."""
+    bits, edge = base.bit_length(), limit.bit_length()
+    if e * (bits - 1) >= edge:
+        return True
+    if e * bits < edge:
+        return False
+    return base ** e > limit
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
 
 
 def _check_budget(base: int, e: int, what: str) -> None:
-    """Refuse, before anything is allocated, an enumeration of base^e
-    candidates; with base >= 2, an e with 2^e > ENUMERATION_CAP is refused
-    before any power decides it.  The refusal spells the count out up to
-    4,300 digits, all that str() writes, and reads base^e beyond, where
-    base^e >= 2^(e·(bits(base) - 1)) >= 2^14,285 spares computing it."""
-    if e < ENUMERATION_CAP.bit_length() and base ** e <= ENUMERATION_CAP:
+    """Refuse, before anything is allocated and without computing a huge
+    power, an enumeration of base^e candidates past ENUMERATION_CAP; the
+    refusal spells the count out up to _PRINTABLE and reads base^e beyond."""
+    if not _power_exceeds(base, e, ENUMERATION_CAP):
         return
-    count = base ** e if e * (base.bit_length() - 1) < 14_285 else None
-    shown = count if count is not None and count < _PRINTABLE else f"{base}^{e}"
+    shown = f"{base}^{e}" if _power_exceeds(base, e, _PRINTABLE) else base ** e
     raise EnumerationCapExceeded(f"{what} needs at most {ENUMERATION_CAP} candidates, got {shown}")
 
 
@@ -146,8 +160,7 @@ class PointSet:
     __slots__ = ("field", "dim", "_coords", "_positions", "_points")
 
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
+        _check_dim(dim)
         q = field.q
         seen = {}
         for p in points:
@@ -369,6 +382,7 @@ def sphere(q_or_field, dim: int, radius) -> PointSet:
     """
     field = as_field(q_or_field)
     q = field.q
+    _check_dim(dim)
     _check_budget(q, dim, "sphere enumeration (q^d)")
     want = radius.value if isinstance(radius, FieldElement) else radius % q
     squares = [i * i % q for i in range(q)]

@@ -41,6 +41,7 @@ from .geometry import (
     PointSet,
     Vector,
     _check_budget,
+    _check_dim,
     _det_rows,
     _inverse_rows,
     sphere,
@@ -70,12 +71,14 @@ class Space(PointSet):
     @classmethod
     def full(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
+        _check_dim(dim)
         _check_budget(field.q, dim, "full space (q^d)")
         return cls._of(field, dim, "full", itertools.product(range(field.q), repeat=dim))
 
     @classmethod
     def punctured(cls, q_or_field, dim: int) -> "Space":
         field = as_field(q_or_field)
+        _check_dim(dim)
         _check_budget(field.q, dim, "punctured space (q^d)")
         everything = itertools.product(range(field.q), repeat=dim)  # the origin first
         return cls._of(field, dim, "punctured", itertools.islice(everything, 1, None))
@@ -443,6 +446,7 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     still applies: past ENUMERATION_CAP the group is refused.
     """
     field = as_field(q_or_field)
+    _check_dim(dim)
     _check_budget(field.q, dim * dim, "matrix scan (q^(d^2))")
     zero = ((0,),) * dim
     els = [SpecialLinear._from_rows(field, tuple(map(add, rows, zero)))

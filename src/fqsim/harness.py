@@ -12,6 +12,10 @@ line is one point with d comma-separated coordinates in [0, q).
 Sampling is driven entirely by SplitMix64 (see `prng`), so a given
 (q, d, n, seed) produces the same point set on every platform, and
 re-running a sweep cell reproduces its outcome payload byte for byte.
+A cell is a composition of public calls: a similarity cell draws with
+`random_pointset` and runs `find_similar_config`; a det cell draws with
+`random_subset(Space.punctured(q, d), n, seed)` and runs
+`find_det_similar`.
 """
 
 from __future__ import annotations
@@ -27,13 +31,15 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .configurations import (
+    SimilarityThreshold,
+    _tuple_size,
     find_det_similar,
     find_similar_config,
-    similarity_threshold,
 )
 from .errors import EnumerationCapExceeded, FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import _PRINTABLE, PointSet, _check_budget
+from .geometry import _PRINTABLE, PointSet, _check_dim, _power_exceeds
+from .groups import Space
 from .prng import SplitMix64, derive_seed
 
 
@@ -44,44 +50,32 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
 
     Indices into the lexicographic enumeration of the space are chosen
     by a SplitMix64-driven partial shuffle (`SplitMix64.sample_indices`),
-    sorted, and decoded to coordinates, which are then already in the
-    set's canonical order; memory stays O(n) regardless of q^d.  A space
+    sorted, and decoded to coordinates one base-q digit at a time, last
+    coordinate first, for all picks at once; they are then already in the
+    set's canonical order.  Memory stays O(n) regardless of q^d.  A space
     of more than 2^64 points, past what one 64-bit draw covers, is
-    refused (`SpaceTooLarge`) before any draw.
+    refused (`SpaceTooLarge`) before any draw and before q^d is computed.
     """
     field = as_field(q_or_field)
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    _check_dim(dim)
     _check_sample_space(field.q, dim)
     total = field.q ** dim
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
-    return _sampled(field, dim, total, n, seed)
-
-
-def _check_sample_space(q: int, dim: int) -> None:
-    # dim > 64 is refused without computing q^dim, which may not fit in memory
-    if dim > 64 or q ** dim > 1 << 64:
-        raise SpaceTooLarge(f"cannot sample from F_{q}^{dim}: more than 2^64 points")
-
-
-def _sampled(field: PrimeField, dim: int, total: int, n: int, seed: int,
-             first: int = 0) -> PointSet:
-    """n of the `total` points of F_q^d from flat index `first` on (seeded).
-
-    Flat-index order is lexicographic, so the sorted picks decode to the
-    set's canonical order.  They are decoded one base-q digit at a time,
-    last coordinate first, for all picks at once.
-    """
-    rest = sorted(first + i for i in SplitMix64(seed).sample_indices(total, n))
+    rest = sorted(SplitMix64(seed).sample_indices(total, n))
     q = field.q
     digits = []
     for _ in range(dim):
         digits.append([i % q for i in rest])
         rest = [i // q for i in rest]
     return PointSet._canonical(field, dim, zip(*reversed(digits)))
+
+
+def _check_sample_space(q: int, dim: int) -> None:
+    if _power_exceeds(q, dim, 1 << 64):
+        raise SpaceTooLarge(f"cannot sample from F_{q}^{dim}: more than 2^64 points")
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -218,7 +212,7 @@ class SweepConfig:
     def cells(self) -> list[dict]:
         out = []
         for q in self.qs:
-            field = as_field(q)  # validates primality up front
+            as_field(q)  # validates primality up front
             if self.kind == "similarity":
                 _check_sample_space(q, self.d)  # refused before any cell runs
             if self.ratios == "all-squares":
@@ -226,14 +220,18 @@ class SweepConfig:
             else:
                 ratios = [r % q for r in self.ratios]
             for k in self.ks:
-                # Every cell line prints n, which str() spells out only below
-                # 10^4,300; q^d >= 2^28,570 puts n past it, refused before the power.
-                huge = self.size == "threshold" and self.d * (q.bit_length() - 1) >= 28_570
-                thr = None if huge else similarity_threshold(field, self.d, k)
-                n = int(self.size) if self.size != "threshold" else None if huge else thr.min_points
-                if huge or self.size == "threshold" and n >= _PRINTABLE:
+                # n^2 >= (k + 1)·q^d is q^d <= n^2 // (k + 1), so after the
+                # k checks each size question is one _power_exceeds.
+                tuple_size = _tuple_size(k)
+                if self.size != "threshold":
+                    n = int(self.size)
+                elif _power_exceeds(q, self.d, _PRINTABLE * _PRINTABLE // tuple_size):
+                    # n > _PRINTABLE, which no cell line can print
                     raise EnumerationCapExceeded(
                         f"threshold set size for q = {q}, d = {self.d}, k = {k} has more than 4300 digits")
+                else:
+                    n = SimilarityThreshold(tuple_size, q ** self.d).min_points
+                met = not _power_exceeds(q, self.d, n * n // tuple_size)
                 for r in ratios:
                     for trial in range(self.trials):
                         out.append({
@@ -245,7 +243,7 @@ class SweepConfig:
                             "trial": trial,
                             "seed": derive_seed(self.base_seed, q, self.d, k, r, trial),
                             "n": n,
-                            "meets_threshold": thr.met_by(n),
+                            "meets_threshold": met,
                         })
         return out
 
@@ -260,15 +258,7 @@ def run_cell(cell: dict) -> Report:
             points = random_pointset(field, cell["d"], cell["n"], cell["seed"])
             witness = find_similar_config(points, ratio, cell["k"])
         else:
-            # random_subset(Space.punctured(field, d), ...): point i is flat index i + 1
-            d, n = cell["d"], cell["n"]
-            if d < 1:
-                raise ValueError(f"dimension must be positive, got {d}")
-            _check_budget(field.q, d, "punctured space (q^d)")
-            size = field.q ** d - 1
-            if n > size:
-                raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-            points = _sampled(field, d, size, n, cell["seed"], first=1)
+            points = random_subset(Space.punctured(field, cell["d"]), cell["n"], cell["seed"])
             witness = find_det_similar(points, ratio, cell["k"])
         outcome = {
             "status": "witness",

@@ -85,6 +85,14 @@ class TestEnumerateGroup:
             "error": "EnumerationCapExceeded",
             "message": f"full space (q^d) needs at most 100000000 candidates, got 3^{d}"}
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["translations", "orthogonal", "special-linear"])
+    def test_dimension_below_one_is_input_error(self, capsys, kind, d):
+        code, out = run_cli(capsys, "enumerate-group", "--kind", kind, "--q", "3", "--d", d)
+        assert code == 3
+        assert first_json(out) == {"error": "ValueError",
+                                   "message": f"dimension must be positive, got {d}"}
+
     def test_composite_order_is_input_error(self, capsys):
         code, out = run_cli(capsys, "enumerate-group", "--kind", "translations",
                             "--q", "9", "--d", "2")

@@ -27,7 +27,7 @@ from fqsim import (
     special_linear_group,
     sphere,
 )
-from fqsim.geometry import _check_budget, _det_cofactor, _inverse_rows
+from fqsim.geometry import _check_budget, _det_cofactor, _inverse_rows, _power_exceeds
 
 from helpers import (
     coords_list,
@@ -370,6 +370,20 @@ class TestTupleBackedPointSet:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("limit", [10 ** 8, 2 ** 64, 10 ** 4300 - 1],
+                             ids=["1e8", "2^64", "printable"])
+    @pytest.mark.parametrize("base", [1, 2, 3, 97, 2 ** 31 - 1])
+    def test_power_exceeds_is_the_power_compared(self, base, limit):
+        """Exponents on both sides of each bit-length edge, where the bound
+        e·(bits - 1) or e·bits crosses bits(limit), and of the true edge."""
+        bits, edge = base.bit_length(), limit.bit_length()
+        edges = {0, -(-edge // bits)} | ({-(-edge // (bits - 1))} if bits > 1 else set())
+        if base > 1:
+            edges.add(next(e for e in itertools.count() if base ** e > limit))
+        exponents = {e + step for e in edges for step in (-2, -1, 0, 1, 2) if e + step >= 0}
+        for e in sorted(exponents):
+            assert _power_exceeds(base, e, limit) == (base ** e > limit), e
+
     def test_both_sides_of_the_exponent_limit(self):
         _check_budget(2, 26, "test")  # 2^26 <= ENUMERATION_CAP < 2^27
         _check_budget(3, 16, "test")

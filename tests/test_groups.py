@@ -23,6 +23,7 @@ from fqsim import (
     make_field,
     orthogonal_group,
     special_linear_group,
+    sphere,
     translations,
 )
 from fqsim.geometry import _det_rows
@@ -423,6 +424,17 @@ class TestEnumerationBudget:
         # sphere, translations and orthogonal_group: the test_cap/test_budget cases
         with pytest.raises(EnumerationCapExceeded, match=str(ENUMERATION_CAP)):
             build()
+
+    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("build", [
+        Space.full, Space.punctured, lambda q, d: Space.sphere(q, d, 1),
+        lambda q, d: sphere(q, d, 1), translations, orthogonal_group,
+        lambda q, d: orthogonal_group(q, d, radius=1), special_linear_group,
+    ], ids=["full", "punctured", "Space.sphere", "sphere", "T", "O", "O-sphere", "SL"])
+    def test_dimensions_below_one_are_refused_first(self, build, d):
+        with pytest.raises(ValueError) as exc:
+            build(3, d)
+        assert str(exc.value) == f"dimension must be positive, got {d}"
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -404,11 +405,42 @@ class TestSweeps:
             SweepConfig(qs=(5,), d=14285, ks=(1,), ratios=(1,), kind="det-similarity").cells()
 
     def test_det_cells_sample_the_punctured_space(self):
-        cell = SweepConfig(qs=(7,), d=2, ks=(2,), kind="det-similarity").cells()[0]
-        space = Space.punctured(7, 2)
-        expected = find_det_similar(random_subset(space, cell["n"], cell["seed"]),
-                                    make_field(7)(cell["r"]), cell["k"])
-        assert run_cell(cell).outcome["witness"] == expected.to_json()
+        """A det cell's outcome is that of its public composition."""
+        for q, d, k in [(5, 2, 2), (7, 2, 2), (31, 2, 2), (3, 3, 3)]:
+            cell = SweepConfig(qs=(q,), d=d, ks=(k,), kind="det-similarity").cells()[0]
+            points = random_subset(Space.punctured(q, d), cell["n"], cell["seed"])
+            witness = find_det_similar(points, make_field(q)(cell["r"]), cell["k"])
+            report = witness.report
+            expected = {"status": "witness", "witness": witness.to_json(),
+                        "best_count": report.best_count,
+                        "bound_num": report.bound_num, "bound_den": report.bound_den}
+            assert json.dumps(run_cell(cell).outcome) == json.dumps(expected)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_det_cell_below_dimension_one(self, d):
+        cell = {"kind": "det-similarity", "q": 3, "d": d, "k": 2, "r": 1, "trial": 0,
+                "seed": 1, "n": 5, "meets_threshold": False}
+        assert run_cell(cell).outcome == {
+            "status": "error", "error": "ValueError",
+            "message": f"dimension must be positive, got {d}"}
+
+    def test_fixed_size_threshold_computes_no_power_past_n_squared(self):
+        start = time.perf_counter()
+        cells = SweepConfig(qs=(3,), d=10 ** 8, ks=(2,), ratios=(1,), size=5,
+                            kind="det-similarity").cells()
+        assert time.perf_counter() - start < 0.5
+        assert [c["meets_threshold"] for c in cells] == [False]
+        # Both sides of n^2 >= (k + 1)·q^d: 15^2 < 3·3^4 = 243 <= 16^2, 26^2 < 3·3^5 = 27^2
+        for d, n, met in [(4, 15, False), (4, 16, True), (5, 26, False), (5, 27, True)]:
+            cell = SweepConfig(qs=(3,), d=d, ks=(2,), ratios=(1,), size=n).cells()[0]
+            assert cell["meets_threshold"] is met
+
+    @pytest.mark.parametrize("size", ["threshold", 5])
+    def test_k_is_checked_before_any_size(self, size):
+        """Also where q^d alone puts the threshold size past 4,300 digits."""
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            SweepConfig(qs=(3,), d=28570, ks=(-1,), ratios=(1,), size=size,
+                        kind="det-similarity").cells()
 
     def test_report_shape(self):
         reports = run_sweep(self.small_config(trials=1))
