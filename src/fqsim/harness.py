@@ -15,7 +15,8 @@ re-running a sweep cell reproduces its outcome payload byte for byte.
 A cell is a composition of public calls: a similarity cell draws with
 `random_pointset` and runs `find_similar_config`; a det cell draws with
 `random_subset(Space.punctured(q, d), n, seed)` and runs
-`find_det_similar`.
+`find_det_similar`, and builds that space only for a search that can
+use it (`_det_draw`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .configurations import (
 )
 from .errors import EnumerationCapExceeded, FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import _PRINTABLE, PointSet, _check_dim, _power_exceeds
+from .geometry import ENUMERATION_CAP, _PRINTABLE, PointSet, _check_dim, _power_exceeds
 from .groups import Space
 from .prng import SplitMix64, derive_seed
 
@@ -76,6 +77,24 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
 def _check_sample_space(q: int, dim: int) -> None:
     if _power_exceeds(q, dim, 1 << 64):
         raise SpaceTooLarge(f"cannot sample from F_{q}^{dim}: more than 2^64 points")
+
+
+def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
+    """random_subset(Space.punctured(field, d), n, seed), unless the det
+    search's q^(d^2) matrix scan is past ENUMERATION_CAP: it then refuses
+    whatever it gets, and no earlier check looks at the points, so the
+    empty set stands in once the draw's size checks pass, and a space of
+    up to 10^8 points is not built for nothing."""
+    _check_dim(d)
+    q = field.q
+    if _power_exceeds(q, d, ENUMERATION_CAP) or not _power_exceeds(q, d * d, ENUMERATION_CAP):
+        return random_subset(Space.punctured(field, d), n, seed)
+    size = q ** d - 1
+    if n > size:
+        raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
+    if n < 0:
+        raise ValueError(f"cannot sample {n} of {size}")  # as sample_indices says it
+    return PointSet(field, d)
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -258,7 +277,7 @@ def run_cell(cell: dict) -> Report:
             points = random_pointset(field, cell["d"], cell["n"], cell["seed"])
             witness = find_similar_config(points, ratio, cell["k"])
         else:
-            points = random_subset(Space.punctured(field, cell["d"]), cell["n"], cell["seed"])
+            points = _det_draw(field, cell["d"], cell["n"], cell["seed"])
             witness = find_det_similar(points, ratio, cell["k"])
         outcome = {
             "status": "witness",

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fqsim import (
     EnumerationCapExceeded,
+    FqsimError,
     HeaderMismatch,
     ParseError,
     PointSet,
@@ -416,6 +417,38 @@ class TestSweeps:
                         "bound_num": report.bound_num, "bound_den": report.bound_den}
             assert json.dumps(run_cell(cell).outcome) == json.dumps(expected)
 
+    @pytest.mark.parametrize("k, r, n, error", [
+        (1, 1, 5, "ValueError"),  # k < d
+        (2, 0, 5, "ZeroDilation"),
+        (2, 2, 5, "NotADthPower"),  # 2 is no square mod 101
+        (2, 1, 5, "EnumerationCapExceeded"),  # 101^4 > 10^8 maps to scan
+        (2, 1, 145, "EnumerationCapExceeded"),
+        (2, 1, 10201, "TooMany"),
+        (2, 1, -1, "ValueError"),
+    ])
+    def test_det_cell_past_the_scan_cap_refuses_as_its_draw_would(self, k, r, n, error):
+        """F_101^2 fits the enumeration cap but SL(2, 101)'s matrix scan
+        does not: the cell builds no space, and refuses as the public
+        composition on a built one does."""
+        cell = {"kind": "det-similarity", "q": 101, "d": 2, "k": k, "r": r, "trial": 0,
+                "seed": 7, "n": n, "meets_threshold": False}
+        with pytest.raises((FqsimError, ValueError)) as exc:
+            points = random_subset(Space.punctured(101, 2), n, cell["seed"])
+            find_det_similar(points, make_field(101)(r), k)
+        assert run_cell(cell).outcome == {"status": "error", "error": error, "message": str(exc.value)}
+        assert type(exc.value).__name__ == error
+
+    def test_det_sweep_past_the_scan_cap_builds_no_space(self):
+        """3^16 points fit the enumeration cap, but no det search at d = 16
+        can run, so the cell answers before 43M tuples are built."""
+        start = time.perf_counter()
+        reports = run_sweep(SweepConfig(qs=(3,), d=16, ks=(2, 16), ratios=(1,), size=5,
+                                        kind="det-similarity"))
+        assert time.perf_counter() - start < 1.0
+        assert [r.outcome["error"] for r in reports] == ["ValueError", "EnumerationCapExceeded"]
+        assert reports[0].outcome["message"] == "determinant similarity needs k >= d = 16, got k = 2"
+        assert reports[1].outcome["message"].startswith("matrix scan (q^(d^2)) needs at most")
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_det_cell_below_dimension_one(self, d):
         cell = {"kind": "det-similarity", "q": 3, "d": d, "k": 2, "r": 1, "trial": 0,
@@ -428,7 +461,7 @@ class TestSweeps:
         start = time.perf_counter()
         cells = SweepConfig(qs=(3,), d=10 ** 8, ks=(2,), ratios=(1,), size=5,
                             kind="det-similarity").cells()
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < 1.0
         assert [c["meets_threshold"] for c in cells] == [False]
         # Both sides of n^2 >= (k + 1)·q^d: 15^2 < 3·3^4 = 243 <= 16^2, 26^2 < 3·3^5 = 27^2
         for d, n, met in [(4, 15, False), (4, 16, True), (5, 26, False), (5, 27, True)]:
