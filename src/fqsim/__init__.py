@@ -70,13 +70,13 @@ from .intersection import (
 from .configurations import (
     DetSimilarityWitness,
     EdgeSet,
-    SimilarityThreshold,
     SimilarityWitness,
     SphereExperimentReport,
     Verification,
     edge_preset,
     find_det_similar,
     find_similar_config,
+    meets_threshold,
     similarity_threshold,
     sphere_experiment,
     verify_det_similarity,

@@ -31,7 +31,7 @@ from .configurations import (
     edge_preset,
     find_det_similar,
     find_similar_config,
-    similarity_threshold,
+    meets_threshold,
     sphere_experiment,
     verify_det_similarity,
     verify_similarity,
@@ -149,16 +149,15 @@ def cmd_find(args) -> int:
     field, points, digests = _points_for(args)
     ratio = field(args.r)
     edges = _edge_set_from_option(args.edges, args.k) if args.edges else None
-    threshold = similarity_threshold(field, args.d, args.k)
+    met = meets_threshold(len(points) ** 2, args.k, field.q, args.d)
     try:
         witness = args.finder(points, ratio, args.k, edges)
     except InsufficientIntersection as exc:
-        met = threshold.met_by(len(points))
         _emit_error(exc, best_count=exc.best_count, needed=exc.needed,
                     meets_threshold=met, set_size=len(points))
         return 2 if met else 1
     out = witness.to_json()
-    out["meets_threshold"] = threshold.met_by(len(points))
+    out["meets_threshold"] = met
     out["best_count"] = witness.report.best_count
     if digests:
         out["input_digests"] = digests

@@ -31,6 +31,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import (
+    EnumerationCapExceeded,
     FieldMismatch,
     InsufficientIntersection,
     MalformedWitness,
@@ -42,7 +43,7 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import Matrix, PointSet, Vector, _check_budget, _det_cofactor
+from .geometry import _PRINTABLE, Matrix, PointSet, Vector, _check_budget, _det_cofactor, _power_exceeds
 from .groups import GroupElement, SpecialLinear, orthogonal_group
 from .intersection import (
     IntersectionReport,
@@ -128,32 +129,23 @@ def edge_preset(name: str, k: int) -> EdgeSet:
     return maker(k)
 
 
-@dataclass(frozen=True)
-class SimilarityThreshold:
-    """Size guarantee |E|^2 >= (k+1)·q^d, kept in squared form so the
-    comparison stays in integers."""
+def meets_threshold(product: int, k: int, base: int, e: int) -> bool:
+    """The size guarantee |E||H| = product >= (k+1)·base^e, for base, e >= 0.
 
-    tuple_size: int  # k + 1
-    space_size: int  # q^d
-
-    @property
-    def product(self) -> int:
-        return self.tuple_size * self.space_size
-
-    @property
-    def min_points(self) -> int:
-        """Smallest set size meeting the guarantee."""
-        if self.product == 0:
-            return 0
-        return math.isqrt(self.product - 1) + 1
-
-    def met_by(self, n: int) -> bool:
-        return n * n >= self.product
+    The k checks of `_tuple_size` run first.  Since product >= (k+1)·X
+    is X <= product // (k+1), no power past product is computed."""
+    return not _power_exceeds(base, e, product // _tuple_size(k))
 
 
-def similarity_threshold(q_or_field, dim: int, k: int) -> SimilarityThreshold:
-    field = as_field(q_or_field)
-    return SimilarityThreshold(tuple_size=_tuple_size(k), space_size=field.q ** dim)
+def similarity_threshold(q_or_field, dim: int, k: int) -> int:
+    """The smallest n with n² >= (k+1)·q^d.  An n of more than 4,300
+    digits, which no output could print, is refused before q^d is
+    computed."""
+    q = as_field(q_or_field).q
+    if not meets_threshold(_PRINTABLE * _PRINTABLE, k, q, dim):
+        raise EnumerationCapExceeded(
+            f"threshold set size for q = {q}, d = {dim}, k = {k} has more than 4300 digits")
+    return math.isqrt((k + 1) * q ** dim - 1) + 1
 
 
 def _tuple_size(k: int) -> int:
@@ -583,14 +575,13 @@ class SphereExperimentReport:
 
     @property
     def meets_exact_threshold(self) -> bool:
-        return self.report.moving_size * self.report.fixed_size >= (self.k + 1) * self.sphere_size
+        return meets_threshold(self.report.moving_size * self.report.fixed_size,
+                               self.k, self.sphere_size, 1)
 
     @property
     def meets_coarse_threshold(self) -> bool:
-        return (
-            self.report.moving_size * self.report.fixed_size
-            >= (self.k + 1) * self.coarse_space_size
-        )
+        return meets_threshold(self.report.moving_size * self.report.fixed_size,
+                               self.k, self.coarse_space_size, 1)
 
     @property
     def reaches_target(self) -> bool:
@@ -628,9 +619,11 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
     Given sets are checked point by point against the sphere equation
     before the group is enumerated.  Transitivity of the action
     on this particular sphere is checked and reported, never assumed
-    (it fails, for instance, on spheres through the origin).
+    (it fails, for instance, on spheres through the origin).  The k
+    checks run before any point is checked or the group is built.
     """
     field = as_field(q_or_field)
+    _tuple_size(k)
     radius %= field.q
     for name, ps in (("moving", e_set), ("fixed", h_set)):
         for p in ps or ():

@@ -26,9 +26,10 @@ _PRINTABLE = 10 ** 4300 - 1  # the largest int str() spells out, 4,300 digits
 
 
 def _power_exceeds(base: int, e: int, limit: int) -> bool:
-    """base^e > limit, for base >= 1 and e, limit >= 0.  2^(e·(b - 1)) <= base^e
-    < 2^(e·b) (e >= 1, b = bits(base)) decides it from bit lengths unless the
-    bounds straddle limit; only then is base^e computed, below 2^(2·bits(limit))."""
+    """base^e > limit, for base, e, limit >= 0.  2^(e·(b - 1)) <= base^e
+    < 2^(e·b) (base, e >= 1, b = bits(base)) decides it from bit lengths unless
+    the bounds straddle limit; only then is base^e computed, below
+    2^(2·bits(limit)).  The same two tests stay exact for base or e = 0."""
     bits, edge = base.bit_length(), limit.bit_length()
     if e * (bits - 1) >= edge:
         return True

@@ -32,14 +32,14 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .configurations import (
-    SimilarityThreshold,
-    _tuple_size,
     find_det_similar,
     find_similar_config,
+    meets_threshold,
+    similarity_threshold,
 )
-from .errors import EnumerationCapExceeded, FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
+from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import ENUMERATION_CAP, _PRINTABLE, PointSet, _check_dim, _power_exceeds
+from .geometry import ENUMERATION_CAP, PointSet, _check_dim, _power_exceeds
 from .groups import Space
 from .prng import SplitMix64, derive_seed
 
@@ -219,8 +219,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in ("similarity", "det-similarity"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        _check_dim(self.d)
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
         if self.size != "threshold" and int(self.size) < 0:
@@ -239,18 +238,8 @@ class SweepConfig:
             else:
                 ratios = [r % q for r in self.ratios]
             for k in self.ks:
-                # n^2 >= (k + 1)·q^d is q^d <= n^2 // (k + 1), so after the
-                # k checks each size question is one _power_exceeds.
-                tuple_size = _tuple_size(k)
-                if self.size != "threshold":
-                    n = int(self.size)
-                elif _power_exceeds(q, self.d, _PRINTABLE * _PRINTABLE // tuple_size):
-                    # n > _PRINTABLE, which no cell line can print
-                    raise EnumerationCapExceeded(
-                        f"threshold set size for q = {q}, d = {self.d}, k = {k} has more than 4300 digits")
-                else:
-                    n = SimilarityThreshold(tuple_size, q ** self.d).min_points
-                met = not _power_exceeds(q, self.d, n * n // tuple_size)
+                n = similarity_threshold(q, self.d, k) if self.size == "threshold" else int(self.size)
+                met = meets_threshold(n * n, k, q, self.d)
                 for r in ratios:
                     for trial in range(self.trials):
                         out.append({

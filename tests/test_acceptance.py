@@ -118,7 +118,7 @@ def similarity_cells():
         field = make_field(q)
         squares = sorted({v * v % q for v in range(1, q)})
         for k in (1, 2, 3):
-            size = similarity_threshold(field, 2, k).min_points
+            size = similarity_threshold(field, 2, k)
             for r in squares:
                 for trial in range(50):
                     seed = derive_seed(BASE_SEED, 3, q, k, r, trial)
@@ -161,7 +161,7 @@ def test_criterion_5_det_similarity():
                              [v for v in all_vectors(field, 2) if not v.is_zero()])
         space = Space.punctured(field, 2)
         for k in (2, 3):
-            size = similarity_threshold(field, 2, k).min_points
+            size = similarity_threshold(field, 2, k)
             sets = [punctured] + [
                 random_subset(space, size, derive_seed(BASE_SEED, 5, q, k, trial))
                 for trial in range(20)

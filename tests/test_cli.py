@@ -86,9 +86,11 @@ class TestEnumerateGroup:
             "message": f"full space (q^d) needs at most 100000000 candidates, got 3^{d}"}
 
     @pytest.mark.parametrize("d", ["0", "-1"])
-    @pytest.mark.parametrize("kind", ["translations", "orthogonal", "special-linear"])
+    @pytest.mark.parametrize("kind", ["translations", "orthogonal", "special-linear", "sweep"])
     def test_dimension_below_one_is_input_error(self, capsys, kind, d):
-        code, out = run_cli(capsys, "enumerate-group", "--kind", kind, "--q", "3", "--d", d)
+        argv = (["sweep", "--qs", "3", "--ks", "1"] if kind == "sweep"
+                else ["enumerate-group", "--kind", kind, "--q", "3"])
+        code, out = run_cli(capsys, *argv, "--d", d)
         assert code == 3
         assert first_json(out) == {"error": "ValueError",
                                    "message": f"dimension must be positive, got {d}"}
@@ -185,6 +187,7 @@ class TestVerifyBound:
         assert "--radius" in obj["message"]
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 class TestWarnings:
     """The library's warnings reach stderr as one `warning: <message>` line
     each, with no source path or line number, and leave the exit code as
@@ -338,6 +341,24 @@ class TestSphereExperiment:
         assert code == 0
         assert (obj["sphere_size"], obj["best_count"], obj["bound_num"]) == (0, 0, 0)
         assert obj["guarantee_holds"] is True
+
+    def test_negative_k_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(fqsim.configurations, "orthogonal_group", None)
+        code, out = run_cli(capsys, "sphere-experiment", "--q", "7", "--d", "2",
+                            "--radius", "1", "--k", "-1")
+        assert code == 3
+        assert first_json(out) == {"error": "ValueError",
+                                   "message": "k must be nonnegative, got -1"}
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_k_zero_warns_once(self, capsys):
+        sphere_k = ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k"]
+        assert main(sphere_k + ["1"]) == 0
+        k_one = first_json(capsys.readouterr().out)
+        assert main(sphere_k + ["0"]) == 0
+        captured = capsys.readouterr()
+        assert first_json(captured.out) == dict(k_one, k=0)
+        assert captured.err == "warning: k = 0 is the degenerate single-point case\n"
 
     def test_set_files(self, capsys, tmp_path):
         surface = sphere(7, 2, 1)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -29,6 +30,7 @@ from fqsim import (
     find_det_similar,
     find_similar_config,
     make_field,
+    meets_threshold,
     random_pointset,
     similarity_threshold,
     sphere,
@@ -36,6 +38,7 @@ from fqsim import (
     verify_det_similarity,
     verify_similarity,
 )
+from fqsim.cli import main
 
 from helpers import det_of_columns_cofactor, from_coords, pair_norms
 
@@ -86,19 +89,46 @@ class TestEdgeSet:
 
 class TestThreshold:
     def test_examples(self):
-        t = similarity_threshold(5, 2, 2)
-        assert (t.tuple_size, t.space_size) == (3, 25)
-        assert t.min_points == 9
-        assert similarity_threshold(3, 2, 1).min_points == 5
+        assert similarity_threshold(5, 2, 2) == 9
+        assert similarity_threshold(3, 2, 1) == 5
 
-    def test_met_by_is_squared_comparison(self):
-        t = similarity_threshold(5, 2, 2)
-        assert t.met_by(9) and not t.met_by(8)
+    @pytest.mark.filterwarnings("ignore:k = 0 is the degenerate")
+    def test_meets_threshold_is_the_squared_comparison(self):
+        assert meets_threshold(9 * 9, 2, 5, 2) and not meets_threshold(8 * 8, 2, 5, 2)
+        for q, d, k in itertools.product((2, 3, 5, 97), (1, 2, 3), (0, 1, 2, 3)):
+            size = (k + 1) * q ** d
+            for product in (size - 1, size, size + 1):
+                assert meets_threshold(product, k, q, d) == (product >= size), (q, d, k, product)
+            n = similarity_threshold(q, d, k)
+            assert (n - 1) ** 2 < size <= n * n, (q, d, k)
+        for base, e in [(0, 0), (0, 1), (1, 0), (7, 0)]:  # an empty sphere has base 0
+            for product in range(4):
+                assert meets_threshold(product, 1, base, e) == (product >= 2 * base ** e)
+
+    def test_huge_dimension_answers_at_once(self):
+        start = time.perf_counter()
+        assert not meets_threshold(10 ** 100, 2, 3, 10 ** 7)
+        with pytest.raises(EnumerationCapExceeded, match="has more than 4300 digits"):
+            similarity_threshold(3, 10 ** 7, 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, met", [(8, False), (9, True)])
+    def test_find_similar_reports_the_verdict(self, capsys, n, met):
+        code = main(["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+                     "--random", str(n), "--seed", "3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["meets_threshold"] is met
 
     def test_degenerate_k_zero_warns(self):
         with pytest.warns(UserWarning):
-            t = similarity_threshold(5, 2, 0)
-        assert t.tuple_size == 1
+            assert similarity_threshold(5, 2, 0) == 5
+
+    @pytest.mark.parametrize("k", [-1, -5])
+    def test_negative_k_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"k must be nonnegative, got {k}"):
+            meets_threshold(100, k, 5, 2)
+        with pytest.raises(ValueError, match=f"k must be nonnegative, got {k}"):
+            similarity_threshold(5, 2, k)
 
 
 class TestFindSimilar:
@@ -490,10 +520,24 @@ class TestSphereExperiment:
         with pytest.raises(NotOnSphere):
             sphere_experiment(3, 2, 1, 1, e_set=bad)
 
+    def test_negative_k_is_refused_before_the_points_and_the_group(self, monkeypatch):
+        monkeypatch.setattr(fqsim.configurations, "orthogonal_group", None)
+        bad = from_coords(F3, 2, [[1, 1]])
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            sphere_experiment(7, 2, 1, -1)
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            sphere_experiment(3, 2, 1, -1, e_set=bad)
+
     def test_coarse_threshold_reported(self):
         result = sphere_experiment(3, 2, 1, 3)
         assert result.coarse_space_size == 3
         assert result.meets_coarse_threshold
+        # |E||H| = 15 on the 8-point circle mod 7: 2·7 <= 15 < 2·8
+        surface = sphere(7, 2, 1)
+        e_set, h_set = (PointSet(make_field(7), 2, list(surface.points[:n])) for n in (3, 5))
+        result = sphere_experiment(7, 2, 1, 1, e_set=e_set, h_set=h_set)
+        assert (result.coarse_space_size, result.sphere_size) == (7, 8)
+        assert result.meets_coarse_threshold and not result.meets_exact_threshold
 
     def test_subset_run(self):
         surface = sphere(7, 2, 1)
