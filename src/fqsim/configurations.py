@@ -299,7 +299,7 @@ class DetSimilarityWitness:
 
     def to_json(self) -> dict:
         return _json_witness(self, "det-similarity", self.xs[0].dim, root=self.root.value,
-                             g=[list(r[:-1]) for r in self.transform.rows])
+                             g=[list(r) for r in self.transform.linear])
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetSimilarityWitness":
@@ -448,7 +448,7 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, FieldElement.sqrt,
         scan=lambda scaled: max_translation_intersection_fast(points, scaled),
-        pull_back=lambda g: lambda z, a=[r[-1] for r in g.rows]: tuple([(c - b) % q for c, b in zip(z, a)]),
+        pull_back=lambda g: lambda z, a=g.shift: tuple([(c - b) % q for c, b in zip(z, a)]),
         build=lambda root, report, zs, shrunk, pulled: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=pulled, zs=zs, edges=edges, report=report),
@@ -497,7 +497,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     if not isinstance(w.transform, SpecialLinear):
         reasons.append("transform is not a unimodular matrix element")
         return Verification(False, tuple(reasons))
-    rows = [r[:-1] for r in w.transform.rows]  # M of [M | a]
+    rows = w.transform.linear
     if w.transform.field.q != w.ratio.field.q or len(rows) != d:
         reasons.append("transform does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
@@ -552,7 +552,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
         scan=lambda scaled: _max_special_linear_intersection(points, scaled),
-        pull_back=lambda g: lambda z, rows=g.inverse().rows: tuple(  # rows of [M⁻¹ | 0]
+        pull_back=lambda g: lambda z, rows=g.inverse().linear: tuple(
             [sum(map(mul, r, z)) % q for r in rows]),
         build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
@@ -572,16 +572,8 @@ class SphereExperimentReport:
     sphere_size: int
     coarse_space_size: int  # q^(d-1)
     transitive: bool
-
-    @property
-    def meets_exact_threshold(self) -> bool:
-        return meets_threshold(self.report.moving_size * self.report.fixed_size,
-                               self.k, self.sphere_size, 1)
-
-    @property
-    def meets_coarse_threshold(self) -> bool:
-        return meets_threshold(self.report.moving_size * self.report.fixed_size,
-                               self.k, self.coarse_space_size, 1)
+    meets_exact_threshold: bool
+    meets_coarse_threshold: bool
 
     @property
     def reaches_target(self) -> bool:
@@ -620,10 +612,11 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
     before the group is enumerated.  Transitivity of the action
     on this particular sphere is checked and reported, never assumed
     (it fails, for instance, on spheres through the origin).  The k
-    checks run before any point is checked or the group is built.
+    checks run once, before any point is checked or the group is built,
+    and both threshold verdicts are decided here from their result.
     """
     field = as_field(q_or_field)
-    _tuple_size(k)
+    need = _tuple_size(k)
     radius %= field.q
     for name, ps in (("moving", e_set), ("fixed", h_set)):
         for p in ps or ():
@@ -633,10 +626,13 @@ def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
     surface = group.space
     report = max_intersection(group, surface if e_set is None else e_set,
                               surface if h_set is None else h_set)
+    share = report.moving_size * report.fixed_size // need  # >= X iff |E||H| >= (k+1)·X
     return SphereExperimentReport(
         report=report,
         k=k,
         sphere_size=len(surface),
         coarse_space_size=field.q ** (dim - 1),
         transitive=report.transitive,
+        meets_exact_threshold=not _power_exceeds(len(surface), 1, share),
+        meets_coarse_threshold=not _power_exceeds(field.q, dim - 1, share),
     )

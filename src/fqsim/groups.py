@@ -3,12 +3,13 @@
 Three families are enumerated element by element: translations of
 F_q^d, orthogonal matrices (preserving the sum-of-squares form), and
 unimodular matrices (determinant 1).  Every element is an affine map
-held as the integer rows of [M | a]; the kinds differ only in their
-constructors and documents.  Element lists are kept in a total
-canonical order — variant first, then lexicographic on the rows — so
-that every argmax and every listing is reproducible.  A group's one
-image table, `FiniteGroup.columns()`, holds per point the index of its
-image under every element, built from the rows in C.
+x -> Mx + a held as its linear part M and its shift a (translations
+share one identity M per dimension, linear maps have a = 0); the kinds
+differ only in their constructors and documents.  Element lists are
+kept in a total canonical order — variant first, then lexicographic on
+(M, a) — so that every argmax and every listing is reproducible.  A
+group's one image table, `FiniteGroup.columns()`, holds per point the
+index of its image under every element, built from M and a in C.
 
 The matrix groups are built in time proportional to the group, not to
 the q^(d^2) candidate matrices: the determinant and the orthogonal
@@ -105,18 +106,19 @@ class Space(PointSet):
 
 
 class GroupElement:
-    """An affine map x -> Mx + a of F_q^d, held as `rows`: the d x (d+1)
-    integer rows of [M | a], entries in [0, q).  A translation has M = I,
-    a linear map a = 0; apply, compose, inverse and the canonical order
-    are written once, on the rows, and the kind is the class."""
+    """An affine map x -> Mx + a of F_q^d, held as its `linear` part, the d
+    integer rows of M, and its `shift`, the d-tuple a, entries in [0, q).
+    A translation has M = I, one table per dimension, a linear map a = 0;
+    apply, compose, inverse and the canonical order are written once, on
+    the pair, and the kind is the class."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "linear", "shift")
 
     @classmethod
-    def _from_rows(cls, field: PrimeField, rows: tuple) -> "GroupElement":
-        """An element of this kind with these canonical rows, unchecked."""
+    def _of(cls, field: PrimeField, linear: tuple, shift: tuple) -> "GroupElement":
+        """An element of this kind with these canonical parts, unchecked."""
         g = object.__new__(cls)
-        g.field, g.rows = field, rows
+        g.field, g.linear, g.shift = field, linear, shift
         return g
 
     @classmethod
@@ -126,58 +128,55 @@ class GroupElement:
         For products, inverses and enumerated matrices, which are members
         by construction, and for witness data, which the verifiers re-check.
         """
-        return cls._from_rows(matrix.field, tuple(r + (0,) for r in matrix.rows))
+        return cls._of(matrix.field, matrix.rows, (0,) * matrix.n)
 
     @property
     def matrix(self) -> Matrix:
-        return Matrix(self.field, [r[:-1] for r in self.rows])
+        return Matrix(self.field, self.linear)
 
     @property
     def vector(self) -> Vector:
-        return Vector(self.field, [r[-1] for r in self.rows])
+        return Vector(self.field, self.shift)
 
     def _check_peer(self, q: int, d: int, what: str) -> None:
         if q != self.field.q:
             raise FieldMismatch(f"{what} over F_{q}, map over F_{self.field.q}")
-        if d != len(self.rows):
-            raise DimensionMismatch(f"{what} of dimension {d}, map of dimension {len(self.rows)}")
+        if d != len(self.shift):
+            raise DimensionMismatch(f"{what} of dimension {d}, map of dimension {len(self.shift)}")
 
     def apply(self, v: Vector) -> Vector:
         if not isinstance(v, Vector):
             raise TypeError(f"expected Vector, got {type(v).__name__}")
         self._check_peer(v.field.q, len(v.coords), "vector")
-        return Vector(self.field, [sum(map(mul, r, v.coords), r[-1]) for r in self.rows])
+        return Vector(self.field, [sum(map(mul, r, v.coords), a) for r, a in zip(self.linear, self.shift)])
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """The map sending x to self(other(x)): the rows of [M | a] times
-        the (d+1) x (d+1) matrix [[M', a'], [0, 1]]."""
+        """The map sending x to self(other(x)): x -> MM'x + (Ma' + a)."""
         if type(other) is not type(self):
             raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
-        self._check_peer(other.field.q, len(other.rows), "map")
-        q = self.field.q
-        cols = list(zip(*other.rows, (0,) * len(self.rows) + (1,)))
-        return self._from_rows(self.field, tuple(
-            tuple([sum(map(mul, r, c)) % q for c in cols]) for r in self.rows))
+        self._check_peer(other.field.q, len(other.shift), "map")
+        q, cols = self.field.q, list(zip(*other.linear))
+        linear = tuple(tuple([sum(map(mul, r, c)) % q for c in cols]) for r in self.linear)
+        return self._of(self.field, linear, tuple([sum(map(mul, r, other.shift), a) % q
+                                                   for r, a in zip(self.linear, self.shift)]))
 
     def inverse(self) -> "GroupElement":
         """x -> M^-1 x - M^-1 a."""
         q = self.field.q
-        a = [r[-1] for r in self.rows]
-        inv = _inverse_rows([r[:-1] for r in self.rows], q)
-        return self._from_rows(self.field, tuple(
-            tuple(r) + (-sum(map(mul, r, a)) % q,) for r in inv))
+        inv = tuple(map(tuple, _inverse_rows(self.linear, q)))
+        return self._of(self.field, inv, tuple([-sum(map(mul, r, self.shift)) % q for r in inv]))
 
     def is_identity(self) -> bool:
-        return self.rows == _identity_rows(len(self.rows))
+        return not any(self.shift) and self.linear == _identity(len(self.shift))
 
     def sort_key(self) -> tuple:
-        return (self.tag, self.field.q, self.rows)
+        return (self.tag, self.field.q, self.linear, self.shift)
 
     def to_json(self) -> dict:
-        return {"type": self.kind, "matrix": [list(r[:-1]) for r in self.rows]}
+        return {"type": self.kind, "matrix": [list(r) for r in self.linear]}
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({[list(r[:-1]) for r in self.rows]} mod {self.field.q})"
+        return f"{type(self).__name__}({[list(r) for r in self.linear]} mod {self.field.q})"
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other.sort_key() == self.sort_key()
@@ -190,9 +189,10 @@ class GroupElement:
 
 
 @functools.cache
-def _identity_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of [I | 0], d x (d+1)."""
-    return tuple(tuple(int(i == j) for j in range(d + 1)) for i in range(d))
+def _identity(d: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the d x d identity, windows of one padded unit row."""
+    unit = (0,) * (d - 1) + (1,) + (0,) * (d - 1)
+    return tuple(unit[d - 1 - i:2 * d - 1 - i] for i in range(d))
 
 
 class Translation(GroupElement):
@@ -203,14 +203,13 @@ class Translation(GroupElement):
     kind = "translation"
 
     def __init__(self, vector: Vector):
-        self.field = vector.field
-        self.rows = tuple([r[:-1] + (a,) for r, a in zip(_identity_rows(vector.dim), vector.coords)])
+        self.field, self.linear, self.shift = vector.field, _identity(vector.dim), vector.coords
 
     def to_json(self) -> dict:
-        return {"type": "translation", "by": [r[-1] for r in self.rows]}
+        return {"type": "translation", "by": list(self.shift)}
 
     def __repr__(self) -> str:
-        return f"Translation({[r[-1] for r in self.rows]} mod {self.field.q})"
+        return f"Translation({list(self.shift)} mod {self.field.q})"
 
 
 class Orthogonal(GroupElement):
@@ -223,7 +222,7 @@ class Orthogonal(GroupElement):
     def __init__(self, matrix: Matrix):
         if not matrix.is_orthogonal():
             raise ValueError("matrix is not orthogonal: transpose times matrix != identity")
-        self.field, self.rows = matrix.field, self.unchecked(matrix).rows
+        self.field, self.linear, self.shift = matrix.field, matrix.rows, (0,) * matrix.n
 
 
 class SpecialLinear(GroupElement):
@@ -236,7 +235,7 @@ class SpecialLinear(GroupElement):
     def __init__(self, matrix: Matrix):
         if not matrix.is_special_linear():
             raise ValueError("matrix determinant is not 1")
-        self.field, self.rows = matrix.field, self.unchecked(matrix).rows
+        self.field, self.linear, self.shift = matrix.field, matrix.rows, (0,) * matrix.n
 
 
 class FiniteGroup:
@@ -257,9 +256,9 @@ class FiniteGroup:
         self._transitive: bool | None = None
         # Every element of one kind, field and dimension: the identity is
         # then one key away.
-        shapes = {(tag, q, len(rows)) for tag, q, rows in self._by_key}
+        shapes = {(tag, q, len(shift)) for tag, q, _, shift in self._by_key}
         tag, q, d = shapes.pop() if len(shapes) == 1 else (None, None, 0)
-        self.identity = self._by_key.get((tag, q, _identity_rows(d)))
+        self.identity = self._by_key.get((tag, q, _identity(d), (0,) * d))
         if self.identity is None:
             raise ValueError("group must contain exactly one identity element")
 
@@ -286,16 +285,17 @@ class FiniteGroup:
         element g in canonical order, as bytes up to 256 points, else as an
         array of two-byte ('H') or, past 65,536 points, 'I' indices.
 
-        Image coordinate i of x is the sum over the columns j of [M | a]
-        of M_ij·x_j mod q, with x_d = 1.  With at most t columns nonzero in
-        row i for any element, each such sum is below B = t(q-1) + 1, so the
-        base-B code of the unreduced image carries no digit.  Per column j
-        and value v one share list holds, for every element, its column's
-        share of the code at x_j = v; a point's codes are the sum of its d + 1
-        share lists, taken in C, with the sums over each prefix of its
-        coordinates shared by the points that follow, and one list of B^d
-        entries maps each code to its space index, packed to the column's
-        width, or to None outside the space, which raises NotInSpace.
+        Image coordinate i of x is Σ_j M_ij·x_j + a_i mod q: the columns of
+        M, then the shift a as column d, read at x_d = 1.  With at most t
+        of these d + 1 columns nonzero in row i for any element, each such
+        sum is below B = t(q-1) + 1, so the base-B code of the unreduced
+        image carries no digit.  Per column j and value v one share list
+        holds, for every element, its column's share of the code at x_j = v;
+        a point's codes are the sum of its d + 1 share lists, taken in C,
+        with the sums over each prefix of its coordinates shared by the
+        points that follow, and one list of B^d entries maps each code to
+        its space index, packed to the column's width, or to None outside
+        the space, which raises NotInSpace.
         """
         if self._columns is None:
             space = self.space
@@ -306,9 +306,9 @@ class FiniteGroup:
             # has the identity's shape.
             for x in coords[:1]:
                 self.identity.apply(Vector(space.field, x))
-            # Per column j of [M | a]: each element's column, and the distinct ones numbered.
+            # Per column j of M, then a: each element's column, and the distinct ones numbered.
             per_column = [(cols, {c: n for n, c in enumerate(dict.fromkeys(cols))})
-                          for cols in zip(*[zip(*g.rows) for g in self.elements])]
+                          for cols in zip(*[(*zip(*g.linear), g.shift) for g in self.elements])]
             distinct = [list(seen) for _, seen in per_column]
             ids = [list(map(seen.__getitem__, cols)) for cols, seen in per_column]
             base = max(sum(any(c[i] for c in cs) for cs in distinct) for i in range(d)) * (q - 1) + 1
@@ -365,21 +365,21 @@ class FiniteGroup:
         """Single-orbit test: the orbit of the smallest point is the whole space.
 
         The orbit is counted as the distinct image tuples of the point:
-        coordinate i of g·x is Σ_j c_j·(row i of g)_j over the nonzero
-        entries c_j of (x, 1), summed for all elements at once in C.  An
-        empty space counts as (vacuously) transitive.
+        coordinate i of g·x is a_i + Σ_j M_ij·x_j over the nonzero x_j, for
+        the linear part M and the shift a of g, summed for all elements at
+        once in C.  An empty space counts as (vacuously) transitive.
         """
         if self._transitive is None:
             space, q = self.space, self.space.field.q
             images = set()  # an empty space has no first point and no images
             for x in space._coords[:1]:
                 self.identity.apply(Vector(space.field, x))  # another field or dimension raises
-                terms = [(j, c) for j, c in enumerate(x + (1,)) if c]
+                terms = [(j, c) for j, c in enumerate(x) if c]
                 image = []  # per coordinate i, its value under every element
-                for i in range(space.dim):
-                    row = list(map(itemgetter(i), map(attrgetter("rows"), self.elements)))
+                for i, shifts in enumerate(zip(*map(attrgetter("shift"), self.elements))):
+                    row = list(map(itemgetter(i), map(attrgetter("linear"), self.elements)))
                     parts = [map(mul, map(itemgetter(j), row), repeat(c)) for j, c in terms]
-                    image.append(map(mod, map(sum, zip(*parts)), repeat(q)))
+                    image.append(map(mod, map(sum, zip(shifts, *parts)), repeat(q)))
                 images = set(zip(*image))
             self._transitive = len(images) == len(space)
         return self._transitive
@@ -400,10 +400,8 @@ def translations(q_or_field, dim: int) -> FiniteGroup:
     """The q^d translations of F_q^d, acting on the full space."""
     field = as_field(q_or_field)
     space = Space.full(field, dim)
-    # Row i of [I | a] depends on a_i alone, so the q rows per i are shared.
-    shared = [[r[:dim] + (a,) for a in range(field.q)] for r in _identity_rows(dim)]
-    rows = zip(*[map(s.__getitem__, c) for s, c in zip(shared, zip(*space._coords))])
-    return FiniteGroup([Translation._from_rows(field, r) for r in rows], space, "translations")
+    identity = _identity(dim)
+    return FiniteGroup([Translation._of(field, identity, a) for a in space._coords], space, "translations")
 
 
 def _cofactors(top, q: int) -> list[int]:
@@ -448,9 +446,8 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     field = as_field(q_or_field)
     _check_dim(dim)
     _check_budget(field.q, dim * dim, "matrix scan (q^(d^2))")
-    zero = ((0,),) * dim
-    els = [SpecialLinear._from_rows(field, tuple(map(add, rows, zero)))
-           for rows in _unimodular_rows(field.q, dim)]
+    zero = (0,) * dim
+    els = [SpecialLinear._of(field, rows, zero) for rows in _unimodular_rows(field.q, dim)]
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
 
 
@@ -471,15 +468,15 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     q = field.q
     _check_budget(q, dim * dim, "matrix enumeration (q^(d^2))")
     unit = sphere(field, dim, 1)._coords
-    zero = (0,) * dim  # the shift column of [M | 0]
+    zero = (0,) * dim
 
     matrices = []
 
     def extend(cols):
         if len(cols) == dim - 1:
             v = _cofactors(cols, q)
-            matrices.append(tuple(zip(*cols, v, zero)))
-            matrices.append(tuple(zip(*cols, [-c % q for c in v], zero)))  # the same when q = 2
+            matrices.append(tuple(zip(*cols, v)))
+            matrices.append(tuple(zip(*cols, [-c % q for c in v])))  # the same when q = 2
             return
         for c in unit:
             if all(sum(map(mul, c, b)) % q == 0 for b in cols):
@@ -487,4 +484,4 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
 
     extend([])
     space = Space.full(field, dim) if radius is None else Space.sphere(field, dim, radius)
-    return FiniteGroup([Orthogonal._from_rows(field, rows) for rows in matrices], space, "orthogonal")
+    return FiniteGroup([Orthogonal._of(field, m, zero) for m in matrices], space, "orthogonal")

@@ -239,7 +239,8 @@ class SweepConfig:
                 ratios = [r % q for r in self.ratios]
             for k in self.ks:
                 n = similarity_threshold(q, self.d, k) if self.size == "threshold" else int(self.size)
-                met = meets_threshold(n * n, k, q, self.d)
+                # the threshold size is the smallest n that meets the threshold
+                met = self.size == "threshold" or meets_threshold(n * n, k, q, self.d)
                 for r in ratios:
                     for trial in range(self.trials):
                         out.append({

@@ -525,8 +525,8 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     counts = _transporter_counts(moving, fixed)
 
     def decode(code):
-        flat = index_to_coords(code, q, d * d) + (0,)
-        return SpecialLinear._from_rows(field, tuple(flat[i * d:(i + 1) * d] + flat[-1:] for i in range(d)))
+        flat = index_to_coords(code, q, d * d)
+        return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
 
     return _report_from_counts(
         counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),

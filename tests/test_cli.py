@@ -45,7 +45,8 @@ class TestEnumerateGroup:
         assert len(obj["elements"]) == 8
 
     # sha256 of the `--dump` stdout, recorded before elements were held as
-    # the rows of [M | a]: order, listing and JSON documents are unchanged.
+    # the rows of [M | a], and unchanged since they are held as a linear
+    # part and a shift: order, listing and JSON documents stay the same.
     @pytest.mark.parametrize("args, digest", [
         ("translations --q 3 --d 2",
          "9c95c4b9f7386fa02d9a34dc6a729bb536d45390930544c27b370aafa865d63e"),
@@ -360,6 +361,13 @@ class TestSphereExperiment:
         assert first_json(captured.out) == dict(k_one, k=0)
         assert captured.err == "warning: k = 0 is the degenerate single-point case\n"
 
+    def test_k_zero_warns_once_under_always(self, capsys):
+        # The k checks run once per command, not again for each verdict.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k", "0"]) == 0
+        assert capsys.readouterr().err == "warning: k = 0 is the degenerate single-point case\n"
+
     def test_set_files(self, capsys, tmp_path):
         surface = sphere(7, 2, 1)
         path = tmp_path / "s.txt"
@@ -381,6 +389,14 @@ class TestSweepAndVerifyWitness:
         parsed = [json.loads(line) for line in lines]
         assert parsed[-1]["summary"] is True
         assert parsed[-1]["violations"] == 0
+
+    def test_threshold_sweep_k_zero_warns_once_per_q(self, capsys):
+        # A threshold-size cell meets the threshold by construction, so
+        # only the threshold size runs the k checks: once per q.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["sweep", "--qs", "5,7", "--d", "2", "--ks", "0", "--r", "1"]) == 0
+        assert capsys.readouterr().err == "warning: k = 0 is the degenerate single-point case\n" * 2
 
     def test_sweep_jobs_reproduce_file(self, capsys, tmp_path):
         paths = []

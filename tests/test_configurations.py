@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -39,6 +40,7 @@ from fqsim import (
     verify_similarity,
 )
 from fqsim.cli import main
+from fqsim.groups import _identity
 
 from helpers import det_of_columns_cofactor, from_coords, pair_norms
 
@@ -180,6 +182,23 @@ class TestFindSimilar:
         e = random_pointset(7, 2, 15, seed=11)
         w = find_similar_config(e, make_field(7)(2), 2)
         assert w.report.best_count >= Fraction(len(e) ** 2, 49)
+
+    def test_header_only_set_in_huge_dimension_answers_at_once(self, capsys, tmp_path):
+        # The one decoded best shift shares the cached d x d identity, so
+        # the answer costs one identity table, built once.
+        path = tmp_path / "header.txt"
+        path.write_text("q=3 d=4000\n")
+        start = time.perf_counter()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the empty set warns
+                code = main(["find-similar", "--q", "3", "--d", "4000", "--r", "1", "--k", "1",
+                             "--set", str(path)])
+            elapsed = time.perf_counter() - start
+        finally:
+            _identity.cache_clear()  # 16M entries, about 128 MB
+        assert code == 1 and elapsed < 1.0
+        assert json.loads(capsys.readouterr().out)["error"] == "InsufficientIntersection"
 
 
 def vectors_built(monkeypatch, call):
@@ -473,6 +492,49 @@ class TestDetVerifierDeterminants:
             assert [s for s in check.reasons if "indices" in s] == expected
             if trial == 0:
                 assert check.ok
+
+
+def frames_run(call):
+    """The result of `call()` and the code object of every Python frame it ran."""
+    codes = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, codes
+
+
+FINDER_FRAMES = {"find_similar_config", "find_det_similar", "_find_by_overlap", "FiniteGroup.columns"}
+
+
+class TestVerifierIndependence:
+    """The verifiers share no code with the finders: no frame of
+    `intersection.py`, of the image table or of a finder (or of anything
+    defined in one) runs while a witness is checked, good or tampered."""
+
+    @pytest.mark.parametrize("find, verify", [
+        (lambda: find_similar_config(random_pointset(13, 2, 60, seed=5), make_field(13)(4), 3),
+         verify_similarity),
+        (lambda: find_det_similar(PointSet._canonical(make_field(7), 2, sorted(random.Random(20).sample(
+            list(itertools.product(range(7), repeat=2))[1:], 20))), make_field(7)(4), 2),
+         verify_det_similarity),
+        (lambda: find_det_similar(fqsim.random_subset(fqsim.Space.punctured(3, 3), 18, 3), F3(2), 3),
+         verify_det_similarity),
+    ], ids=["similarity", "det-similarity", "det-similarity-d3"])
+    def test_no_kernel_or_finder_frame_runs(self, find, verify):
+        w = find()
+        for witness in (w, type(w).from_json(w.to_json()), replace(w, zs=w.zs[::-1])):
+            check, codes = frames_run(lambda: verify(witness))
+            assert check.ok == (witness.zs == w.zs) and verify.__code__ in codes
+            names = [(c.co_filename, getattr(c, "co_qualname", c.co_name)) for c in codes]
+            assert [(f, n) for f, n in names if f.endswith("intersection.py")
+                    or n.split(".<locals>")[0] in FINDER_FRAMES] == []
 
 
 class TestSphereExperiment:

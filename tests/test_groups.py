@@ -1,7 +1,9 @@
 """Group enumeration, orbits, stabilizers, transporters."""
 
 import functools
+import hashlib
 import itertools
+import json
 from operator import mul
 
 import pytest
@@ -13,6 +15,7 @@ from fqsim import (
     EnumerationCapExceeded,
     FieldMismatch,
     FiniteGroup,
+    GroupElement,
     Matrix,
     NotInSpace,
     Orthogonal,
@@ -448,8 +451,8 @@ ELEMENT_GRID = ([("T", d, q) for d, q in T_GRID] + [("SL", d, q) for d, q in SL_
 
 
 class TestElementArithmetic:
-    """apply, compose, inverse and is_identity, written once on the rows of
-    [M | a], against each kind's own arithmetic (`helpers.oracle_*`)."""
+    """apply, compose, inverse and is_identity, written once on the linear
+    part and the shift, against each kind's own arithmetic (`helpers.oracle_*`)."""
 
     @settings(max_examples=150, deadline=None)
     @given(shape=st.sampled_from(ELEMENT_GRID), data=st.data())
@@ -485,11 +488,11 @@ class TestElementArithmetic:
 
     def test_views_and_documents(self):
         t = Translation(Vector(F5, [3, 4]))
-        assert t.rows == ((1, 0, 3), (0, 1, 4))
+        assert (t.linear, t.shift) == (((1, 0), (0, 1)), (3, 4))
         assert t.vector == Vector(F5, [3, 4]) and t.matrix == Matrix.identity(F5, 2)
         assert (t.to_json(), repr(t)) == ({"type": "translation", "by": [3, 4]}, "Translation([3, 4] mod 5)")
         s = SpecialLinear(Matrix(F5, [[1, 2], [0, 1]]))
-        assert s.rows == ((1, 2, 0), (0, 1, 0)) and s.vector.is_zero()
+        assert (s.linear, s.shift) == (((1, 2), (0, 1)), (0, 0)) and s.vector.is_zero()
         assert s.to_json() == {"type": "special-linear", "matrix": [[1, 2], [0, 1]]}
         assert repr(s) == "SpecialLinear([[1, 2], [0, 1]] mod 5)"
         o = Orthogonal(Matrix(F5, [[0, 1], [1, 0]]))
@@ -533,7 +536,7 @@ class TestImageTable:
 
         group = orthogonal_group(65537, 1)
         space = group.space
-        assert [g.rows for g in group] == [((1, 0),), ((65536, 0),)]
+        assert [(g.linear, g.shift) for g in group] == [(((1,),), (0,)), (((65536,),), (0,))]
         assert {column.typecode for column in group.columns()} == {"I"}
         assert [list(column) for column in group.columns()] == [[x, -x % 65537] for x in range(65537)]
         e, h = random_subset(space, 40, 1), random_subset(space, 30000, 2)
@@ -556,7 +559,7 @@ class TestImageTable:
         missing = {(0, 1), (1, 0)}
         space = Space(field, 2, "custom", [v for v in Space.full(17, 2).points if v.coords not in missing])
         group = FiniteGroup(special_linear_group(17, 2).elements, space, "special-linear")
-        assert group.elements[0].rows == ((0, 1, 0), (16, 0, 0))
+        assert (group.elements[0].linear, group.elements[0].shift) == (((0, 1), (16, 0)), (0, 0))
         with pytest.raises(NotInSpace) as caught:
             group.columns()
         assert str(caught.value) == f"Vector([0, 1] mod 17) is not a point of {space!r}"
@@ -584,3 +587,52 @@ class TestImageTable:
             assert rep.best_count == max(counts)
             assert rep.best_g == group.elements[counts.index(max(counts))]
             assert rep.per_g_histogram == {c: counts.count(c) for c in set(counts)}
+
+
+def augmented_rows(g):
+    """The rows of [M | a], from the element's public matrix and vector."""
+    return tuple(r + (a,) for r, a in zip(g.matrix.rows, g.vector.coords))
+
+
+PINNED_GROUPS = {
+    "T(3,2)": lambda: translations(3, 2),
+    "SL(2,3)": lambda: special_linear_group(3, 2),
+    "SL(3,2)": lambda: special_linear_group(2, 3),
+    "O(2,5)": lambda: orthogonal_group(5, 2),
+    "O(3,3)-radius-2": lambda: orthogonal_group(3, 3, radius=2),
+    "SL(1,7)": lambda: special_linear_group(7, 1),
+}
+
+
+class TestElementPins:
+    """What the element layout must not move: listings, documents and
+    image tables, pinned byte for byte."""
+
+    # sha256 over every element's repr, the identity's repr, describe() and
+    # the columns() bytes, recorded before elements held a linear part and
+    # a shift instead of the rows of [M | a].
+    @pytest.mark.parametrize("name, digest", [
+        ("T(3,2)",
+         "e432d8477b5e8f7798e268561da62eb44fc449d6b28cd9f5a0ed931ae6ad1815"),
+        ("SL(2,3)",
+         "f8db97a6eae0b03a9422aa8d81a7ae2af94975f0b76781bac2eceee295e67753"),
+        ("SL(3,2)",
+         "345c113d3231ca026f452d04f856bc34b68a6ae8ff49154a146b3d8add62380f"),
+        ("O(2,5)",
+         "ec27513fc5e27db54ef0d12cb4b40bf9d8f2b09a9e6727d1137eff498ef82fa4"),
+        ("O(3,3)-radius-2",
+         "2eca0cd31355eb269482098f588db26361c3c1a8327a8ac935c8121f1d025810"),
+        ("SL(1,7)",
+         "067bbd16a8f2939242012bb26b833e0be3aeb919d797a246a35c8d0a6bb96169"),
+    ], ids=list(PINNED_GROUPS))
+    def test_listing_and_image_table_are_golden(self, name, digest):
+        group = PINNED_GROUPS[name]()
+        parts = [repr(g) for g in group] + [repr(group.identity), json.dumps(group.describe())]
+        blob = "\n".join(parts).encode() + b"".join(group.columns())
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape", ELEMENT_GRID, ids=str)
+    def test_canonical_order_is_the_order_of_the_augmented_rows(self, shape):
+        elements = grid_group(*shape).elements[::-1]
+        assert ([augmented_rows(g) for g in sorted(elements, key=GroupElement.sort_key)]
+                == sorted(map(augmented_rows, elements)))
