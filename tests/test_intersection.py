@@ -1,6 +1,7 @@
 """Intersection maximization, double counting, and the fast translation kernel."""
 
 import functools
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -23,6 +24,7 @@ from fqsim import (
     SplitMix64,
     Vector,
     all_vectors,
+    canonical_json,
     exhaustive_pairs_audit,
     intersect_count,
     make_field,
@@ -462,7 +464,81 @@ class TestFastTranslationKernel:
             )
 
 
-REPORT_FIELDS = ("best_g", "best_count", "bound", "double_count_total", "transitive",
+# (q, d) of the pinned translation reports; the draws are `pinned_draws`.
+PINNED_SHAPES = [(2, 1), (2, 3), (2, 8), (3, 2), (5, 2), (7, 2), (13, 2), (17, 2),
+                 (101, 2), (5, 3), (7, 3), (3, 4), (31, 1), (1009, 1)]
+
+
+def pinned_draws(q, d):
+    """15 seeded (E, H) pairs of F_q^d: |E| up to 300 points, |H| up to 300
+    points and, every third draw, up to 30, so both kernel branches run."""
+    total = q ** d
+    sizes = SplitMix64(q * 100 + d)
+    for i in range(15):
+        n_e = sizes.next_below(min(total, 300) + 1)
+        n_h = sizes.next_below(min(total, 30 if i % 3 == 0 else 300) + 1)
+        yield (random_pointset(q, d, n_e, seed=q * 1000 + d * 100 + 2 * i),
+               random_pointset(q, d, n_h, seed=q * 1000 + d * 100 + 2 * i + 1))
+
+
+class TestTranslationReadout:
+    """The translation kernel's report, pinned byte for byte and checked
+    against the pair oracle where the bit-slot readout has edges."""
+
+    def test_reports_are_golden(self):
+        # sha256 over the canonical JSON of every report, histogram off and
+        # on, recorded before the bit-slot branch read its report off the
+        # bit planes instead of a byte per slot.
+        digest = hashlib.sha256()
+        branches = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty draws are legitimate here
+            for q, d in PINNED_SHAPES:
+                for e, h in pinned_draws(q, d):
+                    branches.add(is_dense(e, h))
+                    for hist in (False, True):
+                        rep = max_translation_intersection_fast(e, h, want_histogram=hist)
+                        digest.update(canonical_json(rep.to_json()).encode() + b"\n")
+        assert branches == {False, True}
+        assert digest.hexdigest() == (
+            "52c073e690c35c1e68bd38f9a92073a66838e06beb054ab95b97648a7a477528")
+
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 4, 7, 8, 255, 256, 511, 512])
+    def test_plane_counts_match_pair_oracle(self, n_e):
+        # |E| where n.bit_length(), the number of bit planes, steps or not.
+        e = random_pointset(101, 2, n_e, seed=n_e + 11)
+        h = random_pointset(101, 2, 200, seed=5)
+        assert is_dense(e, h)
+        assert translation_count_map(e, h) == naive_translation_counts(e, h)
+        for hist in (False, True):
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
+                               oracle_translation_report(e, h, hist))
+
+    @pytest.mark.parametrize("q, d, side", [(1009, 1, 300), (61, 2, 24)])
+    def test_histogram_of_many_distinct_counts(self, q, d, side):
+        # E = H = a box of side s from the origin: the shift a counts
+        # Π (s - |a_i|), so the histogram has hundreds of distinct counts.
+        field = make_field(q)
+        box = from_coords(field, d, list(itertools.product(range(side), repeat=d)))
+        assert is_dense(box, box)
+        rep = max_translation_intersection_fast(box, box, want_histogram=True)
+        assert len(rep.per_g_histogram) > side
+        assert_same_report(rep, oracle_translation_report(box, box, True))
+
+    def test_argmax_tie_across_rows(self):
+        # Shifts (1, 5) and (3, 2) both count 2; the first in flat order
+        # wins although (3, 2) has the smaller last digit.
+        f7 = make_field(7)
+        e = from_coords(f7, 2, [[0, 0], [0, 1]])
+        h = from_coords(f7, 2, [[1, 5], [1, 6], [3, 2], [3, 3]])
+        assert is_dense(e, h)
+        for hist in (False, True):
+            rep = max_translation_intersection_fast(e, h, want_histogram=hist)
+            assert rep.best_count == 2 and rep.best_g.vector.coords == (1, 5)
+            assert_same_report(rep, oracle_translation_report(e, h, hist))
+
+
+REPORT_FIELDS =("best_g", "best_count", "bound", "double_count_total", "transitive",
                  "group_order", "space_size", "moving_size", "fixed_size", "per_g_histogram")
 
 
