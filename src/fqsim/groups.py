@@ -155,15 +155,19 @@ class GroupElement:
         if type(other) is not type(self):
             raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
         self._check_peer(other.field.q, len(other.shift), "map")
-        q, cols = self.field.q, list(zip(*other.linear))
+        q = self.field.q
+        if self.linear is _identity(len(self.shift)):  # a translation: M = I
+            return self._of(self.field, other.linear,
+                            tuple([(a + b) % q for a, b in zip(self.shift, other.shift)]))
+        cols = list(zip(*other.linear))
         linear = tuple(tuple([sum(map(mul, r, c)) % q for c in cols]) for r in self.linear)
         return self._of(self.field, linear, tuple([sum(map(mul, r, other.shift), a) % q
                                                    for r, a in zip(self.linear, self.shift)]))
 
     def inverse(self) -> "GroupElement":
-        """x -> M^-1 x - M^-1 a."""
-        q = self.field.q
-        inv = tuple(map(tuple, _inverse_rows(self.linear, q)))
+        """x -> M^-1 x - M^-1 a; the shared identity of a translation is its own inverse."""
+        q, m = self.field.q, self.linear
+        inv = m if m is _identity(len(m)) else tuple(map(tuple, _inverse_rows(m, q)))
         return self._of(self.field, inv, tuple([-sum(map(mul, r, self.shift)) % q for r in inv]))
 
     def is_identity(self) -> bool:

@@ -32,8 +32,8 @@ tie-break becomes the smallest maximal key.  Translations count the
 pairs (x, y) with y - x = a, with points coded in base 2q.  While the
 space is small against |H|, a bit table marking H is shifted by each
 point of E and the shifted windows, one bit per shift, are added by
-carry-save full adders into eight bit planes, so C counts all q^d
-shifts at once; otherwise a Counter counts the |E||H| difference codes.
+carry-save full adders into bit planes, so C counts all q^d shifts
+at once; otherwise a Counter counts the |E||H| difference codes.
 Unimodular maps count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that
 send x to y, through index lists built once per H: no loop runs per pair.
 `max_intersection` over the enumerated group stays the oracle for both.
@@ -217,13 +217,11 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
 
 
 @functools.lru_cache(maxsize=8)
-def _slot_rows(q: int, d: int) -> list[slice]:
-    """The q^(d-1) runs of q bytes whose base-2q digits are all < q, in
-    flat order: one per prefix of d-1 digits, the last digit 0..q-1."""
-    starts = [0]
-    for _ in range(d - 1):
-        starts = [(c + r) * 2 * q for c in starts for r in range(q)]
-    return [slice(s, s + q) for s in starts]
+def _valid_slots(q: int, d: int) -> int:
+    """The bits of the base-2q codes whose d digits are all < q: one
+    repunit Σ_{r<q} 2^(r·w) per digit weight w, multiplied without a carry."""
+    return functools.reduce(mul, [((1 << q * w) - 1) // ((1 << w) - 1)
+                                  for w in ((2 * q) ** i for i in range(d))])
 
 
 @functools.lru_cache(maxsize=8)
@@ -245,40 +243,35 @@ def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
     return list(codes)
 
 
-def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | dict[int, int]:
-    """flat(a) -> |fixed ∩ (moving + a)|, as a dense sequence or a sparse dict.
+def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], int] | dict[int, int]:
+    """|fixed ∩ (moving + a)| for every shift a: as bit planes, or a sparse dict.
 
-    flat(a) = sum of a_i q^(d-1-i), so flat order is lexicographic order.
     Points are coded in base 2q, so adding two points carries no digit.
 
-    Bit slots (dense): T holds one bit per base-2q code.  Each y in H is
-    marked once and d shift-ORs lift the marks to code(y + q·ε) for every
-    ε in {0,1}^d, so for every shift t with digits < q the bit at
-    code(x) + code(t) is set exactly when x + t lies in H mod q.
-    T >> code(x), cut to the window of w = q(2q)^(d-1) bits that holds
-    every such code(t), is x's mask.  Carry-save full adders add the
-    masks of 255 points of E at a time into at most 8 bit planes, plane i
-    holding bit i of every count.  Each plane is then spread to one byte
-    per bit and weighed 2^i, so the planes sum to one byte of count per
-    slot; the q^d valid bytes of each chunk, q^(d-1) runs of q, are joined
-    in flat order and the chunks added.  Holds O(w) bytes.
+    Bit planes: T holds one bit per base-2q code.  Each y in H is marked
+    once and d shift-ORs lift the marks to code(y + q·ε) for every ε in
+    {0,1}^d, so for every shift t with digits < q the bit at code(x) +
+    code(t) is set exactly when x + t lies in H mod q.  T >> code(x), cut
+    to the window of w = q(2q)^(d-1) bits that holds every such code(t),
+    is x's mask.  Carry-save full adders add the masks of all of E into
+    |E|.bit_length() planes of O(w) bits, plane i holding bit i of the
+    count of shift t at bit code(t), returned with the mask of the q^d
+    slots whose digits are all < q (`_valid_slots`).
 
     Difference codes (sparse): with q added to every digit of y, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
-    |E||H| codes in C, and the distinct codes fold to flat((y - x) mod q)
-    digit by digit: O(|E||H|) time and memory for any q.
+    |E||H| codes in C, and the distinct codes fold to the flat index
+    Σ a_i q^(d-1-i) of a = y - x mod q: O(|E||H|) time and memory.
 
-    The finder scans |E| = |H| = h, so the slots run when
-    w·h + 60·q^d <= 600·h².  That rule was fitted to byte slots, ~4x
-    dearer per moving point than bit slots, so near the switch its pick
-    can be up to 4.3x slower than the other branch.
+    The finder scans |E| = |H| = h, so the planes run when
+    w·h + 60·q^d <= 600·h².  That rule was fitted to byte slots: measured
+    just below it (h = 53, 41, 212, 388 at q^d = 101², 10007, 31³, 13⁴),
+    it picks the difference codes, 5.1-9.9x slower than the planes.
     """
     _check_compatible(moving, fixed)
-    q = moving.field.q
-    d = moving.dim
-    base = 2 * q
-    weights = [base ** (d - 1 - i) for i in range(d)]
-    width = q * base ** (d - 1)
+    q, d = moving.field.q, moving.dim
+    weights = [(2 * q) ** (d - 1 - i) for i in range(d)]
+    width = q * weights[0]
     h = len(fixed)
     if len(moving) and width * h + 60 * q ** d <= 600 * h * h:
         table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
@@ -288,46 +281,28 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | di
         for w in weights:  # lift each digit y_i to y_i + q as well
             table |= table << q * w
         window = (1 << width) - 1
-        spec = f"0{width}b"
-        zeros = int.from_bytes(b"0" * width, "big")
         shifts = _codes(moving, weights)
-        rows = _slot_rows(q, d)
-        counts = None
-        for start in range(0, len(shifts), 255):
-            batch = shifts[start:start + 255]
-            # Plane i holds bit i of every slot's count; pending[i], when
-            # nonzero, is one more mask of weight 2^i.  Level i receives at
-            # most n >> i of the n <= 255 masks, so no mask passes level
-            # n.bit_length() - 1 and every count fits n.bit_length() planes.
-            levels = len(batch).bit_length()
-            planes = [0] * levels
-            pending = [0] * levels
-            for s in batch:
-                m = (table >> s) & window
-                i = 0
-                while p := pending[i]:  # full adder: plane + p + m
-                    pending[i] = 0
-                    plane = planes[i]
-                    u = p ^ m
-                    planes[i] = plane ^ u
-                    m = (p & m) | (plane & u)
-                    i += 1
-                pending[i] = m
-            # Flush the pending masks by ripple, and spread each finished
-            # plane to one byte per slot: format writes bit k of it as byte
-            # k, b'0' or b'1', of a big-endian string.  Plane i weighs 2^i.
-            carry = acc = 0
-            for i in range(levels):
+        # pending[i], when nonzero, is one more mask of weight 2^i.  Level
+        # i receives n >> i of the n masks, so none passes the last level.
+        levels = len(shifts).bit_length()
+        planes, pending = [0] * levels, [0] * levels
+        for s in shifts:
+            m = (table >> s) & window
+            i = 0
+            while p := pending[i]:  # full adder: plane + p + m
+                pending[i] = 0
                 plane = planes[i]
-                p = pending[i]
-                u = p ^ carry
-                carry = (p & carry) | (plane & u)
-                if plane := plane ^ u:
-                    acc += (int.from_bytes(format(plane, spec).encode(), "big") - zeros) << i
-            raw = acc.to_bytes(width, "little")
-            chunk = b"".join([raw[r] for r in rows])
-            counts = chunk if counts is None else list(map(add, counts, chunk))
-        return counts
+                u = p ^ m
+                planes[i] = plane ^ u
+                m = (p & m) | (plane & u)
+                i += 1
+            pending[i] = m
+        carry = 0  # flush the pending masks by ripple
+        for i, (plane, p) in enumerate(zip(planes, pending)):
+            u = p ^ carry
+            carry = (p & carry) | (plane & u)
+            planes[i] = plane ^ u
+        return planes, _valid_slots(q, d)
     xs = _codes(moving, weights)
     ys = _codes(fixed, weights, q * sum(weights))
     diffs = Counter(y - x for x in xs for y in ys)
@@ -342,7 +317,27 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> Sequence[int] | di
     return counts
 
 
-def _report_from_counts(counts: dict[int, int] | Sequence[int],
+def _read_planes(planes: list[int], valid: int,
+                 want_histogram: bool) -> tuple[int, int, int, dict[int, int] | None]:
+    """(best code, best count, total, histogram) of bit-plane counts: from
+    the top plane down, each group of slots (mask m, count prefix v) splits
+    into m & ~plane_i and m & plane_i, of prefixes v and v + 2^i.  Without
+    a histogram only the highest nonempty group is kept.  Code order is
+    canonical order, so the lowest bit of the last group is the tie-break."""
+    total = sum((plane & valid).bit_count() << i for i, plane in enumerate(planes))
+    groups = [(valid, 0)]
+    for i in reversed(range(len(planes))):
+        split = []
+        for m, v in groups:
+            hi = m & planes[i]
+            split += [g for g in ((m ^ hi, v), (hi, v + (1 << i))) if g[0]]
+        groups = split if want_histogram else split[-1:]
+    m, best_c = groups[-1]
+    hist = {v: g.bit_count() for g, v in groups} if want_histogram else None
+    return (m & -m).bit_length() - 1, best_c, total, hist
+
+
+def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int], int],
                         moving: PointSet, fixed: PointSet, *, decode, first: int,
                         group_order: int, space_size: int, transitive: bool,
                         want_histogram: bool) -> IntersectionReport:
@@ -352,28 +347,30 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int],
     is the canonical tie-break and the only one decoded.  A dict holds the
     nonzero counts: elements absent from it count zero, and `first`, the
     group's smallest code, answers when every count is zero.  A dense
-    sequence holds the count of code i at position i for every element.
-    With a histogram, the maximum and the total are read off it rather
-    than off the counts again.  On an empty space the bound is 0.
+    sequence holds the count of code i at position i for every element,
+    and a tuple bit planes with the mask of their valid slots (`_read_planes`).
+    With a histogram, a dict's or a sequence's maximum and total are read
+    off it rather than off the counts again.  On an empty space the bound is 0.
     """
     if not len(moving) or not len(fixed):
         warnings.warn("empty point set: the intersection bound is vacuous")
-    dense = not isinstance(counts, dict)
-    values = counts if dense else counts.values()
     hist = None
-    if want_histogram:
-        hist = dict(Counter(values))
-        if not dense and group_order > len(counts):
-            hist[0] = group_order - len(counts)
-        best_c = max(hist)
-        total = sum(c * n for c, n in hist.items())
+    if isinstance(counts, tuple):
+        best, best_c, total, hist = _read_planes(*counts, want_histogram)
     else:
-        best_c = max(values, default=0)
-        total = sum(values)
-    if dense:
-        best = counts.index(best_c)
-    else:
-        best = min((code for code, c in counts.items() if c == best_c), default=first)
+        dense = not isinstance(counts, dict)
+        values = counts if dense else counts.values()
+        if want_histogram:
+            hist = dict(Counter(values))
+            if not dense and group_order > len(counts):
+                hist[0] = group_order - len(counts)
+            best_c = max(hist)
+            total = sum(c * n for c, n in hist.items())
+        else:
+            best_c = max(values, default=0)
+            total = sum(values)
+        best = (counts.index(best_c) if dense else
+                min((code for code, c in counts.items() if c == best_c), default=first))
 
     return IntersectionReport(
         best_g=decode(best), best_count=best_c,
@@ -391,19 +388,18 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     Output contract is identical to `max_intersection` over the full
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
-    total is |E||H| (each pair contributes to exactly one shift).  Counts
-    are keyed by flat index: bit slots count all q^d shifts when the
-    space is small against |H|, difference codes count only the shifts
-    some pair reaches otherwise (see `_translation_counts`).
+    total, summed from the counts, is |E||H| (each pair contributes to
+    exactly one shift).  Bit planes key a shift by its base-2q code and
+    difference codes by its flat index (see `_translation_counts`): the
+    digits of either are the shift's coordinates.
     """
     counts = _translation_counts(moving, fixed)
-    field = moving.field
-    q = field.q
-    d = moving.dim
-    order = q ** d
+    field, d = moving.field, moving.dim
+    q, order = field.q, field.q ** d
+    radix = q if isinstance(counts, dict) else 2 * q
     return _report_from_counts(
         counts, moving, fixed,
-        decode=lambda i: Translation(Vector(field, index_to_coords(i, q, d))),
+        decode=lambda i: Translation(Vector(field, index_to_coords(i, radix, d))),
         first=0, group_order=order, space_size=order, transitive=True,
         want_histogram=want_histogram,
     )

@@ -58,10 +58,18 @@ def pair_norms(points):
 
 
 def translation_count_map(moving, fixed):
-    """The translation kernel's nonzero counts, keyed by shift coordinates."""
+    """The translation kernel's nonzero counts, keyed by shift coordinates.
+
+    A dict is keyed by flat index.  Bit planes count the shift of base-2q
+    code k in bit k, plane i weighing 2^i; every valid slot is decoded."""
+    q, d = moving.field.q, moving.dim
     counts = _translation_counts(moving, fixed)
-    items = counts.items() if isinstance(counts, dict) else enumerate(counts)
-    return {index_to_coords(i, moving.field.q, moving.dim): c for i, c in items if c}
+    if isinstance(counts, dict):
+        return {index_to_coords(i, q, d): c for i, c in counts.items() if c}
+    planes, valid = counts
+    slots = (k for k in range(valid.bit_length()) if valid >> k & 1)
+    items = ((k, sum((plane >> k & 1) << i for i, plane in enumerate(planes))) for k in slots)
+    return {index_to_coords(k, 2 * q, d): c for k, c in items if c}
 
 
 def completion(x, q):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import time
 from operator import mul
 
 import pytest
@@ -30,7 +31,7 @@ from fqsim import (
     translations,
 )
 from fqsim.geometry import _det_rows
-from fqsim.groups import _unimodular_rows
+from fqsim.groups import _identity, _unimodular_rows
 from fqsim.intersection import max_intersection
 
 from helpers import oracle_apply, oracle_compose, oracle_inverse, oracle_is_identity
@@ -498,6 +499,21 @@ class TestElementArithmetic:
         o = Orthogonal(Matrix(F5, [[0, 1], [1, 0]]))
         assert o.to_json() == {"type": "orthogonal", "matrix": [[0, 1], [1, 0]]}
         assert o.inverse() == o and o.compose(o).is_identity()
+
+    def test_translations_keep_the_shared_identity(self):
+        # In F_3^400 compose and inverse skip the 400 x 400 product and the
+        # Gauss-Jordan step, and keep the one identity table of the dimension.
+        d = 400
+        g = Translation(Vector(F3, [i % 3 for i in range(d)]))
+        h = Translation(Vector(F3, [i * i % 3 for i in range(d)]))
+        start = time.perf_counter()
+        gh = g.compose(h)
+        mid = time.perf_counter()
+        inv = g.inverse()
+        end = time.perf_counter()
+        assert gh.linear is _identity(d) and inv.linear is _identity(d)
+        assert gh == oracle_compose(g, h) and inv == oracle_inverse(g)
+        assert mid - start < 0.1 and end - mid < 0.1
 
 
 class TestImageTable:

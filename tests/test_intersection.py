@@ -309,7 +309,7 @@ class TestFastTranslationKernel:
         assert sum(rep.per_g_histogram.values()) == q ** 3
 
     def test_counts_past_one_byte(self):
-        # E = H = F_17^2: every shift counts 289, over two chunks (255 + 34)
+        # E = H = F_17^2: every shift counts 289, past one byte (nine planes)
         f17 = make_field(17)
         full = PointSet(f17, 2, list(all_vectors(f17, 2)))
         assert is_dense(full, full)
@@ -330,7 +330,7 @@ class TestFastTranslationKernel:
                                oracle_translation_report(e, h, hist))
 
     @pytest.mark.parametrize("q, d, n_e, n_h", [
-        (283, 1, 283, 283),  # the whole line: two chunks
+        (283, 1, 283, 283),  # the whole line: nine planes
         (283, 1, 40, 90),
         (2, 1, 1, 2),
         (2, 3, 5, 8),
@@ -375,14 +375,15 @@ class TestFastTranslationKernel:
 
     def test_byte_slots_memory_at_finder_scale(self):
         # The finder's 450-point scan of F_101^2: a 5,101-byte table, masks
-        # of 20,402 bits, planes spread to 20,402 bytes, 10,201 counts and
-        # the 101 row slices it caches (~239 KB measured; the difference-code
-        # branch peaks at ~3 MB here).
+        # and nine bit planes of 20,402 bits, the valid-slot mask it caches
+        # and one histogram group per distinct count (~150 KB measured, ~73
+        # KB without the histogram; the difference-code branch peaks at ~3
+        # MB here).
         q = 101
         e = random_pointset(q, 2, 450, seed=1)
         h = e.scaled(make_field(q)(2))
         assert is_dense(e, h)
-        fqsim.intersection._slot_rows.cache_clear()
+        fqsim.intersection._valid_slots.cache_clear()
         tracemalloc.start()
         try:
             rep = max_translation_intersection_fast(e, h, want_histogram=True)
@@ -395,8 +396,8 @@ class TestFastTranslationKernel:
 
     @pytest.mark.parametrize("n_e", [1, 2, 3, 254, 255, 256, 510, 511])
     def test_bit_slots_match_pair_oracle_across_chunks(self, n_e):
-        # 255 moving points per chunk: one short of, at and one past one and
-        # two chunks, and chunks of 1 to 3 points that fill 1 or 2 planes.
+        # 1 to 3 points fill 1 or 2 planes; from 255 to 256 points the
+        # planes go from 8 to 9, and 510 and 511 points fill all 9.
         e = random_pointset(101, 2, n_e, seed=n_e + 7)
         h = random_pointset(101, 2, 300, seed=3)
         assert is_dense(e, h)
@@ -406,13 +407,15 @@ class TestFastTranslationKernel:
 
     @pytest.mark.parametrize("n_e", [127, 128, 255, 256, 289])
     def test_bit_slots_with_the_whole_space_as_h(self, n_e):
-        # Every mask is all ones, so every plane fills and a chunk of 128 or
-        # more carries into the eighth plane; every shift counts |E|.
+        # Every mask is all ones, so every plane fills and 128 or more
+        # points carry into the eighth plane; every shift counts |E|.
         f17 = make_field(17)
         full = PointSet(f17, 2, list(all_vectors(f17, 2)))
         e = random_pointset(17, 2, n_e, seed=n_e)
         assert is_dense(e, full)
-        assert list(_translation_counts(e, full)) == [n_e] * 289
+        counts = translation_count_map(e, full)
+        assert counts == naive_translation_counts(e, full)
+        assert len(counts) == 289 and set(counts.values()) == {n_e}
         rep = max_translation_intersection_fast(e, full, want_histogram=True)
         assert rep.per_g_histogram == {n_e: 289} and rep.best_g.vector.is_zero()
 
@@ -507,14 +510,14 @@ class TestTranslationReadout:
     def test_plane_counts_match_pair_oracle(self, n_e):
         # |E| where n.bit_length(), the number of bit planes, steps or not.
         e = random_pointset(101, 2, n_e, seed=n_e + 11)
-        h = random_pointset(101, 2, 200, seed=5)
+        h = random_pointset(101, 2, 60, seed=5)
         assert is_dense(e, h)
         assert translation_count_map(e, h) == naive_translation_counts(e, h)
         for hist in (False, True):
             assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
                                oracle_translation_report(e, h, hist))
 
-    @pytest.mark.parametrize("q, d, side", [(1009, 1, 300), (61, 2, 24)])
+    @pytest.mark.parametrize("q, d, side", [(1009, 1, 300), (61, 2, 16)])
     def test_histogram_of_many_distinct_counts(self, q, d, side):
         # E = H = a box of side s from the origin: the shift a counts
         # Π (s - |a_i|), so the histogram has hundreds of distinct counts.
