@@ -43,7 +43,7 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import _PRINTABLE, Matrix, PointSet, Vector, _check_budget, _det_cofactor, _power_exceeds
+from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget, _det_cofactor, _power_exceeds
 from .groups import GroupElement, SpecialLinear, orthogonal_group
 from .intersection import (
     IntersectionReport,
@@ -142,7 +142,7 @@ def similarity_threshold(q_or_field, dim: int, k: int) -> int:
     digits, which no output could print, is refused before q^d is
     computed."""
     q = as_field(q_or_field).q
-    if not meets_threshold(_PRINTABLE * _PRINTABLE, k, q, dim):
+    if not meets_threshold(_PRINTABLE_SQUARE, k, q, dim):
         raise EnumerationCapExceeded(
             f"threshold set size for q = {q}, d = {dim}, k = {k} has more than 4300 digits")
     return math.isqrt((k + 1) * q ** dim - 1) + 1

@@ -23,6 +23,7 @@ from .field import FieldElement, PrimeField, as_field
 # Ceiling on every enumeration: full spaces, spheres and matrix scans.
 ENUMERATION_CAP = 10 ** 8
 _PRINTABLE = 10 ** 4300 - 1  # the largest int str() spells out, 4,300 digits
+_PRINTABLE_SQUARE = _PRINTABLE * _PRINTABLE  # n <= _PRINTABLE iff n² <= this, for n >= 0
 
 
 def _power_exceeds(base: int, e: int, limit: int) -> bool:

@@ -35,7 +35,8 @@ point of E and the shifted windows, one bit per shift, are added by
 carry-save full adders into bit planes, so C counts all q^d shifts
 at once; otherwise a Counter counts the |E||H| difference codes.
 Unimodular maps count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that
-send x to y, through index lists built once per H: no loop runs per pair.
+send x to y, through index lists built once per H from tables built once
+per (q, d) and process: no loop runs per pair.
 `max_intersection` over the enumerated group stays the oracle for both.
 """
 
@@ -425,20 +426,21 @@ def _first_special_linear_code(q: int, d: int) -> int:
     return sum(q ** ((d - 1) * (d - r)) for r in range(d - 1)) + c * q ** (d - 1)
 
 
-def _inverse_completion(x: tuple[int, ...], q: int) -> tuple[int, list[list[int]]]:
-    """The first i with x_i != 0, and the rows of h⁻¹ in closed form for the
-    h in SL(d, q) with columns x, λ⁻¹·e_j1, e_j2, ... (d >= 2, x nonzero),
-    where j1 < j2 < ... skip i and λ = (-1)^i x_i: r_0 = e_i/x_i and
-    r_k = s_k·(e_jk - (x_jk/x_i)·e_i), with s_1 = λ and s_k = 1 after it.
-    """
-    d = len(x)
-    i = next(j for j, c in enumerate(x) if c)
-    inv, s = pow(x[i], q - 2, q), (-1) ** i * x[i] % q  # 1/x_i and λ
-    rows = [[0] * d for _ in range(d)]
-    rows[0][i] = inv
-    for row, j in zip(rows[1:], (j for j in range(d) if j != i)):
-        row[j], row[i], s = s, -s * x[j] * inv % q, 1
-    return i, rows
+@functools.lru_cache(maxsize=8)
+def _transporter_plan(q: int, d: int) -> tuple[tuple, ...]:
+    """The tables of `_transporter_counts` that depend only on (q, d >= 2):
+    w2q[j] = (2q)^(d-1-j), the base-2q weight of digit j; scaled[j][e], c·e
+    mod q as digit j over c in F_q; others[i], the j != i; starts[t][mu],
+    mu·(row t of A) as a tail over A in SL(d-1, q); wrap, `_wrap_table`
+    (base-2q row code -> flat index mod q); inverse[c] = 1/c in F_q."""
+    w2q = tuple((2 * q) ** (d - 1 - j) for j in range(d))
+    scaled = tuple(tuple(tuple(c * e % q * w for c in range(q)) for e in range(q)) for w in w2q)
+    others = tuple(tuple(j for j in range(d) if j != i) for i in range(d))
+    blocks = list(_unimodular_rows(q, d - 1))
+    starts = tuple(tuple(tuple(sum(scaled[k][mu][e] for k, e in enumerate(a[t], start=1))
+                               for a in blocks) for mu in range(q)) for t in range(d - 1))
+    inverse = (0, *(pow(c, q - 2, q) for c in range(1, q)))
+    return w2q, scaled, others, starts, _wrap_table(q, d), inverse
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -447,16 +449,20 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     code(g) is the base-q integer of g's row-major entries, so code order
     is canonical order.  Each incidence of the paper's double count
     Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}| is counted at its g: the
-    g with gx = y are h_y·S·h_x⁻¹ (`_inverse_completion`), with S the maps
-    [[1, b], [0, A]], A in SL(d-1, q), and row i of g is y_i r_0 +
-    Σ_{k>=1} p_ik r_k over the rows r_k of h_x⁻¹ and p = h_y·s.  No loop
-    runs per pair.  Per call, d flat index lists hold, at every (y, s), the
-    lead offset of y_i among H's coordinates plus the code of the tail of
-    p_i, h_y[i][1:]·A + y_i·b: h_y's pivot row has tail 0 and its others
-    are unit rows, the first scaled by λ⁻¹.  Per x, one heads × tails table
-    maps them to rows of g, comprehensions zip the d lists into |H||S| codes
-    and one Counter update counts them.  Both sets avoid the origin.
-    SL(1, q) is the identity alone: it counts |E ∩ H|.
+    g with gx = y are h_y·S·h_x⁻¹, with S the maps [[1, b], [0, A]], A in
+    SL(d-1, q), and h_x the map with columns x, λ⁻¹·e_j1, e_j2, ..., where
+    i is x's pivot (its first nonzero entry), j1 < j2 < ... skip i and
+    λ = (-1)^i x_i.  h_x⁻¹ has rows r_0 = e_i/x_i and r_k = s_k·(e_jk -
+    (x_jk/x_i)·e_i), s_1 = λ and s_k = 1 after it, and row i of g is
+    y_i r_0 + Σ_{k>=1} p_ik r_k with p = h_y·s.  No loop runs per pair.
+    Per call, d flat index lists hold, at every (y, s), the lead offset of
+    y_i among H's coordinates plus the code of the tail of p_i,
+    h_y[i][1:]·A + y_i·b: h_y's pivot row has tail 0 and its others are
+    unit rows, the first scaled by λ⁻¹.  Per x, the pivot, 1/x_i and λ
+    read a heads × tails table of |leads|·q^(d-1) rows of g off the tables
+    of `_transporter_plan`, comprehensions zip the d lists into |H||S|
+    codes and one Counter update counts them.  Both sets avoid the
+    origin.  SL(1, q) is the identity alone: it counts |E ∩ H|.
     """
     q = moving.field.q
     d = moving.dim
@@ -464,24 +470,16 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
         common = sum(1 for p in moving._coords if p in fixed._index)
         return {1: common} if common else {}
     qd = q ** d
-    wrap = _wrap_table(q, d)  # base-2q row code -> flat index of the row mod q
-    w2q = [(2 * q) ** (d - 1 - j) for j in range(d)]
-    # scaled[j][e]: c·e mod q over c in F_q, as base-2q digit j (weight 1 at j = d - 1)
-    scaled = [[[c * e % q * w for c in range(q)] for e in range(q)] for w in w2q]
-    others = [[j for j in range(d) if j != i] for i in range(d)]
+    w2q, scaled, others, starts, wrap, inverse = _transporter_plan(q, d)
     leads = sorted({c for y in fixed._coords for c in y})
     # Per lead a: its offset as digit 0 plus a·b as the tail, over b in lex order.
     lead_b = {a: [n * w2q[0]] for n, a in enumerate(leads)}
     for digit in scaled[1:]:
         lead_b = {a: [t + u for t in codes for u in digit[a]] for a, codes in lead_b.items()}
-    # starts[t][mu]: mu·(row t of A) as a tail, over A in SL(d-1, q), then b.
-    blocks = list(_unimodular_rows(q, d - 1))
-    starts = [[[sum(scaled[k][mu][e] for k, e in enumerate(a[t], start=1)) for a in blocks]
-               for mu in range(q)] for t in range(d - 1)]
     index = [[] for _ in range(d)]
     for ys in fixed._coords:
         i = next(j for j, c in enumerate(ys) if c)
-        mu = pow((-1) ** i * ys[i], q - 2, q)
+        mu = inverse[(-1) ** i * ys[i] % q]
         for j, (col, yj) in enumerate(zip(index, ys)):
             t = j - (j > i)  # the pivot row's tail is 0, as mu = 0 makes it
             vs = starts[0][0] if j == i else starts[t][mu if t == 0 else 1]
@@ -489,13 +487,14 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
 
     counts: Counter = Counter()
     for x in moving._coords:
-        i, r = _inverse_completion(x, q)  # r_0 on e_i; r_k on e_jk and e_i
-        w = w2q[i]
-        heads = [a * r[0][i] % q * w for a in leads]  # base 2q, as the table's rows
+        i = next(j for j, c in enumerate(x) if c)
+        inv, s, w = inverse[x[i]], (-1) ** i * x[i] % q, w2q[i]  # 1/x_i, λ
+        heads = [scaled[i][inv][a] for a in leads]  # y_i r_0, base 2q as the table's rows
         tails = sums = [0]  # Σ_k c_k r_k over c in F_q^(d-1), lex order
-        for j, rk in zip(others[i], r[1:]):
-            tails = [t + u for t in tails for u in scaled[j][rk[j]]]
-            sums = [v + u for v in sums for u in scaled[-1][rk[i]]]
+        for j in others[i]:  # r_k: s_k at j_k, -s_k·x_jk/x_i at i
+            tails = [t + u for t in tails for u in scaled[j][s]]
+            sums = [v + u for v in sums for u in scaled[-1][-s * x[j] * inv % q]]
+            s = 1
         tails = [t + v % q * w for t, v in zip(tails, sums)]
         table = [wrap[h + t] for h in heads for t in tails]
         codes = [table[a] * qd + table[b] for a, b in zip(index[0], index[1])]

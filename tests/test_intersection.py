@@ -16,6 +16,7 @@ from fqsim import (
     DimensionMismatch,
     EnumerationCapExceeded,
     FieldMismatch,
+    FqsimError,
     IntersectionReport,
     Matrix,
     NotTransitive,
@@ -36,6 +37,8 @@ from fqsim import (
     random_subset,
     Space,
     SpecialLinear,
+    SweepConfig,
+    find_det_similar,
     special_linear_group,
     Translation,
     translations,
@@ -43,9 +46,10 @@ from fqsim import (
 import fqsim.intersection
 from fqsim.geometry import _det_rows, _inverse_rows
 from fqsim.intersection import (
-    _inverse_completion,
     _max_special_linear_intersection,
     _translation_counts,
+    _transporter_counts,
+    _transporter_plan,
 )
 
 from helpers import completion, from_coords, translated, translation_count_map
@@ -568,6 +572,22 @@ def sl_cases(q, d):
     return cases
 
 
+# (q, d, largest set) of the pinned det reports: the whole punctured space
+# where scanning it is cheap, a few points where the stabiliser S is large.
+DET_PINNED_SHAPES = [(2, 2, 3), (3, 2, 8), (5, 2, 24), (7, 2, 48), (13, 2, 168), (31, 2, 40),
+                     (2, 3, 7), (3, 3, 26), (5, 3, 6), (2, 4, 15), (5, 1, 4), (31, 1, 30)]
+
+
+def det_pinned_draws(q, d, top):
+    """Seeded (E, H) pairs of the punctured space, sizes 1 to `top`: each
+    size against itself and against the sizes in reverse."""
+    space = Space.punctured(q, d)
+    sizes = sorted({min(s, top) for s in (1, 2, 3, top // 4, top // 2, top)} - {0})
+    for i, (n_e, n_h) in enumerate([*zip(sizes, sizes), *zip(sizes, reversed(sizes))]):
+        seed = q * 1000 + d * 100 + 2 * i
+        yield random_subset(space, n_e, seed), random_subset(space, n_h, seed + 1)
+
+
 @functools.lru_cache(maxsize=None)
 def sl_group(q, d):
     """SL(d, q), enumerated once per module."""
@@ -614,6 +634,68 @@ class TestTransporterKernel:
         assert rep.best_g.matrix == Matrix(F5, [flat[0:3], flat[3:6], flat[6:9]])
         assert sum(rep.per_g_histogram.values()) == 372000
 
+    @pytest.mark.parametrize("q, n", [(97, 5), (31, 3)])
+    def test_exact_at_large_q_with_few_leads(self, q, n):
+        # H's coordinates take a handful of the q values, so each per-point
+        # table has |leads|·q rows, far fewer than q²: every counted code
+        # is decoded and checked directly, and the q maps per pair sum to
+        # the double count |E||H||S| with |S| = q.
+        space = Space.punctured(q, 2)
+        e, h = random_subset(space, n, q), random_subset(space, n, q + 1)
+        assert len({c for y in h for c in y.coords}) <= 2 * n < q
+        counts = _transporter_counts(e, h)
+        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        assert rep.group_order == q * (q * q - 1)
+        assert sum(counts.values()) == rep.double_count_total == n * n * q
+        field = make_field(q)
+        decode = lambda code: SpecialLinear(Matrix(field, [[code // q ** 3, code // q ** 2 % q],
+                                                           [code // q % q, code % q]]))
+        for code, c in counts.items():
+            assert intersect_count(decode(code), e, h) == c
+        assert rep.best_count == max(counts.values())
+        assert rep.best_g == decode(min(code for code, c in counts.items() if c == rep.best_count))
+        assert sum(rep.per_g_histogram.values()) == rep.group_order
+
+    def test_plan_is_built_once_per_shape_and_holds_only_tuples(self):
+        space = Space.punctured(7, 2)
+        e, h = random_subset(space, 6, 1), random_subset(space, 6, 2)
+        _transporter_plan.cache_clear()
+        _max_special_linear_intersection(e, h)
+        _max_special_linear_intersection(h, e)
+        info = _transporter_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+        def only_tuples(table):
+            return isinstance(table, int) or (
+                isinstance(table, tuple) and all(map(only_tuples, table)))
+
+        assert only_tuples(_transporter_plan(7, 2))
+
+    def test_reports_are_golden(self):
+        # sha256 over the canonical JSON of every det report, histogram off
+        # and on, then of the det finder's witness (or refusal) on every
+        # cell of the det_sweep benchmark grid at three base seeds; recorded
+        # before the kernel's (q, d) tables were built once per process.
+        digest = hashlib.sha256()
+        for q, d, top in DET_PINNED_SHAPES:
+            for e, h in det_pinned_draws(q, d, top):
+                for hist in (False, True):
+                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    digest.update(canonical_json(rep.to_json()).encode() + b"\n")
+        for base_seed in (1, 2, 3):
+            config = SweepConfig(qs=(5, 7), d=2, ks=(2, 3), base_seed=base_seed,
+                                 kind="det-similarity")
+            for cell in config.cells():
+                field = make_field(cell["q"])
+                points = random_subset(Space.punctured(field, 2), cell["n"], cell["seed"])
+                try:
+                    out = find_det_similar(points, field(cell["r"]), cell["k"]).to_json()
+                except FqsimError as exc:
+                    out = {"error": type(exc).__name__, "message": str(exc)}
+                digest.update(canonical_json(out).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "3f84676f54bd7014cb08d9f6fa12f0aea5082155f432b31889bc46ad2072b081")
+
     def test_forced_ties_go_to_the_smallest_matrix(self):
         group = special_linear_group(5, 2)
         x = from_coords(F5, 2, [[1, 2]])
@@ -641,13 +723,22 @@ class TestTransporterKernel:
 
     @pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)])
     def test_closed_form_inverse_of_the_completion(self, q, d):
+        """The rows of h_x⁻¹ from what the kernel reads per point: the pivot
+        i, 1/x_i and λ off the plan, r_0 = e_i/x_i, and the two nonzero
+        entries of r_k, s_k at j_k and -s_k·x_jk/x_i at i."""
+        _, _, others, _, _, inverse = _transporter_plan(q, d)
         for x in itertools.product(range(q), repeat=d):
             if not any(x):
                 continue
             h = completion(x, q)
             assert [row[0] for row in h] == list(x) and _det_rows(h, q) == 1
-            i, rows = _inverse_completion(x, q)
-            assert i == next(j for j, c in enumerate(x) if c)
+            i = next(j for j, c in enumerate(x) if c)
+            inv, s = inverse[x[i]], (-1) ** i * x[i] % q
+            assert inv * x[i] % q == 1
+            rows = [[0] * d for _ in range(d)]
+            rows[0][i] = inv
+            for row, j in zip(rows[1:], others[i]):
+                row[j], row[i], s = s, -s * x[j] * inv % q, 1
             assert rows == _inverse_rows(h, q), x
 
     @pytest.mark.parametrize("q, d", [(3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
