@@ -77,22 +77,31 @@ class EdgeSet:
         self.pairs = tuple(canon)
 
     @classmethod
+    def _preset(cls, k: int, count: int, pairs) -> "EdgeSet":
+        """The `count` pairs that `pairs` yields lazily; past a k < 1, a count
+        past ENUMERATION_CAP is refused before any pair is built."""
+        if k >= 1:
+            _check_budget(count, 1, "edge set (pairs)")
+        return cls(k, pairs)
+
+    @classmethod
     def all_pairs(cls, k: int) -> "EdgeSet":
-        return cls(k, itertools.combinations(range(1, k + 2), 2))
+        return cls._preset(k, k * (k + 1) // 2, itertools.combinations(range(1, k + 2), 2))
 
     @classmethod
     def path(cls, k: int) -> "EdgeSet":
-        return cls(k, [(i, i + 1) for i in range(1, k + 1)])
+        return cls._preset(k, k, ((i, i + 1) for i in range(1, k + 1)))
 
     @classmethod
     def star(cls, k: int) -> "EdgeSet":
-        return cls(k, [(1, j) for j in range(2, k + 2)])
+        return cls._preset(k, k, ((1, j) for j in range(2, k + 2)))
 
     @classmethod
     def cycle(cls, k: int) -> "EdgeSet":
         if k < 2:
             raise ValueError("a cycle through k+1 points needs k >= 2")
-        return cls(k, [(i, i + 1) for i in range(1, k + 1)] + [(1, k + 1)])
+        path = ((i, i + 1) for i in range(1, k + 1))
+        return cls._preset(k, k + 1, itertools.chain(path, [(1, k + 1)]))
 
     def __iter__(self):
         return iter(self.pairs)

@@ -12,11 +12,11 @@ line is one point with d comma-separated coordinates in [0, q).
 Sampling is driven entirely by SplitMix64 (see `prng`), so a given
 (q, d, n, seed) produces the same point set on every platform, and
 re-running a sweep cell reproduces its outcome payload byte for byte.
-A cell is a composition of public calls: a similarity cell draws with
-`random_pointset` and runs `find_similar_config`; a det cell draws with
-`random_subset(Space.punctured(q, d), n, seed)` and runs
-`find_det_similar`, and builds that space only for a search that can
-use it (`_det_draw`).
+A similarity cell draws with `random_pointset` and runs
+`find_similar_config`; a det cell draws the points that
+`random_subset(Space.punctured(q, d), n, seed)` draws (`_det_draw`) and
+runs `find_det_similar`.  Both draws decode sorted flat indices of
+F_q^d (`_flat_points`), so neither lists a space.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .configurations import (
 )
 from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
-from .geometry import ENUMERATION_CAP, PointSet, _check_dim, _power_exceeds
-from .groups import Space
+from .geometry import ENUMERATION_CAP, PointSet, _check_budget, _check_dim, _power_exceeds
 from .prng import SplitMix64, derive_seed
 
 
@@ -51,11 +50,11 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
 
     Indices into the lexicographic enumeration of the space are chosen
     by a SplitMix64-driven partial shuffle (`SplitMix64.sample_indices`),
-    sorted, and decoded to coordinates one base-q digit at a time, last
-    coordinate first, for all picks at once; they are then already in the
-    set's canonical order.  Memory stays O(n) regardless of q^d.  A space
-    of more than 2^64 points, past what one 64-bit draw covers, is
-    refused (`SpaceTooLarge`) before any draw and before q^d is computed.
+    sorted and decoded (`_flat_points`), in O(n) memory whatever q^d.  A
+    space of more than 2^64 points, past what one 64-bit draw covers, is
+    refused (`SpaceTooLarge`) before any draw and before q^d is computed;
+    a sample of more than ENUMERATION_CAP points is refused before any
+    draw (`EnumerationCapExceeded`).
     """
     field = as_field(q_or_field)
     _check_dim(dim)
@@ -65,12 +64,19 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
         raise ValueError(f"sample size must be nonnegative, got {n}")
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
-    rest = sorted(SplitMix64(seed).sample_indices(total, n))
+    _check_budget(n, 1, "random sample (points)")
+    return _flat_points(field, dim, sorted(SplitMix64(seed).sample_indices(total, n)))
+
+
+def _flat_points(field: PrimeField, dim: int, indices: list[int]) -> PointSet:
+    """The points at these ascending flat indices of F_q^d, decoded one
+    base-q digit at a time, last coordinate first, for all indices at
+    once; flat order is lexicographic, so they are in canonical order."""
     q = field.q
     digits = []
     for _ in range(dim):
-        digits.append([i % q for i in rest])
-        rest = [i // q for i in rest]
+        digits.append([i % q for i in indices])
+        indices = [i // q for i in indices]
     return PointSet._canonical(field, dim, zip(*reversed(digits)))
 
 
@@ -80,21 +86,17 @@ def _check_sample_space(q: int, dim: int) -> None:
 
 
 def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
-    """random_subset(Space.punctured(field, d), n, seed), unless the det
-    search's q^(d^2) matrix scan is past ENUMERATION_CAP: it then refuses
-    whatever it gets, and no earlier check looks at the points, so the
-    empty set stands in once the draw's size checks pass, and a space of
-    up to 10^8 points is not built for nothing."""
+    """random_subset(Space.punctured(field, d), n, seed), refused alike but
+    listing no space: its pick i is flat index i + 1.  Past the det search's
+    q^(d^2) scan budget, which refuses any set, it draws no point."""
     _check_dim(d)
-    q = field.q
-    if _power_exceeds(q, d, ENUMERATION_CAP) or not _power_exceeds(q, d * d, ENUMERATION_CAP):
-        return random_subset(Space.punctured(field, d), n, seed)
-    size = q ** d - 1
+    _check_budget(field.q, d, "punctured space (q^d)")
+    size = field.q ** d - 1
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    if n < 0:
-        raise ValueError(f"cannot sample {n} of {size}")  # as sample_indices says it
-    return PointSet(field, d)
+    if _power_exceeds(field.q, d * d, ENUMERATION_CAP):
+        n = min(n, 0)  # n < 0 is still refused as sample_indices refuses it
+    return _flat_points(field, d, [i + 1 for i in sorted(SplitMix64(seed).sample_indices(size, n))])
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -228,11 +230,18 @@ class SweepConfig:
             raise ValueError("base seed must fit in 64 bits")
 
     def cells(self) -> list[dict]:
+        """Every cell, in grid order.  The q whose cells take the running
+        count past ENUMERATION_CAP is refused before its ratios are listed."""
         out = []
+        count = 0
         for q in self.qs:
             as_field(q)  # validates primality up front
             if self.kind == "similarity":
                 _check_sample_space(q, self.d)  # refused before any cell runs
+            # F_q has q // 2 nonzero squares, q = 2 included
+            n_ratios = q // 2 if self.ratios == "all-squares" else len(self.ratios)
+            count += n_ratios * len(self.ks) * self.trials
+            _check_budget(count, 1, "sweep grid (cells)")
             if self.ratios == "all-squares":
                 ratios = sorted({v * v % q for v in range(1, q)})
             else:

@@ -656,3 +656,61 @@ class TestOneParserPerProcess:
                                    capture_output=True, text=True)
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert build_parser.cache_info().misses == 1
+
+
+# Runs CLI commands in a child process whose address space is capped at
+# 1.5 GB, and prints each one's exit code and stdout, or what escaped.
+UNDER_A_MEMORY_LIMIT = """
+import contextlib, io, json, resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 1536 << 20 if hard == resource.RLIM_INFINITY else min(1536 << 20, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from fqsim.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        results.append({"code": code, "lines": out.getvalue().splitlines()})
+    except Exception as exc:
+        results.append({"escaped": repr(exc)})
+print(json.dumps(results))
+"""
+
+
+class TestUnderAMemoryLimit:
+    def test_no_command_crashes(self):
+        """Each command answers with its documented code in 1.5 GB: the
+        samples, edge sets and grids past the budget are refused before
+        they are built, and a det cell on a line of 10^8 points lists none."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        commands = [
+            (["sweep", "--qs", "2", "--d", "60", "--ks", "1"], 0),
+            (["find-similar", "--q", "3", "--d", "38", "--r", "1", "--k", "1",
+              "--random", "2000000000"], 4),
+            (["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "1000000",
+              "--random", "9"], 4),
+            (["sweep", "--qs", "3", "--d", "2", "--ks", "1", "--trials", "1000000000"], 4),
+            (["sweep", "--qs", "4294967291", "--d", "1", "--ks", "1"], 4),
+            (["sweep", "--kind", "det-similarity", "--qs", "99999989", "--d", "1", "--ks", "1",
+              "--r", "1"], 0),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-c", UNDER_A_MEMORY_LIMIT, json.dumps([argv for argv, _ in commands])],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        results = json.loads(child.stdout)
+        assert [r.get("escaped") for r in results] == [None] * len(commands)
+        assert [r["code"] for r in results] == [code for _, code in commands]
+        refused, witness = (json.loads(results[i]["lines"][0])["outcome"] for i in (0, 5))
+        assert refused["error"] == "EnumerationCapExceeded"
+        assert refused["message"].startswith("random sample (points) needs at most")
+        assert witness["status"] == "witness"
+        messages = [json.loads("\n".join(r["lines"]))["message"] for r in results[1:5]]
+        assert [m.split(" needs")[0] for m in messages] == [
+            "random sample (points)", "edge set (pairs)", "sweep grid (cells)", "sweep grid (cells)"]
+

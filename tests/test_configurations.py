@@ -88,6 +88,24 @@ class TestEdgeSet:
         with pytest.raises(ValueError):
             edge_preset("wheel", 2)
 
+    def test_presets_are_budgeted_by_their_pair_counts(self, monkeypatch):
+        """C(k+1, 2), k, k and k + 1 pairs, on both sides of a cap of 10;
+        a k < 1, and a cycle's k < 2, keep their own refusal."""
+        monkeypatch.setattr(fqsim.geometry, "ENUMERATION_CAP", 10)
+        for preset, fits in [(EdgeSet.all_pairs, 4), (EdgeSet.path, 10), (EdgeSet.star, 10),
+                             (EdgeSet.cycle, 9)]:
+            assert len(preset(fits).pairs) == 10
+            with pytest.raises(EnumerationCapExceeded, match="^edge set \\(pairs\\) needs at most 10 "):
+                preset(fits + 1)
+        monkeypatch.setattr(fqsim.geometry, "ENUMERATION_CAP", 0)
+        for preset in (EdgeSet.all_pairs, EdgeSet.path, EdgeSet.star):
+            for k in (0, -10 ** 6):
+                with pytest.raises(ValueError, match=f"^edge sets need k >= 1, got {k}$"):
+                    preset(k)
+        for k in (1, 0, -10 ** 6):
+            with pytest.raises(ValueError, match="^a cycle through k\\+1 points needs k >= 2$"):
+                EdgeSet.cycle(k)
+
 
 class TestThreshold:
     def test_examples(self):

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fqsim.geometry
 from fqsim import (
     EnumerationCapExceeded,
     FqsimError,
@@ -32,6 +33,7 @@ from fqsim import (
     write_sweep,
 )
 
+from fqsim.harness import _det_draw
 from helpers import coords_list, format_pointset, sample_indices_sequential
 
 F5 = make_field(5)
@@ -199,6 +201,116 @@ class TestRandomPointset:
         ps = random_subset(space, 10, seed=4)
         assert len(ps) == 10
         assert all(p in space for p in ps)
+
+
+# (q, d) whose det search fits the q^(d^2) scan budget, and two past it
+DET_SHAPES = [(q, d) for q in (2, 3, 5, 7, 31) for d in (1, 2, 3)
+              if q ** (d * d) <= fqsim.geometry.ENUMERATION_CAP]
+PAST_THE_SCAN = [(31, 3), (101, 2)]
+
+
+class TestFlatIndexDraws:
+    @pytest.mark.parametrize("q, d", DET_SHAPES)
+    def test_det_draw_is_the_punctured_subset(self, q, d):
+        """Pick i of the punctured space is flat index i + 1: the same
+        points, in the same order, as the draw from the listed space."""
+        field, space = make_field(q), Space.punctured(q, d)
+        size = len(space)
+        for n in sorted({0, 1, size // 2, size}):
+            for seed in (1, 5, 2 ** 63):
+                drawn = _det_draw(field, d, n, seed)
+                assert drawn._coords == random_subset(space, n, seed)._coords
+
+    @pytest.mark.parametrize("q, d", DET_SHAPES + PAST_THE_SCAN)
+    def test_det_draw_refuses_as_the_punctured_subset(self, q, d):
+        field, space = make_field(q), Space.punctured(q, d)
+        for n in (len(space) + 1, -1):
+            with pytest.raises((TooMany, ValueError)) as want:
+                random_subset(space, n, 3)
+            with pytest.raises(type(want.value)) as got:
+                _det_draw(field, d, n, 3)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("q, d", PAST_THE_SCAN)
+    def test_det_draw_past_the_scan_budget_draws_nothing(self, q, d, monkeypatch):
+        monkeypatch.setattr(SplitMix64, "_draws", None)
+        for n in (0, 1, q ** d - 1):
+            assert _det_draw(make_field(q), d, n, 3) == PointSet(make_field(q), d)
+
+    def test_det_cell_on_a_line_lists_no_space(self):
+        """F_10000019 minus the origin holds 10^7 points; the cell draws
+        4,473 of them."""
+        cell = SweepConfig(qs=(10000019,), d=1, ks=(1,), ratios=(1,), kind="det-similarity").cells()[0]
+        start = time.perf_counter()
+        outcome = run_cell(cell).outcome
+        assert time.perf_counter() - start < 1.0
+        assert outcome["status"] == "witness"
+        tracemalloc.start()
+        try:
+            assert run_cell(cell).outcome == outcome
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+
+class TestBudgets:
+    """Each budget on both sides of a small ENUMERATION_CAP."""
+
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        def set_cap(value):
+            monkeypatch.setattr(fqsim.geometry, "ENUMERATION_CAP", value)
+        return set_cap
+
+    def test_random_sample(self, cap, monkeypatch):
+        cap(10)
+        assert len(random_pointset(5, 2, 10, seed=1)) == 10
+        monkeypatch.setattr(SplitMix64, "sample_indices", None)  # refused before any draw
+        with pytest.raises(EnumerationCapExceeded, match="^random sample \\(points\\) needs at most 10 "
+                                                         "candidates, got 11$"):
+            random_pointset(5, 2, 11, seed=1)
+        # the size checks come first
+        with pytest.raises(TooMany):
+            random_pointset(3, 2, 11, seed=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_pointset(5, 2, -11, seed=1)
+
+    def test_sweep_grid(self, cap):
+        cap(12)
+        # 3 squares of F_7 · 2 ks · 2 trials
+        assert len(SweepConfig(qs=(7,), d=1, ks=(1, 2), trials=2).cells()) == 12
+        # the count runs over qs: 2 + 3 + 3 fixed ratios, times 1 k and 1 trial
+        assert len(SweepConfig(qs=(5, 7, 3), d=1, ks=(1,), ratios=(1, 2, 1), trials=1).cells()) == 9
+        for config in [SweepConfig(qs=(7,), d=1, ks=(1, 2), trials=3),
+                       SweepConfig(qs=(7, 7, 5), d=1, ks=(1,), trials=2),
+                       SweepConfig(qs=(5,), d=1, ks=(1, 2, 3, 4), ratios=(1, 2, 1, 4), trials=1)]:
+            with pytest.raises(EnumerationCapExceeded, match="^sweep grid \\(cells\\) needs at most 12 "):
+                config.cells()
+        # each q's own checks come first
+        with pytest.raises(FqsimError, match="prime"):
+            SweepConfig(qs=(4,), d=1, ks=(1,), trials=20).cells()
+        with pytest.raises(SpaceTooLarge):
+            SweepConfig(qs=(2,), d=65, ks=(1,), trials=20).cells()
+
+    def test_square_count_is_the_expansion(self, cap):
+        """The grid counts q // 2 nonzero squares, for q = 2 and every odd
+        prime up to 97."""
+        for q in [2] + [q for q in range(3, 98, 2) if all(q % p for p in range(3, q, 2))]:
+            squares = len({v * v % q for v in range(1, q)})
+            cap(squares)
+            assert len(SweepConfig(qs=(q,), d=1, ks=(1,)).cells()) == squares
+            cap(squares - 1)
+            with pytest.raises(EnumerationCapExceeded):
+                SweepConfig(qs=(q,), d=1, ks=(1,)).cells()
+
+    def test_a_large_grid_is_refused_before_it_is_built(self):
+        start = time.perf_counter()
+        for config in [SweepConfig(qs=(3,), d=2, ks=(1,), trials=10 ** 9),
+                       SweepConfig(qs=(4294967291,), d=1, ks=(1,))]:
+            with pytest.raises(EnumerationCapExceeded, match="^sweep grid"):
+                config.cells()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPointsetFormat:
