@@ -230,10 +230,14 @@ class SweepConfig:
             raise ValueError("base seed must fit in 64 bits")
 
     def cells(self) -> list[dict]:
-        """Every cell, in grid order.  The q whose cells take the running
-        count past ENUMERATION_CAP is refused before its ratios are listed."""
-        out = []
-        count = 0
+        """Every cell, in grid order (`_grid` as a list)."""
+        return list(self._grid())
+
+    def _grid(self) -> Iterator[dict]:
+        """Every cell, in grid order, made one at a time once every q has
+        passed its checks.  The q whose cells take the running count past
+        ENUMERATION_CAP is refused before its ratios are listed."""
+        plan, count = [], 0
         for q in self.qs:
             as_field(q)  # validates primality up front
             if self.kind == "similarity":
@@ -242,17 +246,21 @@ class SweepConfig:
             n_ratios = q // 2 if self.ratios == "all-squares" else len(self.ratios)
             count += n_ratios * len(self.ks) * self.trials
             _check_budget(count, 1, "sweep grid (cells)")
+            sizes = []
+            for k in self.ks:
+                n = similarity_threshold(q, self.d, k) if self.size == "threshold" else int(self.size)
+                # the threshold size is the smallest n that meets the threshold
+                sizes.append((k, n, self.size == "threshold" or meets_threshold(n * n, k, q, self.d)))
+            plan.append((q, sizes))
+        for q, sizes in plan:
             if self.ratios == "all-squares":
                 ratios = sorted({v * v % q for v in range(1, q)})
             else:
                 ratios = [r % q for r in self.ratios]
-            for k in self.ks:
-                n = similarity_threshold(q, self.d, k) if self.size == "threshold" else int(self.size)
-                # the threshold size is the smallest n that meets the threshold
-                met = self.size == "threshold" or meets_threshold(n * n, k, q, self.d)
+            for k, n, met in sizes:
                 for r in ratios:
                     for trial in range(self.trials):
-                        out.append({
+                        yield {
                             "kind": self.kind,
                             "q": q,
                             "d": self.d,
@@ -262,8 +270,7 @@ class SweepConfig:
                             "seed": derive_seed(self.base_seed, q, self.d, k, r, trial),
                             "n": n,
                             "meets_threshold": met,
-                        })
-        return out
+                        }
 
 
 def run_cell(cell: dict) -> Report:
@@ -300,7 +307,7 @@ def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
     """
     if jobs < 1:
         raise ValueError(f"a sweep needs at least one worker, got jobs = {jobs}")
-    cells = config.cells()
+    cells = config._grid()
     if jobs == 1:
         yield from map(run_cell, cells)
     else:

@@ -30,10 +30,11 @@ from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
 tie-break becomes the smallest maximal key.  Translations count the
 pairs (x, y) with y - x = a, with points coded in base 2q.  While the
-space is small against |H|, a bit table marking H is shifted by each
-point of E and the shifted windows, one bit per shift, are added by
-carry-save full adders into bit planes, so C counts all q^d shifts
-at once; otherwise a Counter counts the |E||H| difference codes.
+space is small against |H|, a bit table marking H is cut into about
+√|E| pieces, each point of E shifts its piece, and the shifted windows,
+one bit per shift, are added by carry-save full adders into bit planes,
+so C counts all q^d shifts at once; otherwise a Counter counts the
+|E||H| difference codes.
 Unimodular maps count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that
 send x to y, through index lists built once per H from tables built once
 per (q, d) and process: no loop runs per pair.
@@ -49,6 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from math import isqrt
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -238,10 +240,11 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
 
 def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
     """offset + Σ_i c_i·weights[i] for every point, a coordinate column at a time."""
-    codes = [offset] * len(points)
-    for w, column in zip(weights, zip(*points._coords)):
+    columns = zip(*points._coords)
+    codes = map(mul, next(columns, ()), repeat(weights[0]))
+    for w, column in zip(weights[1:], columns):
         codes = map(add, codes, map(mul, column, repeat(w)))
-    return list(codes)
+    return list(map(add, codes, repeat(offset)) if offset else codes)
 
 
 def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], int] | dict[int, int]:
@@ -252,12 +255,16 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     Bit planes: T holds one bit per base-2q code.  Each y in H is marked
     once and d shift-ORs lift the marks to code(y + q·ε) for every ε in
     {0,1}^d, so for every shift t with digits < q the bit at code(x) +
-    code(t) is set exactly when x + t lies in H mod q.  T >> code(x), cut
-    to the window of w = q(2q)^(d-1) bits that holds every such code(t),
-    is x's mask.  Carry-save full adders add the masks of all of E into
-    |E|.bit_length() planes of O(w) bits, plane i holding bit i of the
-    count of shift t at bit code(t), returned with the mask of the q^d
-    slots whose digits are all < q (`_valid_slots`).
+    code(t) is set exactly when x + t lies in H mod q.  T is cut into
+    pieces of w + stride bits, w = q(2q)^(d-1), at the multiples of
+    stride = ⌈w / isqrt(|E|)⌉ that E reaches, and x's piece shifted right
+    to code(x), uncut, is x's mask: its low w bits hold every such
+    code(t), and the adders work bit by bit, so the bits above reach only
+    plane bits above w, where no valid slot lies.  Carry-save full adders
+    add the masks of all of E into |E|.bit_length() planes of O(w) bits,
+    plane i holding bit i of the count of shift t at bit code(t),
+    returned with the mask of the q^d slots whose digits are all < q
+    (`_valid_slots`), through which every plane is read.
 
     Difference codes (sparse): with q added to every digit of y, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
@@ -265,30 +272,34 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     Σ a_i q^(d-1-i) of a = y - x mod q: O(|E||H|) time and memory.
 
     The finder scans |E| = |H| = h, so the planes run when
-    w·h + 60·q^d <= 600·h².  That rule was fitted to byte slots: measured
-    just below it (h = 53, 41, 212, 388 at q^d = 101², 10007, 31³, 13⁴),
-    it picks the difference codes, 5.1-9.9x slower than the planes.
+    w·h + 40·q^d <= 7000·h², fitted to both branches timed at |E| = |H|
+    = h for q = 3 to 10007, d = 1 to 4: the branch it picks there is at
+    most 1.17x slower than the other.
     """
     _check_compatible(moving, fixed)
     q, d = moving.field.q, moving.dim
     weights = [(2 * q) ** (d - 1 - i) for i in range(d)]
     width = q * weights[0]
     h = len(fixed)
-    if len(moving) and width * h + 60 * q ** d <= 600 * h * h:
+    if len(moving) and width * h + 40 * q ** d <= 7000 * h * h:
         table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
         for y in _codes(fixed, weights):
             table[y >> 3] |= 1 << (y & 7)
         table = int.from_bytes(table, "little")
         for w in weights:  # lift each digit y_i to y_i + q as well
             table |= table << q * w
-        window = (1 << width) - 1
         shifts = _codes(moving, weights)
+        stride = -(-width // isqrt(len(shifts)))
+        cut, start, end = (1 << width + stride) - 1, 0, 0
         # pending[i], when nonzero, is one more mask of weight 2^i.  Level
         # i receives n >> i of the n masks, so none passes the last level.
         levels = len(shifts).bit_length()
         planes, pending = [0] * levels, [0] * levels
         for s in shifts:
-            m = (table >> s) & window
+            if not start <= s < end:
+                start = s - s % stride
+                end, piece = start + stride, table >> start & cut
+            m = piece >> s - start
             i = 0
             while p := pending[i]:  # full adder: plane + p + m
                 pending[i] = 0

@@ -446,6 +446,29 @@ class TestSweeps:
         # each) would add about 4 MB.
         assert peak - cells_peak < 1 << 20
 
+    def test_write_sweep_makes_each_cell_as_it_runs(self):
+        class OneLine:
+            lines = 0
+
+            def write(self, text):
+                if self.lines:
+                    raise BrokenPipeError
+                self.lines += 1
+
+            def flush(self):
+                pass
+
+        # 10^5 cells, about 35 MB as a list
+        cfg = self.small_config(qs=(3,), ks=(1,), trials=10 ** 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BrokenPipeError):
+                write_sweep(cfg, OneLine())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     @pytest.mark.parametrize("d, shown", [(17, 3 ** 17), (30, 3 ** 30), (9013, "3^9013"),
                                           (10 ** 7, "3^10000000")])
     def test_det_cell_budget_comes_before_any_power(self, d, shown):

@@ -8,6 +8,8 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,7 @@ from fqsim import (
 import fqsim.intersection
 from fqsim.geometry import _det_rows, _inverse_rows
 from fqsim.intersection import (
+    _codes,
     _max_special_linear_intersection,
     _translation_counts,
     _transporter_counts,
@@ -258,7 +261,7 @@ class TestFastTranslationKernel:
                     assert rep_fast.double_count_total == rep_naive.double_count_total
                     assert rep_fast.per_g_histogram == rep_naive.per_g_histogram
 
-    # Bit slots run when w·|H| + 60·q^d <= 600·|H|², w = q(2q)^(d-1);
+    # Bit slots run when w·|H| + 40·q^d <= 7000·|H|², w = q(2q)^(d-1);
     # each case is (q, d, |E|, |H|, whether bit slots run).
     BRANCH_CASES = [
         (2, 2, 4, 4, True),     # the whole space as H
@@ -268,11 +271,11 @@ class TestFastTranslationKernel:
         (2, 3, 8, 8, True),     # the whole space twice
         (3, 3, 10, 20, True),
         (3, 3, 15, 15, True),
-        (5, 3, 9, 3, False),    # 4,500 + 7,500 > 5,400
-        (5, 3, 9, 4, True),     # 9,500 <= 9,600: the smallest dense |H|
-        (5, 3, 9, 5, True),     # 10,000 <= 15,000
-        (17, 2, 40, 5, False),  # 20,230 > 15,000
-        (17, 2, 40, 6, True),   # 20,808 <= 21,600
+        (5, 3, 9, 1, True),     # 500 + 5,000 <= 7,000: every nonempty H
+        (31, 2, 9, 2, False),   # 3,844 + 38,440 > 28,000
+        (31, 2, 9, 3, True),    # 5,766 + 38,440 <= 63,000: the smallest dense |H|
+        (17, 2, 40, 1, False),  # 578 + 11,560 > 7,000
+        (17, 2, 40, 2, True),   # 1,156 + 11,560 <= 28,000
         (3, 3, 0, 12, False),   # an empty E takes no slots
         (3, 3, 12, 0, False),
         (3, 3, 0, 0, False),
@@ -363,8 +366,8 @@ class TestFastTranslationKernel:
                            oracle_translation_report(e, h, True))
 
     @pytest.mark.parametrize("q, d, n_e, n_h", [
-        (5, 3, 9, 3),
-        (17, 2, 40, 5),
+        (31, 2, 9, 2),
+        (17, 2, 40, 1),
         (1009, 2, 30, 40),
     ])
     def test_sparse_histogram_counts_the_zero_shifts(self, q, d, n_e, n_h):
@@ -543,6 +546,72 @@ class TestTranslationReadout:
             rep = max_translation_intersection_fast(e, h, want_histogram=hist)
             assert rep.best_count == 2 and rep.best_g.vector.coords == (1, 5)
             assert_same_report(rep, oracle_translation_report(e, h, hist))
+
+
+class TestPlanePieces:
+    """The bit-plane branch takes each point's mask, uncut, from one of
+    isqrt(|E|) pieces of the lifted table, width + stride bits from each
+    multiple of stride: counts and reports against the pair oracle and the
+    group scan where the pieces have edges."""
+
+    @staticmethod
+    def check(e, h):
+        assert is_dense(e, h)
+        assert translation_count_map(e, h) == naive_translation_counts(e, h)
+        group = translations(e.field.q, e.dim)
+        for hist in (False, True):
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
+                               max_intersection(group, e, h, want_histogram=hist))
+
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 4, 8, 9, 15, 16, 17])
+    def test_piece_count_steps(self, n_e):
+        # isqrt(|E|), the number of pieces, steps at 4, 9 and 16; with H the
+        # whole space every window bit is set, so a bit a piece lost would show.
+        f7 = make_field(7)
+        e = random_pointset(f7, 2, n_e, seed=n_e + 3)
+        self.check(e, random_pointset(f7, 2, 30, seed=n_e))
+        self.check(e, PointSet(f7, 2, list(all_vectors(f7, 2))))
+
+    @pytest.mark.parametrize("q, d, n_e", [(31, 1, 9), (7, 2, 16)])
+    def test_shifts_on_the_edges_of_the_pieces(self, q, d, n_e):
+        # E holds shift 0, the first bit of the first piece, and every last
+        # shift of a piece whose next shift, the first of the next piece, is
+        # a point too.
+        field = make_field(q)
+        weights = [(2 * q) ** (d - 1 - i) for i in range(d)]
+        stride = -(-q * weights[0] // isqrt(n_e))
+        by_code = {sum(map(mul, x, weights)): x
+                   for x in itertools.product(range(q), repeat=d)}
+        edges = {0} | {c + i for c in by_code if c % stride == stride - 1 and c + 1 in by_code
+                       for i in (0, 1)}
+        assert len(edges) >= 3
+        fill = (c for c in sorted(by_code, key=lambda c: c * 7919 % len(by_code) ** 2)
+                if c not in edges)
+        codes = edges | {next(fill) for _ in range(n_e - len(edges))}
+        e = from_coords(field, d, [by_code[c] for c in codes])
+        assert len(e) == n_e
+        self.check(e, PointSet(field, d, list(all_vectors(field, d))))
+        self.check(e, random_pointset(field, d, q ** d // 2, seed=q))
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_over_f2(self, d):
+        f2 = make_field(2)
+        full = PointSet(f2, d, list(all_vectors(f2, d)))
+        for n_e in sorted({1, 2, 3, 2 ** d} - {3 if d == 1 else 0}):
+            e = random_pointset(f2, d, n_e, seed=n_e + d)
+            self.check(e, full)
+            if d > 1:
+                self.check(e, random_pointset(f2, d, 2 ** d // 2, seed=d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_codes(self, d):
+        # _codes is offset + Σ c_i·w_i, from the first column's products on.
+        weights = [(2 * 13) ** (d - 1 - i) for i in range(d)]
+        points = random_pointset(13, d, 12, seed=d)
+        for offset in (0, 13 * sum(weights)):
+            assert _codes(points, weights, offset) == [
+                offset + sum(map(mul, x, weights)) for x in points._coords]
+            assert _codes(PointSet(make_field(13), d), weights, offset) == []
 
 
 REPORT_FIELDS =("best_g", "best_count", "bound", "double_count_total", "transitive",
@@ -798,14 +867,27 @@ class TestTransporterKernel:
 
 
 def scan_oracles(group, moving, fixed):
-    """max_intersection recomputed element by element with g.apply and
-    intersect_count: no perms table, no columns, no masks.  The counts are
+    """max_intersection recomputed element by element: each g's images
+    M·x + a mod q of E's coordinate tuples are looked up in a set of H's
+    tuples, with no perms table, no columns, no masks.  M·x is taken once
+    per linear part M, which every translation shares.  The counts are
     taken once and give both reports, without and with the histogram.  An
     empty space bounds nothing: its bound is 0."""
-    counts = [intersect_count(g, moving, fixed) for g in group]
-    best = max(counts)
     space = group.space
-    orbit = {g.apply(x) for g in group for x in space.points[:1]}
+    q, targets, products = space.field.q, set(fixed._coords), {}
+
+    def image(g, x):
+        return tuple([sum(map(mul, row, x), a) % q for row, a in zip(g.linear, g.shift)])
+
+    def count(g):
+        if g.linear not in products:
+            products[g.linear] = [[sum(map(mul, row, x)) for row in g.linear] for x in moving._coords]
+        return sum(tuple([(v + a) % q for v, a in zip(mx, g.shift)]) in targets
+                   for mx in products[g.linear])
+
+    counts = list(map(count, group))
+    best = max(counts)
+    orbit = {image(g, x) for g in group for x in space._coords[:1]}
     histogram = {c: counts.count(c) for c in set(counts)}
     return tuple(IntersectionReport(
         best_g=group.elements[counts.index(best)], best_count=best,
