@@ -28,6 +28,7 @@ import time
 import warnings
 from concurrent import futures
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -312,7 +313,8 @@ def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
         yield from map(run_cell, cells)
     else:
         with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(run_cell, cells)
+            while window := list(islice(cells, 16 * jobs)):  # a reader that stops starts no more
+                yield from pool.map(run_cell, window)
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:

@@ -28,13 +28,13 @@ count v is mapped to |H| - v, since every g is a bijection of X.
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
-tie-break becomes the smallest maximal key.  Translations count the
-pairs (x, y) with y - x = a, with points coded in base 2q.  While the
-space is small against |H|, a bit table marking H is cut into about
-√|E| pieces, each point of E shifts its piece, and the shifted windows,
-one bit per shift, are added by carry-save full adders into bit planes,
-so C counts all q^d shifts at once; otherwise a Counter counts the
-|E||H| difference codes.
+tie-break becomes the smallest maximal key.  Translations, for the CLI
+bound too, count the pairs (x, y) with y - x = a, points and shifts
+coded in base 2q.  While q^d is small against |H|, a bit table marking
+H is cut into about √|E| pieces, each point of E shifts its piece, and
+the shifted windows, one bit per shift, are added by carry-save full
+adders into bit planes, so C counts all q^d shifts at once; otherwise
+a Counter counts the |E||H| difference codes.
 Unimodular maps count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that
 send x to y, through index lists built once per H from tables built once
 per (q, d) and process: no loop runs per pair.
@@ -250,7 +250,7 @@ def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
 def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], int] | dict[int, int]:
     """|fixed ∩ (moving + a)| for every shift a: as bit planes, or a sparse dict.
 
-    Points are coded in base 2q, so adding two points carries no digit.
+    Points and shifts are coded in base 2q, so adding two carries no digit.
 
     Bit planes: T holds one bit per base-2q code.  Each y in H is marked
     once and d shift-ORs lift the marks to code(y + q·ε) for every ε in
@@ -268,8 +268,8 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
 
     Difference codes (sparse): with q added to every digit of y, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
-    |E||H| codes in C, and the distinct codes fold to the flat index
-    Σ a_i q^(d-1-i) of a = y - x mod q: O(|E||H|) time and memory.
+    |E||H| codes in C, and the distinct codes fold to the base-2q code
+    Σ a_i (2q)^(d-1-i) of a = y - x mod q: O(|E||H|) time and memory.
 
     The finder scans |E| = |H| = h, so the planes run when
     w·h + 40·q^d <= 7000·h², fitted to both branches timed at |E| = |H|
@@ -320,12 +320,12 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     diffs = Counter(y - x for x in xs for y in ys)
     # Digit by digit over the distinct codes: the digits above the one at
     # weight w are multiples of 2q, so code // w ≡ that digit (mod q).
-    flat = [0] * len(diffs)
+    keys = [0] * len(diffs)
     for w in weights:
-        flat = [i * q + code // w % q for i, code in zip(flat, diffs)]
+        keys = [k + code // w % q * w for k, code in zip(keys, diffs)]
     counts = {}
-    for i, c in zip(flat, diffs.values()):
-        counts[i] = counts.get(i, 0) + c
+    for k, c in zip(keys, diffs.values()):
+        counts[k] = counts.get(k, 0) + c
     return counts
 
 
@@ -401,18 +401,14 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
     total, summed from the counts, is |E||H| (each pair contributes to
-    exactly one shift).  Bit planes key a shift by its base-2q code and
-    difference codes by its flat index (see `_translation_counts`): the
-    digits of either are the shift's coordinates.
+    exactly one shift).  Both forms of `_translation_counts` key a shift
+    by its base-2q code, whose digits are the shift's coordinates.
     """
-    counts = _translation_counts(moving, fixed)
     field, d = moving.field, moving.dim
-    q, order = field.q, field.q ** d
-    radix = q if isinstance(counts, dict) else 2 * q
     return _report_from_counts(
-        counts, moving, fixed,
-        decode=lambda i: Translation(Vector(field, index_to_coords(i, radix, d))),
-        first=0, group_order=order, space_size=order, transitive=True,
+        _translation_counts(moving, fixed), moving, fixed,
+        decode=lambda i: Translation(Vector(field, index_to_coords(i, 2 * field.q, d))),
+        first=0, group_order=field.q ** d, space_size=field.q ** d, transitive=True,
         want_histogram=want_histogram,
     )
 

@@ -60,16 +60,16 @@ def pair_norms(points):
 def translation_count_map(moving, fixed):
     """The translation kernel's nonzero counts, keyed by shift coordinates.
 
-    A dict is keyed by flat index.  Bit planes count the shift of base-2q
-    code k in bit k, plane i weighing 2^i; every valid slot is decoded."""
+    Both forms key a shift by its base-2q code k: a dict maps k to its
+    count, and bit planes count it in bit k, plane i weighing 2^i, where
+    every valid slot is read."""
     q, d = moving.field.q, moving.dim
     counts = _translation_counts(moving, fixed)
-    if isinstance(counts, dict):
-        return {index_to_coords(i, q, d): c for i, c in counts.items() if c}
-    planes, valid = counts
-    slots = (k for k in range(valid.bit_length()) if valid >> k & 1)
-    items = ((k, sum((plane >> k & 1) << i for i, plane in enumerate(planes))) for k in slots)
-    return {index_to_coords(k, 2 * q, d): c for k, c in items if c}
+    if isinstance(counts, tuple):
+        planes, valid = counts
+        slots = (k for k in range(valid.bit_length()) if valid >> k & 1)
+        counts = {k: sum((plane >> k & 1) << i for i, plane in enumerate(planes)) for k in slots}
+    return {index_to_coords(k, 2 * q, d): c for k, c in counts.items() if c}
 
 
 def completion(x, q):

@@ -11,7 +11,17 @@ import warnings
 import pytest
 
 import fqsim
-from fqsim import PointSet, Vector, make_field, random_pointset, sphere
+from fqsim import (
+    FiniteGroup,
+    PointSet,
+    Vector,
+    file_digest,
+    make_field,
+    max_intersection,
+    random_pointset,
+    sphere,
+    translations,
+)
 from fqsim.cli import build_parser, main
 
 from helpers import format_pointset
@@ -186,6 +196,115 @@ class TestVerifyBound:
         obj = first_json(out)
         assert code == 3
         assert "--radius" in obj["message"]
+
+
+def translation_set_pairs(q, d):
+    """(name, E, H) pairs on F_q^d: an empty E, a one-point H, seeded
+    random sets, disjoint sets and the whole space as both.  A one-point H
+    ties |E| shifts, and on F_7^3 takes the kernel's difference codes."""
+    field, n = make_field(q), q ** d
+    whole = random_pointset(q, d, n, seed=0)
+    e = random_pointset(q, d, max(1, n // 3), seed=q * d)
+    h = random_pointset(q, d, (n + 1) // 2, seed=q + d)
+    return [
+        ("empty", PointSet(field, d), h),
+        ("one-point", e, random_pointset(q, d, 1, seed=q)),
+        ("random", e, h),
+        ("disjoint", e, PointSet(field, d, [p for p in whole if p not in e])),
+        ("whole", whole, whole),
+    ]
+
+
+def write_set(path, points):
+    path.write_text(format_pointset(points))
+    return str(path)
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+class TestKernelBackedVerifyBound:
+    """Explicit-set translation bounds come from the finders' kernel, with
+    no image table; every other scan still reads the table, and the
+    refusals keep the group build's order and messages."""
+
+    def expected(self, q, d, e, h, pe, ph, histogram):
+        """stdout, stderr and exit code that `max_intersection` over the
+        enumerated group gives."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = max_intersection(translations(q, d), e, h, want_histogram=histogram)
+        out = report.to_json()
+        out["double_count_ok"] = report.double_count_ok
+        out["input_digests"] = {"set_e": file_digest(pe), "set_h": file_digest(ph)}
+        code = 0 if report.satisfies_bound and report.double_count_ok else 2
+        err = "".join(f"warning: {w.message}\n" for w in caught)
+        return json.dumps(out, sort_keys=True, indent=2) + "\n", err, code
+
+    @pytest.mark.parametrize("q, d", [(q, d) for q in (2, 3, 5, 7) for d in (1, 2, 3)
+                                      if q ** d <= 343])
+    def test_matches_the_enumerated_scan(self, capsys, tmp_path, q, d):
+        for name, e, h in translation_set_pairs(q, d):
+            pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+            for histogram in (False, True):
+                expected = self.expected(q, d, e, h, pe, ph, histogram)
+                argv = ["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
+                        "--set-e", pe, "--set-h", ph] + ["--histogram"] * histogram
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err, code) == expected, (name, histogram)
+
+    def test_translations_build_no_image_table(self, capsys, tmp_path, monkeypatch):
+        e, h = translation_set_pairs(5, 2)[2][1:]
+        pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+        expected = self.expected(5, 2, e, h, pe, ph, True)
+
+        def columns(self):
+            raise TableBuilt
+
+        monkeypatch.setattr(FiniteGroup, "columns", columns)
+        code = main(["verify-bound", "--group", "translations", "--q", "5", "--d", "2",
+                     "--set-e", pe, "--set-h", ph, "--histogram"])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
+        pu = write_set(tmp_path / "punctured.txt",
+                       PointSet(make_field(5), 2, [p for p in e if any(p.coords)]))
+        po = write_set(tmp_path / "sphere.txt", sphere(5, 2, 1))
+        for argv in (["special-linear", "--q", "5", "--d", "2", "--set-e", pu, "--set-h", pu],
+                     ["orthogonal", "--q", "5", "--d", "2", "--set-e", pe, "--set-h", ph],
+                     ["orthogonal", "--q", "5", "--d", "2", "--radius", "1",
+                      "--set-e", po, "--set-h", po],
+                     ["translations", "--q", "3", "--d", "1", "--exhaustive-subsets"]):
+            with pytest.raises(TableBuilt):
+                main(["verify-bound", "--group", *argv])
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--q", "5", "--d", "2", "--set-e", "F7", "--set-h", "F5"], 3,
+         "moving set lives in F_7^2, the group acts on F_5^2"),
+        (["--q", "5", "--d", "2", "--set-e", "F5", "--set-h", "F7"], 3,
+         "fixed set lives in F_7^2, the group acts on F_5^2"),
+        (["--q", "5", "--d", "2", "--set-e", "D3", "--set-h", "F5"], 3,
+         "moving set lives in F_5^3, the group acts on F_5^2"),
+        (["--q", "101", "--d", "10", "--set-e", "missing", "--set-h", "missing"], 4,
+         "full space (q^d) needs at most 100000000 candidates, got 110462212541120451001"),
+        (["--q", "4", "--d", "2", "--set-e", "F5", "--set-h", "F5"], 3,
+         "4 is not prime (extension fields are unsupported)"),
+        (["--q", "5", "--d", "2", "--radius", "1", "--set-e", "F5", "--set-h", "F5"], 3,
+         "--radius applies to orthogonal groups only, not translations"),
+        (["--q", "5", "--d", "2", "--set-e", "F5"], 3,
+         "verify-bound needs --set-e and --set-h (or --exhaustive-subsets)"),
+    ], ids=["moving-field", "fixed-field", "dimension", "budget-before-read", "q-4",
+            "radius", "missing-set-h"])
+    def test_refusals(self, capsys, tmp_path, argv, code, message):
+        files = {"F5": "q=5 d=2\n1,2\n", "F7": "q=7 d=2\n1,6\n", "D3": "q=5 d=3\n1,2,3\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files or a == "missing" else a for a in argv]
+        got = main(["verify-bound", "--group", "translations", *argv])
+        obj = first_json(capsys.readouterr().out)
+        assert (got, obj["message"]) == (code, message)
 
 
 @pytest.mark.filterwarnings("default::UserWarning")

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fqsim.geometry
+import fqsim.harness
 from fqsim import (
     EnumerationCapExceeded,
     FqsimError,
@@ -468,6 +470,32 @@ class TestSweeps:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_jobs_start_at_most_one_window_past_a_stopped_reader(self, monkeypatch):
+        """Workers are handed 16 cells each at a time, so a reader that
+        stops after one line leaves at most 16 * jobs cells started."""
+        class OneLine:
+            lines = 0
+
+            def write(self, text):
+                if self.lines:
+                    raise BrokenPipeError
+                self.lines += 1
+
+            def flush(self):
+                pass
+
+        started = itertools.count()
+        run = fqsim.harness.run_cell
+
+        def counted(cell):
+            next(started)
+            return run(cell)
+
+        monkeypatch.setattr(fqsim.harness, "run_cell", counted)
+        with pytest.raises(BrokenPipeError):
+            write_sweep(self.small_config(qs=(3,), ks=(1,), trials=10 ** 4), OneLine(), jobs=2)
+        assert next(started) <= 16 * 2
 
     @pytest.mark.parametrize("d, shown", [(17, 3 ** 17), (30, 3 ** 30), (9013, "3^9013"),
                                           (10 ** 7, "3^10000000")])
