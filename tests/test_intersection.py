@@ -943,6 +943,24 @@ class TestScanOracle:
                 assert_same_report(rep, oracles[want_histogram])
         assert (group._columns is not None) == columns
 
+    def test_reports_are_golden(self):
+        # sha256 over the canonical JSON of every report, histogram off and
+        # on, on the three groups of the bound audit, recorded before the
+        # byte columns were summed through one map pipeline and the byte
+        # counts histogrammed by value.
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty set warns
+            for group in (special_linear_group(11, 2), orthogonal_group(7, 3, radius=1),
+                          translations(13, 2)):
+                assert group.space.size <= 256  # the byte columns
+                for e, h in scan_cases(group.space, group.order):
+                    for hist in (False, True):
+                        rep = max_intersection(group, e, h, want_histogram=hist)
+                        digest.update(canonical_json(rep.to_json()).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "d17c2c9eb30d48c671afe49f00354c03c34d5c1d80340e97c4b9683bf7697491")
+
     def test_special_linear_above_255_points(self):
         # SL(2,17) on its 288 points, with E kept small: the oracle applies
         # every one of the 4,896 matrices to every point of E.
