@@ -156,7 +156,7 @@ class GroupElement:
             raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
         self._check_peer(other.field.q, len(other.shift), "map")
         q = self.field.q
-        if self.linear is _identity(len(self.shift)):  # a translation: M = I
+        if isinstance(self, Translation):  # M = I
             return self._of(self.field, other.linear,
                             tuple([(a + b) % q for a, b in zip(self.shift, other.shift)]))
         cols = list(zip(*other.linear))
@@ -165,9 +165,9 @@ class GroupElement:
                                                    for r, a in zip(self.linear, self.shift)]))
 
     def inverse(self) -> "GroupElement":
-        """x -> M^-1 x - M^-1 a; the shared identity of a translation is its own inverse."""
+        """x -> M^-1 x - M^-1 a; the identity of a translation is its own inverse."""
         q, m = self.field.q, self.linear
-        inv = m if m is _identity(len(m)) else tuple(map(tuple, _inverse_rows(m, q)))
+        inv = m if isinstance(self, Translation) else tuple(map(tuple, _inverse_rows(m, q)))
         return self._of(self.field, inv, tuple([-sum(map(mul, r, self.shift)) % q for r in inv]))
 
     def is_identity(self) -> bool:
@@ -192,9 +192,10 @@ class GroupElement:
         return hash(self.sort_key())
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _identity(d: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the d x d identity, windows of one padded unit row."""
+    """The rows of the d x d identity, windows of one padded unit row.  A
+    translation is known by its class, so the cache may drop a table."""
     unit = (0,) * (d - 1) + (1,) + (0,) * (d - 1)
     return tuple(unit[d - 1 - i:2 * d - 1 - i] for i in range(d))
 

@@ -20,10 +20,11 @@ histogram, the double-count total and the bound.  Three kernels count.
 `max_intersection` counts |H ∩ gE| for every enumerated g from the
 group's image table, one column of image indices per point.  Up to 256
 points the columns of E, with the images in H marked, are summed as
-integers, one byte per element; above, E's columns are joined and each
-element's images of E are looked up in H's marks in C.  When E holds
-more than half of X the columns of X \\ E are read instead and each
-count v is mapped to |H| - v, since every g is a bijection of X.
+integers, one byte per element, in one pipeline of maps; above, E's
+columns are joined and each element's images of E are looked up in H's
+marks in C.  When E holds more than half of X the columns of X \\ E are
+read instead and each count v is mapped to |H| - v, since every g is a
+bijection of X.
 
 The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
@@ -186,10 +187,10 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
         marks[i] = 1
     if n_x <= 256:
         # Byte g of a column is the index of g·x; translate marks the bytes
-        # that land in H, and the little-endian sum over E adds the marks
-        # byte by byte.  A count stays below |X| <= 256, so no byte carries.
-        counts = sum(int.from_bytes(columns[i].translate(marks), "little")
-                     for i in e_indices).to_bytes(order, "little")
+        # that land in H, and the little-endian sum over E, mapped in C, adds
+        # the marks byte by byte.  A count stays below |X| <= 256: no carry.
+        marked = map(bytes.translate, map(columns.__getitem__, e_indices), repeat(marks))
+        counts = sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(order, "little")
         return counts.translate(bytes(range(nh, -1, -1)).ljust(256, b"\0")) if flip else counts
     # Wider: E's columns joined are one index array, column after column,
     # so every |G|-th entry from g holds g's images of E, and itemgetter
@@ -362,7 +363,8 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     sequence holds the count of code i at position i for every element,
     and a tuple bit planes with the mask of their valid slots (`_read_planes`).
     With a histogram, a dict's or a sequence's maximum and total are read
-    off it rather than off the counts again.  On an empty space the bound is 0.
+    off it rather than off the counts again, and bytes are counted by value
+    (`bytes.count`) up to min(|E|, |H|).  On an empty space the bound is 0.
     """
     if not len(moving) or not len(fixed):
         warnings.warn("empty point set: the intersection bound is vacuous")
@@ -373,7 +375,11 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
         dense = not isinstance(counts, dict)
         values = counts if dense else counts.values()
         if want_histogram:
-            hist = dict(Counter(values))
+            if isinstance(counts, bytes):  # by value: no count exceeds min(|E|, |H|)
+                hist = {v: counts.count(v) for v in range(min(len(moving), len(fixed)) + 1)
+                        if v in counts}
+            else:
+                hist = dict(Counter(values))
             if not dense and group_order > len(counts):
                 hist[0] = group_order - len(counts)
             best_c = max(hist)

@@ -515,6 +515,19 @@ class TestElementArithmetic:
         assert gh == oracle_compose(g, h) and inv == oracle_inverse(g)
         assert mid - start < 0.1 and end - mid < 0.1
 
+    def test_translations_outlive_the_identity_cache(self):
+        # The cache is bounded, so a table may be dropped while translations
+        # built on it live on; they still compose and invert without a
+        # 400 x 400 product or a Gauss-Jordan step.
+        assert _identity.cache_info().maxsize is not None
+        d = 400
+        g = Translation(Vector(F3, [i % 3 for i in range(d)]))
+        h = Translation(Vector(F3, [i * i % 3 for i in range(d)]))
+        _identity.cache_clear()
+        gh, inv = g.compose(h), g.inverse()
+        assert gh.linear is h.linear and inv.linear is g.linear
+        assert gh == oracle_compose(g, h) and inv == oracle_inverse(g)
+
 
 class TestImageTable:
     """columns(), the one image table, against per-element apply images."""
