@@ -7,13 +7,21 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fqsim"
 
 
+def statements(nodes):
+    """Every statement, nested ones too: an import is never an expression."""
+    for node in nodes:
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+            yield from statements(getattr(node, field, ()))
+
+
 def test_every_import_is_stdlib():
     allowed = sys.stdlib_module_names | {"__future__"}
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
     imported = set()
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for node in statements(ast.parse(path.read_text(encoding="utf-8"), str(path)).body):
             if isinstance(node, ast.Import):
                 imported.update((path.name, alias.name.partition(".")[0]) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
