@@ -13,9 +13,9 @@ compared through floating point.  Argmax ties are broken toward the
 canonically smallest group element: the scan walks the elements in
 canonical order and keeps the first strict maximum.
 
-Every maximizer produces counts, one per element code, and one builder,
+Every maximizer produces counts, one per element, and one builder,
 `_report_from_counts`, reports them: the canonical tie-break, the
-histogram, the double-count total and the bound.  Three kernels count.
+histogram, the double-count total and the bound.  Four kernels count.
 
 `max_intersection` counts |H ∩ gE| for every enumerated g from the
 group's image table, one column of image indices per point.  Up to 256
@@ -36,10 +36,14 @@ H is cut into about √|E| pieces, each point of E shifts its piece, and
 the shifted windows, one bit per shift, are added by carry-save full
 adders into bit planes, so C counts all q^d shifts at once; otherwise
 a Counter counts the |E||H| difference codes.
-Unimodular maps count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that
-send x to y, through index lists built once per H from tables built once
-per (q, d) and process: no loop runs per pair.
-`max_intersection` over the enumerated group stays the oracle for both.
+Unimodular maps, while q^d <= 256, are counted over the cosets h_c·S of
+the stabiliser S of e1, which make up SL(d, q): h_c·s sends x into H
+exactly when h_c·(s·x) lies in H, so per x the byte columns of the points
+s·x, one byte per c, are joined over S and summed like the table scan's.
+Past that bound they count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹
+that send x to y, through index lists built once per H.  Both read tables
+built once per (q, d) and process, and no loop runs per pair or element.
+`max_intersection` over the enumerated group stays the oracle for all.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from math import isqrt
 from operator import add, itemgetter, mul
 
@@ -162,6 +166,15 @@ def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
         raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
 
 
+def _marked_sum(columns, marks: bytes, size: int) -> bytes:
+    """The byte-by-byte sum of the columns, each translated by `marks`, as
+    `size` bytes: every marked column is read as a little-endian integer
+    and the integers are added, all mapped in C.  The caller keeps every
+    byte's sum below 256, so no carry crosses a byte."""
+    marked = map(bytes.translate, columns, repeat(marks))
+    return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
+
+
 def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
     """|H ∩ gE| for every element g of the group, in canonical order.
 
@@ -186,11 +199,9 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
     for i in h_indices:
         marks[i] = 1
     if n_x <= 256:
-        # Byte g of a column is the index of g·x; translate marks the bytes
-        # that land in H, and the little-endian sum over E, mapped in C, adds
-        # the marks byte by byte.  A count stays below |X| <= 256: no carry.
-        marked = map(bytes.translate, map(columns.__getitem__, e_indices), repeat(marks))
-        counts = sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(order, "little")
+        # Byte g of a column is the index of g·x.  A count stays below
+        # |X| <= 256: no carry.
+        counts = _marked_sum(map(columns.__getitem__, e_indices), marks, order)
         return counts.translate(bytes(range(nh, -1, -1)).ljust(256, b"\0")) if flip else counts
     # Wider: E's columns joined are one index array, column after column,
     # so every |G|-th entry from g holds g's images of E, and itemgetter
@@ -353,7 +364,7 @@ def _read_planes(planes: list[int], valid: int,
 def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int], int],
                         moving: PointSet, fixed: PointSet, *, decode, first: int,
                         group_order: int, space_size: int, transitive: bool,
-                        want_histogram: bool) -> IntersectionReport:
+                        want_histogram: bool, smallest=None) -> IntersectionReport:
     """The report of a kernel that counts |fixed ∩ g·moving| per element code.
 
     Codes ascend in canonical element order, so the smallest maximal code
@@ -362,24 +373,37 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     group's smallest code, answers when every count is zero.  A dense
     sequence holds the count of code i at position i for every element,
     and a tuple bit planes with the mask of their valid slots (`_read_planes`).
-    With a histogram, a dict's or a sequence's maximum and total are read
-    off it rather than off the counts again, and bytes are counted by value
-    (`bytes.count`) up to min(|E|, |H|).  On an empty space the bound is 0.
+    Bytes are counted by value, histogram or not: no count exceeds
+    min(|E|, |H|), `v in counts` finds each present value and
+    `counts.count(v)` counts it, so the best count, the total and the
+    histogram need no pass one int object at a time.  Bytes whose
+    positions are not in canonical order come with `smallest(counts, v)`,
+    the code of the smallest element counting v, asked only when the
+    counts do not all tie.  With a histogram, a dict's or a list's maximum
+    and total are read off it rather than off the counts again.  On an
+    empty space the bound is 0.
     """
     if not len(moving) or not len(fixed):
         warnings.warn("empty point set: the intersection bound is vacuous")
     hist = None
     if isinstance(counts, tuple):
         best, best_c, total, hist = _read_planes(*counts, want_histogram)
+    elif isinstance(counts, bytes):
+        tally = {v: counts.count(v) for v in range(0 if want_histogram else 1,
+                                                   min(len(moving), len(fixed)) + 1)
+                 if v in counts}
+        best_c = max(tally, default=0)
+        total = sum(c * n for c, n in tally.items())
+        hist = tally if want_histogram else None
+        if smallest is None:
+            best = counts.index(best_c)
+        else:
+            best = first if not best_c or tally[best_c] == len(counts) else smallest(counts, best_c)
     else:
         dense = not isinstance(counts, dict)
         values = counts if dense else counts.values()
         if want_histogram:
-            if isinstance(counts, bytes):  # by value: no count exceeds min(|E|, |H|)
-                hist = {v: counts.count(v) for v in range(min(len(moving), len(fixed)) + 1)
-                        if v in counts}
-            else:
-                hist = dict(Counter(values))
+            hist = dict(Counter(values))
             if not dense and group_order > len(counts):
                 hist[0] = group_order - len(counts)
             best_c = max(hist)
@@ -517,6 +541,127 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     return counts
 
 
+@functools.lru_cache(maxsize=8)
+def _coset_plan(q: int, d: int) -> tuple:
+    """The tables of `_coset_counts`, for d >= 2 and q^d <= 256, where
+    every flat index and every count fits in a byte.
+
+    A point w of F_q^d is its flat index lead·m + tail, m = q^(d-1), the
+    points of X lie in lex order, h_c is `_transporter_counts`' carrier of
+    c (columns c, λ⁻¹·e_j1, e_j2, ...), and S, the maps s = [[1, b],
+    [0, A]], runs over A in SL(d-1, q) in canonical order, then b in lex
+    order.  omega[tail][lead] is ω_w: byte c is the flat index of h_c·w
+    = w_0·c + λ⁻¹w_1·e_j1 + Σ_k w_k·e_jk, over c in X; no digit adds more
+    than two terms below q, so one base-2q sum and `_wrap_table` give it,
+    per c over all w, and ω_w is every |F_q^d|-th byte of those rows.
+    leads[x] holds (x_0 + b·x') mod q over b, the lead of s·x, and
+    images[x'] the tail A·x' over A: each row of A is a byte of flat
+    index, translated to its dot product with x', scaled by its digit
+    weight, and the d - 1 rows are added as integers, with no carry.
+
+    The rest decodes a position: columns[r][c] = c_r; row r of h_c·s is
+    (c_r, c_r·b + u·A), u the tail of h_c's row r, which is 0, λ⁻¹·e_1 or
+    e_k, so units[picks[r][c]][A] holds u·A and scaled[c_r][b] holds
+    c_r·b, both as base-2q codes of d - 1 digits, and wrap (base 2q ->
+    flat) adds them mod q.
+    """
+    n, m = q ** d, q ** (d - 1)
+    w2q = [(2 * q) ** (d - 1 - j) for j in range(d)]
+    wrap = bytes(_wrap_table(q, d))
+    inverse = (0, *(pow(c, q - 2, q) for c in range(1, q)))
+    points = list(product(range(q), repeat=d))[1:]
+    vecs = list(product(range(q), repeat=d - 1))
+    rows, picks = [], []
+    for c in points:
+        i = next(j for j, v in enumerate(c) if v)
+        others = [j for j in range(d) if j != i]
+        scale = [inverse[(-1) ** i * c[i] % q]] + [1] * (d - 2)  # λ⁻¹ at j1, then 1
+        heads = [sum(a * v % q * w for v, w in zip(c, w2q)) for a in range(q)]
+        tails = [0]
+        for j, u in zip(others, scale):
+            tails = [t + u * e % q * w2q[j] for t in tails for e in range(q)]
+        rows.append(bytes([wrap[h + t] for h in heads for t in tails]))
+        pick = [0] * d  # the units of row r of h_c: 0 at i, λ⁻¹ at j1, q - 1 + k at j_(k+1)
+        for k, j in enumerate(others):
+            pick[j] = scale[0] if k == 0 else q - 1 + k
+        picks.append(pick)
+    table = b"".join(rows)
+    omega = tuple(tuple(table[lead * m + tail::n] for lead in range(q)) for tail in range(m))
+    dots = [bytes([sum(map(mul, b, v)) % q for b in vecs]) for v in vecs]
+    leads = tuple(bytes([(x // m + v) % q for v in dots[x % m]]) for x in range(n))
+
+    def table_of(values):  # one value per flat index of a tail, as a translate table
+        return bytes(values).ljust(256, b"\0")
+
+    flat = {v: i for i, v in enumerate(vecs)}
+    blocks = list(_unimodular_rows(q, d - 1))
+    a_rows = [bytes([flat[a[k]] for a in blocks]) for k in range(d - 1)]
+    images = tuple(sum(int.from_bytes(r.translate(table_of(v * q ** (d - 2 - k) for v in dot)), "little")
+                       for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
+    code2q = lambda v: sum(e * w for e, w in zip(v, w2q[1:]))  # noqa: E731
+    scaled = tuple(bytes([code2q([e * u % q for u in b]) for b in vecs]) for e in range(q))
+    units = (bytes(len(blocks)),
+             *(a_rows[0].translate(table_of(code2q([t * e % q for e in u]) for u in vecs)) for t in range(1, q)),
+             *(r.translate(table_of(map(code2q, vecs))) for r in a_rows[1:]))
+    columns, picks = (tuple(map(bytes, zip(*table))) for table in (points, picks))
+    return omega, leads, images, columns, picks, scaled, units, bytes(_wrap_table(q, d - 1))
+
+
+def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
+    """|fixed ∩ g·moving| over g in SL(d, q), d >= 2 and q^d <= 256, one
+    byte per element in (A, b, c) order, g = h_c·s (`_coset_plan`'s `plan`).
+
+    SL(d, q) is the disjoint union of the cosets h_c·S over c in X, and
+    h_c·s sends x into H exactly when h_c·(s·x) does.  So per x the
+    columns ω_(s·x), over s, joined, mark by `_marked_sum` which of the
+    |G| elements send x into H, and their sum over E is the counts.  s·x
+    = (x_0 + b·x', A·x'): per A·x' one block joins ω over the leads of x,
+    and the blocks are joined in the order of the images A·x'.
+    """
+    q, d = moving.field.q, moving.dim
+    omega, leads, images = plan[:3]
+    m = q ** (d - 1)
+    weights = [q ** (d - 1 - i) for i in range(d)]
+    marks = bytearray(256)
+    for y in _codes(fixed, weights):
+        marks[y] = 1
+
+    def row(x):
+        tail = x % m
+        if d == 2:  # A = 1: the row is one block
+            return b"".join(map(omega[tail].__getitem__, leads[x]))
+        # SL(d-1, q) moves a nonzero tail to every nonzero tail
+        block = {a: b"".join(map(omega[a].__getitem__, leads[x])) for a in (range(1, m) if tail else (0,))}
+        return b"".join(map(block.__getitem__, images[tail]))
+
+    return _marked_sum(map(row, _codes(moving, weights)), marks, _special_linear_order(q, d))
+
+
+def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> int:
+    """Code of the canonically smallest element of SL(d, q) whose count in
+    `_coset_counts`' `counts` is `best`.  Only the positions holding it
+    are read, by `bytes.find`, as (c, b, A), and filtered row by row of
+    h_c·s, each row's lead c_r first and its tail next, down to the
+    smallest: its code is the rows' codes in base q^d.
+    """
+    columns, picks, scaled, units, wrap = plan[3:]
+    m, size = q ** (d - 1), q ** d - 1
+    found, p = [], counts.find(best)
+    while p >= 0:
+        found.append(p)
+        p = counts.find(best, p + 1)
+    found = [(p % size, p // size % m, p // size // m) for p in found]
+    code = 0
+    for lead, pick in zip(columns, picks):
+        top = min(lead[c] for c, _, _ in found)
+        found = [t for t in found if lead[t[0]] == top]
+        tails = [wrap[scaled[top][b] + units[pick[c]][a]] for c, b, a in found]
+        low = min(tails)
+        found = [t for t, v in zip(found, tails) if v == low]
+        code = code * q ** d + top * m + low
+    return code
+
+
 def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
                                      want_histogram: bool = False) -> IntersectionReport:
     """`max_intersection` over SL(d, q) on the punctured space, without the group.
@@ -525,12 +670,21 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     the bound |E||H|/(q^d - 1) and the double-count total |E||H||S|.  The
     action is transitive for d >= 2; SL(1, q) moves nothing.  Refuses,
     as the enumeration did, a q^(d^2) matrix scan past ENUMERATION_CAP.
+    While q^d <= 256 every point index and every count fits in a byte, so
+    the cosets h_c·S are counted as byte columns (`_coset_counts`), |E|
+    joins of |G| bytes in C, and only the maximal positions are decoded;
+    past it the transporters are counted per pair (`_transporter_counts`).
     """
     field = moving.field
     q = field.q
     d = moving.dim
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
-    counts = _transporter_counts(moving, fixed)
+    if d >= 2 and q ** d <= 256:
+        plan = _coset_plan(q, d)
+        counts = _coset_counts(moving, fixed, plan)
+        smallest = functools.partial(_smallest_coset_code, plan, q, d)
+    else:
+        counts, smallest = _transporter_counts(moving, fixed), None
 
     def decode(code):
         flat = index_to_coords(code, q, d * d)
@@ -539,7 +693,7 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     return _report_from_counts(
         counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
         group_order=_special_linear_order(q, d), space_size=q ** d - 1,
-        transitive=d >= 2 or q == 2, want_histogram=want_histogram,
+        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
     )
 
 

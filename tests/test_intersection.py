@@ -49,7 +49,11 @@ import fqsim.intersection
 from fqsim.geometry import _det_rows, _inverse_rows
 from fqsim.intersection import (
     _codes,
+    _coset_plan,
+    _first_special_linear_code,
     _max_special_linear_intersection,
+    _report_from_counts,
+    _special_linear_order,
     _translation_counts,
     _transporter_counts,
     _transporter_plan,
@@ -725,20 +729,28 @@ class TestTransporterKernel:
         assert rep.best_g == decode(min(code for code, c in counts.items() if c == rep.best_count))
         assert sum(rep.per_g_histogram.values()) == rep.group_order
 
-    def test_plan_is_built_once_per_shape_and_holds_only_tuples(self):
-        space = Space.punctured(7, 2)
+    @staticmethod
+    def assert_plan_built_once_and_immutable(q, plan):
+        space = Space.punctured(q, 2)
         e, h = random_subset(space, 6, 1), random_subset(space, 6, 2)
-        _transporter_plan.cache_clear()
+        plan.cache_clear()
         _max_special_linear_intersection(e, h)
         _max_special_linear_intersection(h, e)
-        info = _transporter_plan.cache_info()
+        info = plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
         def only_tuples(table):
-            return isinstance(table, int) or (
+            return isinstance(table, (int, bytes)) or (
                 isinstance(table, tuple) and all(map(only_tuples, table)))
 
-        assert only_tuples(_transporter_plan(7, 2))
+        assert only_tuples(plan(q, 2))
+
+    def test_plan_is_built_once_per_shape_and_holds_only_tuples(self):
+        # q^2 <= 256: the cosets' byte columns count
+        self.assert_plan_built_once_and_immutable(7, _coset_plan)
+
+    def test_transporter_plan_is_built_once_past_the_byte_bound(self):
+        self.assert_plan_built_once_and_immutable(17, _transporter_plan)
 
     def test_reports_are_golden(self):
         # sha256 over the canonical JSON of every det report, histogram off
@@ -864,6 +876,100 @@ class TestTransporterKernel:
             _max_special_linear_intersection(e, e)
         assert str(exc.value) == (
             "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
+
+
+def transporter_reports(e, h):
+    """The reports, without and with the histogram, of `_transporter_counts`'
+    counts, the det kernel past the byte bound, on any shape: its codes
+    are decoded as base-q row-major entries."""
+    q, d = e.field.q, e.dim
+    counts = _transporter_counts(e, h)
+
+    def decode(code):
+        flat = [code // q ** (d * d - 1 - i) % q for i in range(d * d)]
+        return SpecialLinear(Matrix(e.field, [flat[i * d:(i + 1) * d] for i in range(d)]))
+
+    return tuple(_report_from_counts(
+        counts, e, h, decode=decode, first=_first_special_linear_code(q, d),
+        group_order=_special_linear_order(q, d), space_size=q ** d - 1, transitive=True,
+        want_histogram=hist) for hist in (False, True))
+
+
+def coset_cases(q, d, seed, small=False, whole=True):
+    """(E, H) pairs: single points, sets of different sizes and, unless
+    `small`, a punctured line against itself and, if `whole`, the whole
+    punctured space against itself."""
+    space = Space.punctured(q, d)
+    n = len(space)
+    point = random_subset(space, 1, seed)
+    line = from_coords(space.field, d, [[c * v % q for v in point.points[0].coords] for c in range(1, q)])
+    cases = [(point, random_subset(space, 1, seed + 1)),
+             (point, random_subset(space, min(5, n), seed + 2)),
+             (random_subset(space, min(4, n), seed + 3), point),
+             (random_subset(space, min(3, n), seed + 4), random_subset(space, min(7, n), seed + 5))]
+    return cases if small else cases + [(line, line)] + [(space, space)] * whole
+
+
+class TestCosetScan:
+    """The byte-column scan over the cosets h_c·S, q^d <= 256, against the
+    transporter counts and the enumerated group, on both sides of the bound."""
+
+    @pytest.mark.parametrize("q, d, whole", [(2, 2, True), (3, 2, True), (5, 2, True), (7, 2, True),
+                                             (13, 2, True), (3, 3, True), (2, 4, False)])
+    def test_matches_the_transporters_and_the_group(self, q, d, whole):
+        group = sl_group(q, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for e, h in coset_cases(q, d, 10 * q + d, whole=whole):
+                for hist, oracle in zip((False, True), transporter_reports(e, h)):
+                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    assert_same_report(rep, oracle)
+                    assert_same_report(rep, max_intersection(group, e, h, want_histogram=hist))
+
+    def test_matches_the_transporters_on_sl_3_5(self):
+        # 372,000 elements, more than the tests enumerate: the transporter
+        # counts are the oracle, on a punctured line too, where 4 x 3000
+        # elements tie
+        cases = coset_cases(5, 3, 53, whole=False)
+        for e, h in cases:
+            for hist, oracle in zip((False, True), transporter_reports(e, h)):
+                assert_same_report(_max_special_linear_intersection(e, h, want_histogram=hist), oracle)
+        line = cases[-1][0]
+        assert _max_special_linear_intersection(line, line, want_histogram=True).per_g_histogram[4] == 12000
+
+    def test_every_count_ties_on_the_whole_space(self):
+        space = Space.punctured(5, 3)
+        rep = _max_special_linear_intersection(space, space, want_histogram=True)
+        assert rep.per_g_histogram == {124: 372000}
+        assert rep.best_g.matrix == Matrix(F5, [[0, 0, 1], [0, 1, 0], [4, 0, 0]])
+
+    @pytest.mark.parametrize("q, d", [(17, 2), (7, 3)])
+    def test_past_the_byte_bound_the_transporters_count(self, q, d, monkeypatch):
+        monkeypatch.setattr(fqsim.intersection, "_coset_counts", None)  # never reached
+        order, n = _special_linear_order(q, d), q ** d - 1
+        for e, h in coset_cases(q, d, 10 * q + d, small=True):
+            rep = _max_special_linear_intersection(e, h, want_histogram=True)
+            if d == 2:
+                assert_same_report(rep, max_intersection(sl_group(q, d), e, h, want_histogram=True))
+            assert isinstance(rep.best_g, SpecialLinear) and _det_rows(rep.best_g.linear, q) == 1
+            assert intersect_count(rep.best_g, e, h) == rep.best_count == max(rep.per_g_histogram)
+            assert rep.double_count_total == len(e) * len(h) * order // n
+            assert sum(rep.per_g_histogram.values()) == order
+
+    def test_scan_peaks_at_a_few_bytes_per_element(self):
+        # The transporter Counter holds ~80 B per nonzero count; the byte
+        # columns hold the running sum, one row and its marks: 3 x |G| bytes.
+        space = Space.punctured(5, 3)
+        e, h = random_subset(space, 40, 1), random_subset(space, 40, 2)
+        _max_special_linear_intersection(e, h)  # the (q, d) tables are built once per process
+        tracemalloc.start()
+        try:
+            rep = _max_special_linear_intersection(e, h, want_histogram=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.group_order == 372000 and rep.double_count_total == 40 * 40 * 3000
+        assert peak < 4 * rep.group_order
 
 
 def scan_oracles(group, moving, fixed):
