@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'threshold' or a fixed set size")
     p.add_argument("--kind", default="similarity",
                    choices=["similarity", "det-similarity"])
-    p.add_argument("--jobs", type=int, default=1, help="worker count, at least 1")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker count, at least 1; validated only: cells run one after another")
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

@@ -16,7 +16,8 @@ A similarity cell draws with `random_pointset` and runs
 `find_similar_config`; a det cell draws the points that
 `random_subset(Space.punctured(q, d), n, seed)` draws (`_det_draw`) and
 runs `find_det_similar`.  Both draws decode sorted flat indices of
-F_q^d (`_flat_points`), so neither lists a space.
+F_q^d (`_flat_points`), so neither lists a space.  A sweep runs its
+cells one after another in the calling thread, whatever its jobs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ import io
 import json
 import time
 import warnings
-from concurrent import futures
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -302,23 +301,19 @@ def run_cell(cell: dict) -> Report:
 
 
 def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
-    """run_cell over every cell, yielded in grid order for any worker count.
+    """run_cell over every cell, one after another in the calling thread,
+    yielded in grid order; a reader that stops starts no more cells.
 
-    A worker count below 1 raises ValueError before any cell runs.
+    jobs is validated but, for now, changes no scheduling: one that is
+    not an integer of at least 1 raises ValueError before any cell runs.
     """
-    if jobs < 1:
-        raise ValueError(f"a sweep needs at least one worker, got jobs = {jobs}")
-    cells = config._grid()
-    if jobs == 1:
-        yield from map(run_cell, cells)
-    else:
-        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            while window := list(islice(cells, 16 * jobs)):  # a reader that stops starts no more
-                yield from pool.map(run_cell, window)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"a sweep needs a whole number of workers, at least 1, got jobs = {jobs!r}")
+    yield from map(run_cell, config._grid())
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:
-    """Execute every cell; reports come back in grid order regardless of jobs."""
+    """Execute every cell in the calling thread, in grid order; jobs is only validated."""
     return list(_sweep_reports(config, jobs))
 
 
@@ -349,8 +344,9 @@ def sweep_summary(reports: Iterable[Report]) -> dict:
 def write_sweep(config: SweepConfig, stream, jobs: int = 1) -> dict:
     """Stream one JSON line per cell plus a final summary line.
 
-    Lines are flushed as written, so an interrupted sweep leaves a
-    valid JSON-lines prefix behind, and no report is kept once written.
+    Cells run in the calling thread; jobs is only validated.  Lines are
+    flushed as written, so an interrupted sweep leaves a valid JSON-lines
+    prefix behind, and no report is kept once written.
     """
     def written():
         for report in _sweep_reports(config, jobs):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import threading
 import time
 import tracemalloc
 
@@ -389,7 +390,7 @@ class TestSweeps:
         assert [r.outcome_bytes() for r in seq] == [r.outcome_bytes() for r in par]
         assert [r.config for r in seq] == [r.config for r in par]
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5])
     def test_jobs_below_one_rejected_before_any_cell(self, jobs):
         with pytest.raises(ValueError):
             run_sweep(self.small_config(), jobs=jobs)
@@ -471,9 +472,24 @@ class TestSweeps:
             tracemalloc.stop()
         assert peak < 2 << 20
 
-    def test_jobs_start_at_most_one_window_past_a_stopped_reader(self, monkeypatch):
-        """Workers are handed 16 cells each at a time, so a reader that
-        stops after one line leaves at most 16 * jobs cells started."""
+    @pytest.mark.parametrize("jobs", [1, 2, 10 ** 6])
+    def test_every_cell_runs_in_the_calling_thread(self, monkeypatch, jobs):
+        idents = []
+        run = fqsim.harness.run_cell
+
+        def recorded(cell):
+            idents.append(threading.get_ident())
+            return run(cell)
+
+        monkeypatch.setattr(fqsim.harness, "run_cell", recorded)
+        cfg = self.small_config(qs=(3,), ks=(1,), trials=8)  # at most 8 cells, whatever jobs is
+        assert len(run_sweep(cfg, jobs=jobs)) == len(idents) == 8
+        assert set(idents) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_stopped_reader_starts_at_most_one_more_cell(self, monkeypatch, jobs):
+        """Cells run one at a time, so a reader that stops after one line
+        leaves at most 2 cells started, whatever jobs is."""
         class OneLine:
             lines = 0
 
@@ -494,8 +510,8 @@ class TestSweeps:
 
         monkeypatch.setattr(fqsim.harness, "run_cell", counted)
         with pytest.raises(BrokenPipeError):
-            write_sweep(self.small_config(qs=(3,), ks=(1,), trials=10 ** 4), OneLine(), jobs=2)
-        assert next(started) <= 16 * 2
+            write_sweep(self.small_config(qs=(3,), ks=(1,), trials=10 ** 4), OneLine(), jobs=jobs)
+        assert next(started) <= 2
 
     @pytest.mark.parametrize("d, shown", [(17, 3 ** 17), (30, 3 ** 30), (9013, "3^9013"),
                                           (10 ** 7, "3^10000000")])

@@ -1,6 +1,8 @@
-"""The engine imports nothing outside the standard library."""
+"""The engine imports nothing outside the standard library, and its CLI loads no thread pool."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,12 @@ def test_every_import_is_stdlib():
                 imported.add((path.name, node.module.partition(".")[0]))
     assert {"functools", "itertools", "fractions"} <= {module for _, module in imported}
     assert sorted((name, module) for name, module in imported if module not in allowed) == []
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    probe = ("import sys, fqsim.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
