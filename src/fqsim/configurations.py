@@ -13,7 +13,8 @@ and the norm relation by det(x-subset) = r·det(y-subset) over every
 d-subset of indices.  Its scan counts, for each pair of points, the
 unimodular maps sending one to the other, so it builds no group; the
 q^(d^2) matrix budget still applies.  Both finders search on coordinate
-tuples and build vectors only for the 3(k+1) witness points.
+tuples, and the 3(k+1) witness points, already canonical, become vectors
+without the constructor's checks (`Vector._of`).
 
 Every finder re-derives the claimed relations from raw coordinates with
 an independent verifier, on integer tuples, before returning, and the
@@ -23,11 +24,12 @@ parties.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from operator import mul
+from operator import mul, sub
 from typing import Optional
 
 from .errors import (
@@ -86,7 +88,11 @@ class EdgeSet:
 
     @classmethod
     def all_pairs(cls, k: int) -> "EdgeSet":
-        return cls._preset(k, k * (k + 1) // 2, itertools.combinations(range(1, k + 2), 2))
+        """Every pair, one object per k (the finders' default): the k and
+        budget checks run on every call, the build once per k."""
+        if k >= 1:
+            _check_budget(k * (k + 1) // 2, 1, "edge set (pairs)")
+        return _simplex(k)
 
     @classmethod
     def path(cls, k: int) -> "EdgeSet":
@@ -117,6 +123,11 @@ class EdgeSet:
 
     def __repr__(self) -> str:
         return f"EdgeSet(k={self.k}, pairs={list(self.pairs)})"
+
+
+@functools.lru_cache(maxsize=8)
+def _simplex(k: int) -> EdgeSet:
+    return EdgeSet(k, itertools.combinations(range(1, k + 2), 2))
 
 
 _EDGE_PRESETS = {
@@ -341,7 +352,7 @@ def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> list[str]:
             if v.field.q != q:
                 reasons.append(f"{name} contains a vector over F_{v.field.q}, expected F_{q}")
                 break
-            dims.add(v.dim)
+            dims.add(len(v.coords))
     if len(dims) > 1:
         reasons.append(f"mixed dimensions {sorted(dims)}")
     return reasons
@@ -365,7 +376,7 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
             f"expected {n} points per tuple, got {len(w.xs)}/{len(w.ys)}/{len(w.zs)}"
         )
         return Verification(False, tuple(reasons))
-    if w.shift.field.q != w.ratio.field.q or w.shift.dim != w.xs[0].dim:
+    if w.shift.field.q != w.ratio.field.q or len(w.shift.coords) != len(w.xs[0].coords):
         reasons.append("shift does not match the point tuples' field and dimension")
         return Verification(False, tuple(reasons))
 
@@ -381,9 +392,8 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
     reasons += [f"distinctness: repeated {name} point"
                 for name, vs in (("x", xs), ("y", ys)) if len(set(vs)) != n]
     for i, j in w.edges:
-        lhs = sum((b - c) ** 2 for b, c in zip(ys[i - 1], ys[j - 1])) % q
-        rhs = r * sum((b - c) ** 2 for b, c in zip(xs[i - 1], xs[j - 1])) % q
-        if lhs != rhs:
+        lhs = sum([e * e for e in map(sub, ys[i - 1], ys[j - 1])]) % q
+        if lhs != r * sum([e * e for e in map(sub, xs[i - 1], xs[j - 1])]) % q:
             reasons.append(f"norm relation violated at edge ({i}, {j})")
     return Verification(not reasons, tuple(reasons))
 
@@ -394,20 +404,22 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
 
     For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
-    points of E: z/root and g⁻¹z.  `root_of(ratio)` takes the root,
-    `scan(H)` maximizes the overlap over G, `pull_back(g)` maps a
+    points of E: z/root and g⁻¹z.  `root_of(ratio)` takes the root, or
+    gives None for a ratio that is no m-th power, which raises
+    `not_power`; `scan(H)` maximizes the overlap over G, `pull_back(g)` maps a
     coordinate tuple z to g⁻¹z, `build(root, report, zs, shrunk,
     pulled)` arranges the first k+1 such z of H (canonical order), their
     z/root and their g⁻¹z into a witness, and `verify` re-checks it.
-    A ratio that is no m-th power raises `not_power`.
+    All three are canonical tuples, so they become vectors unchecked
+    (`Vector._of`); the verifier still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
     if ratio.is_zero():
         raise ZeroDilation("ratio 0 collapses every configuration to a point")
-    if not ratio.is_mth_power(m):
-        raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
     root = root_of(ratio)
+    if root is None:
+        raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
 
     scaled = points.scaled(root)
     report = scan(scaled)
@@ -425,9 +437,10 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
             if len(zs) == k + 1:
                 break
     field, inv_root = points.field, root.inverse().value
-    witness = build(root, report, tuple(Vector(field, z) for z in zs),
-                    tuple(Vector(field, [inv_root * c for c in z]) for z in zs),
-                    tuple(Vector(field, x) for x in pulled))
+    q = field.q
+    witness = build(root, report, tuple([Vector._of(field, z) for z in zs]),
+                    tuple([Vector._of(field, tuple([inv_root * c % q for c in z])) for z in zs]),
+                    tuple([Vector._of(field, x) for x in pulled]))
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)
@@ -453,7 +466,8 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     elif edges.k != k:
         raise ValueError(f"edge set is for k = {edges.k}, search is for k = {k}")
     q = points.field.q
-    # sqrt, unlike mth_root(2), scans no field, so it serves any q
+    # sqrt, unlike mth_root(2), scans no field, so it serves any q, and
+    # answers None for a nonsquare
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, FieldElement.sqrt,
         scan=lambda scaled: max_translation_intersection_fast(points, scaled),
@@ -559,7 +573,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.
     return _find_by_overlap(
-        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d),
+        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None,
         scan=lambda scaled: _max_special_linear_intersection(points, scaled),
         pull_back=lambda g: lambda z, rows=g.inverse().linear: tuple(
             [sum(map(mul, r, z)) % q for r in rows]),

@@ -70,6 +70,13 @@ class Vector:
         self.field = field
         self.coords = tuple(canon)
 
+    @classmethod
+    def _of(cls, field: PrimeField, coords: tuple) -> "Vector":
+        """The vector with these canonical coordinates, unchecked."""
+        v = object.__new__(cls)
+        v.field, v.coords = field, coords
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.coords)

@@ -136,7 +136,7 @@ class GroupElement:
 
     @property
     def vector(self) -> Vector:
-        return Vector(self.field, self.shift)
+        return Vector._of(self.field, self.shift)
 
     def _check_peer(self, q: int, d: int, what: str) -> None:
         if q != self.field.q:

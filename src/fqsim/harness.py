@@ -22,6 +22,7 @@ cells one after another in the calling thread, whatever its jobs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -74,9 +75,10 @@ def _flat_points(field: PrimeField, dim: int, indices: list[int]) -> PointSet:
     once; flat order is lexicographic, so they are in canonical order."""
     q = field.q
     digits = []
-    for _ in range(dim):
+    for _ in range(dim - 1):
         digits.append([i % q for i in indices])
         indices = [i // q for i in indices]
+    digits.append(indices)  # below q^d, what is left is the first coordinate
     return PointSet._canonical(field, dim, zip(*reversed(digits)))
 
 
@@ -166,9 +168,12 @@ def file_digest(path) -> str:
 
 # --- reports and sweeps ---
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Stable serialization used wherever payloads are compared byte-wise."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 @dataclass
@@ -277,7 +282,7 @@ def run_cell(cell: dict) -> Report:
     """Execute one sweep cell; errors become part of the outcome."""
     start = time.perf_counter()
     try:
-        field = as_field(cell["q"])
+        field = _cell_field(cell["q"])
         ratio = field(cell["r"])
         if cell["kind"] == "similarity":
             points = random_pointset(field, cell["d"], cell["n"], cell["seed"])
@@ -298,6 +303,14 @@ def run_cell(cell: dict) -> Report:
             outcome["best_count"] = exc.best_count
     timing = (time.perf_counter() - start) * 1000.0
     return Report(config=dict(cell), outcome=outcome, timing_ms=timing)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _cell_field(q) -> PrimeField:
+    """F_q for a sweep cell, built once per q: a sweep asks for the same
+    few q cell after cell, and a kept field keeps the nonresidue that
+    `sqrt` caches."""
+    return as_field(q)
 
 
 def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:

@@ -72,6 +72,7 @@ from .groups import (
     Space,
     SpecialLinear,
     Translation,
+    _identity,
     _unimodular_rows,
 )
 from .prng import SplitMix64
@@ -250,12 +251,13 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
     return tuple(wrap)
 
 
-def _codes(points: PointSet, weights: list[int], offset: int = 0) -> list[int]:
-    """offset + Σ_i c_i·weights[i] for every point, a coordinate column at a time."""
+def _codes(points: PointSet, base: int, offset: int = 0) -> list[int]:
+    """offset + Σ_i c_i·base^(d-1-i) for every point, by Horner's rule a
+    coordinate column at a time."""
     columns = zip(*points._coords)
-    codes = map(mul, next(columns, ()), repeat(weights[0]))
-    for w, column in zip(weights[1:], columns):
-        codes = map(add, codes, map(mul, column, repeat(w)))
+    codes = next(columns, ())
+    for column in columns:
+        codes = map(add, map(mul, codes, repeat(base)), column)
     return list(map(add, codes, repeat(offset)) if offset else codes)
 
 
@@ -295,12 +297,12 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     h = len(fixed)
     if len(moving) and width * h + 40 * q ** d <= 7000 * h * h:
         table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
-        for y in _codes(fixed, weights):
+        for y in _codes(fixed, 2 * q):
             table[y >> 3] |= 1 << (y & 7)
         table = int.from_bytes(table, "little")
         for w in weights:  # lift each digit y_i to y_i + q as well
             table |= table << q * w
-        shifts = _codes(moving, weights)
+        shifts = _codes(moving, 2 * q)
         stride = -(-width // isqrt(len(shifts)))
         cut, start, end = (1 << width + stride) - 1, 0, 0
         # pending[i], when nonzero, is one more mask of weight 2^i.  Level
@@ -327,8 +329,8 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
             carry = (p & carry) | (plane & u)
             planes[i] = plane ^ u
         return planes, _valid_slots(q, d)
-    xs = _codes(moving, weights)
-    ys = _codes(fixed, weights, q * sum(weights))
+    xs = _codes(moving, 2 * q)
+    ys = _codes(fixed, 2 * q, q * sum(weights))
     diffs = Counter(y - x for x in xs for y in ys)
     # Digit by digit over the distinct codes: the digits above the one at
     # weight w are multiples of 2q, so code // w ≡ that digit (mod q).
@@ -348,13 +350,16 @@ def _read_planes(planes: list[int], valid: int,
     into m & ~plane_i and m & plane_i, of prefixes v and v + 2^i.  Without
     a histogram only the highest nonempty group is kept.  Code order is
     canonical order, so the lowest bit of the last group is the tie-break."""
-    total = sum((plane & valid).bit_count() << i for i, plane in enumerate(planes))
-    groups = [(valid, 0)]
+    total, groups = 0, [(valid, 0)]
     for i in reversed(range(len(planes))):
-        split = []
+        plane, split = planes[i], []
+        total += (plane & valid).bit_count() << i
         for m, v in groups:
-            hi = m & planes[i]
-            split += [g for g in ((m ^ hi, v), (hi, v + (1 << i))) if g[0]]
+            hi = m & plane
+            if hi != m:
+                split.append((m ^ hi, v))
+            if hi:
+                split.append((hi, v + (1 << i)))
         groups = split if want_histogram else split[-1:]
     m, best_c = groups[-1]
     hist = {v: g.bit_count() for g, v in groups} if want_histogram else None
@@ -383,14 +388,14 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     and total are read off it rather than off the counts again.  On an
     empty space the bound is 0.
     """
-    if not len(moving) or not len(fixed):
+    n_e, n_h = len(moving), len(fixed)
+    if not n_e or not n_h:
         warnings.warn("empty point set: the intersection bound is vacuous")
     hist = None
     if isinstance(counts, tuple):
         best, best_c, total, hist = _read_planes(*counts, want_histogram)
     elif isinstance(counts, bytes):
-        tally = {v: counts.count(v) for v in range(0 if want_histogram else 1,
-                                                   min(len(moving), len(fixed)) + 1)
+        tally = {v: counts.count(v) for v in range(0 if want_histogram else 1, min(n_e, n_h) + 1)
                  if v in counts}
         best_c = max(tally, default=0)
         total = sum(c * n for c, n in tally.items())
@@ -416,10 +421,10 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
 
     return IntersectionReport(
         best_g=decode(best), best_count=best_c,
-        bound=Fraction(len(moving) * len(fixed), space_size) if space_size else Fraction(0),
+        bound=Fraction(n_e * n_h, space_size) if space_size else Fraction(0),
         double_count_total=total, transitive=transitive,
         group_order=group_order, space_size=space_size,
-        moving_size=len(moving), fixed_size=len(fixed), per_g_histogram=hist,
+        moving_size=n_e, fixed_size=n_h, per_g_histogram=hist,
     )
 
 
@@ -437,7 +442,7 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     field, d = moving.field, moving.dim
     return _report_from_counts(
         _translation_counts(moving, fixed), moving, fixed,
-        decode=lambda i: Translation(Vector(field, index_to_coords(i, 2 * field.q, d))),
+        decode=lambda i: Translation._of(field, _identity(d), index_to_coords(i, 2 * field.q, d)),
         first=0, group_order=field.q ** d, space_size=field.q ** d, transitive=True,
         want_histogram=want_histogram,
     )
@@ -621,9 +626,8 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
     q, d = moving.field.q, moving.dim
     omega, leads, images = plan[:3]
     m = q ** (d - 1)
-    weights = [q ** (d - 1 - i) for i in range(d)]
     marks = bytearray(256)
-    for y in _codes(fixed, weights):
+    for y in _codes(fixed, q):
         marks[y] = 1
 
     def row(x):
@@ -634,7 +638,7 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
         block = {a: b"".join(map(omega[a].__getitem__, leads[x])) for a in (range(1, m) if tail else (0,))}
         return b"".join(map(block.__getitem__, images[tail]))
 
-    return _marked_sum(map(row, _codes(moving, weights)), marks, _special_linear_order(q, d))
+    return _marked_sum(map(row, _codes(moving, q)), marks, _special_linear_order(q, d))
 
 
 def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> int:

@@ -116,9 +116,13 @@ def derive_seed(base: int, *parts: int) -> int:
     """Fold integer parameters into a base seed, one mixing round per part.
 
     Used to give every cell of a parameter sweep its own stable stream.
+    Each round is `SplitMix64(acc ^ part).next_u64()`, the step written
+    out: the base's own round folds a part of 0.
     """
-    rng = SplitMix64(base)
-    acc = rng.next_u64()
-    for p in parts:
-        acc = SplitMix64(acc ^ (p & MASK64)).next_u64()
+    acc = base & MASK64
+    for p in (0, *parts):
+        z = ((acc ^ (p & MASK64)) + _GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        acc = z ^ (z >> 31)
     return acc

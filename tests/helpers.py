@@ -1,13 +1,14 @@
 """Helpers shared by the test modules: building, moving and formatting
 point sets, column matrices, pair norms, the translation kernel's counts,
-the transporter kernel's completion, the sequential sampler and the
-per-kind arithmetic of group elements."""
+the transporter kernel's completion, the sequential sampler, the seed
+fold and the per-kind arithmetic of group elements."""
 
 import itertools
 
-from fqsim import Matrix, PointSet, Translation, Vector
+from fqsim import Matrix, PointSet, SplitMix64, Translation, Vector
 from fqsim.geometry import _det_cofactor, _det_rows, index_to_coords
 from fqsim.intersection import _translation_counts
+from fqsim.prng import MASK64
 
 
 def from_coords(field, dim, coords):
@@ -100,6 +101,15 @@ def sample_indices_sequential(rng, total, count):
         picked.append(displaced.get(j, j))
         displaced[j] = displaced.get(i, i)
     return picked
+
+
+def derive_seed_by_objects(base, *parts):
+    """`derive_seed` as one `SplitMix64` object per round, each read once:
+    the oracle for the inline fold."""
+    acc = SplitMix64(base).next_u64()
+    for p in parts:
+        acc = SplitMix64(acc ^ (p & MASK64)).next_u64()
+    return acc
 
 
 def oracle_apply(g, x):

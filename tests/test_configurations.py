@@ -83,6 +83,13 @@ class TestEdgeSet:
         with pytest.raises(ValueError):
             EdgeSet(2, [(2, 2)])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_all_pairs_is_one_edge_set_per_k(self, k):
+        built = EdgeSet(k, itertools.combinations(range(1, k + 2), 2))
+        kept = EdgeSet.all_pairs(k)
+        assert kept == built and hash(kept) == hash(built) and repr(kept) == repr(built)
+        assert EdgeSet.all_pairs(k) is kept and edge_preset("simplex", k) is kept
+
     def test_presets_by_name(self):
         assert edge_preset("simplex", 2) == EdgeSet.all_pairs(2)
         with pytest.raises(ValueError):
@@ -99,7 +106,7 @@ class TestEdgeSet:
                 preset(fits + 1)
         monkeypatch.setattr(fqsim.geometry, "ENUMERATION_CAP", 0)
         for preset in (EdgeSet.all_pairs, EdgeSet.path, EdgeSet.star):
-            for k in (0, -10 ** 6):
+            for k in (0, -10 ** 6, 0):  # a refusal is never kept
                 with pytest.raises(ValueError, match=f"^edge sets need k >= 1, got {k}$"):
                     preset(k)
         for k in (1, 0, -10 ** 6):

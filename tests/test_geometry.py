@@ -101,6 +101,19 @@ class TestVectorOps:
         vs = [Vector(F3, c) for c in [(2, 0), (0, 1), (1, 0), (0, 0)]]
         assert [v.coords for v in sorted(vs)] == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
+    @given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_vector_is_the_checked_one(self, q, d, data):
+        # Vector._of on canonical coordinates, against the checked constructor
+        field = make_field(q)
+        coord = st.tuples(*[st.integers(0, q - 1)] * d)
+        c, other = data.draw(coord), Vector(field, data.draw(coord))
+        fast, checked = Vector._of(field, c), Vector(field, c)
+        assert type(fast) is Vector and fast.coords == checked.coords and fast.field is field
+        assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        assert [fast < other, fast <= other, fast > other, other < fast] == \
+               [checked < other, checked <= other, checked > other, other < checked]
+
 
 class TestDeterminant:
     def test_identity(self):

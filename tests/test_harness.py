@@ -1,9 +1,11 @@
 """Point-set I/O, seeded sampling, and sweep execution."""
 
+import collections
 import hashlib
 import io
 import itertools
 import json
+import random
 import threading
 import time
 import tracemalloc
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import fqsim.geometry
 import fqsim.harness
 from fqsim import (
+    EdgeSet,
     EnumerationCapExceeded,
     FqsimError,
     HeaderMismatch,
@@ -24,6 +27,7 @@ from fqsim import (
     SplitMix64,
     SweepConfig,
     TooMany,
+    Vector,
     derive_seed,
     find_det_similar,
     make_field,
@@ -37,7 +41,7 @@ from fqsim import (
 )
 
 from fqsim.harness import _det_draw
-from helpers import coords_list, format_pointset, sample_indices_sequential
+from helpers import coords_list, derive_seed_by_objects, format_pointset, sample_indices_sequential
 
 F5 = make_field(5)
 
@@ -126,6 +130,18 @@ class TestSplitMix64:
     def test_derive_seed_sensitivity(self):
         assert derive_seed(1, 3, 2, 1) != derive_seed(1, 3, 2, 2)
         assert derive_seed(1, 3, 2, 1) == derive_seed(1, 3, 2, 1)
+
+    def test_derive_seed_folds_as_one_generator_per_part(self):
+        """The inline fold against one SplitMix64 object per round, over
+        random bases and parts: negative, past 2^64 and none at all."""
+        rng = random.Random(30)
+        values = [lambda: rng.getrandbits(64), lambda: rng.randrange(-10 ** 6, 10 ** 6),
+                  lambda: -rng.getrandbits(80), lambda: 2 ** 64 + rng.getrandbits(70),
+                  lambda: rng.choice([0, 1, -1, 2 ** 64 - 1, 2 ** 64, -2 ** 64])]
+        for _ in range(2000):
+            base = rng.choice(values)()
+            parts = [rng.choice(values)() for _ in range(rng.randrange(7))]
+            assert derive_seed(base, *parts) == derive_seed_by_objects(base, *parts)
 
 
 class TestRandomPointset:
@@ -382,6 +398,25 @@ class TestSweeps:
         assert summary["violations"] == 0
         for rep in reports:
             assert rep.outcome["witness"]["verified"]
+
+    def test_a_similarity_cell_rebuilds_no_vector_or_edge_set(self, monkeypatch):
+        """After a cell with the same k, a similarity cell builds every
+        vector from canonical tuples unchecked and reuses the edge set: no
+        checked Vector or EdgeSet constructor runs.  Checked, they would run
+        14 and 1 times here: the 3(k+1) witness points, the shift, the
+        decoded best shift and the edge set."""
+        calls = collections.Counter()
+        for cls in (Vector, EdgeSet):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                calls[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        warm, cell = SweepConfig(qs=(11,), d=2, ks=(3,), trials=2, base_seed=1).cells()[-2:]
+        assert run_cell(warm).outcome["status"] == "witness"
+        calls.clear()
+        outcome = run_cell(cell).outcome
+        assert outcome["status"] == "witness" and outcome["witness"]["verified"]
+        assert (calls["Vector"], calls["EdgeSet"]) == (0, 0)
 
     def test_jobs_reproduce_payloads(self):
         cfg = self.small_config()

@@ -609,13 +609,13 @@ class TestPlanePieces:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_codes(self, d):
-        # _codes is offset + Σ c_i·w_i, from the first column's products on.
+        # _codes is offset + Σ c_i·w_i with w_i = base^(d-1-i), by Horner's rule.
         weights = [(2 * 13) ** (d - 1 - i) for i in range(d)]
         points = random_pointset(13, d, 12, seed=d)
         for offset in (0, 13 * sum(weights)):
-            assert _codes(points, weights, offset) == [
+            assert _codes(points, 2 * 13, offset) == [
                 offset + sum(map(mul, x, weights)) for x in points._coords]
-            assert _codes(PointSet(make_field(13), d), weights, offset) == []
+            assert _codes(PointSet(make_field(13), d), 2 * 13, offset) == []
 
 
 REPORT_FIELDS =("best_g", "best_count", "bound", "double_count_total", "transitive",
