@@ -411,7 +411,9 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     pulled)` arranges the first k+1 such z of H (canonical order), their
     z/root and their g⁻¹z into a witness, and `verify` re-checks it.
     All three are canonical tuples, so they become vectors unchecked
-    (`Vector._of`); the verifier still re-checks every relation.
+    (`Vector._of`); the verifier still re-checks every relation.  The
+    pull-backs are tested against a set of E's tuples: only a few are
+    tested, and a set is cheaper to build than E's position dict.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -427,7 +429,7 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
         raise InsufficientIntersection(k + 1, report.best_count)
 
     pull = pull_back(report.best_g)
-    held = points._index
+    held = set(points._coords)
     zs, pulled = [], []
     for z in scaled._coords:  # canonical order, so the extraction is deterministic
         x = pull(z)
@@ -567,7 +569,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
-    if (0,) * d in points._index:
+    if points._coords[:1] == ((0,) * d,):  # canonical order puts the origin first
         raise OriginInSet("the set must avoid the origin for the unimodular action")
     q = points.field.q
     # The scan checks the matrix budget, so a bad ratio is refused before

@@ -29,6 +29,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -41,7 +42,7 @@ from .configurations import (
 from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
 from .geometry import ENUMERATION_CAP, PointSet, _check_budget, _check_dim, _power_exceeds
-from .prng import SplitMix64, derive_seed
+from .prng import SplitMix64, _fold, derive_seed
 
 
 # --- point-set I/O ---
@@ -103,12 +104,19 @@ def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     """n distinct points drawn from a point set, such as a group's space
-    (seeded); the sorted picks keep its canonical order."""
+    (seeded), in its canonical order: a draw of at least a quarter of
+    the set marks its picks and keeps the marked points, a sparser one
+    sorts its picks."""
     size = len(points)
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    picks = sorted(SplitMix64(seed).sample_indices(size, n))
-    return PointSet._canonical(points.field, points.dim, map(points._coords.__getitem__, picks))
+    picks = SplitMix64(seed).sample_indices(size, n)
+    if 4 * n < size:
+        return PointSet._canonical(points.field, points.dim, map(points._coords.__getitem__, sorted(picks)))
+    marks = bytearray(size)
+    for i in picks:
+        marks[i] = 1
+    return PointSet._canonical(points.field, points.dim, compress(points._coords, marks))
 
 
 def parse_pointset(text_or_lines) -> PointSet:
@@ -168,7 +176,8 @@ def file_digest(path) -> str:
 
 # --- reports and sweeps ---
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Every payload is a tree that fqsim has just built, so no cycle check.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_json(obj) -> str:
@@ -264,6 +273,7 @@ class SweepConfig:
                 ratios = [r % q for r in self.ratios]
             for k, n, met in sizes:
                 for r in ratios:
+                    prefix = derive_seed(self.base_seed, q, self.d, k, r)
                     for trial in range(self.trials):
                         yield {
                             "kind": self.kind,
@@ -272,7 +282,7 @@ class SweepConfig:
                             "k": k,
                             "r": r,
                             "trial": trial,
-                            "seed": derive_seed(self.base_seed, q, self.d, k, r, trial),
+                            "seed": _fold(prefix, trial),  # derive_seed(base, q, d, k, r, trial)
                             "n": n,
                             "meets_threshold": met,
                         }

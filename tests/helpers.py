@@ -1,14 +1,16 @@
 """Helpers shared by the test modules: building, moving and formatting
 point sets, column matrices, pair norms, the translation kernel's counts,
-the transporter kernel's completion, the sequential sampler, the seed
+the transporter kernel's completion, the sequential sampler, the lane
+doubling of the bulk draws, a seed with a chosen first draw, the seed
 fold and the per-kind arithmetic of group elements."""
 
 import itertools
+import struct
 
 from fqsim import Matrix, PointSet, SplitMix64, Translation, Vector
 from fqsim.geometry import _det_cofactor, _det_rows, index_to_coords
 from fqsim.intersection import _translation_counts
-from fqsim.prng import MASK64
+from fqsim.prng import _GAMMA, _MIX1, _MIX2, MASK64
 
 
 def from_coords(field, dim, coords):
@@ -91,9 +93,10 @@ def completion(x, q):
 
 
 def sample_indices_sequential(rng, total, count):
-    """The sparse partial Fisher-Yates that `SplitMix64.sample_indices`
-    runs on bulk draws, with one `next_below` call per pick instead: the
-    oracle for its picks and for the state it leaves behind."""
+    """The partial Fisher-Yates of `SplitMix64.sample_indices`, storing
+    only displaced slots, with one `next_below` call per pick instead of
+    bulk draws: the oracle for its picks and for the state it leaves
+    behind."""
     displaced = {}
     picked = []
     for i in range(count):
@@ -101,6 +104,46 @@ def sample_indices_sequential(rng, total, count):
         picked.append(displaced.get(j, j))
         displaced[j] = displaced.get(i, i)
     return picked
+
+
+def draws_by_doubling(rng, count):
+    """The next `count` outputs of `rng.next_u64`, mixed at once with lanes
+    built afresh by doubling: `SplitMix64._draws` before its lane
+    constants were built once per process, kept as its oracle.
+
+    Lane k of one integer holds the unreduced state s + (k+1)·γ (below
+    2^128); doubling fills lanes m..2m-1 from lanes 0..m-1 plus m·γ.
+    Each round masks every lane to 64 bits, so a product by a 64-bit
+    constant stays inside its lane.
+    """
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * count, "little")
+    lanes, ones, m = rng.state + _GAMMA, 1, 1
+    while m < count:
+        shift = 128 * m
+        lanes |= (lanes + m * _GAMMA * ones) << shift
+        ones |= ones << shift
+        m *= 2
+    z = lanes & mask
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    z ^= z >> 31
+    rng.state = (rng.state + count * _GAMMA) & MASK64
+    return struct.unpack("<" + "Q8x" * count, z.to_bytes(16 * count, "little"))
+
+
+def seed_before(output):
+    """The seed whose first `next_u64` is `output`: SplitMix64's mix
+    undone step by step (odd multipliers are invertible mod 2^64, and an
+    xor-shift by k is undone by repeating it until it settles)."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+    z = unshift(output, 31)
+    z = unshift(z * pow(_MIX2, -1, 1 << 64) & MASK64, 27)
+    z = unshift(z * pow(_MIX1, -1, 1 << 64) & MASK64, 30)
+    return (z - _GAMMA) & MASK64
 
 
 def derive_seed_by_objects(base, *parts):

@@ -41,7 +41,9 @@ from fqsim import (
 )
 
 from fqsim.harness import _det_draw
-from helpers import coords_list, derive_seed_by_objects, format_pointset, sample_indices_sequential
+from fqsim.prng import _BLOCK as BLOCK
+from helpers import (coords_list, derive_seed_by_objects, draws_by_doubling, format_pointset,
+                     sample_indices_sequential, seed_before)
 
 F5 = make_field(5)
 
@@ -102,6 +104,25 @@ class TestSplitMix64:
            st.integers(0, 500))
     @example(seed=1, total=2 ** 63 + 1, count=500)
     @example(seed=2 ** 64 - 1, total=2 ** 64, count=0)
+    # a range of 4·count is shuffled as a list, one more point takes the dict
+    @example(seed=5, total=4 * 300, count=300)
+    @example(seed=5, total=4 * 300 + 1, count=300)
+    @example(seed=6, total=4 * BLOCK, count=BLOCK)
+    @example(seed=6, total=4 * BLOCK + 1, count=BLOCK)
+    @example(seed=7, total=3, count=1)
+    @example(seed=7, total=2 * BLOCK + 1, count=2 * BLOCK + 1)
+    @example(seed=8, total=10 ** 6, count=2 * BLOCK + 1)
+    # above 2^63 about half the draws are rejected, so batches run pick by pick
+    @example(seed=9, total=2 ** 63 + 1, count=1)
+    @example(seed=9, total=2 ** 63 + 12345, count=BLOCK - 1)
+    @example(seed=10, total=2 ** 63 + 2 ** 62, count=BLOCK)
+    @example(seed=11, total=2 ** 64 - 1, count=BLOCK + 1)
+    @example(seed=12, total=2 ** 64, count=2 * BLOCK + 1)
+    # a first draw of 2^64 - 1 lies past 2^64 - total, so even a dense range
+    # runs pick by pick: rejected for 3 and 1,200 indices, kept for 1,024
+    @example(seed=seed_before(2 ** 64 - 1), total=3, count=1)
+    @example(seed=seed_before(2 ** 64 - 1), total=4 * 300, count=300)
+    @example(seed=seed_before(2 ** 64 - 1), total=4 * 256, count=256)
     @settings(max_examples=100, deadline=None)
     def test_bulk_sampling_matches_the_sequential_oracle(self, seed, total, count):
         count = min(count, total)
@@ -111,11 +132,27 @@ class TestSplitMix64:
         assert bulk.state == sequential.state
 
     def test_bulk_draws_match_next_u64(self):
+        """Against one call per draw and against lanes doubled afresh."""
         for seed in (0, 7, 2 ** 64 - 1):
-            for count in (1, 2, 3, 64, 65):
-                bulk, one = SplitMix64(seed), SplitMix64(seed)
-                assert list(bulk._draws(count)) == [one.next_u64() for _ in range(count)]
-                assert bulk.state == one.state
+            for count in (0, 1, 2, 3, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+                bulk, one, doubled = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+                draws = bulk._draws(count)
+                assert draws == [one.next_u64() for _ in range(count)]
+                assert draws == list(draws_by_doubling(doubled, count))
+                assert bulk.state == one.state == doubled.state
+
+    def test_sampling_memory_is_linear_in_the_count(self):
+        """2^64 indices, of which 10^4 are drawn: the peak stays within a
+        few dozen words per pick (a pick alone holds a 36-byte int and a
+        list slot)."""
+        count = 10 ** 4
+        tracemalloc.start()
+        try:
+            SplitMix64(1).sample_indices(2 ** 64, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * count
 
     def test_bounds_past_two_to_the_64_are_refused(self):
         rng = SplitMix64(3)
@@ -214,6 +251,23 @@ class TestRandomPointset:
             assert coords == sorted(set(coords))
             assert [points.index(p) for p in points] == list(range(len(points)))
             assert points == PointSet(points.field, points.dim, reversed(points.points))
+
+    @pytest.mark.parametrize("make, seeds", [
+        (lambda: Space.punctured(2, 1), (1, 2 ** 63)), (lambda: Space.sphere(7, 3, 1), (1, 2 ** 63)),
+        (lambda: Space.full(13, 2), (1, 2 ** 63)), (lambda: Space.full(1000003, 1), (1,))],
+        ids=["1", "42", "169", "1000003"])
+    def test_random_subset_is_the_sorted_picks(self, make, seeds):
+        """A draw of at least a quarter of the set marks its picks, a
+        sparser one sorts them: either way the subset holds the picked
+        points in canonical order."""
+        space = make()
+        size = len(space)
+        quarter = -(-size // 4)  # the fewest points that mark their picks
+        ns = {0, 1, 1000, quarter - 1, quarter} if size > 10 ** 4 else {0, 1, quarter - 1, quarter, size // 2, size}
+        for n in sorted(ns):
+            for seed in seeds:
+                picks = sorted(SplitMix64(seed).sample_indices(size, n))
+                assert random_subset(space, n, seed)._coords == tuple(space._coords[i] for i in picks)
 
     def test_random_subset_of_space(self):
         space = Space.punctured(5, 2)
@@ -390,6 +444,15 @@ class TestSweeps:
         cfg = self.small_config()
         # q=3 has 1 nonzero square, q=5 has 2; 2 k values; 2 trials
         assert len(cfg.cells()) == (1 + 2) * 2 * 2
+
+    def test_every_seed_is_derived_from_the_cell(self):
+        """The grid folds (base, q, d, k, r) once and each trial after it."""
+        for config in [self.small_config(trials=5), self.small_config(base_seed=2 ** 64 - 1, ratios=(1, 6)),
+                       SweepConfig(qs=(7, 3), d=3, ks=(3, 4), trials=3, kind="det-similarity")]:
+            cells = config.cells()
+            assert len(cells) > config.trials
+            for c in cells:
+                assert c["seed"] == derive_seed(config.base_seed, c["q"], c["d"], c["k"], c["r"], c["trial"])
 
     def test_all_threshold_cells_yield_witnesses(self):
         reports = run_sweep(self.small_config())
