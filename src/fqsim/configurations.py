@@ -12,14 +12,17 @@ The determinant variant replaces translations by unimodular matrices
 and the norm relation by det(x-subset) = r·det(y-subset) over every
 d-subset of indices.  Its scan counts, for each pair of points, the
 unimodular maps sending one to the other, so it builds no group; the
-q^(d^2) matrix budget still applies.  Both finders search on coordinate
-tuples, and the 3(k+1) witness points, already canonical, become vectors
-without the constructor's checks (`Vector._of`).
+q^(d^2) matrix budget still applies; each overlap point z is paired
+with its source by pushing E forward through g, so g is never inverted.
+Both finders search on coordinate tuples, and the 3(k+1) witness
+points, already canonical, become vectors without the constructor's
+checks (`Vector._of`).
 
 Every finder re-derives the claimed relations from raw coordinates with
 an independent verifier, on integer tuples, before returning, and the
 verifiers are public so serialized witnesses can be re-checked by third
-parties.
+parties.  The det verifier streams its subset determinants: 2×2 ones
+written out, larger ones by Laplace expansion along the last row.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
-from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget, _det_cofactor, _power_exceeds
+from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget, _power_exceeds
 from .groups import GroupElement, SpecialLinear, orthogonal_group
 from .intersection import (
     IntersectionReport,
@@ -399,21 +402,20 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
 
 
 def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
-                     not_power, root_of, scan, pull_back, build, verify):
+                     not_power, root_of, scan, source, build, verify):
     """The group-action argument behind both finders.
 
     For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
-    points of E: z/root and g⁻¹z.  `root_of(ratio)` takes the root, or
-    gives None for a ratio that is no m-th power, which raises
-    `not_power`; `scan(H)` maximizes the overlap over G, `pull_back(g)` maps a
-    coordinate tuple z to g⁻¹z, `build(root, report, zs, shrunk,
-    pulled)` arranges the first k+1 such z of H (canonical order), their
-    z/root and their g⁻¹z into a witness, and `verify` re-checks it.
-    All three are canonical tuples, so they become vectors unchecked
-    (`Vector._of`); the verifier still re-checks every relation.  The
-    pull-backs are tested against a set of E's tuples: only a few are
-    tested, and a set is cheaper to build than E's position dict.
+    points of E: z/root and the x with gx = z.  `root_of(ratio)` takes
+    the root, or gives None for a ratio that is no m-th power, which
+    raises `not_power`; `scan(H)` maximizes the overlap over G,
+    `source(g)` maps a coordinate tuple z to the x in E with gx = z, or
+    to None, `build(root, report, zs, shrunk, sources)` arranges the
+    first k+1 such z of H (canonical order), their z/root and their
+    sources into a witness, and `verify` re-checks it.  All three are
+    canonical tuples, so they become vectors unchecked (`Vector._of`);
+    the verifier still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -428,26 +430,40 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 
-    pull = pull_back(report.best_g)
-    held = set(points._coords)
-    zs, pulled = [], []
+    find = source(report.best_g)
+    zs, sources = [], []
     for z in scaled._coords:  # canonical order, so the extraction is deterministic
-        x = pull(z)
-        if x in held:
+        x = find(z)
+        if x is not None:
             zs.append(z)
-            pulled.append(x)
+            sources.append(x)
             if len(zs) == k + 1:
                 break
     field, inv_root = points.field, root.inverse().value
     q = field.q
     witness = build(root, report, tuple([Vector._of(field, z) for z in zs]),
                     tuple([Vector._of(field, tuple([inv_root * c % q for c in z])) for z in zs]),
-                    tuple([Vector._of(field, x) for x in pulled]))
+                    tuple([Vector._of(field, x) for x in sources]))
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)
     witness.verified = True
     return witness
+
+
+def _pushed_forward(points: PointSet, q: int, rows: tuple):
+    """z ↦ the x in E with Mx = z, else None, for M of determinant 1: a
+    dict of E's images, built a coordinate column at a time, with no
+    inverse of M."""
+    columns = list(zip(*points._coords))
+    images = []
+    for row in rows:
+        image = [0] * len(points._coords)
+        for a, column in zip(row, columns):
+            if a:
+                image = [s + a * c for s, c in zip(image, column)]
+        images.append([s % q for s in image])
+    return dict(zip(zip(*images), points._coords)).get
 
 
 def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
@@ -473,40 +489,51 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, FieldElement.sqrt,
         scan=lambda scaled: max_translation_intersection_fast(points, scaled),
-        pull_back=lambda g: lambda z, a=g.shift: tuple([(c - b) % q for c, b in zip(z, a)]),
-        build=lambda root, report, zs, shrunk, pulled: SimilarityWitness(
+        # only a few z are tested: a set of E's tuples beats pushing E forward
+        source=lambda g: lambda z, a=g.shift, held=set(points._coords): (
+            x if (x := tuple([(c - b) % q for c, b in zip(z, a)])) in held else None),
+        build=lambda root, report, zs, shrunk, sources: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
-            xs=shrunk, ys=pulled, zs=zs, edges=edges, report=report),
+            xs=shrunk, ys=sources, zs=zs, edges=edges, report=report),
         verify=verify_similarity,
     )
 
 
-def _subset_dets(points: list[tuple[int, ...]], d: int, q: int):
+def _subset_dets(points, d: int, q: int):
     """det mod q of every d-subset of the points, in combinations order.
 
-    The points are the rows (det is transpose-invariant).  Each det is
-    expanded by cofactors along its last row; the d cofactors of a
-    (d-1)-point prefix are themselves cofactor expansions, computed once
-    and shared by every subset that extends the prefix.
+    The points are the rows (det is transpose-invariant).  Determinants
+    of 1 and 2 rows are written out and streamed, so a planar witness of
+    any size is re-checked in O(n) memory.  A larger one is expanded
+    along its last row: its cofactors are the (d-1)-subset determinants
+    of the points with one column deleted, listed once per column by
+    this same function and shared by every subset that extends the
+    prefix.
     """
-    for prefix in itertools.combinations(range(len(points)), d - 1):
-        rows = [points[i] for i in prefix]
-        cofactors = [(-1) ** (d - 1 + k) * _det_cofactor([p[:k] + p[k + 1:] for p in rows], q)
-                     for k in range(d)] if rows else [1]
-        for j in range(prefix[-1] + 1 if prefix else 0, len(points)):
-            yield sum(map(mul, cofactors, points[j])) % q
+    if d == 1:
+        return (p[0] % q for p in points)
+    if d == 2:
+        return ((a * e - b * c) % q for (a, b), (c, e) in itertools.combinations(points, 2))
+    columns = [list(_subset_dets([p[:k] + p[k + 1:] for p in points], d - 1, q)) for k in range(d)]
+    for k in range(d % 2, d, 2):  # the cofactor sign (-1)^(d-1+k) is -1
+        columns[k] = [-c for c in columns[k]]
+    n = len(points)
+    return (sum(map(mul, cofactors, points[j])) % q
+            for prefix, *cofactors in zip(itertools.combinations(range(n), d - 1), *columns)
+            for j in range(prefix[-1] + 1, n))
 
 
 def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     """Re-derive every claim of a determinant-similarity witness.
 
-    All determinants are recomputed by cofactor expansion on the raw
-    coordinates, a separate code path from the elimination determinant
-    and from the finder's transporter count.  The one exception to
-    "never raises": a witness whose re-check would exceed
-    ENUMERATION_CAP, counted as the n!/(n-d)! cofactor terms of its
-    C(n, d) subset determinants, raises EnumerationCapExceeded before
-    any determinant is computed.
+    All determinants, det g among them (the one d-subset of its rows),
+    are recomputed from the raw coordinates by `_subset_dets`: written
+    out for d <= 2, by Laplace expansion past it.  That is a separate
+    code path from the elimination determinant and from the finder's
+    transporter count.  The one exception to "never raises": a witness
+    whose re-check would exceed ENUMERATION_CAP, counted as the
+    n!/(n-d)! cofactor terms of its C(n, d) subset determinants, raises
+    EnumerationCapExceeded before any determinant is computed.
     """
     reasons = _tuple_field_issues(w)
     if reasons:
@@ -533,7 +560,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
         reasons.append(f"stored root to the {d}-th power is not the ratio")
     if w.root.is_zero():
         reasons.append("root is zero")
-    if _det_cofactor(rows, q) != 1:
+    if next(_subset_dets(rows, d, q)) != 1:
         reasons.append("transform determinant is not 1")
     r, s = w.ratio.value, w.root.value
     xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
@@ -547,12 +574,15 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
 
     dets = [_subset_dets(vs, d, q) for vs in (xs, ys, zs)]
     for combo, dx, dy, dz in zip(itertools.combinations(range(n), d), *dets):
-        label = tuple(i + 1 for i in combo)
-        if dx != r * dy % q:
+        ry = r * dy % q
+        if dx == ry == dz:
+            continue
+        label = tuple([i + 1 for i in combo])
+        if dx != ry:
             reasons.append(f"determinant relation violated at indices {label}")
         if dz != dx:
             reasons.append(f"unimodular step violated at indices {label}")
-        if dz != r * dy % q:
+        if dz != ry:
             reasons.append(f"homogeneity step violated at indices {label}")
     return Verification(not reasons, tuple(reasons))
 
@@ -564,7 +594,9 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     the origin excluded from the set (the unimodular action is only
     transitive away from it), and the ratio a nonzero d-th power.  The
     scan counts the maps g with gx = y per pair and builds no group.  The
-    overlap points z give x = g⁻¹z and y = z/root.
+    overlap points z give y = z/root and the x with gx = z, read off a
+    dict of E pushed forward by g (`_pushed_forward`), so g is never
+    inverted.
     """
     d = points.dim
     if k < d:
@@ -577,11 +609,10 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None,
         scan=lambda scaled: _max_special_linear_intersection(points, scaled),
-        pull_back=lambda g: lambda z, rows=g.inverse().linear: tuple(
-            [sum(map(mul, r, z)) % q for r in rows]),
-        build=lambda root, report, zs, shrunk, pulled: DetSimilarityWitness(
+        source=lambda g: _pushed_forward(points, q, g.linear),
+        build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
-            xs=pulled, ys=shrunk, zs=zs, report=report),
+            xs=sources, ys=shrunk, zs=zs, report=report),
         verify=verify_det_similarity,
     )
 

@@ -351,20 +351,6 @@ def _det_rows(rows: Sequence[Sequence[int]], q: int) -> int:
     return det
 
 
-def _det_cofactor(rows: Sequence[Sequence[int]], q: int) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % q
-    total = 0
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in (tuple(row) for row in rows[1:])]
-            total += sign * rows[0][j] * _det_cofactor(minor, q)
-        sign = -sign
-    return total % q
-
-
 def _inverse_rows(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     """Gauss-Jordan inverse; raises on singular input."""
     n = len(rows)

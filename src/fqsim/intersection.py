@@ -448,6 +448,7 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _special_linear_order(q: int, d: int) -> int:
     """|SL(d, q)| = q^(d(d-1)/2) · prod over i = 2..d of (q^i - 1)."""
     order = q ** (d * (d - 1) // 2)
@@ -456,6 +457,7 @@ def _special_linear_order(q: int, d: int) -> int:
     return order
 
 
+@functools.lru_cache(maxsize=8)
 def _first_special_linear_code(q: int, d: int) -> int:
     """Code of the canonically smallest element of SL(d, q).
 

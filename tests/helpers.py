@@ -1,14 +1,15 @@
 """Helpers shared by the test modules: building, moving and formatting
-point sets, column matrices, pair norms, the translation kernel's counts,
-the transporter kernel's completion, the sequential sampler, the lane
-doubling of the bulk draws, a seed with a chosen first draw, the seed
-fold and the per-kind arithmetic of group elements."""
+point sets, column matrices and their cofactor determinants, pair norms,
+the translation kernel's counts, the transporter kernel's completion,
+the sequential sampler, the lane doubling of the bulk draws, a seed with
+a chosen first draw, the seed fold and the per-kind arithmetic of group
+elements."""
 
 import itertools
 import struct
 
 from fqsim import Matrix, PointSet, SplitMix64, Translation, Vector
-from fqsim.geometry import _det_cofactor, _det_rows, index_to_coords
+from fqsim.geometry import _det_rows, index_to_coords
 from fqsim.intersection import _translation_counts
 from fqsim.prng import _GAMMA, _MIX1, _MIX2, MASK64
 
@@ -46,6 +47,23 @@ def format_pointset(points):
 def from_columns(columns):
     """The matrix whose j-th column is columns[j]."""
     return Matrix(columns[0].field, list(zip(*(c.coords for c in columns))))
+
+
+def _det_cofactor(rows, q):
+    """det mod q of a square matrix by cofactor expansion along its first
+    row: the determinant oracle that shares no code with the elimination
+    determinant or with the det verifier's subset determinants."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0] % q
+    total = 0
+    sign = 1
+    for j in range(n):
+        if rows[0][j]:
+            minor = [r[:j] + r[j + 1:] for r in (tuple(row) for row in rows[1:])]
+            total += sign * rows[0][j] * _det_cofactor(minor, q)
+        sign = -sign
+    return total % q
 
 
 def det_of_columns_cofactor(columns):

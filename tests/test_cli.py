@@ -614,17 +614,15 @@ class TestSweepAndVerifyWitness:
         assert not path.exists()
 
     def test_over_budget_det_witness_is_refused(self, capsys, tmp_path, monkeypatch):
-        # d = k = 11 over F_3: 3*C(12, 11) + 1 cofactor determinants of
-        # 11x11 matrices, about 12!/1 terms each, far past the budget
+        # d = k = 11 over F_3: 3*C(12, 11) + 1 determinants of 11x11
+        # matrices, 12!/1 cofactor terms counted, far past the budget
         import fqsim.configurations
-        import fqsim.geometry
 
-        def no_determinant(rows, q):
+        def no_determinant(points, d, q):
             raise AssertionError("a determinant was computed")
 
-        # the verifier calls configurations' binding of _det_cofactor
-        monkeypatch.setattr(fqsim.geometry, "_det_cofactor", no_determinant)
-        monkeypatch.setattr(fqsim.configurations, "_det_cofactor", no_determinant)
+        # every determinant of the verifier, det g's too, goes through it
+        monkeypatch.setattr(fqsim.configurations, "_subset_dets", no_determinant)
         d = 11
         points = [[int(i == j) for j in range(d)] for i in range(d)] + [[1] * d]
         witness = {"kind": "det-similarity", "q": 3, "d": d, "k": d, "r": 1, "root": 1,

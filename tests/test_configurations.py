@@ -1,5 +1,6 @@
 """Similarity and determinant-similarity witnesses, thresholds, edge sets."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -40,9 +41,10 @@ from fqsim import (
     verify_similarity,
 )
 from fqsim.cli import main
+from fqsim.configurations import _subset_dets
 from fqsim.groups import _identity
 
-from helpers import det_of_columns_cofactor, from_coords, pair_norms
+from helpers import _det_cofactor, det_of_columns_cofactor, from_coords, pair_norms
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -425,6 +427,10 @@ def no_group(*args, **kwargs):
     raise AssertionError("the det finder enumerated a group")
 
 
+def no_inverse(*args, **kwargs):
+    raise AssertionError("the det finder inverted a matrix")
+
+
 def object_level_reasons(w):
     """Oracle for the subset checks of verify_det_similarity: the same
     reasons from Matrix-level cofactor determinants of Vector columns."""
@@ -449,6 +455,7 @@ class TestDetFinderScan:
     @pytest.mark.parametrize("q, d, k, r", [(5, 2, 3, 4), (7, 2, 2, 2), (3, 3, 3, 2), (5, 1, 2, 3)])
     def test_builds_no_group(self, monkeypatch, q, d, k, r):
         import fqsim.cli
+        import fqsim.geometry
         import fqsim.groups
 
         field = make_field(q)
@@ -458,6 +465,10 @@ class TestDetFinderScan:
             monkeypatch.setattr(module, "special_linear_group", no_group)
         monkeypatch.setattr(fqsim.groups.FiniteGroup, "perms", no_group)
         monkeypatch.setattr(fqsim.groups.FiniteGroup, "__init__", no_group)
+        # the witness's x are read off E pushed forward by g, not g⁻¹z
+        monkeypatch.setattr(fqsim.groups.GroupElement, "inverse", no_inverse)
+        for module in (fqsim.geometry, fqsim.groups):
+            monkeypatch.setattr(module, "_inverse_rows", no_inverse)
         w = find_det_similar(points, field(r), k)
         assert w.verified and w.to_json() == expected
 
@@ -495,7 +506,8 @@ class TestDetFinderScan:
 class TestDetVerifierDeterminants:
     """The int-row subset determinants against Matrix-level cofactors."""
 
-    @pytest.mark.parametrize("q, d, n", [(5, 1, 4), (7, 2, 9), (3, 3, 6), (5, 3, 7)])
+    @pytest.mark.parametrize("q, d, n", [(5, 1, 4), (7, 2, 9), (3, 3, 6), (5, 3, 7), (3, 4, 6),
+                                         (3, 5, 7)])
     def test_reasons_match_object_level_oracle(self, q, d, n):
         from fqsim import Matrix, SpecialLinear, random_subset, Space
 
@@ -517,6 +529,89 @@ class TestDetVerifierDeterminants:
             assert [s for s in check.reasons if "indices" in s] == expected
             if trial == 0:
                 assert check.ok
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_subset_dets_match_the_cofactor_oracle(self, d):
+        rng = random.Random(d)
+        for q, n in ((2, d + 2), (3, d + 3), (7, d + 2), (5, d - 1), (5, d)):
+            for trial in range(4):
+                points = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(n)]
+                if trial == 1 and n:  # a zero row
+                    points[rng.randrange(n)] = (0,) * d
+                if trial >= 2 and n > 1:  # a repeated row
+                    points[-1] = points[0]
+                assert list(_subset_dets(points, d, q)) == [
+                    _det_cofactor(rows, q) for rows in itertools.combinations(points, d)], (q, n, trial)
+
+    def test_planar_dets_are_streamed(self):
+        import tracemalloc
+
+        points = fqsim.random_subset(fqsim.Space.punctured(101, 2), 300, 1)._coords
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _subset_dets(points, 2, 101))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of the 44,850 determinants would hold about 350 KiB
+        assert count == 44_850 and peak < 16 * 1024, peak
+
+
+def pinned_det_witnesses(q, d, seed):
+    """A good det witness over F_q^d with d + 3 points, then the same with a
+    perturbed x, y and z point, a wrong root, a transform of determinant 2,
+    a repeated point (in all three tuples) and the z tuple reversed."""
+    from fqsim import Matrix, SpecialLinear
+
+    field = make_field(q)
+    rng = random.Random(seed)
+    n = d + 3
+    xs = rng.sample([c for c in itertools.product(range(q), repeat=d) if any(c)], n)
+    upper = [[int(i == j) if i >= j else rng.randrange(q) for j in range(d)] for i in range(d)]
+    lower = [[int(i == j) if i <= j else rng.randrange(q) for j in range(d)] for i in range(d)]
+    g = [[sum(upper[i][t] * lower[t][j] for t in range(d)) % q for j in range(d)] for i in range(d)]
+    s = rng.randrange(1, q)
+    inv = pow(s, q - 2, q)
+    zs = [tuple(sum(a * b for a, b in zip(row, x)) % q for row in g) for x in xs]
+    ys = [tuple(inv * c % q for c in z) for z in zs]
+
+    def witness(xs=xs, ys=ys, zs=zs, root=s, g=g):
+        return DetSimilarityWitness(
+            ratio=field(s) ** d, root=field(root),
+            transform=SpecialLinear.unchecked(Matrix(field, g)),
+            xs=tuple(Vector(field, c) for c in xs), ys=tuple(Vector(field, c) for c in ys),
+            zs=tuple(Vector(field, c) for c in zs))
+
+    def bumped(vs, i):
+        return [tuple((c + 1) % q for c in v) if j == i else v for j, v in enumerate(vs)]
+
+    def repeated(vs):
+        return [vs[0], vs[0], *vs[2:]]
+
+    yield witness()
+    yield witness(xs=bumped(xs, 1))
+    yield witness(ys=bumped(ys, 2))
+    yield witness(zs=bumped(zs, n - 1))
+    yield witness(root=s % (q - 1) + 1)
+    yield witness(g=[[2 * c % q for c in g[0]]] + g[1:])
+    yield witness(xs=repeated(xs), ys=repeated(ys), zs=repeated(zs))
+    yield witness(zs=zs[::-1])
+
+
+class TestDetVerifierPinned:
+    """The det verifier's verdicts, pinned before its determinants were
+    streamed: `ok` and every reason, in order."""
+
+    def test_verdicts_are_golden(self):
+        # sha256 over [ok, reasons] of every pinned witness, d = 1..4
+        digest = hashlib.sha256()
+        for q, d, seed in ((7, 1, 1), (11, 2, 2), (5, 3, 3), (3, 4, 4)):
+            checks = [verify_det_similarity(w) for w in pinned_det_witnesses(q, d, seed)]
+            assert [c.ok for c in checks] == [True] + [False] * 7, (q, d)
+            for check in checks:
+                digest.update(json.dumps([check.ok, list(check.reasons)]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "a180fbac023c020568f40ed68861197855763dc4a107044042a49bb9c3fe31cb")
 
 
 def frames_run(call):

@@ -27,9 +27,10 @@ from fqsim import (
     special_linear_group,
     sphere,
 )
-from fqsim.geometry import _check_budget, _det_cofactor, _inverse_rows, _power_exceeds
+from fqsim.geometry import _check_budget, _inverse_rows, _power_exceeds
 
 from helpers import (
+    _det_cofactor,
     coords_list,
     det_of_columns_cofactor,
     from_columns,
