@@ -205,7 +205,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_witness(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise MalformedWitness("witness JSON nests deeper than the decoder's recursion limit") from None
     if not isinstance(obj, dict):
         raise MalformedWitness(f"witness JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")

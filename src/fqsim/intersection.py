@@ -36,13 +36,13 @@ H is cut into about √|E| pieces, each point of E shifts its piece, and
 the shifted windows, one bit per shift, are added by carry-save full
 adders into bit planes, so C counts all q^d shifts at once; otherwise
 a Counter counts the |E||H| difference codes.
-Unimodular maps, while q^d <= 256, are counted over the cosets h_c·S of
-the stabiliser S of e1, which make up SL(d, q): h_c·s sends x into H
-exactly when h_c·(s·x) lies in H, so per x the byte columns of the points
-s·x, one byte per c, are joined over S and summed like the table scan's.
-Past that bound they count the |E||H||S| terms of the cosets h_y·S·h_x⁻¹
-that send x to y, through index lists built once per H.  Both read tables
-built once per (q, d) and process, and no loop runs per pair or element.
+Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
+carriers and stabiliser as `_special_linear_plan` defines and tabulates
+them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
+when h_c·(s·x) does, so per x the byte columns of the points s·x, one
+byte per c, are joined over S and summed like the table scan's; past it
+the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that send x to y are
+counted through index lists built once per H.  No loop runs per pair.
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
@@ -471,20 +471,74 @@ def _first_special_linear_code(q: int, d: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _transporter_plan(q: int, d: int) -> tuple[tuple, ...]:
-    """The tables of `_transporter_counts` that depend only on (q, d >= 2):
-    w2q[j] = (2q)^(d-1-j), the base-2q weight of digit j; scaled[j][e], c·e
-    mod q as digit j over c in F_q; others[i], the j != i; starts[t][mu],
-    mu·(row t of A) as a tail over A in SL(d-1, q); wrap, `_wrap_table`
-    (base-2q row code -> flat index mod q); inverse[c] = 1/c in F_q."""
+def _special_linear_plan(q: int, d: int) -> tuple:
+    """The tables of SL(d, q), d >= 2, that depend only on (q, d): the
+    coset scan, its tie-break and the transporter counts all read them.
+
+    SL(d, q) is the disjoint union of the cosets h_c·S over the points c
+    of X = F_q^d \\ 0, in lex order.  S, the stabiliser of e_1, holds the
+    maps s = [[1, b], [0, A]], A in SL(d-1, q) in canonical order, then b
+    in F_q^(d-1) in lex order.  The carrier h_c has the columns c,
+    λ⁻¹·e_j1, e_j2, ..., with i c's pivot (its first nonzero entry),
+    j1 < j2 < ... the other indices and λ = (-1)^i c_i, so det h_c = 1.
+    Row r of h_c is (c_r, u_r), u_i = 0, u_j1 = λ⁻¹·e_1 and u_jk = e_k, so
+    row r of h_c·s is (c_r, c_r·b + u_r·A).
+
+    Vectors are coded in base 2q, digit j weighing w2q[j] = (2q)^(d-1-j),
+    so two codes add with no carry and wrap (`_wrap_table`) takes a sum to
+    its flat index mod q.  eb[e] codes e·b over b; carriers[c - 1], for
+    the point of flat index c, holds d tables coding u_r·A over A, which
+    all carriers share; inverse[e] = 1/e.
+
+    While q^d <= 256 every flat index and count fits in a byte, and the
+    coset scan's tables follow: columns[r][c - 1] = c_r; omega[tail][lead]
+    is ω_w, w = lead·q^(d-1) + tail, whose byte c - 1 is the flat index of
+    h_c·w (no digit adds more than two terms below q); leads[x] holds the
+    lead x_0 + b·x' of s·x over b, and images[x'] the flat index of A·x'
+    over A: each row of A is translated to its dot with x' times its digit
+    weight, and the d - 1 rows are added as integers, with no carry.
+    """
     w2q = tuple((2 * q) ** (d - 1 - j) for j in range(d))
-    scaled = tuple(tuple(tuple(c * e % q * w for c in range(q)) for e in range(q)) for w in w2q)
-    others = tuple(tuple(j for j in range(d) if j != i) for i in range(d))
+    wrap = _wrap_table(q, d)
+    inverse = (0, *(pow(e, q - 2, q) for e in range(1, q)))
+    vecs = list(product(range(q), repeat=d - 1))
+    eb = tuple(tuple(map(sum, product(*[[e * v % q * w for v in range(q)] for w in w2q[1:]]))) for e in range(q))
+    flat = {v: n for n, v in enumerate(vecs)}
     blocks = list(_unimodular_rows(q, d - 1))
-    starts = tuple(tuple(tuple(sum(scaled[k][mu][e] for k, e in enumerate(a[t], start=1))
-                               for a in blocks) for mu in range(q)) for t in range(d - 1))
-    inverse = (0, *(pow(c, q - 2, q) for c in range(1, q)))
-    return w2q, scaled, others, starts, _wrap_table(q, d), inverse
+    a_rows = [[flat[a[k]] for a in blocks] for k in range(d - 1)]
+    # u·A over A for u = e·e_1, e in F_q, then for u = e_2, ..., e_(d-1)
+    units = [tuple(map(codes.__getitem__, a_rows[0])) for codes in eb]
+    units += [tuple(map(eb[1].__getitem__, r)) for r in a_rows[1:]]
+    small = q ** d <= 256
+    carriers, rows = [], []
+    for i in reversed(range(d)):  # in lex order, the points (0, ..., 0, c_i, ...) of pivot i
+        others = [j for j in range(d) if j != i]
+        for ci in range(1, q):
+            scale = [inverse[(-1) ** i * ci % q]] + [1] * (d - 2)  # λ⁻¹ at j1, then 1
+            carrier = [units[0]] * d  # u_i = 0
+            for j, k in zip(others, [scale[0], *range(q, q + d - 2)]):  # λ⁻¹·e_1 at j1, e_k at jk
+                carrier[j] = units[k]
+            carriers += [tuple(carrier)] * q ** (d - 1 - i)
+            if small:  # h_c·w over w, one digit of w at a time
+                tails = [0]
+                for j, s in zip(others, scale):
+                    tails = [t + s * e % q * w2q[j] for t in tails for e in range(q)]
+                for rest in product(range(q), repeat=d - 1 - i):
+                    heads = [sum(a * v % q * w for v, w in zip((ci, *rest), w2q[i:])) for a in range(q)]
+                    rows.append(bytes([wrap[h + t] for h in heads for t in tails]))
+    plan = (w2q, wrap, inverse, eb, tuple(carriers))
+    if not small:
+        return plan
+    n, m = q ** d, q ** (d - 1)
+    table = b"".join(rows)
+    omega = tuple(tuple(table[lead * m + tail::n] for lead in range(q)) for tail in range(m))
+    dots = [bytes([sum(map(mul, b, v)) % q for b in vecs]) for v in vecs]
+    leads = tuple(bytes([(x // m + v) % q for v in dots[x % m]]) for x in range(n))
+    a_rows = list(map(bytes, a_rows))
+    images = tuple(sum(int.from_bytes(r.translate(bytes(v * q ** (d - 2 - k) for v in dot).ljust(256, b"\0")),
+                       "little") for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
+    columns = tuple(bytes(col[1:]) for col in zip(*product(range(q), repeat=d)))
+    return (*plan, columns, omega, leads, images)
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -493,51 +547,43 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     code(g) is the base-q integer of g's row-major entries, so code order
     is canonical order.  Each incidence of the paper's double count
     Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}| is counted at its g: the
-    g with gx = y are h_y·S·h_x⁻¹, with S the maps [[1, b], [0, A]], A in
-    SL(d-1, q), and h_x the map with columns x, λ⁻¹·e_j1, e_j2, ..., where
-    i is x's pivot (its first nonzero entry), j1 < j2 < ... skip i and
-    λ = (-1)^i x_i.  h_x⁻¹ has rows r_0 = e_i/x_i and r_k = s_k·(e_jk -
-    (x_jk/x_i)·e_i), s_1 = λ and s_k = 1 after it, and row i of g is
-    y_i r_0 + Σ_{k>=1} p_ik r_k with p = h_y·s.  No loop runs per pair.
-    Per call, d flat index lists hold, at every (y, s), the lead offset of
-    y_i among H's coordinates plus the code of the tail of p_i,
-    h_y[i][1:]·A + y_i·b: h_y's pivot row has tail 0 and its others are
-    unit rows, the first scaled by λ⁻¹.  Per x, the pivot, 1/x_i and λ
-    read a heads × tails table of |leads|·q^(d-1) rows of g off the tables
-    of `_transporter_plan`, comprehensions zip the d lists into |H||S|
-    codes and one Counter update counts them.  Both sets avoid the
-    origin.  SL(1, q) is the identity alone: it counts |E ∩ H|.
+    g with gx = y are h_y·S·h_x⁻¹ (`_special_linear_plan`).  With i, j_k
+    and λ those of x, h_x⁻¹ has rows r_0 = e_i/x_i and r_k = s_k·(e_jk -
+    (x_jk/x_i)·e_i), s_1 = λ and s_k = 1 after it, and row r of g is
+    y_r r_0 + Σ_{k>=1} p_rk r_k with p = h_y·s.  Per call, d flat index
+    lists hold, at every (y, s), the lead offset of y_r among H's
+    coordinates plus the code of p_r's tail y_r·b + u_r·A, off the plan's
+    e·b codes and y's carrier tables.  Per x, a heads × tails table holds
+    |leads|·q^(d-1) rows of g, comprehensions zip the d lists into |H||S|
+    codes and one Counter update counts them: no loop runs per pair.
+    Both sets avoid the origin.  SL(1, q) is the identity alone: it
+    counts |E ∩ H|.
     """
-    q = moving.field.q
-    d = moving.dim
+    q, d = moving.field.q, moving.dim
     if d == 1:
         common = sum(1 for p in moving._coords if p in fixed._index)
         return {1: common} if common else {}
     qd = q ** d
-    w2q, scaled, others, starts, wrap, inverse = _transporter_plan(q, d)
+    w2q, wrap, inverse, eb, carriers = _special_linear_plan(q, d)[:5]
     leads = sorted({c for y in fixed._coords for c in y})
-    # Per lead a: its offset as digit 0 plus a·b as the tail, over b in lex order.
-    lead_b = {a: [n * w2q[0]] for n, a in enumerate(leads)}
-    for digit in scaled[1:]:
-        lead_b = {a: [t + u for t in codes for u in digit[a]] for a, codes in lead_b.items()}
+    # Per lead a: its offset as digit 0 plus the code of a·b, over b in lex order.
+    lead_b = {a: [n * w2q[0] + t for t in eb[a]] for n, a in enumerate(leads)}
     index = [[] for _ in range(d)]
-    for ys in fixed._coords:
-        i = next(j for j, c in enumerate(ys) if c)
-        mu = inverse[(-1) ** i * ys[i] % q]
-        for j, (col, yj) in enumerate(zip(index, ys)):
-            t = j - (j > i)  # the pivot row's tail is 0, as mu = 0 makes it
-            vs = starts[0][0] if j == i else starts[t][mu if t == 0 else 1]
-            col.extend([wrap[v + u] for v in vs for u in lead_b[yj]])
+    for c, ys in zip(_codes(fixed, q, -1), fixed._coords):
+        for col, units, a in zip(index, carriers[c], ys):
+            col.extend([wrap[v + u] for v in units for u in lead_b[a]])
 
     counts: Counter = Counter()
     for x in moving._coords:
         i = next(j for j, c in enumerate(x) if c)
         inv, s, w = inverse[x[i]], (-1) ** i * x[i] % q, w2q[i]  # 1/x_i, λ
-        heads = [scaled[i][inv][a] for a in leads]  # y_i r_0, base 2q as the table's rows
+        heads = [a * inv % q * w for a in leads]  # y_r r_0, base 2q as the table's rows
         tails = sums = [0]  # Σ_k c_k r_k over c in F_q^(d-1), lex order
-        for j in others[i]:  # r_k: s_k at j_k, -s_k·x_jk/x_i at i
-            tails = [t + u for t in tails for u in scaled[j][s]]
-            sums = [v + u for v in sums for u in scaled[-1][-s * x[j] * inv % q]]
+        for j in (*range(i), *range(i + 1, d)):  # r_k: s_k at j_k, -s_k·x_jk/x_i at i
+            digit = [e * s % q * w2q[j] for e in range(q)]
+            step = [e * (-s * x[j] * inv % q) for e in range(q)]
+            tails = [t + u for t in tails for u in digit]
+            sums = [v + u for v in sums for u in step]
             s = 1
         tails = [t + v % q * w for t, v in zip(tails, sums)]
         table = [wrap[h + t] for h in heads for t in tails]
@@ -548,75 +594,9 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     return counts
 
 
-@functools.lru_cache(maxsize=8)
-def _coset_plan(q: int, d: int) -> tuple:
-    """The tables of `_coset_counts`, for d >= 2 and q^d <= 256, where
-    every flat index and every count fits in a byte.
-
-    A point w of F_q^d is its flat index lead·m + tail, m = q^(d-1), the
-    points of X lie in lex order, h_c is `_transporter_counts`' carrier of
-    c (columns c, λ⁻¹·e_j1, e_j2, ...), and S, the maps s = [[1, b],
-    [0, A]], runs over A in SL(d-1, q) in canonical order, then b in lex
-    order.  omega[tail][lead] is ω_w: byte c is the flat index of h_c·w
-    = w_0·c + λ⁻¹w_1·e_j1 + Σ_k w_k·e_jk, over c in X; no digit adds more
-    than two terms below q, so one base-2q sum and `_wrap_table` give it,
-    per c over all w, and ω_w is every |F_q^d|-th byte of those rows.
-    leads[x] holds (x_0 + b·x') mod q over b, the lead of s·x, and
-    images[x'] the tail A·x' over A: each row of A is a byte of flat
-    index, translated to its dot product with x', scaled by its digit
-    weight, and the d - 1 rows are added as integers, with no carry.
-
-    The rest decodes a position: columns[r][c] = c_r; row r of h_c·s is
-    (c_r, c_r·b + u·A), u the tail of h_c's row r, which is 0, λ⁻¹·e_1 or
-    e_k, so units[picks[r][c]][A] holds u·A and scaled[c_r][b] holds
-    c_r·b, both as base-2q codes of d - 1 digits, and wrap (base 2q ->
-    flat) adds them mod q.
-    """
-    n, m = q ** d, q ** (d - 1)
-    w2q = [(2 * q) ** (d - 1 - j) for j in range(d)]
-    wrap = bytes(_wrap_table(q, d))
-    inverse = (0, *(pow(c, q - 2, q) for c in range(1, q)))
-    points = list(product(range(q), repeat=d))[1:]
-    vecs = list(product(range(q), repeat=d - 1))
-    rows, picks = [], []
-    for c in points:
-        i = next(j for j, v in enumerate(c) if v)
-        others = [j for j in range(d) if j != i]
-        scale = [inverse[(-1) ** i * c[i] % q]] + [1] * (d - 2)  # λ⁻¹ at j1, then 1
-        heads = [sum(a * v % q * w for v, w in zip(c, w2q)) for a in range(q)]
-        tails = [0]
-        for j, u in zip(others, scale):
-            tails = [t + u * e % q * w2q[j] for t in tails for e in range(q)]
-        rows.append(bytes([wrap[h + t] for h in heads for t in tails]))
-        pick = [0] * d  # the units of row r of h_c: 0 at i, λ⁻¹ at j1, q - 1 + k at j_(k+1)
-        for k, j in enumerate(others):
-            pick[j] = scale[0] if k == 0 else q - 1 + k
-        picks.append(pick)
-    table = b"".join(rows)
-    omega = tuple(tuple(table[lead * m + tail::n] for lead in range(q)) for tail in range(m))
-    dots = [bytes([sum(map(mul, b, v)) % q for b in vecs]) for v in vecs]
-    leads = tuple(bytes([(x // m + v) % q for v in dots[x % m]]) for x in range(n))
-
-    def table_of(values):  # one value per flat index of a tail, as a translate table
-        return bytes(values).ljust(256, b"\0")
-
-    flat = {v: i for i, v in enumerate(vecs)}
-    blocks = list(_unimodular_rows(q, d - 1))
-    a_rows = [bytes([flat[a[k]] for a in blocks]) for k in range(d - 1)]
-    images = tuple(sum(int.from_bytes(r.translate(table_of(v * q ** (d - 2 - k) for v in dot)), "little")
-                       for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
-    code2q = lambda v: sum(e * w for e, w in zip(v, w2q[1:]))  # noqa: E731
-    scaled = tuple(bytes([code2q([e * u % q for u in b]) for b in vecs]) for e in range(q))
-    units = (bytes(len(blocks)),
-             *(a_rows[0].translate(table_of(code2q([t * e % q for e in u]) for u in vecs)) for t in range(1, q)),
-             *(r.translate(table_of(map(code2q, vecs))) for r in a_rows[1:]))
-    columns, picks = (tuple(map(bytes, zip(*table))) for table in (points, picks))
-    return omega, leads, images, columns, picks, scaled, units, bytes(_wrap_table(q, d - 1))
-
-
 def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
     """|fixed ∩ g·moving| over g in SL(d, q), d >= 2 and q^d <= 256, one
-    byte per element in (A, b, c) order, g = h_c·s (`_coset_plan`'s `plan`).
+    byte per element in (A, b, c) order, g = h_c·s, off the `plan` tables.
 
     SL(d, q) is the disjoint union of the cosets h_c·S over c in X, and
     h_c·s sends x into H exactly when h_c·(s·x) does.  So per x the
@@ -626,7 +606,7 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
     and the blocks are joined in the order of the images A·x'.
     """
     q, d = moving.field.q, moving.dim
-    omega, leads, images = plan[:3]
+    omega, leads, images = plan[-3:]
     m = q ** (d - 1)
     marks = bytearray(256)
     for y in _codes(fixed, q):
@@ -647,10 +627,11 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     """Code of the canonically smallest element of SL(d, q) whose count in
     `_coset_counts`' `counts` is `best`.  Only the positions holding it
     are read, by `bytes.find`, as (c, b, A), and filtered row by row of
-    h_c·s, each row's lead c_r first and its tail next, down to the
+    h_c·s, (c_r, c_r·b + u_r·A), each row's lead c_r first and its tail
+    next, off the plan's e·b codes and c's carrier tables, down to the
     smallest: its code is the rows' codes in base q^d.
     """
-    columns, picks, scaled, units, wrap = plan[3:]
+    _, wrap, _, eb, carriers, columns = plan[:6]
     m, size = q ** (d - 1), q ** d - 1
     found, p = [], counts.find(best)
     while p >= 0:
@@ -658,10 +639,10 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
         p = counts.find(best, p + 1)
     found = [(p % size, p // size % m, p // size // m) for p in found]
     code = 0
-    for lead, pick in zip(columns, picks):
+    for r, lead in enumerate(columns):
         top = min(lead[c] for c, _, _ in found)
         found = [t for t in found if lead[t[0]] == top]
-        tails = [wrap[scaled[top][b] + units[pick[c]][a]] for c, b, a in found]
+        tails = [wrap[eb[top][b] + carriers[c][r][a]] for c, b, a in found]
         low = min(tails)
         found = [t for t, v in zip(found, tails) if v == low]
         code = code * q ** d + top * m + low
@@ -686,7 +667,7 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     d = moving.dim
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
     if d >= 2 and q ** d <= 256:
-        plan = _coset_plan(q, d)
+        plan = _special_linear_plan(q, d)
         counts = _coset_counts(moving, fixed, plan)
         smallest = functools.partial(_smallest_coset_code, plan, q, d)
     else:

@@ -750,6 +750,15 @@ class TestInputErrors:
         assert first_json(captured.out)["error"] == "MalformedWitness"
         assert "Traceback" not in captured.err
 
+    def test_witness_nested_past_the_recursion_limit_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code = main(["verify-witness", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert first_json(captured.out)["error"] == "MalformedWitness"  # one object, all of stdout
+        assert "Traceback" not in captured.err
+
 
 class TestOneParserPerProcess:
     def test_successive_calls_answer_as_fresh_processes(self, capsys, monkeypatch):

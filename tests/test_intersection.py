@@ -49,14 +49,13 @@ import fqsim.intersection
 from fqsim.geometry import _det_rows, _inverse_rows
 from fqsim.intersection import (
     _codes,
-    _coset_plan,
     _first_special_linear_code,
     _max_special_linear_intersection,
     _report_from_counts,
     _special_linear_order,
+    _special_linear_plan,
     _translation_counts,
     _transporter_counts,
-    _transporter_plan,
 )
 
 from helpers import completion, from_coords, translated, translation_count_map
@@ -729,28 +728,32 @@ class TestTransporterKernel:
         assert rep.best_g == decode(min(code for code, c in counts.items() if c == rep.best_count))
         assert sum(rep.per_g_histogram.values()) == rep.group_order
 
-    @staticmethod
-    def assert_plan_built_once_and_immutable(q, plan):
-        space = Space.punctured(q, 2)
-        e, h = random_subset(space, 6, 1), random_subset(space, 6, 2)
-        plan.cache_clear()
-        _max_special_linear_intersection(e, h)
+    @pytest.mark.parametrize("q, d", [(7, 2), (17, 2), (3, 3), (7, 3)])
+    def test_plan_is_built_once_per_shape_and_holds_only_tuples(self, q, d, monkeypatch):
+        # Both sides of the byte bound q^d = 256: the coset scan and its
+        # tie-break are handed the plan, the transporters look it up.
+        space = Space.punctured(q, d)
+        e, h = random_subset(space, 1, 1), random_subset(space, 1, 2)
+        handed = []
+        for name, at in (("_coset_counts", 2), ("_smallest_coset_code", 0)):
+            def reader(*args, kernel=getattr(fqsim.intersection, name), at=at):
+                handed.append(args[at])
+                return kernel(*args)
+            monkeypatch.setattr(fqsim.intersection, name, reader)
+        _special_linear_plan.cache_clear()
+        _max_special_linear_intersection(e, h)  # 1-point sets: the |S| maps sending e to h tie
         _max_special_linear_intersection(h, e)
-        info = plan.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        _transporter_counts(e, h)
+        info = _special_linear_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        plan = _special_linear_plan(q, d)
+        assert len(handed) == (4 if q ** d <= 256 else 0) and all(p is plan for p in handed)
 
         def only_tuples(table):
             return isinstance(table, (int, bytes)) or (
                 isinstance(table, tuple) and all(map(only_tuples, table)))
 
-        assert only_tuples(plan(q, 2))
-
-    def test_plan_is_built_once_per_shape_and_holds_only_tuples(self):
-        # q^2 <= 256: the cosets' byte columns count
-        self.assert_plan_built_once_and_immutable(7, _coset_plan)
-
-    def test_transporter_plan_is_built_once_past_the_byte_bound(self):
-        self.assert_plan_built_once_and_immutable(17, _transporter_plan)
+        assert only_tuples(plan)
 
     def test_reports_are_golden(self):
         # sha256 over the canonical JSON of every det report, histogram off
@@ -776,6 +779,20 @@ class TestTransporterKernel:
                 digest.update(canonical_json(out).encode() + b"\n")
         assert digest.hexdigest() == (
             "3f84676f54bd7014cb08d9f6fa12f0aea5082155f432b31889bc46ad2072b081")
+
+    def test_reports_past_the_byte_bound_are_golden(self):
+        # sha256 over the canonical JSON of every det report, histogram off
+        # and on, where q^d > 256 and the transporters count: d = 2 at a
+        # small and a large q, and d = 3, where S holds SL(2, 7).  Recorded
+        # before the transporter kernel read the shared (q, d) plan.
+        digest = hashlib.sha256()
+        for q, d, top in [(17, 2, 96), (97, 2, 40), (7, 3, 4)]:
+            for e, h in det_pinned_draws(q, d, top):
+                for hist in (False, True):
+                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    digest.update(canonical_json(rep.to_json()).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "af1abc33cecebcb1734d461ceeea7bac44f9d98d6b0a9c09fa9a5b60ea39dd07")
 
     def test_forced_ties_go_to_the_smallest_matrix(self):
         group = special_linear_group(5, 2)
@@ -804,10 +821,10 @@ class TestTransporterKernel:
 
     @pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)])
     def test_closed_form_inverse_of_the_completion(self, q, d):
-        """The rows of h_x⁻¹ from what the kernel reads per point: the pivot
-        i, 1/x_i and λ off the plan, r_0 = e_i/x_i, and the two nonzero
-        entries of r_k, s_k at j_k and -s_k·x_jk/x_i at i."""
-        _, _, others, _, _, inverse = _transporter_plan(q, d)
+        """The rows of h_x⁻¹ from what the kernel works out per point: the
+        pivot i, 1/x_i off the plan and λ, r_0 = e_i/x_i, and the two
+        nonzero entries of r_k, s_k at j_k and -s_k·x_jk/x_i at i."""
+        inverse = _special_linear_plan(q, d)[2]
         for x in itertools.product(range(q), repeat=d):
             if not any(x):
                 continue
@@ -818,9 +835,41 @@ class TestTransporterKernel:
             assert inv * x[i] % q == 1
             rows = [[0] * d for _ in range(d)]
             rows[0][i] = inv
-            for row, j in zip(rows[1:], others[i]):
+            for row, j in zip(rows[1:], (j for j in range(d) if j != i)):
                 row[j], row[i], s = s, -s * x[j] * inv % q, 1
             assert rows == _inverse_rows(h, q), x
+
+    @pytest.mark.parametrize("q, d", [(13, 2), (17, 2), (5, 3), (7, 3)])
+    def test_plan_reads_the_carrier_matrices(self, q, d):
+        """Both sides of the byte bound: row r of h_c·s, s = [[1, b], [0, A]],
+        is (c_r, c_r·b + h_c[r][1:]·A), so for every point c the plan's
+        row-r table is h_c[r][1:]·A over A in canonical order and eb[e] is
+        e·b over b in lex order, both coded in base 2q; h_c is the
+        completion of c.  Below the bound columns[r] holds every c_r."""
+        plan = _special_linear_plan(q, d)
+        eb, carriers = plan[3:5]
+
+        def code(v):
+            return sum(e % q * (2 * q) ** (d - 2 - k) for k, e in enumerate(v))
+
+        vecs = list(itertools.product(range(q), repeat=d - 1))
+        for e in range(q):
+            assert eb[e] == tuple(code([e * v for v in b]) for b in vecs)
+        blocks = [g.linear for g in sl_group(q, d - 1)]
+        products = {}  # u -> u·A over A: a carrier's tails take d + q - 2 values
+        points = list(itertools.product(range(q), repeat=d))[1:]
+        assert len(carriers) == len(points)
+        for c, tables in zip(points, carriers):
+            h = completion(c, q)
+            assert len(tables) == d
+            for row, table in zip(h, tables):
+                u = tuple(row[1:])
+                if u not in products:
+                    products[u] = tuple(code([sum(map(mul, u, col)) for col in zip(*a)]) for a in blocks)
+                assert table == products[u], (c, row)
+        assert len(products) == d + q - 2
+        if q ** d <= 256:
+            assert plan[5] == tuple(map(bytes, zip(*points)))
 
     @pytest.mark.parametrize("q, d", [(3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
     def test_edge_shapes_match_the_enumerated_group(self, q, d):
@@ -872,10 +921,12 @@ class TestTransporterKernel:
 
         monkeypatch.setattr(fqsim.intersection, "_transporter_counts", no_count)
         e = from_coords(make_field(101), 2, [[1, 0]])
+        built = _special_linear_plan.cache_info().misses
         with pytest.raises(EnumerationCapExceeded) as exc:
             _max_special_linear_intersection(e, e)
         assert str(exc.value) == (
             "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
+        assert _special_linear_plan.cache_info().misses == built  # no plan for q = 101
 
 
 def transporter_reports(e, h):
