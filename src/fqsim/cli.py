@@ -47,7 +47,8 @@ from .errors import (
     ScanCapExceeded,
     VerificationFailed,
 )
-from .field import make_field
+from .field import as_field, make_field
+from .geometry import _check_budget, _check_dim
 from .groups import orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
@@ -56,8 +57,8 @@ from .harness import (
     random_pointset,
     write_sweep,
 )
-from .intersection import (_space_indices, exhaustive_pairs_audit, max_intersection,
-                           max_translation_intersection_fast)
+from .intersection import (_check_audit_space, _space_indices, exhaustive_pairs_audit,
+                           max_intersection, max_translation_intersection_fast)
 
 
 def _emit(obj) -> None:
@@ -87,7 +88,24 @@ def cmd_enumerate_group(args) -> int:
     return 0
 
 
+def _refuse_large_audit(kind: str, q: int, d: int) -> None:
+    """Refuse an all-subset-pair audit of translations or of a transitive
+    SL(d, q) by the closed-form size of its space, after the checks its
+    group build makes first and before the build: SL(3, 7) does not fit
+    in 1.5 GB.  SL(1, q), q > 2, is left to the audit's transitivity check."""
+    as_field(q)
+    _check_dim(d)
+    if kind == "translations":
+        _check_budget(q, d, "full space (q^d)")
+        _check_audit_space(q ** d)
+    elif d >= 2 or q == 2:
+        _check_budget(q, d * d, "matrix scan (q^(d^2))")
+        _check_audit_space(q ** d - 1)
+
+
 def cmd_verify_bound(args) -> int:
+    if args.exhaustive_subsets and args.radius is None and args.group != "orthogonal":
+        _refuse_large_audit(args.group, args.q, args.d)
     group = _build_group(args.group, args.q, args.d, args.radius)
     if args.exhaustive_subsets:
         audit = exhaustive_pairs_audit(group)

@@ -40,9 +40,10 @@ Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
 when h_c·(s·x) does, so per x the byte columns of the points s·x, one
-byte per c, are joined over S and summed like the table scan's; past it
-the |E||H||S| terms of the cosets h_y·S·h_x⁻¹ that send x to y are
-counted through index lists built once per H.  No loop runs per pair.
+byte per c, are joined over S (for d = 2 once per x, in the plan) and
+summed like the table scan's; past it the |E||H||S| terms of the
+cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
+built once per H.  No loop runs per pair.
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
@@ -378,15 +379,16 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     group's smallest code, answers when every count is zero.  A dense
     sequence holds the count of code i at position i for every element,
     and a tuple bit planes with the mask of their valid slots (`_read_planes`).
-    Bytes are counted by value, histogram or not: no count exceeds
-    min(|E|, |H|), `v in counts` finds each present value and
-    `counts.count(v)` counts it, so the best count, the total and the
-    histogram need no pass one int object at a time.  Bytes whose
-    positions are not in canonical order come with `smallest(counts, v)`,
-    the code of the smallest element counting v, asked only when the
-    counts do not all tie.  With a histogram, a dict's or a list's maximum
-    and total are read off it rather than off the counts again.  On an
-    empty space the bound is 0.
+    No byte count exceeds min(|E|, |H|).  Without a histogram the best
+    count is the first value from there down that `v in counts` finds,
+    and the total is summed over the nonzero bytes alone; with one, each
+    present value is counted by `counts.count(v)` and both are read off
+    the tally.  Bytes whose positions are not in canonical order come
+    with `smallest(counts, v)`, the code of the smallest element counting
+    v, asked only when the counts do not all tie, that is when the total
+    is not best·|G|.  With a histogram, a dict's or a list's maximum and
+    total are read off it rather than off the counts again.  On an empty
+    space the bound is 0.
     """
     n_e, n_h = len(moving), len(fixed)
     if not n_e or not n_h:
@@ -395,15 +397,19 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     if isinstance(counts, tuple):
         best, best_c, total, hist = _read_planes(*counts, want_histogram)
     elif isinstance(counts, bytes):
-        tally = {v: counts.count(v) for v in range(0 if want_histogram else 1, min(n_e, n_h) + 1)
-                 if v in counts}
-        best_c = max(tally, default=0)
-        total = sum(c * n for c, n in tally.items())
-        hist = tally if want_histogram else None
+        if want_histogram:
+            hist = {v: counts.count(v) for v in range(min(n_e, n_h) + 1) if v in counts}
+            best_c = max(hist)
+            total = sum(c * n for c, n in hist.items())
+        else:
+            best_c = min(n_e, n_h)
+            while best_c and best_c not in counts:
+                best_c -= 1
+            total = sum(counts.translate(None, b"\0"))
         if smallest is None:
             best = counts.index(best_c)
-        else:
-            best = first if not best_c or tally[best_c] == len(counts) else smallest(counts, best_c)
+        else:  # every count is at most best_c: they all tie when they sum to best_c·|G|
+            best = first if total == best_c * len(counts) else smallest(counts, best_c)
     else:
         dense = not isinstance(counts, dict)
         values = counts if dense else counts.values()
@@ -497,6 +503,10 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     lead x_0 + b·x' of s·x over b, and images[x'] the flat index of A·x'
     over A: each row of A is translated to its dot with x' times its digit
     weight, and the d - 1 rows are added as integers, with no carry.
+    For d = 2, A = 1 and s·x's row over (b, c) is one block: joined[x]
+    holds it, ω over the leads of x joined, for every flat index x; past
+    d = 2 the rows are too many to keep (46 MB for SL(3, 5)) and joined
+    is empty.
     """
     w2q = tuple((2 * q) ** (d - 1 - j) for j in range(d))
     wrap = _wrap_table(q, d)
@@ -538,7 +548,8 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     images = tuple(sum(int.from_bytes(r.translate(bytes(v * q ** (d - 2 - k) for v in dot).ljust(256, b"\0")),
                        "little") for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
     columns = tuple(bytes(col[1:]) for col in zip(*product(range(q), repeat=d)))
-    return (*plan, columns, omega, leads, images)
+    joined = tuple(b"".join(map(omega[x % m].__getitem__, leads[x])) for x in range(n)) if d == 2 else ()
+    return (*plan, columns, omega, leads, images, joined)
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -603,10 +614,11 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
     columns ω_(s·x), over s, joined, mark by `_marked_sum` which of the
     |G| elements send x into H, and their sum over E is the counts.  s·x
     = (x_0 + b·x', A·x'): per A·x' one block joins ω over the leads of x,
-    and the blocks are joined in the order of the images A·x'.
+    and the blocks are joined in the order of the images A·x'.  For d = 2
+    the one block is x's row, read off the plan's `joined` table.
     """
     q, d = moving.field.q, moving.dim
-    omega, leads, images = plan[-3:]
+    omega, leads, images, joined = plan[-4:]
     m = q ** (d - 1)
     marks = bytearray(256)
     for y in _codes(fixed, q):
@@ -614,13 +626,12 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
 
     def row(x):
         tail = x % m
-        if d == 2:  # A = 1: the row is one block
-            return b"".join(map(omega[tail].__getitem__, leads[x]))
         # SL(d-1, q) moves a nonzero tail to every nonzero tail
         block = {a: b"".join(map(omega[a].__getitem__, leads[x])) for a in (range(1, m) if tail else (0,))}
         return b"".join(map(block.__getitem__, images[tail]))
 
-    return _marked_sum(map(row, _codes(moving, q)), marks, _special_linear_order(q, d))
+    rows = map(joined.__getitem__ if d == 2 else row, _codes(moving, q))
+    return _marked_sum(rows, marks, _special_linear_order(q, d))
 
 
 def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> int:
@@ -763,6 +774,14 @@ def _audit(group: FiniteGroup, draws) -> BoundAudit:
     )
 
 
+def _check_audit_space(n: int) -> None:
+    """Refuse an all-subset-pair audit of a space of n points past AUDIT_SPACE_LIMIT."""
+    if n > AUDIT_SPACE_LIMIT:
+        raise EnumerationCapExceeded(
+            f"subset-pair audit needs a space of at most {AUDIT_SPACE_LIMIT} points, got {n}"
+        )
+
+
 def exhaustive_pairs_audit(group: FiniteGroup) -> BoundAudit:
     """Check the bound and the double count over ALL subset pairs.
 
@@ -771,10 +790,7 @@ def exhaustive_pairs_audit(group: FiniteGroup) -> BoundAudit:
     """
     _require_transitive(group)
     n = group.space.size
-    if n > AUDIT_SPACE_LIMIT:
-        raise EnumerationCapExceeded(
-            f"subset-pair audit needs a space of at most {AUDIT_SPACE_LIMIT} points, got {n}"
-        )
+    _check_audit_space(n)
     masks = range(1 << n)
     return _audit(group, ((e_mask, masks) for e_mask in masks))
 

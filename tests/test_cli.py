@@ -187,6 +187,38 @@ class TestVerifyBound:
         assert code == 3
         assert first_json(out)["error"] == "SpaceMismatch"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["special-linear", "--q", "5", "--d", "3"], 4,
+         "subset-pair audit needs a space of at most 10 points, got 124"),
+        (["translations", "--q", "11", "--d", "1"], 4,
+         "subset-pair audit needs a space of at most 10 points, got 11"),
+        (["translations", "--q", "101", "--d", "10"], 4,
+         "full space (q^d) needs at most 100000000 candidates, got 110462212541120451001"),
+        (["special-linear", "--q", "101", "--d", "4"], 4,
+         "matrix scan (q^(d^2)) needs at most 100000000 candidates, "
+         "got 117257864492369852051862561201601"),
+        (["special-linear", "--q", "9", "--d", "3"], 3,
+         "9 is not prime (extension fields are unsupported)"),
+        (["special-linear", "--q", "5", "--d", "0"], 3, "dimension must be positive, got 0"),
+        (["special-linear", "--q", "5", "--d", "3", "--radius", "1"], 3,
+         "--radius applies to orthogonal groups only, not special-linear"),
+    ], ids=["SL(3,5)", "T(11,1)", "budget", "SL-budget", "q-9", "d-0", "radius"])
+    def test_audit_is_refused_before_the_group_is_built(self, capsys, monkeypatch, argv, code, message):
+        """The build's own refusals come first, in its order; then a space
+        past the audit's limit is refused by its closed-form size."""
+        def build(*args):
+            raise AssertionError("group built")
+
+        monkeypatch.setattr(fqsim.cli, "translations", build)
+        monkeypatch.setattr(fqsim.cli, "special_linear_group", build)
+        got, out = run_cli(capsys, "verify-bound", "--group", *argv, "--exhaustive-subsets")
+        assert (got, first_json(out)["message"]) == (code, message)
+
+    def test_audit_of_special_linear_on_a_line_is_not_transitive(self, capsys):
+        code, out = run_cli(capsys, "verify-bound", "--group", "special-linear",
+                            "--q", "13", "--d", "1", "--exhaustive-subsets")
+        assert (code, first_json(out)["error"]) == (3, "NotTransitive")
+
     @pytest.mark.parametrize("kind, d", [("translations", "5"), ("special-linear", "3")])
     def test_radius_without_orthogonal_is_input_error(self, capsys, tmp_path, kind, d):
         e = random_pointset(3, 2, 4, seed=3)
@@ -823,6 +855,8 @@ class TestUnderAMemoryLimit:
             (["sweep", "--qs", "4294967291", "--d", "1", "--ks", "1"], 4),
             (["sweep", "--kind", "det-similarity", "--qs", "99999989", "--d", "1", "--ks", "1",
               "--r", "1"], 0),
+            (["verify-bound", "--group", "special-linear", "--q", "7", "--d", "3",
+              "--exhaustive-subsets"], 4),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(

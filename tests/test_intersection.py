@@ -871,6 +871,22 @@ class TestTransporterKernel:
         if q ** d <= 256:
             assert plan[5] == tuple(map(bytes, zip(*points)))
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+    def test_plan_holds_every_coset_row_of_the_plane(self, q):
+        """d = 2: byte b·(q² - 1) + (c - 1) of x's row in the plan is the
+        flat index of h_c·[[1, b], [0, 1]]·x, for every flat index x, b in
+        F_q and point c of the punctured plane; h_c is the completion of c."""
+        rows = _special_linear_plan(q, 2)[-1]
+        vecs = list(itertools.product(range(q), repeat=2))
+        carried = []  # carried[c - 1][v]: the flat index of h_c·v
+        for c in vecs[1:]:
+            h = completion(c, q)
+            carried.append([sum(map(mul, h[0], v)) % q * q + sum(map(mul, h[1], v)) % q for v in vecs])
+        assert len(rows) == len(vecs)
+        for (x0, x1), row in zip(vecs, rows):
+            moved = [(x0 + b * x1) % q * q + x1 for b in range(q)]  # [[1, b], [0, 1]]·x
+            assert row == bytes(h[v] for v in moved for h in carried), (x0, x1)
+
     @pytest.mark.parametrize("q, d", [(3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
     def test_edge_shapes_match_the_enumerated_group(self, q, d):
         """Pivots on the last coordinate only, the whole punctured space,
