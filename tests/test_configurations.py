@@ -503,6 +503,66 @@ class TestDetFinderScan:
                        "got 104060401"}]
 
 
+def det_pin_cases():
+    """(group of shapes, points, ratio, k) of the det finder pins, every
+    nonzero ratio of a shape taken in turn, d-th powers or not."""
+    from fqsim import Space, random_subset
+
+    def ratios(q, points, k, step=1):
+        field = make_field(q)
+        return [(points, field(r), k) for r in range(1, q, step)]
+
+    for q, d in ((3, 2), (5, 2), (3, 3)):  # every count ties
+        for k in (d, d + 1):
+            yield from (("punctured",) + case for case in ratios(q, Space.punctured(q, d), k))
+    for q, d in ((5, 2), (7, 2), (13, 2), (3, 3), (5, 3)):  # exactly k + 1 points
+        for k, seed in itertools.product((d, d + 1), (1, 2)):
+            points = random_subset(Space.punctured(q, d), k + 1, 100 * q + 10 * d + seed)
+            yield from (("k+1 points",) + case for case in ratios(q, points, k))
+    for q, d, n, k in ((5, 3, 20, 3), (5, 3, 40, 4), (2, 4, 12, 4), (3, 4, 5, 4)):
+        points = random_subset(Space.punctured(q, d), n, 7 * n + q)
+        yield from (("seeded",) + case for case in ratios(q, points, k, 2))
+    for q, n, k, step in ((17, 40, 2, 3), (17, 100, 3, 5), (19, 30, 2, 4), (19, 60, 3, 6)):
+        points = random_subset(Space.punctured(q, 2), n, q + n)
+        yield from (("transporters",) + case for case in ratios(q, points, k, step))
+
+
+@pytest.fixture(scope="module")
+def det_pin_digests():
+    """sha256 per group of `det_pin_cases`: over the canonical JSON of each
+    witness and its report, or of the refusal."""
+    from fqsim.harness import canonical_json
+
+    digests = {}
+    for name, points, ratio, k in det_pin_cases():
+        try:
+            w = find_det_similar(points, ratio, k)
+            out = {"witness": w.to_json(), "report": w.report.to_json()}
+        except fqsim.FqsimError as exc:
+            out = {"error": type(exc).__name__, "message": str(exc)}
+        digests.setdefault(name, hashlib.sha256()).update(canonical_json(out).encode() + b"\n")
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+class TestDetFinderPins:
+    """The det finder's witnesses, reports and refusals, pinned before the
+    witness was read off the coset scan: where every count ties, sets of
+    k + 1 points, d = 3 and 4, and past the byte bound q^d = 256."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("punctured",
+         "2dec08ab1996bb333f0d61c1bc5a4182a2a4ff019ec7dba3ac0d9a890190d637"),
+        ("k+1 points",
+         "b2ed11c6275aebf8896bbcc4f10e04af86f118d4ccce312c2e090fbd44b08ebc"),
+        ("seeded",
+         "8bb7dc37f51b85db028396cf1719abffdb491cadc863abf896cacd8b865b4179"),
+        ("transporters",
+         "6c2eb7701db97e3c5f6c63c8afd02f68610db9e5130e6036183c116275cec7f1"),
+    ])
+    def test_witnesses_are_golden(self, det_pin_digests, name, digest):
+        assert det_pin_digests[name] == digest
+
+
 class TestDetVerifierDeterminants:
     """The int-row subset determinants against Matrix-level cofactors."""
 
