@@ -12,8 +12,10 @@ The determinant variant replaces translations by unimodular matrices
 and the norm relation by det(x-subset) = r·det(y-subset) over every
 d-subset of indices.  Its scan counts, for each pair of points, the
 unimodular maps sending one to the other, so it builds no group; the
-q^(d^2) matrix budget still applies; each overlap point z is paired
-with its source by pushing E forward through g, so g is never inverted.
+q^(d^2) matrix budget still applies.  Each overlap point z is paired
+with the x that g sends to it without inverting g: for d >= 2 and
+q^d <= 256 both are read off the coset scan's tables at g's position,
+otherwise E is pushed forward through g.
 Both finders search on coordinate tuples, and the 3(k+1) witness
 points, already canonical, become vectors without the constructor's
 checks (`Vector._of`).
@@ -52,6 +54,7 @@ from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget
 from .groups import GroupElement, SpecialLinear, orthogonal_group
 from .intersection import (
     IntersectionReport,
+    _coset_overlap,
     _max_special_linear_intersection,
     max_intersection,
     max_translation_intersection_fast,
@@ -402,20 +405,21 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
 
 
 def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
-                     not_power, root_of, scan, source, build, verify):
+                     not_power, root_of, scan, build, verify):
     """The group-action argument behind both finders.
 
     For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
     points of E: z/root and the x with gx = z.  `root_of(ratio)` takes
     the root, or gives None for a ratio that is no m-th power, which
-    raises `not_power`; `scan(H)` maximizes the overlap over G,
-    `source(g)` maps a coordinate tuple z to the x in E with gx = z, or
-    to None, `build(root, report, zs, shrunk, sources)` arranges the
-    first k+1 such z of H (canonical order), their z/root and their
-    sources into a witness, and `verify` re-checks it.  All three are
-    canonical tuples, so they become vectors unchecked (`Vector._of`);
-    the verifier still re-checks every relation.
+    raises `not_power`.  `scan(root)` maximizes the overlap over G and
+    returns its report with H ∩ gE for the reported g, as (z, x) pairs
+    of coordinate tuples with gx = z, in canonical z order, so each scan
+    extracts the overlap its own way and only the pairs read are made.
+    `build(root, report, zs, shrunk, sources)` arranges the first k+1
+    pairs' z, z/root and x into a witness, and `verify` re-checks it.
+    All three are canonical tuples, so they become vectors unchecked
+    (`Vector._of`); the verifier still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -425,20 +429,11 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     if root is None:
         raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
 
-    scaled = points.scaled(root)
-    report = scan(scaled)
+    report, overlap = scan(root)
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 
-    find = source(report.best_g)
-    zs, sources = [], []
-    for z in scaled._coords:  # canonical order, so the extraction is deterministic
-        x = find(z)
-        if x is not None:
-            zs.append(z)
-            sources.append(x)
-            if len(zs) == k + 1:
-                break
+    zs, sources = zip(*itertools.islice(overlap, k + 1))
     field, inv_root = points.field, root.inverse().value
     q = field.q
     witness = build(root, report, tuple([Vector._of(field, z) for z in zs]),
@@ -484,14 +479,20 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     elif edges.k != k:
         raise ValueError(f"edge set is for k = {edges.k}, search is for k = {k}")
     q = points.field.q
+
+    def scan(root):
+        scaled = points.scaled(root)
+        report = max_translation_intersection_fast(points, scaled)
+        # walked in canonical order and stopped after k+1: a set of E's
+        # tuples beats pushing E forward
+        held, a = set(points._coords), report.best_g.shift
+        return report, ((z, x) for z in scaled._coords
+                        if (x := tuple([(c - b) % q for c, b in zip(z, a)])) in held)
+
     # sqrt, unlike mth_root(2), scans no field, so it serves any q, and
     # answers None for a nonsquare
     return _find_by_overlap(
-        points, ratio, k, 2, NotASquare, FieldElement.sqrt,
-        scan=lambda scaled: max_translation_intersection_fast(points, scaled),
-        # only a few z are tested: a set of E's tuples beats pushing E forward
-        source=lambda g: lambda z, a=g.shift, held=set(points._coords): (
-            x if (x := tuple([(c - b) % q for c, b in zip(z, a)])) in held else None),
+        points, ratio, k, 2, NotASquare, FieldElement.sqrt, scan,
         build=lambda root, report, zs, shrunk, sources: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=sources, zs=zs, edges=edges, report=report),
@@ -594,9 +595,12 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     the origin excluded from the set (the unimodular action is only
     transitive away from it), and the ratio a nonzero d-th power.  The
     scan counts the maps g with gx = y per pair and builds no group.  The
-    overlap points z give y = z/root and the x with gx = z, read off a
-    dict of E pushed forward by g (`_pushed_forward`), so g is never
-    inverted.
+    overlap points z give y = z/root and the x with gx = z.  While q^d <=
+    256 the coset scan hands back the overlap itself (`_coset_overlap`):
+    H = root·E is only byte marks, and the pairs come off the plan at g's
+    position in the counts.  Past it, and for d = 1, H is built and walked
+    against a dict of E pushed forward by g (`_pushed_forward`).  g is
+    never inverted.
     """
     d = points.dim
     if k < d:
@@ -604,12 +608,22 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     if points._coords[:1] == ((0,) * d,):  # canonical order puts the origin first
         raise OriginInSet("the set must avoid the origin for the unimodular action")
     q = points.field.q
+
+    def scan(root):
+        found = _coset_overlap(points, root.value)
+        if found:
+            return found
+        # past the byte bound, or on a line, the transporters count, and H
+        # is walked in canonical order against E pushed forward by g
+        scaled = points.scaled(root)
+        report = _max_special_linear_intersection(points, scaled)
+        find = _pushed_forward(points, q, report.best_g.linear)
+        return report, ((z, x) for z in scaled._coords if (x := find(z)) is not None)
+
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.
     return _find_by_overlap(
-        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None,
-        scan=lambda scaled: _max_special_linear_intersection(points, scaled),
-        source=lambda g: _pushed_forward(points, q, g.linear),
+        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None, scan,
         build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
             xs=sources, ys=shrunk, zs=zs, report=report),

@@ -43,7 +43,11 @@ when h_c·(s·x) does, so per x the byte columns of the points s·x, one
 byte per c, are joined over S (for d = 2 once per x, in the plan) and
 summed like the table scan's; past it the |E||H||S| terms of the
 cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
-built once per H.  No loop runs per pair.
+built once per H.  No loop runs per pair.  The coset tie-break hands
+back the position (A, b, c) of the element it reports, so the det
+finder's scan (`_coset_overlap`) marks H = s·E off E's coordinates,
+builds no point set, and reads g·x off the plan at that position, one
+lookup per point of E.
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
@@ -253,9 +257,14 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
 
 
 def _codes(points: PointSet, base: int, offset: int = 0) -> list[int]:
+    """offset + Σ_i c_i·base^(d-1-i) for every point (`_horner`)."""
+    return _horner(zip(*points._coords), base, offset)
+
+
+def _horner(columns, base: int, offset: int = 0) -> list[int]:
     """offset + Σ_i c_i·base^(d-1-i) for every point, by Horner's rule a
-    coordinate column at a time."""
-    columns = zip(*points._coords)
+    coordinate column at a time, over the points' coordinate `columns`."""
+    columns = iter(columns)
     codes = next(columns, ())
     for column in columns:
         codes = map(add, map(mul, codes, repeat(base)), column)
@@ -497,7 +506,8 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     all carriers share; inverse[e] = 1/e.
 
     While q^d <= 256 every flat index and count fits in a byte, and the
-    coset scan's tables follow: columns[r][c - 1] = c_r; omega[tail][lead]
+    coset scan's tables follow: vectors[x] is the coordinate tuple of
+    flat index x and columns[r][c - 1] = c_r; omega[tail][lead]
     is ω_w, w = lead·q^(d-1) + tail, whose byte c - 1 is the flat index of
     h_c·w (no digit adds more than two terms below q); leads[x] holds the
     lead x_0 + b·x' of s·x over b, and images[x'] the flat index of A·x'
@@ -547,9 +557,10 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     a_rows = list(map(bytes, a_rows))
     images = tuple(sum(int.from_bytes(r.translate(bytes(v * q ** (d - 2 - k) for v in dot).ljust(256, b"\0")),
                        "little") for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
-    columns = tuple(bytes(col[1:]) for col in zip(*product(range(q), repeat=d)))
+    vectors = tuple(product(range(q), repeat=d))
+    columns = tuple(bytes(col[1:]) for col in zip(*vectors))
     joined = tuple(b"".join(map(omega[x % m].__getitem__, leads[x])) for x in range(n)) if d == 2 else ()
-    return (*plan, columns, omega, leads, images, joined)
+    return (*plan, columns, vectors, omega, leads, images, joined)
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -605,9 +616,10 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     return counts
 
 
-def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
-    """|fixed ∩ g·moving| over g in SL(d, q), d >= 2 and q^d <= 256, one
-    byte per element in (A, b, c) order, g = h_c·s, off the `plan` tables.
+def _coset_counts(e_codes: list[int], h_codes: list[int], plan: tuple, q: int, d: int) -> bytes:
+    """|H ∩ g·E| over g in SL(d, q), d >= 2 and q^d <= 256, one byte per
+    element in (A, b, c) order, g = h_c·s, off the `plan` tables, for E
+    and H given by their flat indices, `e_codes` and `h_codes`.
 
     SL(d, q) is the disjoint union of the cosets h_c·S over c in X, and
     h_c·s sends x into H exactly when h_c·(s·x) does.  So per x the
@@ -617,11 +629,10 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
     and the blocks are joined in the order of the images A·x'.  For d = 2
     the one block is x's row, read off the plan's `joined` table.
     """
-    q, d = moving.field.q, moving.dim
     omega, leads, images, joined = plan[-4:]
     m = q ** (d - 1)
     marks = bytearray(256)
-    for y in _codes(fixed, q):
+    for y in h_codes:
         marks[y] = 1
 
     def row(x):
@@ -630,34 +641,105 @@ def _coset_counts(moving: PointSet, fixed: PointSet, plan: tuple) -> bytes:
         block = {a: b"".join(map(omega[a].__getitem__, leads[x])) for a in (range(1, m) if tail else (0,))}
         return b"".join(map(block.__getitem__, images[tail]))
 
-    rows = map(joined.__getitem__ if d == 2 else row, _codes(moving, q))
+    rows = map(joined.__getitem__ if d == 2 else row, e_codes)
+    if len(e_codes) == 1:  # one row: its marks are the counts, with no sum
+        return next(rows).translate(marks)
     return _marked_sum(rows, marks, _special_linear_order(q, d))
 
 
-def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> int:
-    """Code of the canonically smallest element of SL(d, q) whose count in
-    `_coset_counts`' `counts` is `best`.  Only the positions holding it
-    are read, by `bytes.find`, as (c, b, A), and filtered row by row of
-    h_c·s, (c_r, c_r·b + u_r·A), each row's lead c_r first and its tail
-    next, off the plan's e·b codes and c's carrier tables, down to the
-    smallest: its code is the rows' codes in base q^d.
+def _coset_images(plan: tuple, q: int, d: int, codes, p: int) -> list[int]:
+    """The flat index of g·x for every flat index x in `codes`, where g =
+    h_c·s is the element at position p = (A·q^(d-1) + b)·(q^d - 1) + c - 1
+    of `_coset_counts`' counts: s·x has lead leads[x][b] and tail
+    images[x'][A], and byte c - 1 of ω over it is h_c·(s·x).  For d = 2
+    that is byte p of x's row, joined[x]."""
+    omega, leads, images, joined = plan[-4:]
+    if d == 2:
+        return [joined[x][p] for x in codes]
+    m, size = q ** (d - 1), q ** d - 1
+    a, b, c = p // size // m, p // size % m, p % size
+    return [omega[images[x % m][a]][leads[x][b]][c] for x in codes]
+
+
+def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> tuple[int, int]:
+    """The code of the canonically smallest element of SL(d, q) whose
+    count in `_coset_counts`' `counts` is `best`, and its position there.
+
+    Row r of h_c·s is (c_r, c_r·b + u_r·A), so row 0 leads with c_0.  Up
+    to q^d - 1 positions holding `best` are found by `bytes.find`; past
+    that, c's columns `counts[c::q^d - 1]` are read in lex order, which
+    is c_0 order, up to the first lead that holds it.  The positions, as
+    (c, b, A), are filtered row by row, each row's lead first and its
+    tail next, off the plan's e·b codes and c's carrier tables, while
+    more than one is left.  The one left, or the only one found, is
+    decoded off the same tables: its code is the rows' codes in base q^d.
     """
     _, wrap, _, eb, carriers, columns = plan[:6]
-    m, size = q ** (d - 1), q ** d - 1
-    found, p = [], counts.find(best)
-    while p >= 0:
-        found.append(p)
-        p = counts.find(best, p + 1)
-    found = [(p % size, p // size % m, p // size // m) for p in found]
+    n, m = q ** d, q ** (d - 1)
+    p = counts.find(best)
+    c, b, a = p % (n - 1), p // (n - 1) % m, p // (n - 1) // m
+    found = []  # listed only when more than one position holds `best`
+    if counts.find(best, p + 1) >= 0:
+        while p >= 0 and len(found) < n - 1:
+            found.append((p % (n - 1), p // (n - 1) % m, p // (n - 1) // m))
+            p = counts.find(best, p + 1)
+        if p >= 0:  # many ties: the positions of the smallest lead alone
+            found = []
+            for c, lead in enumerate(columns[0]):
+                if found and lead > columns[0][found[0][0]]:
+                    break
+                column = counts[c::n - 1]
+                j = column.find(best)
+                while j >= 0:
+                    found.append((c, j % m, j // m))
+                    j = column.find(best, j + 1)
     code = 0
     for r, lead in enumerate(columns):
-        top = min(lead[c] for c, _, _ in found)
-        found = [t for t in found if lead[t[0]] == top]
-        tails = [wrap[eb[top][b] + carriers[c][r][a]] for c, b, a in found]
-        low = min(tails)
-        found = [t for t, v in zip(found, tails) if v == low]
-        code = code * q ** d + top * m + low
-    return code
+        if found:
+            if len(found) > 1:
+                top = min(lead[c] for c, _, _ in found)
+                found = [t for t in found if lead[t[0]] == top]
+                tails = [wrap[eb[top][b] + carriers[c][r][a]] for c, b, a in found]
+                low = min(tails)
+                found = [t for t, v in zip(found, tails) if v == low]
+            c, b, a = found[0]
+        code = code * n + lead[c] * m + wrap[eb[lead[c]][b] + carriers[c][r][a]]
+    return code, (a * m + b) * (n - 1) + c
+
+
+def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histogram: bool = False,
+                           smallest=None) -> IntersectionReport:
+    """`_report_from_counts` over SL(d, q), whose codes are the base-q
+    integers of the row-major entries."""
+    field, d = moving.field, moving.dim
+    q = field.q
+
+    def decode(code):
+        flat = index_to_coords(code, q, d * d)
+        return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
+
+    return _report_from_counts(
+        counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
+        group_order=_special_linear_order(q, d), space_size=q ** d - 1,
+        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
+    )
+
+
+def _coset_report(moving: PointSet, fixed: PointSet, e_codes: list[int], h_codes: list[int],
+                  want_histogram: bool = False) -> tuple[IntersectionReport, tuple, int | None]:
+    """The coset scan's report of E against H, given by their flat
+    indices, with the plan and the reported element's position in the
+    counts, None when every count ties and the element is the first."""
+    q, d = moving.field.q, moving.dim
+    plan, position = _special_linear_plan(q, d), None
+
+    def smallest(counts, best):
+        nonlocal position
+        code, position = _smallest_coset_code(plan, q, d, counts, best)
+        return code
+
+    counts = _coset_counts(e_codes, h_codes, plan, q, d)
+    return _special_linear_report(counts, moving, fixed, want_histogram, smallest), plan, position
 
 
 def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
@@ -673,26 +755,45 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     joins of |G| bytes in C, and only the maximal positions are decoded;
     past it the transporters are counted per pair (`_transporter_counts`).
     """
-    field = moving.field
-    q = field.q
-    d = moving.dim
+    q, d = moving.field.q, moving.dim
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
-    if d >= 2 and q ** d <= 256:
-        plan = _special_linear_plan(q, d)
-        counts = _coset_counts(moving, fixed, plan)
-        smallest = functools.partial(_smallest_coset_code, plan, q, d)
-    else:
-        counts, smallest = _transporter_counts(moving, fixed), None
+    if d < 2 or q ** d > 256:
+        return _special_linear_report(_transporter_counts(moving, fixed), moving, fixed, want_histogram)
+    return _coset_report(moving, fixed, _codes(moving, q), _codes(fixed, q), want_histogram)[0]
 
-    def decode(code):
-        flat = index_to_coords(code, q, d * d)
-        return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
 
-    return _report_from_counts(
-        counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
-        group_order=_special_linear_order(q, d), space_size=q ** d - 1,
-        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
-    )
+def _coset_overlap(points: PointSet, s: int):
+    """The det finder's scan of E against H = s·E on the coset path
+    (d >= 2, q^d <= 256), or None off it: the report, and H ∩ gE for
+    its element g as (z, x) pairs with gx = z, in canonical z order.
+
+    H is never built: its flat indices are those of s·x, coded through a
+    q-entry table of s·c, and E's flat indices serve both the scan and
+    the overlap.  The images g·x are read off the plan at g's
+    position (`_coset_images`), or, when every count ties, of the first
+    element, x ↦ (x_(d-1), ..., x_1, c·x_0); only the pairs read are
+    decoded.  The matrix budget is checked first, as on every det scan.
+    """
+    q, d = points.field.q, points.dim
+    _check_budget(q, d * d, "matrix scan (q^(d^2))")
+    if d < 2 or q ** d > 256:
+        return None
+    columns = list(zip(*points._coords))
+    codes, times = _horner(columns, q), [s * c % q for c in range(q)]
+    fixed = _horner([map(times.__getitem__, column) for column in columns], q)
+    report, plan, p = _coset_report(points, points, codes, fixed)
+
+    def overlap():
+        if p is None:
+            c = (-1) ** (d * (d - 1) // 2) % q
+            images = _horner([*columns[:0:-1], [c * v % q for v in columns[0]]], q)
+        else:
+            images = _coset_images(plan, q, d, codes, p)
+        vectors, held = plan[6], set(fixed)
+        for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
+            yield vectors[z], x
+
+    return report, overlap()
 
 
 @dataclass(frozen=True)

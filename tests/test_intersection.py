@@ -49,9 +49,12 @@ import fqsim.intersection
 from fqsim.geometry import _det_rows, _inverse_rows
 from fqsim.intersection import (
     _codes,
+    _coset_counts,
+    _coset_images,
     _first_special_linear_code,
     _max_special_linear_intersection,
     _report_from_counts,
+    _smallest_coset_code,
     _special_linear_order,
     _special_linear_plan,
     _translation_counts,
@@ -977,6 +980,23 @@ def coset_cases(q, d, seed, small=False, whole=True):
     return cases if small else cases + [(line, line)] + [(space, space)] * whole
 
 
+def coset_element(q, d, p):
+    """Rows of the element g = h_c·[[1, b], [0, A]] at position p =
+    (A·q^(d-1) + b)·(q^d - 1) + c - 1 of the coset counts, by matrix
+    product: h_c is the completion of the point c, b the b-th vector of
+    F_q^(d-1) in lex order and A the A-th element of SL(d-1, q)."""
+    n, m = q ** d, q ** (d - 1)
+    a, b, c = p // (n - 1) // m, p // (n - 1) % m, p % (n - 1) + 1
+    h = completion(list(itertools.product(range(q), repeat=d))[c], q)
+    shift = list(itertools.product(range(q), repeat=d - 1))[b]
+    s = [[1, *shift]] + [[0, *row] for row in sl_group(q, d - 1).elements[a].linear]
+    return [[sum(map(mul, row, col)) % q for col in zip(*s)] for row in h]
+
+
+def flat_index(v, q):
+    return functools.reduce(lambda i, c: i * q + c, v, 0)
+
+
 class TestCosetScan:
     """The byte-column scan over the cosets h_c·S, q^d <= 256, against the
     transporter counts and the enumerated group, on both sides of the bound."""
@@ -1037,6 +1057,46 @@ class TestCosetScan:
             tracemalloc.stop()
         assert rep.group_order == 372000 and rep.double_count_total == 40 * 40 * 3000
         assert peak < 4 * rep.group_order
+
+    @pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3), (2, 4)])
+    def test_images_read_off_the_plan_are_the_matrix_products(self, q, d):
+        """At 50 seeded positions p of the coset counts, the flat index of
+        g·x read off ω, leads and images, for every x of F_q^d, is that of
+        `coset_element`'s g times x, and so is what `_coset_images` reads;
+        for d = 2 it is also byte p of joined[x]."""
+        plan = _special_linear_plan(q, d)
+        omega, leads, images, joined = plan[-4:]
+        n, m = q ** d, q ** (d - 1)
+        points = list(itertools.product(range(q), repeat=d))
+        rng = SplitMix64(10 * q + d)
+        for _ in range(50):
+            p = rng.next_below(_special_linear_order(q, d))
+            g = coset_element(q, d, p)
+            moved = [flat_index([sum(map(mul, row, x)) % q for row in g], q) for x in points]
+            a, b, c = p // (n - 1) // m, p // (n - 1) % m, p % (n - 1)
+            assert [omega[images[x % m][a]][leads[x][b]][c] for x in range(n)] == moved, p
+            assert _coset_images(plan, q, d, range(n), p) == moved, p
+            if d == 2:
+                assert [joined[x][p] for x in range(n)] == moved, p
+
+    @pytest.mark.parametrize("q, d", [(5, 2), (3, 3), (2, 4)])
+    def test_tie_break_hands_back_the_smallest_maximal_position(self, q, d):
+        """1- and 2-point sets and a seeded half of the space: the code
+        `_smallest_coset_code` returns is the smallest code, by matrix
+        product, of an element at a maximal position, and the position it
+        returns holds that element.  Past d = 2 a 1-point set has more
+        than q^d - 1 maximal positions, so the tie-break narrows by c_0."""
+        plan = _special_linear_plan(q, d)
+        space = Space.punctured(q, d)
+        for n, seed in ((1, 1), (2, 2), (len(space) // 2, 3)):
+            e, h = random_subset(space, n, seed), random_subset(space, n, seed + 10)
+            counts = _coset_counts(_codes(e, q), _codes(h, q), plan, q, d)
+            best = max(counts)
+            codes = {p: flat_index(itertools.chain(*coset_element(q, d, p)), q)
+                     for p, v in enumerate(counts) if v == best}
+            assert len(codes) > (q ** d - 1 if n == 1 and d > 2 else 0)
+            code, p = _smallest_coset_code(plan, q, d, counts, best)
+            assert code == min(codes.values()) == codes[p], n
 
 
 def scan_oracles(group, moving, fixed):
