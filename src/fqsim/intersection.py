@@ -669,10 +669,11 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     to q^d - 1 positions holding `best` are found by `bytes.find`; past
     that, c's columns `counts[c::q^d - 1]` are read in lex order, which
     is c_0 order, up to the first lead that holds it.  The positions, as
-    (c, b, A), are filtered row by row, each row's lead first and its
-    tail next, off the plan's e·b codes and c's carrier tables, while
-    more than one is left.  The one left, or the only one found, is
-    decoded off the same tables: its code is the rows' codes in base q^d.
+    (c, b, A), are filtered row by row, keeping those whose row codes
+    c_r·q^(d-1) + tail least, off the plan's e·b codes and c's carrier
+    tables, while more than one is left.  The one left, or the only one
+    found, is decoded off the same tables: its code is the rows' codes in
+    base q^d.
     """
     _, wrap, _, eb, carriers, columns = plan[:6]
     n, m = q ** d, q ** (d - 1)
@@ -695,13 +696,11 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
                     j = column.find(best, j + 1)
     code = 0
     for r, lead in enumerate(columns):
+        if len(found) > 1:  # keep the positions whose row r codes least
+            rows = [lead[c] * m + wrap[eb[lead[c]][b] + carriers[c][r][a]] for c, b, a in found]
+            low = min(rows)
+            found = [t for t, v in zip(found, rows) if v == low]
         if found:
-            if len(found) > 1:
-                top = min(lead[c] for c, _, _ in found)
-                found = [t for t in found if lead[t[0]] == top]
-                tails = [wrap[eb[top][b] + carriers[c][r][a]] for c, b, a in found]
-                low = min(tails)
-                found = [t for t, v in zip(found, tails) if v == low]
             c, b, a = found[0]
         code = code * n + lead[c] * m + wrap[eb[lead[c]][b] + carriers[c][r][a]]
     return code, (a * m + b) * (n - 1) + c
