@@ -257,14 +257,9 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
 
 
 def _codes(points: PointSet, base: int, offset: int = 0) -> list[int]:
-    """offset + Σ_i c_i·base^(d-1-i) for every point (`_horner`)."""
-    return _horner(zip(*points._coords), base, offset)
-
-
-def _horner(columns, base: int, offset: int = 0) -> list[int]:
     """offset + Σ_i c_i·base^(d-1-i) for every point, by Horner's rule a
-    coordinate column at a time, over the points' coordinate `columns`."""
-    columns = iter(columns)
+    coordinate column at a time."""
+    columns = zip(*points._coords)
     codes = next(columns, ())
     for column in columns:
         codes = map(add, map(mul, codes, repeat(base)), column)
@@ -507,7 +502,8 @@ def _special_linear_plan(q: int, d: int) -> tuple:
 
     While q^d <= 256 every flat index and count fits in a byte, and the
     coset scan's tables follow: vectors[x] is the coordinate tuple of
-    flat index x and columns[r][c - 1] = c_r; omega[tail][lead]
+    flat index x, byte x of scales[e] the flat index of e·x, and
+    columns[r][c - 1] = c_r; omega[tail][lead]
     is ω_w, w = lead·q^(d-1) + tail, whose byte c - 1 is the flat index of
     h_c·w (no digit adds more than two terms below q); leads[x] holds the
     lead x_0 + b·x' of s·x over b, and images[x'] the flat index of A·x'
@@ -558,9 +554,11 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     images = tuple(sum(int.from_bytes(r.translate(bytes(v * q ** (d - 2 - k) for v in dot).ljust(256, b"\0")),
                        "little") for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
     vectors = tuple(product(range(q), repeat=d))
+    index = {v: x for x, v in enumerate(vectors)}
+    scales = tuple(bytes(index[tuple(e * c % q for c in v)] for v in vectors).ljust(256, b"\0") for e in range(q))
     columns = tuple(bytes(col[1:]) for col in zip(*vectors))
     joined = tuple(b"".join(map(omega[x % m].__getitem__, leads[x])) for x in range(n)) if d == 2 else ()
-    return (*plan, columns, vectors, omega, leads, images, joined)
+    return (*plan, columns, vectors, scales, omega, leads, images, joined)
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -724,13 +722,13 @@ def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histo
     )
 
 
-def _coset_report(moving: PointSet, fixed: PointSet, e_codes: list[int], h_codes: list[int],
-                  want_histogram: bool = False) -> tuple[IntersectionReport, tuple, int | None]:
+def _coset_report(plan: tuple, moving: PointSet, fixed: PointSet, e_codes, h_codes,
+                  want_histogram: bool = False) -> tuple[IntersectionReport, int | None]:
     """The coset scan's report of E against H, given by their flat
-    indices, with the plan and the reported element's position in the
+    indices, off the `plan`, with the reported element's position in the
     counts, None when every count ties and the element is the first."""
     q, d = moving.field.q, moving.dim
-    plan, position = _special_linear_plan(q, d), None
+    position = None
 
     def smallest(counts, best):
         nonlocal position
@@ -738,7 +736,7 @@ def _coset_report(moving: PointSet, fixed: PointSet, e_codes: list[int], h_codes
         return code
 
     counts = _coset_counts(e_codes, h_codes, plan, q, d)
-    return _special_linear_report(counts, moving, fixed, want_histogram, smallest), plan, position
+    return _special_linear_report(counts, moving, fixed, want_histogram, smallest), position
 
 
 def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
@@ -758,7 +756,8 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
     if d < 2 or q ** d > 256:
         return _special_linear_report(_transporter_counts(moving, fixed), moving, fixed, want_histogram)
-    return _coset_report(moving, fixed, _codes(moving, q), _codes(fixed, q), want_histogram)[0]
+    plan = _special_linear_plan(q, d)
+    return _coset_report(plan, moving, fixed, _codes(moving, q), _codes(fixed, q), want_histogram)[0]
 
 
 def _coset_overlap(points: PointSet, s: int):
@@ -766,26 +765,25 @@ def _coset_overlap(points: PointSet, s: int):
     (d >= 2, q^d <= 256), or None off it: the report, and H ∩ gE for
     its element g as (z, x) pairs with gx = z, in canonical z order.
 
-    H is never built: its flat indices are those of s·x, coded through a
-    q-entry table of s·c, and E's flat indices serve both the scan and
-    the overlap.  The images g·x are read off the plan at g's
-    position (`_coset_images`), or, when every count ties, of the first
-    element, x ↦ (x_(d-1), ..., x_1, c·x_0); only the pairs read are
-    decoded.  The matrix budget is checked first, as on every det scan.
+    H is never built: its flat indices are E's translated through the
+    plan's table of s·x, and E's flat indices serve both the scan and
+    the overlap.  The images g·x are read off the plan at g's position
+    (`_coset_images`), or, when every count ties, of the first element,
+    x ↦ (x_(d-1), ..., x_1, c·x_0); only the pairs read are decoded.
+    The matrix budget is checked first, as on every det scan.
     """
     q, d = points.field.q, points.dim
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
     if d < 2 or q ** d > 256:
         return None
-    columns = list(zip(*points._coords))
-    codes, times = _horner(columns, q), [s * c % q for c in range(q)]
-    fixed = _horner([map(times.__getitem__, column) for column in columns], q)
-    report, plan, p = _coset_report(points, points, codes, fixed)
+    plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
+    fixed = codes.translate(plan[7][s])
+    report, p = _coset_report(plan, points, points, codes, fixed)
 
     def overlap():
         if p is None:
             c = (-1) ** (d * (d - 1) // 2) % q
-            images = _horner([*columns[:0:-1], [c * v % q for v in columns[0]]], q)
+            images = [functools.reduce(lambda z, v: z * q + v, (*x[:0:-1], c * x[0] % q)) for x in points._coords]
         else:
             images = _coset_images(plan, q, d, codes, p)
         vectors, held = plan[6], set(fixed)
