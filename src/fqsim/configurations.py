@@ -597,8 +597,8 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     scan counts the maps g with gx = y per pair and builds no group.  The
     overlap points z give y = z/root and the x with gx = z.  While q^d <=
     256 the coset scan hands back the overlap itself (`_coset_overlap`):
-    H = root·E is only byte marks, and the pairs come off the plan at g's
-    position in the counts.  Past it, and for d = 1, H is built and walked
+    H = root·E is only flat indices, and the pairs come off the plan at
+    g's position in the counts.  Past it, and for d = 1, H is built and walked
     against a dict of E pushed forward by g (`_pushed_forward`).  g is
     never inverted.
     """

@@ -45,9 +45,9 @@ summed like the table scan's; past it the |E||H||S| terms of the
 cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
 built once per H.  No loop runs per pair.  The coset tie-break hands
 back the position (A, b, c) of the element it reports, so the det
-finder's scan (`_coset_overlap`) marks H = s·E off E's coordinates,
-builds no point set, and reads g·x off the plan at that position, one
-lookup per point of E.
+finder's scan (`_coset_overlap`) takes H = s·E as E's flat indices
+translated through the plan's table of s·x, builds no point set, and
+reads g·x off the plan at that position, one lookup per point of E.
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
