@@ -664,9 +664,10 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     count in `_coset_counts`' `counts` is `best`, and its position there.
 
     Row r of h_c·s is (c_r, c_r·b + u_r·A), so row 0 leads with c_0.  Up
-    to q^d - 1 positions holding `best` are found by `bytes.find`; past
-    that, c's columns `counts[c::q^d - 1]` are read in lex order, which
-    is c_0 order, up to the first lead that holds it.  The positions, as
+    to max(q^d - 1, |G|/(128q)) positions holding `best` are found by
+    `bytes.find`; past that, c's columns `counts[c::q^d - 1]` are read
+    in lex order, which is c_0 order, up to the first lead that holds
+    it.  The positions, as
     (c, b, A), are filtered row by row, keeping those whose row codes
     c_r·q^(d-1) + tail least, off the plan's e·b codes and c's carrier
     tables, while more than one is left.  The one left, or the only one
@@ -679,7 +680,10 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     c, b, a = p % (n - 1), p // (n - 1) % m, p // (n - 1) // m
     found = []  # listed only when more than one position holds `best`
     if counts.find(best, p + 1) >= 0:
-        while p >= 0 and len(found) < n - 1:
+        # listing and filtering cost about 0.5 µs a position, reading the
+        # columns of one lead about 4 ns a byte of their |G|/q
+        cap = max(n - 1, len(counts) // (128 * q))
+        while p >= 0 and len(found) < cap:
             found.append((p % (n - 1), p // (n - 1) % m, p // (n - 1) // m))
             p = counts.find(best, p + 1)
         if p >= 0:  # many ties: the positions of the smallest lead alone
