@@ -614,7 +614,7 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     return counts
 
 
-def _coset_counts(e_codes: list[int], h_codes: list[int], plan: tuple, q: int, d: int) -> bytes:
+def _coset_counts(e_codes: Sequence[int], h_codes: Sequence[int], plan: tuple, q: int, d: int) -> bytes:
     """|H ∩ g·E| over g in SL(d, q), d >= 2 and q^d <= 256, one byte per
     element in (A, b, c) order, g = h_c·s, off the `plan` tables, for E
     and H given by their flat indices, `e_codes` and `h_codes`.
@@ -645,7 +645,7 @@ def _coset_counts(e_codes: list[int], h_codes: list[int], plan: tuple, q: int, d
     return _marked_sum(rows, marks, _special_linear_order(q, d))
 
 
-def _coset_images(plan: tuple, q: int, d: int, codes, p: int) -> list[int]:
+def _coset_images(plan: tuple, q: int, d: int, codes: Sequence[int], p: int) -> list[int]:
     """The flat index of g·x for every flat index x in `codes`, where g =
     h_c·s is the element at position p = (A·q^(d-1) + b)·(q^d - 1) + c - 1
     of `_coset_counts`' counts: s·x has lead leads[x][b] and tail
@@ -726,8 +726,8 @@ def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histo
     )
 
 
-def _coset_report(plan: tuple, moving: PointSet, fixed: PointSet, e_codes, h_codes,
-                  want_histogram: bool = False) -> tuple[IntersectionReport, int | None]:
+def _coset_report(plan: tuple, moving: PointSet, fixed: PointSet, e_codes: Sequence[int],
+                  h_codes: Sequence[int], want_histogram: bool = False) -> tuple[IntersectionReport, int | None]:
     """The coset scan's report of E against H, given by their flat
     indices, off the `plan`, with the reported element's position in the
     counts, None when every count ties and the element is the first."""
@@ -781,16 +781,17 @@ def _coset_overlap(points: PointSet, s: int):
     if d < 2 or q ** d > 256:
         return None
     plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
-    fixed = codes.translate(plan[7][s])
+    vectors, scales = plan[6:8]
+    fixed = codes.translate(scales[s])
     report, p = _coset_report(plan, points, points, codes, fixed)
 
     def overlap():
-        if p is None:
+        if p is None:  # every count ties, at the first element
             c = (-1) ** (d * (d - 1) // 2) % q
             images = [functools.reduce(lambda z, v: z * q + v, (*x[:0:-1], c * x[0] % q)) for x in points._coords]
         else:
             images = _coset_images(plan, q, d, codes, p)
-        vectors, held = plan[6], set(fixed)
+        held = set(fixed)
         for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
             yield vectors[z], x
 
