@@ -667,12 +667,11 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     to max(q^d - 1, |G|/(128q)) positions holding `best` are found by
     `bytes.find`; past that, c's columns `counts[c::q^d - 1]` are read
     in lex order, which is c_0 order, up to the first lead that holds
-    it.  The positions, as
-    (c, b, A), are filtered row by row, keeping those whose row codes
-    c_r·q^(d-1) + tail least, off the plan's e·b codes and c's carrier
-    tables, while more than one is left.  The one left, or the only one
-    found, is decoded off the same tables: its code is the rows' codes in
-    base q^d.
+    it.  The positions, as (c, b, A), are filtered row by row, keeping
+    those whose row codes c_r·q^(d-1) + tail are least, off the plan's
+    e·b codes and c's carrier tables, while more than one is left.  The
+    one left, or the only one found, is decoded off the same tables: its
+    code is the rows' codes in base q^d.
     """
     _, wrap, _, eb, carriers, columns = plan[:6]
     n, m = q ** d, q ** (d - 1)
