@@ -1090,7 +1090,8 @@ class TestCosetScan:
         `_smallest_coset_code` returns is the smallest code, by matrix
         product, of an element at a maximal position, and the position it
         returns holds that element.  Past d = 2 a 1-point set has more
-        than q^d - 1 maximal positions, so the tie-break narrows by c_0."""
+        maximal positions than the tie-break lists, max(q^d - 1,
+        |G|/(128q)), so it reads the columns of the smallest lead c_0."""
         plan = _special_linear_plan(q, d)
         space = Space.punctured(q, d)
         for n, seed in ((1, 1), (2, 2), (len(space) // 2, 3)):
@@ -1099,7 +1100,8 @@ class TestCosetScan:
             best = max(counts)
             codes = {p: flat_index(itertools.chain(*coset_element(q, d, p)), q)
                      for p, v in enumerate(counts) if v == best}
-            assert len(codes) > (q ** d - 1 if n == 1 and d > 2 else 0)
+            listed = max(q ** d - 1, len(counts) // (128 * q))
+            assert len(codes) > (listed if n == 1 and d > 2 else 0)
             code, p = _smallest_coset_code(plan, q, d, counts, best)
             assert code == min(codes.values()) == codes[p], n
 
