@@ -49,7 +49,7 @@ from .errors import (
 )
 from .field import as_field, make_field
 from .geometry import _check_budget, _check_dim
-from .groups import orthogonal_group, special_linear_group, translations
+from .groups import Space, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
     file_digest,
@@ -58,7 +58,7 @@ from .harness import (
     write_sweep,
 )
 from .intersection import (_check_audit_space, _space_indices, exhaustive_pairs_audit,
-                           max_intersection, max_translation_intersection_fast)
+                           intersect_count, max_intersection, max_translation_intersection_fast)
 
 
 def _emit(obj) -> None:
@@ -103,6 +103,16 @@ def _refuse_large_audit(kind: str, q: int, d: int) -> None:
         _check_audit_space(q ** d - 1)
 
 
+def _recount(report, e_set, h_set) -> None:
+    """Count |H ∩ best_g·E| again with `intersect_count`, which applies
+    best_g point by point and shares no kernel with the scans, and refuse
+    a report that it does not reach its best_count, before any output."""
+    count = intersect_count(report.best_g, e_set, h_set)
+    if count != report.best_count:
+        raise VerificationFailed([f"best_g sends {count} points of the moving set into the fixed "
+                                  f"set, the report's best_count is {report.best_count}"])
+
+
 def cmd_verify_bound(args) -> int:
     if args.exhaustive_subsets and args.radius is None and args.group != "orthogonal":
         _refuse_large_audit(args.group, args.q, args.d)
@@ -124,6 +134,7 @@ def cmd_verify_bound(args) -> int:
         report = max_translation_intersection_fast(e_set, h_set, want_histogram=args.histogram)
     else:
         report = max_intersection(group, e_set, h_set, want_histogram=args.histogram)
+    _recount(report, e_set, h_set)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None
     out["input_digests"] = {"set_e": file_digest(args.set_e), "set_h": file_digest(args.set_h)}
@@ -194,6 +205,9 @@ def cmd_sphere_experiment(args) -> int:
     h_set = load_pointset(args.set_h) if args.set_h else None
     result = sphere_experiment(args.q, args.d, args.radius, args.k,
                                e_set=e_set, h_set=h_set)
+    # a set not given is the whole sphere
+    surface = Space.sphere(args.q, args.d, args.radius) if e_set is None or h_set is None else None
+    _recount(result.report, surface if e_set is None else e_set, surface if h_set is None else h_set)
     _emit(result.to_json())
     return 0 if result.guarantee_holds else 2
 

@@ -56,6 +56,7 @@ from .intersection import (
     IntersectionReport,
     _coset_overlap,
     _max_special_linear_intersection,
+    _shift_overlap,
     max_intersection,
     max_translation_intersection_fast,
 )
@@ -481,10 +482,13 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     q = points.field.q
 
     def scan(root):
+        if found := _shift_overlap(points, root.value):
+            return found
+        # past the byte bound, or on a line, H is built and walked in
+        # canonical order, stopped after k+1: a set of E's tuples beats
+        # pushing E forward
         scaled = points.scaled(root)
         report = max_translation_intersection_fast(points, scaled)
-        # walked in canonical order and stopped after k+1: a set of E's
-        # tuples beats pushing E forward
         held, a = set(points._coords), report.best_g.shift
         return report, ((z, x) for z in scaled._coords
                         if (x := tuple([(c - b) % q for c, b in zip(z, a)])) in held)
@@ -610,8 +614,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     q = points.field.q
 
     def scan(root):
-        found = _coset_overlap(points, root.value)
-        if found:
+        if found := _coset_overlap(points, root.value):
             return found
         # past the byte bound, or on a line, the transporters count, and H
         # is walked in canonical order against E pushed forward by g

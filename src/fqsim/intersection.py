@@ -59,7 +59,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from math import isqrt
 from operator import add, itemgetter, mul
 
@@ -179,6 +179,28 @@ def _marked_sum(columns, marks: bytes, size: int) -> bytes:
     byte's sum below 256, so no carry crosses a byte."""
     marked = map(bytes.translate, columns, repeat(marks))
     return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
+
+
+def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) -> bytes:
+    """|H ∩ gE| for each of `size` elements g, one byte each, for E and H
+    given by their flat indices, all below 256: `row(x)` holds the flat
+    index of g·x for every g, so E's rows, with H's indices marked, sum to
+    the counts (`_marked_sum`), and one row's marks are the counts."""
+    marks = bytearray(256)
+    for y in h_codes:
+        marks[y] = 1
+    if len(e_codes) == 1:
+        return row(e_codes[0]).translate(marks)
+    return _marked_sum(map(row, e_codes), marks, size)
+
+
+def _pairs(images: list[int], points: PointSet, fixed, vectors):
+    """H ∩ gE as (z, x) pairs with gx = z, in canonical z order, from the
+    flat index images[i] of g·x for the i-th point x of E and the flat
+    indices `fixed` of H: only the pairs read are decoded, by `vectors`."""
+    held = set(fixed)
+    for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
+        yield vectors[z], x
 
 
 def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
@@ -438,6 +460,42 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _space_table(q: int, d: int) -> tuple:
+    """The tables of F_q^d, q^d <= 256, that both finders read, by flat
+    index x in lex order: vectors[x] is x's coordinate tuple, byte x of
+    digits[j] its coordinate j, byte x of scales[e] the flat index of e·x,
+    and byte t of rows[x] that of x + t, so rows[x] is column x of the
+    translations' image table.  scales[e] is each digit column translated
+    to e times its digit at its weight, the d added as integers with no
+    carry.  The rows are listed a coordinate j at a time, the row of x +
+    a·e_j being that of x translated a times through the step v ↦ v +
+    e_j: one `bytes.translate` per row."""
+    n = q ** d
+    vectors = tuple(product(range(q), repeat=d))
+    digits = tuple(map(bytes, zip(*vectors)))
+    weights = [q ** (d - 1 - j) for j in range(d)]
+    scales = tuple(sum(int.from_bytes(c.translate(bytes(e * a % q * w for a in range(q)).ljust(256, b"\0")), "little")
+                       for c, w in zip(digits, weights)).to_bytes(n, "little").ljust(256, b"\0") for e in range(q))
+    rows = [bytes(range(n))]
+    for w in weights:
+        step = bytes(v - (q - 1) * w if v // w % q == q - 1 else v + w for v in range(n)).ljust(256, b"\0")
+        rows = [row for r in rows for row in accumulate(repeat(step, q - 1), bytes.translate, initial=r)]
+    return vectors, digits, scales, tuple(rows)
+
+
+def _translation_report(counts, moving: PointSet, fixed: PointSet, coords,
+                        want_histogram: bool = False) -> IntersectionReport:
+    """`_report_from_counts` over the q^d translations, the shift of code
+    i being `coords(i)`."""
+    field, d = moving.field, moving.dim
+    n = field.q ** d
+    return _report_from_counts(
+        counts, moving, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
+        first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
+    )
+
+
 def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
                                       want_histogram: bool = False) -> IntersectionReport:
     """Translation-group maximizer, counting every shift without the group.
@@ -446,16 +504,37 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
     total, summed from the counts, is |E||H| (each pair contributes to
-    exactly one shift).  Both forms of `_translation_counts` key a shift
-    by its base-2q code, whose digits are the shift's coordinates.
+    exactly one shift).  For d >= 2 and q^d < 256 the counts are bytes
+    in lex shift order, E's rows of `_space_table` marked by H and summed
+    (`_row_counts`); otherwise both forms of `_translation_counts` key a
+    shift by its base-2q code, whose digits are the shift's coordinates.
     """
-    field, d = moving.field, moving.dim
-    return _report_from_counts(
-        _translation_counts(moving, fixed), moving, fixed,
-        decode=lambda i: Translation._of(field, _identity(d), index_to_coords(i, 2 * field.q, d)),
-        first=0, group_order=field.q ** d, space_size=field.q ** d, transitive=True,
-        want_histogram=want_histogram,
-    )
+    _check_compatible(moving, fixed)
+    q, d = moving.field.q, moving.dim
+    if d < 2 or q ** d > 255:
+        return _translation_report(_translation_counts(moving, fixed), moving, fixed,
+                                   lambda i: index_to_coords(i, 2 * q, d), want_histogram)
+    vectors, _, _, rows = _space_table(q, d)
+    counts = _row_counts(rows.__getitem__, _codes(moving, q), _codes(fixed, q), q ** d)
+    return _translation_report(counts, moving, fixed, vectors.__getitem__, want_histogram)
+
+
+def _shift_overlap(points: PointSet, s: int):
+    """The similarity finder's scan of E against H = s·E below the byte
+    bound (d >= 2, q^d < 256), or None off it: the report, and H ∩ (E + a)
+    for its shift a as (z, x) pairs with x + a = z, in canonical z order.
+    As in `_coset_overlap`, H is E's flat indices translated through
+    `scales[s]`, and x + a is byte p of x's row, p the shift's position."""
+    q, d = points.field.q, points.dim
+    if d < 2 or q ** d > 255:
+        return None
+    vectors, _, scales, rows = _space_table(q, d)
+    codes = bytes(_codes(points, q))
+    fixed = codes.translate(scales[s])
+    counts = _row_counts(rows.__getitem__, codes, fixed, q ** d)
+    report = _translation_report(counts, points, points, vectors.__getitem__)
+    p = counts.index(report.best_count)
+    return report, _pairs([rows[x][p] for x in codes], points, fixed, vectors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -553,12 +632,9 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     a_rows = list(map(bytes, a_rows))
     images = tuple(sum(int.from_bytes(r.translate(bytes(v * q ** (d - 2 - k) for v in dot).ljust(256, b"\0")),
                        "little") for k, r in enumerate(a_rows)).to_bytes(len(blocks), "little") for dot in dots)
-    vectors = tuple(product(range(q), repeat=d))
-    index = {v: x for x, v in enumerate(vectors)}
-    scales = tuple(bytes(index[tuple(e * c % q for c in v)] for v in vectors).ljust(256, b"\0") for e in range(q))
-    columns = tuple(bytes(col[1:]) for col in zip(*vectors))
+    columns = tuple(c[1:] for c in _space_table(q, d)[1])
     joined = tuple(b"".join(map(omega[x % m].__getitem__, leads[x])) for x in range(n)) if d == 2 else ()
-    return (*plan, columns, vectors, scales, omega, leads, images, joined)
+    return (*plan, columns, omega, leads, images, joined)
 
 
 def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
@@ -629,9 +705,6 @@ def _coset_counts(e_codes: Sequence[int], h_codes: Sequence[int], plan: tuple, q
     """
     omega, leads, images, joined = plan[-4:]
     m = q ** (d - 1)
-    marks = bytearray(256)
-    for y in h_codes:
-        marks[y] = 1
 
     def row(x):
         tail = x % m
@@ -639,10 +712,7 @@ def _coset_counts(e_codes: Sequence[int], h_codes: Sequence[int], plan: tuple, q
         block = {a: b"".join(map(omega[a].__getitem__, leads[x])) for a in (range(1, m) if tail else (0,))}
         return b"".join(map(block.__getitem__, images[tail]))
 
-    rows = map(joined.__getitem__ if d == 2 else row, e_codes)
-    if len(e_codes) == 1:  # one row: its marks are the counts, with no sum
-        return next(rows).translate(marks)
-    return _marked_sum(rows, marks, _special_linear_order(q, d))
+    return _row_counts(joined.__getitem__ if d == 2 else row, e_codes, h_codes, _special_linear_order(q, d))
 
 
 def _coset_images(plan: tuple, q: int, d: int, codes: Sequence[int], p: int) -> list[int]:
@@ -780,21 +850,15 @@ def _coset_overlap(points: PointSet, s: int):
     if d < 2 or q ** d > 256:
         return None
     plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
-    vectors, scales = plan[6:8]
+    vectors, _, scales = _space_table(q, d)[:3]
     fixed = codes.translate(scales[s])
     report, p = _coset_report(plan, points, points, codes, fixed)
-
-    def overlap():
-        if p is None:  # every count ties, at the first element
-            c = (-1) ** (d * (d - 1) // 2) % q
-            images = [functools.reduce(lambda z, v: z * q + v, (*x[:0:-1], c * x[0] % q)) for x in points._coords]
-        else:
-            images = _coset_images(plan, q, d, codes, p)
-        held = set(fixed)
-        for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
-            yield vectors[z], x
-
-    return report, overlap()
+    if p is None:  # every count ties, at the first element
+        c = (-1) ** (d * (d - 1) // 2) % q
+        images = [functools.reduce(lambda z, v: z * q + v, (*x[:0:-1], c * x[0] % q)) for x in points._coords]
+    else:
+        images = _coset_images(plan, q, d, codes, p)
+    return report, _pairs(images, points, fixed, vectors)
 
 
 @dataclass(frozen=True)

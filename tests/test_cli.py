@@ -874,3 +874,97 @@ class TestUnderAMemoryLimit:
         assert [m.split(" needs")[0] for m in messages] == [
             "random sample (points)", "edge set (pairs)", "sweep grid (cells)", "sweep grid (cells)"]
 
+
+
+def one_shift_off(report):
+    """The translation report with best_g moved to the next shift in
+    canonical order, every other field kept."""
+    group = translations(report.best_g.field.q, len(report.best_g.shift))
+    report.best_g = group.elements[(group.elements.index(report.best_g) + 1) % group.order]
+    return report
+
+
+def miscounting(group, report, moving, fixed):
+    """The group report with best_g moved to the canonically first element
+    that counts other than best_count."""
+    report.best_g = next(g for g in group if fqsim.intersect_count(g, moving, fixed) != report.best_count)
+    return report
+
+
+class TestReportRecount:
+    """`verify-bound` and `sphere-experiment` count the reported maximizer
+    again with `intersect_count` before they write their JSON, and exit 2
+    naming the reason when it does not reach best_count."""
+
+    @pytest.mark.parametrize("q, d", [(5, 2), (17, 2), (2, 8), (31, 1)])
+    def test_translation_report_one_shift_off_exits_2(self, capsys, tmp_path, monkeypatch, q, d):
+        # rows of the shift table (F_5^2), bit planes past the byte bound and on a line
+        e = random_pointset(q, d, 12, seed=q + d)
+        pe = write_set(tmp_path / "e.txt", e)
+        argv = ["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
+                "--set-e", pe, "--set-h", pe]
+        assert main(argv) == 0
+        capsys.readouterr()
+        kernel = fqsim.cli.max_translation_intersection_fast
+        monkeypatch.setattr(fqsim.cli, "max_translation_intersection_fast",
+                            lambda *args, **kw: one_shift_off(kernel(*args, **kw)))
+        code, out = run_cli(capsys, *argv)
+        count = fqsim.intersect_count(translations(q, d).elements[1], e, e)  # E = H: shift 0 is best
+        reason = (f"best_g sends {count} points of the moving set into the fixed set, "
+                  "the report's best_count is 12")
+        assert code == 2 and count < 12
+        assert first_json(out) == {"error": "VerificationFailed", "reasons": [reason],
+                                   "message": f"witness verification failed: {reason}"}
+
+    def test_group_report_one_element_off_exits_2(self, capsys, tmp_path, monkeypatch):
+        points = PointSet(make_field(5), 2, [p for p in random_pointset(5, 2, 9, seed=4) if any(p.coords)])
+        pe = write_set(tmp_path / "e.txt", points)
+        argv = ["verify-bound", "--group", "special-linear", "--q", "5", "--d", "2",
+                "--set-e", pe, "--set-h", pe, "--histogram"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fqsim.cli, "max_intersection",
+                            lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h))
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and first_json(out)["error"] == "VerificationFailed"
+
+    def test_sphere_report_one_element_off_exits_2(self, capsys, tmp_path, monkeypatch):
+        # On the whole sphere every element counts |sphere|: only given sets can show it.
+        surface = sphere(7, 2, 1)
+        pe = write_set(tmp_path / "e.txt", PointSet(make_field(7), 2, surface.points[:5]))
+        ph = write_set(tmp_path / "h.txt", PointSet(make_field(7), 2, surface.points[2:]))
+        argv = ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k", "1"]
+        for sets in ([], ["--set-e", pe, "--set-h", ph]):
+            assert main(argv + sets) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fqsim.configurations, "max_intersection",
+                            lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h))
+        code, out = run_cli(capsys, *argv, "--set-e", pe, "--set-h", ph)
+        assert code == 2 and first_json(out)["error"] == "VerificationFailed"
+
+    @pytest.mark.parametrize("kind, q, d", [
+        ("translations", 5, 2), ("translations", 17, 2), ("translations", 31, 1),
+        ("special-linear", 5, 2), ("special-linear", 17, 2), ("orthogonal", 7, 2),
+    ])
+    def test_recount_runs_no_kernel_frame(self, kind, q, d):
+        """As `TestVerifierIndependence` for the witness verifiers: of
+        `intersection.py` only `intersect_count` runs, and no scan, image
+        table or count kernel, whichever kernel made the report."""
+        from test_configurations import frames_run
+
+        points = PointSet(make_field(q), d, [p for p in random_pointset(q, d, 20, seed=q) if any(p.coords)])
+        other = PointSet(make_field(q), d, [p for p in random_pointset(q, d, 20, seed=d) if any(p.coords)])
+        if kind == "translations":
+            report = fqsim.max_translation_intersection_fast(points, other)
+        elif kind == "special-linear":
+            report = fqsim.intersection._max_special_linear_intersection(points, other)
+        else:
+            report = max_intersection(fqsim.orthogonal_group(q, d), points, other)
+        _, codes = frames_run(lambda: fqsim.cli._recount(report, points, other))
+        names = {(c.co_filename.rsplit(os.sep, 1)[-1], c.co_qualname) for c in codes}
+        assert ("intersection.py", "intersect_count") in names
+        kernels = {"_group_counts", "FiniteGroup.columns", "_translation_counts", "_row_counts",
+                   "_coset_counts", "_transporter_counts"}
+        assert [n for f, n in names if n.split(".<locals>")[0] in kernels] == []
+        assert {n for f, n in names if f == "intersection.py"} <= {
+            "intersect_count", "intersect_count.<locals>.<genexpr>", "_check_compatible"}

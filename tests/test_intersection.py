@@ -55,6 +55,7 @@ from fqsim.intersection import (
     _max_special_linear_intersection,
     _report_from_counts,
     _smallest_coset_code,
+    _space_table,
     _special_linear_order,
     _special_linear_plan,
     _translation_counts,
@@ -1063,15 +1064,16 @@ class TestCosetScan:
         """At 50 seeded positions p of the coset counts, the flat index of
         g·x read off ω, leads and images, for every x of F_q^d, is that of
         `coset_element`'s g times x, and so is what `_coset_images` reads;
-        for d = 2 it is also byte p of joined[x].  The plan's vectors and
-        scale tables, which the det finder decodes and dilates with, are
-        checked against the coordinates."""
+        for d = 2 it is also byte p of joined[x].  The vectors and scale
+        tables of `_space_table`, which the det finder decodes and dilates
+        with, are checked against the coordinates."""
         plan = _special_linear_plan(q, d)
         omega, leads, images, joined = plan[-4:]
         n, m = q ** d, q ** (d - 1)
         points = list(itertools.product(range(q), repeat=d))
-        assert plan[6] == tuple(points)  # the vectors of F_q^d by flat index
-        for e, scale in enumerate(plan[7]):  # byte x of scales[e] is the flat index of e·x
+        vectors, _, scales = _space_table(q, d)[:3]
+        assert vectors == tuple(points)  # the vectors of F_q^d by flat index
+        for e, scale in enumerate(scales):  # byte x of scales[e] is the flat index of e·x
             assert scale[:n] == bytes(flat_index([e * c % q for c in x], q) for x in points)
         rng = SplitMix64(10 * q + d)
         for _ in range(50):

@@ -1,0 +1,55 @@
+"""The `src/` line counter, on a small module whose lines are known."""
+
+import ast
+
+import src_lines
+
+FIXTURE = '''\
+"""Module docstring,
+
+over three lines."""
+
+# a comment
+import os
+
+
+class Thing:
+    """One line."""
+
+    x = "not a docstring"
+
+    def method(self):
+        """Two
+        lines."""
+        return (1,
+                2)  # a trailing comment is code
+
+
+async def run():
+    """Async."""
+    pass
+
+
+def bare():
+    return os.sep
+'''
+
+
+def test_counts_the_fixture_module():
+    # docstrings: lines 1-3, 10, 15-16, 22; other: blank lines and line 5
+    assert src_lines.count_lines(FIXTURE) == (10, 7, 10)
+
+
+def test_docstring_lines_are_the_spans():
+    assert src_lines.docstring_lines(ast.parse(FIXTURE)) == {1, 2, 3, 10, 15, 16, 22}
+
+
+def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(FIXTURE, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert src_lines.main([str(tmp_path / "pkg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{tmp_path / 'pkg' / 'a.py'}: 10 / 7 / 10 (27)",
+                     f"{tmp_path / 'pkg' / 'b.py'}: 1 / 0 / 1 (2)",
+                     "total: 11 / 7 / 11 (29)"]

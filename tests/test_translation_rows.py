@@ -1,4 +1,5 @@
-"""Translation scans below the byte bound: golden pins of the finder's
+"""Translation scans below the byte bound: the shift table against the
+image table and the pair oracle, and golden pins of the finder's
 witnesses and of the translation reports, on both sides of q^d = 256."""
 
 import hashlib
@@ -6,16 +7,23 @@ import warnings
 
 import pytest
 
+import fqsim.intersection
 from fqsim import (
     FqsimError,
+    PointSet,
     Space,
     canonical_json,
     find_similar_config,
     make_field,
     max_translation_intersection_fast,
+    random_pointset,
     random_subset,
     similarity_threshold,
+    translations,
 )
+from fqsim.intersection import _space_table
+
+from test_intersection import assert_same_report, oracle_translation_report
 
 # (q, d) below the byte bound, then just past it.
 BELOW = [(2, d) for d in range(2, 8)] + [(3, d) for d in range(2, 6)] + [
@@ -109,3 +117,80 @@ class TestTranslationPins:
     ])
     def test_pinned(self, translation_pins, side, kind, expected):
         assert translation_pins[side, kind] == expected
+
+
+def flat(x, q):
+    return sum(c * q ** (len(x) - 1 - i) for i, c in enumerate(x))
+
+
+def kernels_run(monkeypatch, call):
+    """`call()` and the names of the translation kernels it ran: the rows
+    of the shift table (`_row_counts`) or `_translation_counts`."""
+    ran = []
+    for name in ("_row_counts", "_translation_counts"):
+        def spy(*args, kernel=getattr(fqsim.intersection, name), name=name):
+            ran.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(fqsim.intersection, name, spy)
+    return call(), ran
+
+
+class TestShiftTable:
+    """`_space_table(q, d)`: its rows are the translations' image table and
+    its scale tables `PointSet.scaled`; reports off the rows match the pair
+    oracle on both sides of the byte bound."""
+
+    @pytest.mark.parametrize("q, d", BELOW + [(2, 8)])
+    def test_rows_are_the_image_table(self, q, d):
+        vectors, digits, scales, rows = _space_table(q, d)
+        assert list(rows) == list(translations(q, d).columns())
+        assert vectors == Space.full(q, d)._coords
+        assert digits == tuple(bytes(x[j] for x in vectors) for j in range(d))
+
+    @pytest.mark.parametrize("q, d", BELOW)
+    def test_scales_are_the_dilations(self, q, d):
+        field = make_field(q)
+        vectors, _, scales, _ = _space_table(q, d)
+        assert len(scales) == q and all(len(scale) == 256 for scale in scales)
+        points = random_subset(Space.full(q, d), q ** d // 3 + 1, q + d)
+        codes = bytes(flat(x, q) for x in points._coords)
+        for e, scale in enumerate(scales):
+            assert scale[:q ** d] == bytes(
+                flat(PointSet._canonical(field, d, [x]).scaled(field(e))._coords[0], q) for x in vectors)
+            assert sorted(vectors[i] for i in set(codes.translate(scale))) == list(
+                points.scaled(field(e))._coords)
+
+    @pytest.mark.parametrize("rows_shape, planes_shape", [((2, 7), (2, 8)), ((3, 5), (17, 2))])
+    def test_both_sides_of_the_bound_match_the_pair_oracle(self, monkeypatch, rows_shape, planes_shape):
+        for (q, d), kernel in ((rows_shape, "_row_counts"), (planes_shape, "_translation_counts")):
+            n = q ** d
+            full = Space.full(q, d)
+            pairs = [(random_pointset(q, d, n_e, seed=n_e), random_pointset(q, d, n_h, seed=n_h + 1))
+                     for n_e, n_h in ((1, n // 2), (n // 3, n // 2), (n // 2, 1))]
+            for e, h in pairs + [(full, full)]:
+                for hist in (False, True):
+                    rep, ran = kernels_run(monkeypatch, lambda: max_translation_intersection_fast(
+                        e, h, want_histogram=hist))
+                    monkeypatch.undo()
+                    assert ran == [kernel], (q, d)
+                    assert_same_report(rep, oracle_translation_report(e, h, hist))
+
+    @pytest.mark.parametrize("q", [2, 3, 251])
+    def test_a_line_stays_on_the_planes(self, monkeypatch, q):
+        e, h = random_pointset(q, 1, q // 2 or 1, seed=1), random_pointset(q, 1, q // 2 or 1, seed=2)
+        rep, ran = kernels_run(monkeypatch, lambda: max_translation_intersection_fast(e, h, want_histogram=True))
+        assert ran == ["_translation_counts"]
+        monkeypatch.undo()
+        assert_same_report(rep, oracle_translation_report(e, h, True))
+
+    @pytest.mark.parametrize("q, d, dilated", [(13, 2, False), (3, 5, False), (17, 2, True), (31, 1, True)])
+    def test_the_finder_dilates_no_point_set_below_the_bound(self, monkeypatch, q, d, dilated):
+        field = make_field(q)
+        points = random_subset(Space.full(q, d), similarity_threshold(q, d, 2), q * d)
+        expected = find_similar_config(points, field(4), 2).to_json()
+        calls = []
+        scaled = PointSet.scaled
+        monkeypatch.setattr(PointSet, "scaled", lambda *args: calls.append(args) or scaled(*args))
+        (witness, ran) = kernels_run(monkeypatch, lambda: find_similar_config(points, field(4), 2))
+        assert witness.to_json() == expected and witness.verified
+        assert (len(calls), ran) == ((1, ["_translation_counts"]) if dilated else (0, ["_row_counts"]))
