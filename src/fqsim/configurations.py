@@ -5,7 +5,8 @@ witness is a pair of (k+1)-tuples (x_i), (y_i) drawn from E whose
 pairwise norms satisfy ‖y_i - y_j‖ = r·‖x_i - x_j‖ on a prescribed
 edge set.  The finder realizes the counting argument directly: scale E
 by a square root of r, translate E over it, and read the witness off
-any shift whose overlap reaches k+1 points.  Whenever
+any shift whose overlap reaches k+1 points; below q^d = 256 the scaled
+set is never built, only its flat indices.  Whenever
 |E|^2 >= (k+1)·q^d the overlap bound guarantees success.
 
 The determinant variant replaces translations by unimodular matrices
@@ -417,6 +418,10 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     returns its report with H ∩ gE for the reported g, as (z, x) pairs
     of coordinate tuples with gx = z, in canonical z order, so each scan
     extracts the overlap its own way and only the pairs read are made.
+    Below q^d = 256 both scans are byte scans that build no H: E's flat
+    indices are dilated by root through one table of F_q^d, and g·x is
+    read off the scan's rows at g's position (`_shift_overlap`,
+    `_coset_overlap`); past it, H = root·E is built and walked.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
     All three are canonical tuples, so they become vectors unchecked
@@ -466,12 +471,17 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
                         edges: EdgeSet | None = None) -> SimilarityWitness:
     """Find (k+1)-tuples in `points` similar with the given square ratio.
 
-    Scales the set by a square root of the ratio, maximizes the overlap
-    with the translated original via the difference histogram, and
-    extracts the k+1 lexicographically smallest overlap points z, with
-    x = z/root and y = z - shift.  Works for any set size; when the
-    overlap tops out below k+1 (possible for small sets) the failure
-    carries the achieved count.
+    Takes H = root·E for a square root of the ratio, maximizes |H ∩ (E
+    + a)| over the shifts a, and extracts the k+1 lexicographically
+    smallest overlap points z, with x = z/root and y = z - a.  For d >= 2
+    and q^d <= 255 the scan sums byte rows of the shift table
+    (`_shift_overlap`): H is only E's flat indices dilated by the table,
+    and the pairs come off the rows at a's position.  Past it, and on a
+    line, H is built and the bit planes or the difference codes count
+    (`max_translation_intersection_fast`), and H is walked against a set
+    of E's tuples.  Works for any set size; when the overlap tops out
+    below k+1 (possible for small sets) the failure carries the achieved
+    count.
     """
     if k < 1:
         raise ValueError(f"similarity search needs k >= 1, got {k}")

@@ -30,12 +30,19 @@ The finders never enumerate a group.  They count the same incidences
 from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
 tie-break becomes the smallest maximal key.  Translations, for the CLI
-bound too, count the pairs (x, y) with y - x = a, points and shifts
-coded in base 2q.  While q^d is small against |H|, a bit table marking
-H is cut into about √|E| pieces, each point of E shifts its piece, and
-the shifted windows, one bit per shift, are added by carry-save full
-adders into bit planes, so C counts all q^d shifts at once; otherwise
-a Counter counts the |E||H| difference codes.
+bound too, count per shift a the x in E with x + a in H.  For d >= 2
+and q^d <= 255 every index and count fits in a byte: row x of a table
+built once per (q, d), `_space_table`, holds the flat index of x + a
+over a in lex order, and E's rows, marked by H, are summed like the
+table scan's columns (`_row_counts`).  Past it, and on a line, points
+and shifts are coded in base 2q.  While q^d is small against |H|, a bit
+table marking H is cut into about √|E| pieces, each point of E shifts
+its piece, and the shifted windows, one bit per shift, are added by
+carry-save full adders into bit planes, so C counts all q^d shifts at
+once; otherwise a Counter counts the |E||H| difference codes.  Below
+the byte bound the similarity finder's scan (`_shift_overlap`) takes
+H = s·E as E's flat indices translated through the table's dilation by
+s and reads x + a off the rows at a's position.
 Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
@@ -45,9 +52,11 @@ summed like the table scan's; past it the |E||H||S| terms of the
 cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
 built once per H.  No loop runs per pair.  The coset tie-break hands
 back the position (A, b, c) of the element it reports, so the det
-finder's scan (`_coset_overlap`) takes H = s·E as E's flat indices
-translated through the plan's table of s·x, builds no point set, and
-reads g·x off the plan at that position, one lookup per point of E.
+finder's scan (`_coset_overlap`) takes H = s·E as `_shift_overlap`
+does, builds no point set, and reads g·x off the plan at that position,
+one lookup per point of E.  Both byte scans share H's marks and the
+one-row shortcut (`_row_counts`) and the pairing of the overlap
+(`_pairs`).
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
@@ -580,9 +589,8 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     all carriers share; inverse[e] = 1/e.
 
     While q^d <= 256 every flat index and count fits in a byte, and the
-    coset scan's tables follow: vectors[x] is the coordinate tuple of
-    flat index x, byte x of scales[e] the flat index of e·x, and
-    columns[r][c - 1] = c_r; omega[tail][lead]
+    coset scan's tables follow: columns[r][c - 1] = c_r, off the digit
+    columns of `_space_table`; omega[tail][lead]
     is ω_w, w = lead·q^(d-1) + tail, whose byte c - 1 is the flat index of
     h_c·w (no digit adds more than two terms below q); leads[x] holds the
     lead x_0 + b·x' of s·x over b, and images[x'] the flat index of A·x'
@@ -839,10 +847,10 @@ def _coset_overlap(points: PointSet, s: int):
     its element g as (z, x) pairs with gx = z, in canonical z order.
 
     H is never built: its flat indices are E's translated through the
-    plan's table of s·x, and E's flat indices serve both the scan and
-    the overlap.  The images g·x are read off the plan at g's position
-    (`_coset_images`), or, when every count ties, of the first element,
-    x ↦ (x_(d-1), ..., x_1, c·x_0); only the pairs read are decoded.
+    table of s·x (`_space_table`), and E's flat indices serve both the
+    scan and the overlap.  The images g·x are read off the plan at g's
+    position (`_coset_images`), or, when every count ties, of the first
+    element, x ↦ (x_(d-1), ..., x_1, c·x_0), and paired by `_pairs`.
     The matrix budget is checked first, as on every det scan.
     """
     q, d = points.field.q, points.dim

@@ -23,7 +23,7 @@ from fqsim import (
 )
 from fqsim.intersection import _space_table
 
-from test_intersection import assert_same_report, oracle_translation_report
+from test_intersection import assert_same_report, flat_index, oracle_translation_report
 
 # (q, d) below the byte bound, then just past it.
 BELOW = [(2, d) for d in range(2, 8)] + [(3, d) for d in range(2, 6)] + [
@@ -119,10 +119,6 @@ class TestTranslationPins:
         assert translation_pins[side, kind] == expected
 
 
-def flat(x, q):
-    return sum(c * q ** (len(x) - 1 - i) for i, c in enumerate(x))
-
-
 def kernels_run(monkeypatch, call):
     """`call()` and the names of the translation kernels it ran: the rows
     of the shift table (`_row_counts`) or `_translation_counts`."""
@@ -153,10 +149,10 @@ class TestShiftTable:
         vectors, _, scales, _ = _space_table(q, d)
         assert len(scales) == q and all(len(scale) == 256 for scale in scales)
         points = random_subset(Space.full(q, d), q ** d // 3 + 1, q + d)
-        codes = bytes(flat(x, q) for x in points._coords)
+        codes = bytes(flat_index(x, q) for x in points._coords)
         for e, scale in enumerate(scales):
             assert scale[:q ** d] == bytes(
-                flat(PointSet._canonical(field, d, [x]).scaled(field(e))._coords[0], q) for x in vectors)
+                flat_index(PointSet._canonical(field, d, [x]).scaled(field(e))._coords[0], q) for x in vectors)
             assert sorted(vectors[i] for i in set(codes.translate(scale))) == list(
                 points.scaled(field(e))._coords)
 
@@ -191,6 +187,6 @@ class TestShiftTable:
         calls = []
         scaled = PointSet.scaled
         monkeypatch.setattr(PointSet, "scaled", lambda *args: calls.append(args) or scaled(*args))
-        (witness, ran) = kernels_run(monkeypatch, lambda: find_similar_config(points, field(4), 2))
+        witness, ran = kernels_run(monkeypatch, lambda: find_similar_config(points, field(4), 2))
         assert witness.to_json() == expected and witness.verified
         assert (len(calls), ran) == ((1, ["_translation_counts"]) if dilated else (0, ["_row_counts"]))
