@@ -563,6 +563,77 @@ class TestDetFinderPins:
         assert det_pin_digests[name] == digest
 
 
+def overlap_pin_cases():
+    """(shape, finder, points, ratio, k) of the shapes that the byte scans
+    do not reach and no other pin covers: lines for both finders, the
+    `similar_large` shape T(101, 2) and SL(3, 7) at k + 1 and k + 2 points."""
+    from fqsim import Space, random_subset
+
+    for q in (31, 251):
+        field, full = make_field(q), Space.full(q, 1)
+        squares = sorted({v * v % q for v in range(1, q)})[:4]
+        for k in (1, 2, 3):
+            sets = [random_subset(full, n, q + 10 * k + n) for n in
+                    (k + 1, similarity_threshold(q, 1, k), q // 2)] + [full]
+            yield from ((f"T({q},1)", find_similar_config, points, field(r), k)
+                        for points in sets for r in squares)
+    for q in (7, 31):
+        field, punctured = make_field(q), Space.punctured(q, 1)
+        for k in (1, 2):
+            sets = [random_subset(punctured, n, q + 10 * k + n) for n in (k + 1, q // 2)] + [punctured]
+            yield from ((f"SL(1,{q})", find_det_similar, points, field(r), k)
+                        for points in sets for r in range(1, q, 3))
+    field = make_field(101)
+    for seed, r in ((1, 4), (2, 9), (3, 100)):
+        yield "T(101,2)", find_similar_config, random_pointset(field, 2, 450, seed), field(r), 3
+    field = make_field(7)
+    for k, extra, seed in itertools.product((3, 4), (1, 2), (1, 2)):
+        points = random_subset(Space.punctured(7, 3), k + extra, 70 * k + 7 * extra + seed)
+        yield from (("SL(3,7)", find_det_similar, points, field(r), k) for r in range(1, 7))
+
+
+@pytest.fixture(scope="module")
+def overlap_pin_digests():
+    """sha256 per shape of `overlap_pin_cases`: over the canonical JSON of
+    each witness and its report, or of the refusal."""
+    from fqsim.harness import canonical_json
+
+    digests = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, finder, points, ratio, k in overlap_pin_cases():
+            try:
+                w = finder(points, ratio, k)
+                out = {"witness": w.to_json(), "report": w.report.to_json()}
+            except fqsim.FqsimError as exc:
+                out = {"error": type(exc).__name__, "message": str(exc)}
+            digests.setdefault(name, hashlib.sha256()).update(canonical_json(out).encode() + b"\n")
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+class TestOverlapScanPins:
+    """Both finders' witnesses, reports and refusals on lines, on the
+    `similar_large` shape and on SL(3, 7), pinned while both finders still
+    built H = root·E and walked it past the byte bound and on lines."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("T(31,1)",
+         "89ef88f7574608e60c269fc851c353bc9216c26b2270811de8829c554e9a07d5"),
+        ("T(251,1)",
+         "4fa6a3c3109d892f115f26639a3b510d2e7774ce37385aaaed6fd8ed86315202"),
+        ("SL(1,7)",
+         "115b8e1eef410eab99856a84a9aedc960ceb987667ca6db792407a69c96a1ea4"),
+        ("SL(1,31)",
+         "bb6b030c61b135e4b86765b857ff85338a1de68fb10ce46b5627115cd3113854"),
+        ("T(101,2)",
+         "318de57d4bd9d60f29a64f7f4aa0363fe663f4a49eefa8de33d3ef6992000e6f"),
+        ("SL(3,7)",
+         "4e4eaf172665bb3ec460538114de3909c2f6a1326831970136e77749390a0ac7"),
+    ])
+    def test_witnesses_are_golden(self, overlap_pin_digests, name, digest):
+        assert overlap_pin_digests[name] == digest
+
+
 class TestDetVerifierDeterminants:
     """The int-row subset determinants against Matrix-level cofactors."""
 
