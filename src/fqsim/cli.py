@@ -69,11 +69,14 @@ def _emit_error(exc: Exception, **extra) -> None:
     _emit({"error": type(exc).__name__, "message": str(exc), **extra})
 
 
-def _build_group(kind: str, q: int, d: int, radius):
+def _build_group(kind: str, q: int, d: int, radius, space_only: bool = False):
+    """The group, or with `space_only` the space of translations alone,
+    refused in the same order: --radius, the prime, the dimension and the
+    q^d budget."""
     if radius is not None and kind != "orthogonal":
         raise ValueError(f"--radius applies to orthogonal groups only, not {kind}")
     if kind == "translations":
-        return translations(q, d)
+        return Space.full(q, d) if space_only else translations(q, d)
     if kind == "orthogonal":
         return orthogonal_group(q, d, radius=radius)
     return special_linear_group(q, d)
@@ -116,7 +119,9 @@ def _recount(report, e_set, h_set) -> None:
 def cmd_verify_bound(args) -> int:
     if args.exhaustive_subsets and args.radius is None and args.group != "orthogonal":
         _refuse_large_audit(args.group, args.q, args.d)
-    group = _build_group(args.group, args.q, args.d, args.radius)
+    # explicit sets over translations are scanned by the finders' kernel,
+    # which needs no group: only the space, for the membership check
+    group = _build_group(args.group, args.q, args.d, args.radius, not args.exhaustive_subsets)
     if args.exhaustive_subsets:
         audit = exhaustive_pairs_audit(group)
         out = {"mode": "exhaustive-subsets", "group": group.describe()}
@@ -128,9 +133,9 @@ def cmd_verify_bound(args) -> int:
         raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
     e_set = load_pointset(args.set_e)
     h_set = load_pointset(args.set_h)
-    if args.group == "translations":  # the finders' kernel: no image table
+    if args.group == "translations":  # `group` is the space
         for name, points in (("moving", e_set), ("fixed", h_set)):
-            _space_indices(group.space, name, points)
+            _space_indices(group, name, points)
         report = max_translation_intersection_fast(e_set, h_set, want_histogram=args.histogram)
     else:
         report = max_intersection(group, e_set, h_set, want_histogram=args.histogram)

@@ -5,18 +5,17 @@ witness is a pair of (k+1)-tuples (x_i), (y_i) drawn from E whose
 pairwise norms satisfy ‖y_i - y_j‖ = r·‖x_i - x_j‖ on a prescribed
 edge set.  The finder realizes the counting argument directly: scale E
 by a square root of r, translate E over it, and read the witness off
-any shift whose overlap reaches k+1 points; below q^d = 256 the scaled
-set is never built, only its flat indices.  Whenever
-|E|^2 >= (k+1)·q^d the overlap bound guarantees success.
+any shift whose overlap reaches k+1 points; the scaled set is never
+built, only its codes.  Whenever |E|^2 >= (k+1)·q^d the overlap bound
+guarantees success.
 
 The determinant variant replaces translations by unimodular matrices
 and the norm relation by det(x-subset) = r·det(y-subset) over every
 d-subset of indices.  Its scan counts, for each pair of points, the
 unimodular maps sending one to the other, so it builds no group; the
 q^(d^2) matrix budget still applies.  Each overlap point z is paired
-with the x that g sends to it without inverting g: for d >= 2 and
-q^d <= 256 both are read off the coset scan's tables at g's position,
-otherwise E is pushed forward through g.
+with the x that g sends to it without inverting g, by coding g·x for
+every x in E.
 Both finders search on coordinate tuples, and the 3(k+1) witness
 points, already canonical, become vectors without the constructor's
 checks (`Vector._of`).
@@ -53,14 +52,7 @@ from .errors import (
 from .field import FieldElement, PrimeField, make_field, as_field
 from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget, _power_exceeds
 from .groups import GroupElement, SpecialLinear, orthogonal_group
-from .intersection import (
-    IntersectionReport,
-    _coset_overlap,
-    _max_special_linear_intersection,
-    _shift_overlap,
-    max_intersection,
-    max_translation_intersection_fast,
-)
+from .intersection import IntersectionReport, _coset_overlap, _shift_overlap, max_intersection
 
 
 class EdgeSet:
@@ -414,14 +406,13 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
     points of E: z/root and the x with gx = z.  `root_of(ratio)` takes
     the root, or gives None for a ratio that is no m-th power, which
-    raises `not_power`.  `scan(root)` maximizes the overlap over G and
-    returns its report with H ∩ gE for the reported g, as (z, x) pairs
-    of coordinate tuples with gx = z, in canonical z order, so each scan
-    extracts the overlap its own way and only the pairs read are made.
-    Below q^d = 256 both scans are byte scans that build no H: E's flat
-    indices are dilated by root through one table of F_q^d, and g·x is
-    read off the scan's rows at g's position (`_shift_overlap`,
-    `_coset_overlap`); past it, H = root·E is built and walked.
+    raises `not_power`.  `scan(points, s)`, s the root's value,
+    maximizes the overlap over G and returns its report with a call that
+    hands back H ∩ gE for the reported g, as (z, x) pairs of coordinate tuples with gx = z, in
+    canonical z order; it is made only when the overlap reaches k+1, and
+    only the pairs read are decoded.  Neither scan (`_shift_overlap`,
+    `_coset_overlap`) builds H: it codes root·x for every x in E, and
+    g·x too, or reads g·x off its rows at g's position.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
     All three are canonical tuples, so they become vectors unchecked
@@ -435,11 +426,11 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     if root is None:
         raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
 
-    report, overlap = scan(root)
+    report, overlap = scan(points, root.value)
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 
-    zs, sources = zip(*itertools.islice(overlap, k + 1))
+    zs, sources = zip(*itertools.islice(overlap(), k + 1))
     field, inv_root = points.field, root.inverse().value
     q = field.q
     witness = build(root, report, tuple([Vector._of(field, z) for z in zs]),
@@ -452,34 +443,16 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     return witness
 
 
-def _pushed_forward(points: PointSet, q: int, rows: tuple):
-    """z ↦ the x in E with Mx = z, else None, for M of determinant 1: a
-    dict of E's images, built a coordinate column at a time, with no
-    inverse of M."""
-    columns = list(zip(*points._coords))
-    images = []
-    for row in rows:
-        image = [0] * len(points._coords)
-        for a, column in zip(row, columns):
-            if a:
-                image = [s + a * c for s, c in zip(image, column)]
-        images.append([s % q for s in image])
-    return dict(zip(zip(*images), points._coords)).get
-
-
 def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
                         edges: EdgeSet | None = None) -> SimilarityWitness:
     """Find (k+1)-tuples in `points` similar with the given square ratio.
 
     Takes H = root·E for a square root of the ratio, maximizes |H ∩ (E
     + a)| over the shifts a, and extracts the k+1 lexicographically
-    smallest overlap points z, with x = z/root and y = z - a.  For d >= 2
-    and q^d <= 255 the scan sums byte rows of the shift table
-    (`_shift_overlap`): H is only E's flat indices dilated by the table,
-    and the pairs come off the rows at a's position.  Past it, and on a
-    line, H is built and the bit planes or the difference codes count
-    (`max_translation_intersection_fast`), and H is walked against a set
-    of E's tuples.  Works for any set size; when the overlap tops out
+    smallest overlap points z, with x = z/root and y = z - a, by one scan
+    (`_shift_overlap`) that builds no point set: for d >= 2 and q^d <= 255
+    it sums byte rows of the shift table, otherwise bit planes or
+    difference codes count.  Works for any set size; when the overlap tops out
     below k+1 (possible for small sets) the failure carries the achieved
     count.
     """
@@ -489,24 +462,10 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
         edges = EdgeSet.all_pairs(k)
     elif edges.k != k:
         raise ValueError(f"edge set is for k = {edges.k}, search is for k = {k}")
-    q = points.field.q
-
-    def scan(root):
-        if found := _shift_overlap(points, root.value):
-            return found
-        # past the byte bound, or on a line, H is built and walked in
-        # canonical order, stopped after k+1: a set of E's tuples beats
-        # pushing E forward
-        scaled = points.scaled(root)
-        report = max_translation_intersection_fast(points, scaled)
-        held, a = set(points._coords), report.best_g.shift
-        return report, ((z, x) for z in scaled._coords
-                        if (x := tuple([(c - b) % q for c, b in zip(z, a)])) in held)
-
     # sqrt, unlike mth_root(2), scans no field, so it serves any q, and
     # answers None for a nonsquare
     return _find_by_overlap(
-        points, ratio, k, 2, NotASquare, FieldElement.sqrt, scan,
+        points, ratio, k, 2, NotASquare, FieldElement.sqrt, _shift_overlap,
         build=lambda root, report, zs, shrunk, sources: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=sources, zs=zs, edges=edges, report=report),
@@ -608,35 +567,22 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     Requires k >= d (otherwise no d-subset exists beyond a single one),
     the origin excluded from the set (the unimodular action is only
     transitive away from it), and the ratio a nonzero d-th power.  The
-    scan counts the maps g with gx = y per pair and builds no group.  The
-    overlap points z give y = z/root and the x with gx = z.  While q^d <=
-    256 the coset scan hands back the overlap itself (`_coset_overlap`):
-    H = root·E is only flat indices, and the pairs come off the plan at
-    g's position in the counts.  Past it, and for d = 1, H is built and walked
-    against a dict of E pushed forward by g (`_pushed_forward`).  g is
-    never inverted.
+    scan (`_coset_overlap`) counts the maps g with gx = y per pair and
+    builds no group and no point set: the cosets of the stabiliser while
+    q^d <= 256, the transporters past it and for d = 1.  The overlap
+    points z give y = z/root and the x with gx = z, from g·x for every x
+    in E.  g is never inverted.
     """
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
     if points._coords[:1] == ((0,) * d,):  # canonical order puts the origin first
         raise OriginInSet("the set must avoid the origin for the unimodular action")
-    q = points.field.q
-
-    def scan(root):
-        if found := _coset_overlap(points, root.value):
-            return found
-        # past the byte bound, or on a line, the transporters count, and H
-        # is walked in canonical order against E pushed forward by g
-        scaled = points.scaled(root)
-        report = _max_special_linear_intersection(points, scaled)
-        find = _pushed_forward(points, q, report.best_g.linear)
-        return report, ((z, x) for z in scaled._coords if (x := find(z)) is not None)
-
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.
     return _find_by_overlap(
-        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None, scan,
+        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None,
+        _coset_overlap,
         build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,
             xs=sources, ys=shrunk, zs=zs, report=report),

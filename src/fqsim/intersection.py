@@ -39,10 +39,7 @@ and shifts are coded in base 2q.  While q^d is small against |H|, a bit
 table marking H is cut into about √|E| pieces, each point of E shifts
 its piece, and the shifted windows, one bit per shift, are added by
 carry-save full adders into bit planes, so C counts all q^d shifts at
-once; otherwise a Counter counts the |E||H| difference codes.  Below
-the byte bound the similarity finder's scan (`_shift_overlap`) takes
-H = s·E as E's flat indices translated through the table's dilation by
-s and reads x + a off the rows at a's position.
+once; otherwise a Counter counts the |E||H| difference codes.
 Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
@@ -50,13 +47,20 @@ when h_c·(s·x) does, so per x the byte columns of the points s·x, one
 byte per c, are joined over S (for d = 2 once per x, in the plan) and
 summed like the table scan's; past it the |E||H||S| terms of the
 cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
-built once per H.  No loop runs per pair.  The coset tie-break hands
-back the position (A, b, c) of the element it reports, so the det
-finder's scan (`_coset_overlap`) takes H = s·E as `_shift_overlap`
-does, builds no point set, and reads g·x off the plan at that position,
-one lookup per point of E.  Both byte scans share H's marks and the
-one-row shortcut (`_row_counts`) and the pairing of the overlap
-(`_pairs`).
+built once per H.  No loop runs per pair.
+
+Each kind has one scan, which tests the byte bound once and serves both
+its finder and its maximizer: `_shift_overlap` for translations,
+`_coset_overlap` for SL(d, q).  It scans E against H = s·fixed with no
+point set built, H being fixed's flat indices translated through
+`_space_table`'s dilation by s below the bound, and coded from fixed's
+coordinate columns times s past it (base-2q codes for translations,
+coordinate tuples for the transporters).  It hands back its report and
+a call that pairs H ∩ gE (`_pairs`), g·x being read off the rows at g's
+position below the bound (the coset tie-break hands back the position
+(A, b, c) of the element it reports) and coded from E's columns through
+g past it.  Both byte scans share H's marks and the one-row shortcut
+(`_row_counts`).
 `max_intersection` over the enumerated group stays the oracle for all.
 """
 
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
 from math import isqrt
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mod, mul
 
 from .errors import (
     DimensionMismatch,
@@ -203,13 +207,14 @@ def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) 
     return _marked_sum(map(row, e_codes), marks, size)
 
 
-def _pairs(images: list[int], points: PointSet, fixed, vectors):
+def _pairs(images: list, points: PointSet, fixed, decode):
     """H ∩ gE as (z, x) pairs with gx = z, in canonical z order, from the
-    flat index images[i] of g·x for the i-th point x of E and the flat
-    indices `fixed` of H: only the pairs read are decoded, by `vectors`."""
+    code images[i] of g·x for the i-th point x of E and the codes `fixed`
+    of H, codes whose order is canonical: only the pairs read are decoded,
+    by `decode`."""
     held = set(fixed)
     for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
-        yield vectors[z], x
+        yield decode(z), x
 
 
 def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
@@ -287,20 +292,46 @@ def _wrap_table(q: int, d: int) -> tuple[int, ...]:
     return tuple(wrap)
 
 
-def _codes(points: PointSet, base: int, offset: int = 0) -> list[int]:
-    """offset + Σ_i c_i·base^(d-1-i) for every point, by Horner's rule a
-    coordinate column at a time."""
-    columns = zip(*points._coords)
+def _columns(points: PointSet, s: int = 1, g: GroupElement | None = None) -> list:
+    """The coordinate columns of the points x, of s·x, or of g·x = Mx + a
+    for a group element g, mod q.  Column i of g·x is m·x_j + a_i, one
+    comprehension, where row i of M has one nonzero entry m, at j (as a
+    translation's rows do); otherwise E's columns times the row's nonzero
+    entries, summed in C."""
+    q, columns = points.field.q, list(zip(*points._coords))
+    if g is None:
+        return columns if s == 1 else [[s * c % q for c in column] for column in columns]
+    images = []
+    for row, a in zip(g.linear, g.shift):
+        terms = [(m, column) for m, column in zip(row, columns) if m]
+        if len(terms) == 1:
+            (m, column), = terms
+            images.append([(m * c + a) % q for c in column])
+            continue
+        image = repeat(a, len(points._coords))
+        for m, column in terms:
+            image = map(add, image, map(mul, column, repeat(m)))
+        images.append(list(map(mod, image, repeat(q))))
+    return images
+
+
+def _codes(points: PointSet, base: int, offset: int = 0, s: int = 1,
+           g: GroupElement | None = None) -> list[int]:
+    """offset + Σ_i c_i·base^(d-1-i) for every point c of E, of s·E or of
+    gE (`_columns`), E the points, by Horner's rule a coordinate column at
+    a time."""
+    columns = iter(_columns(points, s, g))
     codes = next(columns, ())
     for column in columns:
         codes = map(add, map(mul, codes, repeat(base)), column)
     return list(map(add, codes, repeat(offset)) if offset else codes)
 
 
-def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], int] | dict[int, int]:
-    """|fixed ∩ (moving + a)| for every shift a: as bit planes, or a sparse dict.
+def _translation_counts(moving: PointSet, fixed: list[int]) -> tuple[list[int], int] | dict[int, int]:
+    """|H ∩ (moving + a)| for every shift a: as bit planes, or a sparse dict.
 
-    Points and shifts are coded in base 2q, so adding two carries no digit.
+    Points and shifts are coded in base 2q, so adding two carries no digit;
+    H is given by the codes `fixed` of its points, in any order.
 
     Bit planes: T holds one bit per base-2q code.  Each y in H is marked
     once and d shift-ORs lift the marks to code(y + q·ε) for every ε in
@@ -316,7 +347,7 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     returned with the mask of the q^d slots whose digits are all < q
     (`_valid_slots`), through which every plane is read.
 
-    Difference codes (sparse): with q added to every digit of y, each
+    Difference codes (sparse): with q added to every digit of y - x, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
     |E||H| codes in C, and the distinct codes fold to the base-2q code
     Σ a_i (2q)^(d-1-i) of a = y - x mod q: O(|E||H|) time and memory.
@@ -326,14 +357,13 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
     = h for q = 3 to 10007, d = 1 to 4: the branch it picks there is at
     most 1.17x slower than the other.
     """
-    _check_compatible(moving, fixed)
     q, d = moving.field.q, moving.dim
     weights = [(2 * q) ** (d - 1 - i) for i in range(d)]
     width = q * weights[0]
     h = len(fixed)
     if len(moving) and width * h + 40 * q ** d <= 7000 * h * h:
         table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
-        for y in _codes(fixed, 2 * q):
+        for y in fixed:
             table[y >> 3] |= 1 << (y & 7)
         table = int.from_bytes(table, "little")
         for w in weights:  # lift each digit y_i to y_i + q as well
@@ -365,9 +395,8 @@ def _translation_counts(moving: PointSet, fixed: PointSet) -> tuple[list[int], i
             carry = (p & carry) | (plane & u)
             planes[i] = plane ^ u
         return planes, _valid_slots(q, d)
-    xs = _codes(moving, 2 * q)
-    ys = _codes(fixed, 2 * q, q * sum(weights))
-    diffs = Counter(y - x for x in xs for y in ys)
+    xs = _codes(moving, 2 * q, -q * sum(weights))
+    diffs = Counter(y - x for x in xs for y in fixed)
     # Digit by digit over the distinct codes: the digits above the one at
     # weight w are multiples of 2q, so code // w ≡ that digit (mod q).
     keys = [0] * len(diffs)
@@ -513,37 +542,40 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     translation group: the reported shift is the lexicographically
     smallest maximizer, the bound is |E||H|/q^d, and the double-count
     total, summed from the counts, is |E||H| (each pair contributes to
-    exactly one shift).  For d >= 2 and q^d < 256 the counts are bytes
-    in lex shift order, E's rows of `_space_table` marked by H and summed
-    (`_row_counts`); otherwise both forms of `_translation_counts` key a
-    shift by its base-2q code, whose digits are the shift's coordinates.
+    exactly one shift).  The similarity finder's scan counts (`_shift_overlap`).
     """
     _check_compatible(moving, fixed)
-    q, d = moving.field.q, moving.dim
-    if d < 2 or q ** d > 255:
-        return _translation_report(_translation_counts(moving, fixed), moving, fixed,
-                                   lambda i: index_to_coords(i, 2 * q, d), want_histogram)
-    vectors, _, _, rows = _space_table(q, d)
-    counts = _row_counts(rows.__getitem__, _codes(moving, q), _codes(fixed, q), q ** d)
-    return _translation_report(counts, moving, fixed, vectors.__getitem__, want_histogram)
+    return _shift_overlap(moving, 1, fixed, want_histogram)[0]
 
 
-def _shift_overlap(points: PointSet, s: int):
-    """The similarity finder's scan of E against H = s·E below the byte
-    bound (d >= 2, q^d < 256), or None off it: the report, and H ∩ (E + a)
-    for its shift a as (z, x) pairs with x + a = z, in canonical z order.
-    As in `_coset_overlap`, H is E's flat indices translated through
-    `scales[s]`, and x + a is byte p of x's row, p the shift's position."""
+def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
+    """The scan of E = points against H = s·fixed (fixed = E by default)
+    over the q^d shifts: its report, and a call that hands back H ∩ (E + a)
+    for its shift a as (z, x) pairs with x + a = z, in canonical z order
+    (`_pairs`).  No point set is built.
+
+    For d >= 2 and q^d < 256 the counts are bytes in lex shift order, E's
+    rows of `_space_table` marked by H and summed (`_row_counts`): H is
+    fixed's flat indices translated through the table's dilation by s,
+    and x + a is byte p of x's row, p the shift's position.  Otherwise
+    both forms of `_translation_counts` key a shift by its base-2q code,
+    whose digits are the shift's coordinates: H is coded from fixed's
+    coordinate columns times s, and x + a from E's plus a.
+    """
     q, d = points.field.q, points.dim
+    fixed = points if fixed is None else fixed
     if d < 2 or q ** d > 255:
-        return None
+        decode = functools.partial(index_to_coords, q=2 * q, d=d)
+        held = _codes(fixed, 2 * q, 0, s)
+        report = _translation_report(_translation_counts(points, held), points, fixed, decode, want_histogram)
+        return report, lambda: _pairs(_codes(points, 2 * q, 0, 1, report.best_g), points, held, decode)
     vectors, _, scales, rows = _space_table(q, d)
     codes = bytes(_codes(points, q))
-    fixed = codes.translate(scales[s])
-    counts = _row_counts(rows.__getitem__, codes, fixed, q ** d)
-    report = _translation_report(counts, points, points, vectors.__getitem__)
+    held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+    counts = _row_counts(rows.__getitem__, codes, held, q ** d)
+    report = _translation_report(counts, points, fixed, vectors.__getitem__, want_histogram)
     p = counts.index(report.best_count)
-    return report, _pairs([rows[x][p] for x in codes], points, fixed, vectors)
+    return report, lambda: _pairs([rows[x][p] for x in codes], points, held, vectors.__getitem__)
 
 
 @functools.lru_cache(maxsize=8)
@@ -645,8 +677,9 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     return (*plan, columns, omega, leads, images, joined)
 
 
-def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
-    """Nonzero values of code(g) -> |fixed ∩ g·moving| over g in SL(d, q).
+def _transporter_counts(moving: PointSet, fixed: Sequence[tuple]) -> dict[int, int]:
+    """Nonzero values of code(g) -> |H ∩ g·moving| over g in SL(d, q), H
+    given by the coordinate tuples `fixed` of its points, in any order.
 
     code(g) is the base-q integer of g's row-major entries, so code order
     is canonical order.  Each incidence of the paper's double count
@@ -665,16 +698,16 @@ def _transporter_counts(moving: PointSet, fixed: PointSet) -> dict[int, int]:
     """
     q, d = moving.field.q, moving.dim
     if d == 1:
-        common = sum(1 for p in moving._coords if p in fixed._index)
+        common = len(set(fixed).intersection(moving._coords))
         return {1: common} if common else {}
-    qd = q ** d
+    qd, weights = q ** d, [q ** (d - 1 - j) for j in range(d)]
     w2q, wrap, inverse, eb, carriers = _special_linear_plan(q, d)[:5]
-    leads = sorted({c for y in fixed._coords for c in y})
+    leads = sorted({c for y in fixed for c in y})
     # Per lead a: its offset as digit 0 plus the code of a·b, over b in lex order.
     lead_b = {a: [n * w2q[0] + t for t in eb[a]] for n, a in enumerate(leads)}
     index = [[] for _ in range(d)]
-    for c, ys in zip(_codes(fixed, q, -1), fixed._coords):
-        for col, units, a in zip(index, carriers[c], ys):
+    for ys in fixed:
+        for col, units, a in zip(index, carriers[sum(map(mul, ys, weights)) - 1], ys):
             col.extend([wrap[v + u] for v in units for u in lead_b[a]])
 
     counts: Counter = Counter()
@@ -803,23 +836,6 @@ def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histo
     )
 
 
-def _coset_report(plan: tuple, moving: PointSet, fixed: PointSet, e_codes: Sequence[int],
-                  h_codes: Sequence[int], want_histogram: bool = False) -> tuple[IntersectionReport, int | None]:
-    """The coset scan's report of E against H, given by their flat
-    indices, off the `plan`, with the reported element's position in the
-    counts, None when every count ties and the element is the first."""
-    q, d = moving.field.q, moving.dim
-    position = None
-
-    def smallest(counts, best):
-        nonlocal position
-        code, position = _smallest_coset_code(plan, q, d, counts, best)
-        return code
-
-    counts = _coset_counts(e_codes, h_codes, plan, q, d)
-    return _special_linear_report(counts, moving, fixed, want_histogram, smallest), position
-
-
 def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
                                      want_histogram: bool = False) -> IntersectionReport:
     """`max_intersection` over SL(d, q) on the punctured space, without the group.
@@ -833,40 +849,48 @@ def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
     joins of |G| bytes in C, and only the maximal positions are decoded;
     past it the transporters are counted per pair (`_transporter_counts`).
     """
-    q, d = moving.field.q, moving.dim
-    _check_budget(q, d * d, "matrix scan (q^(d^2))")
-    if d < 2 or q ** d > 256:
-        return _special_linear_report(_transporter_counts(moving, fixed), moving, fixed, want_histogram)
-    plan = _special_linear_plan(q, d)
-    return _coset_report(plan, moving, fixed, _codes(moving, q), _codes(fixed, q), want_histogram)[0]
+    return _coset_overlap(moving, 1, fixed, want_histogram)[0]
 
 
-def _coset_overlap(points: PointSet, s: int):
-    """The det finder's scan of E against H = s·E on the coset path
-    (d >= 2, q^d <= 256), or None off it: the report, and H ∩ gE for
-    its element g as (z, x) pairs with gx = z, in canonical z order.
+def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
+    """The scan of E = points against H = s·fixed (fixed = E by default)
+    over SL(d, q): its report, and a call that hands back H ∩ gE for its
+    element g as (z, x) pairs with gx = z, in canonical z order (`_pairs`).
+    No point set is built.  The matrix budget is checked first, as on
+    every det scan.
 
-    H is never built: its flat indices are E's translated through the
-    table of s·x (`_space_table`), and E's flat indices serve both the
-    scan and the overlap.  The images g·x are read off the plan at g's
-    position (`_coset_images`), or, when every count ties, of the first
-    element, x ↦ (x_(d-1), ..., x_1, c·x_0), and paired by `_pairs`.
-    The matrix budget is checked first, as on every det scan.
+    For d >= 2 and q^d <= 256, H is fixed's flat indices translated
+    through the table of s·x (`_space_table`), E's flat indices serve
+    both the scan (`_coset_counts`) and the overlap, and g·x is read off
+    the plan at the position p of g that the tie-break hands back
+    (`_coset_images`); when every count ties, g is the first element, p
+    stays None and g·x is coded from E's columns through g.  Otherwise
+    the transporters are counted (`_transporter_counts`) against H's
+    coordinate tuples, fixed's columns times s, and g·x is E's columns
+    through g.
     """
     q, d = points.field.q, points.dim
+    fixed = points if fixed is None else fixed
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
     if d < 2 or q ** d > 256:
-        return None
+        held = list(zip(*_columns(fixed, s)))
+        report = _special_linear_report(_transporter_counts(points, held), points, fixed, want_histogram)
+        # coordinate tuples are their own canonical codes: `tuple` decodes them as they are
+        return report, lambda: _pairs(list(zip(*_columns(points, 1, report.best_g))), points, held, tuple)
     plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
     vectors, _, scales = _space_table(q, d)[:3]
-    fixed = codes.translate(scales[s])
-    report, p = _coset_report(plan, points, points, codes, fixed)
-    if p is None:  # every count ties, at the first element
-        c = (-1) ** (d * (d - 1) // 2) % q
-        images = [functools.reduce(lambda z, v: z * q + v, (*x[:0:-1], c * x[0] % q)) for x in points._coords]
-    else:
-        images = _coset_images(plan, q, d, codes, p)
-    return report, _pairs(images, points, fixed, vectors)
+    held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+    p = None
+
+    def smallest(counts, best):
+        nonlocal p
+        code, p = _smallest_coset_code(plan, q, d, counts, best)
+        return code
+
+    counts = _coset_counts(codes, held, plan, q, d)
+    report = _special_linear_report(counts, points, fixed, want_histogram, smallest)
+    return report, lambda: _pairs(_codes(points, q, 0, 1, report.best_g) if p is None else
+                                  _coset_images(plan, q, d, codes, p), points, held, vectors.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import struct
 
 from fqsim import Matrix, PointSet, SplitMix64, Translation, Vector
 from fqsim.geometry import _det_rows, index_to_coords
-from fqsim.intersection import _translation_counts
+from fqsim.intersection import _codes, _translation_counts
 from fqsim.prng import _GAMMA, _MIX1, _MIX2, MASK64
 
 
@@ -85,7 +85,7 @@ def translation_count_map(moving, fixed):
     count, and bit planes count it in bit k, plane i weighing 2^i, where
     every valid slot is read."""
     q, d = moving.field.q, moving.dim
-    counts = _translation_counts(moving, fixed)
+    counts = _translation_counts(moving, _codes(fixed, 2 * q))
     if isinstance(counts, tuple):
         planes, valid = counts
         slots = (k for k in range(valid.bit_length()) if valid >> k & 1)

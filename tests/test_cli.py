@@ -312,6 +312,38 @@ class TestKernelBackedVerifyBound:
             with pytest.raises(TableBuilt):
                 main(["verify-bound", "--group", *argv])
 
+    def test_explicit_sets_build_the_space_and_no_group(self, capsys, tmp_path, monkeypatch):
+        """Explicit sets build `Space.full(q, d)` for the membership check
+        and no translation group: on a small grid and on the refusals, in
+        their order (--radius, the prime and the dimension, the q^d budget,
+        then the sets), stdout, stderr and exit code stay the group's."""
+        calls = []
+        monkeypatch.setattr(fqsim.cli, "translations", lambda *args: calls.append(args))
+        for q, d in ((2, 3), (3, 2), (5, 1), (7, 2)):
+            for name, e, h in translation_set_pairs(q, d):
+                pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+                code = main(["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
+                             "--set-e", pe, "--set-h", ph, "--histogram"])
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err, code) == self.expected(q, d, e, h, pe, ph, True), name
+        (tmp_path / "F5").write_text("q=5 d=2\n1,2\n")
+        (tmp_path / "F7").write_text("q=7 d=2\n1,6\n")
+        sets = ["--set-e", str(tmp_path / "F5"), "--set-h", str(tmp_path / "F5")]
+        for argv, code, error, message in [
+            (["--q", "4", "--d", "0", "--radius", "1"], 3, "ValueError",
+             "--radius applies to orthogonal groups only, not translations"),
+            (["--q", "4", "--d", "0"], 3, "NotPrime", "4 is not prime (extension fields are unsupported)"),
+            (["--q", "5", "--d", "0"], 3, "ValueError", "dimension must be positive, got 0"),
+            (["--q", "101", "--d", "10"], 4, "EnumerationCapExceeded",
+             "full space (q^d) needs at most 100000000 candidates, got 110462212541120451001"),
+            (["--q", "7", "--d", "2"], 3, "SpaceMismatch", "moving set lives in F_5^2, the group acts on F_7^2"),
+        ]:
+            got = main(["verify-bound", "--group", "translations", *argv, *sets])
+            captured = capsys.readouterr()
+            out = json.dumps({"error": error, "message": message}, sort_keys=True, indent=2) + "\n"
+            assert (captured.out, captured.err, got) == (out, "", code), argv
+        assert calls == []
+
     @pytest.mark.parametrize("argv, code, message", [
         (["--q", "5", "--d", "2", "--set-e", "F7", "--set-h", "F5"], 3,
          "moving set lives in F_7^2, the group acts on F_5^2"),

@@ -76,7 +76,7 @@ def naive_translation_counts(e_set, h_set):
 
 def is_dense(e_set, h_set):
     """Whether the translation kernel takes the bit-slot branch."""
-    return not isinstance(_translation_counts(e_set, h_set), dict)
+    return not isinstance(_translation_counts(e_set, _codes(h_set, 2 * e_set.field.q)), dict)
 
 
 def oracle_translation_report(e_set, h_set, want_histogram):
@@ -381,7 +381,7 @@ class TestFastTranslationKernel:
         e = random_pointset(q, d, n_e, seed=q + n_e)
         h = random_pointset(q, d, n_h, seed=q + n_h)
         assert not is_dense(e, h)
-        reached = len(_translation_counts(e, h))  # the shifts some pair reaches
+        reached = len(_translation_counts(e, _codes(h, 2 * q)))  # the shifts some pair reaches
         rep = max_translation_intersection_fast(e, h, want_histogram=True)
         assert rep.per_g_histogram[0] == q ** d - reached > 0
         assert rep.double_count_total == n_e * n_h
@@ -696,7 +696,7 @@ class TestTransporterKernel:
         space = Space.punctured(5, 3)
         e = random_subset(space, 3, 11)
         h = random_subset(space, 4, 12)
-        counts = _transporter_counts(e, h)
+        counts = _transporter_counts(e, h._coords)
         rep = _max_special_linear_intersection(e, h, want_histogram=True)
         assert rep.group_order == 372000
         assert sum(counts.values()) == rep.double_count_total == 3 * 4 * 372000 // 124
@@ -719,7 +719,7 @@ class TestTransporterKernel:
         space = Space.punctured(q, 2)
         e, h = random_subset(space, n, q), random_subset(space, n, q + 1)
         assert len({c for y in h for c in y.coords}) <= 2 * n < q
-        counts = _transporter_counts(e, h)
+        counts = _transporter_counts(e, h._coords)
         rep = _max_special_linear_intersection(e, h, want_histogram=True)
         assert rep.group_order == q * (q * q - 1)
         assert sum(counts.values()) == rep.double_count_total == n * n * q
@@ -747,7 +747,7 @@ class TestTransporterKernel:
         _special_linear_plan.cache_clear()
         _max_special_linear_intersection(e, h)  # 1-point sets: the |S| maps sending e to h tie
         _max_special_linear_intersection(h, e)
-        _transporter_counts(e, h)
+        _transporter_counts(e, h._coords)
         info = _special_linear_plan.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         plan = _special_linear_plan(q, d)
@@ -954,7 +954,7 @@ def transporter_reports(e, h):
     counts, the det kernel past the byte bound, on any shape: its codes
     are decoded as base-q row-major entries."""
     q, d = e.field.q, e.dim
-    counts = _transporter_counts(e, h)
+    counts = _transporter_counts(e, h._coords)
 
     def decode(code):
         flat = [code // q ** (d * d - 1 - i) % q for i in range(d * d)]

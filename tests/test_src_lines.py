@@ -44,12 +44,19 @@ def test_docstring_lines_are_the_spans():
     assert src_lines.docstring_lines(ast.parse(FIXTURE)) == {1, 2, 3, 10, 15, 16, 22}
 
 
+def test_counts_every_token_that_tokenize_yields():
+    # encoding, name, op, number, newline, then comment and nl, then endmarker
+    assert src_lines.count_tokens("x = 1\n# note\n") == 8
+    assert src_lines.count_tokens("") == 2  # encoding and endmarker
+    assert src_lines.count_tokens(FIXTURE) == 76
+
+
 def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text(FIXTURE, encoding="utf-8")
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n", encoding="utf-8")
     assert src_lines.main([str(tmp_path / "pkg")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{tmp_path / 'pkg' / 'a.py'}: 10 / 7 / 10 (27)",
-                     f"{tmp_path / 'pkg' / 'b.py'}: 1 / 0 / 1 (2)",
-                     "total: 11 / 7 / 11 (29)"]
+    assert lines == [f"{tmp_path / 'pkg' / 'a.py'}: 10 / 7 / 10 (27) 76 tokens",
+                     f"{tmp_path / 'pkg' / 'b.py'}: 1 / 0 / 1 (2) 7 tokens",
+                     "total: 11 / 7 / 11 (29) 83 tokens"]

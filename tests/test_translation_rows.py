@@ -4,6 +4,7 @@ witnesses and of the translation reports, on both sides of q^d = 256."""
 
 import hashlib
 import warnings
+from math import isqrt
 
 import pytest
 
@@ -13,6 +14,7 @@ from fqsim import (
     PointSet,
     Space,
     canonical_json,
+    find_det_similar,
     find_similar_config,
     make_field,
     max_translation_intersection_fast,
@@ -119,11 +121,12 @@ class TestTranslationPins:
         assert translation_pins[side, kind] == expected
 
 
-def kernels_run(monkeypatch, call):
-    """`call()` and the names of the translation kernels it ran: the rows
-    of the shift table (`_row_counts`) or `_translation_counts`."""
+def kernels_run(monkeypatch, call, names=("_row_counts", "_translation_counts")):
+    """`call()` and the names of the kernels it ran, of those named: by
+    default the translation kernels, the rows of the shift table
+    (`_row_counts`) or `_translation_counts`."""
     ran = []
-    for name in ("_row_counts", "_translation_counts"):
+    for name in names:
         def spy(*args, kernel=getattr(fqsim.intersection, name), name=name):
             ran.append(name)
             return kernel(*args)
@@ -179,14 +182,26 @@ class TestShiftTable:
         monkeypatch.undo()
         assert_same_report(rep, oracle_translation_report(e, h, True))
 
-    @pytest.mark.parametrize("q, d, dilated", [(13, 2, False), (3, 5, False), (17, 2, True), (31, 1, True)])
-    def test_the_finder_dilates_no_point_set_below_the_bound(self, monkeypatch, q, d, dilated):
+    @pytest.mark.parametrize("finder, q, d, kernel", [
+        (find_similar_config, 13, 2, "_row_counts"), (find_similar_config, 3, 5, "_row_counts"),
+        (find_similar_config, 17, 2, "_translation_counts"), (find_similar_config, 31, 1, "_translation_counts"),
+        (find_det_similar, 7, 2, "_coset_counts"), (find_det_similar, 17, 2, "_transporter_counts"),
+        (find_det_similar, 7, 1, "_transporter_counts"),
+    ], ids=["T(13,2)", "T(3,5)", "T(17,2)", "T(31,1)", "SL(2,7)", "SL(2,17)", "SL(1,7)"])
+    def test_no_finder_dilates_a_point_set(self, monkeypatch, finder, q, d, kernel):
+        """On both sides of the byte bound and on a line, either finder
+        scans H = 4·E as codes or tuples of E's and builds no point set."""
         field = make_field(q)
-        points = random_subset(Space.full(q, d), similarity_threshold(q, d, 2), q * d)
-        expected = find_similar_config(points, field(4), 2).to_json()
+        if finder is find_similar_config:
+            points, names = random_subset(Space.full(q, d), similarity_threshold(q, d, 2), q * d), None
+        else:
+            space = Space.punctured(q, d)
+            points = random_subset(space, min(len(space), isqrt(3 * len(space) - 1) + 1), q * d)
+            names = ("_coset_counts", "_transporter_counts")
+        expected = finder(points, field(4), 2).to_json()
         calls = []
         scaled = PointSet.scaled
         monkeypatch.setattr(PointSet, "scaled", lambda *args: calls.append(args) or scaled(*args))
-        witness, ran = kernels_run(monkeypatch, lambda: find_similar_config(points, field(4), 2))
+        witness, ran = kernels_run(monkeypatch, lambda: finder(points, field(4), 2), *[names] * bool(names))
         assert witness.to_json() == expected and witness.verified
-        assert (len(calls), ran) == ((1, ["_translation_counts"]) if dilated else (0, ["_row_counts"]))
+        assert (len(calls), ran) == (0, [kernel])
