@@ -298,10 +298,10 @@ def _columns(points: PointSet, s: int = 1, g: GroupElement | None = None) -> lis
     comprehension, where row i of M has one nonzero entry m, at j (as a
     translation's rows do); otherwise E's columns times the row's nonzero
     entries, summed in C."""
-    q, columns = points.field.q, list(zip(*points._coords))
+    q, columns = points.field.q, zip(*points._coords)
     if g is None:
         return columns if s == 1 else [[s * c % q for c in column] for column in columns]
-    images = []
+    columns, images = list(columns), []
     for row, a in zip(g.linear, g.shift):
         terms = [(m, column) for m, column in zip(row, columns) if m]
         if len(terms) == 1:
