@@ -408,11 +408,12 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     the root, or gives None for a ratio that is no m-th power, which
     raises `not_power`.  `scan(points, s)`, s the root's value,
     maximizes the overlap over G and returns its report with a call that
-    hands back H ∩ gE for the reported g, as (z, x) pairs of coordinate tuples with gx = z, in
-    canonical z order; it is made only when the overlap reaches k+1, and
-    only the pairs read are decoded.  Neither scan (`_shift_overlap`,
-    `_coset_overlap`) builds H: it codes root·x for every x in E, and
-    g·x too, or reads g·x off its rows at g's position.
+    hands back H ∩ gE for the reported g, as (z, x) pairs of coordinate
+    tuples with gx = z, in canonical z order; the call is made only when
+    the overlap reaches k+1, and only the pairs read are decoded.
+    Neither scan (`_shift_overlap`, `_coset_overlap`) builds H: it codes
+    root·x for every x in E, and g·x too, or reads g·x off its rows at
+    g's position.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
     All three are canonical tuples, so they become vectors unchecked
@@ -452,9 +453,9 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     smallest overlap points z, with x = z/root and y = z - a, by one scan
     (`_shift_overlap`) that builds no point set: for d >= 2 and q^d <= 255
     it sums byte rows of the shift table, otherwise bit planes or
-    difference codes count.  Works for any set size; when the overlap tops out
-    below k+1 (possible for small sets) the failure carries the achieved
-    count.
+    difference codes count.  Works for any set size; when the overlap
+    tops out below k+1 (possible for small sets) the failure carries the
+    achieved count.
     """
     if k < 1:
         raise ValueError(f"similarity search needs k >= 1, got {k}")
