@@ -14,11 +14,14 @@ import fqsim
 from fqsim import (
     FiniteGroup,
     PointSet,
+    Space,
     Vector,
     file_digest,
     make_field,
     max_intersection,
     random_pointset,
+    random_subset,
+    special_linear_group,
     sphere,
     translations,
 )
@@ -247,6 +250,22 @@ def translation_set_pairs(q, d):
     ]
 
 
+def special_linear_set_pairs(q, d):
+    """(name, E, H) pairs on the punctured F_q^d, drawn as
+    `translation_set_pairs` draws them on F_q^d."""
+    space = Space.punctured(q, d)
+    n = len(space)
+    e = random_subset(space, max(1, n // 3), seed=q * d)
+    h = random_subset(space, (n + 1) // 2, seed=q + d)
+    return [
+        ("empty", PointSet(space.field, d), h),
+        ("one-point", e, random_subset(space, 1, seed=q)),
+        ("random", e, h),
+        ("disjoint", e, PointSet(space.field, d, [p for p in space if p not in e])),
+        ("whole", space, space),
+    ]
+
+
 def write_set(path, points):
     path.write_text(format_pointset(points))
     return str(path)
@@ -262,16 +281,16 @@ class TestKernelBackedVerifyBound:
     no image table; every other scan still reads the table, and the
     refusals keep the group build's order and messages."""
 
-    def expected(self, q, d, e, h, pe, ph, histogram):
+    def expected(self, group, e, h, pe, ph, histogram):
         """stdout, stderr and exit code that `max_intersection` over the
         enumerated group gives."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = max_intersection(translations(q, d), e, h, want_histogram=histogram)
+            report = max_intersection(group, e, h, want_histogram=histogram)
         out = report.to_json()
-        out["double_count_ok"] = report.double_count_ok
+        out["double_count_ok"] = report.double_count_ok if report.transitive else None
         out["input_digests"] = {"set_e": file_digest(pe), "set_h": file_digest(ph)}
-        code = 0 if report.satisfies_bound and report.double_count_ok else 2
+        code = 2 if report.transitive and not (report.satisfies_bound and report.double_count_ok) else 0
         err = "".join(f"warning: {w.message}\n" for w in caught)
         return json.dumps(out, sort_keys=True, indent=2) + "\n", err, code
 
@@ -281,8 +300,23 @@ class TestKernelBackedVerifyBound:
         for name, e, h in translation_set_pairs(q, d):
             pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
             for histogram in (False, True):
-                expected = self.expected(q, d, e, h, pe, ph, histogram)
+                expected = self.expected(translations(q, d), e, h, pe, ph, histogram)
                 argv = ["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
+                        "--set-e", pe, "--set-h", ph] + ["--histogram"] * histogram
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err, code) == expected, (name, histogram)
+
+    @pytest.mark.parametrize("q, d", [(2, 1), (7, 1), (2, 2), (3, 2), (5, 2), (13, 2), (17, 2),
+                                      (3, 3), (2, 4)])
+    def test_special_linear_matches_the_enumerated_scan(self, capsys, tmp_path, q, d):
+        # SL(1, 7) moves nothing; SL(2, 17) acts on 288 points, past the byte bound
+        group = special_linear_group(q, d)
+        for name, e, h in special_linear_set_pairs(q, d):
+            pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+            for histogram in (False, True):
+                expected = self.expected(group, e, h, pe, ph, histogram)
+                argv = ["verify-bound", "--group", "special-linear", "--q", str(q), "--d", str(d),
                         "--set-e", pe, "--set-h", ph] + ["--histogram"] * histogram
                 code = main(argv)
                 captured = capsys.readouterr()
@@ -291,7 +325,7 @@ class TestKernelBackedVerifyBound:
     def test_translations_build_no_image_table(self, capsys, tmp_path, monkeypatch):
         e, h = translation_set_pairs(5, 2)[2][1:]
         pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
-        expected = self.expected(5, 2, e, h, pe, ph, True)
+        expected = self.expected(translations(5, 2), e, h, pe, ph, True)
 
         def columns(self):
             raise TableBuilt
@@ -324,8 +358,9 @@ class TestKernelBackedVerifyBound:
                 pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
                 code = main(["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
                              "--set-e", pe, "--set-h", ph, "--histogram"])
+                expected = self.expected(translations(q, d), e, h, pe, ph, True)
                 captured = capsys.readouterr()
-                assert (captured.out, captured.err, code) == self.expected(q, d, e, h, pe, ph, True), name
+                assert (captured.out, captured.err, code) == expected, name
         (tmp_path / "F5").write_text("q=5 d=2\n1,2\n")
         (tmp_path / "F7").write_text("q=7 d=2\n1,6\n")
         sets = ["--set-e", str(tmp_path / "F5"), "--set-h", str(tmp_path / "F5")]
