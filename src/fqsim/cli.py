@@ -57,8 +57,9 @@ from .harness import (
     random_pointset,
     write_sweep,
 )
-from .intersection import (_check_audit_space, _space_indices, exhaustive_pairs_audit,
-                           intersect_count, max_intersection, max_translation_intersection_fast)
+from .intersection import (_check_audit_space, _max_special_linear_intersection, _space_indices,
+                           exhaustive_pairs_audit, intersect_count, max_intersection,
+                           max_translation_intersection_fast)
 
 
 def _emit(obj) -> None:
@@ -69,17 +70,41 @@ def _emit_error(exc: Exception, **extra) -> None:
     _emit({"error": type(exc).__name__, "message": str(exc), **extra})
 
 
-def _build_group(kind: str, q: int, d: int, radius, space_only: bool = False):
-    """The group, or with `space_only` the space of translations alone,
-    refused in the same order: --radius, the prime, the dimension and the
-    q^d budget."""
+# kind: its group's builder; the kind of space the group acts on; the power
+# p and the name of the q^(d^p) budget the build checks after the prime
+# and the dimension; and the finders' scan, which counts explicit sets over
+# that space with no group built.  Functions are named, and looked up when
+# they run.  Orthogonal groups have no entry: their build refuses for
+# itself, and their sets are scanned through the group's image table.
+_KINDS = {
+    "translations": ("translations", "full", 1, "full space (q^d)",
+                     "max_translation_intersection_fast"),
+    "special-linear": ("special_linear_group", "punctured", 2, "matrix scan (q^(d^2))",
+                       "_max_special_linear_intersection"),
+}
+
+
+def _admit(kind: str, q: int, d: int, radius) -> tuple | None:
+    """Refuse what building the group of this kind refuses, in the same
+    order and words, building nothing: --radius, then the prime, the
+    dimension and the budget of a kind in `_KINDS`, whose entry it
+    returns (None for orthogonal groups)."""
     if radius is not None and kind != "orthogonal":
         raise ValueError(f"--radius applies to orthogonal groups only, not {kind}")
-    if kind == "translations":
-        return Space.full(q, d) if space_only else translations(q, d)
-    if kind == "orthogonal":
-        return orthogonal_group(q, d, radius=radius)
-    return special_linear_group(q, d)
+    entry = _KINDS.get(kind)
+    if entry:
+        as_field(q)
+        _check_dim(d)
+        _check_budget(q, d ** entry[2], entry[3])
+    return entry
+
+
+def _build_group(kind: str, q: int, d: int, radius):
+    """The group of this kind, for `enumerate-group` and the subset-pair
+    audit, built after `_admit`'s refusals; explicit sets of a kind in
+    `_KINDS` build none."""
+    entry = _admit(kind, q, d, radius)
+    return globals()[entry[0]](q, d) if entry else orthogonal_group(q, d, radius=radius)
 
 
 def cmd_enumerate_group(args) -> int:
@@ -89,21 +114,6 @@ def cmd_enumerate_group(args) -> int:
         out["elements"] = [g.to_json() for g in group.elements]
     _emit(out)
     return 0
-
-
-def _refuse_large_audit(kind: str, q: int, d: int) -> None:
-    """Refuse an all-subset-pair audit of translations or of a transitive
-    SL(d, q) by the closed-form size of its space, after the checks its
-    group build makes first and before the build: SL(3, 7) does not fit
-    in 1.5 GB.  SL(1, q), q > 2, is left to the audit's transitivity check."""
-    as_field(q)
-    _check_dim(d)
-    if kind == "translations":
-        _check_budget(q, d, "full space (q^d)")
-        _check_audit_space(q ** d)
-    elif d >= 2 or q == 2:
-        _check_budget(q, d * d, "matrix scan (q^(d^2))")
-        _check_audit_space(q ** d - 1)
 
 
 def _recount(report, e_set, h_set) -> None:
@@ -117,26 +127,29 @@ def _recount(report, e_set, h_set) -> None:
 
 
 def cmd_verify_bound(args) -> int:
-    if args.exhaustive_subsets and args.radius is None and args.group != "orthogonal":
-        _refuse_large_audit(args.group, args.q, args.d)
-    # explicit sets over translations are scanned by the finders' kernel,
-    # which needs no group: only the space, for the membership check
-    group = _build_group(args.group, args.q, args.d, args.radius, not args.exhaustive_subsets)
+    q, d = args.q, args.d
+    entry = _admit(args.group, q, d, args.radius)
     if args.exhaustive_subsets:
+        # a transitive group's space is refused by its closed-form size
+        # before the build; SL(1, q), q > 2, is left to the transitivity check
+        if entry and (entry[1] == "full" or d >= 2 or q == 2):
+            _check_audit_space(q ** d - (entry[1] == "punctured"))
+        group = _build_group(args.group, q, d, args.radius)
         audit = exhaustive_pairs_audit(group)
-        out = {"mode": "exhaustive-subsets", "group": group.describe()}
-        out.update(audit.to_json())
-        _emit(out)
-        bad = audit.bound_violations + audit.double_count_mismatches
-        return 2 if bad else 0
+        _emit({"mode": "exhaustive-subsets", "group": group.describe(), **audit.to_json()})
+        return 2 if audit.bound_violations or audit.double_count_mismatches else 0
+    # translations and SL(d, q) are counted by the finders' scans, which need
+    # no group: only the space, for the membership check
+    group = None if entry else _build_group(args.group, q, d, args.radius)
     if not args.set_e or not args.set_h:
         raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
     e_set = load_pointset(args.set_e)
     h_set = load_pointset(args.set_h)
-    if args.group == "translations":  # `group` is the space
+    if entry:
+        space = getattr(Space, entry[1])(q, d)
         for name, points in (("moving", e_set), ("fixed", h_set)):
-            _space_indices(group, name, points)
-        report = max_translation_intersection_fast(e_set, h_set, want_histogram=args.histogram)
+            _space_indices(space, name, points)
+        report = globals()[entry[4]](e_set, h_set, want_histogram=args.histogram)
     else:
         report = max_intersection(group, e_set, h_set, want_histogram=args.histogram)
     _recount(report, e_set, h_set)
@@ -274,6 +287,13 @@ def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(f"--{name}", type=int, required=True)
 
 
+def _group_options(parser: argparse.ArgumentParser, flag: str) -> None:
+    parser.add_argument(flag, required=True, choices=["translations", "orthogonal", "special-linear"])
+    _required_ints(parser, "q", "d")
+    parser.add_argument("--radius", type=int, default=None,
+                        help="act on this sphere instead of the full space (orthogonal only)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
@@ -287,20 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate-group", help="enumerate a group and describe its action")
-    p.add_argument("--kind", required=True,
-                   choices=["translations", "orthogonal", "special-linear"])
-    _required_ints(p, "q", "d")
-    p.add_argument("--radius", type=int, default=None,
-                   help="act on this sphere instead of the full space (orthogonal only)")
+    _group_options(p, "--kind")
     p.add_argument("--dump", action="store_true", help="include the element list")
     p.set_defaults(func=cmd_enumerate_group)
 
     p = sub.add_parser("verify-bound", help="maximize |H ∩ gE| and check the exact bound")
-    p.add_argument("--group", required=True,
-                   choices=["translations", "orthogonal", "special-linear"])
-    _required_ints(p, "q", "d")
-    p.add_argument("--radius", type=int, default=None,
-                   help="act on this sphere instead of the full space (orthogonal only)")
+    _group_options(p, "--group")
     p.add_argument("--set-e", dest="set_e")
     p.add_argument("--set-h", dest="set_h")
     p.add_argument("--exhaustive-subsets", action="store_true",

@@ -26,11 +26,12 @@ marks in C.  When E holds more than half of X the columns of X \\ E are
 read instead and each count v is mapped to |H| - v, since every g is a
 bijection of X.
 
-The finders never enumerate a group.  They count the same incidences
-from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
+The finders never enumerate a group, nor does the CLI's bound over
+explicit sets of translations or SL(d, q).  They count the same
+incidences from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
-tie-break becomes the smallest maximal key.  Translations, for the CLI
-bound too, count per shift a the x in E with x + a in H.  For d >= 2
+tie-break becomes the smallest maximal key.  Translations count per
+shift a the x in E with x + a in H.  For d >= 2
 and q^d <= 255 every index and count fits in a byte: row x of a table
 built once per (q, d), `_space_table`, holds the flat index of x + a
 over a in lex order, and E's rows, marked by H, are summed like the

@@ -17,6 +17,7 @@ from fqsim import (
     Space,
     Vector,
     file_digest,
+    load_pointset,
     make_field,
     max_intersection,
     random_pointset,
@@ -277,9 +278,9 @@ class TableBuilt(Exception):
 
 @pytest.mark.filterwarnings("default::UserWarning")
 class TestKernelBackedVerifyBound:
-    """Explicit-set translation bounds come from the finders' kernel, with
-    no image table; every other scan still reads the table, and the
-    refusals keep the group build's order and messages."""
+    """Explicit-set translation and SL(d, q) bounds come from the finders'
+    scans, with no group and no image table; every other scan still reads
+    the table, and the refusals keep the group build's order and messages."""
 
     def expected(self, group, e, h, pe, ph, histogram):
         """stdout, stderr and exit code that `max_intersection` over the
@@ -323,60 +324,87 @@ class TestKernelBackedVerifyBound:
                 assert (captured.out, captured.err, code) == expected, (name, histogram)
 
     def test_translations_build_no_image_table(self, capsys, tmp_path, monkeypatch):
+        """Explicit translation and SL(d, q) sets read no image table; every
+        other scan still does."""
         e, h = translation_set_pairs(5, 2)[2][1:]
         pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
-        expected = self.expected(translations(5, 2), e, h, pe, ph, True)
+        pu = write_set(tmp_path / "punctured.txt",
+                       PointSet(make_field(5), 2, [p for p in e if any(p.coords)]))
+        punctured = load_pointset(pu)
+        expected = [self.expected(translations(5, 2), e, h, pe, ph, True),
+                    self.expected(special_linear_group(5, 2), punctured, punctured, pu, pu, True)]
 
         def columns(self):
             raise TableBuilt
 
         monkeypatch.setattr(FiniteGroup, "columns", columns)
-        code = main(["verify-bound", "--group", "translations", "--q", "5", "--d", "2",
-                     "--set-e", pe, "--set-h", ph, "--histogram"])
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err, code) == expected
-        pu = write_set(tmp_path / "punctured.txt",
-                       PointSet(make_field(5), 2, [p for p in e if any(p.coords)]))
+        for argv, want in zip((["translations", "--set-e", pe, "--set-h", ph],
+                               ["special-linear", "--set-e", pu, "--set-h", pu]), expected):
+            code = main(["verify-bound", "--group", argv[0], "--q", "5", "--d", "2", *argv[1:], "--histogram"])
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err, code) == want, argv[0]
         po = write_set(tmp_path / "sphere.txt", sphere(5, 2, 1))
-        for argv in (["special-linear", "--q", "5", "--d", "2", "--set-e", pu, "--set-h", pu],
-                     ["orthogonal", "--q", "5", "--d", "2", "--set-e", pe, "--set-h", ph],
+        for argv in (["orthogonal", "--q", "5", "--d", "2", "--set-e", pe, "--set-h", ph],
                      ["orthogonal", "--q", "5", "--d", "2", "--radius", "1",
                       "--set-e", po, "--set-h", po],
-                     ["translations", "--q", "3", "--d", "1", "--exhaustive-subsets"]):
+                     ["translations", "--q", "3", "--d", "1", "--exhaustive-subsets"],
+                     ["special-linear", "--q", "2", "--d", "2", "--exhaustive-subsets"]):
             with pytest.raises(TableBuilt):
                 main(["verify-bound", "--group", *argv])
 
     def test_explicit_sets_build_the_space_and_no_group(self, capsys, tmp_path, monkeypatch):
-        """Explicit sets build `Space.full(q, d)` for the membership check
-        and no translation group: on a small grid and on the refusals, in
-        their order (--radius, the prime and the dimension, the q^d budget,
-        then the sets), stdout, stderr and exit code stay the group's."""
+        """Explicit sets build `Space.full(q, d)` or `Space.punctured(q, d)`
+        for the membership check and no group: on a small grid and on the
+        refusals, in their order (--radius, the prime and the dimension,
+        the q^d or q^(d^2) budget before any set file is read, then the
+        sets), stdout, stderr and exit code stay the group's."""
         calls = []
         monkeypatch.setattr(fqsim.cli, "translations", lambda *args: calls.append(args))
-        for q, d in ((2, 3), (3, 2), (5, 1), (7, 2)):
-            for name, e, h in translation_set_pairs(q, d):
-                pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
-                code = main(["verify-bound", "--group", "translations", "--q", str(q), "--d", str(d),
-                             "--set-e", pe, "--set-h", ph, "--histogram"])
-                expected = self.expected(translations(q, d), e, h, pe, ph, True)
-                captured = capsys.readouterr()
-                assert (captured.out, captured.err, code) == expected, name
+        monkeypatch.setattr(fqsim.cli, "special_linear_group", lambda *args: calls.append(args))
+        for kind, group, set_pairs, shapes in (
+                ("translations", translations, translation_set_pairs, ((2, 3), (3, 2), (5, 1), (7, 2))),
+                ("special-linear", special_linear_group, special_linear_set_pairs,
+                 ((2, 2), (3, 2), (5, 1), (3, 3)))):
+            for q, d in shapes:
+                for name, e, h in set_pairs(q, d):
+                    pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+                    code = main(["verify-bound", "--group", kind, "--q", str(q), "--d", str(d),
+                                 "--set-e", pe, "--set-h", ph, "--histogram"])
+                    expected = self.expected(group(q, d), e, h, pe, ph, True)
+                    captured = capsys.readouterr()
+                    assert (captured.out, captured.err, code) == expected, (kind, q, d, name)
         (tmp_path / "F5").write_text("q=5 d=2\n1,2\n")
-        (tmp_path / "F7").write_text("q=7 d=2\n1,6\n")
+        (tmp_path / "O5").write_text("q=5 d=2\n0,0\n")
         sets = ["--set-e", str(tmp_path / "F5"), "--set-h", str(tmp_path / "F5")]
-        for argv, code, error, message in [
-            (["--q", "4", "--d", "0", "--radius", "1"], 3, "ValueError",
+        missing = ["--set-e", str(tmp_path / "missing"), "--set-h", str(tmp_path / "missing")]
+        for kind, argv, code, error, message in [
+            ("translations", ["--q", "4", "--d", "0", "--radius", "1", *sets], 3, "ValueError",
              "--radius applies to orthogonal groups only, not translations"),
-            (["--q", "4", "--d", "0"], 3, "NotPrime", "4 is not prime (extension fields are unsupported)"),
-            (["--q", "5", "--d", "0"], 3, "ValueError", "dimension must be positive, got 0"),
-            (["--q", "101", "--d", "10"], 4, "EnumerationCapExceeded",
+            ("translations", ["--q", "4", "--d", "0", *sets], 3, "NotPrime",
+             "4 is not prime (extension fields are unsupported)"),
+            ("translations", ["--q", "5", "--d", "0", *sets], 3, "ValueError", "dimension must be positive, got 0"),
+            ("translations", ["--q", "101", "--d", "10", *missing], 4, "EnumerationCapExceeded",
              "full space (q^d) needs at most 100000000 candidates, got 110462212541120451001"),
-            (["--q", "7", "--d", "2"], 3, "SpaceMismatch", "moving set lives in F_5^2, the group acts on F_7^2"),
+            ("translations", ["--q", "7", "--d", "2", *sets], 3, "SpaceMismatch",
+             "moving set lives in F_5^2, the group acts on F_7^2"),
+            ("special-linear", ["--q", "4", "--d", "0", "--radius", "1", *sets], 3, "ValueError",
+             "--radius applies to orthogonal groups only, not special-linear"),
+            ("special-linear", ["--q", "4", "--d", "0", *sets], 3, "NotPrime",
+             "4 is not prime (extension fields are unsupported)"),
+            ("special-linear", ["--q", "5", "--d", "0", *sets], 3, "ValueError", "dimension must be positive, got 0"),
+            ("special-linear", ["--q", "101", "--d", "4", *missing], 4, "EnumerationCapExceeded",
+             "matrix scan (q^(d^2)) needs at most 100000000 candidates, "
+             "got 117257864492369852051862561201601"),
+            ("special-linear", ["--q", "7", "--d", "2", *sets], 3, "SpaceMismatch",
+             "moving set lives in F_5^2, the group acts on F_7^2"),
+            ("special-linear", ["--q", "5", "--d", "2", "--set-e", str(tmp_path / "O5"), "--set-h",
+                                str(tmp_path / "F5")], 3, "SpaceMismatch",
+             "moving set: Vector([0, 0] mod 5) is not a point of Space(punctured, q=5, d=2, size=24)"),
         ]:
-            got = main(["verify-bound", "--group", "translations", *argv, *sets])
+            got = main(["verify-bound", "--group", kind, *argv])
             captured = capsys.readouterr()
             out = json.dumps({"error": error, "message": message}, sort_keys=True, indent=2) + "\n"
-            assert (captured.out, captured.err, got) == (out, "", code), argv
+            assert (captured.out, captured.err, got) == (out, "", code), (kind, argv)
         assert calls == []
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -905,13 +933,16 @@ print(json.dumps(results))
 
 
 class TestUnderAMemoryLimit:
-    def test_no_command_crashes(self):
+    def test_no_command_crashes(self, tmp_path):
         """Each command answers with its documented code in 1.5 GB: the
         samples, edge sets and grids past the budget are refused before
-        they are built, and a det cell on a line of 10^8 points lists none."""
+        they are built, a det cell on a line of 10^8 points lists none,
+        and explicit SL(2, 97) and SL(3, 7) sets are scanned with no group."""
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no address-space limit on this platform")
+        sets = {97: write_set(tmp_path / "sl97.txt", random_pointset(97, 2, 3, seed=1)),
+                7: write_set(tmp_path / "sl7.txt", random_pointset(7, 3, 3, seed=1))}
         commands = [
             (["sweep", "--qs", "2", "--d", "60", "--ks", "1"], 0),
             (["find-similar", "--q", "3", "--d", "38", "--r", "1", "--k", "1",
@@ -924,6 +955,10 @@ class TestUnderAMemoryLimit:
               "--r", "1"], 0),
             (["verify-bound", "--group", "special-linear", "--q", "7", "--d", "3",
               "--exhaustive-subsets"], 4),
+            (["verify-bound", "--group", "special-linear", "--q", "97", "--d", "2",
+              "--set-e", sets[97], "--set-h", sets[97]], 0),
+            (["verify-bound", "--group", "special-linear", "--q", "7", "--d", "3",
+              "--set-e", sets[7], "--set-h", sets[7]], 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(
@@ -984,16 +1019,24 @@ class TestReportRecount:
                                    "message": f"witness verification failed: {reason}"}
 
     def test_group_report_one_element_off_exits_2(self, capsys, tmp_path, monkeypatch):
+        # SL(d, q) through the finders' coset scan, orthogonal groups through the image table
         points = PointSet(make_field(5), 2, [p for p in random_pointset(5, 2, 9, seed=4) if any(p.coords)])
         pe = write_set(tmp_path / "e.txt", points)
-        argv = ["verify-bound", "--group", "special-linear", "--q", "5", "--d", "2",
-                "--set-e", pe, "--set-h", pe, "--histogram"]
-        assert main(argv) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(fqsim.cli, "max_intersection",
-                            lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h))
-        code, out = run_cli(capsys, *argv)
-        assert code == 2 and first_json(out)["error"] == "VerificationFailed"
+        kernel = fqsim.cli._max_special_linear_intersection
+        for kind, name, mutant in [
+            ("special-linear", "_max_special_linear_intersection",
+             lambda e, h, **kw: miscounting(special_linear_group(5, 2), kernel(e, h, **kw), e, h)),
+            ("orthogonal", "max_intersection",
+             lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h)),
+        ]:
+            argv = ["verify-bound", "--group", kind, "--q", "5", "--d", "2",
+                    "--set-e", pe, "--set-h", pe, "--histogram"]
+            assert main(argv) == 0
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(fqsim.cli, name, mutant)
+                code, out = run_cli(capsys, *argv)
+            assert code == 2 and first_json(out)["error"] == "VerificationFailed", kind
 
     def test_sphere_report_one_element_off_exits_2(self, capsys, tmp_path, monkeypatch):
         # On the whole sphere every element counts |sphere|: only given sets can show it.
