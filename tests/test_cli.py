@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import functools
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from fqsim import (
     load_pointset,
     make_field,
     max_intersection,
+    orthogonal_group,
     random_pointset,
     random_subset,
     special_linear_group,
@@ -28,7 +31,7 @@ from fqsim import (
 )
 from fqsim.cli import build_parser, main
 
-from helpers import format_pointset
+from helpers import format_pointset, from_coords
 
 
 def run_cli(capsys, *argv):
@@ -623,6 +626,213 @@ class TestSphereExperiment:
                             "--set-e", str(path), "--set-h", str(path))
         assert code == 0
         assert first_json(out)["reaches_target"] is True
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestSphereExperimentReport:
+    """The verdicts of `sphere-experiment`, read off its JSON."""
+
+    def run(self, capsys, tmp_path, q, d, radius, k, e=None, h=None):
+        sets = []
+        for flag, points in (("--set-e", e), ("--set-h", h)):
+            if points is not None:
+                sets += [flag, write_set(tmp_path / f"{flag[-1]}.txt", points)]
+        code, out = run_cli(capsys, "sphere-experiment", "--q", str(q), "--d", str(d),
+                            "--radius", str(radius), "--k", str(k), *sets)
+        return code, first_json(out)
+
+    def test_full_sphere_mod_three(self, capsys, tmp_path):
+        code, obj = self.run(capsys, tmp_path, 3, 2, 1, 3)
+        assert code == 0
+        assert obj["transitive"] is True
+        assert (obj["sphere_size"], obj["best_count"]) == (4, 4)
+        assert Fraction(obj["bound_num"], obj["bound_den"]) == 4
+        assert obj["meets_exact_threshold"] is True
+        assert obj["guarantee_holds"] is True
+
+    def test_full_sphere_mod_five(self, capsys, tmp_path):
+        code, obj = self.run(capsys, tmp_path, 5, 2, 1, 1)
+        assert code == 0
+        assert obj["best_count"] == obj["sphere_size"]
+
+    def test_empty_set(self, capsys, tmp_path):
+        code, obj = self.run(capsys, tmp_path, 5, 2, 1, 1, e=PointSet(make_field(5), 2))
+        assert code == 0
+        assert (obj["best_count"], obj["bound_num"]) == (0, 0)
+        assert obj["guarantee_holds"] is True
+
+    def test_empty_sphere_applies_no_guarantee(self, capsys, tmp_path):
+        # x² = 2 has no root mod 3: |E||H|/|X| bounds nothing on an empty sphere
+        code, obj = self.run(capsys, tmp_path, 3, 1, 2, 1)
+        assert code == 0
+        assert obj["sphere_size"] == 0
+        assert (obj["best_count"], obj["bound_num"]) == (0, 0)
+        assert obj["meets_exact_threshold"] is True and obj["reaches_target"] is False
+        assert obj["guarantee_holds"] is True
+
+    def test_radius_zero_not_transitive(self, capsys, tmp_path):
+        # the radius-0 sphere mod 5 contains the origin and 8 isotropic points
+        code, obj = self.run(capsys, tmp_path, 5, 2, 0, 1)
+        assert code == 0
+        assert obj["transitive"] is False
+        assert obj["guarantee_holds"] is True  # guarantee does not apply
+
+    def test_not_on_sphere(self, capsys, tmp_path):
+        bad = from_coords(make_field(3), 2, [[1, 1]])  # norm 2, not 1
+        code, obj = self.run(capsys, tmp_path, 3, 2, 1, 1, e=bad)
+        assert (code, obj["error"]) == (3, "NotOnSphere")
+
+    def test_negative_k_is_refused_before_the_points_and_the_group(self, capsys, tmp_path):
+        # building O(3, 101) is refused by the budget (exit 4): exit 3 shows it is never reached
+        bad = from_coords(make_field(3), 2, [[1, 1]])
+        refused = {"error": "ValueError", "message": "k must be nonnegative, got -1"}
+        assert self.run(capsys, tmp_path, 7, 2, 1, -1) == (3, refused)
+        assert self.run(capsys, tmp_path, 101, 3, 1, -1) == (3, refused)
+        assert self.run(capsys, tmp_path, 3, 2, 1, -1, e=bad) == (3, refused)
+
+    def test_coarse_threshold_reported(self, capsys, tmp_path):
+        code, obj = self.run(capsys, tmp_path, 3, 2, 1, 3)
+        assert obj["coarse_space_size"] == 3
+        assert obj["meets_coarse_threshold"] is True
+        # |E||H| = 15 on the 8-point circle mod 7: 2·7 <= 15 < 2·8
+        surface = sphere(7, 2, 1)
+        e_set, h_set = (PointSet(make_field(7), 2, list(surface.points[:n])) for n in (3, 5))
+        code, obj = self.run(capsys, tmp_path, 7, 2, 1, 1, e=e_set, h=h_set)
+        assert (obj["coarse_space_size"], obj["sphere_size"]) == (7, 8)
+        assert obj["meets_coarse_threshold"] is True and obj["meets_exact_threshold"] is False
+
+    def test_subset_run(self, capsys, tmp_path):
+        surface = sphere(7, 2, 1)
+        half = PointSet(make_field(7), 2, list(surface.points[:4]))
+        code, obj = self.run(capsys, tmp_path, 7, 2, 1, 1, e=half, h=half)
+        assert code == 0
+        assert obj["best_count"] >= Fraction(16, len(surface))
+        assert obj["guarantee_holds"] is True
+
+
+# (d, q) of the orthogonal groups the pins run on.
+O_PIN_SHAPES = [(2, 3), (2, 5), (2, 7), (2, 13), (3, 3), (3, 5), (3, 7)]
+
+
+@pytest.fixture(scope="module")
+def o_space():
+    """The space of O(d, q) on the radius sphere, or on F_q^d for radius
+    None, each group enumerated once for the module."""
+    return functools.cache(lambda q, d, radius: orthogonal_group(q, d, radius=radius).space)
+
+
+def o_pin_argvs(tmp_path, space, radius):
+    """(label, argv) of both orthogonal-bound commands on O(d, q) acting
+    on `space`: default, whole, half, disjoint and empty sets, a point off
+    the space, a set over another q, k = -1 and k = 0, and `--histogram`."""
+    field, d, q = space.field, space.dim, space.field.q
+    pts = list(space)
+    cut = (len(pts) + 1) // 2
+    other = make_field(5 if q == 3 else 3)
+    files = {"whole": space, "half": PointSet(field, d, pts[:cut]), "rest": PointSet(field, d, pts[cut:]),
+             "empty": PointSet(field, d),
+             "other": PointSet(other, d, [Vector(other, [1] + [0] * (d - 1))])}
+    if radius is not None:  # the origin lies on the radius-0 sphere only
+        off = Vector(field, [0] * d if radius % q else [1] + [0] * (d - 1))
+        files["off"] = PointSet(field, d, pts + [off])
+    paths = {name: write_set(tmp_path / f"{name}.txt", points) for name, points in files.items()}
+    pairs = [("whole", "whole"), ("half", "half"), ("half", "rest"), ("empty", "whole"),
+             ("whole", "off"), ("other", "whole")]
+    sets = [(e, h, ["--set-e", paths[e], "--set-h", paths[h]]) for e, h in pairs if h in paths]
+    shape = ["--q", str(q), "--d", str(d)] + ([] if radius is None else ["--radius", str(radius)])
+    runs = [(f"verify-bound {e} {h}", ["verify-bound", "--group", "orthogonal", *shape, *argv])
+            for e, h, argv in sets]
+    runs += [(f"verify-bound {e} {h} histogram", ["verify-bound", "--group", "orthogonal", *shape, *argv,
+                                                  "--histogram"]) for e, h, argv in sets[1:3]]
+    if radius is None:
+        return runs
+    sphere_k = ["sphere-experiment", *shape, "--k"]
+    runs += [(f"sphere-experiment default k={k}", sphere_k + [k]) for k in ("1", "-1", "0", str(len(pts)))]
+    runs += [("sphere-experiment half default", sphere_k + ["1", "--set-e", paths["half"]])]
+    runs += [(f"sphere-experiment {e} {h}", sphere_k + ["1", *argv]) for e, h, argv in sets]
+    return runs
+
+
+def o_pin_refusal_argvs(tmp_path):
+    """(label, argv) of each command's refusals, in their order, and of the
+    empty sphere x² = 2 mod 3."""
+    paths = {name: str(tmp_path / name) for name in ("bad", "empty3", "e101", "off101", "o7")}
+    for name, text in (("bad", "q=5 d=2\n1,x\n"), ("empty3", "q=3 d=1\n"), ("e101", "q=101 d=3\n1,0,0\n"),
+                       ("off101", "q=101 d=3\n0,0,0\n"), ("o7", "q=7 d=2\n0,0\n")):
+        (tmp_path / name).write_text(text)
+    sphere_101 = ["sphere-experiment", "--q", "101", "--d", "3", "--radius", "1", "--k"]
+    bound = ["verify-bound", "--group", "orthogonal"]
+    return [
+        ("sphere: set file before prime", ["sphere-experiment", "--q", "4", "--d", "2", "--radius", "1",
+                                           "--k", "-1", "--set-e", paths["bad"]]),
+        ("sphere: prime before k", ["sphere-experiment", "--q", "4", "--d", "2", "--radius", "1", "--k", "-1"]),
+        ("sphere: k before points", ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "1", "--k", "-1",
+                                     "--set-e", paths["o7"]]),
+        ("sphere: points before budget", sphere_101 + ["1", "--set-h", paths["off101"]]),
+        ("sphere: k before budget", sphere_101 + ["-1"]),
+        ("sphere: budget", sphere_101 + ["1"]),
+        ("sphere: budget with sets", sphere_101 + ["1", "--set-e", paths["e101"], "--set-h", paths["e101"]]),
+        ("sphere: dimension", ["sphere-experiment", "--q", "5", "--d", "0", "--radius", "1", "--k", "1"]),
+        ("sphere: radius reduced", ["sphere-experiment", "--q", "7", "--d", "2", "--radius", "8", "--k", "1",
+                                    "--set-e", paths["o7"]]),
+        ("sphere: empty sphere", ["sphere-experiment", "--q", "3", "--d", "1", "--radius", "2", "--k", "1"]),
+        ("sphere: empty sphere, empty sets", ["sphere-experiment", "--q", "3", "--d", "1", "--radius", "2",
+                                              "--k", "0", "--set-e", paths["empty3"], "--set-h", paths["empty3"]]),
+        ("bound: prime before sets", bound + ["--q", "4", "--d", "2", "--set-e", paths["bad"],
+                                              "--set-h", paths["bad"]]),
+        ("bound: budget before sets", bound + ["--q", "101", "--d", "3", "--set-e", paths["bad"],
+                                               "--set-h", paths["bad"]]),
+        ("bound: budget on a sphere", bound + ["--q", "101", "--d", "3", "--radius", "1"]),
+        ("bound: dimension", bound + ["--q", "5", "--d", "0", "--set-e", paths["bad"]]),
+        ("bound: both sets", bound + ["--q", "7", "--d", "2", "--set-e", paths["o7"]]),
+        ("bound: set file", bound + ["--q", "7", "--d", "2", "--set-e", paths["bad"], "--set-h", paths["o7"]]),
+        ("bound: empty sphere", bound + ["--q", "3", "--d", "1", "--radius", "2", "--set-e", paths["empty3"],
+                                         "--set-h", paths["empty3"], "--histogram"]),
+    ]
+
+
+def o_pin_digest(capsys, runs):
+    """sha256 over [label, exit code, stdout, stderr] of each run, one JSON
+    line each."""
+    digest = hashlib.sha256()
+    for label, argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(json.dumps([label, code, captured.out, captured.err]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+class TestOrthogonalBoundPins:
+    """stdout, stderr and exit code of `verify-bound --group orthogonal`
+    and `sphere-experiment`, recorded while each ran its own code: every
+    output, refusals included, stays byte for byte."""
+
+    @pytest.mark.parametrize("d, q, digest", [
+        (2, 3,
+         "04ce1156640d96466a89a99cd7b35d14094b508d99683f074ec942eec9f549da"),
+        (2, 5,
+         "3c046c6408fe4a5a0fec362767d9c1c233b123cecc2d5735c06d2d99de588373"),
+        (2, 7,
+         "e9d3d670887c1146e843679b2c37791315205b91653a152b44301b3537871509"),
+        (2, 13,
+         "951f3e51edad76d79907e2f0c65fcfaccda195b2a7216a6177a940a51e0c0f6f"),
+        (3, 3,
+         "5ae07b1d5ac03aee5b4beb7c06621029be3b30d0956b3c242bcb92650add9779"),
+        (3, 5,
+         "8716d8f20e6f54f18a0ef08a60c86a9704d936d80df8e5abda1f1c6a87bdc741"),
+        (3, 7,
+         "af7ba8243dc97644df2f4ffb2e56c532ac0c3833c50c1b1b54301ac9b4795d24"),
+    ], ids=[f"O({d},{q})" for d, q in O_PIN_SHAPES])
+    def test_outputs_are_golden(self, capsys, tmp_path, o_space, d, q, digest):
+        runs = []
+        for radius in (None, 0, 1):
+            runs += o_pin_argvs(tmp_path, o_space(q, d, radius), radius)
+        assert o_pin_digest(capsys, runs) == digest
+
+    def test_refusals_and_the_empty_sphere_are_golden(self, capsys, tmp_path):
+        assert o_pin_digest(capsys, o_pin_refusal_argvs(tmp_path)) == (
+            "13da6c67758c76819d56288f72fd0f95613d9ae2e5af6ac0c65fa96e18bb8ba4")
 
 
 class TestSweepAndVerifyWitness:
