@@ -71,14 +71,12 @@ from .configurations import (
     DetSimilarityWitness,
     EdgeSet,
     SimilarityWitness,
-    SphereExperimentReport,
     Verification,
     edge_preset,
     find_det_similar,
     find_similar_config,
     meets_threshold,
     similarity_threshold,
-    sphere_experiment,
     verify_det_similarity,
     verify_similarity,
 )

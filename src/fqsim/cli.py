@@ -27,12 +27,12 @@ import warnings
 
 from . import __version__
 from .configurations import (
+    _tuple_size,
     EdgeSet,
     edge_preset,
     find_det_similar,
     find_similar_config,
     meets_threshold,
-    sphere_experiment,
     verify_det_similarity,
     verify_similarity,
     DetSimilarityWitness,
@@ -43,12 +43,13 @@ from .errors import (
     FqsimError,
     InsufficientIntersection,
     MalformedWitness,
+    NotOnSphere,
     ParseError,
     ScanCapExceeded,
     VerificationFailed,
 )
 from .field import as_field, make_field
-from .geometry import _check_budget, _check_dim
+from .geometry import _check_budget, _check_dim, _power_exceeds
 from .groups import Space, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
@@ -57,9 +58,9 @@ from .harness import (
     random_pointset,
     write_sweep,
 )
-from .intersection import (_check_audit_space, _max_special_linear_intersection, _space_indices,
-                           exhaustive_pairs_audit, intersect_count, max_intersection,
-                           max_translation_intersection_fast)
+from .intersection import (_check_audit_space, _check_set_space, _max_special_linear_intersection,
+                           _not_transitive, _space_indices, exhaustive_pairs_audit, intersect_count,
+                           max_intersection, max_translation_intersection_fast)
 
 
 def _emit(obj) -> None:
@@ -75,7 +76,8 @@ def _emit_error(exc: Exception, **extra) -> None:
 # and the dimension; and the finders' scan, which counts explicit sets over
 # that space with no group built.  Functions are named, and looked up when
 # they run.  Orthogonal groups have no entry: their build refuses for
-# itself, and their sets are scanned through the group's image table.
+# itself, and their sets are scanned through the group's image table
+# (`_orthogonal_bound`).
 _KINDS = {
     "translations": ("translations", "full", 1, "full space (q^d)",
                      "max_translation_intersection_fast"),
@@ -126,33 +128,55 @@ def _recount(report, e_set, h_set) -> None:
                                   f"set, the report's best_count is {report.best_count}"])
 
 
+def _orthogonal_bound(q: int, d: int, radius, read_sets, want_histogram: bool = False):
+    """The report of O(d, q) on the radius sphere, or on F_q^d for radius
+    None, over the two sets that `read_sets()` returns once the group is
+    built (a set that is None is the group's whole space), counted again
+    by `_recount`; and that space."""
+    group = orthogonal_group(q, d, radius=radius)
+    e_set, h_set = (group.space if points is None else points for points in read_sets())
+    report = max_intersection(group, e_set, h_set, want_histogram=want_histogram)
+    _recount(report, e_set, h_set)
+    return report, group.space
+
+
+def _read_sets(args) -> tuple:
+    """verify-bound's moving and fixed sets, both required."""
+    if not args.set_e or not args.set_h:
+        raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
+    return load_pointset(args.set_e), load_pointset(args.set_h)
+
+
 def cmd_verify_bound(args) -> int:
     q, d = args.q, args.d
     entry = _admit(args.group, q, d, args.radius)
     if args.exhaustive_subsets:
-        # a transitive group's space is refused by its closed-form size
-        # before the build; SL(1, q), q > 2, is left to the transitivity check
-        if entry and (entry[1] == "full" or d >= 2 or q == 2):
+        # decided by closed forms before the build: SL(1, q) is the identity
+        # alone, so it moves none of its q - 1 points; every other kind in
+        # `_KINDS` is transitive, and its space is refused by its size
+        if entry:
+            if entry[1] == "punctured" and d == 1 and q > 2:
+                raise _not_transitive(args.group, entry[1])
             _check_audit_space(q ** d - (entry[1] == "punctured"))
         group = _build_group(args.group, q, d, args.radius)
         audit = exhaustive_pairs_audit(group)
         _emit({"mode": "exhaustive-subsets", "group": group.describe(), **audit.to_json()})
         return 2 if audit.bound_violations or audit.double_count_mismatches else 0
-    # translations and SL(d, q) are counted by the finders' scans, which need
-    # no group: only the space, for the membership check
-    group = None if entry else _build_group(args.group, q, d, args.radius)
-    if not args.set_e or not args.set_h:
-        raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
-    e_set = load_pointset(args.set_e)
-    h_set = load_pointset(args.set_h)
-    if entry:
-        space = getattr(Space, entry[1])(q, d)
-        for name, points in (("moving", e_set), ("fixed", h_set)):
-            _space_indices(space, name, points)
-        report = globals()[entry[4]](e_set, h_set, want_histogram=args.histogram)
+    if not entry:
+        report, _ = _orthogonal_bound(q, d, args.radius, lambda: _read_sets(args), args.histogram)
     else:
-        report = max_intersection(group, e_set, h_set, want_histogram=args.histogram)
-    _recount(report, e_set, h_set)
+        # translations and SL(d, q) are counted by the finders' scans, which
+        # need no group.  A set over F_q^d lies in the full space; only the
+        # punctured one is listed, to find the origin.
+        e_set, h_set = _read_sets(args)
+        punctured = Space.punctured(q, d) if entry[1] == "punctured" else None
+        for name, points in (("moving", e_set), ("fixed", h_set)):
+            if punctured is None:
+                _check_set_space(q, d, name, points)
+            else:
+                _space_indices(punctured, name, points)
+        report = globals()[entry[4]](e_set, h_set, want_histogram=args.histogram)
+        _recount(report, e_set, h_set)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None
     out["input_digests"] = {"set_e": file_digest(args.set_e), "set_h": file_digest(args.set_h)}
@@ -219,15 +243,34 @@ def cmd_find(args) -> int:
 
 
 def cmd_sphere_experiment(args) -> int:
-    e_set = load_pointset(args.set_e) if args.set_e else None
-    h_set = load_pointset(args.set_h) if args.set_h else None
-    result = sphere_experiment(args.q, args.d, args.radius, args.k,
-                               e_set=e_set, h_set=h_set)
-    # a set not given is the whole sphere
-    surface = Space.sphere(args.q, args.d, args.radius) if e_set is None or h_set is None else None
-    _recount(result.report, surface if e_set is None else e_set, surface if h_set is None else h_set)
-    _emit(result.to_json())
-    return 0 if result.guarantee_holds else 2
+    """The O(d, q) bound on a sphere, a set not given being the whole
+    sphere, with both size thresholds: the exact one on the sphere's size
+    and the coarse q^(d-1).  The set files are read, then the prime, the k
+    checks (once) and each given point's norm are checked, all before the
+    group is built.  Transitivity on the sphere is reported, never
+    assumed: it fails, for instance, on spheres through the origin."""
+    q, d, k = args.q, args.d, args.k
+    sets = [load_pointset(path) if path else None for path in (args.set_e, args.set_h)]
+    radius = args.radius % as_field(q).q
+    need = _tuple_size(k)
+    for name, points in zip(("moving", "fixed"), sets):
+        for p in points or ():
+            if p.field.q != q or p.dim != d or p.norm().value != radius:
+                raise NotOnSphere(f"{name} set point {p!r} is not on the radius-{radius} sphere")
+    report, surface = _orthogonal_bound(q, d, radius, lambda: sets)
+    share = report.moving_size * report.fixed_size // need  # >= X iff |E||H| >= (k+1)·X
+    exact = not _power_exceeds(len(surface), 1, share)
+    reaches = report.best_count >= need
+    # max >= k+1 is guaranteed on a nonempty sphere, when the action is
+    # transitive and the exact threshold is met; on an empty sphere the
+    # bound |E||H|/|X| is vacuous
+    holds = reaches or not (len(surface) and report.transitive and exact)
+    out = report.to_json()
+    out.update(k=k, sphere_size=len(surface), coarse_space_size=q ** (d - 1),
+               meets_exact_threshold=exact, meets_coarse_threshold=not _power_exceeds(q, d - 1, share),
+               reaches_target=reaches, guarantee_holds=holds)
+    _emit(out)
+    return 0 if holds else 2
 
 
 def cmd_sweep(args) -> int:

@@ -44,15 +44,14 @@ from .errors import (
     MalformedWitness,
     NotADthPower,
     NotASquare,
-    NotOnSphere,
     OriginInSet,
     VerificationFailed,
     ZeroDilation,
 )
 from .field import FieldElement, PrimeField, make_field, as_field
 from .geometry import _PRINTABLE_SQUARE, Matrix, PointSet, Vector, _check_budget, _power_exceeds
-from .groups import GroupElement, SpecialLinear, orthogonal_group
-from .intersection import IntersectionReport, _coset_overlap, _shift_overlap, max_intersection
+from .groups import GroupElement, SpecialLinear
+from .intersection import IntersectionReport, _coset_overlap, _shift_overlap
 
 
 class EdgeSet:
@@ -590,79 +589,3 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
         verify=verify_det_similarity,
     )
 
-
-@dataclass
-class SphereExperimentReport:
-    """Orthogonal-action intersection run on a sphere, with both size
-    thresholds reported: the exact one using the true sphere size and
-    the coarser q^(d-1) approximation."""
-
-    report: IntersectionReport
-    k: int
-    sphere_size: int
-    coarse_space_size: int  # q^(d-1)
-    transitive: bool
-    meets_exact_threshold: bool
-    meets_coarse_threshold: bool
-
-    @property
-    def reaches_target(self) -> bool:
-        return self.report.best_count >= self.k + 1
-
-    @property
-    def guarantee_holds(self) -> bool:
-        """The guarantee max >= k+1 applies only on a nonempty sphere, when
-        the action is transitive and the exact threshold is met; it must
-        then hold.  On an empty sphere the bound |E||H|/|X| is vacuous."""
-        if self.sphere_size and self.transitive and self.meets_exact_threshold:
-            return self.reaches_target
-        return True
-
-    def to_json(self) -> dict:
-        out = self.report.to_json()
-        out.update(
-            k=self.k,
-            sphere_size=self.sphere_size,
-            coarse_space_size=self.coarse_space_size,
-            meets_exact_threshold=self.meets_exact_threshold,
-            meets_coarse_threshold=self.meets_coarse_threshold,
-            reaches_target=self.reaches_target,
-            guarantee_holds=self.guarantee_holds,
-        )
-        return out
-
-
-def sphere_experiment(q_or_field, dim: int, radius: int, k: int,
-                      e_set: PointSet | None = None,
-                      h_set: PointSet | None = None) -> SphereExperimentReport:
-    """Run the orthogonal-group intersection bound on a sphere.
-
-    Defaults both sets to the full sphere, which is the group's space.
-    Given sets are checked point by point against the sphere equation
-    before the group is enumerated.  Transitivity of the action
-    on this particular sphere is checked and reported, never assumed
-    (it fails, for instance, on spheres through the origin).  The k
-    checks run once, before any point is checked or the group is built,
-    and both threshold verdicts are decided here from their result.
-    """
-    field = as_field(q_or_field)
-    need = _tuple_size(k)
-    radius %= field.q
-    for name, ps in (("moving", e_set), ("fixed", h_set)):
-        for p in ps or ():
-            if p.field.q != field.q or p.dim != dim or p.norm().value != radius:
-                raise NotOnSphere(f"{name} set point {p!r} is not on the radius-{radius} sphere")
-    group = orthogonal_group(field, dim, radius=radius)
-    surface = group.space
-    report = max_intersection(group, surface if e_set is None else e_set,
-                              surface if h_set is None else h_set)
-    share = report.moving_size * report.fixed_size // need  # >= X iff |E||H| >= (k+1)·X
-    return SphereExperimentReport(
-        report=report,
-        k=k,
-        sphere_size=len(surface),
-        coarse_space_size=field.q ** (dim - 1),
-        transitive=report.transitive,
-        meets_exact_threshold=not _power_exceeds(len(surface), 1, share),
-        meets_coarse_threshold=not _power_exceeds(field.q, dim - 1, share),
-    )

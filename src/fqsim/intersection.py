@@ -172,13 +172,15 @@ def intersect_count(g: GroupElement, moving: PointSet, fixed: PointSet) -> int:
         raise SpaceMismatch(str(exc)) from exc
 
 
+def _check_set_space(q: int, d: int, name: str, points: PointSet) -> None:
+    """Refuse a moving or fixed set that is not over F_q^d."""
+    if points.field.q != q or points.dim != d:
+        raise SpaceMismatch(f"{name} set lives in F_{points.field.q}^{points.dim}, the group acts on F_{q}^{d}")
+
+
 def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
     """Positions in the group's space of every point of a moving or fixed set."""
-    if points.field.q != space.field.q or points.dim != space.dim:
-        raise SpaceMismatch(
-            f"{name} set lives in F_{points.field.q}^{points.dim}, "
-            f"the group acts on F_{space.field.q}^{space.dim}"
-        )
+    _check_set_space(space.field.q, space.dim, name, points)
     try:
         return list(map(space._index.__getitem__, points._coords))
     except KeyError as exc:
@@ -920,12 +922,14 @@ class BoundAudit:
         }
 
 
+def _not_transitive(kind: str, space: str) -> NotTransitive:
+    return NotTransitive(f"{kind} group is not transitive on its {space} space; "
+                         "the intersection bound does not apply")
+
+
 def _require_transitive(group: FiniteGroup) -> None:
     if not group.is_transitive():
-        raise NotTransitive(
-            f"{group.kind} group is not transitive on its {group.space.kind} space; "
-            "the intersection bound does not apply"
-        )
+        raise _not_transitive(group.kind, group.space.kind)
 
 
 def _audit(group: FiniteGroup, draws) -> BoundAudit:

@@ -593,7 +593,7 @@ class TestSphereExperiment:
         assert obj["guarantee_holds"] is True
 
     def test_negative_k_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(fqsim.configurations, "orthogonal_group", None)
+        monkeypatch.setattr(fqsim.cli, "orthogonal_group", None)
         code, out = run_cli(capsys, "sphere-experiment", "--q", "7", "--d", "2",
                             "--radius", "1", "--k", "-1")
         assert code == 3
@@ -1147,12 +1147,16 @@ class TestUnderAMemoryLimit:
         """Each command answers with its documented code in 1.5 GB: the
         samples, edge sets and grids past the budget are refused before
         they are built, a det cell on a line of 10^8 points lists none,
-        and explicit SL(2, 97) and SL(3, 7) sets are scanned with no group."""
+        explicit SL(2, 97) and SL(3, 7) sets are scanned with no group,
+        explicit sets over F_9973^2 are checked without listing the
+        space, and SL(1, q), q > 2, is refused as not transitive before
+        its line is listed."""
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no address-space limit on this platform")
         sets = {97: write_set(tmp_path / "sl97.txt", random_pointset(97, 2, 3, seed=1)),
-                7: write_set(tmp_path / "sl7.txt", random_pointset(7, 3, 3, seed=1))}
+                7: write_set(tmp_path / "sl7.txt", random_pointset(7, 3, 3, seed=1)),
+                9973: write_set(tmp_path / "t9973.txt", random_pointset(9973, 2, 3, seed=1))}
         commands = [
             (["sweep", "--qs", "2", "--d", "60", "--ks", "1"], 0),
             (["find-similar", "--q", "3", "--d", "38", "--r", "1", "--k", "1",
@@ -1169,6 +1173,10 @@ class TestUnderAMemoryLimit:
               "--set-e", sets[97], "--set-h", sets[97]], 0),
             (["verify-bound", "--group", "special-linear", "--q", "7", "--d", "3",
               "--set-e", sets[7], "--set-h", sets[7]], 0),
+            (["verify-bound", "--group", "special-linear", "--q", "99999989", "--d", "1",
+              "--exhaustive-subsets"], 3),
+            (["verify-bound", "--group", "translations", "--q", "9973", "--d", "2",
+              "--set-e", sets[9973], "--set-h", sets[9973]], 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(
@@ -1257,7 +1265,7 @@ class TestReportRecount:
         for sets in ([], ["--set-e", pe, "--set-h", ph]):
             assert main(argv + sets) == 0
         capsys.readouterr()
-        monkeypatch.setattr(fqsim.configurations, "max_intersection",
+        monkeypatch.setattr(fqsim.cli, "max_intersection",
                             lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h))
         code, out = run_cli(capsys, *argv, "--set-e", pe, "--set-h", ph)
         assert code == 2 and first_json(out)["error"] == "VerificationFailed"

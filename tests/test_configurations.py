@@ -21,7 +21,6 @@ from fqsim import (
     MalformedWitness,
     NotADthPower,
     NotASquare,
-    NotOnSphere,
     OriginInSet,
     PointSet,
     SimilarityWitness,
@@ -35,8 +34,6 @@ from fqsim import (
     meets_threshold,
     random_pointset,
     similarity_threshold,
-    sphere,
-    sphere_experiment,
     verify_det_similarity,
     verify_similarity,
 )
@@ -786,75 +783,3 @@ class TestVerifierIndependence:
             names = [(c.co_filename, getattr(c, "co_qualname", c.co_name)) for c in codes]
             assert [(f, n) for f, n in names if f.endswith("intersection.py")
                     or n.split(".<locals>")[0] in FINDER_FRAMES] == []
-
-
-class TestSphereExperiment:
-    def test_full_sphere_mod_three(self):
-        result = sphere_experiment(3, 2, 1, 3)
-        assert result.transitive
-        assert result.sphere_size == 4
-        assert result.report.best_count == 4
-        assert result.report.bound == 4
-        assert result.meets_exact_threshold
-        assert result.guarantee_holds
-
-    def test_full_sphere_mod_five(self):
-        result = sphere_experiment(5, 2, 1, 1)
-        assert result.report.best_count == result.sphere_size
-
-    def test_empty_set(self):
-        f = make_field(5)
-        empty = PointSet(f, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sphere_experiment(5, 2, 1, 1, e_set=empty)
-        assert result.report.best_count == 0
-        assert result.report.bound == 0
-        assert result.guarantee_holds
-
-    def test_empty_sphere_applies_no_guarantee(self):
-        # x² = 2 has no root mod 3: |E||H|/|X| bounds nothing on an empty sphere
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sphere_experiment(3, 1, 2, 1)
-        assert result.sphere_size == 0
-        assert (result.report.best_count, result.report.bound) == (0, 0)
-        assert result.meets_exact_threshold and not result.reaches_target
-        assert result.guarantee_holds
-
-    def test_radius_zero_not_transitive(self):
-        # the radius-0 sphere mod 5 contains the origin and 8 isotropic points
-        result = sphere_experiment(5, 2, 0, 1)
-        assert not result.transitive
-        assert result.guarantee_holds  # guarantee does not apply
-
-    def test_not_on_sphere(self):
-        bad = from_coords(F3, 2, [[1, 1]])  # norm 2, not 1
-        with pytest.raises(NotOnSphere):
-            sphere_experiment(3, 2, 1, 1, e_set=bad)
-
-    def test_negative_k_is_refused_before_the_points_and_the_group(self, monkeypatch):
-        monkeypatch.setattr(fqsim.configurations, "orthogonal_group", None)
-        bad = from_coords(F3, 2, [[1, 1]])
-        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
-            sphere_experiment(7, 2, 1, -1)
-        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
-            sphere_experiment(3, 2, 1, -1, e_set=bad)
-
-    def test_coarse_threshold_reported(self):
-        result = sphere_experiment(3, 2, 1, 3)
-        assert result.coarse_space_size == 3
-        assert result.meets_coarse_threshold
-        # |E||H| = 15 on the 8-point circle mod 7: 2·7 <= 15 < 2·8
-        surface = sphere(7, 2, 1)
-        e_set, h_set = (PointSet(make_field(7), 2, list(surface.points[:n])) for n in (3, 5))
-        result = sphere_experiment(7, 2, 1, 1, e_set=e_set, h_set=h_set)
-        assert (result.coarse_space_size, result.sphere_size) == (7, 8)
-        assert result.meets_coarse_threshold and not result.meets_exact_threshold
-
-    def test_subset_run(self):
-        surface = sphere(7, 2, 1)
-        half = PointSet(make_field(7), 2, list(surface.points[:4]))
-        result = sphere_experiment(7, 2, 1, 1, e_set=half, h_set=half)
-        assert result.report.best_count >= Fraction(16, len(surface))
-        assert result.guarantee_holds
