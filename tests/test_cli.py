@@ -356,14 +356,16 @@ class TestKernelBackedVerifyBound:
                 main(["verify-bound", "--group", *argv])
 
     def test_explicit_sets_build_the_space_and_no_group(self, capsys, tmp_path, monkeypatch):
-        """Explicit sets build `Space.full(q, d)` or `Space.punctured(q, d)`
-        for the membership check and no group: on a small grid and on the
-        refusals, in their order (--radius, the prime and the dimension,
-        the q^d or q^(d^2) budget before any set file is read, then the
-        sets), stdout, stderr and exit code stay the group's."""
-        calls = []
+        """Explicit sets build no group.  Translation sets are checked by
+        their header alone, listing no `Space.full(q, d)`; only SL(d, q)
+        sets list `Space.punctured(q, d)`, to find the origin.  On a small
+        grid and on the refusals, in their order (--radius, the prime and
+        the dimension, the q^d or q^(d^2) budget before any set file is
+        read, then the sets), stdout, stderr and exit code stay the group's."""
+        calls, listed, full = [], [], Space.full
         monkeypatch.setattr(fqsim.cli, "translations", lambda *args: calls.append(args))
         monkeypatch.setattr(fqsim.cli, "special_linear_group", lambda *args: calls.append(args))
+        monkeypatch.setattr(Space, "full", lambda *args: listed.append(args) or full(*args))
         for kind, group, set_pairs, shapes in (
                 ("translations", translations, translation_set_pairs, ((2, 3), (3, 2), (5, 1), (7, 2))),
                 ("special-linear", special_linear_group, special_linear_set_pairs,
@@ -371,11 +373,12 @@ class TestKernelBackedVerifyBound:
             for q, d in shapes:
                 for name, e, h in set_pairs(q, d):
                     pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
+                    expected = self.expected(group(q, d), e, h, pe, ph, True)
+                    listed.clear()  # the enumerated translation group lists its space
                     code = main(["verify-bound", "--group", kind, "--q", str(q), "--d", str(d),
                                  "--set-e", pe, "--set-h", ph, "--histogram"])
-                    expected = self.expected(group(q, d), e, h, pe, ph, True)
                     captured = capsys.readouterr()
-                    assert (captured.out, captured.err, code) == expected, (kind, q, d, name)
+                    assert (captured.out, captured.err, code, listed) == (*expected, []), (kind, q, d, name)
         (tmp_path / "F5").write_text("q=5 d=2\n1,2\n")
         (tmp_path / "O5").write_text("q=5 d=2\n0,0\n")
         sets = ["--set-e", str(tmp_path / "F5"), "--set-h", str(tmp_path / "F5")]
@@ -408,7 +411,7 @@ class TestKernelBackedVerifyBound:
             captured = capsys.readouterr()
             out = json.dumps({"error": error, "message": message}, sort_keys=True, indent=2) + "\n"
             assert (captured.out, captured.err, got) == (out, "", code), (kind, argv)
-        assert calls == []
+        assert calls == listed == []
 
     @pytest.mark.parametrize("argv, code, message", [
         (["--q", "5", "--d", "2", "--set-e", "F7", "--set-h", "F5"], 3,
