@@ -44,7 +44,6 @@ from .geometry import (
     Matrix,
     PointSet,
     Vector,
-    all_vectors,
     sphere,
 )
 from .groups import (

@@ -58,9 +58,9 @@ from .harness import (
     random_pointset,
     write_sweep,
 )
-from .intersection import (_check_audit_space, _check_set_space, _max_special_linear_intersection,
-                           _not_transitive, _space_indices, exhaustive_pairs_audit, intersect_count,
-                           max_intersection, max_translation_intersection_fast)
+from .intersection import (_check_audit_space, _check_set_space, _coset_overlap, _not_transitive,
+                           _shift_overlap, _space_indices, exhaustive_pairs_audit, intersect_count,
+                           max_intersection)
 
 
 def _emit(obj) -> None:
@@ -73,16 +73,14 @@ def _emit_error(exc: Exception, **extra) -> None:
 
 # kind: its group's builder; the kind of space the group acts on; the power
 # p and the name of the q^(d^p) budget the build checks after the prime
-# and the dimension; and the finders' scan, which counts explicit sets over
-# that space with no group built.  Functions are named, and looked up when
-# they run.  Orthogonal groups have no entry: their build refuses for
-# itself, and their sets are scanned through the group's image table
-# (`_orthogonal_bound`).
+# and the dimension; and the finders' overlap scan of its kind, which counts
+# explicit sets over that space with no group built, called as scan(E, 1, H,
+# histogram) for its report.  Functions are named, and looked up when they
+# run.  Orthogonal groups have no entry: their build refuses for itself, and
+# their sets are scanned through the group's image table (`_orthogonal_bound`).
 _KINDS = {
-    "translations": ("translations", "full", 1, "full space (q^d)",
-                     "max_translation_intersection_fast"),
-    "special-linear": ("special_linear_group", "punctured", 2, "matrix scan (q^(d^2))",
-                       "_max_special_linear_intersection"),
+    "translations": ("translations", "full", 1, "full space (q^d)", "_shift_overlap"),
+    "special-linear": ("special_linear_group", "punctured", 2, "matrix scan (q^(d^2))", "_coset_overlap"),
 }
 
 
@@ -175,7 +173,7 @@ def cmd_verify_bound(args) -> int:
                 _check_set_space(q, d, name, points)
             else:
                 _space_indices(punctured, name, points)
-        report = globals()[entry[4]](e_set, h_set, want_histogram=args.histogram)
+        report = globals()[entry[4]](e_set, 1, h_set, args.histogram)[0]
         _recount(report, e_set, h_set)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None

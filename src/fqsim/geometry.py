@@ -104,8 +104,11 @@ class Vector:
         return Vector(self.field, [-a for a in self.coords])
 
     def __rmul__(self, scalar: FieldElement) -> "Vector":
-        s = _scale_value(scalar, self.field)
-        return Vector(self.field, [s * a for a in self.coords])
+        if not isinstance(scalar, FieldElement):
+            raise TypeError("vectors scale by FieldElement only")
+        if scalar.field.q != self.field.q:
+            raise FieldMismatch("scalar and vector live in different fields")
+        return Vector(self.field, [scalar.value * a for a in self.coords])
 
     def norm(self) -> FieldElement:
         """Sum of squared coordinates, as a field element."""
@@ -131,21 +134,6 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector({list(self.coords)} mod {self.field.q})"
-
-
-def _scale_value(scalar: FieldElement, field: PrimeField) -> int:
-    """The value of a scalar that may dilate vectors over `field`."""
-    if not isinstance(scalar, FieldElement):
-        raise TypeError("vectors scale by FieldElement only")
-    if scalar.field.q != field.q:
-        raise FieldMismatch("scalar and vector live in different fields")
-    return scalar.value
-
-
-def all_vectors(field: PrimeField, dim: int):
-    """Every point of F_q^d in lexicographic order."""
-    for coords in itertools.product(range(field.q), repeat=dim):
-        yield Vector(field, coords)
 
 
 def index_to_coords(index: int, q: int, d: int) -> tuple[int, ...]:
@@ -242,21 +230,6 @@ class PointSet:
 
     def __hash__(self) -> int:
         return hash((self.field.q, self.dim, self._coords))
-
-    def scaled(self, scalar: FieldElement) -> "PointSet":
-        """Image of the set under coordinatewise scalar dilation.
-
-        The scalar is checked as `Vector.__rmul__` checks it, once, and
-        only when there is a point to scale.  A nonzero scalar permutes F_q^d,
-        so the images need one sort; zero sends every point to the origin.
-        """
-        field, dim = self.field, self.dim
-        if not self._coords:
-            return PointSet(field, dim)
-        s = _scale_value(scalar, field)
-        q = field.q
-        columns = [[s * c % q for c in column] for column in zip(*self._coords)]
-        return PointSet._canonical(field, dim, sorted(zip(*columns)) if s else [(0,) * dim])
 
     def __repr__(self) -> str:
         return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self._coords)})"

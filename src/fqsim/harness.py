@@ -214,7 +214,7 @@ class Report:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Cartesian grid of similarity-search cells.
+    """Cartesian grid of sweep cells, similarity or det-similarity searches by `kind`.
 
     ratios: "all-squares" expands, per q, to every nonzero square of
     F_q; otherwise a fixed tuple of residues.  size: "threshold" uses
@@ -243,11 +243,7 @@ class SweepConfig:
         if self.base_seed < 0 or self.base_seed >= 1 << 64:
             raise ValueError("base seed must fit in 64 bits")
 
-    def cells(self) -> list[dict]:
-        """Every cell, in grid order (`_grid` as a list)."""
-        return list(self._grid())
-
-    def _grid(self) -> Iterator[dict]:
+    def cells(self) -> Iterator[dict]:
         """Every cell, in grid order, made one at a time once every q has
         passed its checks.  The q whose cells take the running count past
         ENUMERATION_CAP is refused before its ratios are listed."""
@@ -332,7 +328,7 @@ def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"a sweep needs a whole number of workers, at least 1, got jobs = {jobs!r}")
-    yield from map(run_cell, config._grid())
+    yield from map(run_cell, config.cells())
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:

@@ -839,28 +839,13 @@ def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histo
     )
 
 
-def _max_special_linear_intersection(moving: PointSet, fixed: PointSet, *,
-                                     want_histogram: bool = False) -> IntersectionReport:
-    """`max_intersection` over SL(d, q) on the punctured space, without the group.
-
-    Same report, field for field: the canonically smallest maximizer,
-    the bound |E||H|/(q^d - 1) and the double-count total |E||H||S|.  The
-    action is transitive for d >= 2; SL(1, q) moves nothing.  Refuses,
-    as the enumeration did, a q^(d^2) matrix scan past ENUMERATION_CAP.
-    While q^d <= 256 every point index and every count fits in a byte, so
-    the cosets h_c·S are counted as byte columns (`_coset_counts`), |E|
-    joins of |G| bytes in C, and only the maximal positions are decoded;
-    past it the transporters are counted per pair (`_transporter_counts`).
-    """
-    return _coset_overlap(moving, 1, fixed, want_histogram)[0]
-
-
 def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
     """The scan of E = points against H = s·fixed (fixed = E by default)
-    over SL(d, q): its report, and a call that hands back H ∩ gE for its
-    element g as (z, x) pairs with gx = z, in canonical z order (`_pairs`).
-    No point set is built.  The matrix budget is checked first, as on
-    every det scan.
+    over SL(d, q): its report, `max_intersection`'s over the group on the
+    punctured space, and a call that hands back H ∩ gE for its element g
+    as (z, x) pairs with gx = z, in canonical z order (`_pairs`).  No
+    point set is built.  The matrix budget is checked first, as on every
+    det scan.
 
     For d >= 2 and q^d <= 256, H is fixed's flat indices translated
     through the table of s·x (`_space_table`), E's flat indices serve

@@ -30,8 +30,9 @@ def translated(points, shift):
 
 
 def scaled_by_vectors(points, scalar):
-    """`PointSet.scaled` by way of `Vector.__rmul__`, one vector per point:
-    the oracle for the coordinate-tuple dilation."""
+    """The image of a point set under x -> scalar·x, by way of
+    `Vector.__rmul__`, one vector per point: the oracle for the scans'
+    dilations of coordinate columns and flat indices."""
     if not len(points):
         return PointSet(points.field, points.dim)
     return PointSet(points.field, points.dim, [scalar * p for p in points])

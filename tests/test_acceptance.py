@@ -15,11 +15,9 @@ import pytest
 
 from fqsim import (
     NoRoot,
-    PointSet,
     Space,
     SplitMix64,
     SweepConfig,
-    all_vectors,
     derive_seed,
     exhaustive_pairs_audit,
     find_det_similar,
@@ -157,13 +155,11 @@ def test_criterion_5_det_similarity():
     for q in (3, 5):
         field = make_field(q)
         squares = sorted({v * v % q for v in range(1, q)})
-        punctured = PointSet(field, 2,
-                             [v for v in all_vectors(field, 2) if not v.is_zero()])
-        space = Space.punctured(field, 2)
+        punctured = Space.punctured(field, 2)
         for k in (2, 3):
             size = similarity_threshold(field, 2, k)
             sets = [punctured] + [
-                random_subset(space, size, derive_seed(BASE_SEED, 5, q, k, trial))
+                random_subset(punctured, size, derive_seed(BASE_SEED, 5, q, k, trial))
                 for trial in range(20)
             ]
             for r in squares:

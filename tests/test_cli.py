@@ -545,10 +545,7 @@ class TestFindSimilar:
 
 class TestFindDetSimilar:
     def test_set_file_witness(self, capsys, tmp_path):
-        from fqsim import PointSet, all_vectors, make_field
-
-        f = make_field(5)
-        punctured = PointSet(f, 2, [v for v in all_vectors(f, 2) if not v.is_zero()])
+        punctured = Space.punctured(5, 2)
         path = tmp_path / "p.txt"
         path.write_text(format_pointset(punctured))
         code, out = run_cli(capsys, "find-det-similar", "--q", "5", "--d", "2",
@@ -986,10 +983,7 @@ class TestSweepAndVerifyWitness:
         assert obj["verified"] is True
 
     def test_det_witness_round_trip(self, capsys, tmp_path):
-        from fqsim import PointSet, all_vectors, make_field
-
-        f = make_field(5)
-        punctured = PointSet(f, 2, [v for v in all_vectors(f, 2) if not v.is_zero()])
+        punctured = Space.punctured(5, 2)
         set_path = tmp_path / "p.txt"
         set_path.write_text(format_pointset(punctured))
         code, out = run_cli(capsys, "find-det-similar", "--q", "5", "--d", "2",
@@ -1012,10 +1006,7 @@ class TestSweepAndVerifyWitness:
         assert first_json(out)["verified"] is False
 
     def test_det_witness_with_non_unimodular_g_fails(self, capsys, tmp_path):
-        from fqsim import PointSet, all_vectors, make_field
-
-        f = make_field(5)
-        punctured = PointSet(f, 2, [v for v in all_vectors(f, 2) if not v.is_zero()])
+        punctured = Space.punctured(5, 2)
         set_path = tmp_path / "p.txt"
         set_path.write_text(format_pointset(punctured))
         code, out = run_cli(capsys, "find-det-similar", "--q", "5", "--d", "2",
@@ -1228,9 +1219,13 @@ class TestReportRecount:
                 "--set-e", pe, "--set-h", pe]
         assert main(argv) == 0
         capsys.readouterr()
-        kernel = fqsim.cli.max_translation_intersection_fast
-        monkeypatch.setattr(fqsim.cli, "max_translation_intersection_fast",
-                            lambda *args, **kw: one_shift_off(kernel(*args, **kw)))
+        scan = fqsim.cli._shift_overlap
+
+        def mutant(*args):
+            report, pairs = scan(*args)
+            return one_shift_off(report), pairs
+
+        monkeypatch.setattr(fqsim.cli, "_shift_overlap", mutant)
         code, out = run_cli(capsys, *argv)
         count = fqsim.intersect_count(translations(q, d).elements[1], e, e)  # E = H: shift 0 is best
         reason = (f"best_g sends {count} points of the moving set into the fixed set, "
@@ -1243,10 +1238,14 @@ class TestReportRecount:
         # SL(d, q) through the finders' coset scan, orthogonal groups through the image table
         points = PointSet(make_field(5), 2, [p for p in random_pointset(5, 2, 9, seed=4) if any(p.coords)])
         pe = write_set(tmp_path / "e.txt", points)
-        kernel = fqsim.cli._max_special_linear_intersection
+        scan = fqsim.cli._coset_overlap
+
+        def coset_mutant(e, s, h, histogram):
+            report, pairs = scan(e, s, h, histogram)
+            return miscounting(special_linear_group(5, 2), report, e, h), pairs
+
         for kind, name, mutant in [
-            ("special-linear", "_max_special_linear_intersection",
-             lambda e, h, **kw: miscounting(special_linear_group(5, 2), kernel(e, h, **kw), e, h)),
+            ("special-linear", "_coset_overlap", coset_mutant),
             ("orthogonal", "max_intersection",
              lambda g, e, h, **kw: miscounting(g, max_intersection(g, e, h, **kw), e, h)),
         ]:
@@ -1288,7 +1287,7 @@ class TestReportRecount:
         if kind == "translations":
             report = fqsim.max_translation_intersection_fast(points, other)
         elif kind == "special-linear":
-            report = fqsim.intersection._max_special_linear_intersection(points, other)
+            report = fqsim.intersection._coset_overlap(points, 1, other)[0]
         else:
             report = max_intersection(fqsim.orthogonal_group(q, d), points, other)
         _, codes = frames_run(lambda: fqsim.cli._recount(report, points, other))

@@ -17,8 +17,7 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from fqsim import (
-    PointSet,
-    all_vectors,
+    Space,
     find_det_similar,
     find_similar_config,
     make_field,
@@ -33,7 +32,7 @@ MUTATION_SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
 
 F5 = make_field(5)
-PUNCTURED = PointSet(F5, 2, [v for v in all_vectors(F5, 2) if not v.is_zero()])
+PUNCTURED = Space.punctured(F5, 2)
 SIMILARITY_WITNESS = find_similar_config(random_pointset(F5, 2, 9, seed=3), F5(4), 2).to_json()
 DET_WITNESS = find_det_similar(PUNCTURED, F5(4), 2).to_json()
 POINT_FILE = format_pointset(random_pointset(F5, 2, 12, seed=5)).encode()

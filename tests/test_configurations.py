@@ -24,9 +24,9 @@ from fqsim import (
     OriginInSet,
     PointSet,
     SimilarityWitness,
+    Space,
     Vector,
     ZeroDilation,
-    all_vectors,
     edge_preset,
     find_det_similar,
     find_similar_config,
@@ -41,18 +41,18 @@ from fqsim.cli import main
 from fqsim.configurations import _subset_dets
 from fqsim.groups import _identity
 
-from helpers import _det_cofactor, det_of_columns_cofactor, from_coords, pair_norms
+from helpers import _det_cofactor, det_of_columns_cofactor, from_coords, pair_norms, scaled_by_vectors
 
 F3 = make_field(3)
 F5 = make_field(5)
 
 
 def full_plane(field):
-    return PointSet(field, 2, list(all_vectors(field, 2)))
+    return Space.full(field, 2)
 
 
 def punctured_plane(field):
-    return PointSet(field, 2, [v for v in all_vectors(field, 2) if not v.is_zero()])
+    return Space.punctured(field, 2)
 
 
 class TestEdgeSet:
@@ -347,7 +347,7 @@ class TestFindDetSimilar:
 
     def test_not_a_dth_power(self):
         f7 = make_field(7)
-        pts = PointSet(f7, 2, [v for v in all_vectors(f7, 2) if not v.is_zero()])
+        pts = punctured_plane(f7)
         with pytest.raises(NotADthPower):
             find_det_similar(pts, f7(3), 2)
 
@@ -388,7 +388,7 @@ class TestFindDetSimilar:
 
     def test_three_dimensional_witness(self):
         # cubing is a bijection mod 3, so every nonzero ratio is admissible
-        pts = PointSet(F3, 3, [v for v in all_vectors(F3, 3) if not v.is_zero()])
+        pts = Space.punctured(F3, 3)
         w = find_det_similar(pts, F3(2), 3)
         assert w.verified
         assert w.root.value ** 3 % 3 == 2
@@ -456,7 +456,7 @@ class TestDetFinderScan:
         import fqsim.groups
 
         field = make_field(q)
-        points = PointSet(field, d, [v for v in all_vectors(field, d) if not v.is_zero()])
+        points = Space.punctured(field, d)
         expected = find_det_similar(points, field(r), k).to_json()
         for module in (fqsim, fqsim.groups, fqsim.cli):
             monkeypatch.setattr(module, "special_linear_group", no_group)
@@ -476,7 +476,7 @@ class TestDetFinderScan:
         field = make_field(q)
         points = random_subset(Space.punctured(field, d), n, seed)
         w = find_det_similar(points, field(1), d)
-        oracle = max_intersection(special_linear_group(field, d), points, points.scaled(w.root))
+        oracle = max_intersection(special_linear_group(field, d), points, scaled_by_vectors(points, w.root))
         assert w.report.to_json() == oracle.to_json()
 
     def test_budget_refusal_comes_after_the_ratio_checks(self):

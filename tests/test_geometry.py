@@ -20,7 +20,6 @@ from fqsim import (
     Space,
     SpecialLinear,
     Vector,
-    all_vectors,
     make_field,
     orthogonal_group,
     random_subset,
@@ -36,7 +35,6 @@ from helpers import (
     from_columns,
     from_coords,
     pair_norms,
-    scaled_by_vectors,
     translated,
 )
 
@@ -67,7 +65,7 @@ class TestNorm:
         # all (x, y, shift) triples for q <= 5, d <= 2
         for q, d in [(3, 1), (3, 2), (5, 1), (5, 2)]:
             f = make_field(q)
-            pts = list(all_vectors(f, d))
+            pts = list(Space.full(f, d))
             for x, y, a in itertools.product(pts, repeat=3):
                 assert ((x + a) - (y + a)).norm() == (x - y).norm()
 
@@ -76,7 +74,7 @@ class TestNorm:
             f = make_field(q)
             group = orthogonal_group(f, 2)
             for g in group:
-                for v in all_vectors(f, 2):
+                for v in Space.full(f, 2):
                     assert g.apply(v).norm() == v.norm()
 
 
@@ -246,7 +244,6 @@ class TestPointSet:
 
     def test_scaled_and_translated(self):
         ps = from_coords(F5, 2, [[1, 2], [3, 4]])
-        assert coords_list(ps.scaled(F5(2))) == [[1, 3], [2, 4]]
         assert coords_list(translated(ps, Vector(F5, [1, 1]))) == [[2, 3], [4, 0]]
 
     def test_scaled_errors_match_vector_scaling(self):
@@ -255,10 +252,6 @@ class TestPointSet:
                                     (F3(2), FieldMismatch, "scalar and vector live in different fields")):
             with pytest.raises(error, match=f"^{message}$"):
                 bad * ps.points[0]
-            with pytest.raises(error, match=f"^{message}$"):
-                ps.scaled(bad)
-            assert PointSet(F5, 2).scaled(bad) == PointSet(F5, 2)  # no point, no check
-        assert coords_list(ps.scaled(F5(0))) == [[0, 0]]
 
     def test_rejects_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -339,7 +332,7 @@ def assert_same_set(tuples, vectors):
     assert hash(tuples) == hash(vectors)
     assert len(tuples) == len(vectors)
     assert repr(tuples) == repr(vectors)
-    for x in all_vectors(field, dim):
+    for x in Space.full(field, dim):
         assert (x in tuples) == (x in vectors)
         if x in vectors:
             assert tuples.index(x) == vectors.index(x)
@@ -362,25 +355,6 @@ class TestTupleBackedPointSet:
         assert [p.coords for p in tuples] == [p.coords for p in vectors] == sorted(picked)
         assert tuples.points == vectors.points
         assert_same_set(tuples, vectors)
-
-    @pytest.mark.parametrize("q, d", [(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (13, 2), (3, 3)])
-    def test_scaled_matches_the_vector_oracle(self, q, d):
-        field = make_field(q)
-        space = list(itertools.product(range(q), repeat=d))
-        sets = [PointSet(field, d)] + [PointSet._canonical(field, d, part)
-                                       for part in (space, space[1::3], space[-1:])]
-        for points in sets:
-            for s in range(q):
-                got = points.scaled(field(s))
-                want = scaled_by_vectors(points, field(s))
-                assert got == want  # == compares the positions too
-                assert type(got) is PointSet
-                assert [p.coords for p in got] == [p.coords for p in want]
-
-    def test_dilation_of_a_space_is_a_point_set(self):
-        space = orthogonal_group(5, 2).space
-        assert type(space.scaled(F5(2))) is PointSet
-        assert space.scaled(F5(0))._index == {(0, 0): 0}
 
 
 class TestBudget:

@@ -313,7 +313,7 @@ class TestFlatIndexDraws:
     def test_det_cell_on_a_line_lists_no_space(self):
         """F_10000019 minus the origin holds 10^7 points; the cell draws
         4,473 of them."""
-        cell = SweepConfig(qs=(10000019,), d=1, ks=(1,), ratios=(1,), kind="det-similarity").cells()[0]
+        cell = next(SweepConfig(qs=(10000019,), d=1, ks=(1,), ratios=(1,), kind="det-similarity").cells())
         start = time.perf_counter()
         outcome = run_cell(cell).outcome
         assert time.perf_counter() - start < 1.0
@@ -352,19 +352,19 @@ class TestBudgets:
     def test_sweep_grid(self, cap):
         cap(12)
         # 3 squares of F_7 · 2 ks · 2 trials
-        assert len(SweepConfig(qs=(7,), d=1, ks=(1, 2), trials=2).cells()) == 12
+        assert len(list(SweepConfig(qs=(7,), d=1, ks=(1, 2), trials=2).cells())) == 12
         # the count runs over qs: 2 + 3 + 3 fixed ratios, times 1 k and 1 trial
-        assert len(SweepConfig(qs=(5, 7, 3), d=1, ks=(1,), ratios=(1, 2, 1), trials=1).cells()) == 9
+        assert len(list(SweepConfig(qs=(5, 7, 3), d=1, ks=(1,), ratios=(1, 2, 1), trials=1).cells())) == 9
         for config in [SweepConfig(qs=(7,), d=1, ks=(1, 2), trials=3),
                        SweepConfig(qs=(7, 7, 5), d=1, ks=(1,), trials=2),
                        SweepConfig(qs=(5,), d=1, ks=(1, 2, 3, 4), ratios=(1, 2, 1, 4), trials=1)]:
             with pytest.raises(EnumerationCapExceeded, match="^sweep grid \\(cells\\) needs at most 12 "):
-                config.cells()
+                list(config.cells())
         # each q's own checks come first
         with pytest.raises(FqsimError, match="prime"):
-            SweepConfig(qs=(4,), d=1, ks=(1,), trials=20).cells()
+            list(SweepConfig(qs=(4,), d=1, ks=(1,), trials=20).cells())
         with pytest.raises(SpaceTooLarge):
-            SweepConfig(qs=(2,), d=65, ks=(1,), trials=20).cells()
+            list(SweepConfig(qs=(2,), d=65, ks=(1,), trials=20).cells())
 
     def test_square_count_is_the_expansion(self, cap):
         """The grid counts q // 2 nonzero squares, for q = 2 and every odd
@@ -372,17 +372,17 @@ class TestBudgets:
         for q in [2] + [q for q in range(3, 98, 2) if all(q % p for p in range(3, q, 2))]:
             squares = len({v * v % q for v in range(1, q)})
             cap(squares)
-            assert len(SweepConfig(qs=(q,), d=1, ks=(1,)).cells()) == squares
+            assert len(list(SweepConfig(qs=(q,), d=1, ks=(1,)).cells())) == squares
             cap(squares - 1)
             with pytest.raises(EnumerationCapExceeded):
-                SweepConfig(qs=(q,), d=1, ks=(1,)).cells()
+                list(SweepConfig(qs=(q,), d=1, ks=(1,)).cells())
 
     def test_a_large_grid_is_refused_before_it_is_built(self):
         start = time.perf_counter()
         for config in [SweepConfig(qs=(3,), d=2, ks=(1,), trials=10 ** 9),
                        SweepConfig(qs=(4294967291,), d=1, ks=(1,))]:
             with pytest.raises(EnumerationCapExceeded, match="^sweep grid"):
-                config.cells()
+                list(config.cells())
         assert time.perf_counter() - start < 1.0
 
 
@@ -443,13 +443,13 @@ class TestSweeps:
     def test_cell_count(self):
         cfg = self.small_config()
         # q=3 has 1 nonzero square, q=5 has 2; 2 k values; 2 trials
-        assert len(cfg.cells()) == (1 + 2) * 2 * 2
+        assert len(list(cfg.cells())) == (1 + 2) * 2 * 2
 
     def test_every_seed_is_derived_from_the_cell(self):
         """The grid folds (base, q, d, k, r) once and each trial after it."""
         for config in [self.small_config(trials=5), self.small_config(base_seed=2 ** 64 - 1, ratios=(1, 6)),
                        SweepConfig(qs=(7, 3), d=3, ks=(3, 4), trials=3, kind="det-similarity")]:
-            cells = config.cells()
+            cells = list(config.cells())
             assert len(cells) > config.trials
             for c in cells:
                 assert c["seed"] == derive_seed(config.base_seed, c["q"], c["d"], c["k"], c["r"], c["trial"])
@@ -474,7 +474,7 @@ class TestSweeps:
                 calls[_name] += 1
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counted)
-        warm, cell = SweepConfig(qs=(11,), d=2, ks=(3,), trials=2, base_seed=1).cells()[-2:]
+        warm, cell = list(SweepConfig(qs=(11,), d=2, ks=(3,), trials=2, base_seed=1).cells())[-2:]
         assert run_cell(warm).outcome["status"] == "witness"
         calls.clear()
         outcome = run_cell(cell).outcome
@@ -534,7 +534,7 @@ class TestSweeps:
         write_sweep(self.small_config(qs=(3,), ks=(1,)), Discard())  # warm the caches
         tracemalloc.start()
         try:
-            cells = cfg.cells()
+            cells = list(cfg.cells())
             _, cells_peak = tracemalloc.get_traced_memory()
             del cells
             tracemalloc.reset_peak()
@@ -662,8 +662,8 @@ class TestSweeps:
         cell runs; a cell built by hand records the refusal as its outcome."""
         for qs, d in [((65537,), 4), ((3,), 10 ** 9)]:
             with pytest.raises(SpaceTooLarge):
-                SweepConfig(qs=qs, d=d, ks=(1,), ratios=(1,), size=5).cells()
-        cell = SweepConfig(qs=(65521,), d=4, ks=(1,), ratios=(1,), size=5).cells()[0]
+                list(SweepConfig(qs=qs, d=d, ks=(1,), ratios=(1,), size=5).cells())
+        cell = next(SweepConfig(qs=(65521,), d=4, ks=(1,), ratios=(1,), size=5).cells())
         outcome = run_cell(dict(cell, q=65537)).outcome
         assert outcome["status"] == "error" and outcome["error"] == "SpaceTooLarge"
 
@@ -673,19 +673,19 @@ class TestSweeps:
         def config(d, size="threshold"):
             return SweepConfig(qs=(3,), d=d, ks=(2,), ratios=(1,), kind="det-similarity", size=size)
 
-        assert len(str(config(18023).cells()[0]["n"])) == 4300
+        assert len(str(next(config(18023).cells())["n"])) == 4300
         for d in (18024, 28569, 28570, 10 ** 9):
             with pytest.raises(EnumerationCapExceeded, match="has more than 4300 digits"):
-                config(d).cells()
-        assert config(18024, size=5).cells()[0]["n"] == 5
+                list(config(d).cells())
+        assert next(config(18024, size=5).cells())["n"] == 5
         # q = 5: d·(bits(q) - 1) reaches 28,570 at d = 14285, refused before the power
         with pytest.raises(EnumerationCapExceeded):
-            SweepConfig(qs=(5,), d=14285, ks=(1,), ratios=(1,), kind="det-similarity").cells()
+            list(SweepConfig(qs=(5,), d=14285, ks=(1,), ratios=(1,), kind="det-similarity").cells())
 
     def test_det_cells_sample_the_punctured_space(self):
         """A det cell's outcome is that of its public composition."""
         for q, d, k in [(5, 2, 2), (7, 2, 2), (31, 2, 2), (3, 3, 3)]:
-            cell = SweepConfig(qs=(q,), d=d, ks=(k,), kind="det-similarity").cells()[0]
+            cell = next(SweepConfig(qs=(q,), d=d, ks=(k,), kind="det-similarity").cells())
             points = random_subset(Space.punctured(q, d), cell["n"], cell["seed"])
             witness = find_det_similar(points, make_field(q)(cell["r"]), cell["k"])
             report = witness.report
@@ -736,21 +736,21 @@ class TestSweeps:
 
     def test_fixed_size_threshold_computes_no_power_past_n_squared(self):
         start = time.perf_counter()
-        cells = SweepConfig(qs=(3,), d=10 ** 8, ks=(2,), ratios=(1,), size=5,
-                            kind="det-similarity").cells()
+        cells = list(SweepConfig(qs=(3,), d=10 ** 8, ks=(2,), ratios=(1,), size=5,
+                                 kind="det-similarity").cells())
         assert time.perf_counter() - start < 1.0
         assert [c["meets_threshold"] for c in cells] == [False]
         # Both sides of n^2 >= (k + 1)·q^d: 15^2 < 3·3^4 = 243 <= 16^2, 26^2 < 3·3^5 = 27^2
         for d, n, met in [(4, 15, False), (4, 16, True), (5, 26, False), (5, 27, True)]:
-            cell = SweepConfig(qs=(3,), d=d, ks=(2,), ratios=(1,), size=n).cells()[0]
+            cell = next(SweepConfig(qs=(3,), d=d, ks=(2,), ratios=(1,), size=n).cells())
             assert cell["meets_threshold"] is met
 
     @pytest.mark.parametrize("size", ["threshold", 5])
     def test_k_is_checked_before_any_size(self, size):
         """Also where q^d alone puts the threshold size past 4,300 digits."""
         with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
-            SweepConfig(qs=(3,), d=28570, ks=(-1,), ratios=(1,), size=size,
-                        kind="det-similarity").cells()
+            list(SweepConfig(qs=(3,), d=28570, ks=(-1,), ratios=(1,), size=size,
+                             kind="det-similarity").cells())
 
     def test_report_shape(self):
         reports = run_sweep(self.small_config(trials=1))

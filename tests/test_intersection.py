@@ -26,7 +26,6 @@ from fqsim import (
     SpaceMismatch,
     SplitMix64,
     Vector,
-    all_vectors,
     canonical_json,
     exhaustive_pairs_audit,
     intersect_count,
@@ -51,8 +50,8 @@ from fqsim.intersection import (
     _codes,
     _coset_counts,
     _coset_images,
+    _coset_overlap,
     _first_special_linear_code,
-    _max_special_linear_intersection,
     _report_from_counts,
     _smallest_coset_code,
     _space_table,
@@ -62,7 +61,7 @@ from fqsim.intersection import (
     _transporter_counts,
 )
 
-from helpers import completion, from_coords, translated, translation_count_map
+from helpers import completion, from_coords, scaled_by_vectors, translated, translation_count_map
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -131,7 +130,7 @@ class TestIntersectCount:
 class TestMaxIntersection:
     def test_full_space_equality_case(self):
         group = translations(3, 2)
-        full = PointSet(F3, 2, list(all_vectors(F3, 2)))
+        full = Space.full(F3, 2)
         rep = max_intersection(group, full, full)
         assert rep.best_count == 9
         assert rep.bound == 9
@@ -184,7 +183,7 @@ class TestMaxIntersection:
         group = translations(3, 1)
         # H = whole line: every shift ties at 1, so the zero shift must win
         e = from_coords(F3, 1, [[1]])
-        h = PointSet(F3, 1, list(all_vectors(F3, 1)))
+        h = Space.full(F3, 1)
         rep = max_intersection(group, e, h)
         assert rep.best_g == group.identity
 
@@ -325,7 +324,7 @@ class TestFastTranslationKernel:
     def test_counts_past_one_byte(self):
         # E = H = F_17^2: every shift counts 289, past one byte (nine planes)
         f17 = make_field(17)
-        full = PointSet(f17, 2, list(all_vectors(f17, 2)))
+        full = Space.full(f17, 2)
         assert is_dense(full, full)
         for hist in (False, True):
             rep = max_translation_intersection_fast(full, full, want_histogram=hist)
@@ -337,7 +336,7 @@ class TestFastTranslationKernel:
     @pytest.mark.parametrize("n_e", [255, 256, 511])
     def test_chunk_edges(self, n_e):
         e = random_pointset(101, 2, n_e, seed=n_e)
-        h = e.scaled(make_field(101)(3))
+        h = scaled_by_vectors(e, make_field(101)(3))
         assert is_dense(e, h)
         for hist in (False, True):
             assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
@@ -395,7 +394,7 @@ class TestFastTranslationKernel:
         # MB here).
         q = 101
         e = random_pointset(q, 2, 450, seed=1)
-        h = e.scaled(make_field(q)(2))
+        h = scaled_by_vectors(e, make_field(q)(2))
         assert is_dense(e, h)
         fqsim.intersection._valid_slots.cache_clear()
         tracemalloc.start()
@@ -424,7 +423,7 @@ class TestFastTranslationKernel:
         # Every mask is all ones, so every plane fills and 128 or more
         # points carry into the eighth plane; every shift counts |E|.
         f17 = make_field(17)
-        full = PointSet(f17, 2, list(all_vectors(f17, 2)))
+        full = Space.full(f17, 2)
         e = random_pointset(17, 2, n_e, seed=n_e)
         assert is_dense(e, full)
         counts = translation_count_map(e, full)
@@ -577,7 +576,7 @@ class TestPlanePieces:
         f7 = make_field(7)
         e = random_pointset(f7, 2, n_e, seed=n_e + 3)
         self.check(e, random_pointset(f7, 2, 30, seed=n_e))
-        self.check(e, PointSet(f7, 2, list(all_vectors(f7, 2))))
+        self.check(e, Space.full(f7, 2))
 
     @pytest.mark.parametrize("q, d, n_e", [(31, 1, 9), (7, 2, 16)])
     def test_shifts_on_the_edges_of_the_pieces(self, q, d, n_e):
@@ -597,13 +596,13 @@ class TestPlanePieces:
         codes = edges | {next(fill) for _ in range(n_e - len(edges))}
         e = from_coords(field, d, [by_code[c] for c in codes])
         assert len(e) == n_e
-        self.check(e, PointSet(field, d, list(all_vectors(field, d))))
+        self.check(e, Space.full(field, d))
         self.check(e, random_pointset(field, d, q ** d // 2, seed=q))
 
     @pytest.mark.parametrize("d", [1, 3, 4])
     def test_over_f2(self, d):
         f2 = make_field(2)
-        full = PointSet(f2, d, list(all_vectors(f2, d)))
+        full = Space.full(f2, d)
         for n_e in sorted({1, 2, 3, 2 ** d} - {3 if d == 1 else 0}):
             e = random_pointset(f2, d, n_e, seed=n_e + d)
             self.check(e, full)
@@ -681,7 +680,7 @@ class TestTransporterKernel:
         for e, h in sl_cases(q, d):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                kernel = _max_special_linear_intersection(e, h, want_histogram=True)
+                kernel = _coset_overlap(e, 1, h, True)[0]
                 oracle = max_intersection(group, e, h, want_histogram=True)
             assert_same_report(kernel, oracle)
             assert kernel.best_g in group
@@ -697,7 +696,7 @@ class TestTransporterKernel:
         e = random_subset(space, 3, 11)
         h = random_subset(space, 4, 12)
         counts = _transporter_counts(e, h._coords)
-        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        rep = _coset_overlap(e, 1, h, True)[0]
         assert rep.group_order == 372000
         assert sum(counts.values()) == rep.double_count_total == 3 * 4 * 372000 // 124
         for code, c in counts.items():
@@ -720,7 +719,7 @@ class TestTransporterKernel:
         e, h = random_subset(space, n, q), random_subset(space, n, q + 1)
         assert len({c for y in h for c in y.coords}) <= 2 * n < q
         counts = _transporter_counts(e, h._coords)
-        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        rep = _coset_overlap(e, 1, h, True)[0]
         assert rep.group_order == q * (q * q - 1)
         assert sum(counts.values()) == rep.double_count_total == n * n * q
         field = make_field(q)
@@ -745,8 +744,8 @@ class TestTransporterKernel:
                 return kernel(*args)
             monkeypatch.setattr(fqsim.intersection, name, reader)
         _special_linear_plan.cache_clear()
-        _max_special_linear_intersection(e, h)  # 1-point sets: the |S| maps sending e to h tie
-        _max_special_linear_intersection(h, e)
+        _coset_overlap(e, 1, h)  # 1-point sets: the |S| maps sending e to h tie
+        _coset_overlap(h, 1, e)
         _transporter_counts(e, h._coords)
         info = _special_linear_plan.cache_info()
         assert (info.misses, info.hits) == (1, 2)
@@ -768,7 +767,7 @@ class TestTransporterKernel:
         for q, d, top in DET_PINNED_SHAPES:
             for e, h in det_pinned_draws(q, d, top):
                 for hist in (False, True):
-                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    rep = _coset_overlap(e, 1, h, hist)[0]
                     digest.update(canonical_json(rep.to_json()).encode() + b"\n")
         for base_seed in (1, 2, 3):
             config = SweepConfig(qs=(5, 7), d=2, ks=(2, 3), base_seed=base_seed,
@@ -793,7 +792,7 @@ class TestTransporterKernel:
         for q, d, top in [(17, 2, 96), (97, 2, 40), (7, 3, 4)]:
             for e, h in det_pinned_draws(q, d, top):
                 for hist in (False, True):
-                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    rep = _coset_overlap(e, 1, h, hist)[0]
                     digest.update(canonical_json(rep.to_json()).encode() + b"\n")
         assert digest.hexdigest() == (
             "af1abc33cecebcb1734d461ceeea7bac44f9d98d6b0a9c09fa9a5b60ea39dd07")
@@ -802,7 +801,7 @@ class TestTransporterKernel:
         group = special_linear_group(5, 2)
         x = from_coords(F5, 2, [[1, 2]])
         y = from_coords(F5, 2, [[3, 0]])
-        rep = _max_special_linear_intersection(x, y, want_histogram=True)
+        rep = _coset_overlap(x, 1, y, True)[0]
         # the q maps sending x to y tie at 1; every other element counts 0
         assert rep.per_g_histogram == {1: 5, 0: 115}
         assert rep.best_g == min(group.transporter(x.points[0], y.points[0]))
@@ -810,7 +809,7 @@ class TestTransporterKernel:
     def test_one_dimension_counts_the_common_points(self):
         e = from_coords(F5, 1, [[1], [2], [3]])
         h = from_coords(F5, 1, [[2], [3], [4]])
-        rep = _max_special_linear_intersection(e, h, want_histogram=True)
+        rep = _coset_overlap(e, 1, h, True)[0]
         assert (rep.best_count, rep.double_count_total, rep.group_order) == (2, 2, 1)
         assert rep.per_g_histogram == {2: 1}
         assert rep.best_g.is_identity() and not rep.transitive
@@ -819,7 +818,7 @@ class TestTransporterKernel:
         e = from_coords(F5, 2, [[1, 0]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = _max_special_linear_intersection(PointSet(F5, 2), e)
+            rep = _coset_overlap(PointSet(F5, 2), 1, e)[0]
         assert rep.best_count == 0
         assert any("vacuous" in str(w.message) for w in caught)
 
@@ -913,7 +912,7 @@ class TestTransporterKernel:
             (PointSet(field, d, last), other),
         ]
         for e, h in cases:
-            assert_same_report(_max_special_linear_intersection(e, h, want_histogram=True),
+            assert_same_report(_coset_overlap(e, 1, h, True)[0],
                                max_intersection(group, e, h, want_histogram=True))
 
     @given(st.sampled_from([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]), st.data())
@@ -930,7 +929,7 @@ class TestTransporterKernel:
                           data.draw(st.integers(0, 2 ** 32), label="seed H"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty sets
-            assert_same_report(_max_special_linear_intersection(e, h, want_histogram=True),
+            assert_same_report(_coset_overlap(e, 1, h, True)[0],
                                max_intersection(sl_group(q, d), e, h, want_histogram=True))
 
     def test_refuses_the_matrix_budget_before_counting(self, monkeypatch):
@@ -943,7 +942,7 @@ class TestTransporterKernel:
         e = from_coords(make_field(101), 2, [[1, 0]])
         built = _special_linear_plan.cache_info().misses
         with pytest.raises(EnumerationCapExceeded) as exc:
-            _max_special_linear_intersection(e, e)
+            _coset_overlap(e, 1, e)
         assert str(exc.value) == (
             "matrix scan (q^(d^2)) needs at most 100000000 candidates, got 104060401")
         assert _special_linear_plan.cache_info().misses == built  # no plan for q = 101
@@ -1010,7 +1009,7 @@ class TestCosetScan:
             warnings.simplefilter("ignore")
             for e, h in coset_cases(q, d, 10 * q + d, whole=whole):
                 for hist, oracle in zip((False, True), transporter_reports(e, h)):
-                    rep = _max_special_linear_intersection(e, h, want_histogram=hist)
+                    rep = _coset_overlap(e, 1, h, hist)[0]
                     assert_same_report(rep, oracle)
                     assert_same_report(rep, max_intersection(group, e, h, want_histogram=hist))
 
@@ -1021,13 +1020,13 @@ class TestCosetScan:
         cases = coset_cases(5, 3, 53, whole=False)
         for e, h in cases:
             for hist, oracle in zip((False, True), transporter_reports(e, h)):
-                assert_same_report(_max_special_linear_intersection(e, h, want_histogram=hist), oracle)
+                assert_same_report(_coset_overlap(e, 1, h, hist)[0], oracle)
         line = cases[-1][0]
-        assert _max_special_linear_intersection(line, line, want_histogram=True).per_g_histogram[4] == 12000
+        assert _coset_overlap(line, 1, line, True)[0].per_g_histogram[4] == 12000
 
     def test_every_count_ties_on_the_whole_space(self):
         space = Space.punctured(5, 3)
-        rep = _max_special_linear_intersection(space, space, want_histogram=True)
+        rep = _coset_overlap(space, 1, space, True)[0]
         assert rep.per_g_histogram == {124: 372000}
         assert rep.best_g.matrix == Matrix(F5, [[0, 0, 1], [0, 1, 0], [4, 0, 0]])
 
@@ -1036,7 +1035,7 @@ class TestCosetScan:
         monkeypatch.setattr(fqsim.intersection, "_coset_counts", None)  # never reached
         order, n = _special_linear_order(q, d), q ** d - 1
         for e, h in coset_cases(q, d, 10 * q + d, small=True):
-            rep = _max_special_linear_intersection(e, h, want_histogram=True)
+            rep = _coset_overlap(e, 1, h, True)[0]
             if d == 2:
                 assert_same_report(rep, max_intersection(sl_group(q, d), e, h, want_histogram=True))
             assert isinstance(rep.best_g, SpecialLinear) and _det_rows(rep.best_g.linear, q) == 1
@@ -1049,10 +1048,10 @@ class TestCosetScan:
         # columns hold the running sum, one row and its marks: 3 x |G| bytes.
         space = Space.punctured(5, 3)
         e, h = random_subset(space, 40, 1), random_subset(space, 40, 2)
-        _max_special_linear_intersection(e, h)  # the (q, d) tables are built once per process
+        _coset_overlap(e, 1, h)  # the (q, d) tables are built once per process
         tracemalloc.start()
         try:
-            rep = _max_special_linear_intersection(e, h, want_histogram=True)
+            rep = _coset_overlap(e, 1, h, True)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

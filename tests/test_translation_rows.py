@@ -13,6 +13,7 @@ from fqsim import (
     FqsimError,
     PointSet,
     Space,
+    Vector,
     canonical_json,
     find_det_similar,
     find_similar_config,
@@ -25,6 +26,7 @@ from fqsim import (
 )
 from fqsim.intersection import _space_table
 
+from helpers import scaled_by_vectors
 from test_intersection import assert_same_report, flat_index, oracle_translation_report
 
 # (q, d) below the byte bound, then just past it.
@@ -71,7 +73,7 @@ def shape_lines(q, d):
                 finder.append(canonical_json({"set": name, "r": r, "k": k, **out}))
         other = random_subset(Space.full(q, d), len(sets["threshold"]), 7 * q + d + k)
         pairs = [("threshold", sets["threshold"], other),
-                 ("scaled", sets["threshold"], sets["threshold"].scaled(field(q // 2 or 1))),
+                 ("scaled", sets["threshold"], scaled_by_vectors(sets["threshold"], field(q // 2 or 1))),
                  ("k+1", sets["k+1"], sets["threshold"]),
                  ("whole", sets["whole"], sets["whole"]),
                  ("one-one", sets["one"], random_subset(Space.full(q, d), 1, q + d + k)),
@@ -136,7 +138,7 @@ def kernels_run(monkeypatch, call, names=("_row_counts", "_translation_counts"))
 
 class TestShiftTable:
     """`_space_table(q, d)`: its rows are the translations' image table and
-    its scale tables `PointSet.scaled`; reports off the rows match the pair
+    its scale tables the dilations x -> s·x; reports off the rows match the pair
     oracle on both sides of the byte bound."""
 
     @pytest.mark.parametrize("q, d", BELOW + [(2, 8)])
@@ -154,10 +156,9 @@ class TestShiftTable:
         points = random_subset(Space.full(q, d), q ** d // 3 + 1, q + d)
         codes = bytes(flat_index(x, q) for x in points._coords)
         for e, scale in enumerate(scales):
-            assert scale[:q ** d] == bytes(
-                flat_index(PointSet._canonical(field, d, [x]).scaled(field(e))._coords[0], q) for x in vectors)
+            assert scale[:q ** d] == bytes(flat_index((field(e) * Vector(field, x)).coords, q) for x in vectors)
             assert sorted(vectors[i] for i in set(codes.translate(scale))) == list(
-                points.scaled(field(e))._coords)
+                scaled_by_vectors(points, field(e))._coords)
 
     @pytest.mark.parametrize("rows_shape, planes_shape", [((2, 7), (2, 8)), ((3, 5), (17, 2))])
     def test_both_sides_of_the_bound_match_the_pair_oracle(self, monkeypatch, rows_shape, planes_shape):
@@ -199,9 +200,10 @@ class TestShiftTable:
             points = random_subset(space, min(len(space), isqrt(3 * len(space) - 1) + 1), q * d)
             names = ("_coset_counts", "_transporter_counts")
         expected = finder(points, field(4), 2).to_json()
-        calls = []
-        scaled = PointSet.scaled
-        monkeypatch.setattr(PointSet, "scaled", lambda *args: calls.append(args) or scaled(*args))
+        calls, init, canonical = [], PointSet.__init__, PointSet._canonical.__func__
+        monkeypatch.setattr(PointSet, "__init__", lambda *args: calls.append(args) or init(*args))
+        monkeypatch.setattr(PointSet, "_canonical",
+                            classmethod(lambda *args: calls.append(args) or canonical(*args)))
         witness, ran = kernels_run(monkeypatch, lambda: finder(points, field(4), 2), *[names] * bool(names))
         assert witness.to_json() == expected and witness.verified
         assert (len(calls), ran) == (0, [kernel])
