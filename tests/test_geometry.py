@@ -27,6 +27,7 @@ from fqsim import (
     sphere,
 )
 from fqsim.geometry import _check_budget, _inverse_rows, _power_exceeds
+from fqsim.intersection import _codes, _columns, _space_table
 
 from helpers import (
     _det_cofactor,
@@ -35,6 +36,7 @@ from helpers import (
     from_columns,
     from_coords,
     pair_norms,
+    scaled_by_vectors,
     translated,
 )
 
@@ -355,6 +357,34 @@ class TestTupleBackedPointSet:
         assert [p.coords for p in tuples] == [p.coords for p in vectors] == sorted(picked)
         assert tuples.points == vectors.points
         assert_same_set(tuples, vectors)
+
+    @pytest.mark.parametrize("q, d", [(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (13, 2), (3, 3)])
+    def test_scaled_matches_the_vector_oracle(self, q, d):
+        """Both dilations the scans read, of coordinate columns
+        (`_columns`) and of flat indices (`_space_table`'s scales), give the
+        tuple-backed set of `Vector.__rmul__`'s images."""
+        field = make_field(q)
+        vectors, _, scales, _ = _space_table(q, d)
+        space = list(itertools.product(range(q), repeat=d))
+        sets = [PointSet(field, d)] + [PointSet._canonical(field, d, part)
+                                       for part in (space, space[1::3], space[-1:])]
+        for points in sets:
+            for s in range(q):
+                want = scaled_by_vectors(points, field(s))
+                by_columns = sorted(set(zip(*_columns(points, s))))
+                by_codes = sorted({vectors[x] for x in bytes(_codes(points, q)).translate(scales[s])})
+                for image in (by_columns, by_codes):
+                    got = PointSet._canonical(field, d, image)
+                    assert got == want  # == compares the positions too
+                    assert type(got) is PointSet
+                    assert [p.coords for p in got] == [p.coords for p in want]
+
+    def test_dilation_of_a_space_is_a_point_set(self):
+        space = orthogonal_group(5, 2).space
+        assert type(scaled_by_vectors(space, F5(2))) is PointSet
+        assert scaled_by_vectors(space, F5(2)) == space
+        assert scaled_by_vectors(space, F5(0))._index == {(0, 0): 0}
+        assert sorted(set(zip(*_columns(space, 0)))) == [(0, 0)]
 
 
 class TestBudget:
