@@ -834,6 +834,16 @@ class TestOrthogonalBoundPins:
         assert o_pin_digest(capsys, o_pin_refusal_argvs(tmp_path)) == (
             "13da6c67758c76819d56288f72fd0f95613d9ae2e5af6ac0c65fa96e18bb8ba4")
 
+    def test_subset_audits_are_golden(self, capsys):
+        """`--exhaustive-subsets` over O(d, q) on F_q^d, each refusal in
+        its order (prime, matrix budget, dimension, transitivity), and on
+        a sphere, where the audit runs."""
+        runs = [(flags, ["verify-bound", "--group", "orthogonal", *flags.split(), "--exhaustive-subsets"])
+                for flags in ("--q 7 --d 1", "--q 97 --d 2", "--q 2 --d 3", "--q 3 --d 0", "--q 3 --d -5",
+                              "--q 11 --d 3", "--q 4 --d 2", "--q 5 --d 2 --radius 1")]
+        assert o_pin_digest(capsys, runs) == (
+            "37ef305e77a71f2caed5cf2f8086040e18a3c81ee17671df815a798d32888ab6")
+
 
 class TestSweepAndVerifyWitness:
     def test_sweep_to_file(self, capsys, tmp_path):
