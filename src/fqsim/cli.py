@@ -151,11 +151,18 @@ def cmd_verify_bound(args) -> int:
     if args.exhaustive_subsets:
         # decided by closed forms before the build: SL(1, q) is the identity
         # alone, so it moves none of its q - 1 points; every other kind in
-        # `_KINDS` is transitive, and its space is refused by its size
+        # `_KINDS` is transitive, and its space is refused by its size.  A
+        # linear map fixes the origin, so O(d, q) on F_q^d is never transitive:
+        # it is refused after the build's own refusals, in their order.
         if entry:
             if entry[1] == "punctured" and d == 1 and q > 2:
                 raise _not_transitive(args.group, entry[1])
             _check_audit_space(q ** d - (entry[1] == "punctured"))
+        elif args.radius is None:
+            as_field(q)
+            _check_budget(q, d * d, "matrix enumeration (q^(d^2))")
+            _check_dim(d)
+            raise _not_transitive(args.group, "full")
         group = _build_group(args.group, q, d, args.radius)
         audit = exhaustive_pairs_audit(group)
         _emit({"mode": "exhaustive-subsets", "group": group.describe(), **audit.to_json()})

@@ -15,16 +15,17 @@ canonical order and keeps the first strict maximum.
 
 Every maximizer produces counts, one per element, and one builder,
 `_report_from_counts`, reports them: the canonical tie-break, the
-histogram, the double-count total and the bound.  Four kernels count.
+histogram, the double-count total and the bound.  Up to 256 points one
+byte kernel counts for every scan (`_row_counts`): E's rows of image
+indices, with the indices in H marked, are summed as integers, one byte
+per element, in one pipeline of maps.
 
 `max_intersection` counts |H ∩ gE| for every enumerated g from the
-group's image table, one column of image indices per point.  Up to 256
-points the columns of E, with the images in H marked, are summed as
-integers, one byte per element, in one pipeline of maps; above, E's
-columns are joined and each element's images of E are looked up in H's
-marks in C.  When E holds more than half of X the columns of X \\ E are
-read instead and each count v is mapped to |H| - v, since every g is a
-bijection of X.
+group's image table, one column of image indices per point: up to 256
+points E's columns are the byte kernel's rows; above, they are joined
+and each element's images of E are looked up in H's marks in C.  When E
+holds more than half of X the columns of X \\ E are read instead and
+each count v is mapped to |H| - v, since every g is a bijection of X.
 
 The finders never enumerate a group, nor does the CLI's bound over
 explicit sets of translations or SL(d, q).  They count the same
@@ -34,21 +35,21 @@ tie-break becomes the smallest maximal key.  Translations count per
 shift a the x in E with x + a in H.  For d >= 2
 and q^d <= 255 every index and count fits in a byte: row x of a table
 built once per (q, d), `_space_table`, holds the flat index of x + a
-over a in lex order, and E's rows, marked by H, are summed like the
-table scan's columns (`_row_counts`).  Past it, and on a line, points
-and shifts are coded in base 2q.  While q^d is small against |H|, a bit
-table marking H is cut into about √|E| pieces, each point of E shifts
-its piece, and the shifted windows, one bit per shift, are added by
-carry-save full adders into bit planes, so C counts all q^d shifts at
-once; otherwise a Counter counts the |E||H| difference codes.
+over a in lex order, and the byte kernel sums E's rows.  Past it, and
+on a line, points and shifts are coded in base 2q.  While q^d is small
+against |H|, a bit table marking H is cut into about √|E| pieces, each
+point of E shifts its piece, and the shifted windows, one bit per
+shift, are added by carry-save full adders into bit planes, so C counts
+all q^d shifts at once; otherwise a Counter counts the |E||H|
+difference codes.
 Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
 when h_c·(s·x) does, so per x the byte columns of the points s·x, one
 byte per c, are joined over S (for d = 2 once per x, in the plan) and
-summed like the table scan's; past it the |E||H||S| terms of the
-cosets h_y·S·h_x⁻¹ that send x to y are counted through index lists
-built once per H.  No loop runs per pair.
+the byte kernel sums them; past it the |E||H||S| terms of the cosets
+h_y·S·h_x⁻¹ that send x to y are counted through index lists built
+once per H.  No loop runs per pair.
 
 Each kind has one scan, which tests the byte bound once and serves both
 its finder and its maximizer: `_shift_overlap` for translations,
@@ -60,9 +61,10 @@ coordinate tuples for the transporters).  It hands back its report and
 a call that pairs H ∩ gE (`_pairs`), g·x being read off the rows at g's
 position below the bound (the coset tie-break hands back the position
 (A, b, c) of the element it reports) and coded from E's columns through
-g past it.  Both byte scans share H's marks and the one-row shortcut
-(`_row_counts`).
-`max_intersection` over the enumerated group stays the oracle for all.
+g past it.  Each scan writes its kind's closed forms (order, space size,
+transitivity, first code) once and reports through `_report_from_counts`
+once.  `max_intersection` over the enumerated group stays the oracle
+for all.
 """
 
 from __future__ import annotations
@@ -188,26 +190,21 @@ def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
         raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
 
 
-def _marked_sum(columns, marks: bytes, size: int) -> bytes:
-    """The byte-by-byte sum of the columns, each translated by `marks`, as
-    `size` bytes: every marked column is read as a little-endian integer
-    and the integers are added, all mapped in C.  The caller keeps every
-    byte's sum below 256, so no carry crosses a byte."""
-    marked = map(bytes.translate, columns, repeat(marks))
-    return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
-
-
 def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) -> bytes:
     """|H ∩ gE| for each of `size` elements g, one byte each, for E and H
     given by their flat indices, all below 256: `row(x)` holds the flat
-    index of g·x for every g, so E's rows, with H's indices marked, sum to
-    the counts (`_marked_sum`), and one row's marks are the counts."""
+    index of g·x for every g, so E's rows, each translated by H's marks,
+    sum to the counts.  Every marked row is read as a little-endian
+    integer and the integers are added, all mapped in C; one row's marks
+    are the counts.  The caller keeps every count below 256, so no carry
+    crosses a byte."""
     marks = bytearray(256)
     for y in h_codes:
         marks[y] = 1
     if len(e_codes) == 1:
         return row(e_codes[0]).translate(marks)
-    return _marked_sum(map(row, e_codes), marks, size)
+    marked = map(bytes.translate, map(row, e_codes), repeat(marks))
+    return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
 
 
 def _pairs(images: list, points: PointSet, fixed, decode):
@@ -225,9 +222,11 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
 
     From the group's image table (`FiniteGroup.columns`), reading the
     columns of whichever of E and X \\ E is smaller: g is a bijection of
-    X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  When E or H is the whole
-    space every count is the other's size.  An empty E or H counts 0 for
-    every g without the image table, which a large group pays for.
+    X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  Up to 256 points the
+    columns are byte rows, summed by the scans' kernel (`_row_counts`).
+    When E or H is the whole space every count is the other's size.  An
+    empty E or H counts 0 for every g without the image table, which a
+    large group pays for.
     """
     if not e_indices or not h_indices:
         return bytes(group.order)
@@ -239,15 +238,15 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
         outside = bytearray(b"\1") * n_x
         for i in e_indices:
             outside[i] = 0
-        e_indices = compress(range(n_x), outside)
-    marks = bytearray(256 if n_x <= 256 else n_x + 1)
-    for i in h_indices:
-        marks[i] = 1
+        e_indices = list(compress(range(n_x), outside))
     if n_x <= 256:
         # Byte g of a column is the index of g·x.  A count stays below
         # |X| <= 256: no carry.
-        counts = _marked_sum(map(columns.__getitem__, e_indices), marks, order)
+        counts = _row_counts(columns.__getitem__, e_indices, h_indices, order)
         return counts.translate(bytes(range(nh, -1, -1)).ljust(256, b"\0")) if flip else counts
+    marks = bytearray(n_x + 1)
+    for i in h_indices:
+        marks[i] = 1
     # Wider: E's columns joined are one index array, column after column,
     # so every |G|-th entry from g holds g's images of E, and itemgetter
     # looks their marks up in C.  It returns a bare item for one index, so
@@ -525,18 +524,6 @@ def _space_table(q: int, d: int) -> tuple:
     return vectors, digits, scales, tuple(rows)
 
 
-def _translation_report(counts, moving: PointSet, fixed: PointSet, coords,
-                        want_histogram: bool = False) -> IntersectionReport:
-    """`_report_from_counts` over the q^d translations, the shift of code
-    i being `coords(i)`."""
-    field, d = moving.field, moving.dim
-    n = field.q ** d
-    return _report_from_counts(
-        counts, moving, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
-        first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
-    )
-
-
 def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
                                       want_histogram: bool = False) -> IntersectionReport:
     """Translation-group maximizer, counting every shift without the group.
@@ -558,27 +545,36 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     (`_pairs`).  No point set is built.
 
     For d >= 2 and q^d < 256 the counts are bytes in lex shift order, E's
-    rows of `_space_table` marked by H and summed (`_row_counts`): H is
+    rows of `_space_table` summed by the byte kernel (`_row_counts`): H is
     fixed's flat indices translated through the table's dilation by s,
     and x + a is byte p of x's row, p the shift's position.  Otherwise
     both forms of `_translation_counts` key a shift by its base-2q code,
     whose digits are the shift's coordinates: H is coded from fixed's
-    coordinate columns times s, and x + a from E's plus a.
+    coordinate columns times s, and x + a from E's plus a.  Both branches
+    report through one `_report_from_counts` call.
     """
-    q, d = points.field.q, points.dim
+    field, d = points.field, points.dim
+    q, n = field.q, field.q ** d
     fixed = points if fixed is None else fixed
-    if d < 2 or q ** d > 255:
-        decode = functools.partial(index_to_coords, q=2 * q, d=d)
+    # each branch's `images` reads `report` and `p`, set below, when the pairs are asked for
+    if d < 2 or n > 255:
+        coords = functools.partial(index_to_coords, q=2 * q, d=d)
         held = _codes(fixed, 2 * q, 0, s)
-        report = _translation_report(_translation_counts(points, held), points, fixed, decode, want_histogram)
-        return report, lambda: _pairs(_codes(points, 2 * q, 0, 1, report.best_g), points, held, decode)
-    vectors, _, scales, rows = _space_table(q, d)
-    codes = bytes(_codes(points, q))
-    held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
-    counts = _row_counts(rows.__getitem__, codes, held, q ** d)
-    report = _translation_report(counts, points, fixed, vectors.__getitem__, want_histogram)
-    p = counts.index(report.best_count)
-    return report, lambda: _pairs([rows[x][p] for x in codes], points, held, vectors.__getitem__)
+        counts = _translation_counts(points, held)
+        images = lambda: _codes(points, 2 * q, 0, 1, report.best_g)
+    else:
+        vectors, _, scales, rows = _space_table(q, d)
+        coords, codes = vectors.__getitem__, bytes(_codes(points, q))
+        held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+        counts = _row_counts(rows.__getitem__, codes, held, n)
+        images = lambda: [rows[x][p] for x in codes]
+    report = _report_from_counts(
+        counts, points, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
+        first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
+    )
+    if isinstance(counts, bytes):  # the first maximal byte is the reported shift's
+        p = counts.index(report.best_count)
+    return report, lambda: _pairs(images(), points, held, coords)
 
 
 @functools.lru_cache(maxsize=8)
@@ -741,11 +737,12 @@ def _coset_counts(e_codes: Sequence[int], h_codes: Sequence[int], plan: tuple, q
 
     SL(d, q) is the disjoint union of the cosets h_c·S over c in X, and
     h_c·s sends x into H exactly when h_c·(s·x) does.  So per x the
-    columns ω_(s·x), over s, joined, mark by `_marked_sum` which of the
-    |G| elements send x into H, and their sum over E is the counts.  s·x
-    = (x_0 + b·x', A·x'): per A·x' one block joins ω over the leads of x,
-    and the blocks are joined in the order of the images A·x'.  For d = 2
-    the one block is x's row, read off the plan's `joined` table.
+    columns ω_(s·x), over s, joined, marked by H, show which of the |G|
+    elements send x into H, and their sum over E (`_row_counts`) is the
+    counts.  s·x = (x_0 + b·x', A·x'): per A·x' one block joins ω over
+    the leads of x, and the blocks are joined in the order of the images
+    A·x'.  For d = 2 the one block is x's row, read off the plan's
+    `joined` table.
     """
     omega, leads, images, joined = plan[-4:]
     m = q ** (d - 1)
@@ -821,24 +818,6 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     return code, (a * m + b) * (n - 1) + c
 
 
-def _special_linear_report(counts, moving: PointSet, fixed: PointSet, want_histogram: bool = False,
-                           smallest=None) -> IntersectionReport:
-    """`_report_from_counts` over SL(d, q), whose codes are the base-q
-    integers of the row-major entries."""
-    field, d = moving.field, moving.dim
-    q = field.q
-
-    def decode(code):
-        flat = index_to_coords(code, q, d * d)
-        return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
-
-    return _report_from_counts(
-        counts, moving, fixed, decode=decode, first=_first_special_linear_code(q, d),
-        group_order=_special_linear_order(q, d), space_size=q ** d - 1,
-        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
-    )
-
-
 def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
     """The scan of E = points against H = s·fixed (fixed = E by default)
     over SL(d, q): its report, `max_intersection`'s over the group on the
@@ -855,30 +834,43 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     stays None and g·x is coded from E's columns through g.  Otherwise
     the transporters are counted (`_transporter_counts`) against H's
     coordinate tuples, fixed's columns times s, and g·x is E's columns
-    through g.
+    through g.  Both branches report through one `_report_from_counts`
+    call.
     """
-    q, d = points.field.q, points.dim
+    field, d = points.field, points.dim
+    q = field.q
     fixed = points if fixed is None else fixed
     _check_budget(q, d * d, "matrix scan (q^(d^2))")
+    p = smallest = None  # `smallest` sets p, and `images` reads it and `report` when the pairs are asked for
     if d < 2 or q ** d > 256:
         held = list(zip(*_columns(fixed, s)))
-        report = _special_linear_report(_transporter_counts(points, held), points, fixed, want_histogram)
+        counts = _transporter_counts(points, held)
         # coordinate tuples are their own canonical codes: `tuple` decodes them as they are
-        return report, lambda: _pairs(list(zip(*_columns(points, 1, report.best_g))), points, held, tuple)
-    plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
-    vectors, _, scales = _space_table(q, d)[:3]
-    held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
-    p = None
+        coords, images = tuple, lambda: list(zip(*_columns(points, 1, report.best_g)))
+    else:
+        plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
+        vectors, _, scales = _space_table(q, d)[:3]
+        coords = vectors.__getitem__
+        held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+        counts = _coset_counts(codes, held, plan, q, d)
+        images = lambda: (_codes(points, q, 0, 1, report.best_g) if p is None else
+                          _coset_images(plan, q, d, codes, p))
 
-    def smallest(counts, best):
-        nonlocal p
-        code, p = _smallest_coset_code(plan, q, d, counts, best)
-        return code
+        def smallest(counts, best):
+            nonlocal p
+            code, p = _smallest_coset_code(plan, q, d, counts, best)
+            return code
 
-    counts = _coset_counts(codes, held, plan, q, d)
-    report = _special_linear_report(counts, points, fixed, want_histogram, smallest)
-    return report, lambda: _pairs(_codes(points, q, 0, 1, report.best_g) if p is None else
-                                  _coset_images(plan, q, d, codes, p), points, held, vectors.__getitem__)
+    def decode(code):  # the base-q integer of the row-major entries
+        flat = index_to_coords(code, q, d * d)
+        return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
+
+    report = _report_from_counts(
+        counts, points, fixed, decode=decode, first=_first_special_linear_code(q, d),
+        group_order=_special_linear_order(q, d), space_size=q ** d - 1,
+        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
+    )
+    return report, lambda: _pairs(images(), points, held, coords)
 
 
 @dataclass(frozen=True)

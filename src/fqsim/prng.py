@@ -70,11 +70,10 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
+        """The mix of state + γ (`_fold` with a part of 0); the state advances by γ."""
+        z = _fold(self.state, 0)
         self.state = (self.state + _GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        return z
 
     def next_below(self, n: int) -> int:
         """Uniform draw from [0, n), unbiased via rejection of the top band;
@@ -166,8 +165,9 @@ def derive_seed(base: int, *parts: int) -> int:
 
 
 def _fold(acc: int, part: int) -> int:
-    """One round of `derive_seed`, the generator step written out, so a
-    sweep can fold a shared prefix once and each trial after it."""
+    """One round of `derive_seed`, the mix of (acc ^ part) + γ, so a sweep
+    can fold a shared prefix once and each trial after it; with a part of
+    0 it is `SplitMix64.next_u64`'s output."""
     z = ((acc ^ (part & MASK64)) + _GAMMA) & MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64

@@ -2,13 +2,17 @@
 point sets, column matrices and their cofactor determinants, pair norms,
 the translation kernel's counts, the transporter kernel's completion,
 the sequential sampler, the lane doubling of the bulk draws, a seed with
-a chosen first draw, the seed fold and the per-kind arithmetic of group
-elements."""
+a chosen first draw, the seed fold, the per-kind arithmetic of group
+elements, flat indices, the pair oracle of translation reports and the
+field-by-field comparison of two reports."""
 
+import functools
 import itertools
 import struct
+from collections import Counter
+from fractions import Fraction
 
-from fqsim import Matrix, PointSet, SplitMix64, Translation, Vector
+from fqsim import IntersectionReport, Matrix, PointSet, SplitMix64, Translation, Vector
 from fqsim.geometry import _det_rows, index_to_coords
 from fqsim.intersection import _codes, _translation_counts
 from fqsim.prng import _GAMMA, _MIX1, _MIX2, MASK64
@@ -205,3 +209,44 @@ def oracle_inverse(g):
 
 def oracle_is_identity(g):
     return g.vector.is_zero() and g.matrix == Matrix.identity(g.field, len(g.matrix.rows))
+
+
+def naive_translation_counts(e_set, h_set):
+    """Oracle: the nonzero |H ∩ (E + a)| by shift a, as a Counter of the
+    coordinate tuples of y - x over every pair (x, y) in E × H."""
+    return Counter((y - x).coords for x in e_set for y in h_set)
+
+
+def oracle_translation_report(e_set, h_set, want_histogram):
+    """The report `max_intersection` over the translation group would
+    give, built from `naive_translation_counts` without the group."""
+    q, d = e_set.field.q, e_set.dim
+    counts = naive_translation_counts(e_set, h_set)
+    best = max(counts.values(), default=0)
+    shift = min((a for a, c in counts.items() if c == best), default=(0,) * d)
+    hist = None
+    if want_histogram:
+        hist = dict(Counter(counts.values()))
+        if q ** d > len(counts):
+            hist[0] = q ** d - len(counts)
+    return IntersectionReport(
+        best_g=Translation(Vector(e_set.field, shift)), best_count=best,
+        bound=Fraction(len(e_set) * len(h_set), q ** d),
+        double_count_total=sum(counts.values()), transitive=True, group_order=q ** d,
+        space_size=q ** d, moving_size=len(e_set), fixed_size=len(h_set),
+        per_g_histogram=hist,
+    )
+
+
+REPORT_FIELDS =("best_g", "best_count", "bound", "double_count_total", "transitive",
+                 "group_order", "space_size", "moving_size", "fixed_size", "per_g_histogram")
+
+
+def assert_same_report(kernel, oracle):
+    for name in REPORT_FIELDS:
+        assert getattr(kernel, name) == getattr(oracle, name), name
+    assert kernel.to_json() == oracle.to_json()
+
+
+def flat_index(v, q):
+    return functools.reduce(lambda i, c: i * q + c, v, 0)

@@ -1153,8 +1153,8 @@ class TestUnderAMemoryLimit:
         they are built, a det cell on a line of 10^8 points lists none,
         explicit SL(2, 97) and SL(3, 7) sets are scanned with no group,
         explicit sets over F_9973^2 are checked without listing the
-        space, and SL(1, q), q > 2, is refused as not transitive before
-        its line is listed."""
+        space, and SL(1, q), q > 2, and O(d, q) on F_q^d are refused as
+        not transitive before their space is listed."""
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no address-space limit on this platform")
@@ -1181,6 +1181,8 @@ class TestUnderAMemoryLimit:
               "--exhaustive-subsets"], 3),
             (["verify-bound", "--group", "translations", "--q", "9973", "--d", "2",
               "--set-e", sets[9973], "--set-h", sets[9973]], 0),
+            (["verify-bound", "--group", "orthogonal", "--q", "99999989", "--d", "1",
+              "--exhaustive-subsets"], 3),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(

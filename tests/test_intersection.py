@@ -6,7 +6,6 @@ import itertools
 import re
 import tracemalloc
 import warnings
-from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -53,6 +52,7 @@ from fqsim.intersection import (
     _coset_overlap,
     _first_special_linear_code,
     _report_from_counts,
+    _shift_overlap,
     _smallest_coset_code,
     _space_table,
     _special_linear_order,
@@ -61,42 +61,16 @@ from fqsim.intersection import (
     _transporter_counts,
 )
 
-from helpers import completion, from_coords, scaled_by_vectors, translated, translation_count_map
+from helpers import (assert_same_report, completion, flat_index, from_coords, naive_translation_counts,
+                     oracle_translation_report, scaled_by_vectors, translated, translation_count_map)
 
 F3 = make_field(3)
 F5 = make_field(5)
 
 
-def naive_translation_counts(e_set, h_set):
-    """Oracle: the nonzero |H ∩ (E + a)| by shift a, as a Counter of the
-    coordinate tuples of y - x over every pair (x, y) in E × H."""
-    return Counter((y - x).coords for x in e_set for y in h_set)
-
-
 def is_dense(e_set, h_set):
     """Whether the translation kernel takes the bit-slot branch."""
     return not isinstance(_translation_counts(e_set, _codes(h_set, 2 * e_set.field.q)), dict)
-
-
-def oracle_translation_report(e_set, h_set, want_histogram):
-    """The report `max_intersection` over the translation group would
-    give, built from `naive_translation_counts` without the group."""
-    q, d = e_set.field.q, e_set.dim
-    counts = naive_translation_counts(e_set, h_set)
-    best = max(counts.values(), default=0)
-    shift = min((a for a, c in counts.items() if c == best), default=(0,) * d)
-    hist = None
-    if want_histogram:
-        hist = dict(Counter(counts.values()))
-        if q ** d > len(counts):
-            hist[0] = q ** d - len(counts)
-    return IntersectionReport(
-        best_g=Translation(Vector(e_set.field, shift)), best_count=best,
-        bound=Fraction(len(e_set) * len(h_set), q ** d),
-        double_count_total=sum(counts.values()), transitive=True, group_order=q ** d,
-        space_size=q ** d, moving_size=len(e_set), fixed_size=len(h_set),
-        per_g_histogram=hist,
-    )
 
 
 class TestIntersectCount:
@@ -620,16 +594,6 @@ class TestPlanePieces:
             assert _codes(PointSet(make_field(13), d), 2 * 13, offset) == []
 
 
-REPORT_FIELDS =("best_g", "best_count", "bound", "double_count_total", "transitive",
-                 "group_order", "space_size", "moving_size", "fixed_size", "per_g_histogram")
-
-
-def assert_same_report(kernel, oracle):
-    for name in REPORT_FIELDS:
-        assert getattr(kernel, name) == getattr(oracle, name), name
-    assert kernel.to_json() == oracle.to_json()
-
-
 def sl_cases(q, d):
     """(E, H) pairs on the punctured space: all of it, empty sets, forced
     ties and seeded random subsets of assorted sizes."""
@@ -993,10 +957,6 @@ def coset_element(q, d, p):
     return [[sum(map(mul, row, col)) % q for col in zip(*s)] for row in h]
 
 
-def flat_index(v, q):
-    return functools.reduce(lambda i, c: i * q + c, v, 0)
-
-
 class TestCosetScan:
     """The byte-column scan over the cosets h_c·S, q^d <= 256, against the
     transporter counts and the enumerated group, on both sides of the bound."""
@@ -1105,6 +1065,34 @@ class TestCosetScan:
             assert len(codes) > (listed if n == 1 and d > 2 else 0)
             code, p = _smallest_coset_code(plan, q, d, counts, best)
             assert code == min(codes.values()) == codes[p], n
+
+
+class TestOneByteKernel:
+    """Below 256 points the oracle's image table, the shift rows and the
+    coset rows are summed by one kernel, `_row_counts`, once a scan."""
+
+    @pytest.mark.parametrize("space, scan", [
+        (lambda: Space.punctured(11, 2), lambda e, h: max_intersection(sl_group(11, 2), e, h)),
+        (lambda: Space.sphere(7, 3, 1), lambda e, h: max_intersection(orthogonal_group(7, 3, radius=1), e, h)),
+        (lambda: Space.full(13, 2), lambda e, h: max_intersection(translations(13, 2), e, h)),
+        (lambda: Space.full(13, 2), lambda e, h: _shift_overlap(e, 1, h)[0]),
+        (lambda: Space.punctured(7, 2), lambda e, h: _coset_overlap(e, 1, h)[0]),
+    ], ids=["SL(2,11) table", "O(3,7) sphere table", "T(13,2) table", "T(13,2) rows", "SL(2,7) cosets"])
+    def test_each_scan_sums_its_rows_once(self, monkeypatch, space, scan):
+        space = space()
+        n, calls = len(space), []
+
+        def spy(*args, kernel=fqsim.intersection._row_counts):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(fqsim.intersection, "_row_counts", spy)
+        # E under half of X, E past it (the table reads X \ E), one point
+        for i, ne in enumerate((n // 3, 2 * n // 3, 1)):
+            e, h = random_subset(space, ne, i), random_subset(space, n // 2, i + 10)
+            before = len(calls)
+            scan(e, h)
+            assert len(calls) == before + 1, ne
 
 
 def scan_oracles(group, moving, fixed):

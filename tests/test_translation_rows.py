@@ -26,8 +26,7 @@ from fqsim import (
 )
 from fqsim.intersection import _space_table
 
-from helpers import scaled_by_vectors
-from test_intersection import assert_same_report, flat_index, oracle_translation_report
+from helpers import assert_same_report, flat_index, oracle_translation_report, scaled_by_vectors
 
 # (q, d) below the byte bound, then just past it.
 BELOW = [(2, d) for d in range(2, 8)] + [(3, d) for d in range(2, 6)] + [
