@@ -450,9 +450,9 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     Takes H = root·E for a square root of the ratio, maximizes |H ∩ (E
     + a)| over the shifts a, and extracts the k+1 lexicographically
     smallest overlap points z, with x = z/root and y = z - a, by one scan
-    (`_shift_overlap`) that builds no point set: for d >= 2 and q^d <= 255
-    it sums byte rows of the shift table, otherwise bit planes or
-    difference codes count.  Works for any set size; when the overlap
+    (`_shift_overlap`) that builds no point set: for q^d <= 255 it sums
+    byte rows of the shift table, past it bit planes or difference codes
+    count.  Works for any set size; when the overlap
     tops out below k+1 (possible for small sets) the failure carries the
     achieved count.
     """

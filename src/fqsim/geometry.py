@@ -346,13 +346,19 @@ def _inverse_rows(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
 def sphere(q_or_field, dim: int, radius) -> PointSet:
     """All points of F_q^d whose sum of squared coordinates equals radius.
 
-    Full enumeration of q^d points, within ENUMERATION_CAP.
+    Within ENUMERATION_CAP (q^d), each of the q^(d-1) prefixes of d - 1
+    coordinates in lex order is followed by the roots of x_d² = radius -
+    Σ x_i², `FieldElement.sqrt`'s root and q minus it (over F_2 the
+    value itself), so the points come in canonical order.
     """
     field = as_field(q_or_field)
     q = field.q
     _check_dim(dim)
     _check_budget(q, dim, "sphere enumeration (q^d)")
     want = radius.value if isinstance(radius, FieldElement) else radius % q
-    squares = [i * i % q for i in range(q)]
-    return PointSet._canonical(field, dim, [c for c in itertools.product(range(q), repeat=dim)
-                                            if sum(squares[x] for x in c) % q == want])
+    points = []
+    for head in itertools.product(range(q), repeat=dim - 1):
+        r = FieldElement(want - sum(x * x for x in head), field)
+        if q == 2 or (r := r.sqrt()) is not None:
+            points += [(*head, x) for x in dict.fromkeys((r.value, -r.value % q))]
+    return PointSet._canonical(field, dim, points)

@@ -32,16 +32,15 @@ explicit sets of translations or SL(d, q).  They count the same
 incidences from the other side, Σ_g |H ∩ gE| = Σ_{(x,y) ∈ E×H} |{g : gx = y}|,
 and key each g by an integer whose order is canonical order, so the
 tie-break becomes the smallest maximal key.  Translations count per
-shift a the x in E with x + a in H.  For d >= 2
-and q^d <= 255 every index and count fits in a byte: row x of a table
-built once per (q, d), `_space_table`, holds the flat index of x + a
-over a in lex order, and the byte kernel sums E's rows.  Past it, and
-on a line, points and shifts are coded in base 2q.  While q^d is small
-against |H|, a bit table marking H is cut into about √|E| pieces, each
-point of E shifts its piece, and the shifted windows, one bit per
-shift, are added by carry-save full adders into bit planes, so C counts
-all q^d shifts at once; otherwise a Counter counts the |E||H|
-difference codes.
+shift a the x in E with x + a in H.  For q^d <= 255 every index and
+count fits in a byte: row x of a table built once per (q, d),
+`_space_table`, holds the flat index of x + a over a in lex order, and
+the byte kernel sums E's rows.  Past it, points and shifts are coded in
+base 2q.  While q^d is small against |H|, a bit table
+marking H is cut into about √|E| pieces, each point of E shifts its
+piece, and the shifted windows, one bit per shift, are added by
+carry-save full adders into bit planes, so C counts all q^d shifts at
+once; otherwise a Counter counts the |E||H| difference codes.
 Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
@@ -544,8 +543,8 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     for its shift a as (z, x) pairs with x + a = z, in canonical z order
     (`_pairs`).  No point set is built.
 
-    For d >= 2 and q^d < 256 the counts are bytes in lex shift order, E's
-    rows of `_space_table` summed by the byte kernel (`_row_counts`): H is
+    For q^d < 256 the counts are bytes in lex shift order, E's rows of
+    `_space_table` summed by the byte kernel (`_row_counts`): H is
     fixed's flat indices translated through the table's dilation by s,
     and x + a is byte p of x's row, p the shift's position.  Otherwise
     both forms of `_translation_counts` key a shift by its base-2q code,
@@ -557,7 +556,7 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     q, n = field.q, field.q ** d
     fixed = points if fixed is None else fixed
     # each branch's `images` reads `report` and `p`, set below, when the pairs are asked for
-    if d < 2 or n > 255:
+    if n > 255:
         coords = functools.partial(index_to_coords, q=2 * q, d=d)
         held = _codes(fixed, 2 * q, 0, s)
         counts = _translation_counts(points, held)

@@ -1153,8 +1153,9 @@ class TestUnderAMemoryLimit:
         they are built, a det cell on a line of 10^8 points lists none,
         explicit SL(2, 97) and SL(3, 7) sets are scanned with no group,
         explicit sets over F_9973^2 are checked without listing the
-        space, and SL(1, q), q > 2, and O(d, q) on F_q^d are refused as
-        not transitive before their space is listed."""
+        space, SL(1, q), q > 2, and O(d, q) on F_q^d are refused as
+        not transitive before their space is listed, and a sphere on a line
+        of 10^8 points is listed from the square roots of its radius."""
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("no address-space limit on this platform")
@@ -1183,6 +1184,8 @@ class TestUnderAMemoryLimit:
               "--set-e", sets[9973], "--set-h", sets[9973]], 0),
             (["verify-bound", "--group", "orthogonal", "--q", "99999989", "--d", "1",
               "--exhaustive-subsets"], 3),
+            (["enumerate-group", "--kind", "orthogonal", "--q", "99999989", "--d", "1",
+              "--radius", "1"], 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(

@@ -201,6 +201,21 @@ class TestSphere:
         with pytest.raises(EnumerationCapExceeded):
             sphere(101, 4, 1)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_filter_oracle(self, q, d):
+        """Every radius, as an int, a larger int or a field element, gives
+        the points of F_q^d whose squared coordinates sum to it, in
+        canonical order, as filtering the whole space does."""
+        field, by_radius = make_field(q), {r: [] for r in range(q)}
+        for c in itertools.product(range(q), repeat=d):
+            by_radius[sum(x * x for x in c) % q].append(c)
+        for r, points in by_radius.items():
+            s = sphere(q, d, r)
+            assert type(s) is PointSet and (s.field.q, s.dim) == (q, d)
+            assert s._coords == tuple(points), r
+            assert sphere(q, d, r + q)._coords == sphere(field, d, field(r))._coords == s._coords
+
 
 class TestPairNorms:
     def test_equal_points(self):

@@ -1,6 +1,7 @@
 """The `src/` line counter, on a small module whose lines are known."""
 
 import ast
+from pathlib import Path
 
 import src_lines
 
@@ -60,3 +61,17 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert lines == [f"{tmp_path / 'pkg' / 'a.py'}: 10 / 7 / 10 (27) 76 tokens",
                      f"{tmp_path / 'pkg' / 'b.py'}: 1 / 0 / 1 (2) 7 tokens",
                      "total: 11 / 7 / 11 (29) 83 tokens"]
+
+
+def test_every_src_module_stays_under_the_parsers_second_doubling():
+    """CPython 3.11's parser doubles its token array at 8,192 tokens, and
+    every benchmark worker compiles `src/`."""
+    over = {}
+    for path in src_lines.modules([Path(__file__).resolve().parents[1] / "src" / "fqsim"]):
+        tokens = src_lines.count_tokens(path.read_text(encoding="utf-8"))
+        if tokens >= 8192:
+            over[path.name] = tokens
+    assert not over, (
+        f"{over} reach 8,192 tokens: by ROADMAP's standing rule, a change that crosses "
+        "the step records a peak_rss_mb measurement in CHANGES.md and raises this bound "
+        "in the same change")

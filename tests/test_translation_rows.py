@@ -18,6 +18,7 @@ from fqsim import (
     find_det_similar,
     find_similar_config,
     make_field,
+    max_intersection,
     max_translation_intersection_fast,
     random_pointset,
     random_subset,
@@ -26,7 +27,13 @@ from fqsim import (
 )
 from fqsim.intersection import _space_table
 
-from helpers import assert_same_report, flat_index, oracle_translation_report, scaled_by_vectors
+from helpers import (
+    assert_same_report,
+    flat_index,
+    naive_translation_counts,
+    oracle_translation_report,
+    scaled_by_vectors,
+)
 
 # (q, d) below the byte bound, then just past it.
 BELOW = [(2, d) for d in range(2, 8)] + [(3, d) for d in range(2, 6)] + [
@@ -174,23 +181,53 @@ class TestShiftTable:
                     assert ran == [kernel], (q, d)
                     assert_same_report(rep, oracle_translation_report(e, h, hist))
 
-    @pytest.mark.parametrize("q", [2, 3, 251])
-    def test_a_line_stays_on_the_planes(self, monkeypatch, q):
+    @pytest.mark.parametrize("q, kernel", [(2, "_row_counts"), (3, "_row_counts"), (13, "_row_counts"),
+                                           (251, "_row_counts"), (257, "_translation_counts")])
+    def test_a_line_counts_on_the_rows_below_the_bound(self, monkeypatch, q, kernel):
         e, h = random_pointset(q, 1, q // 2 or 1, seed=1), random_pointset(q, 1, q // 2 or 1, seed=2)
         rep, ran = kernels_run(monkeypatch, lambda: max_translation_intersection_fast(e, h, want_histogram=True))
-        assert ran == ["_translation_counts"]
+        assert ran == [kernel]
         monkeypatch.undo()
         assert_same_report(rep, oracle_translation_report(e, h, True))
 
+    @pytest.mark.parametrize("q", [2, 3, 13, 251])
+    def test_line_counts_match_the_pair_oracle(self, monkeypatch, q):
+        """On a line, every per-shift byte that the rows count is the pair
+        oracle's count, and every report `max_intersection`'s over the
+        translations, for E and H each empty, one point, the first half,
+        the whole line or one of three seeded draws."""
+        full, group = Space.full(q, 1), translations(q, 1)
+        half = PointSet._canonical(full.field, 1, full._coords[:q // 2 or 1])
+        sets = [random_subset(full, 0, q), random_subset(full, 1, q), half, full] + [
+            random_subset(full, n, q + n) for n in (q // 4 + 1, q // 2, 3 * q // 4)]
+        counted, kernel = [], fqsim.intersection._row_counts
+        monkeypatch.setattr(fqsim.intersection, "_row_counts",
+                            lambda *args: counted.append(kernel(*args)) or counted[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty sets warn
+            for e in sets:
+                for h in sets:
+                    expected = naive_translation_counts(e, h)
+                    for hist in (False, True):
+                        counted.clear()
+                        rep = max_translation_intersection_fast(e, h, want_histogram=hist)
+                        assert [list(c) for c in counted] == [[expected[a,] for a in range(q)]]
+                        assert_same_report(rep, max_intersection(group, e, h, want_histogram=hist))
+
     @pytest.mark.parametrize("finder, q, d, kernel", [
         (find_similar_config, 13, 2, "_row_counts"), (find_similar_config, 3, 5, "_row_counts"),
-        (find_similar_config, 17, 2, "_translation_counts"), (find_similar_config, 31, 1, "_translation_counts"),
+        (find_similar_config, 17, 2, "_translation_counts"), (find_similar_config, 31, 1, "_row_counts"),
         (find_det_similar, 7, 2, "_coset_counts"), (find_det_similar, 17, 2, "_transporter_counts"),
         (find_det_similar, 7, 1, "_transporter_counts"),
-    ], ids=["T(13,2)", "T(3,5)", "T(17,2)", "T(31,1)", "SL(2,7)", "SL(2,17)", "SL(1,7)"])
+        (find_similar_config, 3, 1, "_row_counts"), (find_similar_config, 13, 1, "_row_counts"),
+        (find_similar_config, 251, 1, "_row_counts"), (find_similar_config, 257, 1, "_translation_counts"),
+    ], ids=["T(13,2)", "T(3,5)", "T(17,2)", "T(31,1)", "SL(2,7)", "SL(2,17)", "SL(1,7)",
+            "T(3,1)", "T(13,1)", "T(251,1)", "T(257,1)"])
     def test_no_finder_dilates_a_point_set(self, monkeypatch, finder, q, d, kernel):
-        """On both sides of the byte bound and on a line, either finder
-        scans H = 4·E as codes or tuples of E's and builds no point set."""
+        """On both sides of the byte bound, lines included, either finder
+        scans H = 4·E as codes or tuples of E's and builds no point set;
+        translations count on the rows up to 255 points, on a line as in
+        higher dimensions."""
         field = make_field(q)
         if finder is find_similar_config:
             points, names = random_subset(Space.full(q, d), similarity_threshold(q, d, 2), q * d), None
