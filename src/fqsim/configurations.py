@@ -16,9 +16,10 @@ unimodular maps sending one to the other, so it builds no group; the
 q^(d^2) matrix budget still applies.  Each overlap point z is paired
 with the x that g sends to it without inverting g, by coding g·x for
 every x in E.
-Both finders search on coordinate tuples, and the 3(k+1) witness
-points, already canonical, become vectors without the constructor's
-checks (`Vector._of`).
+Both finders search on flat indices below the byte bound, q^d <= 256,
+and on coordinate tuples past it, and the 3(k+1) witness points, already
+canonical, become vectors without the constructor's checks
+(`Vector._of`).
 
 Every finder re-derives the claimed relations from raw coordinates with
 an independent verifier, on integer tuples, before returning, and the
@@ -576,7 +577,8 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
-    if points._coords[:1] == ((0,) * d,):  # canonical order puts the origin first
+    # canonical order puts the origin, flat index 0, first
+    if (points._flat[:1] == b"\0") if points._flat is not None else (points._coords[:1] == ((0,) * d,)):
         raise OriginInSet("the set must avoid the origin for the unimodular action")
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.

@@ -8,7 +8,10 @@ degree 2 under scalar dilation.
 
 A point set is one sorted tuple of canonical coordinate tuples, the
 canonical form behind digests and tie-breaks; its position dict is
-built on the first lookup and its vectors on the first iteration.
+built on the first lookup and its vectors on the first iteration.  A
+set drawn from a space whose flat indices fit a byte (q^d <= 256) is
+held as its ascending flat indices, one byte each, and decodes its
+tuples on first read (`_flat_coords`); the scans read the bytes.
 """
 
 from __future__ import annotations
@@ -144,6 +147,19 @@ def index_to_coords(index: int, q: int, d: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _flat_coords(q: int, d: int, indices: Sequence[int]) -> Iterable[tuple]:
+    """The coordinate tuples at these flat indices of F_q^d, decoded one
+    base-q digit at a time, last coordinate first, for all indices at
+    once; flat order is lexicographic, so ascending indices give tuples
+    in canonical order."""
+    digits = []
+    for _ in range(d - 1):
+        digits.append([i % q for i in indices])
+        indices = [i // q for i in indices]
+    digits.append(indices)  # below q^d, what is left is the first coordinate
+    return zip(*reversed(digits))
+
+
 class PointSet:
     """A deduplicated, lexicographically sorted subset of F_q^d.
 
@@ -151,10 +167,12 @@ class PointSet:
     diffable in reports, and deterministic to iterate; `index` gives a
     point's position in it.  A set holds one sorted tuple of coordinate
     tuples, `_coords`; its position dict is built on the first lookup and
-    its `Vector`s on the first iteration, unless vectors were given.
+    its `Vector`s on the first iteration, unless vectors were given.  A
+    set built from flat indices below the byte bound (`_at_flat`) holds
+    them as `_flat`, ascending bytes, and decodes `_coords` on first read.
     """
 
-    __slots__ = ("field", "dim", "_coords", "_positions", "_points")
+    __slots__ = ("field", "dim", "_flat", "_tuples", "_positions", "_points")
 
     def __init__(self, field: PrimeField, dim: int, points: Iterable[Vector] = ()):
         _check_dim(dim)
@@ -170,9 +188,9 @@ class PointSet:
             seen[p.coords] = p
         self.field = field
         self.dim = dim
-        self._coords = tuple(sorted(seen))
-        self._positions = None
-        self._points = tuple(seen[c] for c in self._coords)
+        self._flat = self._positions = None
+        self._tuples = tuple(sorted(seen))
+        self._points = tuple(seen[c] for c in self._tuples)
 
     @classmethod
     def _canonical(cls, field: PrimeField, dim: int, coords: Iterable[tuple]) -> "PointSet":
@@ -181,9 +199,28 @@ class PointSet:
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
-        self._coords = tuple(coords)
-        self._positions = self._points = None
+        self._tuples = tuple(coords)
+        self._flat = self._positions = self._points = None
         return self
+
+    @classmethod
+    def _at_flat(cls, field: PrimeField, dim: int, indices: Sequence[int]) -> "PointSet":
+        """The points at these distinct ascending flat indices of F_q^d:
+        kept as bytes while every index of the space fits one (q^d <= 256),
+        decoded at once past it."""
+        if _power_exceeds(field.q, dim, 256):
+            return cls._canonical(field, dim, _flat_coords(field.q, dim, indices))
+        self = cls._canonical(field, dim, ())
+        self._flat, self._tuples = bytes(indices), None
+        return self
+
+    @property
+    def _coords(self) -> tuple:
+        """The sorted coordinate tuples; a set held as flat indices decodes
+        them on first read.  Threads that race here decode equal tuples."""
+        if self._tuples is None:
+            self._tuples = tuple(_flat_coords(self.field.q, self.dim, self._flat))
+        return self._tuples
 
     @property
     def _index(self) -> dict:
@@ -201,7 +238,7 @@ class PointSet:
         return self._points
 
     def __len__(self) -> int:
-        return len(self._coords)
+        return len(self._tuples if self._flat is None else self._flat)
 
     def __iter__(self):
         return iter(self.points)
@@ -232,7 +269,7 @@ class PointSet:
         return hash((self.field.q, self.dim, self._coords))
 
     def __repr__(self) -> str:
-        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self._coords)})"
+        return f"PointSet(q={self.field.q}, d={self.dim}, n={len(self)})"
 
 
 class Matrix:

@@ -15,9 +15,13 @@ re-running a sweep cell reproduces its outcome payload byte for byte.
 A similarity cell draws with `random_pointset` and runs
 `find_similar_config`; a det cell draws the points that
 `random_subset(Space.punctured(q, d), n, seed)` draws (`_det_draw`) and
-runs `find_det_similar`.  Both draws decode sorted flat indices of
-F_q^d (`_flat_points`), so neither lists a space.  A sweep runs its
-cells one after another in the calling thread, whatever its jobs.
+runs `find_det_similar`.  Both draws pick sorted flat indices of F_q^d,
+so neither lists a space, and build their set from them
+(`PointSet._at_flat`): while q^d <= 256 the set keeps the indices as
+bytes, which the finder's scan reads, so a cell decodes no drawn point
+but the k + 1 its witness takes; past it they are decoded at once.  A
+sweep runs its cells one after another in the calling thread, whatever
+its jobs.
 """
 
 from __future__ import annotations
@@ -51,8 +55,10 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     """n distinct points of F_q^d, uniform without replacement, seeded.
 
     Indices into the lexicographic enumeration of the space are chosen
-    by a SplitMix64-driven partial shuffle (`SplitMix64.sample_indices`),
-    sorted and decoded (`_flat_points`), in O(n) memory whatever q^d.  A
+    by a SplitMix64-driven partial shuffle (`SplitMix64.sample_indices`)
+    and sorted, in O(n) memory whatever q^d: the set keeps them as bytes
+    while q^d <= 256 and decodes them at once past it
+    (`PointSet._at_flat`).  A
     space of more than 2^64 points, past what one 64-bit draw covers, is
     refused (`SpaceTooLarge`) before any draw and before q^d is computed;
     a sample of more than ENUMERATION_CAP points is refused before any
@@ -67,20 +73,7 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
     _check_budget(n, 1, "random sample (points)")
-    return _flat_points(field, dim, sorted(SplitMix64(seed).sample_indices(total, n)))
-
-
-def _flat_points(field: PrimeField, dim: int, indices: list[int]) -> PointSet:
-    """The points at these ascending flat indices of F_q^d, decoded one
-    base-q digit at a time, last coordinate first, for all indices at
-    once; flat order is lexicographic, so they are in canonical order."""
-    q = field.q
-    digits = []
-    for _ in range(dim - 1):
-        digits.append([i % q for i in indices])
-        indices = [i // q for i in indices]
-    digits.append(indices)  # below q^d, what is left is the first coordinate
-    return PointSet._canonical(field, dim, zip(*reversed(digits)))
+    return PointSet._at_flat(field, dim, sorted(SplitMix64(seed).sample_indices(total, n)))
 
 
 def _check_sample_space(q: int, dim: int) -> None:
@@ -90,8 +83,10 @@ def _check_sample_space(q: int, dim: int) -> None:
 
 def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
     """random_subset(Space.punctured(field, d), n, seed), refused alike but
-    listing no space: its pick i is flat index i + 1.  Past the det search's
-    q^(d^2) scan budget, which refuses any set, it draws no point."""
+    listing no space: its pick i is flat index i + 1, and the set is built
+    from the flat indices (`PointSet._at_flat`), kept as bytes while q^d
+    <= 256.  Past the det search's q^(d^2) scan budget, which refuses any
+    set, it draws no point."""
     _check_dim(d)
     _check_budget(field.q, d, "punctured space (q^d)")
     size = field.q ** d - 1
@@ -99,7 +94,7 @@ def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     if _power_exceeds(field.q, d * d, ENUMERATION_CAP):
         n = min(n, 0)  # n < 0 is still refused as sample_indices refuses it
-    return _flat_points(field, d, [i + 1 for i in sorted(SplitMix64(seed).sample_indices(size, n))])
+    return PointSet._at_flat(field, d, [i + 1 for i in sorted(SplitMix64(seed).sample_indices(size, n))])
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:

@@ -206,14 +206,20 @@ def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) 
     return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
 
 
-def _pairs(images: list, points: PointSet, fixed, decode):
+def _pairs(images: list, sources: Sequence, fixed, decode, decode_source):
     """H ∩ gE as (z, x) pairs with gx = z, in canonical z order, from the
-    code images[i] of g·x for the i-th point x of E and the codes `fixed`
-    of H, codes whose order is canonical: only the pairs read are decoded,
-    by `decode`."""
+    code images[i] of g·x for the point x of E coded sources[i] and the
+    codes `fixed` of H, codes whose order is canonical: only the pairs
+    read are decoded, z by `decode` and x by `decode_source`."""
     held = set(fixed)
-    for z, x in sorted(compress(zip(images, points._coords), map(held.__contains__, images))):
-        yield decode(z), x
+    for z, x in sorted(compress(zip(images, sources), map(held.__contains__, images))):
+        yield decode(z), decode_source(x)
+
+
+def _flat_codes(points: PointSet) -> bytes:
+    """The flat indices of the points, q^d <= 256, one byte each: the
+    bytes a set drawn from flat indices holds, or coded from its tuples."""
+    return bytes(_codes(points, points.field.q)) if points._flat is None else points._flat
 
 
 def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
@@ -544,9 +550,11 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     (`_pairs`).  No point set is built.
 
     For q^d < 256 the counts are bytes in lex shift order, E's rows of
-    `_space_table` summed by the byte kernel (`_row_counts`): H is
-    fixed's flat indices translated through the table's dilation by s,
-    and x + a is byte p of x's row, p the shift's position.  Otherwise
+    `_space_table` summed by the byte kernel (`_row_counts`), E given by
+    its flat indices (`_flat_codes`): H is fixed's flat indices
+    translated through the table's dilation by s, x + a is byte p of x's
+    row, p the shift's position, and the pairs are decoded off the
+    table's vectors.  Otherwise
     both forms of `_translation_counts` key a shift by its base-2q code,
     whose digits are the shift's coordinates: H is coded from fixed's
     coordinate columns times s, and x + a from E's plus a.  Both branches
@@ -561,10 +569,12 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         held = _codes(fixed, 2 * q, 0, s)
         counts = _translation_counts(points, held)
         images = lambda: _codes(points, 2 * q, 0, 1, report.best_g)
+        sources, source = points._coords, tuple  # a tuple is its own source
     else:
         vectors, _, scales, rows = _space_table(q, d)
-        coords, codes = vectors.__getitem__, bytes(_codes(points, q))
-        held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+        coords = source = vectors.__getitem__
+        sources = codes = _flat_codes(points)
+        held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _row_counts(rows.__getitem__, codes, held, n)
         images = lambda: [rows[x][p] for x in codes]
     report = _report_from_counts(
@@ -573,7 +583,7 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     )
     if isinstance(counts, bytes):  # the first maximal byte is the reported shift's
         p = counts.index(report.best_count)
-    return report, lambda: _pairs(images(), points, held, coords)
+    return report, lambda: _pairs(images(), sources, held, coords, source)
 
 
 @functools.lru_cache(maxsize=8)
@@ -826,10 +836,11 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     det scan.
 
     For d >= 2 and q^d <= 256, H is fixed's flat indices translated
-    through the table of s·x (`_space_table`), E's flat indices serve
-    both the scan (`_coset_counts`) and the overlap, and g·x is read off
-    the plan at the position p of g that the tie-break hands back
-    (`_coset_images`); when every count ties, g is the first element, p
+    through the table of s·x (`_space_table`), E's flat indices
+    (`_flat_codes`) serve both the scan (`_coset_counts`) and the
+    overlap, whose pairs are decoded off the table's vectors, and g·x
+    is read off the plan at the position p of g that the tie-break
+    hands back (`_coset_images`); when every count ties, g is the first element, p
     stays None and g·x is coded from E's columns through g.  Otherwise
     the transporters are counted (`_transporter_counts`) against H's
     coordinate tuples, fixed's columns times s, and g·x is E's columns
@@ -846,11 +857,12 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         counts = _transporter_counts(points, held)
         # coordinate tuples are their own canonical codes: `tuple` decodes them as they are
         coords, images = tuple, lambda: list(zip(*_columns(points, 1, report.best_g)))
+        sources = points._coords
     else:
-        plan, codes = _special_linear_plan(q, d), bytes(_codes(points, q))
+        plan, codes = _special_linear_plan(q, d), _flat_codes(points)
         vectors, _, scales = _space_table(q, d)[:3]
-        coords = vectors.__getitem__
-        held = (codes if fixed is points else bytes(_codes(fixed, q))).translate(scales[s])
+        coords, sources = vectors.__getitem__, codes
+        held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _coset_counts(codes, held, plan, q, d)
         images = lambda: (_codes(points, q, 0, 1, report.best_g) if p is None else
                           _coset_images(plan, q, d, codes, p))
@@ -869,7 +881,7 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         group_order=_special_linear_order(q, d), space_size=q ** d - 1,
         transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
     )
-    return report, lambda: _pairs(images(), points, held, coords)
+    return report, lambda: _pairs(images(), sources, held, coords, coords)
 
 
 @dataclass(frozen=True)
