@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 import warnings
 from fractions import Fraction
 
@@ -843,6 +844,85 @@ class TestOrthogonalBoundPins:
                               "--q 11 --d 3", "--q 4 --d 2", "--q 5 --d 2 --radius 1")]
         assert o_pin_digest(capsys, runs) == (
             "37ef305e77a71f2caed5cf2f8086040e18a3c81ee17671df815a798d32888ab6")
+
+
+# (flags, set file) of the translation and SL(d, q) pins: a composite q, d
+# = 0 and d = -5, --radius, T(10007, 2) just past q^d, SL(101, 2) just past
+# q^(d^2), SL(1, 2), SL(1, 13), T(11, 1) and SL(3, 5) past the subset-pair
+# audit's 10 points, and small spaces; each set file is over that space.
+KIND_PIN_SHAPES = [
+    ("--q 4 --d 2", "q3d2"), ("--q 3 --d 0", "q3d2"), ("--q 3 --d -5", "q3d2"),
+    ("--q 3 --d 2 --radius 1", "q3d2"), ("--q 10007 --d 2", "q3d2"), ("--q 101 --d 2", "q101d2"),
+    ("--q 2 --d 1", "q2d1"), ("--q 13 --d 1", "q13d1"), ("--q 11 --d 1", "q11d1"),
+    ("--q 5 --d 3", "q5d3"), ("--q 3 --d 2", "q3d2"), ("--q 2 --d 2", "q2d2"),
+]
+KIND_PIN_SETS = {"q3d2": "q=3 d=2\n1,2\n2,0\n1,1\n", "origin": "q=3 d=2\n0,0\n1,2\n",
+                 "q101d2": "q=101 d=2\n1,2\n100,7\n5,5\n", "q2d1": "q=2 d=1\n1\n",
+                 "q13d1": "q=13 d=1\n1\n5\n12\n", "q11d1": "q=11 d=1\n3\n4\n",
+                 "q5d3": "q=5 d=3\n1,2,3\n0,0,1\n4,4,4\n", "q2d2": "q=2 d=2\n0,1\n1,1\n"}
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+class TestKindPins:
+    """stdout, stderr and exit code of every command that takes its group
+    kind's refusals, budgets and closed forms, over translations and
+    SL(d, q): refusals in their order, closed-form audit refusals, and
+    the origin in an SL set.  Sweep lines are read with a zero clock."""
+
+    def runs(self, tmp_path, command):
+        paths = {}
+        for name, text in KIND_PIN_SETS.items():
+            (tmp_path / name).write_text(text)
+            paths[name] = str(tmp_path / name)
+        runs = []
+        for kind in ("translations", "special-linear"):
+            for flags, name in KIND_PIN_SHAPES:
+                group = ["--kind" if command == "enumerate-group" else "--group", kind, *flags.split()]
+                if command == "enumerate-group" and not (kind == "special-linear" and flags == "--q 5 --d 3"):
+                    runs.append((f"{kind} {flags}", ["enumerate-group", *group]))
+                elif command == "verify-bound":
+                    runs.append((f"{kind} {flags}", ["verify-bound", *group, "--set-e", paths[name],
+                                                     "--set-h", paths[name], "--histogram"]))
+                elif command == "audit":
+                    runs.append((f"{kind} {flags}", ["verify-bound", *group, "--exhaustive-subsets"]))
+            if command == "enumerate-group":
+                runs.append((f"{kind} dump", ["enumerate-group", "--kind", kind, "--q", "2", "--d", "2", "--dump"]))
+            if command == "verify-bound":
+                for e, h in (("origin", "q3d2"), ("q3d2", "origin"), ("origin", "q5d3"), ("q5d3", "origin")):
+                    runs.append((f"{kind} {e} {h}", ["verify-bound", "--group", kind, "--q", "3", "--d", "2",
+                                                     "--set-e", paths[e], "--set-h", paths[h]]))
+        for flags, name in KIND_PIN_SHAPES:
+            if "--radius" in flags:
+                continue
+            d = int(flags.split()[-1])
+            k = str(max(d, 1))
+            if command == "find-det-similar":
+                for source in (["--set", paths[name]], ["--random", "3"]):
+                    runs.append((f"{flags} {source[0]}", ["find-det-similar", *flags.split(), "--r", "1",
+                                                          "--k", k, *source]))
+            elif command == "sweep":
+                runs.append((flags, ["sweep", "--kind", "det-similarity", "--qs", flags.split()[1],
+                                     "--d", str(d), "--ks", f"1,{k}", "--r", "1", "--trials", "2"]))
+        if command == "find-det-similar":
+            runs.append(("origin", ["find-det-similar", "--q", "3", "--d", "2", "--r", "1", "--k", "2",
+                                    "--set", paths["origin"]]))
+        return runs
+
+    @pytest.mark.parametrize("command, digest", [
+        ("enumerate-group",
+         "7ff54972e32bc866e4324114d919e8529953fd318280c99619240251ecc95368"),
+        ("verify-bound",
+         "e531d0a8f7820ec66a2d45d78a2206e38af041fbd715c31c1c7c758c56e34c67"),
+        ("audit",
+         "d9a7bdd9a7042dfda350a4952d6f03eb69d6d24d234c1240354765c99676ad9e"),
+        ("find-det-similar",
+         "2fd64b8df51c1a9daee03d736b8b1b944b0f1fa7d1d13e807f43bfe50b75b8b5"),
+        ("sweep",
+         "8ccc37c5a61b89a957fcfbbd4e1ff3faa0d460c1e795077f763a5bd5725e231e"),
+    ])
+    def test_outputs_are_golden(self, capsys, tmp_path, monkeypatch, command, digest):
+        monkeypatch.setattr(fqsim.harness, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        assert o_pin_digest(capsys, self.runs(tmp_path, command)) == digest
 
 
 class TestSweepAndVerifyWitness:
