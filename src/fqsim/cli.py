@@ -46,11 +46,12 @@ from .errors import (
     NotOnSphere,
     ParseError,
     ScanCapExceeded,
+    SpaceMismatch,
     VerificationFailed,
 )
 from .field import as_field, make_field
-from .geometry import _check_budget, _check_dim, _power_exceeds
-from .groups import Space, orthogonal_group, special_linear_group, translations
+from .geometry import Vector, _power_exceeds
+from .groups import _ACTIONS, _Action, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
     file_digest,
@@ -59,8 +60,7 @@ from .harness import (
     write_sweep,
 )
 from .intersection import (_check_audit_space, _check_set_space, _coset_overlap, _not_transitive,
-                           _shift_overlap, _space_indices, exhaustive_pairs_audit, intersect_count,
-                           max_intersection)
+                           _shift_overlap, exhaustive_pairs_audit, intersect_count, max_intersection)
 
 
 def _emit(obj) -> None:
@@ -71,44 +71,25 @@ def _emit_error(exc: Exception, **extra) -> None:
     _emit({"error": type(exc).__name__, "message": str(exc), **extra})
 
 
-# kind: its group's builder; the kind of space the group acts on; the power
-# p and the name of the q^(d^p) budget the build checks after the prime
-# and the dimension; and the finders' overlap scan of its kind, which counts
-# explicit sets over that space with no group built, called as scan(E, 1, H,
-# histogram) for its report.  Functions are named, and looked up when they
-# run.  Orthogonal groups have no entry: their build refuses for itself, and
-# their sets are scanned through the group's image table (`_orthogonal_bound`).
-_KINDS = {
-    "translations": ("translations", "full", 1, "full space (q^d)", "_shift_overlap"),
-    "special-linear": ("special_linear_group", "punctured", 2, "matrix scan (q^(d^2))", "_coset_overlap"),
-}
-
-
-def _admit(kind: str, q: int, d: int, radius) -> tuple | None:
-    """Refuse what building the group of this kind refuses, in the same
-    order and words, building nothing: --radius, then the prime, the
-    dimension and the budget of a kind in `_KINDS`, whose entry it
-    returns (None for orthogonal groups)."""
-    if radius is not None and kind != "orthogonal":
+def _admit(kind: str, q: int, d: int, radius) -> _Action:
+    """The action of this kind, once every refusal of building its group
+    has passed, in the build's order and words, building nothing:
+    --radius, then the prime and the action's own (`_Action.admit`)."""
+    action = _ACTIONS[kind]
+    if radius is not None and not action.on_spheres:
         raise ValueError(f"--radius applies to orthogonal groups only, not {kind}")
-    entry = _KINDS.get(kind)
-    if entry:
-        as_field(q)
-        _check_dim(d)
-        _check_budget(q, d ** entry[2], entry[3])
-    return entry
+    action.admit(q, d)
+    return action
 
 
-def _build_group(kind: str, q: int, d: int, radius):
-    """The group of this kind, for `enumerate-group` and the subset-pair
-    audit, built after `_admit`'s refusals; explicit sets of a kind in
-    `_KINDS` build none."""
-    entry = _admit(kind, q, d, radius)
-    return globals()[entry[0]](q, d) if entry else orthogonal_group(q, d, radius=radius)
+def _build_group(action: _Action, q: int, d: int, radius):
+    """The group of an admitted action, for `enumerate-group` and the
+    subset-pair audit; explicit sets of an action with a scan build none."""
+    return globals()[action.builder](q, d, **({"radius": radius} if action.on_spheres else {}))
 
 
 def cmd_enumerate_group(args) -> int:
-    group = _build_group(args.kind, args.q, args.d, args.radius)
+    group = _build_group(_admit(args.kind, args.q, args.d, args.radius), args.q, args.d, args.radius)
     out = group.describe()
     if args.dump:
         out["elements"] = [g.to_json() for g in group.elements]
@@ -147,48 +128,37 @@ def _read_sets(args) -> tuple:
 
 def cmd_verify_bound(args) -> int:
     q, d = args.q, args.d
-    entry = _admit(args.group, q, d, args.radius)
+    action = _admit(args.group, q, d, args.radius)
     if args.exhaustive_subsets:
-        # decided by closed forms before the build: SL(1, q) is the identity
-        # alone, so it moves none of its q - 1 points; every other kind in
-        # `_KINDS` is transitive, and its space is refused by its size.  A
-        # linear map fixes the origin, so O(d, q) on F_q^d is never transitive:
-        # it is refused after the build's own refusals, in their order.
-        if entry:
-            if entry[1] == "punctured" and d == 1 and q > 2:
-                raise _not_transitive(args.group, entry[1])
-            _check_audit_space(q ** d - (entry[1] == "punctured"))
-        elif args.radius is None:
-            as_field(q)
-            _check_budget(q, d * d, "matrix enumeration (q^(d^2))")
-            _check_dim(d)
-            raise _not_transitive(args.group, "full")
-        group = _build_group(args.group, q, d, args.radius)
+        # decided by closed forms before the build: an action that is not
+        # transitive is refused, then a space past the audit's limit
+        if action.transitive(q, d, args.radius) is False:
+            raise _not_transitive(args.group, action.space)
+        if args.radius is None:
+            _check_audit_space(action.size(q, d))
+        group = _build_group(action, q, d, args.radius)
         audit = exhaustive_pairs_audit(group)
         _emit({"mode": "exhaustive-subsets", "group": group.describe(), **audit.to_json()})
         return 2 if audit.bound_violations or audit.double_count_mismatches else 0
-    if not entry:
+    if action.scan is None:
         report, _ = _orthogonal_bound(q, d, args.radius, lambda: _read_sets(args), args.histogram)
     else:
-        # translations and SL(d, q) are counted by the finders' scans, which
-        # need no group.  A set over F_q^d lies in the full space; only the
-        # punctured one is listed, to find the origin.
+        # counted by the finders' scans, which need no group: a set over
+        # F_q^d lies in the action's space unless it holds the origin and
+        # the space is punctured, so no space is listed
         e_set, h_set = _read_sets(args)
-        punctured = Space.punctured(q, d) if entry[1] == "punctured" else None
         for name, points in (("moving", e_set), ("fixed", h_set)):
-            if punctured is None:
-                _check_set_space(q, d, name, points)
-            else:
-                _space_indices(punctured, name, points)
-        report = globals()[entry[4]](e_set, 1, h_set, args.histogram)[0]
+            _check_set_space(q, d, name, points)
+            if action.space == "punctured" and points._holds_origin():
+                raise SpaceMismatch(f"{name} set: {Vector(points.field, (0,) * d)!r} is not a point of "
+                                    f"Space({action.space}, q={q}, d={d}, size={action.size(q, d)})")
+        report = globals()[action.scan](e_set, 1, h_set, args.histogram)[0]
         _recount(report, e_set, h_set)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None
     out["input_digests"] = {"set_e": file_digest(args.set_e), "set_h": file_digest(args.set_h)}
     _emit(out)
-    if report.transitive and (not report.satisfies_bound or not report.double_count_ok):
-        return 2
-    return 0
+    return 2 if report.transitive and (not report.satisfies_bound or not report.double_count_ok) else 0
 
 
 def _edge_set_from_option(option: str, k: int) -> EdgeSet:
@@ -336,7 +306,7 @@ def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _group_options(parser: argparse.ArgumentParser, flag: str) -> None:
-    parser.add_argument(flag, required=True, choices=["translations", "orthogonal", "special-linear"])
+    parser.add_argument(flag, required=True, choices=list(_ACTIONS))
     _required_ints(parser, "q", "d")
     parser.add_argument("--radius", type=int, default=None,
                         help="act on this sphere instead of the full space (orthogonal only)")

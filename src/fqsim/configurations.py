@@ -140,13 +140,9 @@ _EDGE_PRESETS = {
 
 
 def edge_preset(name: str, k: int) -> EdgeSet:
-    try:
-        maker = _EDGE_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown edge preset {name!r}; expected one of {sorted(_EDGE_PRESETS)}"
-        )
-    return maker(k)
+    if name not in _EDGE_PRESETS:
+        raise ValueError(f"unknown edge preset {name!r}; expected one of {sorted(_EDGE_PRESETS)}")
+    return _EDGE_PRESETS[name](k)
 
 
 def meets_threshold(product: int, k: int, base: int, e: int) -> bool:
@@ -372,13 +368,9 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
     k = w.edges.k
     n = k + 1
     if not (len(w.xs) == len(w.ys) == len(w.zs) == n):
-        reasons.append(
-            f"expected {n} points per tuple, got {len(w.xs)}/{len(w.ys)}/{len(w.zs)}"
-        )
-        return Verification(False, tuple(reasons))
+        return Verification(False, (f"expected {n} points per tuple, got {len(w.xs)}/{len(w.ys)}/{len(w.zs)}",))
     if w.shift.field.q != w.ratio.field.q or len(w.shift.coords) != len(w.xs[0].coords):
-        reasons.append("shift does not match the point tuples' field and dimension")
-        return Verification(False, tuple(reasons))
+        return Verification(False, ("shift does not match the point tuples' field and dimension",))
 
     q, r, s, a = w.ratio.field.q, w.ratio.value, w.root.value, w.shift.coords
     xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
@@ -516,18 +508,14 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     n = len(w.xs)
     d = w.xs[0].dim
     if not (len(w.ys) == len(w.zs) == n):
-        reasons.append(f"tuple lengths differ: {len(w.xs)}/{len(w.ys)}/{len(w.zs)}")
-        return Verification(False, tuple(reasons))
+        return Verification(False, (f"tuple lengths differ: {len(w.xs)}/{len(w.ys)}/{len(w.zs)}",))
     if n < d + 1:
-        reasons.append(f"need at least d+1 = {d + 1} points, got {n}")
-        return Verification(False, tuple(reasons))
+        return Verification(False, (f"need at least d+1 = {d + 1} points, got {n}",))
     if not isinstance(w.transform, SpecialLinear):
-        reasons.append("transform is not a unimodular matrix element")
-        return Verification(False, tuple(reasons))
+        return Verification(False, ("transform is not a unimodular matrix element",))
     rows = w.transform.linear
     if w.transform.field.q != w.ratio.field.q or len(rows) != d:
-        reasons.append("transform does not match the point tuples' field and dimension")
-        return Verification(False, tuple(reasons))
+        return Verification(False, ("transform does not match the point tuples' field and dimension",))
     _check_budget(math.perm(n, d), 1, "det-witness re-check (n!/(n-d)! cofactor terms)")
 
     q = w.ratio.field.q
@@ -577,8 +565,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     d = points.dim
     if k < d:
         raise ValueError(f"determinant similarity needs k >= d = {d}, got k = {k}")
-    # canonical order puts the origin, flat index 0, first
-    if (points._flat[:1] == b"\0") if points._flat is not None else (points._coords[:1] == ((0,) * d,)):
+    if points._holds_origin():
         raise OriginInSet("the set must avoid the origin for the unimodular action")
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.

@@ -237,6 +237,10 @@ class PointSet:
             self._points = tuple([Vector(self.field, c) for c in self._coords])
         return self._points
 
+    def _holds_origin(self) -> bool:
+        """Whether the origin, first in canonical order as flat index 0, is a point."""
+        return self._flat[:1] == b"\0" if self._flat is not None else self._coords[:1] == ((0,) * self.dim,)
+
     def __len__(self) -> int:
         return len(self._tuples if self._flat is None else self._flat)
 

@@ -23,6 +23,12 @@ origin: linear maps fix the origin, so the action on the full space is
 never transitive, while on the punctured space it is (for d >= 2).
 Orthogonal groups act on the full space or on a sphere; whether a
 sphere action is transitive is checked per instance, never assumed.
+
+What is known of each kind before its group is built is one `_Action`
+record in `_ACTIONS`: its space, its refusals in their order, its build
+budget, |G| and |X| and transitivity as closed forms where they are
+written, its builder and the finders' scan of its kind.  The builders,
+the command line, the SL scan and the det sweep's draw all read it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import functools
 import itertools
 import sys
 from array import array
+from collections import namedtuple
 from itertools import repeat
 from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Iterable
@@ -47,6 +54,17 @@ from .geometry import (
     _inverse_rows,
     sphere,
 )
+
+
+# The q^d budget of listing each kind of space but spheres, by its name.
+_SPACE_BUDGET = {"full": "full space (q^d)", "punctured": "punctured space (q^d)"}
+
+
+def _check_space(q: int, dim: int, kind: str) -> None:
+    """Refuse listing the full or punctured F_q^d as listing it refuses,
+    listing nothing: the dimension, then the q^d budget."""
+    _check_dim(dim)
+    _check_budget(q, dim, _SPACE_BUDGET[kind])
 
 
 class Space(PointSet):
@@ -71,18 +89,17 @@ class Space(PointSet):
 
     @classmethod
     def full(cls, q_or_field, dim: int) -> "Space":
-        field = as_field(q_or_field)
-        _check_dim(dim)
-        _check_budget(field.q, dim, "full space (q^d)")
-        return cls._of(field, dim, "full", itertools.product(range(field.q), repeat=dim))
+        return cls._listed(as_field(q_or_field), dim, "full")
 
     @classmethod
     def punctured(cls, q_or_field, dim: int) -> "Space":
-        field = as_field(q_or_field)
-        _check_dim(dim)
-        _check_budget(field.q, dim, "punctured space (q^d)")
+        return cls._listed(as_field(q_or_field), dim, "punctured")
+
+    @classmethod
+    def _listed(cls, field: PrimeField, dim: int, kind: str) -> "Space":
+        _check_space(field.q, dim, kind)
         everything = itertools.product(range(field.q), repeat=dim)  # the origin first
-        return cls._of(field, dim, "punctured", itertools.islice(everything, 1, None))
+        return cls._of(field, dim, kind, itertools.islice(everything, kind == "punctured", None))
 
     @classmethod
     def sphere(cls, q_or_field, dim: int, radius: int) -> "Space":
@@ -357,8 +374,7 @@ class FiniteGroup:
 
     def stabilizer(self, x: Vector) -> list[GroupElement]:
         """Elements fixing x, by full scan, in canonical order."""
-        self.space.index(x)
-        return [g for g in self.elements if g.apply(x) == x]
+        return self.transporter(x, x)
 
     def transporter(self, x: Vector, y: Vector) -> list[GroupElement]:
         """Elements mapping x to y, by full scan, in canonical order."""
@@ -401,9 +417,72 @@ class FiniteGroup:
         return f"FiniteGroup({self.kind}, order={self.order}, on {self.space!r})"
 
 
+class _Action(namedtuple("_Action", "space on_spheres refusals power label order transitive builder scan")):
+    """What is known of one kind of group action before its group is built.
+
+    space        the space it acts on without a radius: "full" or "punctured"
+    on_spheres   whether, given a radius, it acts on that sphere instead
+    refusals     after the prime, "dim" and "budget" in the order its build checks them
+    power        its build's budget: q^(d^power) candidates, ...
+    label        ... refused under this name
+    order        |G| as a closed form of (q, d); None where none is written
+    transitive   whether it is, as a closed form of (q, d, radius); None where
+                 the build decides
+    builder      the name of its builder, called (q, d), and radius= when on_spheres
+    scan         the name of the finders' overlap scan of its kind, which counts
+                 explicit sets with no group as scan(E, 1, H, histogram); None
+                 where the group's image table counts them
+
+    Closed forms are lambdas, and builders and scans are names, each looked
+    up when it runs, so that a function patched on its module is the one
+    called.
+    """
+
+    __slots__ = ()
+
+    def size(self, q: int, d: int) -> int:
+        """|X| without a radius: q^d, less the origin for the punctured space."""
+        return q ** d - (self.space == "punctured")
+
+    def admit(self, q_or_field, d: int) -> PrimeField:
+        """F_q, once every refusal of the build has passed, in its order
+        and words, building nothing."""
+        field = as_field(q_or_field)
+        for refusal in self.refusals:
+            if refusal == "dim":
+                _check_dim(d)
+            else:
+                _check_budget(field.q, d ** self.power, self.label)
+        return field
+
+
+# One record per group kind, by its name on the command line, in the order
+# the command line lists them.  A linear map fixes the origin, so O(d, q) on
+# F_q^d is never transitive, while on a sphere the build counts the orbit;
+# SL(1, q) is the identity alone, which moves none of its q - 1 points.
+_ACTIONS = {
+    "translations": _Action("full", False, ("dim", "budget"), 1, _SPACE_BUDGET["full"], lambda q, d: q ** d,
+                            lambda q, d, radius: True, "translations", "_shift_overlap"),
+    "orthogonal": _Action("full", True, ("budget", "dim"), 2, "matrix enumeration (q^(d^2))", None,
+                          lambda q, d, radius: None if radius is not None else False, "orthogonal_group", None),
+    "special-linear": _Action("punctured", False, ("dim", "budget"), 2, "matrix scan (q^(d^2))",
+                              lambda q, d: _special_linear_order(q, d), lambda q, d, radius: d >= 2 or q == 2,
+                              "special_linear_group", "_coset_overlap"),
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _special_linear_order(q: int, d: int) -> int:
+    """|SL(d, q)| = q^(d(d-1)/2) · prod over i = 2..d of (q^i - 1)."""
+    order = q ** (d * (d - 1) // 2)
+    for i in range(2, d + 1):
+        order *= q ** i - 1
+    return order
+
+
 def translations(q_or_field, dim: int) -> FiniteGroup:
     """The q^d translations of F_q^d, acting on the full space."""
-    field = as_field(q_or_field)
+    field = _ACTIONS["translations"].admit(q_or_field, dim)
     space = Space.full(field, dim)
     identity = _identity(dim)
     return FiniteGroup([Translation._of(field, identity, a) for a in space._coords], space, "translations")
@@ -448,9 +527,7 @@ def special_linear_group(q_or_field, dim: int) -> FiniteGroup:
     first d - 1 rows (`_unimodular_rows`).  The q^(d^2) matrix-scan budget
     still applies: past ENUMERATION_CAP the group is refused.
     """
-    field = as_field(q_or_field)
-    _check_dim(dim)
-    _check_budget(field.q, dim * dim, "matrix scan (q^(d^2))")
+    field = _ACTIONS["special-linear"].admit(q_or_field, dim)
     zero = (0,) * dim
     els = [SpecialLinear._of(field, rows, zero) for rows in _unimodular_rows(field.q, dim)]
     return FiniteGroup(els, Space.punctured(field, dim), "special-linear")
@@ -469,9 +546,8 @@ def orthogonal_group(q_or_field, dim: int, radius: int | None = None) -> FiniteG
     of the c_i orthogonal to each of them.  The q^(d^2) budget of a full
     matrix scan still applies: past ENUMERATION_CAP the group is refused.
     """
-    field = as_field(q_or_field)
+    field = _ACTIONS["orthogonal"].admit(q_or_field, dim)
     q = field.q
-    _check_budget(q, dim * dim, "matrix enumeration (q^(d^2))")
     unit = sphere(field, dim, 1)._coords
     zero = (0,) * dim
 

@@ -46,6 +46,7 @@ from .configurations import (
 from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
 from .geometry import ENUMERATION_CAP, PointSet, _check_budget, _check_dim, _power_exceeds
+from .groups import _ACTIONS, _check_space
 from .prng import SplitMix64, _fold, derive_seed
 
 
@@ -85,14 +86,14 @@ def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
     """random_subset(Space.punctured(field, d), n, seed), refused alike but
     listing no space: its pick i is flat index i + 1, and the set is built
     from the flat indices (`PointSet._at_flat`), kept as bytes while q^d
-    <= 256.  Past the det search's q^(d^2) scan budget, which refuses any
-    set, it draws no point."""
-    _check_dim(d)
-    _check_budget(field.q, d, "punctured space (q^d)")
+    <= 256.  Past the det search's SL(d, q) build budget, which refuses
+    any set, it draws no point."""
+    action = _ACTIONS["special-linear"]
+    _check_space(field.q, d, action.space)
     size = field.q ** d - 1
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    if _power_exceeds(field.q, d * d, ENUMERATION_CAP):
+    if _power_exceeds(field.q, d ** action.power, ENUMERATION_CAP):
         n = min(n, 0)  # n < 0 is still refused as sample_indices refuses it
     return PointSet._at_flat(field, d, [i + 1 for i in sorted(SplitMix64(seed).sample_indices(size, n))])
 

@@ -92,7 +92,9 @@ from .groups import (
     Space,
     SpecialLinear,
     Translation,
+    _ACTIONS,
     _identity,
+    _special_linear_order,
     _unimodular_rows,
 )
 from .prng import SplitMix64
@@ -587,15 +589,6 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
 
 
 @functools.lru_cache(maxsize=8)
-def _special_linear_order(q: int, d: int) -> int:
-    """|SL(d, q)| = q^(d(d-1)/2) · prod over i = 2..d of (q^i - 1)."""
-    order = q ** (d * (d - 1) // 2)
-    for i in range(2, d + 1):
-        order *= q ** i - 1
-    return order
-
-
-@functools.lru_cache(maxsize=8)
 def _first_special_linear_code(q: int, d: int) -> int:
     """Code of the canonically smallest element of SL(d, q).
 
@@ -832,8 +825,8 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     over SL(d, q): its report, `max_intersection`'s over the group on the
     punctured space, and a call that hands back H ∩ gE for its element g
     as (z, x) pairs with gx = z, in canonical z order (`_pairs`).  No
-    point set is built.  The matrix budget is checked first, as on every
-    det scan.
+    point set is built.  The group build's budget is checked first, as on
+    every det scan.
 
     For d >= 2 and q^d <= 256, H is fixed's flat indices translated
     through the table of s·x (`_space_table`), E's flat indices
@@ -850,7 +843,8 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     field, d = points.field, points.dim
     q = field.q
     fixed = points if fixed is None else fixed
-    _check_budget(q, d * d, "matrix scan (q^(d^2))")
+    action = _ACTIONS["special-linear"]
+    _check_budget(q, d ** action.power, action.label)
     p = smallest = None  # `smallest` sets p, and `images` reads it and `report` when the pairs are asked for
     if d < 2 or q ** d > 256:
         held = list(zip(*_columns(fixed, s)))
@@ -879,7 +873,7 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     report = _report_from_counts(
         counts, points, fixed, decode=decode, first=_first_special_linear_code(q, d),
         group_order=_special_linear_order(q, d), space_size=q ** d - 1,
-        transitive=d >= 2 or q == 2, want_histogram=want_histogram, smallest=smallest,
+        transitive=action.transitive(q, d, None), want_histogram=want_histogram, smallest=smallest,
     )
     return report, lambda: _pairs(images(), sources, held, coords, coords)
 

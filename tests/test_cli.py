@@ -210,15 +210,28 @@ class TestVerifyBound:
         (["special-linear", "--q", "5", "--d", "0"], 3, "dimension must be positive, got 0"),
         (["special-linear", "--q", "5", "--d", "3", "--radius", "1"], 3,
          "--radius applies to orthogonal groups only, not special-linear"),
-    ], ids=["SL(3,5)", "T(11,1)", "budget", "SL-budget", "q-9", "d-0", "radius"])
+        (["special-linear", "--q", "13", "--d", "1"], 3,
+         "special-linear group is not transitive on its punctured space; the intersection bound does not apply"),
+        (["orthogonal", "--q", "9", "--d", "2"], 3, "9 is not prime (extension fields are unsupported)"),
+        (["orthogonal", "--q", "101", "--d", "3"], 4,
+         "matrix enumeration (q^(d^2)) needs at most 100000000 candidates, got 1093685272684360901"),
+        (["orthogonal", "--q", "3", "--d", "-5"], 4,
+         "matrix enumeration (q^(d^2)) needs at most 100000000 candidates, got 847288609443"),
+        (["orthogonal", "--q", "5", "--d", "0"], 3, "dimension must be positive, got 0"),
+        (["orthogonal", "--q", "5", "--d", "2"], 3,
+         "orthogonal group is not transitive on its full space; the intersection bound does not apply"),
+    ], ids=["SL(3,5)", "T(11,1)", "budget", "SL-budget", "q-9", "d-0", "radius", "SL(1,13)",
+            "O-q-9", "O-budget", "O-d-minus-5", "O-d-0", "O-on-F_q^d"])
     def test_audit_is_refused_before_the_group_is_built(self, capsys, monkeypatch, argv, code, message):
-        """The build's own refusals come first, in its order; then a space
-        past the audit's limit is refused by its closed-form size."""
-        def build(*args):
+        """The build's own refusals come first, in its order; then an action
+        that is not transitive, and a space past the audit's limit, are
+        refused by their closed forms, for every kind."""
+        def build(*args, **kwargs):
             raise AssertionError("group built")
 
         monkeypatch.setattr(fqsim.cli, "translations", build)
         monkeypatch.setattr(fqsim.cli, "special_linear_group", build)
+        monkeypatch.setattr(fqsim.cli, "orthogonal_group", build)
         got, out = run_cli(capsys, "verify-bound", "--group", *argv, "--exhaustive-subsets")
         assert (got, first_json(out)["message"]) == (code, message)
 
@@ -357,16 +370,17 @@ class TestKernelBackedVerifyBound:
                 main(["verify-bound", "--group", *argv])
 
     def test_explicit_sets_build_the_space_and_no_group(self, capsys, tmp_path, monkeypatch):
-        """Explicit sets build no group.  Translation sets are checked by
-        their header alone, listing no `Space.full(q, d)`; only SL(d, q)
-        sets list `Space.punctured(q, d)`, to find the origin.  On a small
-        grid and on the refusals, in their order (--radius, the prime and
-        the dimension, the q^d or q^(d^2) budget before any set file is
+        """Explicit sets build no group and list no space: translation sets
+        are checked by their header alone, and SL(d, q) sets by their header
+        and their first point, which is the origin if they hold it.  On a
+        small grid and on the refusals, in their order (--radius, the prime
+        and the dimension, the q^d or q^(d^2) budget before any set file is
         read, then the sets), stdout, stderr and exit code stay the group's."""
-        calls, listed, full = [], [], Space.full
+        calls, listed, full, punctured = [], [], Space.full, Space.punctured
         monkeypatch.setattr(fqsim.cli, "translations", lambda *args: calls.append(args))
         monkeypatch.setattr(fqsim.cli, "special_linear_group", lambda *args: calls.append(args))
         monkeypatch.setattr(Space, "full", lambda *args: listed.append(args) or full(*args))
+        monkeypatch.setattr(Space, "punctured", lambda *args: listed.append(args) or punctured(*args))
         for kind, group, set_pairs, shapes in (
                 ("translations", translations, translation_set_pairs, ((2, 3), (3, 2), (5, 1), (7, 2))),
                 ("special-linear", special_linear_group, special_linear_set_pairs,
@@ -375,7 +389,7 @@ class TestKernelBackedVerifyBound:
                 for name, e, h in set_pairs(q, d):
                     pe, ph = write_set(tmp_path / "e.txt", e), write_set(tmp_path / "h.txt", h)
                     expected = self.expected(group(q, d), e, h, pe, ph, True)
-                    listed.clear()  # the enumerated translation group lists its space
+                    listed.clear()  # the enumerated group lists its space
                     code = main(["verify-bound", "--group", kind, "--q", str(q), "--d", str(d),
                                  "--set-e", pe, "--set-h", ph, "--histogram"])
                     captured = capsys.readouterr()
@@ -1232,8 +1246,8 @@ class TestUnderAMemoryLimit:
         samples, edge sets and grids past the budget are refused before
         they are built, a det cell on a line of 10^8 points lists none,
         explicit SL(2, 97) and SL(3, 7) sets are scanned with no group,
-        explicit sets over F_9973^2 are checked without listing the
-        space, SL(1, q), q > 2, and O(d, q) on F_q^d are refused as
+        explicit sets over F_9973^2, and SL(1, 99999989) sets, are checked
+        without listing the space, SL(1, q), q > 2, and O(d, q) on F_q^d are refused as
         not transitive before their space is listed, and a sphere on a line
         of 10^8 points is listed from the square roots of its radius."""
         resource = pytest.importorskip("resource")
@@ -1241,7 +1255,8 @@ class TestUnderAMemoryLimit:
             pytest.skip("no address-space limit on this platform")
         sets = {97: write_set(tmp_path / "sl97.txt", random_pointset(97, 2, 3, seed=1)),
                 7: write_set(tmp_path / "sl7.txt", random_pointset(7, 3, 3, seed=1)),
-                9973: write_set(tmp_path / "t9973.txt", random_pointset(9973, 2, 3, seed=1))}
+                9973: write_set(tmp_path / "t9973.txt", random_pointset(9973, 2, 3, seed=1)),
+                99999989: write_set(tmp_path / "sl99999989.txt", random_pointset(99999989, 1, 3, seed=1))}
         commands = [
             (["sweep", "--qs", "2", "--d", "60", "--ks", "1"], 0),
             (["find-similar", "--q", "3", "--d", "38", "--r", "1", "--k", "1",
@@ -1266,6 +1281,8 @@ class TestUnderAMemoryLimit:
               "--exhaustive-subsets"], 3),
             (["enumerate-group", "--kind", "orthogonal", "--q", "99999989", "--d", "1",
               "--radius", "1"], 0),
+            (["verify-bound", "--group", "special-linear", "--q", "99999989", "--d", "1",
+              "--set-e", sets[99999989], "--set-h", sets[99999989]], 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqsim.__file__)))
         child = subprocess.run(

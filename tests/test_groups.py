@@ -31,7 +31,7 @@ from fqsim import (
     translations,
 )
 from fqsim.geometry import _det_rows
-from fqsim.groups import _identity, _unimodular_rows
+from fqsim.groups import _ACTIONS, _identity, _unimodular_rows
 from fqsim.intersection import max_intersection
 
 from helpers import oracle_apply, oracle_compose, oracle_inverse, oracle_is_identity
@@ -100,6 +100,20 @@ def image_columns_perms(group):
     return perms
 
 
+def assert_closed_forms(group):
+    """The action table's closed forms for the group's kind against the
+    built group: |G| where a formula is written, |X| off spheres, and
+    transitivity, which on a sphere the build alone decides."""
+    space = group.space
+    q, d, radius = space.field.q, space.dim, space.radius
+    action = _ACTIONS[group.kind]
+    if action.order is not None:
+        assert action.order(q, d) == group.order
+    if radius is None:
+        assert (space.kind, action.size(q, d)) == (action.space, len(space))
+    assert action.transitive(q, d, radius) == (None if radius is not None else group.is_transitive())
+
+
 SL_GRID = [(2, q) for q in (2, 3, 5, 7, 11, 13)] + [(3, 2), (3, 3), (4, 2)]
 O_GRID = [(1, q) for q in (2, 3, 5)] + [(2, q) for q in (2, 3, 5, 7, 11, 13)] + [(3, 2), (3, 3), (4, 2)]
 
@@ -115,6 +129,7 @@ class TestEnumerationOracles:
         group = special_linear_group(q, d)
         assert [g.matrix.rows for g in group] == oracle
         assert group.perms() == image_columns_perms(group)
+        assert_closed_forms(group)
 
     @pytest.mark.parametrize("d, q", O_GRID)
     @pytest.mark.parametrize("radius", [None, 0, 1, 2])
@@ -124,16 +139,19 @@ class TestEnumerationOracles:
         space = Space.full(q, d) if radius is None else Space.sphere(q, d, radius)
         assert group.space == space and group.space.kind == space.kind
         assert group.perms() == image_columns_perms(group)
+        assert_closed_forms(group)
 
     @pytest.mark.parametrize("make", [
         lambda: translations(7, 1),
         lambda: translations(5, 2),
         lambda: translations(2, 4),
         lambda: translations(3, 3),
-    ], ids=["T(1,7)", "T(2,5)", "T(4,2)", "T(3,3)"])
+        lambda: translations(2, 1),
+    ], ids=["T(1,7)", "T(2,5)", "T(4,2)", "T(3,3)", "T(1,2)"])
     def test_translation_perms_match_the_images(self, make):
         group = make()
         assert group.perms() == image_columns_perms(group)
+        assert_closed_forms(group)
 
 
 class TestSpaces:

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import src_lines
 
 FIXTURE = '''\
@@ -75,3 +77,13 @@ def test_every_src_module_stays_under_the_parsers_second_doubling():
         f"{over} reach 8,192 tokens: by ROADMAP's standing rule, a change that crosses "
         "the step records a peak_rss_mb measurement in CHANGES.md and raises this bound "
         "in the same change")
+
+
+@pytest.mark.parametrize("label", ["full space (q^d)", "punctured space (q^d)", "matrix scan (q^(d^2))",
+                                   "matrix enumeration (q^(d^2))"])
+def test_each_build_budget_is_spelled_once(label):
+    """Each space and group budget's label is written in one place, the
+    table of group actions or the space it names, and read from there."""
+    sources = src_lines.modules([Path(__file__).resolve().parents[1] / "src" / "fqsim"])
+    found = {path.name: path.read_text(encoding="utf-8").count(label) for path in sources}
+    assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}
