@@ -742,6 +742,118 @@ class TestDetVerifierPinned:
             "a180fbac023c020568f40ed68861197855763dc4a107044042a49bb9c3fe31cb")
 
 
+def pinned_similarity_witnesses(q, d, seed):
+    """A good similarity witness over F_q^d with d + 3 points on every pair,
+    then the same with an x, y and z point off by one, a wrong root, a
+    wrong shift, a repeated point (in all three tuples), the z tuple
+    reversed and a broken edge norm (y and z moved together, so that z = y
+    + shift still holds)."""
+    field = make_field(q)
+    rng = random.Random(seed)
+    n = d + 3
+    xs = rng.sample(list(itertools.product(range(q), repeat=d)), n)
+    s = rng.randrange(1, q)
+    a = tuple(rng.randrange(q) for _ in range(d))
+    zs = [tuple(s * c % q for c in x) for x in xs]
+    ys = [tuple((c - b) % q for c, b in zip(z, a)) for z in zs]
+
+    def witness(xs=xs, ys=ys, zs=zs, root=s, a=a):
+        return SimilarityWitness(
+            ratio=field(s * s), root=field(root), shift=Vector(field, a),
+            xs=tuple(Vector(field, c) for c in xs), ys=tuple(Vector(field, c) for c in ys),
+            zs=tuple(Vector(field, c) for c in zs), edges=EdgeSet.all_pairs(n - 1))
+
+    def bumped(vs, i):
+        return [tuple((c + 1) % q for c in v) if j == i else v for j, v in enumerate(vs)]
+
+    def repeated(vs):
+        return [vs[0], vs[0], *vs[2:]]
+
+    yield witness()
+    yield witness(xs=bumped(xs, 1))
+    yield witness(ys=bumped(ys, 2))
+    yield witness(zs=bumped(zs, n - 1))
+    yield witness(root=s % (q - 1) + 1)
+    yield witness(a=bumped([a], 0)[0])
+    yield witness(xs=repeated(xs), ys=repeated(ys), zs=repeated(zs))
+    yield witness(zs=zs[::-1])
+    yield witness(ys=bumped(ys, 1), zs=bumped(zs, 1))
+
+
+def structural_witnesses():
+    """Witnesses of both kinds whose tuples, root, shift or transform do not
+    fit together: each verifier's structural refusals, singly and together."""
+    from fqsim import Matrix, SpecialLinear, Translation
+
+    other = make_field(7)
+    for w in (next(pinned_similarity_witnesses(5, 2, 1)), next(pinned_det_witnesses(5, 2, 1))):
+        field, d = w.ratio.field, w.xs[0].dim
+        foreign = tuple(Vector(other, v.coords) for v in w.ys)
+        wider = Vector(field, w.zs[1].coords + (0,))
+        yield replace(w, root=other(1))
+        yield replace(w, xs=(Vector(other, w.xs[0].coords),) + w.xs[1:])
+        yield replace(w, ys=())
+        yield replace(w, zs=(w.zs[0], wider) + w.zs[2:])
+        yield replace(w, root=other(1), xs=(), ys=foreign, zs=(w.zs[0], wider) + w.zs[2:])
+        yield replace(w, xs=w.xs[:-1])
+        yield replace(w, zs=w.zs + w.zs[:1])
+        # past a tuple's first foreign vector its dimensions are not read
+        yield replace(w, xs=(w.xs[0], Vector(other, w.xs[1].coords), wider) + w.xs[3:],
+                      ys=(Vector(other, wider.coords),) + w.ys[1:])
+        if isinstance(w, SimilarityWitness):
+            yield replace(w, shift=Vector(other, w.shift.coords))
+            yield replace(w, shift=Vector(field, w.shift.coords + (0,)))
+            yield replace(w, xs=w.xs[:1], ys=w.ys[:1], zs=w.zs[:1])
+        else:
+            yield replace(w, transform=Translation(Vector(field, (1,) * d)))
+            yield replace(w, transform=SpecialLinear.unchecked(Matrix(other, w.transform.linear)))
+            yield replace(w, transform=SpecialLinear(Matrix.identity(field, d + 1)))
+            yield replace(w, xs=w.xs[:d], ys=w.ys[:d], zs=w.zs[:d])
+
+
+class TestSimilarityVerifierPinned:
+    """The similarity verifier's verdicts and the structural refusals of
+    both verifiers, pinned before the verifiers checked whole tuple lists
+    at a time: `ok` and every reason, in order."""
+
+    CASES = ((7, 1, 1), (11, 2, 2), (5, 3, 3), (3, 4, 4))
+
+    def test_verdicts_are_golden(self):
+        # sha256 over [ok, reasons] of every pinned witness, d = 1..4
+        digest = hashlib.sha256()
+        for q, d, seed in self.CASES:
+            checks = [verify_similarity(w) for w in pinned_similarity_witnesses(q, d, seed)]
+            assert [c.ok for c in checks] == [True] + [False] * 8, (q, d)
+            for check in checks:
+                digest.update(json.dumps([check.ok, list(check.reasons)]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "db1bb4589ae1e28ff4b0ffc52cbcef8146208d17bcd44e50e88259eecd6e35c5")
+
+    def test_structural_reasons_are_golden(self):
+        digest = hashlib.sha256()
+        for w in structural_witnesses():
+            verify = verify_similarity if isinstance(w, SimilarityWitness) else verify_det_similarity
+            check = verify(w)
+            assert not check.ok and check.reasons
+            digest.update(json.dumps([check.ok, list(check.reasons)]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "4421cbbc7869ac8568b6faec6d3303da6aff5ff0ded5cf75428a8c88d20b826e")
+
+    def test_verify_witness_outputs_are_golden(self, tmp_path, capsys):
+        """`verify-witness` on the JSON of every pinned witness of both
+        kinds: its exit code and its stdout, the file's digest included."""
+        digest = hashlib.sha256()
+        path = tmp_path / "witness.json"
+        for q, d, seed in self.CASES:
+            for w in itertools.chain(pinned_similarity_witnesses(q, d, seed),
+                                     pinned_det_witnesses(q, d, seed)):
+                path.write_text(json.dumps(w.to_json()))
+                code = main(["verify-witness", str(path)])
+                digest.update(json.dumps([code, capsys.readouterr().out]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "11ad8443dbce94472f443826e72d1ce70ebcd9be051524fd7b8f2f46b63a8bb6")
+
+
 def frames_run(call):
     """The result of `call()` and the code object of every Python frame it ran."""
     codes = set()
@@ -758,7 +870,9 @@ def frames_run(call):
     return result, codes
 
 
-FINDER_FRAMES = {"find_similar_config", "find_det_similar", "_find_by_overlap", "FiniteGroup.columns"}
+FINDER_FRAMES = {"find_similar_config", "find_det_similar", "_find_by_overlap", "FiniteGroup.columns",
+                 "_root", "_mth_root", "FieldElement.sqrt", "FieldElement.mth_root",
+                 "FieldElement.is_mth_power"}
 
 
 class TestVerifierIndependence:

@@ -657,6 +657,52 @@ class TestSweeps:
         lines = b"".join(r.outcome_bytes() + b"\n" for r in reports)
         assert hashlib.sha256(lines).hexdigest() == digest
 
+    @pytest.mark.parametrize("grid, cells, digest", [
+        (dict(qs=(3, 5, 7, 11, 13), ks=(1, 2, 3), trials=4), 204,
+         "94cf8a2a67d4999273ec7dc93934331dcedd42d66ad2116f6c888ebe1af1f151"),
+        (dict(qs=(5, 7), ks=(2, 3), kind="det-similarity"), 10,
+         "a8a7ea34b57c61ab871aca4e2de3f5b94d25fce8286395a324c356b84652987c"),
+    ], ids=["similarity_sweep", "det_sweep"])
+    def test_benchmark_grids_are_golden(self, grid, cells, digest):
+        """sha256 over the outcome bytes of the benchmark's two sweep grids
+        at base seed 1 (d = 2, every square ratio, threshold size), one line
+        per cell, recorded before the finders kept their roots: the
+        similarity grid reaches q = 13, whose square roots are taken by
+        Tonelli-Shanks."""
+        reports = run_sweep(SweepConfig(d=2, base_seed=1, **grid))
+        assert len(reports) == cells
+        assert all(r.outcome["status"] == "witness" for r in reports)
+        lines = b"".join(r.outcome_bytes() + b"\n" for r in reports)
+        assert hashlib.sha256(lines).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind, qs, ks", [("similarity", (3, 13), (1, 3)),
+                                              ("det-similarity", (5, 7), (2, 3))])
+    def test_each_cell_calls_its_verifier_by_module_attribute(self, monkeypatch, kind, qs, ks):
+        """A wrapper put on `configurations.verify_similarity` and
+        `verify_det_similarity` wherever fqsim binds them, as perfbench's
+        tracer puts its layers, sees one call per witness cell: a finder
+        that stopped calling its verifier by that name would zero the
+        traced layer."""
+        import sys
+
+        import fqsim.configurations as configurations
+
+        calls = collections.Counter()
+        for name in ("verify_similarity", "verify_det_similarity"):
+            original = getattr(configurations, name)
+
+            def counted(w, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(w)
+
+            for module in [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "fqsim"]:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        reports = run_sweep(SweepConfig(qs=qs, d=2, ks=ks, trials=2, base_seed=1, kind=kind))
+        verifier = "verify_similarity" if kind == "similarity" else "verify_det_similarity"
+        assert sweep_summary(reports)["witnesses"] == len(reports)
+        assert calls == {verifier: len(reports)}
+
     def test_space_past_two_to_the_64_points(self):
         """A similarity sweep that would sample it is refused before any
         cell runs; a cell built by hand records the refusal as its outcome."""
