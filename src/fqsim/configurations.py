@@ -43,6 +43,7 @@ from .errors import (
     FieldMismatch,
     InsufficientIntersection,
     MalformedWitness,
+    NoRoot,
     NotADthPower,
     NotASquare,
     OriginInSet,
@@ -182,6 +183,9 @@ class Verification:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VERIFIED = Verification(True)
 
 
 def _json_get(obj, key: str):
@@ -328,22 +332,21 @@ class DetSimilarityWitness:
         )
 
 
-def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> list[str]:
-    """Structural problems that would make the arithmetic checks crash.
+def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> tuple[list[str], list[list[tuple]]]:
+    """Structural problems that would make the arithmetic checks crash,
+    and the list of each tuple's coordinate tuples.
 
     Verifiers must never raise, so field and dimension agreement is
     established before any witness arithmetic runs.
     """
-    reasons = []
     q = w.ratio.field.q
-    if w.root.field.q != q:
-        reasons.append(f"root lives in F_{w.root.field.q}, ratio in F_{q}")
-    dims = set()
+    reasons = [] if w.root.field.q == q else [f"root lives in F_{w.root.field.q}, ratio in F_{q}"]
+    tuples, dims = [], set()
     for name in names:
         vs = getattr(w, name)
+        tuples.append([v.coords for v in vs])
         if not vs:
             reasons.append(f"{name} is empty")
-            continue
         for v in vs:
             if v.field.q != q:
                 reasons.append(f"{name} contains a vector over F_{v.field.q}, expected F_{q}")
@@ -351,7 +354,19 @@ def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> list[str]:
             dims.add(len(v.coords))
     if len(dims) > 1:
         reasons.append(f"mixed dimensions {sorted(dims)}")
-    return reasons
+    return reasons, tuples
+
+
+def _step_reasons(reasons: list[str], found: list[list[int]], claims, zs: list[tuple]) -> None:
+    """Append claim i of each list in `found`, the coordinates of every
+    point in turn, that differs from z_i: read only when a list differs
+    from the z as a whole."""
+    flat = list(itertools.chain.from_iterable(zs))
+    if found[0] != flat or found[1] != flat:
+        d = len(zs[0])
+        points = [zip(*[iter(f)] * d) for f in found]
+        for i, (*at, z) in enumerate(zip(*points, zs), start=1):
+            reasons += [claim.format(i=i) for claim, v in zip(claims, at) if v != z]
 
 
 def verify_similarity(w: SimilarityWitness) -> Verification:
@@ -359,35 +374,45 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
 
     Trusts nothing about how the witness was produced: the stored root
     is only used through the identity root^2 = ratio, and the norm
-    relation is recomputed per edge.  Never raises; failures come back
-    as a reason list.
+    relation is recomputed per edge.  On plain ints, root·x and y +
+    shift are each one list over every coordinate of every point,
+    compared with the z's as a whole; the reasons per index are read
+    only off a list that differs.  Never raises; failures come back as a
+    reason list.
     """
-    reasons = _tuple_field_issues(w)
+    reasons, (xs, ys, zs) = _tuple_field_issues(w)
     if reasons:
         return Verification(False, tuple(reasons))
-    k = w.edges.k
-    n = k + 1
-    if not (len(w.xs) == len(w.ys) == len(w.zs) == n):
-        return Verification(False, (f"expected {n} points per tuple, got {len(w.xs)}/{len(w.ys)}/{len(w.zs)}",))
-    if w.shift.field.q != w.ratio.field.q or len(w.shift.coords) != len(w.xs[0].coords):
+    n = w.edges.k + 1
+    if not (len(xs) == len(ys) == len(zs) == n):
+        return Verification(False, (f"expected {n} points per tuple, got {len(xs)}/{len(ys)}/{len(zs)}",))
+    a = w.shift.coords
+    if w.shift.field.q != w.ratio.field.q or len(a) != len(xs[0]):
         return Verification(False, ("shift does not match the point tuples' field and dimension",))
 
-    q, r, s, a = w.ratio.field.q, w.ratio.value, w.root.value, w.shift.coords
-    xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
+    q, r, s = w.ratio.field.q, w.ratio.value, w.root.value
     if s * s % q != r:
         reasons.append("stored root does not square to the ratio")
-    for i, (x, y, z) in enumerate(zip(xs, ys, zs), start=1):
-        if tuple([s * c % q for c in x]) != z:
-            reasons.append(f"z[{i}] is not root*x[{i}]")
-        if tuple([(c + b) % q for c, b in zip(y, a)]) != z:
-            reasons.append(f"z[{i}] is not y[{i}] + shift")
+    _step_reasons(reasons, [[s * c % q for x in xs for c in x], [(c + b) % q for y in ys for c, b in zip(y, a)]],
+                  ("z[{i}] is not root*x[{i}]", "z[{i}] is not y[{i}] + shift"), zs)
     reasons += [f"distinctness: repeated {name} point"
                 for name, vs in (("x", xs), ("y", ys)) if len(set(vs)) != n]
-    for i, j in w.edges:
-        lhs = sum([e * e for e in map(sub, ys[i - 1], ys[j - 1])]) % q
-        if lhs != r * sum([e * e for e in map(sub, xs[i - 1], xs[j - 1])]) % q:
+    for i, j in w.edges.pairs:
+        u, v = list(map(sub, ys[i - 1], ys[j - 1])), list(map(sub, xs[i - 1], xs[j - 1]))
+        if sum(map(mul, u, u)) % q != r * sum(map(mul, v, v)) % q:
             reasons.append(f"norm relation violated at edge ({i}, {j})")
-    return Verification(not reasons, tuple(reasons))
+    return Verification(False, tuple(reasons)) if reasons else _VERIFIED
+
+
+@functools.lru_cache(maxsize=64)
+def _root(take, field: PrimeField, r: int, *m: int) -> FieldElement | None:
+    """take(r, *m) in the field: a finder's root of a nonzero ratio r, or
+    None when r has none (`mth_root`'s NoRoot), taken once per (q, r, m),
+    since a sweep asks for the same few cell after cell."""
+    try:
+        return take(field(r), *m)
+    except NoRoot:
+        return None
 
 
 def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
@@ -424,11 +449,11 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
         raise InsufficientIntersection(k + 1, report.best_count)
 
     zs, sources = zip(*itertools.islice(overlap(), k + 1))
-    field, inv_root = points.field, root.inverse().value
+    field, d = points.field, points.dim
     q = field.q
-    witness = build(root, report, tuple([Vector._of(field, z) for z in zs]),
-                    tuple([Vector._of(field, tuple([inv_root * c % q for c in z])) for z in zs]),
-                    tuple([Vector._of(field, x) for x in sources]))
+    inv_root = pow(root.value, q - 2, q)
+    shrunk = zip(*[iter([inv_root * c % q for z in zs for c in z])] * d)
+    witness = build(root, report, *(tuple(map(Vector._of, itertools.repeat(field), vs)) for vs in (zs, shrunk, sources)))
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)
@@ -458,7 +483,7 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     # sqrt, unlike mth_root(2), scans no field, so it serves any q, and
     # answers None for a nonsquare
     return _find_by_overlap(
-        points, ratio, k, 2, NotASquare, FieldElement.sqrt, _shift_overlap,
+        points, ratio, k, 2, NotASquare, lambda r: _root(FieldElement.sqrt, r.field, r.value), _shift_overlap,
         build=lambda root, report, zs, shrunk, sources: SimilarityWitness(
             ratio=ratio, root=root, shift=report.best_g.vector,
             xs=shrunk, ys=sources, zs=zs, edges=edges, report=report),
@@ -502,13 +527,12 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     n!/(n-d)! cofactor terms of its C(n, d) subset determinants, raises
     EnumerationCapExceeded before any determinant is computed.
     """
-    reasons = _tuple_field_issues(w)
+    reasons, (xs, ys, zs) = _tuple_field_issues(w)
     if reasons:
         return Verification(False, tuple(reasons))
-    n = len(w.xs)
-    d = w.xs[0].dim
-    if not (len(w.ys) == len(w.zs) == n):
-        return Verification(False, (f"tuple lengths differ: {len(w.xs)}/{len(w.ys)}/{len(w.zs)}",))
+    n, d = len(xs), len(xs[0])
+    if not (len(ys) == len(zs) == n):
+        return Verification(False, (f"tuple lengths differ: {len(xs)}/{len(ys)}/{len(zs)}",))
     if n < d + 1:
         return Verification(False, (f"need at least d+1 = {d + 1} points, got {n}",))
     if not isinstance(w.transform, SpecialLinear):
@@ -518,24 +542,23 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
         return Verification(False, ("transform does not match the point tuples' field and dimension",))
     _check_budget(math.perm(n, d), 1, "det-witness re-check (n!/(n-d)! cofactor terms)")
 
-    q = w.ratio.field.q
-    if w.root ** d != w.ratio:
+    q, r, s = w.ratio.field.q, w.ratio.value, w.root.value
+    if pow(s, d, q) != r:
         reasons.append(f"stored root to the {d}-th power is not the ratio")
-    if w.root.is_zero():
+    if not s:
         reasons.append("root is zero")
     if next(_subset_dets(rows, d, q)) != 1:
         reasons.append("transform determinant is not 1")
-    r, s = w.ratio.value, w.root.value
-    xs, ys, zs = ([v.coords for v in vs] for vs in (w.xs, w.ys, w.zs))
-    for i, (x, y, z) in enumerate(zip(xs, ys, zs), start=1):
-        if tuple([sum(map(mul, row, x)) % q for row in rows]) != z:
-            reasons.append(f"z[{i}] is not transform(x[{i}])")
-        if tuple([s * c % q for c in y]) != z:
-            reasons.append(f"z[{i}] is not root*y[{i}]")
+    _step_reasons(reasons, [[sum(map(mul, row, x)) % q for x in xs for row in rows], [s * c % q for y in ys for c in y]],
+                  ("z[{i}] is not transform(x[{i}])", "z[{i}] is not root*y[{i}]"), zs)
     reasons += [f"distinctness: repeated {name} point"
                 for name, vs in (("x", xs), ("y", ys)) if len(set(vs)) != n]
 
     dets = [_subset_dets(vs, d, q) for vs in (xs, ys, zs)]
+    if math.comb(n, d) <= 1 << 16:  # three lists of at most 2^16 determinants, compared whole
+        dx, dy, dz = dets = [list(ds) for ds in dets]
+        if dx == dz == [r * v % q for v in dy]:
+            dets = [()] * 3
     for combo, dx, dy, dz in zip(itertools.combinations(range(n), d), *dets):
         ry = r * dy % q
         if dx == ry == dz:
@@ -547,7 +570,7 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
             reasons.append(f"unimodular step violated at indices {label}")
         if dz != ry:
             reasons.append(f"homogeneity step violated at indices {label}")
-    return Verification(not reasons, tuple(reasons))
+    return Verification(False, tuple(reasons)) if reasons else _VERIFIED
 
 
 def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimilarityWitness:
@@ -570,7 +593,7 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     # The scan checks the matrix budget, so a bad ratio is refused before
     # an oversized q is.
     return _find_by_overlap(
-        points, ratio, k, d, NotADthPower, lambda r: r.mth_root(d) if r.is_mth_power(d) else None,
+        points, ratio, k, d, NotADthPower, lambda r: _root(FieldElement.mth_root, r.field, r.value, d),
         _coset_overlap,
         build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness(
             ratio=ratio, root=root, transform=report.best_g,

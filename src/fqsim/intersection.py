@@ -208,14 +208,14 @@ def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) 
     return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
 
 
-def _pairs(images: list, sources: Sequence, fixed, decode, decode_source):
+def _pairs(images: Sequence[int], sources: Sequence, fixed, decode, decode_source):
     """H ∩ gE as (z, x) pairs with gx = z, in canonical z order, from the
     code images[i] of g·x for the point x of E coded sources[i] and the
     codes `fixed` of H, codes whose order is canonical: only the pairs
-    read are decoded, z by `decode` and x by `decode_source`."""
+    read are decoded, z by `decode` and x by `decode_source`, all in C."""
     held = set(fixed)
-    for z, x in sorted(compress(zip(images, sources), map(held.__contains__, images))):
-        yield decode(z), decode_source(x)
+    found = sorted(compress(zip(images, sources), map(held.__contains__, images)))
+    return zip(map(decode, map(itemgetter(0), found)), map(decode_source, map(itemgetter(1), found)))
 
 
 def _flat_codes(points: PointSet) -> bytes:
@@ -500,11 +500,16 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
 
     return IntersectionReport(
         best_g=decode(best), best_count=best_c,
-        bound=Fraction(n_e * n_h, space_size) if space_size else Fraction(0),
+        bound=_bound(n_e * n_h, space_size) if space_size else Fraction(0),
         double_count_total=total, transitive=transitive,
         group_order=group_order, space_size=space_size,
         moving_size=n_e, fixed_size=n_h, per_g_histogram=hist,
     )
+
+
+# |E||H|/|X| for the last few shapes: a Fraction reduces by Python code, and
+# the finders of a sweep ask for the same few, scan after scan
+_bound = functools.lru_cache(maxsize=64)(Fraction)
 
 
 @functools.lru_cache(maxsize=8)
@@ -578,7 +583,7 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         sources = codes = _flat_codes(points)
         held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _row_counts(rows.__getitem__, codes, held, n)
-        images = lambda: [rows[x][p] for x in codes]
+        images = lambda: codes.translate(rows[p].ljust(256, b"\0"))  # x + a is a + x: byte x of a's row
     report = _report_from_counts(
         counts, points, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
         first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,

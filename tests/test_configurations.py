@@ -871,7 +871,7 @@ def frames_run(call):
 
 
 FINDER_FRAMES = {"find_similar_config", "find_det_similar", "_find_by_overlap", "FiniteGroup.columns",
-                 "_root", "_mth_root", "FieldElement.sqrt", "FieldElement.mth_root",
+                 "_root", "FieldElement.sqrt", "FieldElement.mth_root",
                  "FieldElement.is_mth_power"}
 
 
