@@ -363,8 +363,7 @@ def _step_reasons(reasons: list[str], found: list[list[int]], claims, zs: list[t
     from the z as a whole."""
     flat = list(itertools.chain.from_iterable(zs))
     if found[0] != flat or found[1] != flat:
-        d = len(zs[0])
-        points = [zip(*[iter(f)] * d) for f in found]
+        points = [zip(*[iter(f)] * len(zs[0])) for f in found]
         for i, (*at, z) in enumerate(zip(*points, zs), start=1):
             reasons += [claim.format(i=i) for claim, v in zip(claims, at) if v != z]
 
@@ -422,8 +421,8 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     For G acting transitively on X, some g has |H ∩ gE| >= |E||H|/|X|.
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
     points of E: z/root and the x with gx = z.  `root_of(ratio)` takes
-    the root, or gives None for a ratio that is no m-th power, which
-    raises `not_power`.  `scan(points, s)`, s the root's value,
+    the root, kept per (q, r, m) (`_root`), or gives None for a ratio
+    that is no m-th power, which raises `not_power`.  `scan(points, s)`, s the root's value,
     maximizes the overlap over G and returns its report with a call that
     hands back H ∩ gE for the reported g, as (z, x) pairs of coordinate
     tuples with gx = z, in canonical z order; the call is made only when
@@ -433,8 +432,9 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     g's position.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
-    All three are canonical tuples, so they become vectors unchecked
-    (`Vector._of`); the verifier still re-checks every relation.
+    All three are canonical tuples, z/root read as one list over every
+    coordinate, so they become vectors unchecked (`Vector._of`, mapped
+    over each); the verifier still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -449,8 +449,7 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
         raise InsufficientIntersection(k + 1, report.best_count)
 
     zs, sources = zip(*itertools.islice(overlap(), k + 1))
-    field, d = points.field, points.dim
-    q = field.q
+    field, d, q = points.field, points.dim, points.field.q
     inv_root = pow(root.value, q - 2, q)
     shrunk = zip(*[iter([inv_root * c % q for z in zs for c in z])] * d)
     witness = build(root, report, *(tuple(map(Vector._of, itertools.repeat(field), vs)) for vs in (zs, shrunk, sources)))

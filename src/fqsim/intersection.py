@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+import zlib
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -454,7 +455,9 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     and a tuple bit planes with the mask of their valid slots (`_read_planes`).
     No byte count exceeds min(|E|, |H|).  Without a histogram the best
     count is the first value from there down that `v in counts` finds,
-    and the total is summed over the nonzero bytes alone; with one, each
+    and the total, while best·|G| < 65,520, is the low half of the bytes'
+    Adler-32 checksum, 1 + their sum mod 65,521, less 1, and past it is
+    summed over the nonzero bytes alone; with one, each
     present value is counted by `counts.count(v)` and both are read off
     the tally.  Bytes whose positions are not in canonical order come
     with `smallest(counts, v)`, the code of the smallest element counting
@@ -478,7 +481,9 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
             best_c = min(n_e, n_h)
             while best_c and best_c not in counts:
                 best_c -= 1
-            total = sum(counts.translate(None, b"\0"))
+            # Adler-32's low half is 1 + the byte sum mod 65521, read in C
+            total = ((zlib.adler32(counts) & 0xFFFF) - 1 if best_c * len(counts) < 65520
+                     else sum(counts.translate(None, b"\0")))
         if smallest is None:
             best = counts.index(best_c)
         else:  # every count is at most best_c: they all tie when they sum to best_c·|G|

@@ -528,6 +528,28 @@ class TestTranslationReadout:
             assert_same_report(rep, oracle_translation_report(e, h, hist))
 
 
+class TestByteTotals:
+    """The byte kernels' double-count total, read off the counts' Adler-32
+    checksum while best·|G| < 65,520 and summed past it, is their sum."""
+
+    @pytest.mark.parametrize("size, best, fill", [
+        (1, 1, 1), (256, 255, 255), (65519, 1, 1), (65520, 1, 1), (21839, 3, 3), (21840, 3, 3),
+        (336, 8, 0), (372000, 5, 0)])
+    def test_total_is_the_byte_sum(self, size, best, fill):
+        # every byte `fill`, or, for fill 0, a spread of values up to `best`, the last one best
+        if fill:
+            counts = bytes([fill]) * size
+        else:
+            counts = bytes((i * 7 + 3) % (best + 1) for i in range(size - 1)) + bytes([best])
+        field = make_field(257)
+        points = from_coords(field, 1, [[i] for i in range(best)])
+        report = _report_from_counts(counts, points, points, decode=lambda i: i, first=0,
+                                     group_order=len(counts), space_size=257, transitive=True,
+                                     want_histogram=False)
+        assert (report.best_count, report.double_count_total) == (max(counts), sum(counts))
+        assert report.best_g == counts.index(max(counts))
+
+
 class TestPlanePieces:
     """The bit-plane branch takes each point's mask, uncut, from one of
     isqrt(|E|) pieces of the lifted table, width + stride bits from each
