@@ -21,11 +21,17 @@ and on coordinate tuples past it, and the 3(k+1) witness points, already
 canonical, become vectors without the constructor's checks
 (`Vector._of`).
 
-Every finder re-derives the claimed relations from raw coordinates with
-an independent verifier, on integer tuples, before returning, and the
-verifiers are public so serialized witnesses can be re-checked by third
-parties.  The det verifier streams its subset determinants: 2×2 ones
-written out, larger ones by Laplace expansion along the last row.
+Each finder takes its root once per (q, r, m) (`_root`).  Every finder
+re-derives the claimed relations from raw coordinates with an
+independent verifier before returning, and the verifiers are public so
+serialized witnesses can be re-checked by third parties.  A verifier
+reads each tuple's coordinate tuples once and checks each relation a
+whole list at a time on plain ints: root·x, y + shift, g·x and root·y as
+one list over every coordinate of every point, and the subset
+determinants as three lists while there are at most 2^16 of them,
+streamed past it.  A reason per index, edge or subset is read only off
+a list that differs from its claim.  Subset determinants of 2 rows are
+written out, larger ones expanded by Laplace along the last row.
 """
 
 from __future__ import annotations
@@ -373,11 +379,11 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
 
     Trusts nothing about how the witness was produced: the stored root
     is only used through the identity root^2 = ratio, and the norm
-    relation is recomputed per edge.  On plain ints, root·x and y +
-    shift are each one list over every coordinate of every point,
-    compared with the z's as a whole; the reasons per index are read
-    only off a list that differs.  Never raises; failures come back as a
-    reason list.
+    relation is recomputed per edge, its two norms summed over `map`.
+    On plain ints, root·x and y + shift are each one list over every
+    coordinate of every point, compared with the z's as a whole; the
+    reasons per index are read only off a list that differs.  Never
+    raises; failures come back as a reason list.
     """
     reasons, (xs, ys, zs) = _tuple_field_issues(w)
     if reasons:
@@ -494,8 +500,8 @@ def _subset_dets(points, d: int, q: int):
     """det mod q of every d-subset of the points, in combinations order.
 
     The points are the rows (det is transpose-invariant).  Determinants
-    of 1 and 2 rows are written out and streamed, so a planar witness of
-    any size is re-checked in O(n) memory.  A larger one is expanded
+    of 1 and 2 rows are written out and streamed, so a planar witness
+    past 2^16 subsets is re-checked in O(n) memory.  A larger one is expanded
     along its last row: its cofactors are the (d-1)-subset determinants
     of the points with one column deleted, listed once per column by
     this same function and shared by every subset that extends the
@@ -521,7 +527,12 @@ def verify_det_similarity(w: DetSimilarityWitness) -> Verification:
     are recomputed from the raw coordinates by `_subset_dets`: written
     out for d <= 2, by Laplace expansion past it.  That is a separate
     code path from the elimination determinant and from the finder's
-    transporter count.  The one exception to "never raises": a witness
+    transporter count.  g·x and root·y are each one list over every
+    coordinate of every point, compared with the z's as a whole, and
+    while there are at most 2^16 subsets the three lists of their
+    determinants are compared whole; past it they are streamed.  A
+    reason per index or subset is read only off a list that differs.
+    The one exception to "never raises": a witness
     whose re-check would exceed ENUMERATION_CAP, counted as the
     n!/(n-d)! cofactor terms of its C(n, d) subset determinants, raises
     EnumerationCapExceeded before any determinant is computed.

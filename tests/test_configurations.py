@@ -326,6 +326,43 @@ class TestVerifySimilarity:
             assert not check and check.reasons
 
 
+class TestRootsAreKept:
+    """Each finder takes its root once per (q, r, m), and the det finder's
+    root stays the smallest m-th root, refused as before."""
+
+    @pytest.mark.parametrize("kind, take", [("similarity", "sqrt"), ("det-similarity", "mth_root")])
+    def test_one_root_per_ratio_across_a_sweep(self, monkeypatch, kind, take):
+        import fqsim.configurations
+        from fqsim import SweepConfig, run_sweep
+
+        calls = []
+        original = getattr(fqsim.FieldElement, take)
+
+        def counted(self, *m):
+            calls.append((self.field.q, self.value, *m))
+            return original(self, *m)
+
+        monkeypatch.setattr(fqsim.FieldElement, take, counted)
+        fqsim.configurations._root.cache_clear()
+        config = SweepConfig(qs=(5, 7, 13), d=2, ks=(2, 3), trials=3, base_seed=1, kind=kind)
+        reports = run_sweep(config) + run_sweep(config)
+        assert all(r.outcome["status"] == "witness" for r in reports)
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 2 + 3 + 6  # one per (q, r)
+
+    def test_a_det_root_is_not_a_kept_square_root(self):
+        """sqrt serves any q, mth_root(2) scans the field up to 10^6: a kept
+        square root of a similarity search is not the det finder's root."""
+        from fqsim import ScanCapExceeded
+
+        field = make_field(1000003)
+        points = from_coords(field, 2, [[1, 0], [2, 0], [4, 0], [0, 1]])  # 2·E meets E twice
+        assert find_similar_config(points, field(4), 1).root.value == 2
+        with pytest.raises(ScanCapExceeded):
+            find_det_similar(points, field(4), 2)
+        with pytest.raises(NotADthPower):
+            find_det_similar(points, field(5), 2)  # 1000003 = 3 (mod 4): 5 is no square
+
+
 class TestFindDetSimilar:
     def test_punctured_plane_example(self):
         w = find_det_similar(punctured_plane(F5), F5(4), 2)
