@@ -914,8 +914,10 @@ FINDER_FRAMES = {"find_similar_config", "find_det_similar", "_find_by_overlap", 
 
 class TestVerifierIndependence:
     """The verifiers share no code with the finders: no frame of
-    `intersection.py`, of the image table or of a finder (or of anything
-    defined in one) runs while a witness is checked, good or tampered."""
+    `intersection.py`, of the image table, of a finder (or of anything
+    defined in one) or of the field's root routines runs while a witness
+    is checked, good or tampered, and the finders' root cache, whose hits
+    run no frame, is not asked."""
 
     @pytest.mark.parametrize("find, verify", [
         (lambda: find_similar_config(random_pointset(13, 2, 60, seed=5), make_field(13)(4), 3),
@@ -928,9 +930,12 @@ class TestVerifierIndependence:
     ], ids=["similarity", "det-similarity", "det-similarity-d3"])
     def test_no_kernel_or_finder_frame_runs(self, find, verify):
         w = find()
+        roots = fqsim.configurations._root.cache_info
         for witness in (w, type(w).from_json(w.to_json()), replace(w, zs=w.zs[::-1])):
+            asked = roots()
             check, codes = frames_run(lambda: verify(witness))
             assert check.ok == (witness.zs == w.zs) and verify.__code__ in codes
+            assert roots() == asked
             names = [(c.co_filename, getattr(c, "co_qualname", c.co_name)) for c in codes]
             assert [(f, n) for f, n in names if f.endswith("intersection.py")
                     or n.split(".<locals>")[0] in FINDER_FRAMES] == []
