@@ -364,9 +364,10 @@ def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> tuple[list[str], list[li
 
 
 def _step_reasons(reasons: list[str], found: list[list[int]], claims, zs: list[tuple]) -> None:
-    """Append claim i of each list in `found`, the coordinates of every
-    point in turn, that differs from z_i: read only when a list differs
-    from the z as a whole."""
+    """Each list in `found` holds a claimed image of every point, their
+    coordinates in turn, that should be z_i at point i: for every i,
+    append the claim, at i, of each list whose image there is not z_i.
+    Per point only when a list differs from the z's coordinates as a whole."""
     flat = list(itertools.chain.from_iterable(zs))
     if found[0] != flat or found[1] != flat:
         points = [zip(*[iter(f)] * len(zs[0])) for f in found]
@@ -411,9 +412,9 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
 
 @functools.lru_cache(maxsize=64)
 def _root(take, field: PrimeField, r: int, *m: int) -> FieldElement | None:
-    """take(r, *m) in the field: a finder's root of a nonzero ratio r, or
-    None when r has none (`mth_root`'s NoRoot), taken once per (q, r, m),
-    since a sweep asks for the same few cell after cell."""
+    """take(field(r), *m): a finder's root of the nonzero ratio r, or None
+    when r has none (NoRoot from `mth_root`), kept per (take, q, r, m),
+    since a sweep asks for the same few roots cell after cell."""
     try:
         return take(field(r), *m)
     except NoRoot:
@@ -439,8 +440,8 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
     All three are canonical tuples, z/root read as one list over every
-    coordinate, so they become vectors unchecked (`Vector._of`, mapped
-    over each); the verifier still re-checks every relation.
+    coordinate, so they become vectors unchecked (`Vector._of`); the
+    verifier still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -457,8 +458,9 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     zs, sources = zip(*itertools.islice(overlap(), k + 1))
     field, d, q = points.field, points.dim, points.field.q
     inv_root = pow(root.value, q - 2, q)
-    shrunk = zip(*[iter([inv_root * c % q for z in zs for c in z])] * d)
-    witness = build(root, report, *(tuple(map(Vector._of, itertools.repeat(field), vs)) for vs in (zs, shrunk, sources)))
+    shrunk, of = zip(*[iter([inv_root * c % q for z in zs for c in z])] * d), Vector._of
+    witness = build(root, report, tuple([of(field, z) for z in zs]), tuple([of(field, y) for y in shrunk]),
+                    tuple([of(field, x) for x in sources]))
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)

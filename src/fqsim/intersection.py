@@ -213,10 +213,10 @@ def _pairs(images: Sequence[int], sources: Sequence, fixed, decode, decode_sourc
     """H ∩ gE as (z, x) pairs with gx = z, in canonical z order, from the
     code images[i] of g·x for the point x of E coded sources[i] and the
     codes `fixed` of H, codes whose order is canonical: only the pairs
-    read are decoded, z by `decode` and x by `decode_source`, all in C."""
+    read are decoded, z by `decode` and x by `decode_source`."""
     held = set(fixed)
-    found = sorted(compress(zip(images, sources), map(held.__contains__, images)))
-    return zip(map(decode, map(itemgetter(0), found)), map(decode_source, map(itemgetter(1), found)))
+    for z, x in sorted(compress(zip(images, sources), map(held.__contains__, images))):
+        yield decode(z), decode_source(x)
 
 
 def _flat_codes(points: PointSet) -> bytes:

@@ -15,7 +15,7 @@ layers, and each phase is the self time of its wrapped calls:
   finder keeps from an earlier cell reaches none of them, and its look-up
   is glue;
 - scan: `configurations._shift_overlap` or `_coset_overlap`;
-- pairs: each pair read from the scan's overlap call;
+- pairs: the scan's overlap call and each pair read from what it returns;
 - verifier: `configurations.verify_similarity` or `verify_det_similarity`;
 - glue: the finder, `find_similar_config` or `find_det_similar`, less the
   phases it calls;
@@ -90,9 +90,10 @@ class Phases:
                 elapsed = clock() - start
                 self.totals[phase] += elapsed - self.stack.pop()
                 self.stack[-1] += elapsed
-            if phase == "scan":  # time each pair read off the overlap call
+            if phase == "scan":  # time the overlap call and each pair read off it
                 report, overlap = result
-                result = report, lambda: _Pairs(self.wrap("pairs", iter(overlap()).__next__))
+                pairs = self.wrap("pairs", overlap)
+                result = report, lambda: _Pairs(self.wrap("pairs", iter(pairs()).__next__))
             return result
         return timed
 
