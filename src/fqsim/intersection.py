@@ -564,9 +564,10 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     For q^d < 256 the counts are bytes in lex shift order, E's rows of
     `_space_table` summed by the byte kernel (`_row_counts`), E given by
     its flat indices (`_flat_codes`): H is fixed's flat indices
-    translated through the table's dilation by s, x + a is byte p of x's
-    row, p the shift's position, and the pairs are decoded off the
-    table's vectors.  Otherwise
+    translated through the table's dilation by s, x + a = a + x is byte
+    x of a's row, a the shift at position p, so E's flat indices
+    translated through that row are every x + a, and the pairs are
+    decoded off the table's vectors.  Otherwise
     both forms of `_translation_counts` key a shift by its base-2q code,
     whose digits are the shift's coordinates: H is coded from fixed's
     coordinate columns times s, and x + a from E's plus a.  Both branches
@@ -588,7 +589,7 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         sources = codes = _flat_codes(points)
         held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _row_counts(rows.__getitem__, codes, held, n)
-        images = lambda: codes.translate(rows[p].ljust(256, b"\0"))  # x + a is a + x: byte x of a's row
+        images = lambda: codes.translate(rows[p].ljust(256, b"\0"))
     report = _report_from_counts(
         counts, points, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
         first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
