@@ -505,16 +505,11 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
 
     return IntersectionReport(
         best_g=decode(best), best_count=best_c,
-        bound=_bound(n_e * n_h, space_size) if space_size else Fraction(0),
+        bound=Fraction(n_e * n_h, space_size) if space_size else Fraction(0),
         double_count_total=total, transitive=transitive,
         group_order=group_order, space_size=space_size,
         moving_size=n_e, fixed_size=n_h, per_g_histogram=hist,
     )
-
-
-# |E||H|/|X| for the last few shapes: a Fraction reduces by Python code, and
-# the finders of a sweep ask for the same few, scan after scan
-_bound = functools.lru_cache(maxsize=64)(Fraction)
 
 
 @functools.lru_cache(maxsize=8)
