@@ -364,10 +364,11 @@ def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> tuple[list[str], list[li
 
 
 def _step_reasons(reasons: list[str], found: list[list[int]], claims, zs: list[tuple]) -> None:
-    """Each list in `found` holds a claimed image of every point, their
-    coordinates in turn, that should be z_i at point i: for every i,
-    append the claim, at i, of each list whose image there is not z_i.
-    Per point only when a list differs from the z's coordinates as a whole."""
+    """Each of the two lists in `found` is the coordinates of every
+    point's claimed image in turn, and point i's image should be z_i.
+    If either list differs from the z's coordinates as a whole, append,
+    point by point, `claims[j]` at i for each list j whose image at i is
+    not z_i."""
     flat = list(itertools.chain.from_iterable(zs))
     if found[0] != flat or found[1] != flat:
         points = [zip(*[iter(f)] * len(zs[0])) for f in found]
