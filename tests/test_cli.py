@@ -860,6 +860,55 @@ class TestOrthogonalBoundPins:
             "37ef305e77a71f2caed5cf2f8086040e18a3c81ee17671df815a798d32888ab6")
 
 
+# argv tail of each `verify-bound --group orthogonal --q 5 --d 2` set input,
+# the files named relative to the run's directory: a missing --set-h, an
+# unreadable --set-e, a malformed header, and (1, 1), of norm 2, off the
+# radius-1 sphere
+O_SET_READ_INPUTS = {
+    "no set-h": ["--set-e", "e.txt"],
+    "unreadable set-e": ["--set-e", "absent.txt", "--set-h", "e.txt"],
+    "malformed header": ["--set-e", "header.txt", "--set-h", "e.txt"],
+    "off the sphere": ["--set-e", "e.txt", "--set-h", "off.txt"],
+}
+O_SET_READ_FILES = {"e.txt": "q=5 d=2\n1,0\n0,4\n", "header.txt": "q=5 x=2\n1,0\n", "off.txt": "q=5 d=2\n1,1\n"}
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+class TestOrthogonalSetReadPins:
+    """stdout, stderr and exit code of `verify-bound --group orthogonal`
+    over set files that fail to read or hold a point off the sphere."""
+
+    def run(self, capsys, tmp_path, monkeypatch, name, radius):
+        for file, text in O_SET_READ_FILES.items():
+            (tmp_path / file).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify-bound", "--group", "orthogonal", "--q", "5", "--d", "2",
+                     *([] if radius is None else ["--radius", str(radius)]), *O_SET_READ_INPUTS[name]])
+        captured = capsys.readouterr()
+        return hashlib.sha256(json.dumps([code, captured.out, captured.err]).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name, radius, digest", [
+        ("no set-h", None,
+         "61106827c6de5fbbeb1ce3356c36eb23017126bfd66b2a5ca4e95f620d7a1cff"),
+        ("no set-h", 1,
+         "61106827c6de5fbbeb1ce3356c36eb23017126bfd66b2a5ca4e95f620d7a1cff"),
+        ("unreadable set-e", None,
+         "caf97c1a7bac186044d61453cf5bf54de1ebbf158c3ccd295cb7e9a973571b13"),
+        ("unreadable set-e", 1,
+         "caf97c1a7bac186044d61453cf5bf54de1ebbf158c3ccd295cb7e9a973571b13"),
+        ("malformed header", None,
+         "86028bd38e7d5cc5a1a5e6d17d62117f2b406bb71afffa8b2d5b8ce3399ef569"),
+        ("malformed header", 1,
+         "86028bd38e7d5cc5a1a5e6d17d62117f2b406bb71afffa8b2d5b8ce3399ef569"),
+        ("off the sphere", None,
+         "f29d7a37535509528b70fcd8ae5150be5ea4ee92c2c1335e5287309dca3ea8e2"),
+        ("off the sphere", 1,
+         "c2e5ea34f0fbc67fdc3949c7e5948ef5a7f6ec5ad84a5af56721c4842d548e60"),
+    ])
+    def test_outputs_are_golden(self, capsys, tmp_path, monkeypatch, name, radius, digest):
+        assert self.run(capsys, tmp_path, monkeypatch, name, radius) == digest
+
+
 # (flags, set file) of the translation and SL(d, q) pins: a composite q, d
 # = 0 and d = -5, --radius, T(10007, 2) just past q^d, SL(101, 2) just past
 # q^(d^2), SL(1, 2), SL(1, 13), T(11, 1) and SL(3, 5) past the subset-pair
