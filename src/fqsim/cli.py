@@ -107,23 +107,16 @@ def _recount(report, e_set, h_set) -> None:
                                   f"set, the report's best_count is {report.best_count}"])
 
 
-def _orthogonal_bound(q: int, d: int, radius, read_sets, want_histogram: bool = False):
+def _orthogonal_bound(q: int, d: int, radius, e_set, h_set, want_histogram: bool = False):
     """The report of O(d, q) on the radius sphere, or on F_q^d for radius
-    None, over the two sets that `read_sets()` returns once the group is
-    built (a set that is None is the group's whole space), counted again
-    by `_recount`; and that space."""
+    None, over the moving and fixed sets, read before the group is built
+    (a set that is None is the group's whole space), counted again by
+    `_recount`; and that space."""
     group = orthogonal_group(q, d, radius=radius)
-    e_set, h_set = (group.space if points is None else points for points in read_sets())
+    e_set, h_set = (group.space if points is None else points for points in (e_set, h_set))
     report = max_intersection(group, e_set, h_set, want_histogram=want_histogram)
     _recount(report, e_set, h_set)
     return report, group.space
-
-
-def _read_sets(args) -> tuple:
-    """verify-bound's moving and fixed sets, both required."""
-    if not args.set_e or not args.set_h:
-        raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
-    return load_pointset(args.set_e), load_pointset(args.set_h)
 
 
 def cmd_verify_bound(args) -> int:
@@ -140,13 +133,15 @@ def cmd_verify_bound(args) -> int:
         audit = exhaustive_pairs_audit(group)
         _emit({"mode": "exhaustive-subsets", "group": group.describe(), **audit.to_json()})
         return 2 if audit.bound_violations or audit.double_count_mismatches else 0
+    if not args.set_e or not args.set_h:
+        raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
+    e_set, h_set = load_pointset(args.set_e), load_pointset(args.set_h)
     if action.scan is None:
-        report, _ = _orthogonal_bound(q, d, args.radius, lambda: _read_sets(args), args.histogram)
+        report, _ = _orthogonal_bound(q, d, args.radius, e_set, h_set, args.histogram)
     else:
         # counted by the finders' scans, which need no group: a set over
         # F_q^d lies in the action's space unless it holds the origin and
         # the space is punctured, so no space is listed
-        e_set, h_set = _read_sets(args)
         for name, points in (("moving", e_set), ("fixed", h_set)):
             _check_set_space(q, d, name, points)
             if action.space == "punctured" and points._holds_origin():
@@ -232,7 +227,7 @@ def cmd_sphere_experiment(args) -> int:
         for p in points or ():
             if p.field.q != q or p.dim != d or p.norm().value != radius:
                 raise NotOnSphere(f"{name} set point {p!r} is not on the radius-{radius} sphere")
-    report, surface = _orthogonal_bound(q, d, radius, lambda: sets)
+    report, surface = _orthogonal_bound(q, d, radius, *sets)
     share = report.moving_size * report.fixed_size // need  # >= X iff |E||H| >= (k+1)·X
     exact = not _power_exceeds(len(surface), 1, share)
     reaches = report.best_count >= need

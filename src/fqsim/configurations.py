@@ -437,7 +437,7 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     the overlap reaches k+1, and only the pairs read are decoded.
     Neither scan (`_shift_overlap`, `_coset_overlap`) builds H: it codes
     root·x for every x in E, and g·x too, or reads g·x off its rows at
-    g's position.
+    the position of g that its report builder hands back with the report.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
     All three are canonical tuples, z/root read as one list over every

@@ -56,14 +56,16 @@ its finder and its maximizer: `_shift_overlap` for translations,
 point set built, H being fixed's flat indices translated through
 `_space_table`'s dilation by s below the bound, and coded from fixed's
 coordinate columns times s past it (base-2q codes for translations,
-coordinate tuples for the transporters).  It hands back its report and
-a call that pairs H ∩ gE (`_pairs`), g·x being read off the rows at g's
-position below the bound (the coset tie-break hands back the position
-(A, b, c) of the element it reports) and coded from E's columns through
-g past it.  Each scan writes its kind's closed forms (order, space size,
-transitivity, first code) once and reports through `_report_from_counts`
-once.  `max_intersection` over the enumerated group stays the oracle
-for all.
+coordinate tuples for the transporters).  Each scan writes its kind's
+closed forms (order, space size, transitivity, first code) once and
+reports through `_report_from_counts` once, which hands back with the
+report the position in byte counts of the element g it reports: the
+first maximal byte, or the coset tie-break's position (A, b, c).  After
+the report the scan builds a call that pairs H ∩ gE (`_pairs`), g·x
+being read off the rows at that position below the bound and coded
+from E's columns through g past it, or when every coset count ties, and
+hands back both.  `max_intersection` over the enumerated group stays
+the oracle for all.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
         counts, moving, fixed, decode=group.elements.__getitem__, first=0,
         group_order=group.order, space_size=space.size,
         transitive=group.is_transitive(), want_histogram=want_histogram,
-    )
+    )[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -444,8 +446,9 @@ def _read_planes(planes: list[int], valid: int,
 def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int], int],
                         moving: PointSet, fixed: PointSet, *, decode, first: int,
                         group_order: int, space_size: int, transitive: bool,
-                        want_histogram: bool, smallest=None) -> IntersectionReport:
-    """The report of a kernel that counts |fixed ∩ g·moving| per element code.
+                        want_histogram: bool, smallest=None) -> tuple[IntersectionReport, int | None]:
+    """The report of a kernel that counts |fixed ∩ g·moving| per element
+    code, and the position in byte counts of the element it reports.
 
     Codes ascend in canonical element order, so the smallest maximal code
     is the canonical tie-break and the only one decoded.  A dict holds the
@@ -460,16 +463,21 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     summed over the nonzero bytes alone; with one, each
     present value is counted by `counts.count(v)` and both are read off
     the tally.  Bytes whose positions are not in canonical order come
-    with `smallest(counts, v)`, the code of the smallest element counting
-    v, asked only when the counts do not all tie, that is when the total
-    is not best·|G|.  With a histogram, a dict's or a list's maximum and
-    total are read off it rather than off the counts again.  On an empty
-    space the bound is 0.
+    with the tie-break `smallest(counts, v)`, which hands back the code of
+    the smallest element counting v and its position, asked only when
+    the counts do not all tie, that is when the total is not best·|G|.
+    With a histogram, a dict's or a list's maximum and total are read
+    off it rather than off the counts again.  On an empty space the
+    bound is 0.
+
+    The position handed back with the report is that of the first
+    maximal byte, or the tie-break's; it is None for dict, list and
+    bit-plane counts, and when every count ties under a tie-break.
     """
     n_e, n_h = len(moving), len(fixed)
     if not n_e or not n_h:
         warnings.warn("empty point set: the intersection bound is vacuous")
-    hist = None
+    hist = at = None
     if isinstance(counts, tuple):
         best, best_c, total, hist = _read_planes(*counts, want_histogram)
     elif isinstance(counts, bytes):
@@ -485,9 +493,9 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
             total = ((zlib.adler32(counts) & 0xFFFF) - 1 if best_c * len(counts) < 65520
                      else sum(counts.translate(None, b"\0")))
         if smallest is None:
-            best = counts.index(best_c)
+            best = at = counts.index(best_c)
         else:  # every count is at most best_c: they all tie when they sum to best_c·|G|
-            best = first if total == best_c * len(counts) else smallest(counts, best_c)
+            best, at = (first, None) if total == best_c * len(counts) else smallest(counts, best_c)
     else:
         dense = not isinstance(counts, dict)
         values = counts if dense else counts.values()
@@ -509,7 +517,7 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
         double_count_total=total, transitive=transitive,
         group_order=group_order, space_size=space_size,
         moving_size=n_e, fixed_size=n_h, per_g_histogram=hist,
-    )
+    ), at
 
 
 @functools.lru_cache(maxsize=8)
@@ -559,24 +567,23 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     For q^d < 256 the counts are bytes in lex shift order, E's rows of
     `_space_table` summed by the byte kernel (`_row_counts`), E given by
     its flat indices (`_flat_codes`): H is fixed's flat indices
-    translated through the table's dilation by s, x + a = a + x is byte
-    x of a's row, a the shift at position p, so E's flat indices
-    translated through that row are every x + a, and the pairs are
-    decoded off the table's vectors.  Otherwise
-    both forms of `_translation_counts` key a shift by its base-2q code,
-    whose digits are the shift's coordinates: H is coded from fixed's
-    coordinate columns times s, and x + a from E's plus a.  Both branches
+    translated through the table's dilation by s.  The report builder
+    hands back a's position p, its first maximal byte; x + a = a + x is
+    byte x of a's row, so E's flat indices translated through row p are
+    every x + a, and the pairs are decoded off the table's vectors.
+    Otherwise both forms of `_translation_counts` key a shift by its
+    base-2q code, whose digits are the shift's coordinates: H is coded
+    from fixed's coordinate columns times s, the builder hands back no
+    position, and x + a is coded from E's columns plus a.  Both branches
     report through one `_report_from_counts` call.
     """
     field, d = points.field, points.dim
     q, n = field.q, field.q ** d
     fixed = points if fixed is None else fixed
-    # each branch's `images` reads `report` and `p`, set below, when the pairs are asked for
     if n > 255:
         coords = functools.partial(index_to_coords, q=2 * q, d=d)
         held = _codes(fixed, 2 * q, 0, s)
         counts = _translation_counts(points, held)
-        images = lambda: _codes(points, 2 * q, 0, 1, report.best_g)
         sources, source = points._coords, tuple  # a tuple is its own source
     else:
         vectors, _, scales, rows = _space_table(q, d)
@@ -584,13 +591,12 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
         sources = codes = _flat_codes(points)
         held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _row_counts(rows.__getitem__, codes, held, n)
-        images = lambda: codes.translate(rows[p].ljust(256, b"\0"))
-    report = _report_from_counts(
+    report, p = _report_from_counts(
         counts, points, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
         first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
     )
-    if isinstance(counts, bytes):  # the first maximal byte is the reported shift's
-        p = counts.index(report.best_count)
+    images = ((lambda: _codes(points, 2 * q, 0, 1, report.best_g)) if p is None
+              else lambda: codes.translate(rows[p].ljust(256, b"\0")))
     return report, lambda: _pairs(images(), sources, held, coords, source)
 
 
@@ -780,7 +786,8 @@ def _coset_images(plan: tuple, q: int, d: int, codes: Sequence[int], p: int) -> 
 
 def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) -> tuple[int, int]:
     """The code of the canonically smallest element of SL(d, q) whose
-    count in `_coset_counts`' `counts` is `best`, and its position there.
+    count in `_coset_counts`' `counts` is `best`, and its position there:
+    the pair that `_report_from_counts` takes from its tie-break, as it is.
 
     Row r of h_c·s is (c_r, c_r·b + u_r·A), so row 0 leads with c_0.  Up
     to max(q^d - 1, |G|/(128q)) positions holding `best` are found by
@@ -837,51 +844,48 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     For d >= 2 and q^d <= 256, H is fixed's flat indices translated
     through the table of s·x (`_space_table`), E's flat indices
     (`_flat_codes`) serve both the scan (`_coset_counts`) and the
-    overlap, whose pairs are decoded off the table's vectors, and g·x
-    is read off the plan at the position p of g that the tie-break
-    hands back (`_coset_images`); when every count ties, g is the first element, p
-    stays None and g·x is coded from E's columns through g.  Otherwise
-    the transporters are counted (`_transporter_counts`) against H's
-    coordinate tuples, fixed's columns times s, and g·x is E's columns
-    through g.  Both branches report through one `_report_from_counts`
-    call.
+    overlap, whose pairs are decoded off the table's vectors, and the
+    tie-break is `_smallest_coset_code`.  The report builder hands back
+    the position p of g that the tie-break found, and g·x is read off the
+    plan there (`_coset_images`); when every count ties, g is the first
+    element, p is None and g·x is coded from E's columns through g.
+    Otherwise the transporters are counted (`_transporter_counts`)
+    against H's coordinate tuples, fixed's columns times s, and g·x is
+    E's columns through g.  Both branches report through one
+    `_report_from_counts` call.
     """
     field, d = points.field, points.dim
     q = field.q
     fixed = points if fixed is None else fixed
     action = _ACTIONS["special-linear"]
     _check_budget(q, d ** action.power, action.label)
-    p = smallest = None  # `smallest` sets p, and `images` reads it and `report` when the pairs are asked for
     if d < 2 or q ** d > 256:
         held = list(zip(*_columns(fixed, s)))
         counts = _transporter_counts(points, held)
         # coordinate tuples are their own canonical codes: `tuple` decodes them as they are
-        coords, images = tuple, lambda: list(zip(*_columns(points, 1, report.best_g)))
-        sources = points._coords
+        coords, sources, smallest = tuple, points._coords, None
+        images = lambda g: list(zip(*_columns(points, 1, g)))
     else:
         plan, codes = _special_linear_plan(q, d), _flat_codes(points)
         vectors, _, scales = _space_table(q, d)[:3]
         coords, sources = vectors.__getitem__, codes
         held = (codes if fixed is points else _flat_codes(fixed)).translate(scales[s])
         counts = _coset_counts(codes, held, plan, q, d)
-        images = lambda: (_codes(points, q, 0, 1, report.best_g) if p is None else
-                          _coset_images(plan, q, d, codes, p))
-
-        def smallest(counts, best):
-            nonlocal p
-            code, p = _smallest_coset_code(plan, q, d, counts, best)
-            return code
+        smallest = functools.partial(_smallest_coset_code, plan, q, d)
+        images = lambda g: _codes(points, q, 0, 1, g)
 
     def decode(code):  # the base-q integer of the row-major entries
         flat = index_to_coords(code, q, d * d)
         return SpecialLinear._of(field, tuple(flat[i * d:(i + 1) * d] for i in range(d)), (0,) * d)
 
-    report = _report_from_counts(
+    report, p = _report_from_counts(
         counts, points, fixed, decode=decode, first=_first_special_linear_code(q, d),
         group_order=_special_linear_order(q, d), space_size=q ** d - 1,
         transitive=action.transitive(q, d, None), want_histogram=want_histogram, smallest=smallest,
     )
-    return report, lambda: _pairs(images(), sources, held, coords, coords)
+    if p is not None:  # g·x read off the plan at g's position
+        images = lambda g: _coset_images(plan, q, d, codes, p)
+    return report, lambda: _pairs(images(report.best_g), sources, held, coords, coords)
 
 
 @dataclass(frozen=True)

@@ -908,6 +908,16 @@ class TestOrthogonalSetReadPins:
     def test_outputs_are_golden(self, capsys, tmp_path, monkeypatch, name, radius, digest):
         assert self.run(capsys, tmp_path, monkeypatch, name, radius) == digest
 
+    @pytest.mark.parametrize("radius", [None, 1])
+    def test_no_group_is_built_before_the_sets_are_read(self, capsys, tmp_path, monkeypatch, radius):
+        built = []
+        monkeypatch.setattr(fqsim.cli, "orthogonal_group",
+                            lambda *args, **kw: built.append(args) or orthogonal_group(*args, **kw))
+        for name in O_SET_READ_INPUTS:
+            built.clear()
+            self.run(capsys, tmp_path, monkeypatch, name, radius)
+            assert built == ([(5, 2)] if name == "off the sphere" else []), name
+
 
 # (flags, set file) of the translation and SL(d, q) pins: a composite q, d
 # = 0 and d = -5, --radius, T(10007, 2) just past q^d, SL(101, 2) just past

@@ -545,7 +545,7 @@ class TestByteTotals:
         points = from_coords(field, 1, [[i] for i in range(best)])
         report = _report_from_counts(counts, points, points, decode=lambda i: i, first=0,
                                      group_order=len(counts), space_size=257, transitive=True,
-                                     want_histogram=False)
+                                     want_histogram=False)[0]
         assert (report.best_count, report.double_count_total) == (max(counts), sum(counts))
         assert report.best_g == counts.index(max(counts))
 
@@ -948,7 +948,7 @@ def transporter_reports(e, h):
     return tuple(_report_from_counts(
         counts, e, h, decode=decode, first=_first_special_linear_code(q, d),
         group_order=_special_linear_order(q, d), space_size=q ** d - 1, transitive=True,
-        want_histogram=hist) for hist in (False, True))
+        want_histogram=hist)[0] for hist in (False, True))
 
 
 def coset_cases(q, d, seed, small=False, whole=True):
@@ -1087,6 +1087,91 @@ class TestCosetScan:
             assert len(codes) > (listed if n == 1 and d > 2 else 0)
             code, p = _smallest_coset_code(plan, q, d, counts, best)
             assert code == min(codes.values()) == codes[p], n
+
+
+def handed_back(scan, *args):
+    """(report, counts, position): the report of `scan(*args)`, the counts
+    it handed `_report_from_counts` and the position handed back with it."""
+    seen, builder = [], fqsim.intersection._report_from_counts
+
+    def spy(counts, *rest, **kw):
+        report, p = builder(counts, *rest, **kw)
+        seen.append((counts, p))
+        return report, p
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fqsim.intersection, "_report_from_counts", spy)
+        out = scan(*args)
+    [(counts, p)] = seen
+    return (out[0] if isinstance(out, tuple) else out), counts, p
+
+
+def images_of(g, points):
+    """The flat index of g·x for every x in `points`, applied point by point."""
+    return [flat_index(g.apply(x).coords, points.field.q) for x in points]
+
+
+class TestReportPosition:
+    """`_report_from_counts` hands back, with its report, the position in
+    byte counts of the element it reports: the shift's flat index, the
+    coset position whose images `_coset_images` reads, the image table's
+    element index.  It is None for dict, list and bit-plane counts, and
+    when every count ties under a tie-break."""
+
+    @pytest.mark.parametrize("q, d", [(13, 1), (251, 1), (3, 2), (7, 2), (13, 2), (5, 3), (3, 5)])
+    def test_a_shift_position_is_its_flat_index(self, q, d):
+        space = Space.full(q, d)
+        for n, seed in ((1, 1), (3, 2), (len(space) // 3, 3), (len(space), 4)):  # the last: every shift ties
+            e, h = random_subset(space, n, seed), random_subset(space, n, seed + 10)
+            for fixed in (e, h):
+                report, counts, p = handed_back(_shift_overlap, e, 1, fixed)
+                assert isinstance(counts, bytes)
+                assert p == flat_index(report.best_g.shift, q), (n, seed)
+
+    @pytest.mark.parametrize("q, d", [(5, 2), (7, 2), (3, 3)])
+    def test_a_coset_position_holds_the_reported_element(self, q, d):
+        plan, space = _special_linear_plan(q, d), Space.punctured(q, d)
+        unique = set()
+        for n, seed in ((1, 1), (2, 2), (5, 3), (len(space) // 2, 4)):
+            e, h = random_subset(space, n, seed), random_subset(space, n, seed + 10)
+            for fixed in (e, h):
+                report, counts, p = handed_back(_coset_overlap, e, 1, fixed)
+                unique.add(counts.count(report.best_count) == 1)
+                assert _coset_images(plan, q, d, _codes(e, q), p) == images_of(report.best_g, e), (n, seed)
+        assert unique == {False, True}
+
+    def test_a_coset_position_past_the_tie_breaks_list(self):
+        # one point against one: the 3,000 maps of SL(3, 5) sending e to h
+        # tie, past the max(q^d - 1, |G|/(128q)) positions listed
+        q, d = 5, 3
+        space = Space.punctured(q, d)
+        e, h = random_subset(space, 1, 1), random_subset(space, 1, 2)
+        report, counts, p = handed_back(_coset_overlap, e, 1, h)
+        assert counts.count(1) > max(q ** d - 1, len(counts) // (128 * q))
+        assert _coset_images(_special_linear_plan(q, d), q, d, _codes(e, q), p) == images_of(report.best_g, e)
+
+    def test_an_image_table_position_is_the_element_index(self):
+        group = sl_group(5, 2)
+        for seed in range(3):
+            e, h = random_subset(group.space, 6, seed), random_subset(group.space, 6, seed + 10)
+            report, counts, p = handed_back(max_intersection, group, e, h)
+            assert isinstance(counts, bytes) and group.elements[p] == report.best_g
+
+    @pytest.mark.filterwarnings("ignore:empty point set")
+    def test_no_position_when_all_tie_or_counts_are_not_bytes(self):
+        punctured, full = Space.punctured(5, 2), Space.full(17, 2)
+        sparse, dense = random_subset(full, 1, 1), random_subset(full, 100, 2)
+        assert not is_dense(sparse, sparse) and is_dense(dense, dense)
+        for scan, args, kind in [
+            (_coset_overlap, (random_subset(punctured, 3, 1), 1, PointSet(make_field(5), 2)), bytes),
+            (_coset_overlap, (punctured, 1, punctured), bytes),
+            (_shift_overlap, (sparse, 1, sparse), dict),
+            (_shift_overlap, (dense, 1, dense), tuple),
+            (_coset_overlap, (Space.punctured(17, 2), 1, Space.punctured(17, 2)), dict),
+            (max_intersection, (translations(17, 2), sparse, dense), list),
+        ]:
+            report, counts, p = handed_back(scan, *args)
+            assert isinstance(counts, kind) and p is None, (scan.__name__, kind)
 
 
 class TestOneByteKernel:
