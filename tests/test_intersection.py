@@ -1479,3 +1479,124 @@ class TestAuditOracle:
         assert audit.worst_gap_num < 0
         if worst is not None:
             assert audit.worst_gap_num == worst
+
+
+# --- pins of the audits, the one-point scans and the one-point complements ---
+
+def audit_digest(audit):
+    return hashlib.sha256(canonical_json(audit.to_json()).encode()).hexdigest()
+
+
+class TestAuditPins:
+    """Both audits' JSON on small groups, O on its radius-1 sphere, pinned
+    while the audits read the transposed image table, `perms()`."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: translations(2, 3),
+         "d938d84de4f3288ded707c9aa47776754dedf025a9cfa08e5e0e22efb6f45051"),
+        (lambda: translations(3, 2),
+         "e361b9e592731dd57f870797a26b5e2c43eef9ebe18a98b3e70a6d57251c896f"),
+        (lambda: special_linear_group(3, 2),
+         "d938d84de4f3288ded707c9aa47776754dedf025a9cfa08e5e0e22efb6f45051"),
+        (lambda: orthogonal_group(5, 2, radius=1),
+         "6b6755c7cb30816860b0ef7daa3230ef930d678942936fe51d75dfcc3496d686"),
+    ], ids=["T(2,3)", "T(3,2)", "SL(2,3)", "O(2,5)-sphere"])
+    def test_exhaustive_audits_are_golden(self, make, digest):
+        assert audit_digest(exhaustive_pairs_audit(make())) == digest
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: translations(7, 2),
+         "bd8bac9e93a1d6cd3acb8c99bc973f7108d127ad1222fb6aca6a2306d60fd0cf"),
+        (lambda: special_linear_group(7, 2),
+         "674e80cb525a96234ca41b26fa9055c1507b6604a660d16288c6ec7737b29ee8"),
+        (lambda: special_linear_group(3, 3),
+         "18d19a72505f90e01c1004b2c552078ef7d372ed5e0635988dde30d63ade93f0"),
+        (lambda: orthogonal_group(7, 3, radius=1),
+         "949b46ac720c94c89f059d3be209d03e93dcd2363e1ba472dae4bd3b88a22873"),
+    ], ids=["T(7,2)", "SL(2,7)", "SL(3,3)", "O(3,7)-sphere"])
+    def test_random_audits_are_golden(self, make, digest):
+        assert audit_digest(random_pairs_audit(make(), 200, 7)) == digest
+
+
+def one_point_report_digest(group):
+    """sha256 over `max_intersection`'s reports, without and with a
+    histogram, for E one point and for E the space less one point, each
+    against seeded H of one point, a third of the space and all but one."""
+    space = group.space
+    n, points = space.size, list(space.points)
+    digest = hashlib.sha256()
+    for i in (0, n // 2, n - 1):
+        for e in ([points[i]], points[:i] + points[i + 1:]):
+            e = PointSet(space.field, space.dim, e)
+            for m in (1, n // 3, n - 1):
+                h = random_subset(space, m, i * n + m)
+                for want in (False, True):
+                    report = max_intersection(group, e, h, want_histogram=want)
+                    digest.update(canonical_json(report.to_json()).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestOnePointReportPins:
+    """The oracle's reports on one-point E and one-point X \\ E, pinned
+    while `_row_counts` kept a branch of its own for one row."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: translations(13, 2),
+         "be563a4c19df2e272d3c550e8fad56118d5f7da0fb03768e0cec81a14ac8cbf0"),
+        (lambda: special_linear_group(7, 2),
+         "d31f73e97e9f619ee7dc824682d6ff58978789bd073f322b8ff0fbffb30eead1"),
+        (lambda: orthogonal_group(7, 3, radius=1),
+         "1a51aee8a4b8281a902a7eb7e74e16ddb010b88d88cef09bfecb00ddf87e1e80"),
+    ], ids=["T(13,2)", "SL(2,7)", "O(3,7)-sphere"])
+    def test_reports_are_golden(self, make, digest):
+        assert one_point_report_digest(make()) == digest
+
+
+def one_point_scan_digest(scan, space):
+    """sha256 over a scan's reports, without and with a histogram, and
+    their first two pairs, for E one point scaled by three roots against
+    H = s·E and H = s·(seeded third of the space)."""
+    q, n, points = space.field.q, space.size, list(space.points)
+    digest = hashlib.sha256()
+    for i in (0, n // 2, n - 1):
+        e = PointSet(space.field, space.dim, [points[i]])
+        for s in sorted({1, 2 % q or 1, q - 1}):
+            for fixed in (e, random_subset(space, n // 3, i + s)):
+                for want in (False, True):
+                    report, overlap = scan(e, s, fixed, want)
+                    pairs = [[list(z), list(x)] for z, x in itertools.islice(overlap(), 2)]
+                    digest.update(canonical_json([report.to_json(), pairs]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestOnePointScanPins:
+    """Both scans on one-point E, pinned while `_row_counts` kept a branch
+    of its own for one row and the scans took H = E by default."""
+
+    @pytest.mark.parametrize("q, d, digest", [
+        (5, 2,
+         "d53ef53606ede8fa4c619440cb2b3b0721bd961e55cf1c4505e963d374b7c43f"),
+        (13, 2,
+         "5292e13e132e4a8410256071fa1b77f11e4e50cd13c60da3fd84dd5bb3c36556"),
+        (31, 1,
+         "44bd6153463dbad3a4524bb6acfc3a702e02020ac771c3dab4c949950338ebf2"),
+        (17, 2,
+         "9ea39de1c16273ddcd68fb5687f07fc1443b96bc046f7c9d91d484ec4d44e6e7"),
+    ], ids=["T(5,2)", "T(13,2)", "T(31,1)", "T(17,2)"])
+    def test_shift_scans_are_golden(self, q, d, digest):
+        assert one_point_scan_digest(_shift_overlap, Space.full(q, d)) == digest
+
+    @pytest.mark.parametrize("q, d, digest", [
+        (5, 2,
+         "ac381fc3962805cdabcb877fce8a8c00af943f254d03181fa46a71c216c2f2fa"),
+        (7, 2,
+         "d4379bdfa2f500358277778862e013dc355bc2481933f3faa180c6401428a656"),
+        (3, 3,
+         "5571b30ddc3476acf6c0b5a5db56313dfe4e67ec30b666c5fc83af02cf7ffc83"),
+        (7, 1,
+         "73197e6273bbe9d46a2ebf6eb1516e9caad234573d09398f8e205e63912278bc"),
+        (17, 2,
+         "f23e40d2eee5a845c1405f3dfab067a152e537876e6ac4bef3aa1580fa565e90"),
+    ], ids=["SL(2,5)", "SL(2,7)", "SL(3,3)", "SL(1,7)", "SL(2,17)"])
+    def test_coset_scans_are_golden(self, q, d, digest):
+        assert one_point_scan_digest(_coset_overlap, Space.punctured(q, d)) == digest
