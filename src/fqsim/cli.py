@@ -54,6 +54,7 @@ from .geometry import Vector, _power_exceeds
 from .groups import _ACTIONS, _Action, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
+    _sweep_reports,
     file_digest,
     load_pointset,
     random_pointset,
@@ -258,6 +259,7 @@ def cmd_sweep(args) -> int:
         size=size,
         kind=args.kind,
     )
+    _sweep_reports(config, args.jobs)  # refuses before --out is opened, which truncates it
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             summary = write_sweep(config, fh, jobs=args.jobs)

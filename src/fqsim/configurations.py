@@ -430,8 +430,9 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     With H = root·E, where root^m = ratio, each z in H ∩ gE gives two
     points of E: z/root and the x with gx = z.  `root_of(ratio)` takes
     the root, kept per (q, r, m) (`_root`), or gives None for a ratio
-    that is no m-th power, which raises `not_power`.  `scan(points, s)`, s the root's value,
-    maximizes the overlap over G and returns its report with a call that
+    that is no m-th power, which raises `not_power`.  `scan(points, s,
+    points)`, s the root's value, maximizes the overlap of E with H = s·E
+    over G and returns its report with a call that
     hands back H ∩ gE for the reported g, as (z, x) pairs of coordinate
     tuples with gx = z, in canonical z order; the call is made only when
     the overlap reaches k+1, and only the pairs read are decoded.
@@ -452,7 +453,7 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     if root is None:
         raise not_power(f"{ratio.value} is not an m-th power in F_{ratio.field.q} (m = {m})")
 
-    report, overlap = scan(points, root.value)
+    report, overlap = scan(points, root.value, points)
     if report.best_count < k + 1:
         raise InsufficientIntersection(k + 1, report.best_count)
 

@@ -239,10 +239,13 @@ class SweepConfig:
         if self.base_seed < 0 or self.base_seed >= 1 << 64:
             raise ValueError("base seed must fit in 64 bits")
 
-    def cells(self) -> Iterator[dict]:
-        """Every cell, in grid order, made one at a time once every q has
-        passed its checks.  The q whose cells take the running count past
-        ENUMERATION_CAP is refused before its ratios are listed."""
+    @functools.cached_property
+    def _plan(self) -> list:
+        """(q, [(k, n, meets_threshold) for each k]) for every q, once every
+        q has passed its checks: worked out once per config, so a sweep
+        that asks for its cells twice checks and warns once.  The q whose
+        cells take the running count past ENUMERATION_CAP is refused before
+        its ratios are listed."""
         plan, count = [], 0
         for q in self.qs:
             as_field(q)  # validates primality up front
@@ -258,26 +261,21 @@ class SweepConfig:
                 # the threshold size is the smallest n that meets the threshold
                 sizes.append((k, n, self.size == "threshold" or meets_threshold(n * n, k, q, self.d)))
             plan.append((q, sizes))
-        for q, sizes in plan:
-            if self.ratios == "all-squares":
-                ratios = sorted({v * v % q for v in range(1, q)})
-            else:
-                ratios = [r % q for r in self.ratios]
-            for k, n, met in sizes:
-                for r in ratios:
-                    prefix = derive_seed(self.base_seed, q, self.d, k, r)
-                    for trial in range(self.trials):
-                        yield {
-                            "kind": self.kind,
-                            "q": q,
-                            "d": self.d,
-                            "k": k,
-                            "r": r,
-                            "trial": trial,
-                            "seed": _fold(prefix, trial),  # derive_seed(base, q, d, k, r, trial)
-                            "n": n,
-                            "meets_threshold": met,
-                        }
+        return plan
+
+    def cells(self) -> Iterator[dict]:
+        """Every cell, in grid order, made one at a time; the grid's checks
+        (`_plan`) are made on the call, before the first cell.  A cell's
+        seed is derive_seed(base, q, d, k, r, trial)."""
+        squares = self.ratios == "all-squares"
+        return ({"kind": self.kind, "q": q, "d": self.d, "k": k, "r": r, "trial": trial,
+                 "seed": _fold(prefix, trial), "n": n, "meets_threshold": met}
+                for q, sizes in self._plan
+                for ratios in [sorted({v * v % q for v in range(1, q)}) if squares else [r % q for r in self.ratios]]
+                for k, n, met in sizes
+                for r in ratios
+                for prefix in [derive_seed(self.base_seed, q, self.d, k, r)]
+                for trial in range(self.trials))
 
 
 def run_cell(cell: dict) -> Report:
@@ -317,14 +315,15 @@ def _cell_field(q) -> PrimeField:
 
 def _sweep_reports(config: SweepConfig, jobs: int) -> Iterator[Report]:
     """run_cell over every cell, one after another in the calling thread,
-    yielded in grid order; a reader that stops starts no more cells.
+    in grid order; a reader that stops starts no more cells.  Every
+    refusal of the sweep is made on the call, before any cell runs.
 
     jobs is validated but, for now, changes no scheduling: one that is
-    not an integer of at least 1 raises ValueError before any cell runs.
+    not an integer of at least 1 raises ValueError.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"a sweep needs a whole number of workers, at least 1, got jobs = {jobs!r}")
-    yield from map(run_cell, config.cells())
+    return map(run_cell, config.cells())
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> list[Report]:

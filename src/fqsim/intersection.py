@@ -198,15 +198,12 @@ def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) 
     """|H ∩ gE| for each of `size` elements g, one byte each, for E and H
     given by their flat indices, all below 256: `row(x)` holds the flat
     index of g·x for every g, so E's rows, each translated by H's marks,
-    sum to the counts.  Every marked row is read as a little-endian
-    integer and the integers are added, all mapped in C; one row's marks
-    are the counts.  The caller keeps every count below 256, so no carry
-    crosses a byte."""
+    sum to the counts.  Every marked row, one row included, is read as a
+    little-endian integer and the integers are added, all mapped in C.
+    The caller keeps every count below 256, so no carry crosses a byte."""
     marks = bytearray(256)
     for y in h_codes:
         marks[y] = 1
-    if len(e_codes) == 1:
-        return row(e_codes[0]).translate(marks)
     marked = map(bytes.translate, map(row, e_codes), repeat(marks))
     return sum(map(int.from_bytes, marked, repeat("little"))).to_bytes(size, "little")
 
@@ -291,17 +288,6 @@ def _valid_slots(q: int, d: int) -> int:
     repunit Σ_{r<q} 2^(r·w) per digit weight w, multiplied without a carry."""
     return functools.reduce(mul, [((1 << q * w) - 1) // ((1 << w) - 1)
                                   for w in ((2 * q) ** i for i in range(d))])
-
-
-@functools.lru_cache(maxsize=8)
-def _wrap_table(q: int, d: int) -> tuple[int, ...]:
-    """Base-2q difference code -> flat index of the difference mod q."""
-    # Entries point into one shared list, so the table adds no int objects.
-    flat = list(range(q ** d))
-    wrap = [0]
-    for _ in range(d):
-        wrap = [flat[w * q + r % q] for w in wrap for r in range(2 * q)]
-    return tuple(wrap)
 
 
 def _columns(points: PointSet, s: int = 1, g: GroupElement | None = None) -> list:
@@ -558,11 +544,11 @@ def max_translation_intersection_fast(moving: PointSet, fixed: PointSet, *,
     return _shift_overlap(moving, 1, fixed, want_histogram)[0]
 
 
-def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
-    """The scan of E = points against H = s·fixed (fixed = E by default)
-    over the q^d shifts: its report, and a call that hands back H ∩ (E + a)
-    for its shift a as (z, x) pairs with x + a = z, in canonical z order
-    (`_pairs`).  No point set is built.
+def _shift_overlap(points: PointSet, s: int, fixed: PointSet, want_histogram: bool = False):
+    """The scan of E = points against H = s·fixed over the q^d shifts:
+    its report, and a call that hands back H ∩ (E + a) for its shift a as
+    (z, x) pairs with x + a = z, in canonical z order (`_pairs`).  No
+    point set is built.
 
     For q^d < 256 the counts are bytes in lex shift order, E's rows of
     `_space_table` summed by the byte kernel (`_row_counts`), E given by
@@ -579,7 +565,6 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     """
     field, d = points.field, points.dim
     q, n = field.q, field.q ** d
-    fixed = points if fixed is None else fixed
     if n > 255:
         coords = functools.partial(index_to_coords, q=2 * q, d=d)
         held = _codes(fixed, 2 * q, 0, s)
@@ -628,10 +613,10 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     row r of h_c·s is (c_r, c_r·b + u_r·A).
 
     Vectors are coded in base 2q, digit j weighing w2q[j] = (2q)^(d-1-j),
-    so two codes add with no carry and wrap (`_wrap_table`) takes a sum to
-    its flat index mod q.  eb[e] codes e·b over b; carriers[c - 1], for
-    the point of flat index c, holds d tables coding u_r·A over A, which
-    all carriers share; inverse[e] = 1/e.
+    so two codes add with no carry and wrap, a table over every base-2q
+    code built here, takes a sum to its flat index mod q.  eb[e] codes
+    e·b over b; carriers[c - 1], for the point of flat index c, holds d
+    tables coding u_r·A over A, which all carriers share; inverse[e] = 1/e.
 
     While q^d <= 256 every flat index and count fits in a byte, and the
     coset scan's tables follow: columns[r][c - 1] = c_r, off the digit
@@ -647,7 +632,9 @@ def _special_linear_plan(q: int, d: int) -> tuple:
     is empty.
     """
     w2q = tuple((2 * q) ** (d - 1 - j) for j in range(d))
-    wrap = _wrap_table(q, d)
+    indices, wrap = list(range(q ** d)), [0]
+    for _ in range(d):  # wrap's entries point into one list, so it adds no int objects
+        wrap = [indices[w * q + r % q] for w in wrap for r in range(2 * q)]
     inverse = (0, *(pow(e, q - 2, q) for e in range(1, q)))
     vecs = list(product(range(q), repeat=d - 1))
     eb = tuple(tuple(map(sum, product(*[[e * v % q * w for v in range(q)] for w in w2q[1:]]))) for e in range(q))
@@ -674,7 +661,7 @@ def _special_linear_plan(q: int, d: int) -> tuple:
                 for rest in product(range(q), repeat=d - 1 - i):
                     heads = [sum(a * v % q * w for v, w in zip((ci, *rest), w2q[i:])) for a in range(q)]
                     rows.append(bytes([wrap[h + t] for h in heads for t in tails]))
-    plan = (w2q, wrap, inverse, eb, tuple(carriers))
+    plan = (w2q, tuple(wrap), inverse, eb, tuple(carriers))
     if not small:
         return plan
     n, m = q ** d, q ** (d - 1)
@@ -833,13 +820,12 @@ def _smallest_coset_code(plan: tuple, q: int, d: int, counts: bytes, best: int) 
     return code, (a * m + b) * (n - 1) + c
 
 
-def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want_histogram: bool = False):
-    """The scan of E = points against H = s·fixed (fixed = E by default)
-    over SL(d, q): its report, `max_intersection`'s over the group on the
-    punctured space, and a call that hands back H ∩ gE for its element g
-    as (z, x) pairs with gx = z, in canonical z order (`_pairs`).  No
-    point set is built.  The group build's budget is checked first, as on
-    every det scan.
+def _coset_overlap(points: PointSet, s: int, fixed: PointSet, want_histogram: bool = False):
+    """The scan of E = points against H = s·fixed over SL(d, q): its
+    report, `max_intersection`'s over the group on the punctured space,
+    and a call that hands back H ∩ gE for its element g as (z, x) pairs
+    with gx = z, in canonical z order (`_pairs`).  No point set is built.
+    The group build's budget is checked first, as on every det scan.
 
     For d >= 2 and q^d <= 256, H is fixed's flat indices translated
     through the table of s·x (`_space_table`), E's flat indices
@@ -856,7 +842,6 @@ def _coset_overlap(points: PointSet, s: int, fixed: PointSet | None = None, want
     """
     field, d = points.field, points.dim
     q = field.q
-    fixed = points if fixed is None else fixed
     action = _ACTIONS["special-linear"]
     _check_budget(q, d ** action.power, action.label)
     if d < 2 or q ** d > 256:
@@ -928,12 +913,15 @@ def _audit(group: FiniteGroup, draws) -> BoundAudit:
     """Tally the bound and the double count over subset pairs.
 
     `draws` yields (e_mask, h_masks): one moving set E and the fixed sets
-    H to pair with it, so the |G| images of E are built once per E.
-    Exact integer comparisons throughout: a bound violation is
-    best*|X| < |E||H|, a double-count mismatch is total*|X| != |G||E||H|.
+    H to pair with it, so the |G| images of E are built once per E: the
+    image table (`FiniteGroup.columns`) is read once, as the bit 1 << y
+    of every image y of every point, and E's lists of bits are summed
+    element by element.  Exact integer comparisons throughout: a bound
+    violation is best*|X| < |E||H|, a double-count mismatch is
+    total*|X| != |G||E||H|.
     """
     n = group.space.size
-    perms = group.perms()
+    bits = [[1 << y for y in column] for column in group.columns()]
     g_order = group.order
     pairs = 0
     violations = 0
@@ -942,7 +930,7 @@ def _audit(group: FiniteGroup, draws) -> BoundAudit:
     for e_mask, h_masks in draws:
         e_indices = [i for i in range(n) if e_mask >> i & 1]
         ce = len(e_indices)
-        imgs = [sum([1 << perm[i] for i in e_indices]) for perm in perms]  # distinct bits: their OR
+        imgs = list(map(sum, zip(*map(bits.__getitem__, e_indices))))  # distinct bits: their OR
         pairs += len(h_masks)
         for h_mask in h_masks:
             ch = h_mask.bit_count()

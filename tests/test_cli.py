@@ -1037,7 +1037,7 @@ class TestSweepAndVerifyWitness:
         code, out = run_cli(capsys, *sweep, "--out", str(path))
         assert code == 3
         assert first_json(out)["error"] == "ValueError"
-        assert path.read_text() == ""
+        assert not path.exists()
         code, out = run_cli(capsys, *sweep)
         assert code == 3
         assert first_json(out)["error"] == "ValueError"  # the only object printed
@@ -1091,7 +1091,7 @@ class TestSweepAndVerifyWitness:
             assert first_json(out) == {
                 "error": "EnumerationCapExceeded",
                 "message": f"threshold set size for q = 3, d = {d}, k = 2 has more than 4300 digits"}
-            assert path.read_bytes() == b""
+            assert not path.exists()
 
     def test_det_sweep_past_the_space_budget_reports_per_cell(self, capsys):
         # 3^17 points exceed the budget: each cell records the refusal.
@@ -1103,6 +1103,32 @@ class TestSweepAndVerifyWitness:
         assert {c["outcome"]["error"] for c in lines[:-1]} == {"EnumerationCapExceeded"}
         assert lines[-1] == {"summary": True, "cells": 2, "witnesses": 0, "errors": 2,
                              "violations": 0}
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--jobs", "0"], 3),
+        (["--qs", "4"], 3),
+        (["--qs", "4294967311"], 3),
+        (["--ks", "-1"], 3),
+        (["--d", "50"], 3),  # more than 2^64 points
+        (["--trials", "200000000"], 4),  # past the grid budget
+        (["--trials", "0"], 3),
+        (["--size", "-3"], 3),
+        (["--kind", "det-similarity", "--qs", "3", "--ks", "2", "--r", "1", "--d", "18024"], 4),
+    ], ids=["jobs", "not-prime", "too-large", "negative-k", "space", "grid", "trials", "size",
+            "threshold-digits"])
+    def test_a_refused_sweep_leaves_out_as_it_was(self, capsys, tmp_path, flags, code):
+        """Every refusal is made before --out is opened: the file keeps its
+        bytes, and stdout, stderr and the exit code are those of the same
+        sweep written to stdout."""
+        sweep = ["sweep", "--qs", "3,5", "--d", "2", "--ks", "1", *flags]
+        path = tmp_path / "sweep.jsonl"
+        path.write_bytes(b"12345678")
+        assert main([*sweep, "--out", str(path)]) == code
+        into_file = capsys.readouterr()
+        assert path.read_bytes() == b"12345678"
+        assert main(sweep) == code
+        assert capsys.readouterr() == into_file
+        assert "error" in first_json(into_file.out)
 
     def test_sweep_negative_size_is_input_error(self, capsys, tmp_path):
         sweep = ["sweep", "--qs", "5", "--d", "2", "--ks", "1", "--size", "-3"]

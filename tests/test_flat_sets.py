@@ -98,8 +98,8 @@ def test_the_scans_read_either_form_alike(q, d):
                 sets = sets[:3]
             for (e_flat, e_tuples), (h_flat, h_tuples) in zip(sets, sets[1:] + sets[:1]):
                 for s in sorted({1, 2 % q or 1, q - 1}):
-                    expected = overlaps(scan, e_tuples, None, s, 3)
-                    for e, h in ((e_flat, None), (e_flat, e_flat), (e_flat, e_tuples), (e_tuples, e_flat)):
+                    expected = overlaps(scan, e_tuples, e_tuples, s, 3)
+                    for e, h in ((e_flat, e_flat), (e_flat, e_tuples), (e_tuples, e_flat)):
                         assert overlaps(scan, e, h, s, 3) == expected
                     expected = overlaps(scan, e_tuples, h_tuples, s, 3)
                     for e, h in ((e_flat, h_flat), (e_flat, h_tuples), (e_tuples, h_flat)):
