@@ -820,32 +820,38 @@ def pinned_similarity_witnesses(q, d, seed):
 def structural_witnesses():
     """Witnesses of both kinds whose tuples, root, shift or transform do not
     fit together: each verifier's structural refusals, singly and together."""
+    for w in (next(pinned_similarity_witnesses(5, 2, 1)), next(pinned_det_witnesses(5, 2, 1))):
+        yield from structural_mutations(w)
+
+
+def structural_mutations(w):
+    """The `replace` copies of `w` that `structural_witnesses` checks, each
+    foreign vector over F_7 (F_11 when `w` lives in F_7)."""
     from fqsim import Matrix, SpecialLinear, Translation
 
-    other = make_field(7)
-    for w in (next(pinned_similarity_witnesses(5, 2, 1)), next(pinned_det_witnesses(5, 2, 1))):
-        field, d = w.ratio.field, w.xs[0].dim
-        foreign = tuple(Vector(other, v.coords) for v in w.ys)
-        wider = Vector(field, w.zs[1].coords + (0,))
-        yield replace(w, root=other(1))
-        yield replace(w, xs=(Vector(other, w.xs[0].coords),) + w.xs[1:])
-        yield replace(w, ys=())
-        yield replace(w, zs=(w.zs[0], wider) + w.zs[2:])
-        yield replace(w, root=other(1), xs=(), ys=foreign, zs=(w.zs[0], wider) + w.zs[2:])
-        yield replace(w, xs=w.xs[:-1])
-        yield replace(w, zs=w.zs + w.zs[:1])
-        # past a tuple's first foreign vector its dimensions are not read
-        yield replace(w, xs=(w.xs[0], Vector(other, w.xs[1].coords), wider) + w.xs[3:],
-                      ys=(Vector(other, wider.coords),) + w.ys[1:])
-        if isinstance(w, SimilarityWitness):
-            yield replace(w, shift=Vector(other, w.shift.coords))
-            yield replace(w, shift=Vector(field, w.shift.coords + (0,)))
-            yield replace(w, xs=w.xs[:1], ys=w.ys[:1], zs=w.zs[:1])
-        else:
-            yield replace(w, transform=Translation(Vector(field, (1,) * d)))
-            yield replace(w, transform=SpecialLinear.unchecked(Matrix(other, w.transform.linear)))
-            yield replace(w, transform=SpecialLinear(Matrix.identity(field, d + 1)))
-            yield replace(w, xs=w.xs[:d], ys=w.ys[:d], zs=w.zs[:d])
+    field, d = w.ratio.field, w.xs[0].dim
+    other = make_field(11 if field.q == 7 else 7)
+    foreign = tuple(Vector(other, v.coords) for v in w.ys)
+    wider = Vector(field, w.zs[1].coords + (0,))
+    yield replace(w, root=other(1))
+    yield replace(w, xs=(Vector(other, w.xs[0].coords),) + w.xs[1:])
+    yield replace(w, ys=())
+    yield replace(w, zs=(w.zs[0], wider) + w.zs[2:])
+    yield replace(w, root=other(1), xs=(), ys=foreign, zs=(w.zs[0], wider) + w.zs[2:])
+    yield replace(w, xs=w.xs[:-1])
+    yield replace(w, zs=w.zs + w.zs[:1])
+    # past a tuple's first foreign vector its dimensions are not read
+    yield replace(w, xs=(w.xs[0], Vector(other, w.xs[1].coords), wider) + w.xs[3:],
+                  ys=(Vector(other, wider.coords),) + w.ys[1:])
+    if isinstance(w, SimilarityWitness):
+        yield replace(w, shift=Vector(other, w.shift.coords))
+        yield replace(w, shift=Vector(field, w.shift.coords + (0,)))
+        yield replace(w, xs=w.xs[:1], ys=w.ys[:1], zs=w.zs[:1])
+    else:
+        yield replace(w, transform=Translation(Vector(field, (1,) * d)))
+        yield replace(w, transform=SpecialLinear.unchecked(Matrix(other, w.transform.linear)))
+        yield replace(w, transform=SpecialLinear(Matrix.identity(field, d + 1)))
+        yield replace(w, xs=w.xs[:d], ys=w.ys[:d], zs=w.zs[:d])
 
 
 class TestSimilarityVerifierPinned:
@@ -889,6 +895,113 @@ class TestSimilarityVerifierPinned:
                 digest.update(json.dumps([code, capsys.readouterr().out]).encode() + b"\n")
         assert digest.hexdigest() == (
             "11ad8443dbce94472f443826e72d1ce70ebcd9be051524fd7b8f2f46b63a8bb6")
+
+
+def finder_witness_cases():
+    """name -> a call that runs a finder afresh, so that nothing has read
+    its witness yet: similarity on T(13, 2) at k = 1, 2 and 3, on the
+    `similar_large` shape (450 points of F_101^2, k = 3), on a line and on
+    F_5^3; det on SL(2, 7) at k = 2 and 3, on SL(3, 3) and on SL(2, 17),
+    past the byte bound, where the transporter count runs."""
+    from fqsim import random_subset
+
+    def det(q, d, n, seed, r, k):
+        return lambda: find_det_similar(random_subset(Space.punctured(q, d), n, seed), make_field(q)(r), k)
+
+    cases = {f"T(13,2) k={k}": lambda k=k: find_similar_config(
+        random_pointset(13, 2, 30 + 5 * k, k), make_field(13)(4), k) for k in (1, 2, 3)}
+    cases.update({
+        "T(101,2) k=3": lambda: find_similar_config(random_pointset(101, 2, 450, 1), make_field(101)(4), 3),
+        "T(31,1) k=2": lambda: find_similar_config(random_subset(Space.full(31, 1), 20, 3), make_field(31)(9),
+                                                   2, EdgeSet.path(2)),
+        "T(5,3) k=2": lambda: find_similar_config(random_subset(Space.full(5, 3), 40, 4), make_field(5)(4), 2),
+        "SL(2,7) k=2": det(7, 2, 14, 5, 2, 2),
+        "SL(2,7) k=3": det(7, 2, 16, 6, 4, 3),
+        "SL(3,3) k=3": det(3, 3, 15, 7, 2, 3),
+        "SL(2,17) k=2": det(17, 2, 60, 8, 13, 2),
+    })
+    return cases
+
+
+FINDER_WITNESSES = finder_witness_cases()
+
+
+def check_of(w):
+    return verify_similarity(w) if isinstance(w, SimilarityWitness) else verify_det_similarity(w)
+
+
+class TestFinderWitnessPins:
+    """Witnesses as the finders build them, pinned while they were built
+    from vectors: their repr, JSON, coordinates, shift or transform and k;
+    their JSON round trip; and the verifier's verdicts on each and on its
+    structural mutations."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("T(13,2) k=1",
+         "13061f3cfe7cf59a5e3f08e71a2f97f201605f1ae6dbca1ebd7029db24f84cb0"),
+        ("T(13,2) k=2",
+         "a33ca94d35a2373ad826a6fd363763a9e3c0652a6a6fc6fb66d7f5e1fe9d7967"),
+        ("T(13,2) k=3",
+         "902d11bbab5964772aeab3a539ac8f0e33d5cee49093e56f2f9f3d04baa3c265"),
+        ("T(101,2) k=3",
+         "221fc4a922afe0b21ad2e6afa02ed59afcec00d4fc237bebfe973e7ff7b91522"),
+        ("T(31,1) k=2",
+         "40daf7fc7eac2a3c69954abc5b8412e3aa5bd467a2b03f3dcd6ce17380c09260"),
+        ("T(5,3) k=2",
+         "54c5e5da04fc68f58adf3d2230f447be112fdfe3d23ed7e7e253c0cca5c533fb"),
+        ("SL(2,7) k=2",
+         "c36d6024bba9fa7b0f7b43da918034eaba95a89f554f1383bee755f5e4bb712c"),
+        ("SL(2,7) k=3",
+         "bc68545a990402b620d87ddab8507821e629f8107f451df8e637a53ce98b06c8"),
+        ("SL(3,3) k=3",
+         "338bfa8fa04fded0a8fb6f7443716d5911b945865bcb16544f56623ba206cfca"),
+        ("SL(2,17) k=2",
+         "ec2737b59e6b05aa0b08027ccad6373d6be3c32e1ec2a1f73fc7766738066e98"),
+    ])
+    def test_witness_is_golden(self, name, digest):
+        from fqsim.harness import canonical_json
+
+        w = FINDER_WITNESSES[name]()
+        held = w.shift.coords if isinstance(w, SimilarityWitness) else w.transform.linear
+        data = [repr(w), canonical_json(w.to_json()), [[v.coords for v in vs] for vs in (w.xs, w.ys, w.zs)],
+                held, w.k]
+        assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", FINDER_WITNESSES)
+    def test_json_round_trip_is_equal(self, name):
+        w = FINDER_WITNESSES[name]()
+        again = type(w).from_json(w.to_json())
+        assert w == again and again == w and again.to_json() == w.to_json()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("T(13,2) k=1",
+         "ff5752e8a2fc67b1a147ca954796cae4efb53227c3f3aca020df33aeb5c48ca1"),
+        ("T(13,2) k=2",
+         "6d554c3a1710477d7f25e82a0167e80a964234e1cebce8cc4d554838ab747c27"),
+        ("T(13,2) k=3",
+         "97ee1c9cc29e3eb97a4f7f53cab0f02c7eed5f4058e0090ee210140d2fb586c2"),
+        ("T(101,2) k=3",
+         "ef71f18f9a6ce51f80161a70128f7bbc2294e2c1945f206158646ff107982103"),
+        ("T(31,1) k=2",
+         "bf39edaccb33982eb852f011cfa3a1c48a159b758e4e91c172f0a815991c646b"),
+        ("T(5,3) k=2",
+         "11a1334409be1e4acf2b78b45b9bd1c2ebbfb9814b76fce7df82c024364a025b"),
+        ("SL(2,7) k=2",
+         "f6e1de7e619d1ffea92fba872213d60d16db2ade0910922be87e6531839d562e"),
+        ("SL(2,7) k=3",
+         "13e9f95f46b9b85293df413342b70360870927c8fa3dd9a912c42fa983fc7abd"),
+        ("SL(3,3) k=3",
+         "7a2555768c1553f1010d42a03ddc07a99a48c6665d6c0460b0b9befec3c8b11b"),
+        ("SL(2,17) k=2",
+         "1b9d432fa17ebe38c616824dbf64a81f1551887f2b87a59181822186d44c3b56"),
+    ])
+    def test_verdicts_are_golden(self, name, digest):
+        # the witness first, before anything reads it, then its mutations
+        w = FINDER_WITNESSES[name]()
+        checks = [check_of(w)] + [check_of(bad) for bad in structural_mutations(w)]
+        assert checks[0].ok and not any(c.ok for c in checks[1:])
+        verdicts = [[c.ok, list(c.reasons)] for c in checks]
+        assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest() == digest
 
 
 def frames_run(call):
