@@ -17,9 +17,10 @@ q^(d^2) matrix budget still applies.  Each overlap point z is paired
 with the x that g sends to it without inverting g, by coding g·x for
 every x in E.
 Both finders search on flat indices below the byte bound, q^d <= 256,
-and on coordinate tuples past it, and the 3(k+1) witness points, already
-canonical, become vectors without the constructor's checks
-(`Vector._of`).
+and on coordinate tuples past it, and hand their witness the canonical
+coordinate tuples they have (`_Witness._of`): its points, and a
+similarity witness's shift, become vectors only when they are read, so
+a sweep cell builds none; its verifier and its JSON read the tuples.
 
 Each finder takes its root once per (q, r, m) (`_root`).  Every finder
 re-derives the claimed relations from raw coordinates with an
@@ -243,25 +244,69 @@ def _json_witness_core(obj) -> tuple[PrimeField, int, int, dict]:
     return field, d, k, core
 
 
-def _json_witness(w, kind: str, d: int, **extra) -> dict:
-    """The keys both witness kinds share, plus the kind's own `extra`;
-    `_json_witness_core` reads them back."""
+def _json_witness(w, kind: str, kept, d: int, k: int, **extra) -> dict:
+    """The keys both witness kinds share, `kept` being the witness's kept
+    fields as coordinate tuples (`_Witness._kept`), plus the kind's own
+    `extra`; `_json_witness_core` reads them back."""
     return {
         "kind": kind,
         "q": w.ratio.field.q,
         "d": d,
-        "k": w.k,
+        "k": k,
         "r": w.ratio.value,
-        "xs": [list(v.coords) for v in w.xs],
-        "ys": [list(v.coords) for v in w.ys],
-        "zs": [list(v.coords) for v in w.zs],
+        "xs": [list(c) for c in kept[0]],
+        "ys": [list(c) for c in kept[1]],
+        "zs": [list(c) for c in kept[2]],
         "verified": w.verified,
         **extra,
     }
 
 
+class _Kept:
+    """A kept field of a witness that holds coordinate tuples (`_Witness`):
+    its vectors are built on the first read and kept in the instance, and a
+    value set there is read as it is, as with `functools.cached_property`."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, w, owner=None):
+        if w is None or w._tuples is None or self.name not in w._names:
+            raise AttributeError(self.name)  # on the class too, so that the dataclass field has no default
+        of, coords = functools.partial(Vector._of, w._field), w._tuples[w._names.index(self.name)]
+        return w.__dict__.setdefault(self.name, of(coords) if self.name == "shift" else tuple(map(of, coords)))
+
+
+class _Witness:
+    """What both witness kinds share.  A finder's witness (`_of`) holds its
+    points, and a similarity witness its shift, as the coordinate tuples
+    the scan gave, over one field by construction, and builds a field's
+    vectors only where it is read (`_Kept`), as a PointSet builds its
+    points.  A witness built from vectors, by the constructor, `from_json`
+    or `dataclasses.replace`, holds no tuples."""
+
+    _field = _tuples = None
+    _names = ("xs", "ys", "zs")  # the kept fields, in the order of `_tuples`
+    xs, ys, zs, shift = _Kept(), _Kept(), _Kept(), _Kept()
+
+    @classmethod
+    def _of(cls, field: PrimeField, tuples: tuple, **fields):
+        """The witness of `fields` whose kept fields are `tuples`, canonical
+        coordinate tuples over `field`, unchecked."""
+        w = object.__new__(cls)
+        w.__dict__.update(fields, verified=False, _field=field, _tuples=tuples)
+        return w
+
+    def _kept(self):
+        """The kept fields as coordinate tuples: the held ones, with no
+        vector built, while none of them was read or set."""
+        if self._tuples is not None and self.__dict__.keys().isdisjoint(self._names):
+            return self._tuples
+        return [getattr(self, n).coords if n == "shift" else [v.coords for v in getattr(self, n)] for n in self._names]
+
+
 @dataclass
-class SimilarityWitness:
+class SimilarityWitness(_Witness):
     """Explicit tuples realizing ‖y_i - y_j‖ = ratio·‖x_i - x_j‖ on an edge set.
 
     The construction data is carried along: z_i = root·x_i = y_i + shift,
@@ -278,14 +323,15 @@ class SimilarityWitness:
     edges: EdgeSet
     verified: bool = False
     report: Optional[IntersectionReport] = dc_field(default=None, repr=False, compare=False)
+    _names = ("xs", "ys", "zs", "shift")
 
     @property
     def k(self) -> int:
         return self.edges.k
 
     def to_json(self) -> dict:
-        return _json_witness(self, "similarity", self.shift.dim, sqrt_r=self.root.value,
-                             a=list(self.shift.coords), edges=self.edges.to_json())
+        return _json_witness(self, "similarity", kept := self._kept(), len(kept[3]), self.edges.k,
+                             sqrt_r=self.root.value, a=list(kept[3]), edges=self.edges.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimilarityWitness":
@@ -303,7 +349,7 @@ class SimilarityWitness:
 
 
 @dataclass
-class DetSimilarityWitness:
+class DetSimilarityWitness(_Witness):
     """Explicit tuples with det(x-subset) = ratio·det(y-subset) on all d-subsets.
 
     Construction data: z_i = transform(x_i) = root·y_i, where root is a
@@ -321,11 +367,11 @@ class DetSimilarityWitness:
 
     @property
     def k(self) -> int:
-        return len(self.xs) - 1
+        return len(self._kept()[0]) - 1
 
     def to_json(self) -> dict:
-        return _json_witness(self, "det-similarity", self.xs[0].dim, root=self.root.value,
-                             g=[list(r) for r in self.transform.linear])
+        return _json_witness(self, "det-similarity", kept := self._kept(), len(kept[0][0]), len(kept[0]) - 1,
+                             root=self.root.value, g=[list(r) for r in self.transform.linear])
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetSimilarityWitness":
@@ -338,17 +384,23 @@ class DetSimilarityWitness:
         )
 
 
-def _tuple_field_issues(w, names=("xs", "ys", "zs")) -> tuple[list[str], list[list[tuple]]]:
+def _tuple_field_issues(w) -> tuple[list[str], list[list[tuple]]]:
     """Structural problems that would make the arithmetic checks crash,
     and the list of each tuple's coordinate tuples.
 
     Verifiers must never raise, so field and dimension agreement is
-    established before any witness arithmetic runs.
+    established before any witness arithmetic runs.  A finder's witness
+    whose kept fields were neither read nor set holds coordinate tuples
+    of one field and one dimension by construction: over the ratio's
+    field they are handed back as they are, the shift's after the
+    points', and no vector is built or read.
     """
     q = w.ratio.field.q
     reasons = [] if w.root.field.q == q else [f"root lives in F_{w.root.field.q}, ratio in F_{q}"]
+    if (held := w._tuples) is not None and w._field.q == q and w.__dict__.keys().isdisjoint(w._names):
+        return reasons, held
     tuples, dims = [], set()
-    for name in names:
+    for name in ("xs", "ys", "zs"):
         vs = getattr(w, name)
         tuples.append([v.coords for v in vs])
         if not vs:
@@ -387,14 +439,14 @@ def verify_similarity(w: SimilarityWitness) -> Verification:
     reasons per index are read only off a list that differs.  Never
     raises; failures come back as a reason list.
     """
-    reasons, (xs, ys, zs) = _tuple_field_issues(w)
+    reasons, (xs, ys, zs, *held) = _tuple_field_issues(w)
     if reasons:
         return Verification(False, tuple(reasons))
     n = w.edges.k + 1
     if not (len(xs) == len(ys) == len(zs) == n):
         return Verification(False, (f"expected {n} points per tuple, got {len(xs)}/{len(ys)}/{len(zs)}",))
-    a = w.shift.coords
-    if w.shift.field.q != w.ratio.field.q or len(a) != len(xs[0]):
+    a = held[0] if held else w.shift.coords
+    if not held and (w.shift.field.q != w.ratio.field.q or len(a) != len(xs[0])):
         return Verification(False, ("shift does not match the point tuples' field and dimension",))
 
     q, r, s = w.ratio.field.q, w.ratio.value, w.root.value
@@ -441,9 +493,10 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
     the position of g that its report builder hands back with the report.
     `build(root, report, zs, shrunk, sources)` arranges the first k+1
     pairs' z, z/root and x into a witness, and `verify` re-checks it.
-    All three are canonical tuples, z/root read as one list over every
-    coordinate, so they become vectors unchecked (`Vector._of`); the
-    verifier still re-checks every relation.
+    All three are canonical coordinate tuples, z/root read as one list
+    over every coordinate, so the witness keeps them as they are, unchecked
+    (`_Witness._of`), and builds no vector; the verifier reads the tuples
+    and still re-checks every relation.
     """
     if ratio.field.q != points.field.q:
         raise FieldMismatch("ratio and point set live in different fields")
@@ -458,11 +511,9 @@ def _find_by_overlap(points: PointSet, ratio: FieldElement, k: int, m: int,
         raise InsufficientIntersection(k + 1, report.best_count)
 
     zs, sources = zip(*itertools.islice(overlap(), k + 1))
-    field, d, q = points.field, points.dim, points.field.q
+    d, q = points.dim, points.field.q
     inv_root = pow(root.value, q - 2, q)
-    shrunk, of = zip(*[iter([inv_root * c % q for z in zs for c in z])] * d), Vector._of
-    witness = build(root, report, tuple([of(field, z) for z in zs]), tuple([of(field, y) for y in shrunk]),
-                    tuple([of(field, x) for x in sources]))
+    witness = build(root, report, zs, tuple(zip(*[iter([inv_root * c % q for z in zs for c in z])] * d)), sources)
     check = verify(witness)
     if not check:
         raise VerificationFailed(check.reasons)
@@ -493,9 +544,9 @@ def find_similar_config(points: PointSet, ratio: FieldElement, k: int,
     # answers None for a nonsquare
     return _find_by_overlap(
         points, ratio, k, 2, NotASquare, lambda r: _root(FieldElement.sqrt, r.field, r.value), _shift_overlap,
-        build=lambda root, report, zs, shrunk, sources: SimilarityWitness(
-            ratio=ratio, root=root, shift=report.best_g.vector,
-            xs=shrunk, ys=sources, zs=zs, edges=edges, report=report),
+        build=lambda root, report, zs, shrunk, sources: SimilarityWitness._of(
+            points.field, (shrunk, sources, zs, report.best_g.shift),
+            ratio=ratio, root=root, edges=edges, report=report),
         verify=verify_similarity,
     )
 
@@ -609,9 +660,8 @@ def find_det_similar(points: PointSet, ratio: FieldElement, k: int) -> DetSimila
     return _find_by_overlap(
         points, ratio, k, d, NotADthPower, lambda r: _root(FieldElement.mth_root, r.field, r.value, d),
         _coset_overlap,
-        build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness(
-            ratio=ratio, root=root, transform=report.best_g,
-            xs=sources, ys=shrunk, zs=zs, report=report),
+        build=lambda root, report, zs, shrunk, sources: DetSimilarityWitness._of(
+            points.field, (sources, shrunk, zs), ratio=ratio, root=root, transform=report.best_g, report=report),
         verify=verify_det_similarity,
     )
 

@@ -264,6 +264,83 @@ class TestVectorsOnlyForTheWitness:
         assert points._points is None
 
 
+def vectors_made(monkeypatch, call):
+    """`call()` and the number of vectors it makes, by `Vector.__init__` or
+    by `Vector._of`."""
+    made = []
+    init, of = Vector.__init__, Vector._of.__func__
+
+    def counting_init(self, field, coords):
+        made.append(None)
+        init(self, field, coords)
+
+    def counting_of(cls, field, coords):
+        made.append(None)
+        return of(cls, field, coords)
+
+    monkeypatch.setattr(Vector, "__init__", counting_init)
+    monkeypatch.setattr(Vector, "_of", classmethod(counting_of))
+    try:
+        return call(), len(made)
+    finally:
+        monkeypatch.undo()
+
+
+class TestWitnessKeepsTuples:
+    """A finder hands its witness the coordinate tuples it has: a sweep
+    cell of either kind, and a similarity find past the byte bound, make
+    no vector; xs, ys, zs and the shift become vectors on first read, once."""
+
+    @pytest.mark.parametrize("kind, q, k", [("similarity", 13, 2), ("det-similarity", 7, 3)])
+    def test_a_sweep_cell_makes_no_vector(self, monkeypatch, kind, q, k):
+        from fqsim.harness import SweepConfig, run_cell
+
+        cell = next(c for c in SweepConfig(qs=(q,), d=2, ks=(k,), trials=1, base_seed=1, kind=kind).cells()
+                    if c["r"] == 4)
+        report, made = vectors_made(monkeypatch, lambda: run_cell(cell))
+        assert report.outcome["status"] == "witness" and report.outcome["witness"]["verified"]
+        assert made == 0
+
+    def test_a_find_past_the_byte_bound_makes_no_vector(self, monkeypatch):
+        points = random_pointset(101, 2, 450, 1)
+        w, made = vectors_made(monkeypatch, lambda: find_similar_config(points, make_field(101)(4), 3))
+        assert w.verified and made == 0
+        json.dumps(w.to_json())
+        assert w.k == 3
+
+    @pytest.mark.parametrize("name", ["T(13,2) k=3", "T(101,2) k=3", "SL(2,7) k=2", "SL(2,17) k=2"])
+    def test_each_field_is_built_once_on_first_read(self, monkeypatch, name):
+        w = FINDER_WITNESSES[name]()
+        n = w.k + 1
+        for field in ("xs", "ys", "zs"):
+            first, made = vectors_made(monkeypatch, lambda: getattr(w, field))
+            again, made_again = vectors_made(monkeypatch, lambda: getattr(w, field))
+            assert (made, made_again) == (n, 0) and again is first and len(first) == n
+            assert all(type(v) is Vector and v.field.q == w.ratio.field.q for v in first)
+        if isinstance(w, SimilarityWitness):
+            shift, made = vectors_made(monkeypatch, lambda: w.shift)
+            assert made == 1 and w.shift is shift and shift.dim == len(w.xs[0].coords)
+        else:
+            assert not hasattr(w, "shift")
+
+    @pytest.mark.parametrize("name", ["T(13,2) k=2", "T(5,3) k=2", "SL(2,7) k=3", "SL(3,3) k=3"])
+    def test_reads_and_sets_keep_json_and_verdicts(self, name):
+        """The witness reads alike before and after its fields are built;
+        a set field is what the JSON and the verifier read."""
+        w = FINDER_WITNESSES[name]()
+        before, check = w.to_json(), check_of(w)
+        assert check.ok
+        w.ys  # built: the verifier reads the vectors from here on
+        assert w.to_json() == before and check_of(w) == check
+        w.zs = w.zs[::-1]
+        assert w.to_json()["zs"] == before["zs"][::-1] and w.to_json()["xs"] == before["xs"]
+        assert check_of(w) == check_of(type(w).from_json(w.to_json())) and not check_of(w).ok
+        fresh = FINDER_WITNESSES[name]()
+        fresh.ratio = make_field(11 if w.ratio.field.q == 7 else 7)(1)
+        check = check_of(fresh)  # tuples of another field than the ratio's are read as vectors
+        assert not check.ok and check.reasons == check_of(replace(fresh)).reasons
+
+
 class TestVerifySimilarity:
     def _witness(self):
         return find_similar_config(full_plane(F5), F5(4), 2)
