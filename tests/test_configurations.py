@@ -303,10 +303,13 @@ class TestWitnessKeepsTuples:
 
     def test_a_find_past_the_byte_bound_makes_no_vector(self, monkeypatch):
         points = random_pointset(101, 2, 450, 1)
-        w, made = vectors_made(monkeypatch, lambda: find_similar_config(points, make_field(101)(4), 3))
-        assert w.verified and made == 0
-        json.dumps(w.to_json())
-        assert w.k == 3
+
+        def find():
+            w = find_similar_config(points, make_field(101)(4), 3)
+            return w, w.to_json(), w.k
+
+        (w, out, k), made = vectors_made(monkeypatch, find)
+        assert w.verified and out["verified"] and k == 3 and made == 0
 
     @pytest.mark.parametrize("name", ["T(13,2) k=3", "T(101,2) k=3", "SL(2,7) k=2", "SL(2,17) k=2"])
     def test_each_field_is_built_once_on_first_read(self, monkeypatch, name):
