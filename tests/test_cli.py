@@ -1247,6 +1247,23 @@ class TestInputErrors:
         assert code == 3
         assert first_json(out)["error"] == "SpaceTooLarge"
 
+    @pytest.mark.parametrize("text, error, message", [
+        (None, "ValueError", "provide --set FILE or --random N"),
+        ("", "ParseError", "line 0: missing header line 'q=<int> d=<int>'"),
+        ("# only a comment\n\n  # and another\n", "ParseError", "line 0: missing header line 'q=<int> d=<int>'"),
+        ("q=5 d=0\n", "ParseError", "line 1: dimension must be positive, got 0"),
+    ], ids=["no-points", "empty-file", "comments-only", "dimension-zero"])
+    def test_a_search_without_points_is_input_error(self, capsys, tmp_path, text, error, message):
+        argv = ["find-similar", "--q", "5", "--d", "2", "--r", "1", "--k", "1"]
+        if text is not None:
+            (tmp_path / "points.txt").write_text(text)
+            argv += ["--set", str(tmp_path / "points.txt")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert first_json(captured.out) == {"error": error, "message": message}
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

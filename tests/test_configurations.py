@@ -17,6 +17,7 @@ from fqsim import (
     DetSimilarityWitness,
     EdgeSet,
     EnumerationCapExceeded,
+    FieldMismatch,
     InsufficientIntersection,
     MalformedWitness,
     NotADthPower,
@@ -180,6 +181,11 @@ class TestFindSimilar:
     def test_zero_dilation(self):
         with pytest.raises(ZeroDilation):
             find_similar_config(full_plane(F5), F5(0), 2)
+
+    def test_ratio_over_another_field_is_refused(self):
+        with pytest.raises(FieldMismatch) as refused:
+            find_similar_config(full_plane(F5), make_field(7)(2), 2)
+        assert str(refused.value) == "ratio and point set live in different fields"
 
     def test_ratio_one_gives_identity_similarity(self):
         e = from_coords(F5, 2, [[0, 0], [1, 1], [2, 3]])
@@ -392,6 +398,12 @@ class TestVerifySimilarity:
         assert bool(verify_similarity(again))
         assert again.to_json() == w.to_json()
 
+    def test_a_zero_root_is_named(self):
+        w = find_det_similar(punctured_plane(F5), F5(4), 2)
+        check = verify_det_similarity(replace(w, root=F5(0)))
+        assert not check and "root is zero" in check.reasons
+        assert "stored root to the 2-th power is not the ratio" in check.reasons
+
     def test_never_raises_on_malformed_witnesses(self):
         w = self._witness()
         f7 = make_field(7)
@@ -522,6 +534,12 @@ class TestFindDetSimilar:
         ys[0] = ys[0] + Vector(F5, [0, 1])
         bad = replace(w, ys=tuple(ys))
         assert not verify_det_similarity(bad)
+
+    def test_a_zero_root_is_named(self):
+        w = find_det_similar(punctured_plane(F5), F5(4), 2)
+        check = verify_det_similarity(replace(w, root=F5(0)))
+        assert not check and "root is zero" in check.reasons
+        assert "stored root to the 2-th power is not the ratio" in check.reasons
 
     def test_never_raises_on_malformed_witnesses(self):
         from fqsim import Matrix, SpecialLinear

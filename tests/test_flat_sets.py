@@ -1,6 +1,8 @@
 """Point sets drawn below the byte bound are held as their flat indices:
-each equals its tuple-built twin under every operation, the scans read
-either form alike, and a sweep cell decodes none of its drawn points."""
+each equals its tuple-built twin under every operation, the scans and
+the oracle read either form alike, a draw from a whole full or punctured
+space is the draw read off its tuples, and a sweep cell decodes none of
+its drawn points."""
 
 import itertools
 import random
@@ -10,7 +12,9 @@ import pytest
 
 import fqsim.geometry
 from fqsim.geometry import index_to_coords
-from fqsim import OriginInSet, PointSet, Space, SweepConfig, find_det_similar, make_field, run_cell
+from fqsim import (FiniteGroup, Matrix, OriginInSet, PointSet, Space, SpaceMismatch, SpecialLinear, SplitMix64,
+                   SweepConfig, Vector, find_det_similar, make_field, max_intersection, random_subset, run_cell,
+                   special_linear_group, translations)
 from fqsim.harness import _det_draw
 from fqsim.intersection import _coset_overlap, _shift_overlap
 
@@ -151,3 +155,95 @@ def test_a_cell_decodes_no_drawn_point(monkeypatch, kind, q, k):
         assert len(witness["xs"]) == len(witness["ys"]) == k + 1
     assert built == [0] * len(cells) and decoded == []
     assert cells[0]["n"] > k + 1
+
+
+def draw_sizes(size):
+    """n = 0, 1, a sparse five, the fewest points that mark their picks (a
+    quarter, rounded up) and every point of a set of this size."""
+    return sorted({0, min(1, size), min(5, size), -(-size // 4), size})
+
+
+def tuple_draw(space, n, seed):
+    """The seeded draw's points read off the space's tuples, pick i being
+    the space's i-th point: what every draw from a space held."""
+    return tuple(space._coords[i] for i in sorted(SplitMix64(seed).sample_indices(len(space), n)))
+
+
+def audit_groups(q, d):
+    """The translations of F_q^d and SL(d, q) on the punctured space; past
+    10^5 candidate matrices, for SL(3, 5), its diagonal subgroup."""
+    if q ** (d * d) <= 10 ** 5:
+        return [translations(q, d), special_linear_group(q, d)]
+    field = make_field(q)
+    diagonal = [SpecialLinear(Matrix(field, [[a, 0, 0], [0, b, 0], [0, 0, pow(a * b, -1, q)]]))
+                for a in range(1, q) for b in range(1, q)]
+    return [translations(q, d), FiniteGroup(diagonal, Space.punctured(q, d), "special-linear")]
+
+
+@pytest.mark.parametrize("q, d", SHAPES)
+def test_a_draw_from_a_whole_space_is_the_tuple_draw(q, d):
+    for space in (Space.full(q, d), Space.punctured(q, d)):
+        for n in draw_sizes(len(space)):
+            for seed in (1, 2 ** 63):
+                assert random_subset(space, n, seed)._coords == tuple_draw(space, n, seed)
+
+
+@pytest.mark.parametrize("q, d", SHAPES)
+def test_max_intersection_reads_either_form_alike(q, d):
+    """The oracle's reports, JSON and histogram, on the full and the
+    punctured space: a flat-built E or H, or both, report as their
+    tuple-built twins."""
+    rng = random.Random(q * d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty sets warn
+        for group in audit_groups(q, d):
+            every = range(group.space.kind == "punctured", q ** d)
+            sets = [forms(q, d, sorted(rng.sample(every, n))) for n in draw_sizes(len(every))]
+            for (e_flat, e_tuples), (h_flat, h_tuples) in zip(sets, sets[1:] + sets[:1]):
+                for hist in (False, True):
+                    expected = max_intersection(group, e_tuples, h_tuples, want_histogram=hist).to_json()
+                    for e, h in ((e_flat, h_flat), (e_flat, h_tuples), (e_tuples, h_flat)):
+                        assert max_intersection(group, e, h, want_histogram=hist).to_json() == expected
+
+
+@pytest.mark.parametrize("q, d", SHAPES)
+def test_a_set_holding_the_origin_is_refused_by_the_punctured_space_in_either_form(q, d):
+    group = audit_groups(q, d)[1]
+    other = forms(q, d, [q ** d - 1])[0]
+    message = f"{{}} set: {Vector(make_field(q), (0,) * d)!r} is not a point of {group.space!r}"
+    for points in forms(q, d, [0, q ** d - 1]):
+        for e, h, name in ((points, other, "moving"), (other, points, "fixed")):
+            with pytest.raises(SpaceMismatch) as refused:
+                max_intersection(group, e, h)
+            assert str(refused.value) == message.format(name)
+
+
+def other_spaces(field, d):
+    """Spaces built by the constructor whose points are not their kind's
+    whole set: all but the origin or all but the last point as `full`, and
+    all but the last point (the origin among them) or every point as
+    `punctured`."""
+    every = [Vector(field, c) for c in itertools.product(range(field.q), repeat=d)]
+    return [Space(field, d, "full", every[1:]), Space(field, d, "full", every[:-1]),
+            Space(field, d, "punctured", every[:-1]), Space(field, d, "punctured", every)]
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (5, 2), (3, 3)])
+def test_a_space_of_other_points_draws_its_tuples(q, d):
+    """Such a space is drawn from its tuples, with the points of today's
+    draw, and the oracle maps a flat set into it through its positions."""
+    field = make_field(q)
+    sl = special_linear_group(q, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty sets warn
+        for space in other_spaces(field, d):
+            for n in draw_sizes(len(space)):
+                for seed in (1, 2 ** 63):
+                    drawn = random_subset(space, n, seed)
+                    assert drawn._flat is None and drawn._coords == tuple_draw(space, n, seed)
+            if len(space) == q ** d or not space._holds_origin():  # SL maps these onto themselves
+                group = FiniteGroup(sl.elements, space, "special-linear")
+                e_flat, e_tuples = forms(q, d, list(range(1, q ** d, 2)))
+                h_flat, h_tuples = forms(q, d, list(range(1, q ** d, 3)))
+                assert (max_intersection(group, e_flat, h_flat, want_histogram=True).to_json()
+                        == max_intersection(group, e_tuples, h_tuples, want_histogram=True).to_json())

@@ -89,6 +89,23 @@ class TestSplitMix64:
         assert draws_a == draws_b
         assert all(0 <= d < 7 for d in draws_a)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda rng: rng.next_below(0), "next_below needs a positive bound, got 0"),
+        (lambda rng: rng.next_below(2 ** 64 + 1), f"next_below covers bounds up to 2^64, got {2 ** 64 + 1}"),
+        (lambda rng: rng.next_bits(-1), "bit count out of range: -1"),
+        (lambda rng: rng.next_bits(65), "bit count out of range: 65"),
+    ], ids=["below-0", "below-past-2^64", "bits-negative", "bits-past-64"])
+    def test_bounds_out_of_range_are_refused_before_any_draw(self, call, message):
+        rng = SplitMix64(9)
+        with pytest.raises(ValueError) as refused:
+            call(rng)
+        assert str(refused.value) == message and rng.state == 9
+
+    def test_zero_bits_are_zero_and_draw_nothing(self):
+        rng = SplitMix64(9)
+        assert rng.next_bits(0) == 0 and rng.state == 9
+        assert rng.next_bits(64) == SplitMix64(9).next_u64()
+
     def test_sample_indices_distinct(self):
         rng = SplitMix64(5)
         picks = rng.sample_indices(100, 30)
