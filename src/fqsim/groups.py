@@ -52,6 +52,7 @@ from .geometry import (
     _check_dim,
     _det_rows,
     _inverse_rows,
+    _power_exceeds,
     sphere,
 )
 
@@ -110,6 +111,14 @@ class Space(PointSet):
     @property
     def size(self) -> int:
         return len(self)
+
+    def _flat_start(self) -> int | None:
+        """1 for all of F_q^d but the origin, 0 for all of it, q^d <= 256, so
+        that point i is flat index i + 1 or i; None for a sphere, a larger
+        space or one built from other points than its kind's whole set."""
+        q, d, first = self.field.q, self.dim, self.kind == "punctured"
+        whole = self.kind in _SPACE_BUDGET and not _power_exceeds(q, d, 256) and len(self) + first == q ** d
+        return int(first) if whole and self._holds_origin() is not first else None
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "q": self.field.q, "d": self.dim, "size": self.size}

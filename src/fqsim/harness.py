@@ -46,7 +46,7 @@ from .configurations import (
 from .errors import FqsimError, HeaderMismatch, ParseError, SpaceTooLarge, TooMany
 from .field import PrimeField, as_field
 from .geometry import ENUMERATION_CAP, PointSet, _check_budget, _check_dim, _power_exceeds
-from .groups import _ACTIONS, _check_space
+from .groups import _ACTIONS, Space, _check_space
 from .prng import SplitMix64, _fold, derive_seed
 
 
@@ -74,7 +74,7 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
     _check_budget(n, 1, "random sample (points)")
-    return PointSet._at_flat(field, dim, sorted(SplitMix64(seed).sample_indices(total, n)))
+    return _flat_draw(field, dim, n, seed)
 
 
 def _check_sample_space(q: int, dim: int) -> None:
@@ -95,17 +95,32 @@ def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     if _power_exceeds(field.q, d ** action.power, ENUMERATION_CAP):
         n = min(n, 0)  # n < 0 is still refused as sample_indices refuses it
-    return PointSet._at_flat(field, d, [i + 1 for i in sorted(SplitMix64(seed).sample_indices(size, n))])
+    return _flat_draw(field, d, n, seed, 1)
+
+
+def _flat_draw(field: PrimeField, d: int, n: int, seed: int, first: int = 0) -> PointSet:
+    """n of the flat indices of F_q^d from `first` on, seeded: pick i is
+    flat index i + first, and the set is built from the sorted indices
+    (`PointSet._at_flat`), kept as bytes while q^d <= 256.  The one draw
+    of `random_pointset`, `_det_draw` and a whole space's `random_subset`."""
+    picks = sorted(SplitMix64(seed).sample_indices(field.q ** d - first, n))
+    return PointSet._at_flat(field, d, [i + first for i in picks] if first else picks)
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     """n distinct points drawn from a point set, such as a group's space
-    (seeded), in its canonical order: a draw of at least a quarter of
-    the set marks its picks and keeps the marked points, a sparser one
-    sorts its picks."""
+    (seeded), in its canonical order.  A full or punctured space of at
+    most 256 points whose points are its kind's whole set
+    (`Space._flat_start`) is drawn by flat index, as `random_pointset`
+    draws: the set holds its picks' flat indices as bytes.  From any other
+    set, a draw of at least a quarter of it marks its picks and keeps the
+    marked points, a sparser one sorts its picks; either way it holds
+    tuples of the set's own, and no tuple is decoded."""
     size = len(points)
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
+    if isinstance(points, Space) and (first := points._flat_start()) is not None:
+        return _flat_draw(points.field, points.dim, n, seed, first)
     picks = SplitMix64(seed).sample_indices(size, n)
     if 4 * n < size:
         return PointSet._canonical(points.field, points.dim, map(points._coords.__getitem__, sorted(picks)))

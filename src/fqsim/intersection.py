@@ -184,14 +184,22 @@ def _check_set_space(q: int, d: int, name: str, points: PointSet) -> None:
         raise SpaceMismatch(f"{name} set lives in F_{points.field.q}^{points.dim}, the group acts on F_{q}^{d}")
 
 
-def _space_indices(space: Space, name: str, points: PointSet) -> list[int]:
-    """Positions in the group's space of every point of a moving or fixed set."""
+def _space_indices(space: Space, name: str, points: PointSet) -> Sequence[int]:
+    """Positions in the group's space of every point of a moving or fixed
+    set: a flat set's bytes in all of F_q^d, and those bytes less one in
+    all of it but the origin (`Space._flat_start`), unless the set holds
+    the origin; otherwise looked up in the space's position dict."""
     _check_set_space(space.field.q, space.dim, name, points)
+    first = None if points._flat is None else space._flat_start()
+    if first == 0 or first and not points._holds_origin():
+        return points._flat.translate(_DOWN_ONE) if first else points._flat
     try:
         return list(map(space._index.__getitem__, points._coords))
     except KeyError as exc:
-        point = Vector(space.field, exc.args[0])
-        raise SpaceMismatch(f"{name} set: {point!r} is not a point of {space!r}") from None
+        raise SpaceMismatch(f"{name} set: {Vector(space.field, exc.args[0])!r} is not a point of {space!r}") from None
+
+
+_DOWN_ONE = bytes(1) + bytes(range(255))  # byte i to i - 1
 
 
 def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) -> bytes:
@@ -224,7 +232,7 @@ def _flat_codes(points: PointSet) -> bytes:
     return bytes(_codes(points, points.field.q)) if points._flat is None else points._flat
 
 
-def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]) -> Sequence[int]:
+def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Sequence[int]) -> Sequence[int]:
     """|H ∩ gE| for every element g of the group, in canonical order.
 
     From the group's image table (`FiniteGroup.columns`), reading the
@@ -241,11 +249,9 @@ def _group_counts(group: FiniteGroup, e_indices: list[int], h_indices: list[int]
     columns = group.columns()
     if n_x in (nh, len(e_indices)):
         return [min(nh, len(e_indices))] * order
-    if flip := 2 * len(e_indices) > n_x:
-        outside = bytearray(b"\1") * n_x
-        for i in e_indices:
-            outside[i] = 0
-        e_indices = list(compress(range(n_x), outside))
+    if flip := 2 * len(e_indices) > n_x:  # X \ E
+        e_indices = (bytes(range(n_x)).translate(None, bytes(e_indices)) if n_x <= 256
+                     else sorted(set(range(n_x)).difference(e_indices)))
     if n_x <= 256:
         # Byte g of a column is the index of g·x.  A count stays below
         # |X| <= 256: no carry.

@@ -182,10 +182,29 @@ def audit_groups(q, d):
 
 @pytest.mark.parametrize("q, d", SHAPES)
 def test_a_draw_from_a_whole_space_is_the_tuple_draw(q, d):
-    for space in (Space.full(q, d), Space.punctured(q, d)):
+    """Drawn by flat index and held as bytes, built by a classmethod or by
+    the constructor, with the points read off the space's tuples."""
+    field = make_field(q)
+    every = [Vector(field, c) for c in itertools.product(range(q), repeat=d)]
+    for space in (Space.full(q, d), Space.punctured(q, d),
+                  Space(field, d, "full", every), Space(field, d, "punctured", every[1:])):
         for n in draw_sizes(len(space)):
             for seed in (1, 2 ** 63):
-                assert random_subset(space, n, seed)._coords == tuple_draw(space, n, seed)
+                expected = tuple_draw(space, n, seed)
+                drawn = random_subset(space, n, seed)
+                assert list(drawn._flat) == [flat_index(c, q) for c in expected] and drawn._tuples is None
+                assert drawn._coords == expected
+
+
+@pytest.mark.parametrize("group", [lambda: translations(13, 2), lambda: special_linear_group(11, 2)],
+                         ids=["T(13,2)", "SL(2,11)"])
+def test_the_oracle_reads_a_whole_space_draw_without_the_position_dict(group):
+    group = group()
+    e, h = random_subset(group.space, 100, 1), random_subset(group.space, 40, 2)
+    report = max_intersection(group, e, h, want_histogram=True)
+    assert group.space._positions is None and e._tuples is None and h._tuples is None
+    e_tuples, h_tuples = (PointSet._canonical(p.field, p.dim, p._coords) for p in (e, h))
+    assert max_intersection(group, e_tuples, h_tuples, want_histogram=True).to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("q, d", SHAPES)
