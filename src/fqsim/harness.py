@@ -15,13 +15,14 @@ re-running a sweep cell reproduces its outcome payload byte for byte.
 A similarity cell draws with `random_pointset` and runs
 `find_similar_config`; a det cell draws the points that
 `random_subset(Space.punctured(q, d), n, seed)` draws (`_det_draw`) and
-runs `find_det_similar`.  Both draws pick sorted flat indices of F_q^d,
-so neither lists a space, and build their set from them
-(`PointSet._at_flat`): while q^d <= 256 the set keeps the indices as
-bytes, which the finder's scan reads, so a cell decodes no drawn point
-but the k + 1 its witness takes; past it they are decoded at once.  A
-sweep runs its cells one after another in the calling thread, whatever
-its jobs.
+runs `find_det_similar`.  Both draws, like `random_subset` of a whole
+full or punctured space of at most 256 points, are one draw of sorted
+flat indices of F_q^d (`_flat_draw`), so neither lists a space, and
+build their set from them (`PointSet._at_flat`): while q^d <= 256 the
+set keeps the indices as bytes, which the finder's scan reads, so a
+cell decodes no drawn point but the k + 1 its witness takes; past it
+they are decoded at once.  A sweep runs its cells one after another in
+the calling thread, whatever its jobs.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ indices, with the indices in H marked, are summed as integers, one byte
 per element, in one pipeline of maps.
 
 `max_intersection` counts |H ∩ gE| for every enumerated g from the
-group's image table, one column of image indices per point: up to 256
+group's image table, one column of image indices per point, E and H
+given by their positions in the space: in a whole full or punctured
+space a flat set's bytes, less one in the punctured space
+(`_space_indices`), else looked up in its position dict.  Up to 256
 points E's columns are the byte kernel's rows; above, they are joined
 and each element's images of E are looked up in H's marks in C.  When E
 holds more than half of X the columns of X \\ E are read instead and
@@ -184,6 +187,9 @@ def _check_set_space(q: int, d: int, name: str, points: PointSet) -> None:
         raise SpaceMismatch(f"{name} set lives in F_{points.field.q}^{points.dim}, the group acts on F_{q}^{d}")
 
 
+_DOWN_ONE = bytes(1) + bytes(range(255))  # byte i to i - 1
+
+
 def _space_indices(space: Space, name: str, points: PointSet) -> Sequence[int]:
     """Positions in the group's space of every point of a moving or fixed
     set: a flat set's bytes in all of F_q^d, and those bytes less one in
@@ -191,15 +197,12 @@ def _space_indices(space: Space, name: str, points: PointSet) -> Sequence[int]:
     the origin; otherwise looked up in the space's position dict."""
     _check_set_space(space.field.q, space.dim, name, points)
     first = None if points._flat is None else space._flat_start()
-    if first == 0 or first and not points._holds_origin():
+    if first == 0 or (first and not points._holds_origin()):
         return points._flat.translate(_DOWN_ONE) if first else points._flat
     try:
         return list(map(space._index.__getitem__, points._coords))
     except KeyError as exc:
         raise SpaceMismatch(f"{name} set: {Vector(space.field, exc.args[0])!r} is not a point of {space!r}") from None
-
-
-_DOWN_ONE = bytes(1) + bytes(range(255))  # byte i to i - 1
 
 
 def _row_counts(row, e_codes: Sequence[int], h_codes: Sequence[int], size: int) -> bytes:
@@ -251,7 +254,7 @@ def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Seque
         return [min(nh, len(e_indices))] * order
     if flip := 2 * len(e_indices) > n_x:  # X \ E
         e_indices = (bytes(range(n_x)).translate(None, bytes(e_indices)) if n_x <= 256
-                     else sorted(set(range(n_x)).difference(e_indices)))
+                     else set(range(n_x)).difference(e_indices))
     if n_x <= 256:
         # Byte g of a column is the index of g·x.  A count stays below
         # |X| <= 256: no carry.

@@ -1,7 +1,7 @@
 """Where a sweep cell's time goes, phase by phase, on the benchmark's two
 sweep grids.
 
-    python tests/cell_phases.py [--repeat N]    # default N = 11
+    python tests/cell_phases.py [--repeat N] [--passes P]    # default N = 11, P = 5
 
 Both grids run at base seed 1, d = 2, every square ratio, threshold size:
 similarity over qs 3,5,7,11,13, ks 1,2,3 and 4 trials (204 cells), and
@@ -22,14 +22,20 @@ layers, and each phase is the self time of its wrapped calls:
 - outcome: `run_cell` less the draw and the finder: the field, the
   outcome and the witness's JSON.
 
-Each grid prints two rows of medians in µs.  Hot: each cell run N times
-in a row, each phase's best of the N, then the median over the cells.
-Sweep flow: the grid run N times in grid order, each cell once per pass,
-then the median over every cell of every pass.  A phase's medians do not
-add up to the cell's.  Each wrapped call costs its caller about the
-wrapper cost printed at the top, the same at any tree; and a pass of the
-cyclic garbage collector is charged to whichever phase is open when it
-starts, so a phase moves when another one allocates less.
+A pass measures both grids, one after the other, into two rows of
+medians in µs each.  Hot: each cell run N times in a row, each phase's
+best of the N, then the median over the cells.  Sweep flow: the grid run
+N times in grid order, each cell once per run, then the median over
+every cell of every run.  The passes are P, and each grid prints, per
+row and phase, the median of the P passes' medians with the lowest and
+the highest beside it, `median [lowest–highest]`: on a shared host
+whole passes run fast or slow together, so one pass's medians can show
+any phase moving either way, and a change is resolved only past the
+spread.  A phase's medians do not add up to the cell's.  Each wrapped
+call costs its caller about the wrapper cost printed at the top, the
+same at any tree; and a pass of the cyclic garbage collector is charged
+to whichever phase is open when it starts, so a phase moves when
+another one allocates less.
 """
 
 from __future__ import annotations
@@ -175,22 +181,32 @@ def measure(config: SweepConfig, phases: Phases, repeat: int) -> tuple[dict, dic
                  for rows in (hot, flow))
 
 
+def spread(values) -> str:
+    """The median of the values with their lowest and highest, in µs."""
+    return f"{statistics.median(values):.1f} [{min(values):.1f}–{max(values):.1f}]"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=11, help="runs per cell (default 11)")
+    parser.add_argument("--passes", type=int, default=5, help="passes over both grids (default 5)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+    for flag in ("repeat", "passes"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1")
     phases = Phases()
     patched = install(phases)
     try:
-        print(f"wrapper cost: {wrapper_cost(phases):.2f} µs per wrapped call; medians in µs")
+        print(f"wrapper cost: {wrapper_cost(phases):.2f} µs per wrapped call; "
+              f"per-pass medians in µs, median [lowest–highest] over {args.passes} passes")
+        passes = [{name: measure(config, phases, args.repeat) for name, config in GRIDS.items()}
+                  for _ in range(args.passes)]
         for name, config in GRIDS.items():
-            hot, flow = measure(config, phases, args.repeat)
-            print(f"\n{name}: {len(list(config.cells()))} cells, repeat {args.repeat}")
+            print(f"\n{name}: {len(list(config.cells()))} cells, repeat {args.repeat}, {args.passes} passes")
             print("| " + " | ".join(("rows",) + PHASES) + " |")
-            for label, row in ((f"hot best of {args.repeat}", hot), ("sweep flow", flow)):
-                print("| " + " | ".join([label] + [f"{row[p]:.1f}" for p in PHASES]) + " |")
+            for i, label in enumerate((f"hot best of {args.repeat}", "sweep flow")):
+                rows = [one[name][i] for one in passes]
+                print("| " + " | ".join([label] + [spread([row[p] for row in rows]) for p in PHASES]) + " |")
     finally:
         for owner, attr, original in reversed(patched):
             setattr(owner, attr, original)

@@ -1,4 +1,9 @@
-"""The per-phase cell timer, run once over both grids."""
+"""The per-phase cell timer, run over both grids: one repetition per
+cell, in two passes."""
+
+import re
+
+import pytest
 
 import fqsim.configurations
 import fqsim.field
@@ -6,25 +11,44 @@ import fqsim.harness
 
 import cell_phases
 
+SPREAD = re.compile(r"(\d+\.\d) \[(\d+\.\d)–(\d+\.\d)\]")
+
 
 def test_one_repetition_prints_both_tables_and_unwraps(capsys):
+    """Two passes of one repetition each: every phase prints its median
+    between the lowest and highest of the two passes."""
     before = {name: getattr(fqsim.configurations, name)
               for name in ("verify_similarity", "verify_det_similarity", "_shift_overlap", "_coset_overlap")}
     sqrt, run_cell = fqsim.field.FieldElement.sqrt, fqsim.harness.run_cell
-    assert cell_phases.main(["--repeat", "1"]) == 0
+    assert cell_phases.main(["--repeat", "1", "--passes", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("wrapper cost: ")
+    assert lines[0].startswith("wrapper cost: ") and lines[0].endswith("over 2 passes")
     header = "| rows | " + " | ".join(cell_phases.PHASES) + " |"
     for grid, cells in (("similarity", 204), ("det-similarity", 10)):
-        at = lines.index(f"{grid}: {cells} cells, repeat 1")
+        at = lines.index(f"{grid}: {cells} cells, repeat 1, 2 passes")
         assert lines[at + 1] == header
         for row, label in zip(lines[at + 2:at + 4], ("hot best of 1", "sweep flow")):
             cols = row.strip("| ").split(" | ")
             assert cols[0] == label and len(cols) == 1 + len(cell_phases.PHASES)
-            values = dict(zip(cell_phases.PHASES, map(float, cols[1:])))
+            spreads = {p: tuple(map(float, SPREAD.fullmatch(c).groups())) for p, c in zip(cell_phases.PHASES, cols[1:])}
+            # the median of two passes lies between their lowest and highest
+            assert all(lo <= m <= hi for m, lo, hi in spreads.values()), row
             # every phase but the roots, which a kept root skips, takes time
-            assert all(values[p] > 0 for p in cell_phases.PHASES if p != "roots"), row
-            assert values["cell"] >= max(values.values())
+            assert all(spreads[p][1] > 0 for p in cell_phases.PHASES if p != "roots"), row
+            # per pass the cell's median is at least every phase's
+            assert all(c >= v for phase in spreads.values() for c, v in zip(spreads["cell"], phase)), row
     # every wrapper is taken off again
     assert before == {name: getattr(fqsim.configurations, name) for name in before}
     assert fqsim.field.FieldElement.sqrt is sqrt and fqsim.harness.run_cell is run_cell
+
+
+def test_spread_is_the_median_between_the_extremes():
+    assert cell_phases.spread([3.0, 1.0, 2.5]) == "2.5 [1.0–3.0]"
+    assert cell_phases.spread([4.0, 1.0]) == "2.5 [1.0–4.0]"
+
+
+@pytest.mark.parametrize("flag", ["--repeat", "--passes"])
+def test_fewer_than_one_is_refused(capsys, flag):
+    with pytest.raises(SystemExit) as refused:
+        cell_phases.main([flag, "0"])
+    assert refused.value.code == 2 and f"{flag} must be at least 1" in capsys.readouterr().err
