@@ -72,13 +72,14 @@ class Space(PointSet):
     """A point set of a kind on which a group acts: all of F_q^d, the
     punctured space (origin removed), or a sphere of some radius."""
 
-    __slots__ = ("kind", "radius")
+    __slots__ = ("kind", "radius", "_flat_start")
 
     def __init__(self, field: PrimeField, dim: int, kind: str,
                  points: Iterable[Vector], radius: int | None = None):
         super().__init__(field, dim, points)
         self.kind = kind
         self.radius = radius
+        self._flat_start = self._whole_start()
 
     @classmethod
     def _of(cls, field: PrimeField, dim: int, kind: str, coords: Iterable[tuple],
@@ -86,6 +87,7 @@ class Space(PointSet):
         """The space of these canonical, sorted coordinate tuples."""
         self = cls._canonical(field, dim, coords)
         self.kind, self.radius = kind, radius
+        self._flat_start = self._whole_start()
         return self
 
     @classmethod
@@ -112,10 +114,11 @@ class Space(PointSet):
     def size(self) -> int:
         return len(self)
 
-    def _flat_start(self) -> int | None:
+    def _whole_start(self) -> int | None:
         """1 for all of F_q^d but the origin, 0 for all of it, q^d <= 256, so
         that point i is flat index i + 1 or i; None for a sphere, a larger
-        space or one built from other points than its kind's whole set."""
+        space or one built from other points than its kind's whole set.
+        Kept as `_flat_start` when the space is built."""
         q, d, first = self.field.q, self.dim, self.kind == "punctured"
         whole = self.kind in _SPACE_BUDGET and not _power_exceeds(q, d, 256) and len(self) + first == q ** d
         return int(first) if whole and self._holds_origin() is not first else None

@@ -75,7 +75,7 @@ def random_pointset(q_or_field, dim: int, n: int, seed: int) -> PointSet:
     if n > total:
         raise TooMany(f"cannot sample {n} distinct points from a space of {total}")
     _check_budget(n, 1, "random sample (points)")
-    return _flat_draw(field, dim, n, seed)
+    return _flat_draw(field, dim, total, n, seed)
 
 
 def _check_sample_space(q: int, dim: int) -> None:
@@ -96,16 +96,29 @@ def _det_draw(field: PrimeField, d: int, n: int, seed: int) -> PointSet:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
     if _power_exceeds(field.q, d ** action.power, ENUMERATION_CAP):
         n = min(n, 0)  # n < 0 is still refused as sample_indices refuses it
-    return _flat_draw(field, d, n, seed, 1)
+    return _flat_draw(field, d, size, n, seed, 1)
 
 
-def _flat_draw(field: PrimeField, d: int, n: int, seed: int, first: int = 0) -> PointSet:
-    """n of the flat indices of F_q^d from `first` on, seeded: pick i is
-    flat index i + first, and the set is built from the sorted indices
-    (`PointSet._at_flat`), kept as bytes while q^d <= 256.  The one draw
-    of `random_pointset`, `_det_draw` and a whole space's `random_subset`."""
-    picks = sorted(SplitMix64(seed).sample_indices(field.q ** d - first, n))
-    return PointSet._at_flat(field, d, [i + first for i in picks] if first else picks)
+_BYTES = bytes(range(256))
+_NEXT = _BYTES[1:] + bytes(1)  # byte i to i + 1
+
+
+def _flat_draw(field: PrimeField, d: int, size: int, n: int, seed: int, first: int = 0) -> PointSet:
+    """n of the size = q^d - first flat indices of F_q^d from `first` (0
+    or 1) on, seeded: pick i is flat index i + first, and the set is built
+    from the ascending indices (`PointSet._at_flat`).  While q^d <= 256
+    they are bytes, shifted by a byte translation; from 32 picks on they
+    are put in order in C, as the span of picks less those that none
+    names.  The one draw of `random_pointset`, `_det_draw` and a whole
+    space's `random_subset`."""
+    picks = SplitMix64(seed).sample_indices(size, n)
+    if size + first > 256:
+        return PointSet._at_flat(field, d, [i + first for i in sorted(picks)] if first else sorted(picks))
+    if n < 32:  # sorting a few picks costs less than two passes over the span
+        picks = bytes(sorted(picks))
+    else:  # the indices that are not unpicked, ascending
+        picks = _BYTES[:size].translate(None, _BYTES[:size].translate(None, bytes(picks)))
+    return PointSet._at_flat(field, d, picks.translate(_NEXT) if first else picks)
 
 
 def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
@@ -120,8 +133,8 @@ def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     size = len(points)
     if n > size:
         raise TooMany(f"cannot sample {n} distinct points from a set of {size}")
-    if isinstance(points, Space) and (first := points._flat_start()) is not None:
-        return _flat_draw(points.field, points.dim, n, seed, first)
+    if isinstance(points, Space) and (first := points._flat_start) is not None:
+        return _flat_draw(points.field, points.dim, size, n, seed, first)
     picks = SplitMix64(seed).sample_indices(size, n)
     if 4 * n < size:
         return PointSet._canonical(points.field, points.dim, map(points._coords.__getitem__, sorted(picks)))

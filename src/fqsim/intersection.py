@@ -196,7 +196,7 @@ def _space_indices(space: Space, name: str, points: PointSet) -> Sequence[int]:
     all of it but the origin (`Space._flat_start`), unless the set holds
     the origin; otherwise looked up in the space's position dict."""
     _check_set_space(space.field.q, space.dim, name, points)
-    first = None if points._flat is None else space._flat_start()
+    first = None if points._flat is None else space._flat_start
     if first == 0 or (first and not points._holds_origin()):
         return points._flat.translate(_DOWN_ONE) if first else points._flat
     try:

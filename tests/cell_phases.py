@@ -1,7 +1,7 @@
 """Where a sweep cell's time goes, phase by phase, on the benchmark's two
 sweep grids.
 
-    python tests/cell_phases.py [--repeat N] [--passes P]    # default N = 11, P = 5
+    python tests/cell_phases.py [--repeat N]    # default N = 11
 
 Both grids run at base seed 1, d = 2, every square ratio, threshold size:
 similarity over qs 3,5,7,11,13, ks 1,2,3 and 4 trials (204 cells), and
@@ -26,12 +26,12 @@ A pass measures both grids, one after the other, into two rows of
 medians in µs each.  Hot: each cell run N times in a row, each phase's
 best of the N, then the median over the cells.  Sweep flow: the grid run
 N times in grid order, each cell once per run, then the median over
-every cell of every run.  The passes are P, and each grid prints, per
-row and phase, the median of the P passes' medians with the lowest and
-the highest beside it, `median [lowest–highest]`: on a shared host
-whole passes run fast or slow together, so one pass's medians can show
-any phase moving either way, and a change is resolved only past the
-spread.  A phase's medians do not add up to the cell's.  Each wrapped
+every cell of every run.  There are PASSES = 5 passes, and each grid
+prints, per row and phase, the median of the passes' medians with the
+lowest and the highest beside it, `median [lowest–highest]`: on a
+shared host whole passes run fast or slow together, so one pass's
+medians can show any phase moving either way, and a change is resolved
+only past the spread.  A phase's medians do not add up to the cell's.  Each wrapped
 call costs its caller about the wrapper cost printed at the top, the
 same at any tree; and a pass of the cyclic garbage collector is charged
 to whichever phase is open when it starts, so a phase moves when
@@ -51,6 +51,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import fqsim  # noqa: E402
 from fqsim import harness  # noqa: E402
 from fqsim.harness import SweepConfig  # noqa: E402
+
+PASSES = 5
 
 PHASES = ("cell", "draw", "roots", "scan", "pairs", "glue", "verifier", "outcome")
 
@@ -189,20 +191,18 @@ def spread(values) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=11, help="runs per cell (default 11)")
-    parser.add_argument("--passes", type=int, default=5, help="passes over both grids (default 5)")
     args = parser.parse_args(argv)
-    for flag in ("repeat", "passes"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be at least 1")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     phases = Phases()
     patched = install(phases)
     try:
         print(f"wrapper cost: {wrapper_cost(phases):.2f} µs per wrapped call; "
-              f"per-pass medians in µs, median [lowest–highest] over {args.passes} passes")
+              f"per-pass medians in µs, median [lowest–highest] over {PASSES} passes")
         passes = [{name: measure(config, phases, args.repeat) for name, config in GRIDS.items()}
-                  for _ in range(args.passes)]
+                  for _ in range(PASSES)]
         for name, config in GRIDS.items():
-            print(f"\n{name}: {len(list(config.cells()))} cells, repeat {args.repeat}, {args.passes} passes")
+            print(f"\n{name}: {len(list(config.cells()))} cells, repeat {args.repeat}, {PASSES} passes")
             print("| " + " | ".join(("rows",) + PHASES) + " |")
             for i, label in enumerate((f"hot best of {args.repeat}", "sweep flow")):
                 rows = [one[name][i] for one in passes]

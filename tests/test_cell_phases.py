@@ -1,5 +1,5 @@
 """The per-phase cell timer, run over both grids: one repetition per
-cell, in two passes."""
+cell in each of its passes."""
 
 import re
 
@@ -15,23 +15,23 @@ SPREAD = re.compile(r"(\d+\.\d) \[(\d+\.\d)–(\d+\.\d)\]")
 
 
 def test_one_repetition_prints_both_tables_and_unwraps(capsys):
-    """Two passes of one repetition each: every phase prints its median
-    between the lowest and highest of the two passes."""
+    """Passes of one repetition each: every phase prints its median
+    between the lowest and highest of the passes."""
     before = {name: getattr(fqsim.configurations, name)
               for name in ("verify_similarity", "verify_det_similarity", "_shift_overlap", "_coset_overlap")}
     sqrt, run_cell = fqsim.field.FieldElement.sqrt, fqsim.harness.run_cell
-    assert cell_phases.main(["--repeat", "1", "--passes", "2"]) == 0
+    assert cell_phases.main(["--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("wrapper cost: ") and lines[0].endswith("over 2 passes")
+    assert lines[0].startswith("wrapper cost: ") and lines[0].endswith(f"over {cell_phases.PASSES} passes")
     header = "| rows | " + " | ".join(cell_phases.PHASES) + " |"
     for grid, cells in (("similarity", 204), ("det-similarity", 10)):
-        at = lines.index(f"{grid}: {cells} cells, repeat 1, 2 passes")
+        at = lines.index(f"{grid}: {cells} cells, repeat 1, {cell_phases.PASSES} passes")
         assert lines[at + 1] == header
         for row, label in zip(lines[at + 2:at + 4], ("hot best of 1", "sweep flow")):
             cols = row.strip("| ").split(" | ")
             assert cols[0] == label and len(cols) == 1 + len(cell_phases.PHASES)
             spreads = {p: tuple(map(float, SPREAD.fullmatch(c).groups())) for p, c in zip(cell_phases.PHASES, cols[1:])}
-            # the median of two passes lies between their lowest and highest
+            # the median of the passes lies between their lowest and highest
             assert all(lo <= m <= hi for m, lo, hi in spreads.values()), row
             # every phase but the roots, which a kept root skips, takes time
             assert all(spreads[p][1] > 0 for p in cell_phases.PHASES if p != "roots"), row
@@ -47,8 +47,7 @@ def test_spread_is_the_median_between_the_extremes():
     assert cell_phases.spread([4.0, 1.0]) == "2.5 [1.0–4.0]"
 
 
-@pytest.mark.parametrize("flag", ["--repeat", "--passes"])
-def test_fewer_than_one_is_refused(capsys, flag):
+def test_fewer_than_one_repetition_is_refused(capsys):
     with pytest.raises(SystemExit) as refused:
-        cell_phases.main([flag, "0"])
-    assert refused.value.code == 2 and f"{flag} must be at least 1" in capsys.readouterr().err
+        cell_phases.main(["--repeat", "0"])
+    assert refused.value.code == 2 and "--repeat must be at least 1" in capsys.readouterr().err

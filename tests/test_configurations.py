@@ -398,12 +398,6 @@ class TestVerifySimilarity:
         assert bool(verify_similarity(again))
         assert again.to_json() == w.to_json()
 
-    def test_a_zero_root_is_named(self):
-        w = find_det_similar(punctured_plane(F5), F5(4), 2)
-        check = verify_det_similarity(replace(w, root=F5(0)))
-        assert not check and "root is zero" in check.reasons
-        assert "stored root to the 2-th power is not the ratio" in check.reasons
-
     def test_never_raises_on_malformed_witnesses(self):
         w = self._witness()
         f7 = make_field(7)
