@@ -106,18 +106,17 @@ _NEXT = _BYTES[1:] + bytes(1)  # byte i to i + 1
 def _flat_draw(field: PrimeField, d: int, size: int, n: int, seed: int, first: int = 0) -> PointSet:
     """n of the size = q^d - first flat indices of F_q^d from `first` (0
     or 1) on, seeded: pick i is flat index i + first, and the set is built
-    from the ascending indices (`PointSet._at_flat`).  While q^d <= 256
-    they are bytes, shifted by a byte translation; from 32 picks on they
-    are put in order in C, as the span of picks less those that none
-    names.  The one draw of `random_pointset`, `_det_draw` and a whole
-    space's `random_subset`."""
+    from the ascending indices (`PointSet._at_flat`), kept as bytes while
+    q^d <= 256.  Fewer than 32 picks, or picks past that bound, are
+    sorted; else they are put in order in C, as the span of picks less
+    those that none names, and shifted by a byte translation.  The one
+    draw of `random_pointset`, `_det_draw` and a whole space's
+    `random_subset`."""
     picks = SplitMix64(seed).sample_indices(size, n)
-    if size + first > 256:
-        return PointSet._at_flat(field, d, [i + first for i in sorted(picks)] if first else sorted(picks))
-    if n < 32:  # sorting a few picks costs less than two passes over the span
-        picks = bytes(sorted(picks))
-    else:  # the indices that are not unpicked, ascending
-        picks = _BYTES[:size].translate(None, _BYTES[:size].translate(None, bytes(picks)))
+    if n < 32 or size + first > 256:  # sorting a few picks costs less than two passes over the span
+        picks = sorted(picks)
+        return PointSet._at_flat(field, d, [i + 1 for i in picks] if first else picks)
+    picks = _BYTES[:size].translate(None, _BYTES[:size].translate(None, bytes(picks)))  # not unpicked
     return PointSet._at_flat(field, d, picks.translate(_NEXT) if first else picks)
 
 
