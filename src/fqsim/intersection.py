@@ -188,6 +188,7 @@ def _check_set_space(q: int, d: int, name: str, points: PointSet) -> None:
 
 
 _DOWN_ONE = bytes(1) + bytes(range(255))  # byte i to i - 1
+_BITS = b"\x01\x02\x04\x08\x10\x20\x40\x80"  # byte i is 1 << i
 
 
 def _space_indices(space: Space, name: str, points: PointSet) -> Sequence[int]:
@@ -299,46 +300,59 @@ def _valid_slots(q: int, d: int) -> int:
                                   for w in ((2 * q) ** i for i in range(d))])
 
 
-def _columns(points: PointSet, s: int = 1, g: GroupElement | None = None) -> list:
+def _columns(points: PointSet, s: int = 1, g: GroupElement | None = None, columns: list | None = None) -> list:
     """The coordinate columns of the points x, of s·x, or of g·x = Mx + a
-    for a group element g, mod q.  Column i of g·x is m·x_j + a_i, one
-    comprehension, where row i of M has one nonzero entry m, at j (as a
-    translation's rows do); otherwise E's columns times the row's nonzero
-    entries, summed in C."""
-    q, columns = points.field.q, zip(*points._coords)
+    for a group element g, mod q, from `columns`, the points' own columns
+    as this returns them for s = 1, when a scan that maps them more than
+    once has taken them.  Column i of g·x is m·x_j + a_i where row i of M
+    has one nonzero entry m, at j (as a translation's rows do); otherwise
+    the columns times the row's nonzero entries, summed in C.  While q <=
+    256 every coordinate fits in a byte: each column is `bytes`, and
+    m·x_j + a_i is one `bytes.translate`, through the dilation by m of
+    `_space_table(q, 1)` translated by its shift by a; past it m·x_j +
+    a_i is one comprehension."""
+    q = points.field.q
+    columns = columns or list(map(bytes if q <= 256 else tuple, zip(*points._coords)))
+
+    def affine(column, m, a):
+        if q > 256:
+            return [(m * c + a) % q for c in column]
+        _, _, scales, rows = _space_table(q, 1)
+        return column.translate(scales[m].translate(rows[a].ljust(256, b"\0")))
     if g is None:
-        return columns if s == 1 else [[s * c % q for c in column] for column in columns]
-    columns, images = list(columns), []
+        return columns if s == 1 else [affine(column, s, 0) for column in columns]
+    images = []
     for row, a in zip(g.linear, g.shift):
-        terms = [(m, column) for m, column in zip(row, columns) if m]
+        terms = [(column, m) for m, column in zip(row, columns) if m]
         if len(terms) == 1:
-            (m, column), = terms
-            images.append([(m * c + a) % q for c in column])
+            images.append(affine(*terms[0], a))
             continue
-        image = repeat(a, len(points._coords))
-        for m, column in terms:
+        image = repeat(a, len(points))
+        for column, m in terms:
             image = map(add, image, map(mul, column, repeat(m)))
         images.append(list(map(mod, image, repeat(q))))
     return images
 
 
 def _codes(points: PointSet, base: int, offset: int = 0, s: int = 1,
-           g: GroupElement | None = None) -> list[int]:
+           g: GroupElement | None = None, columns: list | None = None) -> list[int]:
     """offset + Σ_i c_i·base^(d-1-i) for every point c of E, of s·E or of
-    gE (`_columns`), E the points, by Horner's rule a coordinate column at
-    a time."""
-    columns = iter(_columns(points, s, g))
+    gE (`_columns`, which reads E's `columns` when given), E the points,
+    by Horner's rule a coordinate column at a time."""
+    columns = iter(_columns(points, s, g, columns))
     codes = next(columns, ())
     for column in columns:
         codes = map(add, map(mul, codes, repeat(base)), column)
     return list(map(add, codes, repeat(offset)) if offset else codes)
 
 
-def _translation_counts(moving: PointSet, fixed: list[int]) -> tuple[list[int], int] | dict[int, int]:
+def _translation_counts(moving: PointSet, fixed: list[int],
+                        columns: list | None = None) -> tuple[list[int], int] | dict[int, int]:
     """|H ∩ (moving + a)| for every shift a: as bit planes, or a sparse dict.
 
     Points and shifts are coded in base 2q, so adding two carries no digit;
-    H is given by the codes `fixed` of its points, in any order.
+    H is given by the codes `fixed` of its points, in any order, and E by
+    its coordinate `columns` when the caller has taken them (`_codes`).
 
     Bit planes: T holds one bit per base-2q code.  Each y in H is marked
     once and d shift-ORs lift the marks to code(y + q·ε) for every ε in
@@ -371,11 +385,11 @@ def _translation_counts(moving: PointSet, fixed: list[int]) -> tuple[list[int], 
     if len(moving) and width * h + 40 * q ** d <= 7000 * h * h:
         table = bytearray(width // 4 + 1)  # 2w bits: every base-2q code
         for y in fixed:
-            table[y >> 3] |= 1 << (y & 7)
+            table[y >> 3] |= _BITS[y & 7]
         table = int.from_bytes(table, "little")
         for w in weights:  # lift each digit y_i to y_i + q as well
             table |= table << q * w
-        shifts = _codes(moving, 2 * q)
+        shifts = _codes(moving, 2 * q, columns=columns)
         stride = -(-width // isqrt(len(shifts)))
         cut, start, end = (1 << width + stride) - 1, 0, 0
         # pending[i], when nonzero, is one more mask of weight 2^i.  Level
@@ -402,7 +416,7 @@ def _translation_counts(moving: PointSet, fixed: list[int]) -> tuple[list[int], 
             carry = (p & carry) | (plane & u)
             planes[i] = plane ^ u
         return planes, _valid_slots(q, d)
-    xs = _codes(moving, 2 * q, -q * sum(weights))
+    xs = _codes(moving, 2 * q, -q * sum(weights), columns=columns)
     diffs = Counter(y - x for x in xs for y in fixed)
     # Digit by digit over the distinct codes: the digits above the one at
     # weight w are multiples of 2q, so code // w ≡ that digit (mod q).
@@ -576,8 +590,9 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet, want_histogram: bo
     q, n = field.q, field.q ** d
     if n > 255:
         coords = functools.partial(index_to_coords, q=2 * q, d=d)
-        held = _codes(fixed, 2 * q, 0, s)
-        counts = _translation_counts(points, held)
+        columns = _columns(points)  # E's, taken once for E, g·E and, when fixed is E, H
+        held = _codes(fixed, 2 * q, 0, s, columns=columns if fixed is points else None)
+        counts = _translation_counts(points, held, columns)
         sources, source = points._coords, tuple  # a tuple is its own source
     else:
         vectors, _, scales, rows = _space_table(q, d)
@@ -589,7 +604,7 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet, want_histogram: bo
         counts, points, fixed, decode=lambda i: Translation._of(field, _identity(d), coords(i)),
         first=0, group_order=n, space_size=n, transitive=True, want_histogram=want_histogram,
     )
-    images = ((lambda: _codes(points, 2 * q, 0, 1, report.best_g)) if p is None
+    images = ((lambda: _codes(points, 2 * q, 0, 1, report.best_g, columns)) if p is None
               else lambda: codes.translate(rows[p].ljust(256, b"\0")))
     return report, lambda: _pairs(images(), sources, held, coords, source)
 

@@ -135,3 +135,39 @@ def test_coset_scan_and_det_finder_just_past_the_byte_bound():
         assert w.verified
         assert_same_report(w.report, max_intersection(group("SL", q, d), points,
                                                       scaled_by_vectors(points, w.root)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 251, 257])
+def test_columns_are_bytes_while_every_coordinate_fits_one(q):
+    """Own columns, s·x and single-term rows are bytes up to q = 256;
+    past it a mapped column is a list.  Multi-term rows are lists."""
+    field = make_field(q)
+    points = random_pointset(field, 3, min(30, q ** 3), seed=q)
+    single = [Translation(Vector(field, [1, 0, q - 1])), SpecialLinear(Matrix(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]))]
+    mapped = [c for s in (2 % q, q - 1) for c in _columns(points, s)] + [
+        c for g in single for c in _columns(points, 1, g)]
+    if q <= 256:
+        assert all(type(c) is bytes for c in [*_columns(points), *mapped])
+    else:
+        assert all(type(c) is list for c in mapped)
+    multi = SpecialLinear(Matrix(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert type(_columns(points, 1, multi)[0]) is list
+
+
+def test_a_shift_scan_past_the_byte_bound_takes_the_columns_of_e_once(monkeypatch):
+    """E's coordinate columns are read off its points once per scan, for
+    H = s·E, E's codes and g·E's codes."""
+    import fqsim.intersection
+
+    taken, columns = [], fqsim.intersection._columns
+
+    def counted(points, s=1, g=None, given=None):
+        taken.append(given is None)
+        return columns(points, s, g, given)
+    monkeypatch.setattr(fqsim.intersection, "_columns", counted)
+    field = make_field(101)
+    for n in (450, 40):  # the bit planes, then the difference codes
+        taken.clear()
+        points = random_pointset(field, 2, n, seed=n)
+        list(_shift_overlap(points, 9, points)[1]())
+        assert taken.count(True) == 1 and len(taken) == 4
