@@ -59,16 +59,18 @@ its finder and its maximizer: `_shift_overlap` for translations,
 point set built, H being fixed's flat indices translated through
 `_space_table`'s dilation by s below the bound, and coded from fixed's
 coordinate columns times s past it (base-2q codes for translations,
-coordinate tuples for the transporters).  Each scan writes its kind's
-closed forms (order, space size, transitivity, first code) once and
-reports through `_report_from_counts` once, which hands back with the
-report the position in byte counts of the element g it reports: the
-first maximal byte, or the coset tie-break's position (A, b, c).  After
-the report the scan builds a call that pairs H ∩ gE (`_pairs`), g·x
-being read off the rows at that position below the bound and coded
-from E's columns through g past it, or when every coset count ties, and
-hands back both.  `max_intersection` over the enumerated group stays
-the oracle for all.
+coordinate tuples for the transporters).  While q <= 256 those columns
+are bytes, and s·x and each one-term row of g·x are translated in C
+through `_space_table(q, 1)` (`_columns`); the translation scan takes
+E's columns once.  Each scan writes its kind's closed forms (order,
+space size, transitivity, first code) once and reports through
+`_report_from_counts` once, which hands back with the report the
+position in byte counts of the element g it reports: the first maximal
+byte, or the coset tie-break's position (A, b, c).  After the report
+the scan builds a call that pairs H ∩ gE (`_pairs`), g·x being read off
+the rows at that position below the bound and coded from E's columns
+through g past it, or when every coset count ties, and hands back both.
+`max_intersection` over the enumerated group stays the oracle for all.
 """
 
 from __future__ import annotations
@@ -581,9 +583,10 @@ def _shift_overlap(points: PointSet, s: int, fixed: PointSet, want_histogram: bo
     byte x of a's row, so E's flat indices translated through row p are
     every x + a, and the pairs are decoded off the table's vectors.
     Otherwise both forms of `_translation_counts` key a shift by its
-    base-2q code, whose digits are the shift's coordinates: H is coded
-    from fixed's coordinate columns times s, the builder hands back no
-    position, and x + a is coded from E's columns plus a.  Both branches
+    base-2q code, whose digits are the shift's coordinates: E's
+    coordinate columns are taken once (`_columns`), H is coded from
+    fixed's columns times s (E's when fixed is E), the builder hands back
+    no position, and x + a is coded from E's columns plus a.  Both branches
     report through one `_report_from_counts` call.
     """
     field, d = points.field, points.dim
