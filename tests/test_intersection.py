@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import random
 import re
 import tracemalloc
 import warnings
@@ -614,6 +615,66 @@ class TestPlanePieces:
             assert _codes(points, 2 * 13, offset) == [
                 offset + sum(map(mul, x, weights)) for x in points._coords]
             assert _codes(PointSet(make_field(13), d), 2 * 13, offset) == []
+
+
+@functools.lru_cache(maxsize=None)
+def translation_group(q, d):
+    """T(q, d), enumerated once per module."""
+    return translations(q, d)
+
+
+class TestPackedWindows:
+    """E's points taken in pairs in code order, as the bit-plane branch
+    can pack two masks into one window: the second of a pair cut from its
+    own piece q bits further up, where the lowest digit of the first's
+    slots is idle.  Counts against the pair oracle and reports against
+    the enumerated group, for odd and even |E|, a second point at a
+    piece's first q codes (a left shift) and on a piece's last code."""
+
+    PACKED_SHAPES = [(257, 1), (17, 2), (7, 3), (2, 9)]
+
+    @staticmethod
+    def check(e, h):
+        assert is_dense(e, h)
+        assert translation_count_map(e, h) == naive_translation_counts(e, h)
+        group = translation_group(e.field.q, e.dim)
+        for hist in (False, True):
+            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
+                               max_intersection(group, e, h, want_histogram=hist))
+
+    @pytest.mark.parametrize("q, d", PACKED_SHAPES)
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 4, 5, 16, 17])
+    def test_odd_and_even_sizes(self, q, d, n_e):
+        # an odd |E| leaves its last mask unpaired; H the whole space sets
+        # every slot of every mask, so a bit one half lost or took would show
+        field = make_field(q)
+        e = random_pointset(field, d, n_e, seed=n_e * 31 + d)
+        self.check(e, random_pointset(field, d, q ** d // 2, seed=n_e + q))
+        self.check(e, Space.full(field, d))
+
+    @pytest.mark.parametrize("q, d, n_e", [(257, 1, 16), (17, 2, 16), (17, 2, 5), (7, 3, 16), (2, 9, 10)])
+    def test_second_points_on_the_edges_of_their_pieces(self, q, d, n_e):
+        # Two codes of E in the second place of a pair (an odd position in
+        # code order): one less than q past its piece's start, whose mask
+        # the kernel shifts left, and the last code of a piece.
+        field = make_field(q)
+        weights = [(2 * q) ** (d - 1 - i) for i in range(d)]
+        stride = -(-q * weights[0] // isqrt(n_e))
+        by_code = {sum(map(mul, x, weights)): x for x in itertools.product(range(q), repeat=d)}
+        near = max(c for c in by_code if c % stride < q)
+        last = min(c for c in by_code if c % stride == stride - 1)
+        rng = random.Random(q * 100 + n_e)
+        others = sorted(set(by_code) - {near, last})
+        for _ in range(1000):
+            codes = sorted([near, last, *rng.sample(others, n_e - 2)])
+            if codes.index(near) % 2 and codes.index(last) % 2:
+                break
+        else:
+            pytest.fail("no draw puts both codes second in their pairs")
+        assert near % stride < q and last % stride == stride - 1
+        e = from_coords(field, d, [by_code[c] for c in codes])
+        self.check(e, Space.full(field, d))
+        self.check(e, random_pointset(field, d, q ** d // 2, seed=q + d))
 
 
 def sl_cases(q, d):
