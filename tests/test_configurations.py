@@ -139,6 +139,29 @@ class TestThreshold:
             similarity_threshold(3, 10 ** 7, 2)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("q, k", [(2, 1), (3, 2), (101, 3), (2 ** 31 - 1, 6), (2 ** 31 - 1, 2 ** 18 - 2)])
+    def test_refused_exactly_past_4300_digits(self, q, k):
+        # around the largest d whose threshold prints, and around the d past
+        # which d·bits(q) + bits(k+1) reaches the bit length of 10^8600; at
+        # q = 2^31 - 1, k + 1 = 2^18 - 1 and d = 921 that exponent is the
+        # bit length itself, and (k+1)·q^d, a hair below 2^28569, is refused
+        square = (10 ** 4300 - 1) ** 2
+        low, high = 0, square.bit_length()  # bisect for the largest d with (k+1)·q^d <= square
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if (k + 1) * q ** mid <= square else (low, mid - 1)
+        last = low
+        edge = (square.bit_length() - (k + 1).bit_length()) // q.bit_length()
+        for d in sorted({last - 1, last, last + 1, edge - 1, edge, edge + 1}):
+            size = (k + 1) * q ** d
+            if size > square:
+                with pytest.raises(EnumerationCapExceeded, match="^threshold set size for "
+                                   f"q = {q}, d = {d}, k = {k} has more than 4300 digits$"):
+                    similarity_threshold(q, d, k)
+            else:
+                n = similarity_threshold(q, d, k)
+                assert (n - 1) ** 2 < size <= n * n, (q, d, k)
+
     @pytest.mark.parametrize("n, met", [(8, False), (9, True)])
     def test_find_similar_reports_the_verdict(self, capsys, n, met):
         code = main(["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
