@@ -164,12 +164,15 @@ def meets_threshold(product: int, k: int, base: int, e: int) -> bool:
 def similarity_threshold(q_or_field, dim: int, k: int) -> int:
     """The smallest n with n² >= (k+1)·q^d.  An n of more than 4,300
     digits, which no output could print, is refused before q^d is
-    computed."""
-    q = as_field(q_or_field).q
-    if not meets_threshold(_PRINTABLE_SQUARE, k, q, dim):
+    computed.  (k+1)·q^d < 2^(d·bits(q) + bits(k+1)), so while that
+    exponent is below the bit length of the square of the largest such
+    n, n prints, and no 28,569-bit division is made."""
+    q, size = as_field(q_or_field).q, _tuple_size(k)
+    if (dim * q.bit_length() + size.bit_length() >= _PRINTABLE_SQUARE.bit_length()
+            and _power_exceeds(q, dim, _PRINTABLE_SQUARE // size)):
         raise EnumerationCapExceeded(
             f"threshold set size for q = {q}, d = {dim}, k = {k} has more than 4300 digits")
-    return math.isqrt((k + 1) * q ** dim - 1) + 1
+    return math.isqrt(size * q ** dim - 1) + 1
 
 
 def _tuple_size(k: int) -> int:

@@ -40,10 +40,13 @@ count fits in a byte: row x of a table built once per (q, d),
 `_space_table`, holds the flat index of x + a over a in lex order, and
 the byte kernel sums E's rows.  Past it, points and shifts are coded in
 base 2q.  While q^d is small against |H|, a bit table
-marking H is cut into about √|E| pieces, each point of E shifts its
-piece, and the shifted windows, one bit per shift, are added by
-carry-save full adders into bit planes, so C counts all q^d shifts at
-once; otherwise a Counter counts the |E||H| difference codes.
+marking H is cut into about √|E| pieces, and each point of E shifts its
+piece into a mask, one bit per shift.  A shift's lowest digit is below
+q, so half of every mask is idle: E's points are taken in pairs, the
+second's mask moved q bits up onto that half, each pair's window is
+added by carry-save full adders into bit planes, and one ripple adds
+each plane's two halves, so C counts all q^d shifts at once; otherwise
+a Counter counts the |E||H| difference codes.
 Unimodular maps are counted over the cosets h_c·S that make up SL(d, q),
 carriers and stabiliser as `_special_linear_plan` defines and tabulates
 them once per (q, d).  While q^d <= 256, h_c·s sends x into H exactly
@@ -362,13 +365,21 @@ def _translation_counts(moving: PointSet, fixed: list[int],
     code(t) is set exactly when x + t lies in H mod q.  T is cut into
     pieces of w + stride bits, w = q(2q)^(d-1), at the multiples of
     stride = ⌈w / isqrt(|E|)⌉ that E reaches, and x's piece shifted right
-    to code(x), uncut, is x's mask: its low w bits hold every such
-    code(t), and the adders work bit by bit, so the bits above reach only
-    plane bits above w, where no valid slot lies.  Carry-save full adders
-    add the masks of all of E into |E|.bit_length() planes of O(w) bits,
-    plane i holding bit i of the count of shift t at bit code(t),
-    returned with the mask of the q^d slots whose digits are all < q
-    (`_valid_slots`), through which every plane is read.
+    to code(x) and cut to the q^d slots whose digits are all < q
+    (`_valid_slots`) is x's mask: it holds every such code(t).  The
+    lowest digit of code(t) is below q, so bits [q, 2q) of each 2q-bit
+    row of a mask are idle.  E's points are taken in pairs in code order:
+    the second's piece is shifted right by q bits less (left when that is
+    negative) and cut to the valid slots moved q bits up, and ORed with
+    the first's mask it makes one window.  Carry-save full adders add the
+    ⌊|E|/2⌋ windows into ⌈|E|/2⌉.bit_length() planes of O(w) bits, plane
+    i holding bit i of the count of the pairs' first points at bit code(t)
+    and of their second points at bit code(t) + q; the flush ripples in
+    an odd last mask as its first carry, and a second ripple adds each
+    plane's upper half, shifted down q bits, to its lower, so plane i
+    holds bit i of the count of shift t at bit code(t).  The planes are
+    returned with the valid slots, through which every plane is read:
+    the bits outside them are not counts.
 
     Difference codes (sparse): with q added to every digit of y - x, each
     digit of code(y) - code(x) lies in [1, 2q), a Counter counts all
@@ -393,17 +404,23 @@ def _translation_counts(moving: PointSet, fixed: list[int],
             table |= table << q * w
         shifts = _codes(moving, 2 * q, columns=columns)
         stride = -(-width // isqrt(len(shifts)))
-        cut, start, end = (1 << width + stride) - 1, 0, 0
-        # pending[i], when nonzero, is one more mask of weight 2^i.  Level
-        # i receives n >> i of the n masks, so none passes the last level.
-        levels = len(shifts).bit_length()
+        valid = _valid_slots(q, d)
+        upper = valid << q
+        cut, start, end, first = (1 << width + stride) - 1, 0, 0, 0
+        # pending[i], when nonzero, is one more window of weight 2^i.  Level
+        # i receives n >> i of the n windows, so none passes the last level.
+        levels = (len(shifts) + 1 >> 1).bit_length()
         planes, pending = [0] * levels, [0] * levels
         for s in shifts:
             if not start <= s < end:
                 start = s - s % stride
                 end, piece = start + stride, table >> start & cut
-            m = piece >> s - start
-            i = 0
+            if not first:  # a pair's first mask; H is not empty, so it is not 0
+                first = piece >> s - start & valid
+                continue
+            k = s - start - q  # the second's, q bits up, on the idle half of the lowest digit
+            m = first | (piece >> k if k >= 0 else piece << -k) & upper
+            first = i = 0
             while p := pending[i]:  # full adder: plane + p + m
                 pending[i] = 0
                 plane = planes[i]
@@ -412,12 +429,18 @@ def _translation_counts(moving: PointSet, fixed: list[int],
                 m = (p & m) | (plane & u)
                 i += 1
             pending[i] = m
-        carry = 0  # flush the pending masks by ripple
+        # flush the pending windows, an odd last mask as the first carry, by
+        # ripple, and add each plane's two halves by a second ripple
+        carry, split = first, 0
         for i, (plane, p) in enumerate(zip(planes, pending)):
             u = p ^ carry
             carry = (p & carry) | (plane & u)
-            planes[i] = plane ^ u
-        return planes, _valid_slots(q, d)
+            plane ^= u
+            high = plane >> q  # on the valid slots, the second masks' bits
+            u = plane ^ high
+            planes[i] = u ^ split
+            split = (plane & high) | (split & u)
+        return planes + [split], valid
     xs = _codes(moving, 2 * q, -q * sum(weights), columns=columns)
     diffs = Counter(y - x for x in xs for y in fixed)
     # Digit by digit over the distinct codes: the digits above the one at
