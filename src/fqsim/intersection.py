@@ -408,7 +408,8 @@ def _translation_counts(moving: PointSet, fixed: list[int],
         upper = valid << q
         cut, start, end, first = (1 << width + stride) - 1, 0, 0, 0
         # pending[i], when nonzero, is one more window of weight 2^i.  Level
-        # i receives n >> i of the n windows, so none passes the last level.
+        # i receives n >> i of the n windows, and the flush an odd last mask,
+        # so no carry passes the last level.
         levels = (len(shifts) + 1 >> 1).bit_length()
         planes, pending = [0] * levels, [0] * levels
         for s in shifts:

@@ -551,8 +551,14 @@ class TestByteTotals:
         assert report.best_g == counts.index(max(counts))
 
 
+@functools.lru_cache(maxsize=None)
+def translation_group(q, d):
+    """T(q, d), enumerated once per module."""
+    return translations(q, d)
+
+
 class TestPlanePieces:
-    """The bit-plane branch takes each point's mask, uncut, from one of
+    """The bit-plane branch takes each point's mask from one of
     isqrt(|E|) pieces of the lifted table, width + stride bits from each
     multiple of stride: counts and reports against the pair oracle and the
     group scan where the pieces have edges."""
@@ -561,7 +567,7 @@ class TestPlanePieces:
     def check(e, h):
         assert is_dense(e, h)
         assert translation_count_map(e, h) == naive_translation_counts(e, h)
-        group = translations(e.field.q, e.dim)
+        group = translation_group(e.field.q, e.dim)
         for hist in (False, True):
             assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
                                max_intersection(group, e, h, want_histogram=hist))
@@ -617,12 +623,6 @@ class TestPlanePieces:
             assert _codes(PointSet(make_field(13), d), 2 * 13, offset) == []
 
 
-@functools.lru_cache(maxsize=None)
-def translation_group(q, d):
-    """T(q, d), enumerated once per module."""
-    return translations(q, d)
-
-
 class TestPackedWindows:
     """E's points taken in pairs in code order, as the bit-plane branch
     can pack two masks into one window: the second of a pair cut from its
@@ -633,15 +633,6 @@ class TestPackedWindows:
 
     PACKED_SHAPES = [(257, 1), (17, 2), (7, 3), (2, 9)]
 
-    @staticmethod
-    def check(e, h):
-        assert is_dense(e, h)
-        assert translation_count_map(e, h) == naive_translation_counts(e, h)
-        group = translation_group(e.field.q, e.dim)
-        for hist in (False, True):
-            assert_same_report(max_translation_intersection_fast(e, h, want_histogram=hist),
-                               max_intersection(group, e, h, want_histogram=hist))
-
     @pytest.mark.parametrize("q, d", PACKED_SHAPES)
     @pytest.mark.parametrize("n_e", [1, 2, 3, 4, 5, 16, 17])
     def test_odd_and_even_sizes(self, q, d, n_e):
@@ -649,8 +640,8 @@ class TestPackedWindows:
         # every slot of every mask, so a bit one half lost or took would show
         field = make_field(q)
         e = random_pointset(field, d, n_e, seed=n_e * 31 + d)
-        self.check(e, random_pointset(field, d, q ** d // 2, seed=n_e + q))
-        self.check(e, Space.full(field, d))
+        TestPlanePieces.check(e, random_pointset(field, d, q ** d // 2, seed=n_e + q))
+        TestPlanePieces.check(e, Space.full(field, d))
 
     @pytest.mark.parametrize("q, d, n_e", [(257, 1, 16), (17, 2, 16), (17, 2, 5), (7, 3, 16), (2, 9, 10)])
     def test_second_points_on_the_edges_of_their_pieces(self, q, d, n_e):
@@ -673,8 +664,8 @@ class TestPackedWindows:
             pytest.fail("no draw puts both codes second in their pairs")
         assert near % stride < q and last % stride == stride - 1
         e = from_coords(field, d, [by_code[c] for c in codes])
-        self.check(e, Space.full(field, d))
-        self.check(e, random_pointset(field, d, q ** d // 2, seed=q + d))
+        TestPlanePieces.check(e, Space.full(field, d))
+        TestPlanePieces.check(e, random_pointset(field, d, q ** d // 2, seed=q + d))
 
 
 def sl_cases(q, d):
