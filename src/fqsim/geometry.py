@@ -315,10 +315,6 @@ class Matrix:
         return Matrix(self.field, [[sum(r[k] * c[k] for k in range(n)) for c in cols]
                                    for r in self.rows])
 
-    def determinant(self) -> FieldElement:
-        """Determinant by Gaussian elimination with nonzero-pivot search."""
-        return FieldElement(_det_rows(self.rows, self.field.q), self.field)
-
     def is_orthogonal(self) -> bool:
         """Whether the transpose is a two-sided inverse (columns orthonormal)."""
         return Matrix(self.field, zip(*self.rows)) @ self == Matrix.identity(self.field, self.n)

@@ -5,11 +5,13 @@ F_q^d, orthogonal matrices (preserving the sum-of-squares form), and
 unimodular matrices (determinant 1).  Every element is an affine map
 x -> Mx + a held as its linear part M and its shift a (translations
 share one identity M per dimension, linear maps have a = 0); the kinds
-differ only in their constructors and documents.  Element lists are
-kept in a total canonical order — variant first, then lexicographic on
-(M, a) — so that every argmax and every listing is reproducible.  A
-group's one image table, `FiniteGroup.columns()`, holds per point the
-index of its image under every element, built from M and a in C.
+differ only in their constructors and documents.  An element is applied
+to points and ordered, never composed or inverted: the finders count per
+element.  Element lists are kept in a total canonical order — variant
+first, then lexicographic on (M, a) — so that every argmax and every
+listing is reproducible.  A group's one image table,
+`FiniteGroup.columns()`, holds per point the index of its image under
+every element, built from M and a in C.
 
 The matrix groups are built in time proportional to the group, not to
 the q^(d^2) candidate matrices: the determinant and the orthogonal
@@ -51,7 +53,6 @@ from .geometry import (
     _check_budget,
     _check_dim,
     _det_rows,
-    _inverse_rows,
     _power_exceeds,
     sphere,
 )
@@ -138,8 +139,8 @@ class GroupElement:
     """An affine map x -> Mx + a of F_q^d, held as its `linear` part, the d
     integer rows of M, and its `shift`, the d-tuple a, entries in [0, q).
     A translation has M = I, one table per dimension, a linear map a = 0;
-    apply, compose, inverse and the canonical order are written once, on
-    the pair, and the kind is the class."""
+    apply and the canonical order are written once, on the pair, and the
+    kind is the class."""
 
     __slots__ = ("field", "linear", "shift")
 
@@ -154,8 +155,8 @@ class GroupElement:
     def unchecked(cls, matrix: Matrix) -> "GroupElement":
         """The linear map of `matrix`, built without the membership check.
 
-        For products, inverses and enumerated matrices, which are members
-        by construction, and for witness data, which the verifiers re-check.
+        For matrices that are members by construction, and for witness
+        data, which the verifiers re-check.
         """
         return cls._of(matrix.field, matrix.rows, (0,) * matrix.n)
 
@@ -167,40 +168,14 @@ class GroupElement:
     def vector(self) -> Vector:
         return Vector._of(self.field, self.shift)
 
-    def _check_peer(self, q: int, d: int, what: str) -> None:
-        if q != self.field.q:
-            raise FieldMismatch(f"{what} over F_{q}, map over F_{self.field.q}")
-        if d != len(self.shift):
-            raise DimensionMismatch(f"{what} of dimension {d}, map of dimension {len(self.shift)}")
-
     def apply(self, v: Vector) -> Vector:
         if not isinstance(v, Vector):
             raise TypeError(f"expected Vector, got {type(v).__name__}")
-        self._check_peer(v.field.q, len(v.coords), "vector")
+        if v.field.q != self.field.q:
+            raise FieldMismatch(f"vector over F_{v.field.q}, map over F_{self.field.q}")
+        if len(v.coords) != len(self.shift):
+            raise DimensionMismatch(f"vector of dimension {len(v.coords)}, map of dimension {len(self.shift)}")
         return Vector(self.field, [sum(map(mul, r, v.coords), a) for r, a in zip(self.linear, self.shift)])
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """The map sending x to self(other(x)): x -> MM'x + (Ma' + a)."""
-        if type(other) is not type(self):
-            raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
-        self._check_peer(other.field.q, len(other.shift), "map")
-        q = self.field.q
-        if isinstance(self, Translation):  # M = I
-            return self._of(self.field, other.linear,
-                            tuple([(a + b) % q for a, b in zip(self.shift, other.shift)]))
-        cols = list(zip(*other.linear))
-        linear = tuple(tuple([sum(map(mul, r, c)) % q for c in cols]) for r in self.linear)
-        return self._of(self.field, linear, tuple([sum(map(mul, r, other.shift), a) % q
-                                                   for r, a in zip(self.linear, self.shift)]))
-
-    def inverse(self) -> "GroupElement":
-        """x -> M^-1 x - M^-1 a; the identity of a translation is its own inverse."""
-        q, m = self.field.q, self.linear
-        inv = m if isinstance(self, Translation) else tuple(map(tuple, _inverse_rows(m, q)))
-        return self._of(self.field, inv, tuple([-sum(map(mul, r, self.shift)) % q for r in inv]))
-
-    def is_identity(self) -> bool:
-        return not any(self.shift) and self.linear == _identity(len(self.shift))
 
     def sort_key(self) -> tuple:
         return (self.tag, self.field.q, self.linear, self.shift)
@@ -223,8 +198,10 @@ class GroupElement:
 
 @functools.lru_cache(maxsize=8)
 def _identity(d: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the d x d identity, windows of one padded unit row.  A
-    translation is known by its class, so the cache may drop a table."""
+    """The rows of the d x d identity, windows of one padded unit row,
+    shared by the translations of dimension d and keyed on by a group's
+    identity lookup.  Tables are compared by value, never by `is`, so the
+    cache may drop one that translations still hold."""
     unit = (0,) * (d - 1) + (1,) + (0,) * (d - 1)
     return tuple(unit[d - 1 - i:2 * d - 1 - i] for i in range(d))
 
@@ -298,9 +275,6 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):

@@ -26,7 +26,7 @@ from fqsim import (
     special_linear_group,
     sphere,
 )
-from fqsim.geometry import _check_budget, _inverse_rows, _power_exceeds
+from fqsim.geometry import _check_budget, _det_rows, _inverse_rows, _power_exceeds
 from fqsim.intersection import _codes, _columns, _space_table
 
 from helpers import (
@@ -46,7 +46,8 @@ F5 = make_field(5)
 
 def det_of_columns(columns):
     """Determinant, by elimination, of the matrix whose columns are the vectors."""
-    return from_columns(columns).determinant()
+    m = from_columns(columns)
+    return _det_rows(m.rows, m.field.q)
 
 
 class TestNorm:
@@ -119,16 +120,16 @@ class TestVectorOps:
 class TestDeterminant:
     def test_identity(self):
         for q, d in [(3, 2), (5, 3), (7, 4)]:
-            assert Matrix.identity(make_field(q), d).determinant().value == 1
+            assert _det_rows(Matrix.identity(make_field(q), d).rows, q) == 1
 
     def test_two_by_two_example(self):
         m = Matrix(F5, [[1, 2], [3, 4]])
-        assert m.determinant().value == 3
+        assert _det_rows(m.rows, 5) == 3
         assert _det_cofactor(m.rows, 5) == 3
 
     def test_equal_rows_vanish(self):
         m = Matrix(F5, [[1, 2], [1, 2]])
-        assert m.determinant().value == 0
+        assert _det_rows(m.rows, 5) == 0
 
     def test_multiplicative(self):
         import random
@@ -140,7 +141,7 @@ class TestDeterminant:
                 for _ in range(20):
                     a = Matrix(f, [[rng.randrange(q) for _ in range(d)] for _ in range(d)])
                     b = Matrix(f, [[rng.randrange(q) for _ in range(d)] for _ in range(d)])
-                    assert (a @ b).determinant() == a.determinant() * b.determinant()
+                    assert _det_rows((a @ b).rows, q) == _det_rows(a.rows, q) * _det_rows(b.rows, q) % q
 
     def test_cofactor_agrees_with_elimination(self):
         import random
@@ -151,7 +152,7 @@ class TestDeterminant:
             for d in (1, 2, 3, 4):
                 for _ in range(15):
                     m = Matrix(f, [[rng.randrange(q) for _ in range(d)] for _ in range(d)])
-                    assert m.determinant().value == _det_cofactor(m.rows, q)
+                    assert _det_rows(m.rows, q) == _det_cofactor(m.rows, q)
 
     def test_inverse(self):
         m = Matrix(F5, [[1, 2], [3, 4]])
@@ -162,17 +163,17 @@ class TestDetOfColumns:
     def test_standard_basis(self):
         for d in (2, 3):
             cols = [Vector(F5, [1 if i == j else 0 for i in range(d)]) for j in range(d)]
-            assert det_of_columns(cols).value == 1
+            assert det_of_columns(cols) == 1
 
     def test_column_swap_is_minus_one(self):
         e1 = Vector(F5, [1, 0])
         e2 = Vector(F5, [0, 1])
-        assert det_of_columns([e2, e1]).value == 4
+        assert det_of_columns([e2, e1]) == 4
         assert det_of_columns_cofactor([e2, e1]).value == 4
 
     def test_repeated_column(self):
         v = Vector(F5, [1, 2])
-        assert det_of_columns([v, v]).value == 0
+        assert det_of_columns([v, v]) == 0
 
     def test_wrong_count(self):
         with pytest.raises(DimensionMismatch):

@@ -850,7 +850,7 @@ class TestTransporterKernel:
         rep = _coset_overlap(e, 1, h, True)[0]
         assert (rep.best_count, rep.double_count_total, rep.group_order) == (2, 2, 1)
         assert rep.per_g_histogram == {2: 1}
-        assert rep.best_g.is_identity() and not rep.transitive
+        assert rep.best_g == special_linear_group(5, 1).identity and not rep.transitive
 
     def test_empty_set_warns(self):
         e = from_coords(F5, 2, [[1, 0]])

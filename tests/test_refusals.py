@@ -15,8 +15,10 @@ from fqsim import (
     SweepConfig,
     TooLarge,
     Vector,
+    find_similar_config,
     make_field,
     random_pairs_audit,
+    random_pointset,
     translations,
 )
 from fqsim.geometry import _inverse_rows
@@ -58,6 +60,15 @@ def test_witness_json_must_be_an_object(kind, obj, name):
     with pytest.raises(MalformedWitness) as exc:
         kind.from_json(obj)
     assert str(exc.value) == f"witness JSON must be an object, got {name}"
+
+
+@pytest.mark.parametrize("shift", [None, "12", [1], [1, 2, 3], [1, "2"], [1, 2.0], [True, 2]])
+def test_similarity_witness_shift_must_be_d_integers(shift):
+    f5 = make_field(5)
+    obj = find_similar_config(random_pointset(f5, 2, 9, seed=3), f5(4), 2).to_json()
+    SimilarityWitness.from_json(obj)  # the finder's own document decodes
+    refused(MalformedWitness, "witness key 'a' must be a list of 2 integers",
+            SimilarityWitness.from_json, {**obj, "a": shift})
 
 
 @pytest.mark.parametrize("q, name", [("7", "str"), (7.0, "float"), (True, "bool"), (None, "NoneType")])
