@@ -44,7 +44,6 @@ from .errors import (
     InsufficientIntersection,
     MalformedWitness,
     NotOnSphere,
-    ParseError,
     ScanCapExceeded,
     SpaceMismatch,
     VerificationFailed,
@@ -54,6 +53,7 @@ from .geometry import Vector, _power_exceeds
 from .groups import _ACTIONS, _Action, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
+    _load_pairs,
     _sweep_reports,
     file_digest,
     load_pointset,
@@ -159,21 +159,7 @@ def cmd_verify_bound(args) -> int:
 
 def _edge_set_from_option(option: str, k: int) -> EdgeSet:
     if option.startswith("pairs:"):
-        path = option[len("pairs:"):]
-        pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != 2:
-                    raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
-                try:
-                    pairs.append((int(cells[0]), int(cells[1])))
-                except ValueError:
-                    raise ParseError(lineno, f"non-integer edge index in {line!r}") from None
-        return EdgeSet(k, pairs)
+        return EdgeSet(k, _load_pairs(option[len("pairs:"):]))
     return edge_preset(option, k)
 
 

@@ -143,39 +143,41 @@ def random_subset(points: PointSet, n: int, seed: int) -> PointSet:
     return PointSet._canonical(points.field, points.dim, compress(points._coords, marks))
 
 
+def _lines(lines) -> Iterator[tuple[int, str]]:
+    """(number, text) of each line of either text format that holds more
+    than a '#' comment, the comment cut and the text stripped."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in lines)
+    return ((lineno, line) for lineno, line in enumerate(stripped, start=1) if line)
+
+
+def _ints(lineno: int, cells: Iterable[str], what: str, line: str) -> tuple[int, ...]:
+    """The cells of a line as integers, or ParseError naming the line."""
+    try:
+        return tuple(map(int, cells))
+    except ValueError:
+        raise ParseError(lineno, f"non-integer {what} in {line!r}") from None
+
+
 def parse_pointset(text_or_lines) -> PointSet:
     """Parse the point-set format; duplicates are dropped with a warning."""
-    if isinstance(text_or_lines, str):
-        lines = io.StringIO(text_or_lines)
-    else:
-        lines = text_or_lines
+    lines = io.StringIO(text_or_lines) if isinstance(text_or_lines, str) else text_or_lines
     field: PrimeField | None = None
     dim = 0
     seen: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(lines):
         if field is None:
             parts = line.replace("=", " = ").split()
             if len(parts) != 6 or parts[0] != "q" or parts[1] != "=" or parts[3] != "d" or parts[4] != "=":
                 raise ParseError(lineno, f"expected header 'q=<int> d=<int>', got {line!r}")
-            try:
-                q = int(parts[2])
-                dim = int(parts[5])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer header values in {line!r}") from None
+            q, dim = _ints(lineno, parts[2::3], "header values", line)
             if dim < 1:
                 raise ParseError(lineno, f"dimension must be positive, got {dim}")
             field = as_field(q)
             continue
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != dim:
             raise HeaderMismatch(lineno, f"expected {dim} coordinates, got {len(cells)}")
-        try:
-            coords = tuple(int(c) for c in cells)
-        except ValueError:
-            raise ParseError(lineno, f"non-integer coordinate in {line!r}") from None
+        coords = _ints(lineno, map(str.strip, cells), "coordinate", line)
         for c in coords:
             if not 0 <= c < field.q:
                 raise HeaderMismatch(lineno, f"coordinate {c} out of range for q={field.q}")
@@ -191,6 +193,19 @@ def parse_pointset(text_or_lines) -> PointSet:
 def load_pointset(path) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pointset(fh)
+
+
+def _load_pairs(path) -> list[tuple[int, ...]]:
+    """The edges of an edge file (`--edges pairs:FILE`), one 'i,j' pair a
+    line, read as point files are."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in _lines(fh):
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
+            pairs.append(_ints(lineno, cells, "edge index", line))
+    return pairs
 
 
 def file_digest(path) -> str:

@@ -525,6 +525,16 @@ class TestFindSimilar:
         assert code == 0
         assert obj["edges"] == [[1, 2], [2, 3]]
 
+    def test_edge_file_layout_does_not_change_the_edges(self, capsys, tmp_path):
+        # CRLF line ends, a comment-only line, blank lines and spaces around cells
+        clean, messy = tmp_path / "clean.txt", tmp_path / "messy.txt"
+        clean.write_bytes(b"1,2\n2,3\n")
+        messy.write_bytes(b"\r\n# edges\r\n 1 , 2 \r\n\r\n   # none here\r\n2,\t3  # last\r\n\r\n")
+        outputs = [run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+                           "--random", "9", "--edges", f"pairs:{path}") for path in (clean, messy)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert first_json(outputs[1][1])["edges"] == [[1, 2], [2, 3]]
+
     @pytest.mark.parametrize("text, message", [
         ("1,2\n# comment\n\n3\n", "line 4: expected one 'i,j' pair, got '3'"),
         ("1,2\n1,2,3\n", "line 2: expected one 'i,j' pair, got '1,2,3'"),
