@@ -53,10 +53,11 @@ from .geometry import Vector, _power_exceeds
 from .groups import _ACTIONS, _Action, orthogonal_group, special_linear_group, translations
 from .harness import (
     SweepConfig,
-    _load_pairs,
+    _edge_pairs,
+    _load,
     _sweep_reports,
-    file_digest,
     load_pointset,
+    parse_pointset,
     random_pointset,
     write_sweep,
 )
@@ -136,7 +137,7 @@ def cmd_verify_bound(args) -> int:
         return 2 if audit.bound_violations or audit.double_count_mismatches else 0
     if not args.set_e or not args.set_h:
         raise ValueError("verify-bound needs --set-e and --set-h (or --exhaustive-subsets)")
-    e_set, h_set = load_pointset(args.set_e), load_pointset(args.set_h)
+    (e_set, e_digest), (h_set, h_digest) = (_load(path, parse_pointset) for path in (args.set_e, args.set_h))
     if action.scan is None:
         report, _ = _orthogonal_bound(q, d, args.radius, e_set, h_set, args.histogram)
     else:
@@ -152,27 +153,27 @@ def cmd_verify_bound(args) -> int:
         _recount(report, e_set, h_set)
     out = report.to_json()
     out["double_count_ok"] = report.double_count_ok if report.transitive else None
-    out["input_digests"] = {"set_e": file_digest(args.set_e), "set_h": file_digest(args.set_h)}
+    out["input_digests"] = {"set_e": e_digest, "set_h": h_digest}
     _emit(out)
     return 2 if report.transitive and (not report.satisfies_bound or not report.double_count_ok) else 0
 
 
 def _edge_set_from_option(option: str, k: int) -> EdgeSet:
     if option.startswith("pairs:"):
-        return EdgeSet(k, _load_pairs(option[len("pairs:"):]))
+        return EdgeSet(k, _load(option[len("pairs:"):], _edge_pairs)[0])
     return edge_preset(option, k)
 
 
 def _points_for(args):
     field = make_field(args.q)
     if args.set:
-        points = load_pointset(args.set)
+        points, digest = _load(args.set, parse_pointset)
         if points.field.q != args.q or points.dim != args.d:
             raise ValueError(
                 f"point-set file declares q={points.field.q} d={points.dim}, "
                 f"flags say q={args.q} d={args.d}"
             )
-        return field, points, {"set": file_digest(args.set)}
+        return field, points, {"set": digest}
     if args.random is None:
         raise ValueError("provide --set FILE or --random N")
     return field, random_pointset(field, args.d, args.random, args.seed), {}
@@ -255,11 +256,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise MalformedWitness("witness JSON nests deeper than the decoder's recursion limit") from None
+    try:
+        obj, digest = _load(args.file, json.load)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise MalformedWitness("witness JSON nests deeper than the decoder's recursion limit") from None
     if not isinstance(obj, dict):
         raise MalformedWitness(f"witness JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -270,7 +270,7 @@ def cmd_verify_witness(args) -> int:
     else:
         raise MalformedWitness(f"unknown witness kind {kind!r}")
     _emit({"verified": check.ok, "reasons": list(check.reasons),
-           "input_digest": file_digest(args.file)})
+           "input_digest": digest})
     return 0 if check.ok else 2
 
 

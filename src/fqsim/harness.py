@@ -190,21 +190,28 @@ def parse_pointset(text_or_lines) -> PointSet:
     return PointSet._canonical(field, dim, sorted(seen))
 
 
+def _load(path, parse):
+    """parse of the file's text, decoded as UTF-8 with universal newlines
+    as text-mode `open` reads it, and the SHA-256 of its bytes: one read,
+    so that a digest names the bytes that were parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse(io.StringIO(data.decode("utf-8"), newline=None)), hashlib.sha256(data).hexdigest()
+
+
 def load_pointset(path) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pointset(fh)
+    return _load(path, parse_pointset)[0]
 
 
-def _load_pairs(path) -> list[tuple[int, ...]]:
+def _edge_pairs(lines) -> list[tuple[int, ...]]:
     """The edges of an edge file (`--edges pairs:FILE`), one 'i,j' pair a
     line, read as point files are."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _lines(fh):
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
-            pairs.append(_ints(lineno, cells, "edge index", line))
+    for lineno, line in _lines(lines):
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
+        pairs.append(_ints(lineno, cells, "edge index", line))
     return pairs
 
 

@@ -1227,6 +1227,39 @@ class TestSweepAndVerifyWitness:
         assert code == 3
 
 
+class TestInputDigests:
+    """A digest is the SHA-256 of the bytes that were parsed: each input
+    file is rewritten after it is parsed, from a call the command makes
+    later, and the digests still name its first bytes."""
+
+    @pytest.mark.parametrize("later, argv, key, names", [
+        ("_recount", ["verify-bound", "--group", "translations", "--q", "5", "--d", "2",
+                      "--set-e", "a", "--set-h", "b"], "input_digests", {"set_e": "a", "set_h": "b"}),
+        ("meets_threshold", ["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+                             "--set", "a"], "input_digests", {"set": "a"}),
+        ("verify_similarity", ["verify-witness", "w"], "input_digest", "w"),
+    ])
+    def test_a_file_rewritten_after_it_is_parsed(self, capsys, tmp_path, monkeypatch, later, argv, key, names):
+        paths = {"a": tmp_path / "a", "b": tmp_path / "b", "w": tmp_path / "w"}
+        paths["a"].write_text(format_pointset(random_pointset(5, 2, 9, seed=1)))
+        paths["b"].write_text(format_pointset(random_pointset(5, 2, 11, seed=2)))
+        paths["w"].write_text(run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4",
+                                      "--k", "2", "--random", "9", "--seed", "3")[1])
+        first = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        call = getattr(fqsim.cli, later)
+
+        def rewrite_then_call(*args):
+            for path in paths.values():
+                path.write_bytes(path.read_bytes() + b"# rewritten\n")
+            return call(*args)
+
+        monkeypatch.setattr(fqsim.cli, later, rewrite_then_call)
+        code, out = run_cli(capsys, *(str(paths[arg]) if arg in paths else arg for arg in argv))
+        expected = first[names] if key == "input_digest" else {k: first[v] for k, v in names.items()}
+        assert code == 0 and first_json(out)[key] == expected
+        assert all(first[name] != file_digest(path) for name, path in paths.items())
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["enumerate-group", "--kind", "translations", "--q", "3", "--d", "2", "--bogus"],
