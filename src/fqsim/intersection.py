@@ -241,15 +241,16 @@ def _flat_codes(points: PointSet) -> bytes:
     return bytes(_codes(points, points.field.q)) if points._flat is None else points._flat
 
 
-def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Sequence[int]) -> Sequence[int]:
-    """|H ∩ gE| for every element g of the group, in canonical order.
+def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Sequence[int]) -> bytes | dict[int, int]:
+    """|H ∩ gE| for every element g of the group: bytes in canonical
+    order, or a dict of the nonzero counts by canonical position.
 
     From the group's image table (`FiniteGroup.columns`), reading the
     columns of whichever of E and X \\ E is smaller: g is a bijection of
     X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  Up to 256 points the
     columns are byte rows, summed by the scans' kernel (`_row_counts`).
-    When E or H is the whole space every count is the other's size.  An
-    empty E or H counts 0 for every g without the image table, which a
+    When E or H is the whole space every count is the other's size,
+    which at |X| = 256 no byte holds.  An empty E or H counts 0 for every g without the image table, which a
     large group pays for.
     """
     if not e_indices or not h_indices:
@@ -257,7 +258,7 @@ def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Seque
     n_x, nh, order = group.space.size, len(h_indices), group.order
     columns = group.columns()
     if n_x in (nh, len(e_indices)):
-        return [min(nh, len(e_indices))] * order
+        return dict.fromkeys(range(order), min(nh, len(e_indices)))
     if flip := 2 * len(e_indices) > n_x:  # X \ E
         e_indices = (bytes(range(n_x)).translate(None, bytes(e_indices)) if n_x <= 256
                      else set(range(n_x)).difference(e_indices))
@@ -274,8 +275,8 @@ def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Seque
     # looks their marks up in C.  It returns a bare item for one index, so
     # index |X|, never marked, is looked up too.
     flat = memoryview(b"".join(map(columns.__getitem__, e_indices))).cast(columns[0].typecode)
-    counts = [sum(itemgetter(n_x, *flat[g::order].tolist())(marks)) for g in range(order)]
-    return [nh - c for c in counts] if flip else counts
+    counts = (sum(itemgetter(n_x, *flat[g::order].tolist())(marks)) for g in range(order))
+    return {g: c for g, c in enumerate(map(nh.__sub__, counts) if flip else counts) if c}
 
 
 def max_intersection(group: FiniteGroup, moving: PointSet, fixed: PointSet, *,
@@ -478,7 +479,7 @@ def _read_planes(planes: list[int], valid: int,
     return (m & -m).bit_length() - 1, best_c, total, hist
 
 
-def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int], int],
+def _report_from_counts(counts: dict[int, int] | bytes | tuple[list[int], int],
                         moving: PointSet, fixed: PointSet, *, decode, first: int,
                         group_order: int, space_size: int, transitive: bool,
                         want_histogram: bool, smallest=None) -> tuple[IntersectionReport, int | None]:
@@ -488,9 +489,9 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     Codes ascend in canonical element order, so the smallest maximal code
     is the canonical tie-break and the only one decoded.  A dict holds the
     nonzero counts: elements absent from it count zero, and `first`, the
-    group's smallest code, answers when every count is zero.  A dense
-    sequence holds the count of code i at position i for every element,
-    and a tuple bit planes with the mask of their valid slots (`_read_planes`).
+    group's smallest code, answers when every count is zero.  Bytes hold
+    the count of code i at position i for every element, and a tuple bit
+    planes with the mask of their valid slots (`_read_planes`).
     No byte count exceeds min(|E|, |H|).  Without a histogram the best
     count is the first value from there down that `v in counts` finds,
     and the total, while best·|G| < 65,520, is the low half of the bytes'
@@ -501,13 +502,13 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
     with the tie-break `smallest(counts, v)`, which hands back the code of
     the smallest element counting v and its position, asked only when
     the counts do not all tie, that is when the total is not best·|G|.
-    With a histogram, a dict's or a list's maximum and total are read
-    off it rather than off the counts again.  On an empty space the
+    With a histogram, a dict's maximum and total are read off it rather
+    than off the counts again.  On an empty space the
     bound is 0.
 
     The position handed back with the report is that of the first
-    maximal byte, or the tie-break's; it is None for dict, list and
-    bit-plane counts, and when every count ties under a tie-break.
+    maximal byte, or the tie-break's; it is None for dict and bit-plane
+    counts, and when every count ties under a tie-break.
     """
     n_e, n_h = len(moving), len(fixed)
     if not n_e or not n_h:
@@ -532,19 +533,16 @@ def _report_from_counts(counts: dict[int, int] | Sequence[int] | tuple[list[int]
         else:  # every count is at most best_c: they all tie when they sum to best_c·|G|
             best, at = (first, None) if total == best_c * len(counts) else smallest(counts, best_c)
     else:
-        dense = not isinstance(counts, dict)
-        values = counts if dense else counts.values()
         if want_histogram:
-            hist = dict(Counter(values))
-            if not dense and group_order > len(counts):
+            hist = dict(Counter(counts.values()))
+            if group_order > len(counts):
                 hist[0] = group_order - len(counts)
             best_c = max(hist)
             total = sum(c * n for c, n in hist.items())
         else:
-            best_c = max(values, default=0)
-            total = sum(values)
-        best = (counts.index(best_c) if dense else
-                min((code for code, c in counts.items() if c == best_c), default=first))
+            best_c = max(counts.values(), default=0)
+            total = sum(counts.values())
+        best = min((code for code, c in counts.items() if c == best_c), default=first)
 
     return IntersectionReport(
         best_g=decode(best), best_count=best_c,

@@ -1220,7 +1220,7 @@ class TestReportPosition:
             (_shift_overlap, (sparse, 1, sparse), dict),
             (_shift_overlap, (dense, 1, dense), tuple),
             (_coset_overlap, (Space.punctured(17, 2), 1, Space.punctured(17, 2)), dict),
-            (max_intersection, (translations(17, 2), sparse, dense), list),
+            (max_intersection, (translations(17, 2), sparse, dense), dict),
         ]:
             report, counts, p = handed_back(scan, *args)
             assert isinstance(counts, kind) and p is None, (scan.__name__, kind)
