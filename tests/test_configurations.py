@@ -27,6 +27,8 @@ from fqsim import (
     SimilarityWitness,
     Space,
     Vector,
+    Verification,
+    VerificationFailed,
     ZeroDilation,
     edge_preset,
     find_det_similar,
@@ -62,6 +64,7 @@ class TestEdgeSet:
 
     def test_path(self):
         assert EdgeSet.path(3).pairs == ((1, 2), (2, 3), (3, 4))
+        assert list(EdgeSet.path(3)) == [(1, 2), (2, 3), (3, 4)]
 
     def test_star(self):
         assert EdgeSet.star(3).pairs == ((1, 2), (1, 3), (1, 4))
@@ -235,6 +238,22 @@ class TestFindSimilar:
         e = random_pointset(7, 2, 15, seed=11)
         w = find_similar_config(e, make_field(7)(2), 2)
         assert w.report.best_count >= Fraction(len(e) ** 2, 49)
+
+    @pytest.mark.parametrize("verifier, find", [
+        ("verify_similarity", lambda: find_similar_config(full_plane(F5), F5(4), 2)),
+        ("verify_det_similarity", lambda: find_det_similar(punctured_plane(F5), F5(4), 2)),
+    ])
+    def test_a_witness_that_fails_its_check_is_refused(self, monkeypatch, capsys, verifier, find):
+        monkeypatch.setattr(fqsim.configurations, verifier, lambda w: Verification(False, ("made to fail",)))
+        with pytest.raises(VerificationFailed) as refused:
+            find()
+        assert refused.value.reasons == ("made to fail",)
+        argv = (["find-similar", "--random", "9"] if verifier == "verify_similarity"
+                else ["find-det-similar", "--random", "12", "--seed", "2"])  # a draw without the origin
+        assert main(argv + ["--q", "5", "--d", "2", "--r", "4", "--k", "2"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "VerificationFailed", "message": "witness verification failed: made to fail",
+            "reasons": ["made to fail"]}
 
     def test_header_only_set_in_huge_dimension_answers_at_once(self, capsys, tmp_path):
         # The one decoded best shift shares the cached d x d identity, so

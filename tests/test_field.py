@@ -1,5 +1,7 @@
 """Field arithmetic against brute-force residue oracles."""
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from fqsim import (
     TooLarge,
     make_field,
 )
+from fqsim.field import _is_prime
 
 ODD_PRIMES_TO_97 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                     53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -60,6 +63,14 @@ class TestMakeField:
     def test_large_prime_ok(self):
         assert make_field(4294967291).q == 4294967291  # largest prime below 2^32
 
+    def test_primality_against_trial_division(self):
+        # 0 and 1 too, which no field order reaches: q < 2 is refused first
+        oracle = [n for n in range(200) if n > 1 and all(n % f for f in range(2, n))]
+        assert [n for n in range(200) if _is_prime(n)] == oracle
+
+    def test_repr(self):
+        assert repr(make_field(5)) == "PrimeField(5)"
+
 
 class TestArith:
     def test_examples(self):
@@ -68,6 +79,16 @@ class TestArith:
         assert (f(1) / f(2)).value == 3
         assert (f(2) + f(3)).value == 0
         assert (f(2) - f(3)).value == 4
+        assert ((-f(2)).value, (-f(0)).value) == (3, 0)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_an_int_operand_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(make_field(5)(1), 1)
+
+    def test_equal_elements_hash_equal(self):
+        f, g = make_field(5), make_field(5)
+        assert hash(f(7)) == hash(g(2)) and {f(7), g(2), f(3), make_field(7)(2)} == {f(2), f(3), make_field(7)(2)}
 
     def test_division_by_zero(self):
         f = make_field(5)

@@ -158,6 +158,9 @@ class TestDeterminant:
         m = Matrix(F5, [[1, 2], [3, 4]])
         assert m @ Matrix(F5, _inverse_rows(m.rows, 5)) == Matrix.identity(F5, 2)
 
+    def test_repr(self):
+        assert repr(Matrix(F5, [[1, 2], [3, 4]])) == "Matrix([[1, 2], [3, 4]] mod 5)"
+
 
 class TestDetOfColumns:
     def test_standard_basis(self):

@@ -483,6 +483,16 @@ class TestElementArithmetic:
         assert repr(s) == "SpecialLinear([[1, 2], [0, 1]] mod 5)"
         o = Orthogonal(Matrix(F5, [[0, 1], [1, 0]]))
         assert o.to_json() == {"type": "orthogonal", "matrix": [[0, 1], [1, 0]]}
+        assert repr(grid_group("SL", 2, 3)) == "FiniteGroup(special-linear, order=24, on Space(punctured, q=3, d=2, size=8))"
+
+    @pytest.mark.parametrize("shape", [("T", 2, 3), ("SL", 2, 3), ("O", 2, 5)])
+    def test_equal_elements_hash_equal(self, shape):
+        # an element rebuilt from its parts equals, hashes and dedupes as the group's own
+        group = grid_group(*shape)
+        kind = type(group.identity)
+        copies = [kind(g.vector) if kind is Translation else kind(g.matrix) for g in group.elements]
+        assert [hash(c) for c in copies] == [hash(g) for g in group.elements]
+        assert len(set(group.elements).union(copies)) == group.order
 
     def test_translations_keep_the_shared_identity(self):
         # In F_3^400 every translation holds the one identity table of the

@@ -22,6 +22,7 @@ from fqsim import (
     HeaderMismatch,
     ParseError,
     PointSet,
+    Report,
     Space,
     SpaceTooLarge,
     SplitMix64,
@@ -530,6 +531,14 @@ class TestSweeps:
         assert summary["violations"] == 0  # below threshold, so not a violation
         for rep in reports:
             assert rep.outcome["error"] == "InsufficientIntersection"
+
+    def test_a_failed_search_that_met_the_threshold_is_a_violation(self):
+        reports = [Report(config={"meets_threshold": met}, outcome={"status": "error", "error": error},
+                          timing_ms=0.0)
+                   for met, error in [(True, "InsufficientIntersection"), (False, "InsufficientIntersection"),
+                                      (True, "VerificationFailed")]]
+        assert sweep_summary(reports) == {"summary": True, "cells": 3, "witnesses": 0, "errors": 3,
+                                          "violations": 1}
 
     def test_write_sweep_stream_is_json_lines(self):
         buf = io.StringIO()

@@ -1532,6 +1532,16 @@ class TestAuditOracle:
         if worst is not None:
             assert audit.worst_gap_num == worst
 
+    def test_a_group_that_is_not_transitive_breaks_both_counts(self):
+        # Both audits refuse O(2, 5) on F_5^2, which fixes the origin (index
+        # 0); the tally under them counts E = {0} against H = {1}, {0}, {0, 1}:
+        # only the first falls short of the bound, and no total is |G||E||H|/|X|.
+        group = orthogonal_group(5, 2)
+        h_masks = [0b10, 0b01, 0b11]
+        audit = fqsim.intersection._audit(group, [(0b01, h_masks)])
+        assert audit_fields(audit) == oracle_audit(group, [(0b01, h) for h in h_masks])
+        assert (audit.bound_violations, audit.double_count_mismatches) == (1, 3)
+
 
 # --- pins of the audits, the one-point scans and the one-point complements ---
 
