@@ -1,5 +1,5 @@
-"""Reproducible experiment driver: point-set files, seeded sampling,
-batch sweeps, and report persistence.
+"""Reproducible experiment driver: point-set and edge-set files, seeded
+sampling, batch sweeps, and report persistence.
 
 Point-set file format (text):
     # comments start with '#', blank lines are skipped
@@ -7,7 +7,14 @@ Point-set file format (text):
     0,0
     1,2
 The header line declares the field order and dimension; every following
-line is one point with d comma-separated coordinates in [0, q).
+line is one point with d comma-separated coordinates in [0, q).  An
+edge-set file (`--edges pairs:FILE`) holds one 'i,j' pair a line,
+1 <= i < j <= k + 1.  Both formats go through one line reader
+(`_lines`: the '#' comment cut, the rest stripped, blank lines skipped)
+and one integer parser (`_ints`), so a refusal names its line the same
+way in both.  A file is read once (`_load`): its bytes are decoded as
+UTF-8 with universal newlines and parsed, and its digest is the SHA-256
+of those same bytes.
 
 Sampling is driven entirely by SplitMix64 (see `prng`), so a given
 (q, d, n, seed) produces the same point set on every platform, and

@@ -250,8 +250,8 @@ def _group_counts(group: FiniteGroup, e_indices: Sequence[int], h_indices: Seque
     X, so |H ∩ gE| = |H| - |H ∩ g(X \\ E)|.  Up to 256 points the
     columns are byte rows, summed by the scans' kernel (`_row_counts`).
     When E or H is the whole space every count is the other's size,
-    which at |X| = 256 no byte holds.  An empty E or H counts 0 for every g without the image table, which a
-    large group pays for.
+    which at |X| = 256 no byte holds.  An empty E or H counts 0 for
+    every g without the image table, which a large group pays for.
     """
     if not e_indices or not h_indices:
         return bytes(group.order)

@@ -1235,7 +1235,7 @@ class TestInputDigests:
     @pytest.mark.parametrize("later, argv, key, names", [
         ("_recount", ["verify-bound", "--group", "translations", "--q", "5", "--d", "2",
                       "--set-e", "a", "--set-h", "b"], "input_digests", {"set_e": "a", "set_h": "b"}),
-        ("meets_threshold", ["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+        ("parse_pointset", ["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
                              "--set", "a"], "input_digests", {"set": "a"}),
         ("verify_similarity", ["verify-witness", "w"], "input_digest", "w"),
     ])
