@@ -1,5 +1,6 @@
 """Vectors and matrices over F_q^d: the sum-of-squares form, determinants,
-and sphere enumeration.
+and sphere enumeration.  A vector is a point's coordinates, its norm and
+equality by value, with no arithmetic.
 
 The "norm" here is the F_q-valued sum of squared coordinates.  It is not
 a metric, but it shares the two properties that drive every construction
@@ -16,7 +17,6 @@ tuples on first read (`_flat_coords`); the scans read the bytes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -57,9 +57,9 @@ def _check_budget(base: int, e: int, what: str) -> None:
     raise EnumerationCapExceeded(f"{what} needs at most {ENUMERATION_CAP} candidates, got {shown}")
 
 
-@functools.total_ordering
 class Vector:
-    """A point of F_q^d, stored as canonical integer coordinates."""
+    """A point of F_q^d, stored as canonical integer coordinates, with its
+    norm and equality by value; it moves only by a group element."""
 
     __slots__ = ("field", "coords")
 
@@ -84,42 +84,10 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
-    def _peer(self, other: "Vector") -> "Vector":
-        if not isinstance(other, Vector):
-            raise TypeError(f"expected Vector, got {type(other).__name__}")
-        if other.field.q != self.field.q:
-            raise FieldMismatch(
-                f"vectors over F_{self.field.q} and F_{other.field.q}"
-            )
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim}")
-        return other
-
-    def __add__(self, other: "Vector") -> "Vector":
-        other = self._peer(other)
-        return Vector(self.field, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        other = self._peer(other)
-        return Vector(self.field, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.field, [-a for a in self.coords])
-
-    def __rmul__(self, scalar: FieldElement) -> "Vector":
-        if not isinstance(scalar, FieldElement):
-            raise TypeError("vectors scale by FieldElement only")
-        if scalar.field.q != self.field.q:
-            raise FieldMismatch("scalar and vector live in different fields")
-        return Vector(self.field, [scalar.value * a for a in self.coords])
-
     def norm(self) -> FieldElement:
         """Sum of squared coordinates, as a field element."""
         q = self.field.q
         return FieldElement(sum(c * c for c in self.coords) % q, self.field)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,10 +95,6 @@ class Vector:
             and other.field.q == self.field.q
             and other.coords == self.coords
         )
-
-    def __lt__(self, other: "Vector") -> bool:
-        other = self._peer(other)
-        return self.coords < other.coords
 
     def __hash__(self) -> int:
         return hash((self.field.q, self.coords))

@@ -29,17 +29,18 @@ def coords_list(points):
 
 
 def translated(points, shift):
-    """The image of a point set under x -> x + shift."""
-    return PointSet(points.field, points.dim, [p + shift for p in points])
+    """The image of a point set under x -> x + shift, coordinate by
+    coordinate mod q."""
+    return PointSet(points.field, points.dim,
+                    [Vector(points.field, [a + b for a, b in zip(p.coords, shift.coords)]) for p in points])
 
 
 def scaled_by_vectors(points, scalar):
-    """The image of a point set under x -> scalar·x, by way of
-    `Vector.__rmul__`, one vector per point: the oracle for the scans'
-    dilations of coordinate columns and flat indices."""
-    if not len(points):
-        return PointSet(points.field, points.dim)
-    return PointSet(points.field, points.dim, [scalar * p for p in points])
+    """The image of a point set under x -> scalar·x, coordinate by
+    coordinate mod q, one checked vector per point: the oracle for the
+    scans' dilations of coordinate columns and flat indices."""
+    return PointSet(points.field, points.dim,
+                    [Vector(points.field, [scalar.value * c for c in p.coords]) for p in points])
 
 
 def format_pointset(points):
@@ -79,8 +80,8 @@ def det_of_columns_cofactor(columns):
 
 def pair_norms(points):
     """Norms of all pairwise differences, in dictionary order on (i, j)."""
-    return [(points[i] - points[j]).norm()
-            for i, j in itertools.combinations(range(len(points)), 2)]
+    return [Vector(x.field, [a - b for a, b in zip(x.coords, y.coords)]).norm()
+            for x, y in itertools.combinations(points, 2)]
 
 
 def translation_count_map(moving, fixed):
@@ -179,10 +180,10 @@ def derive_seed_by_objects(base, *parts):
 
 
 def oracle_apply(g, x):
-    """g·x by the kind's own arithmetic: a vector sum for a shift, the
-    first column of a Matrix product for a map."""
+    """g·x by the kind's own arithmetic: a coordinate sum mod q for a
+    shift, the first column of a Matrix product for a map."""
     if isinstance(g, Translation):
-        return x + g.vector
+        return Vector(x.field, [a + b for a, b in zip(x.coords, g.vector.coords)])
     column = g.matrix @ Matrix(x.field, [[c] + [0] * (x.dim - 1) for c in x.coords])
     return Vector(x.field, [r[0] for r in column.rows])
 
@@ -190,15 +191,15 @@ def oracle_apply(g, x):
 def oracle_compose(g, h):
     """The map x -> g(h(x)), built through the kind's checked constructor."""
     if isinstance(g, Translation):
-        return Translation(g.vector + h.vector)
+        return Translation(Vector(g.field, [a + b for a, b in zip(g.vector.coords, h.vector.coords)]))
     return type(g)(g.matrix @ h.matrix)
 
 
 def oracle_inverse(g):
-    """-a for a shift; the adjugate over the determinant, both by
+    """-a, coordinate by coordinate mod q, for a shift; the adjugate over the determinant, both by
     `_det_rows`, for a map, through the kind's checked constructor."""
     if isinstance(g, Translation):
-        return Translation(-g.vector)
+        return Translation(Vector(g.field, [-a for a in g.vector.coords]))
     rows, q = g.matrix.rows, g.field.q
     d = len(rows)
     scale = pow(_det_rows(rows, q), q - 2, q)
@@ -208,13 +209,15 @@ def oracle_inverse(g):
 
 
 def oracle_is_identity(g):
-    return g.vector.is_zero() and g.matrix == Matrix.identity(g.field, len(g.matrix.rows))
+    return not any(g.vector.coords) and g.matrix == Matrix.identity(g.field, len(g.matrix.rows))
 
 
 def naive_translation_counts(e_set, h_set):
     """Oracle: the nonzero |H ∩ (E + a)| by shift a, as a Counter of the
-    coordinate tuples of y - x over every pair (x, y) in E × H."""
-    return Counter((y - x).coords for x in e_set for y in h_set)
+    coordinate tuples of y - x mod q over every pair (x, y) in E × H."""
+    q = e_set.field.q
+    return Counter(tuple((b - a) % q for a, b in zip(x.coords, y.coords))
+                   for x in e_set for y in h_set)
 
 
 def oracle_translation_report(e_set, h_set, want_histogram):

@@ -9,6 +9,7 @@ import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -216,7 +217,7 @@ class TestFindSimilar:
     def test_ratio_one_gives_identity_similarity(self):
         e = from_coords(F5, 2, [[0, 0], [1, 1], [2, 3]])
         w = find_similar_config(e, F5(1), 2)
-        assert w.shift.is_zero()
+        assert not any(w.shift.coords)
         assert w.xs == w.ys == w.zs
 
     def test_insufficient_intersection_carries_count(self):
@@ -402,7 +403,7 @@ class TestVerifySimilarity:
     def test_perturbed_y_fails_with_norm_reason(self):
         w = self._witness()
         ys = list(w.ys)
-        ys[1] = ys[1] + Vector(F5, [1, 0])
+        ys[1] = Vector(F5, map(add, ys[1].coords, (1, 0)))
         bad = replace(w, ys=tuple(ys))
         check = verify_similarity(bad)
         assert not check
@@ -413,8 +414,8 @@ class TestVerifySimilarity:
         xs = list(w.xs)
         zs = list(w.zs)
         xs[1] = xs[0]
-        zs[1] = w.root * xs[0]
-        ys = [z - w.shift for z in zs]
+        zs[1] = Vector(F5, [w.root.value * c for c in xs[0].coords])
+        ys = [Vector(F5, map(sub, z.coords, w.shift.coords)) for z in zs]
         bad = replace(w, xs=tuple(xs), ys=tuple(ys), zs=tuple(zs))
         check = verify_similarity(bad)
         assert not check
@@ -567,7 +568,7 @@ class TestFindDetSimilar:
     def test_perturbation_detected(self):
         w = find_det_similar(punctured_plane(F5), F5(4), 2)
         ys = list(w.ys)
-        ys[0] = ys[0] + Vector(F5, [0, 1])
+        ys[0] = Vector(F5, map(add, ys[0].coords, (0, 1)))
         bad = replace(w, ys=tuple(ys))
         assert not verify_det_similarity(bad)
 
@@ -813,11 +814,11 @@ class TestDetVerifierDeterminants:
         for trial in range(6):
             xs = random_subset(Space.punctured(field, d), n, trial).points
             root = field(rng.randrange(1, q))
-            ys = [root.inverse() * v for v in xs]
+            ys = [Vector(field, [root.inverse().value * c for c in v.coords]) for v in xs]
             if trial:  # perturb a few coordinates of y
                 for _ in range(trial):
                     i = rng.randrange(n)
-                    ys[i] = ys[i] + Vector(field, [rng.randrange(q) for _ in range(d)])
+                    ys[i] = Vector(field, [c + rng.randrange(q) for c in ys[i].coords])
             w = DetSimilarityWitness(ratio=root ** d, root=root,
                                      transform=SpecialLinear(Matrix.identity(field, d)),
                                      xs=tuple(xs), ys=tuple(ys), zs=tuple(xs))

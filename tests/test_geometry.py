@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from fqsim import (
     DimensionMismatch,
     EnumerationCapExceeded,
-    FieldMismatch,
     Matrix,
     NotInSpace,
     ENUMERATION_CAP,
@@ -62,15 +62,16 @@ class TestNorm:
         f = make_field(q)
         v = Vector(f, [data.draw(st.integers(0, q - 1)) for _ in range(d)])
         c = f(data.draw(st.integers(0, q - 1)))
-        assert (c * v).norm() == c * c * v.norm()
+        assert Vector(f, [c.value * x for x in v.coords]).norm() == c * c * v.norm()
 
     def test_translation_invariance_exhaustive_small(self):
         # all (x, y, shift) triples for q <= 5, d <= 2
         for q, d in [(3, 1), (3, 2), (5, 1), (5, 2)]:
             f = make_field(q)
-            pts = list(Space.full(f, d))
+            pts = [p.coords for p in Space.full(f, d)]
             for x, y, a in itertools.product(pts, repeat=3):
-                assert ((x + a) - (y + a)).norm() == (x - y).norm()
+                xa, ya = ([(s + t) % q for s, t in zip(p, a)] for p in (x, y))
+                assert Vector(f, map(sub, xa, ya)).norm() == Vector(f, map(sub, x, y)).norm()
 
     def test_orthogonal_invariance(self):
         for q in (3, 5, 7):
@@ -84,24 +85,8 @@ class TestNorm:
 class TestVectorOps:
     def test_scale_translate_apply(self):
         v = Vector(F5, [1, 2])
-        assert (F5(2) * v).coords == (2, 4)
-        assert (v + Vector(F5, [4, 4])).coords == (0, 1)
         ident = SpecialLinear(Matrix.identity(F5, 2))
         assert ident.apply(v) == v
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            Vector(F5, [1, 2]) + Vector(F5, [1, 2, 3])
-
-    def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
-            Vector(F5, [1, 2]) + Vector(F3, [1, 2])
-        with pytest.raises(FieldMismatch):
-            F3(2) * Vector(F5, [1, 2])
-
-    def test_lexicographic_order(self):
-        vs = [Vector(F3, c) for c in [(2, 0), (0, 1), (1, 0), (0, 0)]]
-        assert [v.coords for v in sorted(vs)] == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
     @given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -109,12 +94,10 @@ class TestVectorOps:
         # Vector._of on canonical coordinates, against the checked constructor
         field = make_field(q)
         coord = st.tuples(*[st.integers(0, q - 1)] * d)
-        c, other = data.draw(coord), Vector(field, data.draw(coord))
+        c = data.draw(coord)
         fast, checked = Vector._of(field, c), Vector(field, c)
         assert type(fast) is Vector and fast.coords == checked.coords and fast.field is field
         assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
-        assert [fast < other, fast <= other, fast > other, other < fast] == \
-               [checked < other, checked <= other, checked > other, other < checked]
 
 
 class TestDeterminant:
@@ -232,8 +215,8 @@ class TestPairNorms:
 
     def test_translation_invariant(self):
         pts = [Vector(F5, c) for c in [(0, 0), (1, 2), (3, 3)]]
-        shift = Vector(F5, [4, 1])
-        assert pair_norms(pts) == pair_norms([p + shift for p in pts])
+        shift = (4, 1)
+        assert pair_norms(pts) == pair_norms([Vector(F5, map(add, p.coords, shift)) for p in pts])
 
 
 class TestPointSet:
@@ -266,13 +249,6 @@ class TestPointSet:
     def test_scaled_and_translated(self):
         ps = from_coords(F5, 2, [[1, 2], [3, 4]])
         assert coords_list(translated(ps, Vector(F5, [1, 1]))) == [[2, 3], [4, 0]]
-
-    def test_scaled_errors_match_vector_scaling(self):
-        ps = from_coords(F5, 2, [[1, 2], [3, 4]])
-        for bad, error, message in ((2, TypeError, "vectors scale by FieldElement only"),
-                                    (F3(2), FieldMismatch, "scalar and vector live in different fields")):
-            with pytest.raises(error, match=f"^{message}$"):
-                bad * ps.points[0]
 
     def test_rejects_mixed_dimension(self):
         with pytest.raises(DimensionMismatch):

@@ -92,9 +92,9 @@ def image_columns_perms(group):
     perms = []
     for g in group:
         if isinstance(g, Translation):
-            cols = [[(x + a) % q for x in col] for a, col in zip(g.vector.coords, zip(*coords))]
+            cols = [[(x + a) % q for x in col] for a, col in zip(g.shift, zip(*coords))]
         else:
-            cols = [[sum(map(mul, row, c)) % q for c in coords] for row in g.matrix.rows]
+            cols = [[sum(map(mul, row, c)) % q for c in coords] for row in g.linear]
         perms.append(tuple(map(index.__getitem__, zip(*cols))))
     return perms
 
@@ -178,7 +178,7 @@ class TestTranslations:
     def test_identity_is_zero_shift(self):
         g = translations(3, 2)
         assert isinstance(g.identity, Translation)
-        assert g.identity.vector.is_zero()
+        assert g.identity.vector.coords == (0, 0)
 
     def test_transitive(self):
         assert translations(3, 2).is_transitive()
@@ -478,7 +478,7 @@ class TestElementArithmetic:
         assert t.vector == Vector(F5, [3, 4]) and t.matrix == Matrix.identity(F5, 2)
         assert (t.to_json(), repr(t)) == ({"type": "translation", "by": [3, 4]}, "Translation([3, 4] mod 5)")
         s = SpecialLinear(Matrix(F5, [[1, 2], [0, 1]]))
-        assert (s.linear, s.shift) == (((1, 2), (0, 1)), (0, 0)) and s.vector.is_zero()
+        assert (s.linear, s.shift) == (((1, 2), (0, 1)), (0, 0)) and s.vector.coords == (0, 0)
         assert s.to_json() == {"type": "special-linear", "matrix": [[1, 2], [0, 1]]}
         assert repr(s) == "SpecialLinear([[1, 2], [0, 1]] mod 5)"
         o = Orthogonal(Matrix(F5, [[0, 1], [1, 0]]))

@@ -13,7 +13,6 @@ from fqsim import (
     FqsimError,
     PointSet,
     Space,
-    Vector,
     canonical_json,
     find_det_similar,
     find_similar_config,
@@ -162,7 +161,7 @@ class TestShiftTable:
         points = random_subset(Space.full(q, d), q ** d // 3 + 1, q + d)
         codes = bytes(flat_index(x, q) for x in points._coords)
         for e, scale in enumerate(scales):
-            assert scale[:q ** d] == bytes(flat_index((field(e) * Vector(field, x)).coords, q) for x in vectors)
+            assert scale[:q ** d] == bytes(flat_index(tuple(e * c % q for c in x), q) for x in vectors)
             assert sorted(vectors[i] for i in set(codes.translate(scale))) == list(
                 scaled_by_vectors(points, field(e))._coords)
 
