@@ -83,7 +83,6 @@ from .harness import (
     Report,
     SweepConfig,
     canonical_json,
-    file_digest,
     load_pointset,
     parse_pointset,
     random_pointset,

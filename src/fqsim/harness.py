@@ -11,8 +11,8 @@ line is one point with d comma-separated coordinates in [0, q).  An
 edge-set file (`--edges pairs:FILE`) holds one 'i,j' pair a line,
 1 <= i < j <= k + 1.  Both formats go through one line reader
 (`_lines`: the '#' comment cut, the rest stripped, blank lines skipped)
-and one integer parser (`_ints`), so a refusal names its line the same
-way in both.  A file is read once (`_load`): its bytes are decoded as
+and one integer parser (`_ints`, every cell stripped), so a cell reads
+and a refusal names its line the same way in both.  A file is read once (`_load`): its bytes are decoded as
 UTF-8 with universal newlines and parsed, and its digest is the SHA-256
 of those same bytes.
 
@@ -158,9 +158,10 @@ def _lines(lines) -> Iterator[tuple[int, str]]:
 
 
 def _ints(lineno: int, cells: Iterable[str], what: str, line: str) -> tuple[int, ...]:
-    """The cells of a line as integers, or ParseError naming the line."""
+    """The cells of a line, each stripped, as integers, or ParseError
+    naming the line."""
     try:
-        return tuple(map(int, cells))
+        return tuple(int(cell.strip()) for cell in cells)
     except ValueError:
         raise ParseError(lineno, f"non-integer {what} in {line!r}") from None
 
@@ -184,7 +185,7 @@ def parse_pointset(text_or_lines) -> PointSet:
         cells = line.split(",")
         if len(cells) != dim:
             raise HeaderMismatch(lineno, f"expected {dim} coordinates, got {len(cells)}")
-        coords = _ints(lineno, map(str.strip, cells), "coordinate", line)
+        coords = _ints(lineno, cells, "coordinate", line)
         for c in coords:
             if not 0 <= c < field.q:
                 raise HeaderMismatch(lineno, f"coordinate {c} out of range for q={field.q}")
@@ -220,11 +221,6 @@ def _edge_pairs(lines) -> list[tuple[int, ...]]:
             raise ParseError(lineno, f"expected one 'i,j' pair, got {line!r}")
         pairs.append(_ints(lineno, cells, "edge index", line))
     return pairs
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # --- reports and sweeps ---

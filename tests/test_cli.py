@@ -19,7 +19,6 @@ from fqsim import (
     PointSet,
     Space,
     Vector,
-    file_digest,
     load_pointset,
     make_field,
     max_intersection,
@@ -307,7 +306,11 @@ class TestKernelBackedVerifyBound:
             report = max_intersection(group, e, h, want_histogram=histogram)
         out = report.to_json()
         out["double_count_ok"] = report.double_count_ok if report.transitive else None
-        out["input_digests"] = {"set_e": file_digest(pe), "set_h": file_digest(ph)}
+        digests = []
+        for path in (pe, ph):
+            with open(path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        out["input_digests"] = dict(zip(("set_e", "set_h"), digests))
         code = 2 if report.transitive and not (report.satisfies_bound and report.double_count_ok) else 0
         err = "".join(f"warning: {w.message}\n" for w in caught)
         return json.dumps(out, sort_keys=True, indent=2) + "\n", err, code
@@ -532,6 +535,22 @@ class TestFindSimilar:
         messy.write_bytes(b"\r\n# edges\r\n 1 , 2 \r\n\r\n   # none here\r\n2,\t3  # last\r\n\r\n")
         outputs = [run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
                            "--random", "9", "--edges", f"pairs:{path}") for path in (clean, messy)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert first_json(outputs[1][1])["edges"] == [[1, 2], [2, 3]]
+
+    @pytest.mark.parametrize("c", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_code_points_around_a_cell_are_stripped_in_both_formats(self, capsys, tmp_path, c):
+        # str.strip removes these four, int() does not: every cell of either
+        # format is stripped, so each file reads as its clean twin
+        for name, text in (("points", "q=5 d=2\n1,2\n2,3\n"), ("edges", "1,2\n2,3\n")):
+            messy = text.replace("1,2", f"{c}1{c},{c}2{c}").replace("2,3", f"2{c},{c}3")
+            (tmp_path / f"clean-{name}.txt").write_text(text)
+            (tmp_path / f"messy-{name}.txt").write_text(messy)
+        points = [load_pointset(tmp_path / f"{kind}-points.txt") for kind in ("clean", "messy")]
+        assert points[0] == points[1] and len(points[1]) == 2
+        outputs = [run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
+                           "--random", "9", "--edges", f"pairs:{tmp_path / f'{kind}-edges.txt'}")
+                   for kind in ("clean", "messy")]
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
         assert first_json(outputs[1][1])["edges"] == [[1, 2], [2, 3]]
 
@@ -1257,7 +1276,7 @@ class TestInputDigests:
         code, out = run_cli(capsys, *(str(paths[arg]) if arg in paths else arg for arg in argv))
         expected = first[names] if key == "input_digest" else {k: first[v] for k, v in names.items()}
         assert code == 0 and first_json(out)[key] == expected
-        assert all(first[name] != file_digest(path) for name, path in paths.items())
+        assert all(first[name] != hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items())
 
 
 class TestInputErrors:
