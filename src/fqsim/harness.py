@@ -12,9 +12,9 @@ edge-set file (`--edges pairs:FILE`) holds one 'i,j' pair a line,
 1 <= i < j <= k + 1.  Both formats go through one line reader
 (`_lines`: the '#' comment cut, the rest stripped, blank lines skipped)
 and one integer parser (`_ints`, every cell stripped), so a cell reads
-and a refusal names its line the same way in both.  A file is read once (`_load`): its bytes are decoded as
-UTF-8 with universal newlines and parsed, and its digest is the SHA-256
-of those same bytes.
+and a refusal names its line the same way in both.  A file is read once
+(`_load`): its bytes are decoded as UTF-8 with universal newlines and
+parsed, and its digest is the SHA-256 of those same bytes.
 
 Sampling is driven entirely by SplitMix64 (see `prng`), so a given
 (q, d, n, seed) produces the same point set on every platform, and

@@ -196,8 +196,9 @@ def oracle_compose(g, h):
 
 
 def oracle_inverse(g):
-    """-a, coordinate by coordinate mod q, for a shift; the adjugate over the determinant, both by
-    `_det_rows`, for a map, through the kind's checked constructor."""
+    """-a, coordinate by coordinate mod q, for a shift; the adjugate over
+    the determinant, both by `_det_rows`, for a map, through the kind's
+    checked constructor."""
     if isinstance(g, Translation):
         return Translation(Vector(g.field, [-a for a in g.vector.coords]))
     rows, q = g.matrix.rows, g.field.q

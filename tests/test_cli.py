@@ -10,6 +10,7 @@ import time
 import types
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,11 +307,8 @@ class TestKernelBackedVerifyBound:
             report = max_intersection(group, e, h, want_histogram=histogram)
         out = report.to_json()
         out["double_count_ok"] = report.double_count_ok if report.transitive else None
-        digests = []
-        for path in (pe, ph):
-            with open(path, "rb") as fh:
-                digests.append(hashlib.sha256(fh.read()).hexdigest())
-        out["input_digests"] = dict(zip(("set_e", "set_h"), digests))
+        out["input_digests"] = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                                for name, path in (("set_e", pe), ("set_h", ph))}
         code = 2 if report.transitive and not (report.satisfies_bound and report.double_count_ok) else 0
         err = "".join(f"warning: {w.message}\n" for w in caught)
         return json.dumps(out, sort_keys=True, indent=2) + "\n", err, code
@@ -529,30 +527,20 @@ class TestFindSimilar:
         assert obj["edges"] == [[1, 2], [2, 3]]
 
     def test_edge_file_layout_does_not_change_the_edges(self, capsys, tmp_path):
-        # CRLF line ends, a comment-only line, blank lines and spaces around cells
-        clean, messy = tmp_path / "clean.txt", tmp_path / "messy.txt"
+        # CRLF line ends, a comment-only line, blank lines and spaces around
+        # cells; then each of \x1c-\x1f around the numbers, which str.strip
+        # removes and int() does not
+        layouts = [b"\r\n# edges\r\n 1 , 2 \r\n\r\n   # none here\r\n2,\t3  # last\r\n\r\n"]
+        layouts += [b"%c1%c,%c2%c\n2%c,%c3\n" % ((c,) * 6) for c in range(0x1c, 0x20)]
+        clean = tmp_path / "clean.txt"
         clean.write_bytes(b"1,2\n2,3\n")
-        messy.write_bytes(b"\r\n# edges\r\n 1 , 2 \r\n\r\n   # none here\r\n2,\t3  # last\r\n\r\n")
-        outputs = [run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
-                           "--random", "9", "--edges", f"pairs:{path}") for path in (clean, messy)]
-        assert outputs[0] == outputs[1] and outputs[0][0] == 0
-        assert first_json(outputs[1][1])["edges"] == [[1, 2], [2, 3]]
-
-    @pytest.mark.parametrize("c", ["\x1c", "\x1d", "\x1e", "\x1f"])
-    def test_separator_code_points_around_a_cell_are_stripped_in_both_formats(self, capsys, tmp_path, c):
-        # str.strip removes these four, int() does not: every cell of either
-        # format is stripped, so each file reads as its clean twin
-        for name, text in (("points", "q=5 d=2\n1,2\n2,3\n"), ("edges", "1,2\n2,3\n")):
-            messy = text.replace("1,2", f"{c}1{c},{c}2{c}").replace("2,3", f"2{c},{c}3")
-            (tmp_path / f"clean-{name}.txt").write_text(text)
-            (tmp_path / f"messy-{name}.txt").write_text(messy)
-        points = [load_pointset(tmp_path / f"{kind}-points.txt") for kind in ("clean", "messy")]
-        assert points[0] == points[1] and len(points[1]) == 2
-        outputs = [run_cli(capsys, "find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2",
-                           "--random", "9", "--edges", f"pairs:{tmp_path / f'{kind}-edges.txt'}")
-                   for kind in ("clean", "messy")]
-        assert outputs[0] == outputs[1] and outputs[0][0] == 0
-        assert first_json(outputs[1][1])["edges"] == [[1, 2], [2, 3]]
+        argv = ["find-similar", "--q", "5", "--d", "2", "--r", "4", "--k", "2", "--random", "9", "--edges"]
+        expected = run_cli(capsys, *argv, f"pairs:{clean}")
+        assert expected[0] == 0 and first_json(expected[1])["edges"] == [[1, 2], [2, 3]]
+        for i, layout in enumerate(layouts):
+            messy = tmp_path / f"messy-{i}.txt"
+            messy.write_bytes(layout)
+            assert run_cli(capsys, *argv, f"pairs:{messy}") == expected, layout
 
     @pytest.mark.parametrize("text, message", [
         ("1,2\n# comment\n\n3\n", "line 4: expected one 'i,j' pair, got '3'"),

@@ -814,7 +814,8 @@ class TestDetVerifierDeterminants:
         for trial in range(6):
             xs = random_subset(Space.punctured(field, d), n, trial).points
             root = field(rng.randrange(1, q))
-            ys = [Vector(field, [root.inverse().value * c for c in v.coords]) for v in xs]
+            inverse = root.inverse().value
+            ys = [Vector(field, [inverse * c for c in v.coords]) for v in xs]
             if trial:  # perturb a few coordinates of y
                 for _ in range(trial):
                     i = rng.randrange(n)

@@ -413,6 +413,12 @@ class TestPointsetFormat:
         ps = parse_pointset("# header\nq=5 d=2\n\n0,0  # origin\n")
         assert len(ps) == 1
 
+    @pytest.mark.parametrize("c", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_cells_are_stripped_as_edge_cells_are(self, c):
+        # str.strip removes each of these, int() does not
+        messy = parse_pointset(f"q=5 d=2\n{c}1{c},{c}2{c}\n2{c},{c}3\n")
+        assert coords_list(messy) == coords_list(parse_pointset("q=5 d=2\n1,2\n2,3\n")) == [[1, 2], [2, 3]]
+
     def test_out_of_range_coordinate(self):
         with pytest.raises(HeaderMismatch) as exc:
             parse_pointset("q=5 d=2\n7,0\n")

@@ -1,4 +1,5 @@
-"""The never-run line counter, on a small module whose lines are known."""
+"""The never-run line counter and the list of functions called only from
+outside, on a small module whose lines and callers are known."""
 
 import runpy
 import sys
@@ -56,6 +57,35 @@ Thing().method()
 worker = threading.Thread(target=in_a_thread)
 worker.start()
 worker.join()
+
+
+def called_from_outside():
+    return 4
+
+
+import contextlib
+import dataclasses
+
+
+@dataclasses.dataclass
+class Record:
+    n: int
+
+    def __post_init__(self):
+        self.n += 1
+
+
+@contextlib.contextmanager
+def scope():
+    yield Record(1)
+
+
+with scope() as record:
+    assert record.n == 2
+
+
+pair = (lambda: 1, lambda: 2)
+pair[0]()
 '''
 
 # Every line holding code, docstrings left out, by the outermost code
@@ -67,6 +97,9 @@ OWNERS = {
     22: "decorated", 25: "<module>", 26: "unused", 27: "unused", 30: "<module>", 33: "Thing",
     34: "Thing.method", 36: "Thing", 37: "Thing.other", 40: "<module>", 41: "in_a_thread",
     44: "<module>", 45: "<module>", 46: "<module>", 47: "<module>", 48: "<module>", 49: "<module>",
+    52: "<module>", 53: "called_from_outside", 56: "<module>", 57: "<module>", 60: "<module>",
+    61: "<module>", 62: "Record", 64: "Record", 65: "Record.__post_init__", 68: "<module>",
+    69: "<module>", 70: "scope", 73: "<module>", 74: "<module>", 77: "<module>", 78: "<module>",
 }
 
 
@@ -80,13 +113,30 @@ def test_executable_lines_leave_out_docstrings_and_name_the_function():
     assert line_coverage.executable_lines(FIXTURE) == {line: named(o) for line, o in OWNERS.items()}
 
 
+def run_fixture(path):
+    """Run the fixture module, then call one of its functions from here."""
+    namespace = runpy.run_path(str(path))
+    assert namespace["called_from_outside"]() == 4 and namespace["pair"][1]() == 2
+    return namespace
+
+
 def test_never_run_lines_are_the_skipped_branch_and_the_uncalled_functions(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE, encoding="utf-8")
     before = sys.gettrace(), threading.gettrace()
-    namespace, ran = line_coverage.traced(lambda: runpy.run_path(str(path)), [path])
+    namespace, ran, callers = line_coverage.traced(lambda: run_fixture(path), [path])
     assert (sys.gettrace(), threading.gettrace()) == before
     assert namespace["decorated"](1) == (1, 2)
     (count, missed), = line_coverage.never_run([path], ran).values()
     assert count == len(OWNERS)
     assert missed == {"used": [13], "unused": [26, 27], named("Thing.other"): [37]}
+    # the module body, its comprehension and the functions it calls are
+    # called from the module, `__post_init__` through the dataclass's
+    # generated `__init__` and `scope` through contextlib; this file and
+    # the thread's run, past which no caller is left, call the rest, the
+    # second lambda of line 77 among them
+    (outside,) = line_coverage.outside_callers([path], callers).values()
+    here = [line_coverage._shown(__file__)]
+    assert outside == {"in_a_thread": [line_coverage._shown(threading.__file__)],
+                       "called_from_outside": here, "<lambda>:77": here}
+    assert list(outside) == ["in_a_thread", "called_from_outside", "<lambda>:77"]
