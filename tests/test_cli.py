@@ -1266,6 +1266,10 @@ class TestInputDigests:
         assert code == 0 and first_json(out)[key] == expected
         assert all(first[name] != hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items())
 
+    def test_only_the_commands_digest(self):
+        # a digest names the bytes a command parsed; no reader digests a path on its own
+        assert not hasattr(fqsim, "file_digest") and not hasattr(fqsim.harness, "file_digest")
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [

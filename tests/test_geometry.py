@@ -99,6 +99,21 @@ class TestVectorOps:
         assert type(fast) is Vector and fast.coords == checked.coords and fast.field is field
         assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
 
+    @pytest.mark.parametrize("op", [
+        lambda v, w: v + w,
+        lambda v, w: v - w,
+        lambda v, w: -v,
+        lambda v, w: v.field(2) * v,
+        lambda v, w: v < w,
+    ], ids=["sum", "difference", "negation", "scalar_multiple", "order"])
+    def test_a_point_has_no_arithmetic(self, op):
+        # a shift is a Translation, and a point set's order is its coordinate tuples' order
+        with pytest.raises(TypeError):
+            op(Vector(F5, [1, 2]), Vector(F5, [3, 4]))
+
+    def test_a_point_has_no_zero_test(self):
+        assert not any(hasattr(Vector, name) for name in ("is_zero", "_peer"))
+
 
 class TestDeterminant:
     def test_identity(self):
